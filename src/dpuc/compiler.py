@@ -2,13 +2,14 @@
 
 Per schedule the driver lays out DDR, then walks nodes in order: each node
 is lowered to tile templates, its streams get FM memories by chain role,
-tile windows are placed by the circular allocator, and the templates are
-bound to concrete instructions.  Per-node tile streams are skewed by the
-software pipeliner, concatenated, and the typed dependencies are derived
-over the whole program so consecutive nodes synchronize through the same
-DPON/DPBY machinery.  A node that cannot be placed retries with reduced
-tile height, then unfused, then deeper width splits; when every schedule
-fails the CompileError carries the attempt ledger.
+tile windows get double-buffered slots from the window planner, and the
+templates are bound to concrete instructions.  Per-node tile streams are
+skewed by the software pipeliner, concatenated, and the typed
+dependencies are derived over the whole program so consecutive nodes
+synchronize through the same DPON/DPBY machinery.  A node that cannot be
+placed retries with reduced tile height, then unfused, then deeper width
+splits; when every schedule fails the CompileError carries the attempt
+ledger.
 """
 
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ def compile_graph(g, cfg, options=None):
 # ---------------------------------------------------------------------------
 
 def _concat_aliases(g):
-    """tensor -> (concat output, channel offset) for inputs the allocator
+    """tensor -> (concat output, channel offset) for inputs the layout
     can resolve by pointing the producer's saves into the concatenation."""
     aliases = {}
     for n in g.nodes.values():
@@ -291,7 +292,7 @@ def _mid_tensors(g):
 
 def _window_records(window_usage, pre_index, pre_to_final):
     """Per-stream window placements with their instruction spans (the
-    allocator's view, for the memory-map dump)."""
+    window planner's view, for the memory-map dump)."""
     out = []
     for nd, lowered, usage in window_usage:
         allocs = lowered.notes["allocs"]
@@ -312,15 +313,9 @@ def _alloc_records(prog):
     """Slice-granular live allocations of the final program: one record
     per written range, live until its last reader.  This is the
     granularity at which the pairwise-disjointness invariant holds."""
-    ranges = MM.compute_liveness(
-        prog.instructions,
-        preloaded=[(DDR, 0, 0, 1 << 62), (PM, 0, 0, 1 << 62)],
-        exact=True)
     out = []
-    for lr in ranges:
-        space, mem, lo, hi = lr.key
-        if space != FM:
-            continue
+    for lr in MM.compute_liveness(prog.instructions, exact=True):
+        _space, mem, lo, hi = lr.key
         out.append({"key": f"fm{mem}@{lo}+{hi - lo}:{lr.first}",
                     "mem": mem, "start": lo, "length": hi - lo,
                     "wrap": False, "first": lr.first, "last": lr.last})

@@ -50,7 +50,7 @@ class OutOfBoundsError(DpucError):
 
 
 class OutOfMemoryError(DpucError):
-    """Circular allocator cannot place a request without overlap."""
+    """FM window planning cannot fit a stream's slots without overlap."""
 
 
 class PortConflictError(DpucError):

@@ -1,18 +1,21 @@
-"""Memory assignment: segmented DDR layout, liveness, circular allocation.
+"""Memory assignment: segmented DDR layout, FM liveness, FM memory roles.
 
 DDR is flat and split by pointers into five segments (inputs, outputs,
-parameters, instructions, swap).  FM and PM are circular: an allocation
-may wrap from the last byte back to zero and is contiguous under the wrap.
-The allocator is a bump pointer around the circle that frees space at an
-allocation's last read, which makes double buffering fall out of the
-stream order; a first-fit scan handles fragmented corners.
+parameters, instructions, swap).  FM windows are placed by the compiler's
+window planner as `CircularAlloc` records: each stream gets two
+alternating slots, so double buffering and its buffer-reuse dependencies
+follow from the stream order.  `compute_liveness` derives, from the final
+program, the first write and last read of every written FM byte range;
+the memory map lists these as live allocations for the hazard checker.
+Streams map to FM memories by chain position under the one-read-port,
+one-write-port rule.
 """
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, OutOfMemoryError, PortConflictError, \
-    UseBeforeDefError
-from .machine import DDR_SEGMENTS, FM, PM
+from .errors import CapacityError, PortConflictError, UseBeforeDefError
+from .intervals import IntervalMap
+from .machine import DDR_SEGMENTS, FM
 
 # default roles: loads land in memory 0, the first compute stage writes
 # memory 1, the second writes memory 2 (one read + one write port each)
@@ -105,180 +108,55 @@ class LiveRange:
             raise ValueError("liveness range inverted")
 
 
-def _overlap(a, b):
-    return a[0] == b[0] and a[1] == b[1] and a[2] < b[3] and b[2] < a[3]
+def compute_liveness(instructions, exact=False):
+    """First-write/last-read index per written FM byte range, byte-precise.
 
-
-def _subtract(intervals, lo, hi):
-    out = []
-    for a, b in intervals:
-        if a < hi and lo < b:
-            if a < lo:
-                out.append((a, lo))
-            if hi < b:
-                out.append((hi, b))
-        else:
-            out.append((a, b))
-    return out
-
-
-class _OpenSlice:
-    __slots__ = ("space", "mem", "first", "owned")
-
-    def __init__(self, rng, idx):
-        self.space, self.mem = rng[0], rng[1]
-        self.first = idx
-        # byte intervals still owned by this write: [lo, hi, last_read]
-        self.owned = [[rng[2], rng[3], idx]]
-
-
-def compute_liveness(instructions, preloaded=(), exact=False):
-    """First-write/last-read index per written byte range, byte-precise.
-
-    Each write opens a slice; later writes take ownership of the bytes
-    they cover, emitting the displaced parts with the last read seen on
-    exactly those bytes.  Reads extend only the intervals that currently
-    own the bytes.  Parts never read collapse to their write and are
-    flagged dead.  preloaded ranges (DDR inputs and parameters) count as
-    written before the stream starts.
+    Each FM byte belongs to the piece of the write that last covered it,
+    valued (writer, last read).  A write takes over the bytes it covers
+    and emits the displaced pieces with the last read seen on exactly
+    those bytes; a read moves the last read of the pieces it covers, cut
+    at its ends.  Pieces never read collapse to their write and are
+    flagged dead.  DDR and PM are not tracked: FM is the only space whose
+    allocations the memory map records.  An FM read of bytes nothing has
+    written raises UseBeforeDefError.  Ranges come back in (first, key)
+    order.
     """
-    open_slices = []
+    owners = IntervalMap()
     done = []
-    preload = [(s, m, lo, hi) for (s, m, lo, hi) in preloaded]
 
-    def emit(sl, lo, hi, last):
-        done.append(LiveRange((sl.space, sl.mem, lo, hi), sl.first, last,
-                              dead=last == sl.first))
+    def emit(key, lo, hi, first, last):
+        done.append(LiveRange(key + (lo, hi), first, last,
+                              dead=last == first))
 
     for idx, ins in enumerate(instructions):
-        for rng in ins.reads(exact=exact):
-            space, mem, lo, hi = rng
-            found = False
-            for sl in open_slices:
-                if sl.space != space or sl.mem != mem:
-                    continue
-                new_owned = []
-                for a, b, last in sl.owned:
-                    if a < hi and lo < b:
-                        found = True
-                        if a < lo:
-                            new_owned.append([a, lo, last])
-                        new_owned.append([max(a, lo), min(b, hi), idx])
-                        if hi < b:
-                            new_owned.append([hi, b, last])
-                    else:
-                        new_owned.append([a, b, last])
-                sl.owned = new_owned
-            if not found and not any(_overlap(p, rng) for p in preload):
+        def read(value):
+            return value[0], idx
+
+        for space, mem, lo, hi in ins.reads(exact=exact):
+            if space == FM and not owners.update((FM, mem), lo, hi, read):
                 raise UseBeforeDefError(
                     f"instruction {idx} ({ins.op}/{ins.sub}) reads "
-                    f"{rng} before any write")
-        for rng in ins.writes(exact=exact):
-            space, mem, lo, hi = rng
-            keep = []
-            for sl in open_slices:
-                if sl.space == space and sl.mem == mem:
-                    remaining = []
-                    for a, b, last in sl.owned:
-                        if a < hi and lo < b:
-                            emit(sl, max(a, lo), min(b, hi), last)
-                            if a < lo:
-                                remaining.append([a, lo, last])
-                            if hi < b:
-                                remaining.append([hi, b, last])
-                        else:
-                            remaining.append([a, b, last])
-                    sl.owned = remaining
-                    if not sl.owned:
-                        continue
-                keep.append(sl)
-            open_slices = keep
-            open_slices.append(_OpenSlice(rng, idx))
-    for sl in open_slices:
-        for a, b, last in sl.owned:
-            emit(sl, a, b, last)
+                    f"{(space, mem, lo, hi)} before any write")
+        for space, mem, lo, hi in ins.writes(exact=exact):
+            if space != FM:
+                continue
+            for plo, phi, (first, last) in owners.assign((FM, mem), lo, hi,
+                                                         (idx, idx)):
+                emit((FM, mem), plo, phi, first, last)
+    for key, lo, hi, (first, last) in owners.pieces():
+        emit(key, lo, hi, first, last)
     done.sort(key=lambda lr: (lr.first, lr.key))
     return done
 
 
-# ---------------------------------------------------------------------------
-# circular allocation
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class CircularAlloc:
+    """A placed FM window: `length` bytes of memory `mem` from `start`,
+    continuing at byte zero when `wrap` is set."""
     mem: int
     start: int
     length: int
     wrap: bool
-
-    def intervals(self, capacity):
-        if not self.wrap:
-            return [(self.start, self.start + self.length)]
-        head = capacity - self.start
-        return [(self.start, capacity), (0, self.length - head)]
-
-
-@dataclass(frozen=True)
-class AllocRequest:
-    key: object
-    size: int
-    first: int
-    last: int
-
-
-def _ranges_clash(a, b, capacity):
-    for x0, x1 in a.intervals(capacity):
-        for y0, y1 in b.intervals(capacity):
-            if x0 < y1 and y0 < x1:
-                return True
-    return False
-
-
-def allocate_circular(requests, capacity, policy="wrap", mem=0):
-    """Place requests around a circular buffer without live overlap.
-
-    policy "wrap" lets a placement run past the top and continue at zero;
-    "contiguous" pads the cursor back to zero instead, so every placement
-    is a single linear span (what the instruction encoding prefers).
-    """
-    cursor = 0
-    live = []   # (last, CircularAlloc)
-    out = {}
-    for req in sorted(requests, key=lambda r: (r.first, str(r.key))):
-        if req.size > capacity:
-            raise OutOfMemoryError(
-                f"request {req.key} of {req.size} B exceeds capacity "
-                f"{capacity} B")
-        live = [(last, al) for last, al in live if last >= req.first]
-
-        def try_place(start):
-            if policy == "contiguous" and start + req.size > capacity:
-                start = 0
-            wrap = start + req.size > capacity
-            cand = CircularAlloc(mem, start % capacity, req.size, wrap)
-            for _, al in live:
-                if _ranges_clash(cand, al, capacity):
-                    return None
-            return cand
-
-        placed = try_place(cursor)
-        if placed is None:
-            # first-fit: retry just past each live allocation's end
-            ends = sorted({(al.start + al.length) % capacity
-                           for _, al in live})
-            for e in ends:
-                placed = try_place(e)
-                if placed is not None:
-                    break
-        if placed is None:
-            raise OutOfMemoryError(
-                f"no room for {req.key} ({req.size} B) among "
-                f"{len(live)} live allocations in {capacity} B")
-        out[req.key] = placed
-        live.append((req.last, placed))
-        cursor = (placed.start + placed.length) % capacity
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ where a stage runs out of real work.
 from dataclasses import dataclass, replace
 
 from .errors import EncodingError
+from .intervals import IntervalMap
 from .machine import FM, Instruction, OP_TYPES
 
 
@@ -80,81 +81,53 @@ def pipeline(tiles, enabled=True):
 # dependency derivation
 # ---------------------------------------------------------------------------
 
-class _IntervalTracker:
-    """Last writer / readers-since-last-write per byte interval."""
-
-    def __init__(self):
-        self.writers = {}   # (space, mem) -> list of [lo, hi, idx]
-        self.readers = {}   # (space, mem) -> list of [lo, hi, idx]
-
-    @staticmethod
-    def _overlapping(table, lo, hi):
-        return [e for e in table if e[0] < hi and lo < e[1]]
-
-    @staticmethod
-    def _cut(table, lo, hi):
-        """Remove [lo, hi) from every entry, keeping the remnants so a
-        partial overwrite does not erase the rest of an older record."""
-        out = []
-        for e in table:
-            if e[0] < hi and lo < e[1]:
-                if e[0] < lo:
-                    out.append([e[0], lo, e[2]])
-                if hi < e[1]:
-                    out.append([hi, e[1], e[2]])
-            else:
-                out.append(e)
-        return out
-
-    def record(self, idx, reads, writes):
-        """Return (raw_targets, war_targets, waw_targets) index sets."""
-        raw = set()
-        war = set()
-        waw = set()
-        for space, mem, lo, hi in reads:
-            key = (space, mem)
-            for e in self._overlapping(self.writers.get(key, []), lo, hi):
-                raw.add(e[2])
-            self.readers.setdefault(key, []).append([lo, hi, idx])
-        for space, mem, lo, hi in writes:
-            key = (space, mem)
-            wl = self.writers.setdefault(key, [])
-            for e in self._overlapping(wl, lo, hi):
-                waw.add(e[2])
-            rl = self.readers.setdefault(key, [])
-            for e in self._overlapping(rl, lo, hi):
-                if e[2] != idx:
-                    war.add(e[2])
-            self.writers[key] = self._cut(wl, lo, hi) + [[lo, hi, idx]]
-            self.readers[key] = self._cut(rl, lo, hi)
-        return raw, war, waw
-
-
 def derive_dependencies(instructions):
     """Cross-queue dependency targets per instruction, from byte ranges
     and port usage.
 
-    Same-queue ordering is free (units are in-order and non-overlapping),
-    so only the latest cross-queue target per producer type matters.
-    Besides data and buffer-reuse dependencies, each FM memory has a
-    single read and a single write port: when the user of a port switches
-    to a different unit, the newcomer must wait for the previous unit's
-    last access, even if the byte ranges are disjoint."""
-    tracker = _IntervalTracker()
+    Every byte carries (last writer, readers since that write) in one
+    interval map: a read depends on the writers of its bytes (RAW), a
+    write on their readers (WAR) and writer (WAW).  Same-queue ordering is
+    free (units are in-order and non-overlapping), so only the latest
+    cross-queue target per producer type matters.  Besides data and
+    buffer-reuse dependencies, each FM memory has a single read and a
+    single write port: when the user of a port switches to a different
+    unit, the newcomer must wait for the previous unit's last access, even
+    if the byte ranges are disjoint."""
+    accesses = IntervalMap((None, ()))
     last_port_user = {}   # (mem, dir) -> instruction index
     deps = []
     for idx, ins in enumerate(instructions):
-        raw, war, waw = tracker.record(idx, ins.reads(), ins.writes())
+        found = set()
+
+        def read(value):
+            writer, readers = value
+            if writer is not None:
+                found.add(writer)
+            if readers and readers[-1] == idx:
+                return value
+            return writer, readers + (idx,)
+
+        reads = ins.reads()
+        writes = ins.writes()
+        for space, mem, lo, hi in reads:
+            accesses.update((space, mem), lo, hi, read)
+        for space, mem, lo, hi in writes:
+            for _lo, _hi, (writer, readers) in accesses.assign(
+                    (space, mem), lo, hi, (idx, ())):
+                if writer is not None:
+                    found.add(writer)
+                found.update(readers)
         targets = {}
-        for j in raw | war | waw:
+        for j in found:
             other = instructions[j]
             if other.op != ins.op:
                 targets[other.op] = max(targets.get(other.op, -1), j)
         ports = set()
-        for space, mem, _lo, _hi in ins.reads():
+        for space, mem, _lo, _hi in reads:
             if space == FM:
                 ports.add((mem, "r"))
-        for space, mem, _lo, _hi in ins.writes():
+        for space, mem, _lo, _hi in writes:
             if space == FM:
                 ports.add((mem, "w"))
         for port in sorted(ports):
@@ -274,35 +247,6 @@ def _insert_noop(instructions, marks, deps, origin, anchor, consumer, s):
     new_deps = new_deps[:at] + [{}] + new_deps[at:]
     new_deps[shift(consumer)][s] = at
     return instructions, marks, new_deps, origin
-
-
-def insert_noops(stream):
-    """Balance token channels of an already-annotated stream.
-
-    For every (s -> u) channel with more consumers than producers, append
-    No-Op producers so each DPON has a completing pace maker.  Streams
-    produced by assign_typed_deps are already balanced and pass through
-    unchanged.
-    """
-    instructions = list(stream.instructions)
-    marks = list(stream.marks)
-    changed = False
-    for s in OP_TYPES:
-        for u in OP_TYPES:
-            if s == u:
-                continue
-            ncons = sum(1 for i in instructions
-                        if i.op == u and s in i.dpon)
-            nprod = sum(1 for i in instructions
-                        if i.op == s and u in i.dpby)
-            for _ in range(ncons - nprod):
-                instructions.append(Instruction(
-                    op=s, sub="noop", dpby=frozenset({u})))
-                marks.append(("tail", -1, -1, -1))
-                changed = True
-    if not changed:
-        return stream
-    return PipelinedStream(instructions, marks, stream.pipelined)
 
 
 def token_pairings(instructions):

@@ -9,7 +9,9 @@ checker replays a trace against exact byte footprints to prove that the
 typed dependencies were sufficient.
 """
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -485,6 +487,46 @@ def run_timing(prog, cfg, watchdog=10**6):
 # hazard checking
 # ---------------------------------------------------------------------------
 
+def _live_alloc_overlaps(allocs, ev, capacity):
+    """Sorted index pairs (i, j), i < j, of same-memory allocations whose
+    lifetimes (first start to last end, in cycles) and bytes overlap.
+
+    A wrapping allocation is cut into its two linear pieces.  Per memory
+    the pieces are swept in order of lifetime start.  The pieces still
+    live are kept sorted by address, so a new piece is tested only
+    against those starting less than the longest piece's length below its
+    own start: no piece further down can reach it."""
+    by_mem = {}
+    for i, a in enumerate(allocs):
+        t0, t1 = ev[a["first"]].start, ev[a["last"]].end
+        lo, n = a["start"], a["length"]
+        if a.get("wrap", False):
+            pieces = ((lo, capacity), (0, lo + n - capacity))
+        else:
+            pieces = ((lo, lo + n),)
+        rows = by_mem.setdefault(a["mem"], [])
+        rows.extend((t0, t1, plo, phi, i) for plo, phi in pieces
+                    if plo < phi)
+    pairs = set()
+    for rows in by_mem.values():
+        rows.sort()
+        reach = max((hi - lo for _t0, _t1, lo, hi, _i in rows), default=0)
+        live = []     # (lo, hi, t0, i) in address order
+        ends = []     # heap of (t1, live entry)
+        for t0, t1, lo, hi, i in rows:
+            while ends and ends[0][0] <= t0:
+                del live[bisect_left(live, heappop(ends)[1])]
+            near = live[bisect_left(live, (lo - reach + 1,)):
+                        bisect_left(live, (hi,))]
+            for _lo, other_hi, other_t0, k in near:
+                if lo < other_hi and other_t0 < t1 and k != i:
+                    pairs.add((min(i, k), max(i, k)))
+            entry = (lo, hi, t0, i)
+            insort(live, entry)
+            heappush(ends, (t1, entry))
+    return sorted(pairs)
+
+
 def check_hazards(prog, trace, allocs=None, cfg=None):
     """Validate a trace against exact byte footprints.
 
@@ -536,25 +578,13 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
             readers[key] = cut(readers.get(key, []))
 
     if allocs:
-        for i, a in enumerate(allocs):
-            for b in allocs[i + 1:]:
-                if a["mem"] != b["mem"]:
-                    continue
-                ta = (ev[a["first"]].start, ev[a["last"]].end)
-                tb = (ev[b["first"]].start, ev[b["last"]].end)
-                if ta[0] < tb[1] and tb[0] < ta[1]:
-                    from .memory import CircularAlloc
-                    ca = CircularAlloc(a["mem"], a["start"], a["length"],
-                                       a.get("wrap", False))
-                    cb = CircularAlloc(b["mem"], b["start"], b["length"],
-                                       b.get("wrap", False))
-                    cap = cfg.fm_bytes if cfg else 1 << 62
-                    from .memory import _ranges_clash
-                    if _ranges_clash(ca, cb, cap):
-                        report.append(
-                            ("alloc-overlap", a["key"], b["key"],
-                             f"live allocations {a['key']} and {b['key']} "
-                             f"overlap in fm{a['mem']}"))
+        for i, j in _live_alloc_overlaps(allocs, ev,
+                                         cfg.fm_bytes if cfg else 1 << 62):
+            a, b = allocs[i], allocs[j]
+            report.append(
+                ("alloc-overlap", a["key"], b["key"],
+                 f"live allocations {a['key']} and {b['key']} "
+                 f"overlap in fm{a['mem']}"))
 
     port_use = {}
     for idx, ins in enumerate(instrs):

@@ -1,11 +1,8 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dpuc import graph as G
 from dpuc import memory as MEM
-from dpuc.errors import OutOfMemoryError, PortConflictError, \
-    UseBeforeDefError
+from dpuc.errors import PortConflictError, UseBeforeDefError
 from dpuc.machine import Addr, DDR, FM, Instruction, LOAD, MISC, SAVE
 
 
@@ -63,23 +60,40 @@ def save_instr(src_off, nbytes, mem=0, dst=0):
 
 def test_liveness_write_then_read_chain():
     instrs = [load_instr(0, 64), save_instr(0, 64), save_instr(0, 64)]
-    ranges = MEM.compute_liveness(instrs, preloaded=[(DDR, 0, 0, 64)])
-    fm = [r for r in ranges if r.key[0] == FM]
-    assert len(fm) == 1
-    assert fm[0].first == 0 and fm[0].last == 2
-    assert not fm[0].dead
+    ranges = MEM.compute_liveness(instrs)
+    # FM only: the DDR bytes the load reads and the saves write are not
+    # tracked
+    assert [r.key for r in ranges] == [(FM, 0, 0, 64)]
+    assert ranges[0].first == 0 and ranges[0].last == 2
+    assert not ranges[0].dead
 
 
 def test_liveness_never_read_is_dead():
-    instrs = [load_instr(0, 64)]
-    ranges = MEM.compute_liveness(instrs, preloaded=[(DDR, 0, 0, 64)])
-    fm = [r for r in ranges if r.key[0] == FM]
-    assert fm[0].dead and fm[0].first == fm[0].last == 0
+    ranges = MEM.compute_liveness([load_instr(0, 64)])
+    assert len(ranges) == 1
+    assert ranges[0].dead and ranges[0].first == ranges[0].last == 0
 
 
 def test_liveness_use_before_def():
     with pytest.raises(UseBeforeDefError):
         MEM.compute_liveness([save_instr(0, 64)])
+    # a read of another FM memory's written bytes does not count
+    with pytest.raises(UseBeforeDefError):
+        MEM.compute_liveness([load_instr(0, 64, mem=1), save_instr(0, 64)])
+    # DDR is never tracked, so reading unwritten DDR is not an error
+    assert MEM.compute_liveness([load_instr(0, 64, src=4096)])
+
+
+def test_liveness_partial_overwrite_keeps_piece_boundaries():
+    # a read cuts its slice at the read's ends, a partial overwrite emits
+    # only the bytes it displaces, and equal neighbours are not merged
+    instrs = [load_instr(0, 64), save_instr(0, 16), save_instr(0, 64),
+              load_instr(8, 16), save_instr(0, 64)]
+    got = [(r.key[2:], r.first, r.last, r.dead)
+           for r in MEM.compute_liveness(instrs)]
+    assert got == [((0, 8), 0, 4, False), ((8, 16), 0, 2, False),
+                   ((16, 24), 0, 2, False), ((24, 64), 0, 4, False),
+                   ((8, 24), 3, 4, False)]
 
 
 def test_liveness_double_buffered_stream_two_live():
@@ -92,74 +106,12 @@ def test_liveness_double_buffered_stream_two_live():
             instrs.append(load_instr(l, 64))
         else:
             instrs.append(save_instr(s, 64))
-    ranges = MEM.compute_liveness(instrs, preloaded=[(DDR, 0, 0, 64)])
-    fm = [r for r in ranges if r.key[0] == FM]
-    assert len(fm) == 4
+    ranges = MEM.compute_liveness(instrs)
+    assert len(ranges) == 4 and all(r.key[0] == FM for r in ranges)
     # at any instruction index at most two slices of the class are live
     for idx in range(len(instrs)):
-        live = [r for r in fm if r.first <= idx <= r.last]
+        live = [r for r in ranges if r.first <= idx <= r.last]
         assert len(live) <= 2
-
-
-def test_allocate_wrap_around():
-    # a dead 70 B allocation pushes the cursor to offset 70, so the next
-    # 60 B placement occupies [70,100) plus [0,30) around the circle
-    lead = MEM.AllocRequest("lead", 70, 0, 0)
-    out = MEM.allocate_circular([lead, MEM.AllocRequest("a", 60, 1, 2)], 100)
-    a = out["a"]
-    assert a.start == 70 and a.wrap
-    assert a.intervals(100) == [(70, 100), (0, 30)]
-
-
-def test_allocate_pigeonhole_fails():
-    reqs = [MEM.AllocRequest("a", 60, 0, 5),
-            MEM.AllocRequest("b", 60, 1, 5)]
-    with pytest.raises(OutOfMemoryError):
-        MEM.allocate_circular(reqs, 100)
-
-
-def test_allocate_streamed_slices_reuse():
-    # 10-slice pipeline, slice 30 B, at most 2 live at a time, capacity 100
-    reqs = [MEM.AllocRequest(f"s{i}", 30, i, i + 1) for i in range(10)]
-    out = MEM.allocate_circular(reqs, 100)
-    assert len(out) == 10
-    # discrete-event oracle: no two simultaneously-live slices overlap
-    for i in range(10):
-        for j in range(i + 1, 10):
-            a, b = reqs[i], reqs[j]
-            if a.first <= b.last and b.first <= a.last:
-                assert not MEM._ranges_clash(out[a.key], out[b.key], 100)
-
-
-def test_allocate_contiguous_policy_never_wraps():
-    reqs = [MEM.AllocRequest(f"s{i}", 40, i, i + 1) for i in range(6)]
-    out = MEM.allocate_circular(reqs, 100, policy="contiguous")
-    for al in out.values():
-        assert not al.wrap
-
-
-@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 3)),
-                min_size=1, max_size=12))
-@settings(max_examples=80)
-def test_allocate_property_no_live_overlap(spec):
-    reqs = []
-    for i, (size, extra) in enumerate(spec):
-        reqs.append(MEM.AllocRequest(f"k{i}", size, i, i + extra))
-    try:
-        out = MEM.allocate_circular(reqs, 64)
-    except OutOfMemoryError:
-        return
-    for i, a in enumerate(reqs):
-        for b in reqs[i + 1:]:
-            if a.first <= b.last and b.first <= a.last:
-                assert not MEM._ranges_clash(out[a.key], out[b.key], 64)
-
-
-def test_allocate_deterministic():
-    reqs = [MEM.AllocRequest(f"s{i}", 16 + i, i, i + 2) for i in range(8)]
-    a = MEM.allocate_circular(reqs, 256)
-    b = MEM.allocate_circular(reqs, 256)
-    assert a == b
 
 
 def test_check_ports_valid_chain():

@@ -168,22 +168,6 @@ def test_shared_pacemaker_covered_by_queue_order():
     assert pairs == [(1, 0)]
 
 
-def test_insert_noops_balances_channels():
-    ins = [load(0), conv(0, 0)]
-    ins[1].dpon = frozenset({LOAD, MISC})
-    ins[0].dpby = frozenset({CONV})
-    stream = P.PipelinedStream(ins, [("head", 0, 0, 0)] * 2)
-    out = P.insert_noops(stream)
-    miscs = [i for i in out.instructions if i.op == MISC]
-    assert len(miscs) == 1 and miscs[0].is_noop
-    assert miscs[0].dpby == frozenset({CONV})
-
-
-def test_insert_noops_noop_free_stream_unchanged():
-    stream = P.assign_typed_deps(P.pipeline(four_stage_tiles(4)))
-    assert P.insert_noops(stream) is stream
-
-
 def test_pipelined_beats_sequential_makespan():
     cfg = MachineConfig(ddr_bytes_per_cycle=4, misc_elems_per_cycle=16,
                         conv_macs_per_cycle=256, issue_overhead=2)

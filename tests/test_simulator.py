@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dpuc import graph as G
 from dpuc import quant
@@ -329,6 +331,57 @@ def test_hazard_overlapping_allocations_detected():
     ]
     report = S.check_hazards(prog, tr, allocs=allocs, cfg=cfg)
     assert any(kind == "alloc-overlap" for kind, *_ in report)
+
+
+def _pairwise_alloc_overlaps(allocs, ev, cap):
+    """Every same-memory pair, in (i, j) order, with explicit pieces."""
+    def pieces(a):
+        if not a["wrap"]:
+            return [(a["start"], a["start"] + a["length"])]
+        return [(a["start"], cap),
+                (0, a["length"] - (cap - a["start"]))]
+
+    out = []
+    for i, a in enumerate(allocs):
+        for b in allocs[i + 1:]:
+            ta = (ev[a["first"]].start, ev[a["last"]].end)
+            tb = (ev[b["first"]].start, ev[b["last"]].end)
+            if a["mem"] == b["mem"] and ta[0] < tb[1] and tb[0] < ta[1] \
+                    and any(x0 < y1 and y0 < x1 for x0, x1 in pieces(a)
+                            for y0, y1 in pieces(b)):
+                out.append((a["key"], b["key"]))
+    return out
+
+
+@given(hst.lists(hst.tuples(hst.integers(0, 1), hst.integers(0, 255),
+                            hst.integers(1, 256), hst.booleans(),
+                            hst.integers(0, 7), hst.integers(0, 7)),
+                 max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_alloc_overlaps_match_pairwise_check(spec):
+    # 256 B memories, so wrapping placements and both of their pieces
+    # are exercised; lifetimes come from a trace with staggered queues
+    cfg = MachineConfig(fm_banks_per_memory=1, fm_bank_rows=1,
+                        fm_row_bytes=256)
+    instrs = []
+    for k in range(8):
+        n = 16 * (k + 1)
+        fm, ddr = Addr(FM, 0, 0), Addr(DDR, 4096 * k)
+        instrs.append(Instruction(
+            op=(LOAD, SAVE)[k % 2], sub="act",
+            src=(ddr, fm)[k % 2], dst=(fm, ddr)[k % 2], rows=1, blocks=1,
+            block_bytes=n, ddr_row_stride=n, ddr_blk_stride=0))
+    prog = Program(instructions=instrs)
+    tr = S.run_timing(prog, cfg)
+    allocs = [{"key": f"a{i}", "mem": mem, "start": start,
+               "length": length, "wrap": wrap, "first": first,
+               "last": last}
+              for i, (mem, start, length, wrap, first, last)
+              in enumerate(spec)]
+    report = S.check_hazards(prog, tr, allocs=allocs, cfg=cfg)
+    got = [(a, b) for kind, a, b, _msg in report if kind == "alloc-overlap"]
+    ev = {e.index: e for e in tr.events}
+    assert got == _pairwise_alloc_overlaps(allocs, ev, cfg.fm_bytes)
 
 
 def test_timeline_empty_trace():
