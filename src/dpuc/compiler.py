@@ -29,7 +29,6 @@ class CompileOptions:
     pipeline: bool = True
     deconv_mode: str = "series"
     schedule_budget: int = 4
-    program_size_estimate: int = 65536
     keep_tile_trees: bool = False
 
 
@@ -213,9 +212,7 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
             param_offsets[nd.id] = offs
             lowered_nodes.append((nd, lowered, mems))
 
-    layout = MM.ddr_layout(g, options.program_size_estimate, cfg,
-                           aliases=aliases,
-                           param_bytes=len(param_image))
+    layout = MM.ddr_layout(g, len(param_image), cfg, aliases=aliases)
     pbase, psize = layout.segments["parameters"]
 
     marks = []
@@ -460,11 +457,8 @@ def _bind_tiles(node, lowered, mems, layout, aliases, param_offs, pbase,
                         dst_blk_stride=t.dst_blk_step)
                 else:
                     raise AssertionError(kind)
-                for attr in ("stream", "stream_in", "stream_out",
-                             "stream_a", "stream_b"):
-                    s = getattr(t, attr, None)
-                    if s is not None:
-                        touch((s, ti), ins)
+                for attr in t.READS + t.WRITES:
+                    touch((getattr(t, attr), ti), ins)
                 bound.append(ins)
             stages.append((queue, bound))
         out_tiles.append(stages)

@@ -50,7 +50,6 @@ class TensorRef:
     shape: tuple  # (h, w, c)
     dtype: str = "int8"
     quant: QuantInfo = None
-    storage: str = None  # ddr segment | fm | pm, assigned by allocation
 
     def __post_init__(self):
         if len(self.shape) != 3 or any(d < 1 for d in self.shape):
@@ -85,7 +84,6 @@ class Fused:
     kernel: tuple = (1, 1)
     stride: tuple = (1, 1)
     padding: tuple = (0, 0)
-    extra_input: str = None  # residual operand name for eltwise
 
 
 @dataclass
@@ -130,17 +128,6 @@ class Graph:
             self.producer[n.output] = n.id
             for t in n.inputs:
                 self.consumers.setdefault(t, []).append(n.id)
-
-    def node_list(self):
-        return list(self.nodes.values())
-
-    def tensor(self, name):
-        if name in self.tensors:
-            return self.tensors[name]
-        raise ShapeError(f"unknown tensor {name}")
-
-    def compute_nodes(self):
-        return [n for n in self.nodes.values() if n.op in COMPUTE_OPS]
 
     def successors(self, node_id):
         out = self.nodes[node_id].output
@@ -228,8 +215,30 @@ def _decode(b64, dtype):
     return np.frombuffer(base64.b64decode(b64), dtype=dtype).copy()
 
 
-def _quant_of(d):
-    return QuantInfo(float(d["lo"]), float(d["hi"]), float(d["step"]))
+# attrs an op cannot be shaped without, and attrs that must be >= 1
+REQUIRED_ATTRS = {"conv": ("c_out", "kernel"), "deconv": ("c_out", "kernel"),
+                  "maxpool": ("kernel",), "fix": ("lo", "hi", "step")}
+POSITIVE_ATTRS = ("c_out", "kernel", "stride", "factor", "upsample")
+
+
+def _req(d, key, where):
+    if key not in d:
+        raise ParseError(f"{where}: missing key {key!r}")
+    return d[key]
+
+
+def _quant_of(d, where):
+    return QuantInfo(*(float(_req(d, k, where)) for k in ("lo", "hi", "step")))
+
+
+def _check_attrs(node):
+    where = f"node {node.id} ({node.op}) attrs"
+    for key in REQUIRED_ATTRS.get(node.op, ()):
+        _req(node.attrs, key, where)
+    for key in POSITIVE_ATTRS:
+        v = node.attrs.get(key, 1)
+        if any(x < 1 for x in (v if isinstance(v, list) else [v])):
+            raise ParseError(f"{where}: {key} must be at least 1, got {v}")
 
 
 def parse_graph(text):
@@ -248,8 +257,10 @@ def parse_graph(text):
 
     tensors = {}
     for td in doc["tensors"]:
-        q = _quant_of(td["quant"]) if td.get("quant") else None
-        t = TensorRef(td["name"], tuple(td["shape"]), quant=q)
+        name = _req(td, "name", "tensor")
+        where = f"tensor {name}"
+        q = _quant_of(td["quant"], where) if td.get("quant") else None
+        t = TensorRef(name, tuple(_req(td, "shape", where)), quant=q)
         if t.name in tensors:
             raise ParseError(f"duplicate tensor {t.name}")
         tensors[t.name] = t
@@ -258,11 +269,14 @@ def parse_graph(text):
     param_data = {}
     seen = set()
     for nd in doc["nodes"]:
-        if nd["id"] in seen:
-            raise ParseError(f"duplicate node id {nd['id']}")
-        seen.add(nd["id"])
-        node = Node(nd["id"], nd["op"], list(nd.get("inputs", [])),
-                    nd["output"], dict(nd.get("attrs", {})))
+        nid = _req(nd, "id", "node")
+        if nid in seen:
+            raise ParseError(f"duplicate node id {nid}")
+        seen.add(nid)
+        where = f"node {nid}"
+        node = Node(nid, _req(nd, "op", where), list(nd.get("inputs", [])),
+                    _req(nd, "output", where), dict(nd.get("attrs", {})))
+        _check_attrs(node)
         if node.op == "const":
             p = nd.get("params", {})
             if "data" not in p or "dtype" not in p:
@@ -277,10 +291,17 @@ def parse_graph(text):
         elif "params" in nd:
             # pre-folded convenience form: weights/bias directly on the node
             p = nd["params"]
-            w = _decode(p["weights"], "<i1").reshape(p["shape"])
+            where = f"node {nid} params"
+            shape = _req(p, "shape", where)
+            w = _decode(_req(p, "weights", where), "<i1")
+            if w.size != int(np.prod(shape)):
+                raise ParseError(f"{where}: {w.size} weight bytes do not "
+                                 f"fill shape {shape}")
+            w = w.reshape(shape)
             b = (_decode(p["bias"], "<i4") if "bias" in p
-                 else np.zeros(p["shape"][0], np.int32))
-            node.params = WeightSpec(w, b, _quant_of(p["quant"]))
+                 else np.zeros(shape[0], np.int32))
+            node.params = WeightSpec(w, b, _quant_of(_req(p, "quant", where),
+                                                     where))
         nodes.append(node)
 
     g = Graph(tensors, nodes, doc["inputs"], doc["outputs"], param_data)
@@ -487,7 +508,7 @@ def fuse_superlayers(g, cfg=None):
     residual operand while the convolution runs would need a second
     concurrent reader on one FM memory, which the port model forbids.
     """
-    from .lowering import OpGeometry, plan_fusion
+    from .lowering import plan_fusion
     from .machine import MachineConfig
 
     cfg = cfg or MachineConfig()

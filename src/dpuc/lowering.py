@@ -1,17 +1,23 @@
 """Recursive lowering of scheduled nodes into hardware-sized tiles.
 
 Split order is fixed: width first (so the gamma row-vector limit holds
-independent of height), then height, then weights.  Each leaf is a single
-elementary computation bound to an instruction template; templates use
-symbolic stream positions until memory allocation assigns addresses.
+independent of height), then height, then weights.  Width strips are
+back-propagated through the node's chain of windowed stages
+(`_strip_chain`); the conv tile height is the largest preferred height
+whose double-buffered windows fit FM (`conv_tile_height`).  Each leaf is a
+single elementary computation bound to an instruction template; templates
+use symbolic stream positions until memory allocation assigns addresses.
+Each template class declares its queue (`QUEUE`) and which of its stream
+fields it reads (`READS`) and writes (`WRITES`); FM role assignment and
+template binding read those declarations.
 
-Tiles re-read their full input window from DDR (the per-tile load stage),
-so consecutive tiles of a strided kernel re-load the k - s overlapping
-rows.  That keeps every tile self-contained and the per-class liveness at
-the two-slice double-buffering bound.
+Every tensor lives in DDR between nodes.  Tiles re-read their full input
+window from DDR (the per-tile load stage), so consecutive tiles of a
+strided kernel re-load the k - s overlapping rows.  That keeps every tile
+self-contained and the per-class liveness at the two-slice
+double-buffering bound.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,16 +80,8 @@ class TileTree:
 
 
 # ---------------------------------------------------------------------------
-# width splitting
+# width and height splitting
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WStrip:
-    out_cols: tuple   # final-output column range [lo, hi)
-    in_cols: tuple    # input column range feeding it
-    pad_l: int
-    pad_r: int
-
 
 def _even_ranges(n, parts):
     base, rem = divmod(n, parts)
@@ -96,103 +94,57 @@ def _even_ranges(n, parts):
     return out
 
 
-def w_split(geom, cfg, min_parts=1):
-    """Split along width until every row vector fits gamma.
+def _strip_chain(out_w, out_c, levels, cfg, min_parts):
+    """Width strips back-propagated through a chain of windowed stages.
 
-    Both the output row vector (w_o * c_o) and the input row vector each
-    child must read are bounded; children's input ranges overlap by
-    k_w - s_w columns when the kernel is wider than the stride.
+    levels: innermost-last list of (kw, sw, pw, in_w, c) from the final
+    output toward the input; the final output byte width is levels[0]'s
+    "output".  Returns per-strip lists of (lo, hi, pad_l, pad_r) per level,
+    outermost (final output) first.
     """
-    h_i, w_i, c_i = geom.in_shape
-    h_o, w_o, c_o = geom.out_shape
-    kw, sw, pw = geom.kernel[1], geom.stride[1], geom.padding[1]
-
-    if c_o > cfg.gamma or c_i > cfg.gamma:
-        raise InfeasibleError(
-            f"single output column ({c_o} B) or input column ({c_i} B) "
-            f"exceeds gamma {cfg.gamma}")
-
-    parts = max(min_parts, math.ceil(w_o * c_o / cfg.gamma))
+    parts = max(min_parts, 1)
     while True:
-        if parts > w_o:
-            raise InfeasibleError(f"cannot split {w_o} output columns into "
-                                  f"{parts} gamma-feasible strips")
+        if parts > out_w:
+            raise InfeasibleError(
+                f"cannot width-split {out_w} columns into {parts} strips")
         strips = []
-        ok = True
-        for lo, hi in _even_ranges(w_o, parts):
-            in_lo, in_hi, pl, pr = receptive_range(lo, hi, kw, sw, pw, w_i)
-            if ((hi - lo) * c_o > cfg.gamma
-                    or (in_hi - in_lo) * c_i > cfg.gamma):
-                ok = False
-                break
-            strips.append(WStrip((lo, hi), (in_lo, in_hi), pl, pr))
+        for lo, hi in _even_ranges(out_w, parts):
+            chain = [(lo, hi, 0, 0)]
+            cur = (lo, hi)
+            for kw, sw, pw, in_w, _c in levels:
+                ilo, ihi, pl, pr = receptive_range(cur[0], cur[1], kw, sw,
+                                                   pw, in_w)
+                chain.append((ilo, ihi, pl, pr))
+                cur = (ilo, ihi)
+            strips.append(chain)
+        # gamma feasibility at every level of every strip; level 0 is the
+        # final output whose byte width is the caller's out_c
+        cs = [out_c] + [l[4] for l in levels]
+        ok = all((rhi - rlo) * c <= cfg.gamma
+                 for chain in strips
+                 for (rlo, rhi, _, _), c in zip(chain, cs))
         if ok:
-            break
+            return strips
         parts += 1
 
-    root = TileTree("w-split", axis="w", out_range=(0, w_o),
-                    in_range=(0, w_i))
-    for s in strips:
-        root.children.append(TileTree("leaf", axis="w", out_range=s.out_cols,
-                                      in_range=s.in_cols, leaf=s))
-    return root
 
-
-def w_strips(geom, cfg, min_parts=1):
-    return [t.leaf for t in w_split(geom, cfg, min_parts).children]
-
-
-# ---------------------------------------------------------------------------
-# height splitting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HBand:
-    out_rows: tuple
-    in_rows: tuple
-    pad_t: int
-    pad_b: int
-
-
-def h_split(geom, cfg, preferred_h=None):
-    """Split along height into output bands of at most preferred_h rows.
-
-    The per-tile input footprint is (h - 1) * s_h + k_h rows; if the
-    double-buffered footprint cannot fit one FM memory the height is
-    reduced toward 1 before giving up (the caller then splits deeper along
-    the width, which shrinks the per-row byte cost).
-    """
+def conv_tile_height(geom, cfg, preferred_h):
+    """Output rows per conv tile: at most preferred_h, reduced toward 1
+    until the double-buffered input window ((h - 1) * s_h + k_h rows) and
+    output band both fit one FM memory.  The retry ladder then splits
+    deeper along the width, which shrinks the per-row byte cost."""
     h_i, w_i, c_i = geom.in_shape
     h_o, w_o, c_o = geom.out_shape
-    kh, sh, ph = geom.kernel[0], geom.stride[0], geom.padding[0]
-    preferred_h = preferred_h or cfg.h_c
-
-    h = min(preferred_h, h_o)
-    while h >= 1:
+    kh, sh = geom.kernel[0], geom.stride[0]
+    for h in range(min(preferred_h, h_o), 0, -1):
         win_rows = (h - 1) * sh + kh
         in_bytes = cfg.round_to_bank_row(win_rows * w_i * c_i)
         out_bytes = cfg.round_to_bank_row(h * w_o * c_o)
         if 2 * in_bytes <= cfg.fm_bytes and 2 * out_bytes <= cfg.fm_bytes:
-            break
-        h -= 1
-    else:
-        raise InfeasibleError(
-            f"input window of {kh} rows x {w_i * c_i} B does not fit FM "
-            f"even at height 1")
-
-    root = TileTree("h-split", axis="h", out_range=(0, h_o),
-                    in_range=(0, h_i))
-    for lo in range(0, h_o, h):
-        hi = min(h_o, lo + h)
-        in_lo, in_hi, pt, pb = receptive_range(lo, hi, kh, sh, ph, h_i)
-        band = HBand((lo, hi), (in_lo, in_hi), pt, pb)
-        root.children.append(TileTree("leaf", axis="h", out_range=(lo, hi),
-                                      in_range=(in_lo, in_hi), leaf=band))
-    return root
-
-
-def h_bands(geom, cfg, preferred_h=None):
-    return [t.leaf for t in h_split(geom, cfg, preferred_h).children]
+            return h
+    raise InfeasibleError(
+        f"input window of {kh} rows x {w_i * c_i} B does not fit FM "
+        f"even at height 1")
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +367,7 @@ def weight_tiling(c_out, kh, kw, c_in, cfg):
 
 @dataclass
 class TLoad:
+    QUEUE, READS, WRITES = "LOAD", (), ("stream",)
     tensor: str
     row: int
     col0: int
@@ -427,13 +380,14 @@ class TLoad:
 
 @dataclass
 class TLoadW:
+    QUEUE, READS, WRITES = "LOAD", (), ()
     block0: int   # first PM block loaded
     nblocks: int
-    slot: int     # PM double-buffer slot
 
 
 @dataclass
 class TConv:
+    QUEUE, READS, WRITES = "CONV", ("stream_in",), ("stream_out",)
     stream_in: str
     in_row0: int
     in_rows: int
@@ -457,6 +411,7 @@ class TConv:
 
 @dataclass
 class TPool:
+    QUEUE, READS, WRITES = "MISC", ("stream_in",), ("stream_out",)
     stream_in: str
     in_row0: int
     in_rows: int
@@ -478,6 +433,7 @@ class TPool:
 
 @dataclass
 class TElt:
+    QUEUE, READS, WRITES = "MISC", ("stream_a", "stream_b"), ("stream_out",)
     stream_a: str
     a_row0: int
     stream_b: str
@@ -494,6 +450,7 @@ class TElt:
 
 @dataclass
 class TUpsample:
+    QUEUE, READS, WRITES = "MISC", ("stream_in",), ("stream_out",)
     stream_in: str
     in_row0: int
     in_rows: int
@@ -507,6 +464,7 @@ class TUpsample:
 
 @dataclass
 class TShuffle:
+    QUEUE, READS, WRITES = "MISC", ("stream_in",), ("stream_out",)
     stream_in: str
     src_row0: int
     n_rows: int
@@ -523,6 +481,7 @@ class TShuffle:
 
 @dataclass
 class TSave:
+    QUEUE, READS, WRITES = "SAVE", ("stream",), ()
     stream: str
     win_row0: int
     rows: int
@@ -532,12 +491,6 @@ class TSave:
     ncols: int
     ch0: int
     nch: int
-
-
-QUEUE_OF_TEMPLATE = {
-    TLoad: "LOAD", TLoadW: "LOAD", TSave: "SAVE", TConv: "CONV",
-    TPool: "MISC", TElt: "MISC", TUpsample: "MISC", TShuffle: "MISC",
-}
 
 
 @dataclass
@@ -562,7 +515,6 @@ class LoweredNode:
     tree: TileTree
     pm_blocks: list = field(default_factory=list)   # (wgt_bytes, bias_bytes)
     pm_payloads: list = field(default_factory=list)  # bytes per block
-    plan: FusionPlan = None
     notes: dict = field(default_factory=dict)
 
 
@@ -570,33 +522,24 @@ class LoweredNode:
 class LowerContext:
     """Everything lower_node needs from the surrounding schedule."""
     tensors: dict                 # name -> TensorRef
-    locations: dict = None        # name -> ddr | fm (default ddr)
     aliases: dict = None          # tensor -> (concat target, channel off)
     deconv_mode: str = "series"
     max_h: int = None             # retry ladder: cap on tile height
     w_min_parts: int = 1          # retry ladder: force deeper width split
-
-    def loc(self, name):
-        return (self.locations or {}).get(name, "ddr")
 
 
 def _exp(tensor):
     return tensor.quant.exp
 
 
-def _load_stage(tensor, rows, cols, stream, resident):
-    if resident:
-        return []
+def _load_stage(tensor, rows, cols, stream):
     lo, hi = rows
     clo, chi = cols
-    nch = None
     return [TLoad(tensor.name, r, clo, chi - clo, 0, tensor.shape[2],
                   stream, r - lo) for r in range(lo, hi)]
 
 
-def _save_stage(stream, local_rows, tensor, out_rows, cols, ch, resident):
-    if resident:
-        return []
+def _save_stage(stream, local_rows, tensor, out_rows, cols, ch):
     out = []
     clo, chi = cols
     ch0, ch1 = ch
@@ -618,40 +561,6 @@ def _tree_for_tiles(root, tiles):
                 tn.children.append(TileTree("leaf", leaf=tmpl))
         root.children.append(tn)
     return root
-
-
-def _strip_chain(out_w, out_c, levels, cfg, min_parts):
-    """Width strips back-propagated through a chain of windowed stages.
-
-    levels: innermost-last list of (kw, sw, pw, in_w, c) from the final
-    output toward the input; the final output byte width is levels[0]'s
-    "output".  Returns per-strip lists of (lo, hi, pad_l, pad_r) per level,
-    outermost (final output) first.
-    """
-    parts = max(min_parts, 1)
-    while True:
-        if parts > out_w:
-            raise InfeasibleError(
-                f"cannot width-split {out_w} columns into {parts} strips")
-        strips = []
-        for lo, hi in _even_ranges(out_w, parts):
-            chain = [(lo, hi, 0, 0)]
-            cur = (lo, hi)
-            for kw, sw, pw, in_w, _c in levels:
-                ilo, ihi, pl, pr = receptive_range(cur[0], cur[1], kw, sw,
-                                                   pw, in_w)
-                chain.append((ilo, ihi, pl, pr))
-                cur = (ilo, ihi)
-            strips.append(chain)
-        # gamma feasibility at every level of every strip; level 0 is the
-        # final output whose byte width is the caller's out_c
-        cs = [out_c] + [l[4] for l in levels]
-        ok = all((rhi - rlo) * c <= cfg.gamma
-                 for chain in strips
-                 for (rlo, rhi, _, _), c in zip(chain, cs))
-        if ok:
-            return strips
-        parts += 1
 
 
 def lower_node(node, ctx, cfg):
@@ -696,28 +605,27 @@ def _lower_conv(node, ctx, cfg):
     fused = node.fused
     mid = fused.mid if fused else y
     h_m, w_m, c_m = mid.shape
-    conv_geom = OpGeometry("conv", x.shape, mid.shape, ck, cs, cp)
     conv_shift = _conv_shift(ctx, node, mid.quant)
 
     slabs = weight_tiling(c_m, ck[0], ck[1], c_i, cfg)
     pm_blocks = [(s.wgt_bytes, s.bias_bytes) for s in slabs]
-    x_res = ctx.loc(x.name) == "fm"
-    y_res = ctx.loc(y.name) == "fm"
 
-    plan = None
-    pool_shift = None
+    conv_level = (ck[1], cs[1], cp[1], w_i, c_i)
     if fused:
-        pool_shift = _exp(mid) - _exp(y)
         levels = [(fused.kernel[1], fused.stride[1], fused.padding[1],
-                   w_m, c_m),
-                  (ck[1], cs[1], cp[1], w_i, c_i)]
+                   w_m, c_m), conv_level]
         strips = _strip_chain(y.shape[1], y.shape[2], levels, cfg,
                               ctx.w_min_parts)
-        # footprint feasibility over the widest strip, not the full tensor
-        w_mid_max = max(ch[1][1] - ch[1][0] for ch in strips)
-        w_in_max = max(ch[2][1] - ch[2][0] for ch in strips)
-        strip_conv = OpGeometry("conv", (h_i, w_in_max, c_i),
-                                (h_m, w_mid_max, c_m), ck, cs, cp)
+    else:
+        strips = _strip_chain(w_m, c_m, [conv_level], cfg, ctx.w_min_parts)
+    # footprint feasibility over the widest strip, not the full tensor;
+    # the last two levels of a chain are the conv's output and input
+    w_mid_max = max(ch[-2][1] - ch[-2][0] for ch in strips)
+    w_in_max = max(ch[-1][1] - ch[-1][0] for ch in strips)
+    strip_conv = OpGeometry("conv", (h_i, w_in_max, c_i),
+                            (h_m, w_mid_max, c_m), ck, cs, cp)
+    if fused:
+        pool_shift = _exp(mid) - _exp(y)
         pool_geom = OpGeometry(
             "maxpool" if fused.kind == "maxpool" else "eltwise-add",
             strip_conv.out_shape, y.shape, fused.kernel, fused.stride,
@@ -728,25 +636,15 @@ def _lower_conv(node, ctx, cfg):
                                   f"{plan.reason}")
         band_h = plan.k * plan.out_per_instr  # final rows per tile
     else:
-        levels = [(ck[1], cs[1], cp[1], w_i, c_i)]
-        strips = _strip_chain(w_m, c_m, levels, cfg, ctx.w_min_parts)
-        w_mid_max = max(ch[0][1] - ch[0][0] for ch in strips)
-        w_in_max = max(ch[1][1] - ch[1][0] for ch in strips)
-        strip_conv = OpGeometry("conv", (h_i, w_in_max, c_i),
-                                (h_m, w_mid_max, c_m), ck, cs, cp)
-        pref = min(ctx.max_h or cfg.h_c, cfg.h_c)
-        band_h = _feasible_conv_h(strip_conv, cfg, pref)
+        band_h = conv_tile_height(strip_conv, cfg,
+                                  min(ctx.max_h or cfg.h_c, cfg.h_c))
 
     tiles = []
     streams = {}
     tree = TileTree("w-split", axis="w")
     final_h = y.shape[0]
     for wi, chain in enumerate(strips):
-        if fused:
-            out_rng, mid_rng, in_rng = chain
-        else:
-            out_rng, in_rng = chain
-            mid_rng = out_rng
+        out_rng, mid_rng, in_rng = chain[0], chain[-2], chain[-1]
         olo, ohi = out_rng[0], out_rng[1]
         mlo_s, mhi_s = mid_rng[0], mid_rng[1]
         ilo_s, ihi_s = in_rng[0], in_rng[1]
@@ -780,17 +678,16 @@ def _lower_conv(node, ctx, cfg):
                 nbands = -(-final_h // band_h)
                 if si == 0 and bi == 0:
                     if wi == 0 or len(slabs) > 2:
-                        loads.append(TLoadW(0, 1, 0))
+                        loads.append(TLoadW(0, 1))
                     if len(slabs) > 1 and (wi == 0 or len(slabs) > 2):
-                        loads.append(TLoadW(1, 1, 1))
+                        loads.append(TLoadW(1, 1))
                 # prefetch the next slab one band into this pass, so its
                 # PM-slot reuse gate is already satisfied and the load
                 # overlaps this slab's convolutions
                 if (si >= 1 and si + 1 < len(slabs)
                         and bi == min(1, nbands - 1)):
-                    loads.append(TLoadW(si + 1, 1, (si + 1) % 2))
-                loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in,
-                                     x_res)
+                    loads.append(TLoadW(si + 1, 1))
+                loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in)
                 conv = TConv(s_in, 0, win, ihi_s - ilo_s, c_i, s_mid, 0,
                              mhi_s - mlo_s, nch, ck[0], ck[1], cs[0], cs[1],
                              cpt, in_rng[2], cpb, in_rng[3],
@@ -812,10 +709,10 @@ def _lower_conv(node, ctx, cfg):
                             ipt, mid_rng[2], ipb, mid_rng[3], pool_shift))
                     stages.append(("MISC", pools))
                     saves = _save_stage(s_out, (0, bhi - blo), y, (blo, bhi),
-                                        (olo, ohi), c_slice, y_res)
+                                        (olo, ohi), c_slice)
                 else:
                     saves = _save_stage(s_mid, (0, mhi - mlo), y, (mlo, mhi),
-                                        (mlo_s, mhi_s), c_slice, y_res)
+                                        (mlo_s, mhi_s), c_slice)
                 stages.append(("SAVE", saves))
                 ti = len(tiles) + len(band_tiles)
                 band_tiles.append(_mk_tile(stages, f"w{wi}s{si}b{bi}"))
@@ -828,7 +725,7 @@ def _lower_conv(node, ctx, cfg):
             strip_tree.children.append(slab_tree)
         tree.children.append(strip_tree)
 
-    ln = LoweredNode(node.id, tiles, streams, tree, pm_blocks, plan=plan)
+    ln = LoweredNode(node.id, tiles, streams, tree, pm_blocks)
     w_all, b_all = node.params.weights, node.params.bias
     ln.pm_payloads = [
         w_all[s.c_lo:s.c_hi].tobytes()
@@ -837,9 +734,6 @@ def _lower_conv(node, ctx, cfg):
     ln.notes = {"kind": "conv", "fused": bool(fused), "slabs": len(slabs),
                 "strips": len(strips), "band_h": band_h}
     return ln
-def _feasible_conv_h(geom, cfg, preferred):
-    bands = h_bands(geom, cfg, preferred)
-    return bands[0].out_rows[1] - bands[0].out_rows[0]
 
 
 def _lower_pool(node, ctx, cfg):
@@ -859,7 +753,6 @@ def _lower_pool(node, ctx, cfg):
 
     tiles, streams = [], {}
     tree = TileTree("w-split", axis="w")
-    x_res, y_res = ctx.loc(x.name) == "fm", ctx.loc(y.name) == "fm"
     for wi, chain in enumerate(strips):
         (olo, ohi, _, _), (ilo, ihi, pl, pr) = chain
         s_in, s_out = f"in{wi}", f"mid{wi}"
@@ -872,7 +765,7 @@ def _lower_pool(node, ctx, cfg):
             bhi = min(h_o, blo + band_h)
             xlo, xhi, _, _ = receptive_range(blo, bhi, pk[0], ps[0], pp[0],
                                              h_i)
-            loads = _load_stage(x, (xlo, xhi), (ilo, ihi), s_in, x_res)
+            loads = _load_stage(x, (xlo, xhi), (ilo, ihi), s_in)
             pools = []
             for j in range(-(-(bhi - blo) // out_per)):
                 plo = blo + j * out_per
@@ -884,7 +777,7 @@ def _lower_pool(node, ctx, cfg):
                                    pk[0], pk[1], ps[0], ps[1],
                                    ipt, pl, ipb, pr, shift))
             saves = _save_stage(s_out, (0, bhi - blo), y, (blo, bhi),
-                                (olo, ohi), (0, c), y_res)
+                                (olo, ohi), (0, c))
             ti = len(tiles) + len(band_tiles)
             band_tiles.append(_mk_tile([("LOAD", loads), ("MISC", pools),
                                         ("SAVE", saves)], f"w{wi}b{blo}"))
@@ -909,7 +802,6 @@ def _lower_elt(node, ctx, cfg):
 
     tiles, streams = [], {}
     tree = TileTree("w-split", axis="w")
-    res = {n: ctx.loc(n) == "fm" for n in (ta.name, tb.name, y.name)}
     for wi, chain in enumerate(strips):
         (olo, ohi, _, _), _ = chain
         sa, sb, so = f"ina{wi}", f"inb{wi}", f"mid{wi}"
@@ -921,9 +813,8 @@ def _lower_elt(node, ctx, cfg):
         band_tiles = []
         for blo in range(0, h, band_h):
             bhi = min(h, blo + band_h)
-            loads = (_load_stage(ta, (blo, bhi), (olo, ohi), sa, res[ta.name])
-                     + _load_stage(tb, (blo, bhi), (olo, ohi), sb,
-                                   res[tb.name]))
+            loads = (_load_stage(ta, (blo, bhi), (olo, ohi), sa)
+                     + _load_stage(tb, (blo, bhi), (olo, ohi), sb))
             elts = []
             for j in range(-(-(bhi - blo) // cfg.h_e)):
                 rlo = blo + j * cfg.h_e
@@ -931,7 +822,7 @@ def _lower_elt(node, ctx, cfg):
                 elts.append(TElt(sa, rlo - blo, sb, rlo - blo, so, rlo - blo,
                                  rhi - rlo, ohi - olo, c, ea, eb, eo))
             saves = _save_stage(so, (0, bhi - blo), y, (blo, bhi),
-                                (olo, ohi), (0, c), res[y.name])
+                                (olo, ohi), (0, c))
             ti = len(tiles) + len(band_tiles)
             band_tiles.append(_mk_tile([("LOAD", loads), ("MISC", elts),
                                         ("SAVE", saves)], f"w{wi}b{blo}"))
@@ -959,17 +850,16 @@ def _lower_upsample(node, ctx, cfg):
     s_in, s_up = "in0", "mid0"
     streams = {s_in: StreamInfo(s_in, 0, w_i * c),
                s_up: StreamInfo(s_up, 1, w_o * c)}
-    x_res, y_res = ctx.loc(x.name) == "fm", ctx.loc(y.name) == "fm"
     tree = TileTree("h-split", axis="h")
     for blo in range(0, h_i, band_in):
         bhi = min(h_i, blo + band_in)
         out_lo = blo * f
         out_hi = min(h_o, bhi * f)
-        loads = _load_stage(x, (blo, bhi), (0, w_i), s_in, x_res)
+        loads = _load_stage(x, (blo, bhi), (0, w_i), s_in)
         ups = [TUpsample(s_in, 0, bhi - blo, w_i, c, f, s_up, 0,
                          out_hi - out_lo)]
         saves = _save_stage(s_up, (0, out_hi - out_lo), y, (out_lo, out_hi),
-                            (0, w_o), (0, c), y_res)
+                            (0, w_o), (0, c))
         ti = len(tiles)
         tiles.append(_mk_tile([("LOAD", loads), ("MISC", ups),
                                ("SAVE", saves)], f"b{blo}"))
@@ -981,14 +871,13 @@ def _lower_upsample(node, ctx, cfg):
     return ln
 
 
-def _lower_copy(node, ctx, cfg, ch_off=0, out_c=None):
+def _lower_copy(node, ctx, cfg):
     x = ctx.tensors[node.inputs[0]]
     y = ctx.tensors[node.output]
-    return _copy_tiles(x, y, ctx, cfg, ch_off=ch_off, out_c=out_c,
-                       node_id=node.id)
+    return _copy_tiles(x, y, ctx, cfg, ch_off=0, node_id=node.id)
 
 
-def _copy_tiles(x, y, ctx, cfg, ch_off, out_c, node_id, stream_tag=""):
+def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag=""):
     h, w, c = x.shape
     if w * c > cfg.gamma:
         raise InfeasibleError("copy rows exceed gamma")
@@ -996,13 +885,12 @@ def _copy_tiles(x, y, ctx, cfg, ch_off, out_c, node_id, stream_tag=""):
     s_in = f"in{stream_tag}0"
     streams = {s_in: StreamInfo(s_in, 0, w * c)}
     tiles = []
-    x_res, y_res = ctx.loc(x.name) == "fm", ctx.loc(y.name) == "fm"
     tree = TileTree("h-split", axis="h")
     for blo in range(0, h, band_h):
         bhi = min(h, blo + band_h)
-        loads = _load_stage(x, (blo, bhi), (0, w), s_in, x_res)
+        loads = _load_stage(x, (blo, bhi), (0, w), s_in)
         saves = _save_stage(s_in, (0, bhi - blo), y, (blo, bhi), (0, w),
-                            (ch_off, ch_off + c), y_res)
+                            (ch_off, ch_off + c))
         streams[s_in].window_rows[len(tiles)] = bhi - blo
         tiles.append(_mk_tile([("LOAD", loads), ("SAVE", saves)],
                               f"{stream_tag}b{blo}"))
@@ -1029,8 +917,8 @@ def _lower_concat(node, ctx, cfg):
         if name in (ctx.aliases or {}):
             ch += x.shape[2]
             continue
-        part = _copy_tiles(x, y, ctx, cfg, ch_off=ch, out_c=y.shape[2],
-                           node_id=node.id, stream_tag=f"p{idx}")
+        part = _copy_tiles(x, y, ctx, cfg, ch_off=ch, node_id=node.id,
+                           stream_tag=f"p{idx}")
         base = len(tiles)
         for st in part.streams.values():
             st.window_rows = {base + t: r
@@ -1051,7 +939,6 @@ def _lower_deconv(node, ctx, cfg):
     y = ctx.tensors[node.output]
     s = node.attrs.get("upsample", 2)
     p = node.attrs.get("padding", 0)
-    k = node.attrs["kernel"][0]
     if ctx.deconv_mode == "series":
         try:
             plan = decompose_deconv(node.params.weights, s, p, x.shape,
@@ -1092,7 +979,6 @@ def _lower_deconv_series(node, ctx, cfg, plan):
         ps = f"ph{idx}"
         phase_streams[idx] = ps
         streams[ps] = StreamInfo(ps, 1, sk.out_cols * c_o)
-    x_res, y_res = ctx.loc(x.name) == "fm", ctx.loc(y.name) == "fm"
     tiles = []
     tree = TileTree("h-split", axis="h")
     for bi, tlo in enumerate(range(0, n_t, band_t)):
@@ -1115,8 +1001,8 @@ def _lower_deconv_series(node, ctx, cfg, plan):
             xlo, xhi = min(xlo, plo), max(xhi, phi)
         loads = []
         if bi == 0:
-            loads.append(TLoadW(0, len(subs), 0))
-        loads += _load_stage(x, (xlo, xhi), (0, w_i), s_in, x_res)
+            loads.append(TLoadW(0, len(subs)))
+        loads += _load_stage(x, (xlo, xhi), (0, w_i), s_in)
         convs, shuffles = [], []
         out_lo = tlo * s
         out_hi = min(h_o, thi * s)
@@ -1138,7 +1024,7 @@ def _lower_deconv_series(node, ctx, cfg, plan):
                 sk.out_cols * c_o, s_out, ry + tlo * s - out_lo, s,
                 rx * c_o, s * c_o, w_o * c_o))
         saves = _save_stage(s_out, (0, out_hi - out_lo), y, (out_lo, out_hi),
-                            (0, w_o), (0, c_o), y_res)
+                            (0, w_o), (0, c_o))
         ti = len(tiles)
         tiles.append(_mk_tile([("LOAD", loads), ("CONV", convs),
                                ("MISC", shuffles), ("SAVE", saves)],
@@ -1179,7 +1065,6 @@ def _lower_deconv_upsample(node, ctx, cfg):
     streams = {s_in: StreamInfo(s_in, 0, w_i * c_i),
                s_up: StreamInfo(s_up, 1, w_u * c_i),
                s_mid: StreamInfo(s_mid, 2, w_o * c_o)}
-    x_res, y_res = ctx.loc(x.name) == "fm", ctx.loc(y.name) == "fm"
     tiles = []
     tree = TileTree("h-split", axis="h")
     for bi, blo in enumerate(range(0, h_o, band_h)):
@@ -1188,15 +1073,15 @@ def _lower_deconv_upsample(node, ctx, cfg):
         ulo_al = (ulo // s) * s
         ilo = ulo_al // s
         ihi = (uhi - 1) // s + 1
-        loads = ([TLoadW(0, 1, 0)] if bi == 0 else [])
-        loads += _load_stage(x, (ilo, ihi), (0, w_i), s_in, x_res)
+        loads = ([TLoadW(0, 1)] if bi == 0 else [])
+        loads += _load_stage(x, (ilo, ihi), (0, w_i), s_in)
         ups = [TUpsample(s_in, 0, ihi - ilo, w_i, c_i, s, s_up, 0,
                          uhi - ulo_al)]
         conv = TConv(s_up, ulo - ulo_al, uhi - ulo, w_u, c_i, s_mid, 0,
                      w_o, c_o, k, k, 1, 1, cpt, p, cpb,
                      max(0, (w_o - 1) + k - p - w_u), shift, block=0)
         saves = _save_stage(s_mid, (0, bhi - blo), y, (blo, bhi), (0, w_o),
-                            (0, c_o), y_res)
+                            (0, c_o))
         ti = len(tiles)
         tiles.append(_mk_tile([("LOAD", loads), ("MISC", ups),
                                ("CONV", [conv]), ("SAVE", saves)],

@@ -222,8 +222,6 @@ class Instruction:
             return (self.in_rows + self.pt + self.pb - self.kh) // self.sh + 1
         if self.sub == "upsample":
             return self.out_rows
-        if self.sub == "eltwise":
-            return self.rows
         return self.rows
 
     def transfer_bytes(self):
@@ -332,9 +330,6 @@ class Program:
     # segment name -> (base, size)
     segments: dict = field(default_factory=dict)
 
-    def queue(self, op):
-        return [i for i in self.instructions if i.op == op]
-
     def __eq__(self, other):
         return (isinstance(other, Program)
                 and self.instructions == other.instructions
@@ -415,15 +410,24 @@ def parse_assembly(text):
             continue
         if line.startswith("#"):
             toks = line[1:].split()
-            if toks[:1] == ["segment"]:
-                prog.segments[toks[1]] = (int(toks[2]), int(toks[3]))
-            elif toks[:1] == ["tensor"]:
-                prog.tensors[toks[1]] = {
-                    "segment": toks[2], "off": int(toks[3]),
-                    "bytes": int(toks[4]),
-                    "shape": tuple(int(d) for d in toks[5].split("x")),
-                    "step_exp": int(toks[6]),
-                }
+            want = {"segment": 4, "tensor": 7}.get(toks[0] if toks else None)
+            if want is None:
+                continue
+            if len(toks) < want:
+                raise AsmError(lineno, f"# {toks[0]} needs {want - 1} "
+                                       f"fields, got {len(toks) - 1}")
+            try:
+                if toks[0] == "segment":
+                    prog.segments[toks[1]] = (int(toks[2]), int(toks[3]))
+                else:
+                    prog.tensors[toks[1]] = {
+                        "segment": toks[2], "off": int(toks[3]),
+                        "bytes": int(toks[4]),
+                        "shape": tuple(int(d) for d in toks[5].split("x")),
+                        "step_exp": int(toks[6]),
+                    }
+            except ValueError as e:
+                raise AsmError(lineno, str(e)) from None
             continue
         toks = line.split()
         if len(toks) < 4:

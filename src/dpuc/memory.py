@@ -17,6 +17,9 @@ from .errors import CapacityError, PortConflictError, UseBeforeDefError
 from .intervals import IntervalMap
 from .machine import DDR_SEGMENTS, FM
 
+# DDR bytes reserved for the instruction stream
+PROGRAM_SIZE_ESTIMATE = 65536
+
 # default roles: loads land in memory 0, the first compute stage writes
 # memory 1, the second writes memory 2 (one read + one write port each)
 FM_ROLE_BY_CHAIN_POS = (0, 1, 2)
@@ -31,22 +34,16 @@ class DdrLayout:
         seg, off = self.tensor_map[tensor]
         return self.segments[seg][0] + off
 
-    @property
-    def total(self):
-        return max(b + s for b, s in self.segments.values())
 
-
-def ddr_layout(g, program_size_estimate, cfg=None, aliases=None,
-               param_bytes=None):
+def ddr_layout(g, param_bytes, cfg=None, aliases=None):
     """Pack tensors into the five DDR segments, deterministically.
 
     Graph inputs and outputs go to their own segments; every intermediate
-    activation is spilled to the swap segment (feature-map residency
-    across nodes is a lowering-level capability the driver does not use).
-    Concat inputs resolved by aliasing get no space of their own.  The
-    intermediates of fused super-nodes reserve swap space so the unfuse
-    fallback never invalidates the layout.  Parameter bytes are summed
-    here; the per-slab packing happens when the image is built.
+    activation is spilled to the swap segment.  Concat inputs resolved by
+    aliasing get no space of their own.  The intermediates of fused
+    super-nodes reserve swap space so the unfuse fallback never
+    invalidates the layout.  The parameter segment holds the param_bytes
+    of the packed slab image the lowering produced.
     """
     aliases = aliases or {}
     tensor_map = {}
@@ -60,14 +57,8 @@ def ddr_layout(g, program_size_estimate, cfg=None, aliases=None,
         place(name, "inputs", g.tensors[name].nbytes)
     for name in g.outputs:
         place(name, "outputs", g.tensors[name].nbytes)
-    if param_bytes is not None:
-        sizes["parameters"] = int(param_bytes)
-    else:
-        for n in sorted(g.nodes.values(), key=lambda n: n.id):
-            if n.params is not None:
-                sizes["parameters"] += (n.params.weights.size
-                                        + 4 * n.params.bias.size)
-    sizes["instructions"] += int(program_size_estimate)
+    sizes["parameters"] = int(param_bytes)
+    sizes["instructions"] = PROGRAM_SIZE_ESTIMATE
     interm = [t for t in sorted(g.tensors)
               if t not in g.inputs and t not in g.outputs
               and t not in aliases]
@@ -186,9 +177,8 @@ def check_ports(usage):
 def assign_fm_memories(lowered, cfg):
     """Map each stream of a lowered node to an FM memory by chain
     position, then verify the one-read-one-write port rule over the units
-    that run concurrently once the node is pipelined."""
-    from .lowering import QUEUE_OF_TEMPLATE
-
+    that run concurrently once the node is pipelined.  Each template
+    declares its queue and the stream fields it reads and writes."""
     assignment = {}
     for name, st in lowered.streams.items():
         mem = FM_ROLE_BY_CHAIN_POS[st.chain_pos % len(FM_ROLE_BY_CHAIN_POS)]
@@ -202,19 +192,8 @@ def assign_fm_memories(lowered, cfg):
     for tile in lowered.tiles:
         for queue, group in tile.stages:
             for t in group:
-                unit = QUEUE_OF_TEMPLATE[type(t)]
-                reads, writes = usage.setdefault(unit, (set(), set()))
-                kind = type(t).__name__
-                if kind == "TLoad":
-                    writes.add(assignment[t.stream])
-                elif kind == "TSave":
-                    reads.add(assignment[t.stream])
-                elif kind == "TElt":
-                    reads.add(assignment[t.stream_a])
-                    reads.add(assignment[t.stream_b])
-                    writes.add(assignment[t.stream_out])
-                elif kind in ("TConv", "TPool", "TUpsample", "TShuffle"):
-                    reads.add(assignment[t.stream_in])
-                    writes.add(assignment[t.stream_out])
+                reads, writes = usage.setdefault(t.QUEUE, (set(), set()))
+                reads.update(assignment[getattr(t, f)] for f in t.READS)
+                writes.update(assignment[getattr(t, f)] for f in t.WRITES)
     check_ports((u, r, w) for u, (r, w) in sorted(usage.items()))
     return assignment

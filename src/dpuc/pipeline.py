@@ -31,14 +31,6 @@ class PipelinedStream:
     # final index -> pre-annotation index (None for inserted No-Ops)
     origin: list = None
 
-    def queue_positions(self):
-        pos = {}
-        counters = {op: 0 for op in OP_TYPES}
-        for idx, ins in enumerate(self.instructions):
-            pos[idx] = counters[ins.op]
-            counters[ins.op] += 1
-        return pos
-
 
 def pipeline(tiles, enabled=True):
     """Reorder per-tile stage groups into the skewed pipeline shape.

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from dpuc import compiler as C
 from dpuc import corpus
 from dpuc import graph as G
 from dpuc import lowering as L
@@ -215,21 +217,6 @@ def test_compile_error_lists_attempts_when_exhausted():
     assert err.value.attempts
 
 
-def test_lower_node_resident_operands_skip_loads_and_saves():
-    g = G.fold_constants_and_quantizers(corpus.corpus_graph("toy_conv"))
-    node = G.Node("idn", "identity", ["x"], "y")
-    tensors = dict(g.tensors)
-    tensors["y"] = G.replace_node(g.nodes["conv"]) and tensors["x"]
-    tensors = {"x": g.tensors["x"],
-               "y": G.TensorRef("y", g.tensors["x"].shape,
-                                quant=g.tensors["x"].quant)}
-    ctx = L.LowerContext(tensors=tensors,
-                         locations={"x": "fm", "y": "fm"})
-    lowered = L.lower_node(node, ctx, CFG)
-    kinds = {type(leaf).__name__ for leaf in lowered.tree.leaves()}
-    assert "TLoad" not in kinds and "TSave" not in kinds
-
-
 def test_lower_node_padded_first_tile_attributes():
     g = G.fold_constants_and_quantizers(corpus.corpus_graph("weight_tiled"))
     node = g.nodes["big"]
@@ -241,3 +228,38 @@ def test_lower_node_padded_first_tile_attributes():
     # rows with a bottom pad; an interior window would read 10
     assert convs[0].pt == 1 and convs[0].pb == 0 and convs[0].in_rows == 9
     assert convs[1].pt == 0 and convs[1].pb == 1 and convs[1].in_rows == 5
+
+
+@pytest.mark.parametrize("mode", ["series", "upsample"])
+def test_templates_declare_every_stream_role(mode):
+    """Every stream field of a template is declared read or written
+    exactly once, and names a stream of its lowered node: a template that
+    forgot a role would silently drop out of the FM port check."""
+    options = CompileOptions(deconv_mode=mode)
+    seen = set()
+    for name in corpus.corpus_names():
+        g = G.fuse_superlayers(
+            G.fold_constants_and_quantizers(corpus.corpus_graph(name)), CFG)
+        aliases = C._concat_aliases(g)
+        for nid in G.topological_schedule(g):
+            if g.nodes[nid].op == "input":
+                continue
+            parts = C._lower_with_ladder(g.nodes[nid],
+                                         g.tensors | C._mid_tensors(g),
+                                         aliases, CFG, options, [])
+            for _nd, lowered, _mems in parts:
+                for tile in lowered.tiles:
+                    for queue, group in tile.stages:
+                        for t in group:
+                            fields = sorted(
+                                f.name for f in dataclasses.fields(t)
+                                if f.name.startswith("stream"))
+                            assert sorted(t.READS + t.WRITES) == fields, t
+                            assert t.QUEUE == queue
+                            for attr in fields:
+                                assert getattr(t, attr) in lowered.streams
+                            seen.add(type(t).__name__)
+    # the corpus exercises every template class
+    want = {"TLoad", "TLoadW", "TConv", "TPool", "TElt", "TSave"}
+    want |= {"TShuffle"} if mode == "series" else {"TUpsample"}
+    assert want <= seen

@@ -65,6 +65,73 @@ def test_parse_rejects_disconnected_node():
         parse(doc)
 
 
+def _conv_doc(mutate):
+    """Builder of the toy conv graph with one malformation applied."""
+    def build():
+        doc = minimal_conv_doc()
+        mutate(doc["nodes"][1], doc)
+        return doc
+    return build
+
+
+def _upsample_doc(factor):
+    return {
+        "tensors": [{"name": "x", "shape": [4, 4, 2], "quant": q()},
+                    {"name": "y", "shape": [7, 7, 2], "quant": q()}],
+        "nodes": [{"id": "in", "op": "input", "inputs": [], "output": "x"},
+                  {"id": "up", "op": "upsample", "inputs": ["x"],
+                   "output": "y", "attrs": {"factor": factor}}],
+        "inputs": ["x"], "outputs": ["y"],
+    }
+
+
+def _deconv_zero_upsample():
+    doc = corpus.deconv()
+    doc["nodes"][1]["attrs"]["upsample"] = 0
+    return doc
+
+
+def _add_fix_without_lo(conv, doc):
+    doc["tensors"].append({"name": "z", "shape": [8, 8, 8], "quant": q()})
+    doc["nodes"].append({"id": "f", "op": "fix", "inputs": ["y"],
+                         "output": "z", "attrs": {"hi": 1.0, "step": 1.0}})
+    doc["outputs"] = ["z"]
+
+
+MALFORMED = {
+    "conv_without_c_out": _conv_doc(lambda n, d: n["attrs"].pop("c_out")),
+    "conv_without_kernel": _conv_doc(lambda n, d: n["attrs"].pop("kernel")),
+    "node_without_output": _conv_doc(lambda n, d: n.pop("output")),
+    "node_without_op": _conv_doc(lambda n, d: n.pop("op")),
+    "tensor_without_shape": _conv_doc(
+        lambda n, d: d["tensors"][0].pop("shape")),
+    "tensor_without_name": _conv_doc(lambda n, d: d["tensors"][1].pop("name")),
+    "quant_without_step": _conv_doc(
+        lambda n, d: d["tensors"][0]["quant"].pop("step")),
+    "params_without_quant": _conv_doc(lambda n, d: n["params"].pop("quant")),
+    "weights_short_of_shape": _conv_doc(
+        lambda n, d: n["params"].update(shape=[8, 3, 3, 5])),
+    "zero_stride": _conv_doc(lambda n, d: n["attrs"].update(stride=[0, 1])),
+    "zero_kernel": _conv_doc(lambda n, d: n["attrs"].update(kernel=[3, 0])),
+    "zero_c_out": _conv_doc(lambda n, d: n["attrs"].update(c_out=0)),
+    "fix_without_lo": _conv_doc(_add_fix_without_lo),
+    "zero_upsample": _deconv_zero_upsample,
+    "zero_factor": lambda: _upsample_doc(0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_parse_malformed_graph_raises_parse_error(case):
+    with pytest.raises(ParseError):
+        parse(MALFORMED[case]())
+
+
+def test_parse_malformed_graph_bases_are_well_formed():
+    # each malformed case is one edit away from a graph that parses
+    for doc in (minimal_conv_doc(), corpus.deconv(), _upsample_doc(2)):
+        parse(doc)
+
+
 def test_parse_vgg_prefix_has_fifteen_nodes():
     g = parse(corpus.vgg_prefix())
     assert len(g.nodes) == 15

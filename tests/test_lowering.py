@@ -46,12 +46,18 @@ def test_receptive_range_matches_enumeration(k, s, p, size, data):
     assert phi == max(0, (hi - 1) * s + k - p - size)
 
 
+def width_strips(geom, cfg, min_parts=1):
+    """_strip_chain over the one windowed stage of geom: per strip, the
+    output column range and the input column range feeding it."""
+    (_, w_i, c_i), (_, w_o, c_o) = geom.in_shape, geom.out_shape
+    level = (geom.kernel[1], geom.stride[1], geom.padding[1], w_i, c_i)
+    return [(out[:2], inp[:2]) for out, inp in
+            L._strip_chain(w_o, c_o, [level], cfg, min_parts)]
+
+
 def test_w_split_identity_when_under_gamma():
     geom = L.OpGeometry("conv", (8, 8, 4), (8, 8, 4), (3, 3), (1, 1), (1, 1))
-    strips = L.w_strips(geom, cfg(gamma=64))
-    assert len(strips) == 1
-    assert strips[0].out_cols == (0, 8)
-    assert strips[0].in_cols == (0, 8)
+    assert width_strips(geom, cfg(gamma=64)) == [((0, 8), (0, 8))]
 
 
 def test_w_split_overlap_columns():
@@ -59,30 +65,27 @@ def test_w_split_overlap_columns():
     # ranges the halves read input columns [0,6) and [4,10)->[4,10), i.e.
     # 1-based [1,6] and [5,8] with overlap {5,6} on a 10-wide input
     geom = L.OpGeometry("conv", (4, 10, 1), (4, 8, 1), (1, 3), (1, 1), (0, 0))
-    strips = L.w_strips(geom, cfg(gamma=6))
-    assert len(strips) == 2
-    a, b = strips
-    assert a.out_cols == (0, 4) and b.out_cols == (4, 8)
-    assert a.in_cols == (0, 6) and b.in_cols == (4, 10)
+    strips = width_strips(geom, cfg(gamma=6))
+    assert strips == [((0, 4), (0, 6)), ((4, 8), (4, 10))]
     # oracle agreement, including the two-column overlap
     assert touched_inputs(0, 4, 3, 1, 0, 10) == set(range(0, 6))
     assert touched_inputs(4, 8, 3, 1, 0, 10) == set(range(4, 10))
-    overlap = set(range(*a.in_cols)) & set(range(*b.in_cols))
-    assert overlap == {4, 5}
+    (_, a_in), (_, b_in) = strips
+    assert set(range(*a_in)) & set(range(*b_in)) == {4, 5}
 
 
 def test_w_split_unit_kernel_disjoint():
     geom = L.OpGeometry("conv", (4, 8, 2), (4, 8, 2), (1, 1), (1, 1), (0, 0))
-    strips = L.w_strips(geom, cfg(gamma=8))
+    strips = width_strips(geom, cfg(gamma=8))
     assert len(strips) >= 2
-    for a, b in zip(strips, strips[1:]):
-        assert a.in_cols[1] <= b.in_cols[0]
+    for (_, a_in), (_, b_in) in zip(strips, strips[1:]):
+        assert a_in[1] <= b_in[0]
 
 
 def test_w_split_infeasible_single_column():
     geom = L.OpGeometry("conv", (4, 8, 64), (4, 8, 64), (1, 1), (1, 1), (0, 0))
     with pytest.raises(InfeasibleError):
-        L.w_split(geom, cfg(gamma=32))
+        width_strips(geom, cfg(gamma=32))
 
 
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2),
@@ -94,44 +97,49 @@ def test_w_split_covers_all_columns(k, s, p, w_o, c):
         return
     geom = L.OpGeometry("conv", (4, w_i, c), (4, w_o, c), (1, k), (1, s),
                         (0, p))
-    strips = L.w_strips(geom, cfg(gamma=max(k * c, 2 * c, 8)),
-                         min_parts=2)
+    strips = width_strips(geom, cfg(gamma=max(k * c, 2 * c, 8)), min_parts=2)
     cols = []
-    for sp in strips:
-        cols.extend(range(*sp.out_cols))
-        need = touched_inputs(*sp.out_cols, k, s, p, w_i)
-        got = set(range(*sp.in_cols))
-        assert need <= got
+    for out_cols, in_cols in strips:
+        cols.extend(range(*out_cols))
+        need = touched_inputs(*out_cols, k, s, p, w_i)
+        assert need <= set(range(*in_cols))
     assert cols == list(range(w_o))
+
+
+def height_bands(geom, cfg, preferred_h):
+    """Output row bands of conv_tile_height rows, as _lower_conv walks
+    them, each with the input row range it reads."""
+    h = L.conv_tile_height(geom, cfg, preferred_h)
+    h_o, h_i = geom.out_shape[0], geom.in_shape[0]
+    k, s, p = geom.kernel[0], geom.stride[0], geom.padding[0]
+    return [((lo, min(h_o, lo + h)),
+             L.receptive_range(lo, min(h_o, lo + h), k, s, p, h_i)[:2])
+            for lo in range(0, h_o, h)]
 
 
 def test_h_split_12_row_window_for_k5():
     # preferred height 8 with a 5-tap stride-1 kernel reads 12 input rows
     geom = L.OpGeometry("conv", (64, 16, 16), (60, 12, 16), (5, 5), (1, 1),
                         (0, 0))
-    bands = L.h_bands(geom, cfg(), preferred_h=8)
-    first = bands[0]
-    assert first.out_rows == (0, 8)
-    assert first.in_rows[1] - first.in_rows[0] == 12
+    out_rows, in_rows = height_bands(geom, cfg(), preferred_h=8)[0]
+    assert out_rows == (0, 8)
+    assert in_rows[1] - in_rows[0] == 12
 
 
 def test_h_split_exact_fit_single_child():
     geom = L.OpGeometry("conv", (10, 8, 4), (8, 8, 4), (3, 3), (1, 1), (0, 0))
-    bands = L.h_bands(geom, cfg(), preferred_h=8)
-    assert len(bands) == 1
-    assert bands[0].out_rows == (0, 8)
+    assert height_bands(geom, cfg(), preferred_h=8) == [((0, 8), (0, 10))]
 
 
 def test_h_split_tail_band_and_overlap():
     geom = L.OpGeometry("conv", (22, 8, 4), (20, 8, 4), (3, 3), (1, 1), (0, 0))
-    bands = L.h_bands(geom, cfg(), preferred_h=8)
-    assert [b.out_rows for b in bands] == [(0, 8), (8, 16), (16, 20)]
+    bands = height_bands(geom, cfg(), preferred_h=8)
+    assert [out for out, _ in bands] == [(0, 8), (8, 16), (16, 20)]
     # neighbors overlap by k - s = 2 input rows
-    for a, b in zip(bands, bands[1:]):
-        assert a.in_rows[1] - b.in_rows[0] == 2
-    for b in bands:
-        assert touched_inputs(*b.out_rows, 3, 1, 0, 22) == set(
-            range(*b.in_rows))
+    for (_, a_in), (_, b_in) in zip(bands, bands[1:]):
+        assert a_in[1] - b_in[0] == 2
+    for out_rows, in_rows in bands:
+        assert touched_inputs(*out_rows, 3, 1, 0, 22) == set(range(*in_rows))
 
 
 def test_h_split_reduces_height_to_fit_fm():
@@ -139,11 +147,16 @@ def test_h_split_reduces_height_to_fit_fm():
     # double-buffered window of (h-1)+3 rows x 64 B must fit 1024 B
     geom = L.OpGeometry("conv", (32, 16, 4), (30, 16, 4), (3, 3), (1, 1),
                         (0, 0))
-    bands = L.h_bands(geom, small, preferred_h=8)
-    h = bands[0].out_rows[1]
+    h = L.conv_tile_height(geom, small, preferred_h=8)
     assert 1 <= h < 8
     win = (h - 1) + 3
     assert 2 * small.round_to_bank_row(win * 64) <= small.fm_bytes
+    # one more row would not fit
+    assert 2 * small.round_to_bank_row((win + 1) * 64) > small.fm_bytes
+    # at 144 B per row only a single-row band (3-row window) fits
+    wide = L.OpGeometry("conv", (32, 36, 4), (30, 36, 4), (3, 3), (1, 1),
+                        (0, 0))
+    assert L.conv_tile_height(wide, small, preferred_h=8) == 1
 
 
 def test_h_split_infeasible_at_height_one():
@@ -151,7 +164,7 @@ def test_h_split_infeasible_at_height_one():
     geom = L.OpGeometry("conv", (32, 32, 16), (30, 30, 16), (3, 3), (1, 1),
                         (0, 0))
     with pytest.raises(InfeasibleError):
-        L.h_split(geom, tiny, preferred_h=8)
+        L.conv_tile_height(geom, tiny, preferred_h=8)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,19 @@ def test_parse_rejects_bad_lines():
         M.parse_assembly("MISC 0b0000 0b0000 noop extra=1\n")
 
 
+@pytest.mark.parametrize("line", [
+    "# segment inputs 0",
+    "# segment inputs zero 64",
+    "# tensor x inputs 0",
+    "# tensor x inputs 0 32 4x4x2",
+    "# tensor x inputs 0 32 4xfourx2 0",
+])
+def test_parse_rejects_bad_metadata_comment(line):
+    with pytest.raises(AsmError) as err:
+        M.parse_assembly("# dpuc-asm v1\n" + line + "\n")
+    assert err.value.lineno == 2
+
+
 def test_save_exact_ranges_are_strided():
     ins = sample_program().instructions[-1]
     exact = ins.writes(exact=True)

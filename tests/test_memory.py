@@ -27,7 +27,7 @@ def small_graph():
 
 def test_ddr_layout_segments_disjoint_and_ordered():
     g = small_graph()
-    lay = MEM.ddr_layout(g, program_size_estimate=512)
+    lay = MEM.ddr_layout(g, param_bytes=96)
     bases = [lay.segments[s] for s in
              ("inputs", "outputs", "parameters", "instructions", "swap")]
     for (b1, s1), (b2, _) in zip(bases, bases[1:]):
@@ -35,13 +35,16 @@ def test_ddr_layout_segments_disjoint_and_ordered():
     assert lay.tensor_map["x"][0] == "inputs"
     assert lay.tensor_map["y"][0] == "outputs"
     assert lay.tensor_map["t"][0] == "swap"
-    assert lay.segments["instructions"][1] == 512
+    assert lay.segments["parameters"][1] == 96
+    assert lay.segments["instructions"][1] == MEM.PROGRAM_SIZE_ESTIMATE
 
 
 def test_ddr_layout_empty_graph_zero_segments():
     g = G.Graph({}, [], [], [])
     lay = MEM.ddr_layout(g, 0)
-    assert all(size == 0 for _, size in lay.segments.values())
+    assert all(size == 0 for seg, (_, size) in lay.segments.items()
+               if seg != "instructions")
+    assert lay.segments["instructions"] == (0, MEM.PROGRAM_SIZE_ESTIMATE)
 
 
 def load_instr(dst_off, nbytes, mem=0, src=0):
