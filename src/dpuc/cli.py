@@ -20,7 +20,7 @@ from .compiler import CompileOptions, compile_graph
 from .corpus import write_corpus
 from .errors import CompileError, DpucError
 from .graph import fold_constants_and_quantizers, parse_graph
-from .machine import MachineConfig, parse_assembly
+from .machine import MachineConfig, check_bounds, parse_assembly
 from .simulator import Trace, check_hazards, reference_execute, \
     run_program, run_timing
 from .timeline import emit_timeline
@@ -63,6 +63,8 @@ def load_artifacts(artdir):
     with open(os.path.join(artdir, "params.bin"), "rb") as fh:
         prog.param_image = fh.read()
     cfg = MachineConfig.from_json(os.path.join(artdir, "config.json"))
+    for ins in prog.instructions:
+        check_bounds(ins, cfg)
     return prog, cfg
 
 
@@ -72,7 +74,6 @@ def cmd_compile(args):
     cfg = load_config(args.config)
     options = CompileOptions(pipeline=not args.no_pipeline,
                              deconv_mode=args.deconv_mode,
-                             schedule_budget=args.schedule_budget,
                              keep_tile_trees=args.dump_tiles)
     art = compile_graph(g, cfg, options)
     save_artifacts(art, cfg, args.out)
@@ -206,7 +207,6 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("-o", "--out", required=True)
     add_common(p)
-    p.add_argument("--schedule-budget", type=int, default=4)
     p.add_argument("--dump-tiles", action="store_true",
                    help="also write the tile trees as tiles.json")
     p.add_argument("--dump-mem", action="store_true",

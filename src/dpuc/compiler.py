@@ -23,12 +23,14 @@ from .errors import CompileError, InfeasibleError, OutOfMemoryError, \
 from .machine import Addr, CONV, DDR, FM, Instruction, LOAD, MISC, PM, \
     Program, SAVE, check_bounds, emit_assembly
 
+# schedules tried, cheapest peak footprint first
+SCHEDULE_BUDGET = 4
+
 
 @dataclass
 class CompileOptions:
     pipeline: bool = True
     deconv_mode: str = "series"
-    schedule_budget: int = 4
     keep_tile_trees: bool = False
 
 
@@ -39,8 +41,7 @@ class CompileArtifacts:
     param_image: bytes
     memmap: dict
     report: dict
-    # per instruction: (node id, region, group, tile, stage); None for
-    # inserted No-Ops
+    # per instruction: (node id, region, group, tile, stage)
     marks: list = None
     tile_trees: dict = None
 
@@ -50,9 +51,7 @@ def compile_graph(g, cfg, options=None):
     options = options or CompileOptions()
     folded = GG.fold_constants_and_quantizers(g)
     fused = GG.fuse_superlayers(folded, cfg)
-    ranked = GG.explore_schedules(fused, options.schedule_budget)
-    if not ranked:
-        ranked = [(GG.topological_schedule(fused), 0)]
+    ranked = GG.explore_schedules(fused, SCHEDULE_BUDGET)
     attempts = []
     for schedule, estimate in ranked:
         try:
@@ -219,13 +218,13 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
     instructions = []
     report_nodes = []
     window_usage = []   # (node, lowered, {(stream, tile): [instr objects]})
-    pre_index = {}
+    index_of = {}
     for nd, lowered, mems in lowered_nodes:
         bound_tiles, usage = _bind_tiles(nd, lowered, mems, layout, aliases,
                                          param_offsets[nd.id], pbase, cfg, g)
         stream = PL.pipeline(bound_tiles, enabled=options.pipeline)
         for ins, mark in zip(stream.instructions, stream.marks):
-            pre_index[id(ins)] = len(instructions)
+            index_of[id(ins)] = len(instructions)
             instructions.append(ins)
             marks.append((nd.id,) + mark)
         window_usage.append((nd, lowered, usage))
@@ -237,11 +236,7 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
     full = PL.PipelinedStream(instructions, marks,
                               pipelined=options.pipeline)
     full = PL.assign_typed_deps(full)
-    pre_to_final = {pre: fin for fin, pre in enumerate(full.origin)
-                    if pre is not None}
 
-    final_marks = [marks[pre] if pre is not None else None
-                   for pre in full.origin]
     prog = Program(instructions=full.instructions,
                    param_image=bytes(param_image))
     prog.segments = dict(layout.segments)
@@ -260,8 +255,7 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
         "segments": {k: list(v) for k, v in layout.segments.items()},
         "tensors": {k: list(v) for k, v in sorted(layout.tensor_map.items())},
         "aliases": {k: [v[0], v[1]] for k, v in sorted(aliases.items())},
-        "fm_windows": _window_records(window_usage, pre_index,
-                                      pre_to_final),
+        "fm_windows": _window_records(window_usage, index_of),
         "fm_allocs": _alloc_records(prog),
     }
     report = {
@@ -276,7 +270,7 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
     return CompileArtifacts(
         program=prog, assembly=emit_assembly(prog),
         param_image=bytes(param_image), memmap=memmap, report=report,
-        marks=final_marks,
+        marks=marks,
         tile_trees=({nd.id: lw.tree.to_dict()
                      for nd, lw, _m in lowered_nodes}
                     if options.keep_tile_trees else None))
@@ -287,7 +281,7 @@ def _mid_tensors(g):
             for n in g.nodes.values() if n.fused}
 
 
-def _window_records(window_usage, pre_index, pre_to_final):
+def _window_records(window_usage, index_of):
     """Per-stream window placements with their instruction spans (the
     window planner's view, for the memory-map dump)."""
     out = []
@@ -297,8 +291,7 @@ def _window_records(window_usage, pre_index, pre_to_final):
             if key not in allocs or not usage[key]:
                 continue
             al = allocs[key]
-            idxs = sorted(pre_to_final[pre_index[id(o)]]
-                          for o in usage[key])
+            idxs = sorted(index_of[id(o)] for o in usage[key])
             out.append({"key": f"{nd.id}/{key[0]}/{key[1]}",
                         "mem": al.mem, "start": al.start,
                         "length": al.length, "wrap": al.wrap,

@@ -79,7 +79,7 @@ class WeightSpec:
 @dataclass(frozen=True)
 class Fused:
     """Consumer absorbed into a conv super-node."""
-    kind: str  # maxpool | eltwise-add
+    kind: str  # consumer op; only maxpool is fused
     mid: TensorRef  # intermediate tensor, no longer a graph tensor
     kernel: tuple = (1, 1)
     stride: tuple = (1, 1)
@@ -219,6 +219,9 @@ def _decode(b64, dtype):
 REQUIRED_ATTRS = {"conv": ("c_out", "kernel"), "deconv": ("c_out", "kernel"),
                   "maxpool": ("kernel",), "fix": ("lo", "hi", "step")}
 POSITIVE_ATTRS = ("c_out", "kernel", "stride", "factor", "upsample")
+PAIR_ATTRS = {"conv": ("kernel", "stride", "padding"),
+              "maxpool": ("kernel", "stride", "padding"),
+              "deconv": ("kernel",)}
 
 
 def _req(d, key, where):
@@ -235,6 +238,12 @@ def _check_attrs(node):
     where = f"node {node.id} ({node.op}) attrs"
     for key in REQUIRED_ATTRS.get(node.op, ()):
         _req(node.attrs, key, where)
+    for key in PAIR_ATTRS.get(node.op, ()):
+        v = node.attrs.get(key, [0, 0])
+        if not (isinstance(v, list) and len(v) == 2
+                and all(isinstance(x, int) for x in v)):
+            raise ParseError(f"{where}: {key} must be a list of two "
+                             f"integers, got {v!r}")
     for key in POSITIVE_ATTRS:
         v = node.attrs.get(key, 1)
         if any(x < 1 for x in (v if isinstance(v, list) else [v])):
@@ -504,9 +513,9 @@ def fuse_superlayers(g, cfg=None):
 
     Eligibility: the intermediate tensor has exactly one consumer and a
     valid production/consumption steady state exists (lowering.plan_fusion).
-    conv -> eltwise pairs are planned but left separate: streaming the
-    residual operand while the convolution runs would need a second
-    concurrent reader on one FM memory, which the port model forbids.
+    conv -> eltwise pairs stay separate: streaming the residual operand
+    while the convolution runs would need a second concurrent reader on one
+    FM memory, which the port model forbids.
     """
     from .lowering import plan_fusion
     from .machine import MachineConfig

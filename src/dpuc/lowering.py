@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quant
 from .errors import InfeasibleError, UnsupportedError
 
 
@@ -183,17 +184,12 @@ def plan_fusion(conv_geom, consumer_geom, cfg, max_h=None):
     """
     if conv_geom.op != "conv":
         return FusionPlan(False, reason="producer is not a convolution")
-    kind = consumer_geom.op
-    if kind == "maxpool":
-        pk, ps = consumer_geom.kernel[0], consumer_geom.stride[0]
-        pref = cfg.h_p
-    elif kind == "eltwise-add":
-        pk = ps = 1
-        pref = cfg.h_e
-    else:
-        return FusionPlan(False, reason=f"unsupported consumer {kind}")
+    if consumer_geom.op != "maxpool":
+        return FusionPlan(False,
+                          reason=f"unsupported consumer {consumer_geom.op}")
+    pk, ps = consumer_geom.kernel[0], consumer_geom.stride[0]
 
-    out_per = max(1, pref // ps)
+    out_per = max(1, cfg.h_p // ps)
     advance = out_per * ps
     t_h = (out_per - 1) * ps + pk
     carry = t_h - advance
@@ -234,7 +230,7 @@ def plan_fusion(conv_geom, consumer_geom, cfg, max_h=None):
 @dataclass(frozen=True)
 class SubKernel:
     phase: tuple        # (dy, dx) output phase in [0, s)^2
-    taps: np.ndarray    # (c_o, th, tw, c_i) slice of the original kernel
+    taps: np.ndarray    # (c_o, th, tw, c_i) slice of the deconv kernel
     pad: tuple          # effective (top, left, bottom, right) over X
     crop: tuple         # leading input rows/cols skipped (top, left)
     out_rows: int
@@ -277,7 +273,7 @@ def decompose_deconv(weights, upsample, padding, in_shape, out_shape):
 
     Each output phase (oy % s, ox % s) collects exactly the kernel taps
     that land on non-zero positions of the zero-inserted input, so the tap
-    sets partition the original kernel and no multiplication touches an
+    sets partition the deconv kernel and no multiplication touches an
     inserted zero.  Phase outputs are interleaved back by a shuffle stage.
     """
     s = upsample
@@ -592,7 +588,8 @@ def lower_node(node, ctx, cfg):
 
 def _conv_shift(ctx, node, mid_quant):
     x = ctx.tensors[node.inputs[0]]
-    return _exp(x) + node.params.wgt_quant.exp - mid_quant.exp
+    return quant.conv_shift(_exp(x), node.params.wgt_quant.exp,
+                            mid_quant.exp)
 
 
 def _lower_conv(node, ctx, cfg):
@@ -626,10 +623,8 @@ def _lower_conv(node, ctx, cfg):
                             (h_m, w_mid_max, c_m), ck, cs, cp)
     if fused:
         pool_shift = _exp(mid) - _exp(y)
-        pool_geom = OpGeometry(
-            "maxpool" if fused.kind == "maxpool" else "eltwise-add",
-            strip_conv.out_shape, y.shape, fused.kernel, fused.stride,
-            fused.padding)
+        pool_geom = OpGeometry("maxpool", strip_conv.out_shape, y.shape,
+                               fused.kernel, fused.stride, fused.padding)
         plan = plan_fusion(strip_conv, pool_geom, cfg, max_h=ctx.max_h)
         if not plan.enabled:
             raise InfeasibleError(f"node {node.id}: fusion plan not viable: "
@@ -792,11 +787,10 @@ def _lower_pool(node, ctx, cfg):
 
 
 def _lower_elt(node, ctx, cfg):
-    from . import quant as Q
     ta, tb = (ctx.tensors[n] for n in node.inputs)
     y = ctx.tensors[node.output]
     h, w, c = y.shape
-    ea, eb, eo = Q.eltwise_exponents(_exp(ta), _exp(tb), _exp(y))
+    ea, eb, eo = quant.eltwise_exponents(_exp(ta), _exp(tb), _exp(y))
     strips = _strip_chain(w, c, [(1, 1, 0, w, c)], cfg, ctx.w_min_parts)
     band_h = max(cfg.h_e, min(ctx.max_h or cfg.h_c, cfg.h_c))
 

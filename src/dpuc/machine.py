@@ -1,9 +1,10 @@
 """Abstract machine definition: memories, instruction set, cost model.
 
 The machine has four units (LOAD, SAVE, CONV, MISC), each with its own
-in-order queue, three circular feature-map memories (FM) with one read and
-one write port each, a circular parameter memory (PM) shared by the conv
-unit, and a flat DDR split into five segments.  Instructions synchronize
+in-order queue, three linear feature-map memories (FM) with one read and
+one write port each, a linear parameter memory (PM) shared by the conv
+unit, and a flat DDR split into five segments.  An access outside a memory
+is an OutOfBoundsError; addresses never wrap.  Instructions synchronize
 through DPON/DPBY sets over the four unit types only.
 """
 
@@ -364,7 +365,10 @@ def check_bounds(ins, cfg):
         if lo < 0:
             raise OutOfBoundsError(f"negative offset in {ins.op}/{ins.sub}")
         if space == FM:
-            if mem >= cfg.fm_memories or hi > cfg.fm_bytes:
+            if not 0 <= mem < cfg.fm_memories:
+                raise OutOfBoundsError(
+                    f"fm{mem} does not exist ({cfg.fm_memories} FM memories)")
+            if hi > cfg.fm_bytes:
                 raise OutOfBoundsError(
                     f"fm{mem} range [{lo},{hi}) exceeds {cfg.fm_bytes}")
         elif space == PM and hi > cfg.pm_bytes:

@@ -9,17 +9,14 @@ buffer-reuse dependencies with nothing but the four instruction types.
 DPON/DPBY pairs act as counted tokens per (producer type -> consumer
 type) channel: the n-th instruction of a queue that depends on type s is
 gated by the completion of the n-th type-s instruction that carries the
-matching DPBY.  When a dependency's natural pace maker is already spoken
-for (or lies after the consumer), a No-Op bubble is inserted in the
-producer queue to keep the cadence, which is exactly the tail situation
-where a stage runs out of real work.
+matching DPBY.
 """
 
 from dataclasses import dataclass, replace
 
 from .errors import EncodingError
 from .intervals import IntervalMap
-from .machine import FM, Instruction, OP_TYPES
+from .machine import FM
 
 
 @dataclass
@@ -28,8 +25,6 @@ class PipelinedStream:
     # per instruction: (region, group index, tile index, stage index)
     marks: list
     pipelined: bool = True
-    # final index -> pre-annotation index (None for inserted No-Ops)
-    origin: list = None
 
 
 def pipeline(tiles, enabled=True):
@@ -147,120 +142,35 @@ def chain_dependencies(instructions):
 def assign_typed_deps(stream, deps=None):
     """Encode dependency targets as DPON/DPBY token channels.
 
-    For each channel (s -> u), consumers are walked in queue order and
-    paired with strictly increasing producer positions; when the next
-    expressible producer would lie at or past the consumer's issue slot,
-    a No-Op bubble is inserted in the producer queue right after the last
-    real instruction the consumer must wait for, and pairing restarts.
-    Raises EncodingError for a dependency on a later instruction.
+    Consumers are walked in issue order, which is queue order on every
+    channel (s -> u), and each one is paired with its own type-s target.
+    A consumer whose target sits no later in queue s than a target an
+    earlier instruction of its queue already waits on takes no token:
+    in-order execution carries that guarantee forward.  Paired targets
+    therefore rise strictly along each channel, so the n-th DPON of a
+    channel meets its n-th DPBY.  Raises EncodingError for a dependency
+    on a later instruction.
     """
-    instructions = list(stream.instructions)
-    marks = list(stream.marks)
-    origin = list(range(len(instructions)))
+    instructions = stream.instructions
     if deps is None:
         deps = (derive_dependencies(instructions) if stream.pipelined
                 else chain_dependencies(instructions))
-    deps = [dict(d) for d in deps]
-
-    while True:
-        result = _pair_all_channels(instructions, deps)
-        if isinstance(result, tuple) and result[0] == "insert":
-            _, anchor, consumer, s = result
-            instructions, marks, deps, origin = _insert_noop(
-                instructions, marks, deps, origin, anchor, consumer, s)
-            continue
-        dpon, dpby = result
-        break
-
-    out = []
-    for idx, ins in enumerate(instructions):
-        out.append(replace(ins, dpon=frozenset(dpon[idx]),
-                           dpby=frozenset(dpby[idx])))
-    return PipelinedStream(out, marks, stream.pipelined, origin)
-
-
-def _pair_all_channels(instructions, deps):
-    """Pair every channel, or report the first needed No-Op insertion."""
     dpon = [set() for _ in instructions]
     dpby = [set() for _ in instructions]
-    queues = {}
-    for op in OP_TYPES:
-        queues[op] = [i for i, ins in enumerate(instructions)
-                      if ins.op == op]
-    for s in OP_TYPES:
-        queue_s = queues[s]
-        pos_of = {i: p for p, i in enumerate(queue_s)}
-        for u in OP_TYPES:
-            if s == u:
+    enforced = {}   # (s, u) -> latest type-s target a type-u token covers
+    for c, ins in enumerate(instructions):
+        u = ins.op
+        for s, target in deps[c].items():
+            if s == u:   # same-queue order is free
                 continue
-            consumers = [i for i in queues[u] if s in deps[i]]
-            pair_pos = -1
-            enforced = -1   # highest queue-s position already guaranteed
-            for c in consumers:
-                target = deps[c][s]
-                if target >= c:
-                    raise EncodingError(
-                        f"instruction {c} depends on later instruction "
-                        f"{target}")
-                p = pos_of[target]
-                if p <= enforced:
-                    # an earlier instruction of this queue already waits on
-                    # the same (or a later) pace maker; in-order execution
-                    # carries the guarantee forward
-                    continue
-                want = max(p, pair_pos + 1)
-                if want >= len(queue_s) or queue_s[want] >= c:
-                    anchor = target
-                    if pair_pos >= 0:
-                        anchor = max(anchor, queue_s[pair_pos])
-                    return ("insert", anchor, c, s)
-                pair_pos = want
-                enforced = want
+            if target >= c:
+                raise EncodingError(
+                    f"instruction {c} depends on later instruction "
+                    f"{target}")
+            if target > enforced.get((s, u), -1):
+                enforced[(s, u)] = target
                 dpon[c].add(s)
-                dpby[queue_s[want]].add(u)
-    return dpon, dpby
-
-
-def _insert_noop(instructions, marks, deps, origin, anchor, consumer, s):
-    """Insert a type-s No-Op right after `anchor` and point `consumer`'s
-    type-s dependency at it."""
-    at = anchor + 1
-    noop = Instruction(op=s, sub="noop")
-    instructions = instructions[:at] + [noop] + instructions[at:]
-    marks = marks[:at] + [marks[anchor]] + marks[at:]
-    origin = origin[:at] + [None] + origin[at:]
-
-    def shift(i):
-        return i + 1 if i >= at else i
-
-    new_deps = []
-    for old_idx, d in enumerate(deps):
-        new_deps.append({op: shift(t) for op, t in d.items()})
-    new_deps = new_deps[:at] + [{}] + new_deps[at:]
-    new_deps[shift(consumer)][s] = at
-    return instructions, marks, new_deps, origin
-
-
-def token_pairings(instructions):
-    """Static pairing per channel: consumer index -> producer index.
-
-    Returns {(s, u): [(consumer, producer or None), ...]} in queue order;
-    None marks a starved consumer (a deadlock once simulated).
-    """
-    out = {}
-    for s in OP_TYPES:
-        for u in OP_TYPES:
-            if s == u:
-                continue
-            producers = [i for i, ins in enumerate(instructions)
-                         if ins.op == s and u in ins.dpby]
-            consumers = [i for i, ins in enumerate(instructions)
-                         if ins.op == u and s in ins.dpon]
-            if not consumers:
-                continue
-            pairs = []
-            for n, c in enumerate(consumers):
-                pairs.append((c, producers[n] if n < len(producers)
-                              else None))
-            out[(s, u)] = pairs
-    return out
+                dpby[target].add(u)
+    out = [replace(ins, dpon=frozenset(dpon[i]), dpby=frozenset(dpby[i]))
+           for i, ins in enumerate(instructions)]
+    return PipelinedStream(out, stream.marks, stream.pipelined)

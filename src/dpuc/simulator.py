@@ -20,7 +20,6 @@ from .errors import DeadlockError, OutOfBoundsError, ShapeError, \
     UseBeforeDefError
 from .machine import CONV, DDR, FM, LOAD, OP_TYPES, PM, SAVE, \
     instruction_cost
-from .pipeline import token_pairings
 
 
 class MachineState:
@@ -39,6 +38,8 @@ class MachineState:
         if space == DDR:
             return self.ddr, self.ddr_written
         if space == FM:
+            if not 0 <= mem < len(self.fm):
+                raise OutOfBoundsError(f"fm{mem} does not exist")
             return self.fm[mem], self.fm_written[mem]
         return self.pm, self.pm_written
 
@@ -50,13 +51,8 @@ class MachineState:
     def read(self, space, mem, off, n, check=True):
         buf, written = self._pair(space, mem)
         if off < 0 or off + n > buf.size:
-            if space == DDR:
-                raise OutOfBoundsError(f"ddr read [{off},{off + n})")
-            idx = (off + np.arange(n)) % buf.size
-            if check and not written[idx].all():
-                raise UseBeforeDefError(
-                    f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
-            return buf[idx]
+            raise OutOfBoundsError(f"{space}{mem} read [{off},{off + n}) "
+                                   f"outside {buf.size} B")
         if check and not written[off:off + n].all():
             raise UseBeforeDefError(
                 f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
@@ -66,12 +62,8 @@ class MachineState:
         buf, written = self._pair(space, mem)
         n = data.size
         if off < 0 or off + n > buf.size:
-            if space == DDR:
-                raise OutOfBoundsError(f"ddr write [{off},{off + n})")
-            idx = (off + np.arange(n)) % buf.size
-            buf[idx] = data
-            written[idx] = True
-            return
+            raise OutOfBoundsError(f"{space}{mem} write [{off},{off + n}) "
+                                   f"outside {buf.size} B")
         buf[off:off + n] = data
         written[off:off + n] = True
 
@@ -195,8 +187,8 @@ def _exec_upsample(state, ins):
 
 
 def run_functional(prog, state):
-    """Execute in issue order; timing is ignored but addresses, circular
-    wrap, and arithmetic are exact."""
+    """Execute in issue order; timing is ignored but addresses and
+    arithmetic are exact."""
     for idx, ins in enumerate(prog.instructions):
         try:
             if ins.is_noop:
@@ -421,6 +413,31 @@ class Trace:
     def from_dict(cls, d):
         return cls([TraceEvent(**e) for e in d["events"]], d["makespan"],
                    d["busy"], d["util"])
+
+
+def token_pairings(instructions):
+    """Static pairing per channel: consumer index -> producer index.
+
+    Returns {(s, u): [(consumer, producer or None), ...]} in queue order;
+    None marks a starved consumer (a deadlock once simulated).
+    """
+    out = {}
+    for s in OP_TYPES:
+        for u in OP_TYPES:
+            if s == u:
+                continue
+            producers = [i for i, ins in enumerate(instructions)
+                         if ins.op == s and u in ins.dpby]
+            consumers = [i for i, ins in enumerate(instructions)
+                         if ins.op == u and s in ins.dpon]
+            if not consumers:
+                continue
+            pairs = []
+            for n, c in enumerate(consumers):
+                pairs.append((c, producers[n] if n < len(producers)
+                              else None))
+            out[(s, u)] = pairs
+    return out
 
 
 def run_timing(prog, cfg, watchdog=10**6):

@@ -114,6 +114,22 @@ def test_verify_compile_failure_exit_three(corpus_dir, tmp_path):
     assert rc == 3
 
 
+def test_run_rejects_missing_fm_memory_exit_three(corpus_dir, tmp_path,
+                                                  capsys):
+    art = tmp_path / "art"
+    assert cli.main(["compile", str(corpus_dir / "toy_conv.json"),
+                     "-o", str(art)]) == 0
+    asm = art / "program.asm"
+    text = asm.read_text()
+    assert "dst=fm0:0 " in text
+    asm.write_text(text.replace("dst=fm0:0 ", "dst=fm9:0 ", 1))
+    capsys.readouterr()
+    rc = cli.main(["run", str(art), "--mode", "timing"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fm9" in err
+
+
 def test_no_pipeline_flag_produces_slower_program(corpus_dir, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

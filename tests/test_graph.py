@@ -91,6 +91,18 @@ def _deconv_zero_upsample():
     return doc
 
 
+def _deconv_scalar_kernel():
+    doc = corpus.deconv()
+    doc["nodes"][1]["attrs"]["kernel"] = 4
+    return doc
+
+
+def _maxpool_scalar_kernel():
+    doc = corpus.conv_pool()
+    doc["nodes"][2]["attrs"]["kernel"] = 2
+    return doc
+
+
 def _add_fix_without_lo(conv, doc):
     doc["tensors"].append({"name": "z", "shape": [8, 8, 8], "quant": q()})
     doc["nodes"].append({"id": "f", "op": "fix", "inputs": ["y"],
@@ -117,6 +129,13 @@ MALFORMED = {
     "fix_without_lo": _conv_doc(_add_fix_without_lo),
     "zero_upsample": _deconv_zero_upsample,
     "zero_factor": lambda: _upsample_doc(0),
+    "scalar_kernel": _conv_doc(lambda n, d: n["attrs"].update(kernel=3)),
+    "scalar_stride": _conv_doc(lambda n, d: n["attrs"].update(stride=1)),
+    "scalar_padding": _conv_doc(lambda n, d: n["attrs"].update(padding=1)),
+    "three_element_padding": _conv_doc(
+        lambda n, d: n["attrs"].update(padding=[1, 1, 1])),
+    "maxpool_scalar_kernel": _maxpool_scalar_kernel,
+    "deconv_scalar_kernel": _deconv_scalar_kernel,
 }
 
 
@@ -128,7 +147,8 @@ def test_parse_malformed_graph_raises_parse_error(case):
 
 def test_parse_malformed_graph_bases_are_well_formed():
     # each malformed case is one edit away from a graph that parses
-    for doc in (minimal_conv_doc(), corpus.deconv(), _upsample_doc(2)):
+    for doc in (minimal_conv_doc(), corpus.deconv(), corpus.conv_pool(),
+                _upsample_doc(2)):
         parse(doc)
 
 

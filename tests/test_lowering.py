@@ -196,14 +196,6 @@ def test_plan_fusion_pool_2x2_s2():
     assert plan.t_h == 2 and plan.carry == 0
 
 
-def test_plan_fusion_eltwise():
-    cg = conv_geom(k=3)
-    eg = L.OpGeometry("eltwise-add", cg.out_shape, cg.out_shape)
-    plan = L.plan_fusion(cg, eg, cfg())
-    assert plan.enabled and plan.k == 4 and plan.h_p == 2
-    assert plan.out_per_instr == 2 and plan.t_h == 2
-
-
 def test_plan_fusion_carry_disables():
     cg = conv_geom()
     plan = L.plan_fusion(cg, pool_geom(cg, 3, 2), cfg())

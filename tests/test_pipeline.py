@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dpuc import pipeline as P
 from dpuc.errors import DeadlockError, EncodingError
 from dpuc.machine import Addr, CONV, DDR, FM, Instruction, LOAD, MISC, \
-    MachineConfig, SAVE
-from dpuc.simulator import run_timing
+    MachineConfig, OP_TYPES, SAVE
+from dpuc.simulator import run_timing, token_pairings
 from dpuc.machine import Program
 
 
@@ -135,7 +137,7 @@ def test_assign_deps_steady_structure():
     saves = [i for i in stream.instructions if i.op == SAVE]
     assert all(MISC in s.dpon for s in saves)
     # every consumed token has a producer
-    for (s, u), pairs in P.token_pairings(stream.instructions).items():
+    for (s, u), pairs in token_pairings(stream.instructions).items():
         for consumer, producer in pairs:
             assert producer is not None
             assert producer < consumer
@@ -164,8 +166,49 @@ def test_shared_pacemaker_covered_by_queue_order():
     assert saves[0].dpon == frozenset({MISC})
     assert saves[1].dpon == frozenset()
     assert not any(i.is_noop for i in out.instructions)
-    pairs = P.token_pairings(out.instructions)[(MISC, SAVE)]
+    pairs = token_pairings(out.instructions)[(MISC, SAVE)]
     assert pairs == [(1, 0)]
+
+
+MAKE = {LOAD: lambda n: load(0, n), CONV: lambda n: conv(0, 0, n),
+        MISC: lambda n: pool(0, 0, n), SAVE: lambda n: save(0, 0, n)}
+
+
+@hst.composite
+def backward_typed_deps(draw):
+    """A random op sequence of mixed durations and, per consumer and
+    other type s, maybe one earlier type-s target."""
+    ops = draw(hst.lists(hst.sampled_from(OP_TYPES), min_size=1,
+                         max_size=30))
+    sizes = draw(hst.lists(hst.sampled_from((16, 256, 4096)),
+                           min_size=len(ops), max_size=len(ops)))
+    deps = []
+    for c, u in enumerate(ops):
+        d = {}
+        for s in OP_TYPES:
+            earlier = [i for i in range(c) if ops[i] == s]
+            if s != u and earlier and draw(hst.booleans()):
+                d[s] = draw(hst.sampled_from(earlier))
+        deps.append(d)
+    return ops, sizes, deps
+
+
+@settings(max_examples=500, deadline=None)
+@given(backward_typed_deps())
+def test_assign_deps_sound_for_any_backward_deps(case):
+    ops, sizes, deps = case
+    stream = P.PipelinedStream([MAKE[op](n) for op, n in zip(ops, sizes)],
+                               [None] * len(ops))
+    out = P.assign_typed_deps(stream, deps=deps)
+    # tokens alone carry every dependency: no No-Op is added
+    assert [i.op for i in out.instructions] == ops
+    for pairs in token_pairings(out.instructions).values():
+        assert all(producer is not None for _c, producer in pairs)
+    trace = run_timing(Program(instructions=out.instructions),
+                       MachineConfig())
+    for c, d in enumerate(deps):
+        for target in d.values():
+            assert trace.events[c].start >= trace.events[target].end
 
 
 def test_pipelined_beats_sequential_makespan():

@@ -8,9 +8,9 @@ from hypothesis import strategies as hst
 from dpuc import graph as G
 from dpuc import quant
 from dpuc import simulator as S
-from dpuc.errors import UseBeforeDefError
+from dpuc.errors import OutOfBoundsError, UseBeforeDefError
 from dpuc.machine import Addr, CONV, DDR, FM, Instruction, LOAD, MISC, \
-    MachineConfig, Program, SAVE
+    MachineConfig, PM, Program, SAVE
 from dpuc.timeline import emit_timeline
 
 
@@ -185,6 +185,32 @@ def test_functional_save_unwritten_fm_raises():
                     ddr_row_stride=8, ddr_blk_stride=0)])
     with pytest.raises(UseBeforeDefError):
         S.run_functional(prog, st)
+
+
+def _transfer(op, sub, src, dst):
+    return Instruction(op=op, sub=sub, src=src, dst=dst, rows=1, blocks=1,
+                       block_bytes=16, ddr_row_stride=16, ddr_blk_stride=0)
+
+
+OUT_OF_RANGE = {
+    "fm_write_past_end": _transfer(
+        LOAD, "act", Addr(DDR, 0), Addr(FM, MachineConfig().fm_bytes - 8, 0)),
+    "pm_write_past_end": _transfer(
+        LOAD, "weight", Addr(DDR, 0), Addr(PM, MachineConfig().pm_bytes - 8)),
+    "fm_read_past_end": _transfer(
+        SAVE, "act", Addr(FM, MachineConfig().fm_bytes - 8, 1), Addr(DDR, 0)),
+    "missing_fm_memory": _transfer(LOAD, "act", Addr(DDR, 0), Addr(FM, 0, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_functional_out_of_range_access_raises(case):
+    # FM and PM are linear like DDR: an access past the end of a memory,
+    # or to a memory that does not exist, fails instead of wrapping
+    st = mkstate(MachineConfig())
+    st.preload(0, bytes(16))
+    with pytest.raises(OutOfBoundsError):
+        S.run_functional(Program(instructions=[OUT_OF_RANGE[case]]), st)
 
 
 def test_functional_conv_instruction_matches_oracle():
