@@ -7,18 +7,23 @@ verify is the release gate: it compiles, replays random inputs against
 the reference executor, and hazard-checks the trace (exit 0 pass,
 1 mismatch, 2 hazard, 3 compile failure).  viz renders a trace as a
 four-lane SVG or JSON timeline.
+
+Every command exits 3 with an `error:` line for bad input: a typed
+DpucError, or a file that cannot be read or written.  Any other exception
+is a fault of dpuc itself and exits 4 with an `internal error:` line.
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from .compiler import CompileOptions, compile_graph
 from .corpus import write_corpus
-from .errors import CompileError, DpucError
+from .errors import CompileError, DpucError, ParseError
 from .graph import fold_constants_and_quantizers, parse_graph
 from .machine import MachineConfig, check_bounds, parse_assembly
 from .simulator import Trace, check_hazards, reference_execute, \
@@ -164,12 +169,12 @@ def cmd_verify(args):
 
 
 def cmd_viz(args):
+    with open(args.trace) as fh:
+        text = fh.read()
     try:
-        with open(args.trace) as fh:
-            trace = Trace.from_dict(json.loads(fh.read()))
-    except OSError as e:
-        print(f"cannot read trace: {e}", file=sys.stderr)
-        return 1
+        trace = Trace.from_dict(json.loads(text))
+    except (ValueError, KeyError, TypeError) as e:
+        raise ParseError(f"{args.trace} is not a trace: {e!r}") from e
     doc = emit_timeline(trace, args.format)
     if args.out:
         _write(args.out, doc)
@@ -248,9 +253,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DpucError as e:
+    except (DpucError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        print(f"internal error: {type(e).__name__}: {e} "
+              f"({os.path.basename(where.filename)}:{where.lineno})",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

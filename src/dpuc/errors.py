@@ -6,7 +6,7 @@ class DpucError(Exception):
 
 
 class ParseError(DpucError):
-    """Malformed graph document."""
+    """Malformed graph, machine config or trace document."""
 
 
 class ShapeError(DpucError):

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import AsmError, OutOfBoundsError
+from .errors import AsmError, OutOfBoundsError, ParseError
 
 LOAD = "LOAD"
 SAVE = "SAVE"
@@ -89,11 +89,11 @@ class MachineConfig:
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
-            data = json.load(fh)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+            text = fh.read()
+        try:
+            return cls(**json.loads(text))
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"config {path}: {e}") from e
 
     def to_json(self, path):
         with open(path, "w") as fh:

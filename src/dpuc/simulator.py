@@ -100,21 +100,32 @@ def _scatter_ddr(state, ins, data):
 
 
 def _conv_window_sum(x, w, sh, sw, out_rows, out_w):
-    """x: (rows, cols, c_in) int32 padded; w: (c_out, kh, kw, c_in)."""
-    kh, kw = w.shape[1], w.shape[2]
-    acc = np.zeros((out_rows, out_w, w.shape[0]), np.int64)
+    """Per-tap sum of a padded tile: int64 (out_rows, out_w, c_out).
+
+    x: (rows, cols, c_in) float64 holding int8 values, padded;
+    w: (c_out, kh, kw, c_in) int8.  Each tap is one contiguous
+    (out_rows·out_w, c_in) @ (c_in, c_out) float64 product.  Every product
+    is at most 2**14 in magnitude, so every partial sum is an integer below
+    kh·kw·c_in·2**14, which float64 holds exactly while that is < 2**53.
+    """
+    c_out, kh, kw, c_in = w.shape
+    if kh * kw * c_in * 2**14 >= 2**53:
+        raise ShapeError(f"conv reduction of {kh * kw * c_in} int8 "
+                         f"products is not exact in float64")
+    taps = w.transpose(1, 2, 3, 0).astype(np.float64)   # (kh, kw, ci, co)
+    acc = np.zeros((out_rows * out_w, c_out), np.float64)
     for a in range(kh):
         for b in range(kw):
             window = x[a:a + (out_rows - 1) * sh + 1:sh,
                        b:b + (out_w - 1) * sw + 1:sw]
-            acc += window @ w[:, a, b, :].T.astype(np.int64)
-    return acc
+            acc += np.ascontiguousarray(window).reshape(-1, c_in) @ taps[a, b]
+    return acc.astype(np.int64).reshape(out_rows, out_w, c_out)
 
 
 def _exec_conv(state, ins):
     n = ins.in_rows * ins.in_w * ins.c_in
     x = state.read(FM, ins.src.mem, ins.src.off, n).view(np.int8)
-    x = x.reshape(ins.in_rows, ins.in_w, ins.c_in).astype(np.int64)
+    x = x.reshape(ins.in_rows, ins.in_w, ins.c_in)
     taps_n = ins.c_out * ins.kh * ins.kw * ins.c_in
     blob = state.read(PM, 0, ins.wgt_off, ins.wgt_bytes)
     if ins.wgt_bytes != taps_n + 4 * ins.c_out:
@@ -128,7 +139,9 @@ def _exec_conv(state, ins):
     # contribute zeros exactly like rows beyond in_rows
     pr_eff = max(ins.pr, (ins.out_w - 1) * ins.sw + ins.kw
                  - ins.pl - ins.in_w)
-    xp = np.pad(x, ((ins.pt, ins.pb), (ins.pl, max(pr_eff, 0)), (0, 0)))
+    xp = np.zeros((ins.pt + ins.in_rows + ins.pb,
+                   ins.pl + ins.in_w + max(pr_eff, 0), ins.c_in), np.float64)
+    xp[ins.pt:ins.pt + ins.in_rows, ins.pl:ins.pl + ins.in_w] = x
     acc = _conv_window_sum(xp, w, ins.sh, ins.sw, out_rows, ins.out_w)
     acc += bias
     y = quant.requantize(acc, ins.shift)
@@ -219,22 +232,40 @@ def run_functional(prog, state):
 # graph-level reference executor
 # ---------------------------------------------------------------------------
 
+REF_COLS_BYTES = 2 << 20   # float64 im2col block of the reference conv
+
+
 def _ref_conv(x, w, bias, stride, padding, shift):
+    """im2col convolution of int8 x (h, w, ci) by int8 w (co, kh, kw, ci).
+
+    The column matrix is built from a sliding-window view one block of
+    output rows at a time, so at most about REF_COLS_BYTES of it exists,
+    and each block is one float64 GEMM against the (ci·kh·kw, co) weight
+    matrix.  Every product is at most 2**14 in magnitude, so the sums are
+    exact integers while ci·kh·kw·2**14 < 2**53."""
     sh, sw = stride
     ph, pw = padding
     co, kh, kw, ci = w.shape
-    xp = np.pad(x.astype(np.int64), ((ph, ph), (pw, pw), (0, 0)))
-    oh = (x.shape[0] + 2 * ph - kh) // sh + 1
-    ow = (x.shape[1] + 2 * pw - kw) // sw + 1
-    # im2col formulation, distinct from the tile-level sliding windows
-    cols = np.empty((oh * ow, kh * kw * ci), np.int64)
-    i = 0
-    for r in range(oh):
-        for c in range(ow):
-            patch = xp[r * sh:r * sh + kh, c * sw:c * sw + kw, :]
-            cols[i] = patch.reshape(-1)
-            i += 1
-    acc = cols @ w.reshape(co, -1).T.astype(np.int64)
+    k = ci * kh * kw
+    if x.dtype != np.int8 or w.dtype != np.int8:
+        raise ShapeError(f"conv operands must be int8, got {x.dtype} "
+                         f"and {w.dtype}")
+    if k * 2**14 >= 2**53:
+        raise ShapeError(f"conv reduction of {k} int8 products is not "
+                         f"exact in float64")
+    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
+    # windows in (oh, ow, ci, kh, kw) order; the weights follow it
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(0, 1))[::sh, ::sw]
+    oh, ow = win.shape[:2]
+    wmat = w.transpose(3, 1, 2, 0).reshape(k, co).astype(np.float64)
+    acc = np.empty((oh * ow, co), np.int64)
+    block = max(1, REF_COLS_BYTES // (ow * k * 8))
+    for r0 in range(0, oh, block):
+        r1 = min(r0 + block, oh)
+        cols = np.empty((r1 - r0, ow, ci, kh, kw), np.float64)
+        cols[...] = win[r0:r1]
+        acc[r0 * ow:r1 * ow] = cols.reshape(-1, k) @ wmat
     acc += bias.astype(np.int64)
     if shift is None:
         return acc.reshape(oh, ow, co)
@@ -247,13 +278,8 @@ def _ref_maxpool(x, kernel, stride, padding, shift):
     ph, pw = padding
     xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)),
                 constant_values=quant.INT8_MIN)
-    oh = (x.shape[0] + 2 * ph - kh) // sh + 1
-    ow = (x.shape[1] + 2 * pw - kw) // sw + 1
-    out = np.full((oh, ow, x.shape[2]), quant.INT8_MIN, np.int8)
-    for r in range(oh):
-        for c in range(ow):
-            out[r, c] = xp[r * sh:r * sh + kh, c * sw:c * sw + kw].max(
-                axis=(0, 1))
+    out = np.lib.stride_tricks.sliding_window_view(
+        xp, (kh, kw), axis=(0, 1))[::sh, ::sw].max(axis=(3, 4))
     if shift:
         out = quant.requantize(out.astype(np.int64), shift)
     return out
@@ -267,9 +293,11 @@ def _ref_upsample(x, factor):
 
 
 def reference_execute(g, inputs):
-    """Direct nested evaluation of the graph, int32 accumulation, the
-    centralized requantization policy.  Handles folded graphs (with fused
-    super-nodes) and unfolded graphs (explicit fix/const nodes)."""
+    """Direct nested evaluation of the graph with the centralized
+    requantization policy.  Convolutions accumulate as one exact float64
+    im2col GEMM per block of output rows (|acc| <= kh·kw·c_in·2**14, far
+    below 2**53), then add the bias in int64.  Handles folded graphs (with
+    fused super-nodes) and unfolded graphs (explicit fix/const nodes)."""
     from .graph import _topo_order
     vals = {}
     for name, data in inputs.items():

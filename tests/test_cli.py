@@ -183,4 +183,48 @@ def test_env_config_default(corpus_dir, tmp_path, monkeypatch):
 
 def test_viz_bad_path_fails(tmp_path):
     rc = cli.main(["viz", str(tmp_path / "missing.json")])
-    assert rc == 1
+    assert rc == 3
+
+
+@pytest.mark.parametrize("cmd", ["compile", "verify"])
+def test_missing_graph_file_exit_three(tmp_path, capsys, cmd):
+    argv = [cmd, str(tmp_path / "missing.json")]
+    if cmd == "compile":
+        argv += ["-o", str(tmp_path / "art")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.json" in err
+
+
+@pytest.mark.parametrize("body", ['{"events": [{"x": 1}]}', '{"events": 1}',
+                                  "[]", "not json"])
+def test_viz_malformed_trace_exit_three(tmp_path, capsys, body):
+    path = tmp_path / "trace.json"
+    path.write_text(body)
+    assert cli.main(["viz", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("body", ['{"bogus": 1}', '{"gamma": 0}',
+                                  '{"gamma": "big"}', "[]", "not json"])
+def test_malformed_config_exit_three(corpus_dir, tmp_path, capsys, body):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(body)
+    rc = cli.main(["compile", str(corpus_dir / "toy_conv.json"),
+                   "-o", str(tmp_path / "art"), "-c", str(cfgfile)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: config {cfgfile}")
+
+
+def test_internal_error_exit_four(corpus_dir, tmp_path, capsys, monkeypatch):
+    def broken(g, cfg, options=None):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(cli, "compile_graph", broken)
+    rc = cli.main(["compile", str(corpus_dir / "toy_conv.json"),
+                   "-o", str(tmp_path / "art")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ZeroDivisionError: injected")
+    assert "Traceback" not in err

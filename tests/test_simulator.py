@@ -1,14 +1,17 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from dpuc import corpus
 from dpuc import graph as G
 from dpuc import quant
 from dpuc import simulator as S
-from dpuc.errors import OutOfBoundsError, UseBeforeDefError
+from dpuc.compiler import CompileOptions, compile_graph
+from dpuc.errors import OutOfBoundsError, ShapeError, UseBeforeDefError
 from dpuc.machine import Addr, CONV, DDR, FM, Instruction, LOAD, MISC, \
     MachineConfig, PM, Program, SAVE
 from dpuc.timeline import emit_timeline
@@ -248,6 +251,214 @@ def test_functional_upsample_zero_insertion():
     S.run_functional(Program(instructions=[ins]), st)
     got = st.fm[1][:9].view(np.int8).reshape(3, 3)
     assert np.array_equal(got, [[1, 0, 2], [0, 0, 0], [3, 0, 4]])
+
+
+# ---------------------------------------------------------------------------
+# conv and max-pool kernels against per-pixel loops
+# ---------------------------------------------------------------------------
+
+def pixel_conv_sum(x, w, stride, pads, out_hw):
+    """int64 sum per output pixel; taps outside x read zero.  pads is
+    (top, left)."""
+    h, wd, _ = x.shape
+    co, kh, kw, _ = w.shape
+    x64, w64 = x.astype(np.int64), w.astype(np.int64)
+    out = np.zeros(tuple(out_hw) + (co,), np.int64)
+    for i in range(out_hw[0]):
+        for j in range(out_hw[1]):
+            for a in range(kh):
+                for b in range(kw):
+                    yy = i * stride[0] + a - pads[0]
+                    xx = j * stride[1] + b - pads[1]
+                    if 0 <= yy < h and 0 <= xx < wd:
+                        out[i, j] += w64[:, a, b, :] @ x64[yy, xx]
+    return out
+
+
+def pixel_max(x, kernel, stride, pads, out_hw):
+    """Per output pixel max; taps outside x read INT8_MIN."""
+    h, wd, c = x.shape
+    out = np.full(tuple(out_hw) + (c,), quant.INT8_MIN, np.int8)
+    for i in range(out_hw[0]):
+        for j in range(out_hw[1]):
+            for a in range(kernel[0]):
+                for b in range(kernel[1]):
+                    yy = i * stride[0] + a - pads[0]
+                    xx = j * stride[1] + b - pads[1]
+                    if 0 <= yy < h and 0 <= xx < wd:
+                        out[i, j] = np.maximum(out[i, j], x[yy, xx])
+    return out
+
+
+def _int8(rng, shape):
+    return rng.integers(-128, 128, shape).astype(np.int8)
+
+
+KERNEL_CASE = hst.fixed_dictionaries({
+    "k": hst.tuples(hst.integers(1, 5), hst.integers(1, 5)),
+    "s": hst.tuples(hst.integers(1, 3), hst.integers(1, 3)),
+    "hw": hst.tuples(hst.integers(1, 7), hst.integers(1, 7)),
+    "c": hst.tuples(hst.integers(1, 5), hst.integers(1, 4)),
+    "seed": hst.integers(0, 2**32 - 1),
+})
+
+
+@given(KERNEL_CASE, hst.tuples(*[hst.integers(0, 4)] * 4),
+       hst.integers(0, 3), hst.integers(-14, 0))
+@settings(max_examples=150, deadline=None)
+def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift):
+    # asymmetric padding (top, bottom, left, right); extra_w output
+    # columns past the right padding make _exec_conv pad further (pr_eff)
+    (kh, kw), (sh, sw), (h, wd), (ci, co) = (case["k"], case["s"],
+                                            case["hw"], case["c"])
+    pt, pb, pl, pr = pads
+    out_rows = (h + pt + pb - kh) // sh + 1
+    out_w = max((wd + pl + pr - kw) // sw + 1, 0) + extra_w
+    if out_rows < 1 or out_w < 1:
+        return
+    rng = np.random.default_rng(case["seed"])
+    x, w = _int8(rng, (h, wd, ci)), _int8(rng, (co, kh, kw, ci))
+    bias = rng.integers(-2**20, 2**20, co).astype(np.int32)
+    expect = pixel_conv_sum(x, w, (sh, sw), (pt, pl), (out_rows, out_w))
+
+    pr_eff = max(pr, (out_w - 1) * sw + kw - pl - wd)
+    xp = np.pad(x.astype(np.float64), ((pt, pb), (pl, pr_eff), (0, 0)))
+    acc = S._conv_window_sum(xp, w, sh, sw, out_rows, out_w)
+    assert acc.dtype == np.int64 and np.array_equal(acc, expect)
+
+    st = mkstate(MachineConfig())
+    st.fm[0][:x.size] = x.reshape(-1).view(np.uint8)
+    st.fm_written[0][:x.size] = True
+    blob = w.tobytes() + bias.astype("<i4").tobytes()
+    st.pm[:len(blob)] = np.frombuffer(blob, np.uint8)
+    st.pm_written[:len(blob)] = True
+    ins = Instruction(op=CONV, sub="conv", src=Addr(FM, 0, 0),
+                      dst=Addr(FM, 0, 1), wgt_off=0, wgt_bytes=len(blob),
+                      in_rows=h, in_w=wd, c_in=ci, out_w=out_w, c_out=co,
+                      kh=kh, kw=kw, sh=sh, sw=sw, pt=pt, pl=pl, pb=pb, pr=pr,
+                      shift=shift)
+    S.run_functional(Program(instructions=[ins]), st)
+    n = out_rows * out_w * co
+    got = st.fm[1][:n].view(np.int8).reshape(out_rows, out_w, co)
+    assert np.array_equal(got, quant.requantize(expect + bias, shift))
+
+
+@given(KERNEL_CASE, hst.tuples(hst.integers(0, 4), hst.integers(0, 4)),
+       hst.one_of(hst.none(), hst.integers(-14, 2)),
+       hst.sampled_from([1, 300, S.REF_COLS_BYTES]))
+@settings(max_examples=150, deadline=None)
+def test_ref_conv_matches_pixel_loop(case, pads, shift, cols_bytes):
+    # a small column budget splits the output into blocks of one or a
+    # few rows, with a short last block
+    (kh, kw), (sh, sw), (h, wd), (ci, co) = (case["k"], case["s"],
+                                            case["hw"], case["c"])
+    out_hw = ((h + 2 * pads[0] - kh) // sh + 1,
+              (wd + 2 * pads[1] - kw) // sw + 1)
+    if min(out_hw) < 1:
+        return
+    rng = np.random.default_rng(case["seed"])
+    x, w = _int8(rng, (h, wd, ci)), _int8(rng, (co, kh, kw, ci))
+    bias = rng.integers(-2**20, 2**20, co).astype(np.int32)
+    acc = pixel_conv_sum(x, w, (sh, sw), pads, out_hw) + bias
+    expect = acc if shift is None else quant.requantize(acc, shift)
+    with mock.patch.object(S, "REF_COLS_BYTES", cols_bytes):
+        got = S._ref_conv(x, w, bias, (sh, sw), pads, shift)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@given(KERNEL_CASE, hst.tuples(hst.integers(0, 2), hst.integers(0, 2)),
+       hst.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_ref_maxpool_matches_pixel_max(case, pads, shift):
+    (kh, kw), (sh, sw), (h, wd), (c, _) = (case["k"], case["s"],
+                                          case["hw"], case["c"])
+    out_hw = ((h + 2 * pads[0] - kh) // sh + 1,
+              (wd + 2 * pads[1] - kw) // sw + 1)
+    if min(out_hw) < 1:
+        return
+    x = _int8(np.random.default_rng(case["seed"]), (h, wd, c))
+    expect = pixel_max(x, (kh, kw), (sh, sw), pads, out_hw)
+    if shift:
+        expect = quant.requantize(expect.astype(np.int64), shift)
+    got = S._ref_maxpool(x, (kh, kw), (sh, sw), pads, shift)
+    assert got.dtype == np.int8 and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("low", [-128, -100])
+def test_conv_kernels_exact_at_largest_accumulator(low):
+    # K = 3*3*512 = 4608 (the deep workload).  All -128 gives every product
+    # +2**14, the largest accumulator any reachable conv produces; values
+    # drawn from [-128, low] give sums past 2**24 with random low bits,
+    # which a float32 accumulator would round
+    rng = np.random.default_rng(-low)
+    x = rng.integers(-128, low + 1, (3, 3, 512)).astype(np.int8)
+    w = rng.integers(-128, low + 1, (2, 3, 3, 512)).astype(np.int8)
+    expect = pixel_conv_sum(x, w, (1, 1), (1, 1), (3, 3))
+    if low == -128:
+        assert expect[1, 1, 0] == 4608 * 2**14
+    assert expect[1, 1].min() > 2**25
+    xp = np.pad(x.astype(np.float64), ((1, 1), (1, 1), (0, 0)))
+    assert np.array_equal(S._conv_window_sum(xp, w, 1, 1, 3, 3), expect)
+    got = S._ref_conv(x, w, np.zeros(2, np.int32), (1, 1), (1, 1), None)
+    assert np.array_equal(got, expect)
+
+
+def test_conv_kernels_reject_inexact_reduction():
+    # c_in = 2**39 gives K * 2**14 = 2**53; zero-stride views, no memory
+    w = np.broadcast_to(np.int8(0), (1, 1, 1, 2**39))
+    x = np.broadcast_to(np.int8(0), (1, 1, 2**39))
+    xf = np.broadcast_to(np.float64(0), (1, 1, 2**39))
+    with pytest.raises(ShapeError, match="not exact"):
+        S._conv_window_sum(xf, w, 1, 1, 1, 1)
+    with pytest.raises(ShapeError, match="not exact"):
+        S._ref_conv(x, w, np.zeros(1, np.int32), (1, 1), (0, 0), None)
+    # the bound holds for int8 operands only
+    with pytest.raises(ShapeError, match="int8"):
+        S._ref_conv(np.full((1, 1, 1), 300, np.int16), np.ones(
+            (1, 1, 1, 1), np.int8), np.zeros(1, np.int32), (1, 1), (0, 0),
+            None)
+
+
+# ---------------------------------------------------------------------------
+# the two oracles share no conv code
+# ---------------------------------------------------------------------------
+
+CORPUS_BUILDS = [(n, CompileOptions()) for n in corpus.corpus_names()] + \
+    [("deconv", CompileOptions(deconv_mode="upsample"))]
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("called a kernel of the other oracle")
+
+
+def _corpus_runs():
+    """(folded graph, program, inputs) per corpus build."""
+    rng = np.random.default_rng(11)
+    for name, options in CORPUS_BUILDS:
+        g = corpus.corpus_graph(name)
+        folded = G.fold_constants_and_quantizers(g)
+        art = compile_graph(g, MachineConfig(), options)
+        yield folded, art.program, {
+            n: _int8(rng, folded.tensors[n].shape) for n in folded.inputs}
+
+
+def test_reference_runs_without_simulator_conv(monkeypatch):
+    for folded, prog, inputs in _corpus_runs():
+        got = S.run_program(prog, MachineConfig(), inputs)
+        with monkeypatch.context() as m:
+            m.setattr(S, "_conv_window_sum", _refuse)
+            ref = S.reference_execute(folded, inputs)
+        assert all(np.array_equal(got[k], ref[k]) for k in ref)
+
+
+def test_simulator_runs_without_reference_kernels(monkeypatch):
+    for folded, prog, inputs in _corpus_runs():
+        ref = S.reference_execute(folded, inputs)
+        with monkeypatch.context() as m:
+            m.setattr(S, "_ref_conv", _refuse)
+            m.setattr(S, "_ref_maxpool", _refuse)
+            got = S.run_program(prog, MachineConfig(), inputs)
+        assert all(np.array_equal(got[k], ref[k]) for k in ref)
 
 
 # ---------------------------------------------------------------------------
