@@ -86,7 +86,8 @@ def cmd_compile(args):
         print(json.dumps(art.memmap, indent=1, sort_keys=True))
     print(f"compiled {args.graph}: {art.report['instructions']} "
           f"instructions, estimated makespan "
-          f"{art.report['estimated_makespan']} cycles -> {args.out}")
+          f"{art.report['estimated_makespan']} cycles, CONV efficiency "
+          f"{art.report['conv_efficiency']:.2f} -> {args.out}")
     return 0
 
 

@@ -148,9 +148,19 @@ def _plan_windows(lowered, mems, cfg):
 
     Writing window i+2 over window i's slot is what creates the
     buffer-reuse dependency on the reader of window i, so at most two
-    windows of a class are ever live.  Streams of one node share a memory
-    by simple bumping; capacity overflow sends the node back down the
-    retry ladder."""
+    windows of a class are ever live.  A stream with a single window (a
+    conv input resident across weight slabs) gets one slot.  A stream is
+    live from the first to the last tile whose templates use it, which
+    for a resident window includes every later-slab tile reading it.
+    Streams of one node share a memory by simple bumping; capacity
+    overflow sends the node back down the retry ladder."""
+    span = {}   # stream -> (first, last) tile whose templates use it
+    for ti, tile in enumerate(lowered.tiles):
+        for _q, group in tile.stages:
+            for t in group:
+                for attr in t.READS + t.WRITES:
+                    sname = getattr(t, attr)
+                    span[sname] = (span.get(sname, (ti,))[0], ti)
     placed = {m: [] for m in range(cfg.fm_memories)}
     allocs = {}
     for sname in sorted(lowered.streams):
@@ -164,7 +174,7 @@ def _plan_windows(lowered, mems, cfg):
         slot = max(sizes.values())
         nslots = 2 if len(sizes) > 1 else 1
         need = nslots * slot
-        t_lo, t_hi = min(sizes), max(sizes)
+        t_lo, t_hi = span[sname]
         # streams whose tile ranges are disjoint (successive width strips,
         # successive weight slabs) reuse each other's bytes; the derived
         # write-after-read dependencies serialize the hand-over
@@ -251,6 +261,9 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
 
     from .simulator import run_timing
     trace = run_timing(prog, cfg)
+    total_eff, node_eff = _conv_efficiency(prog, marks, trace, cfg)
+    for entry in report_nodes:
+        entry["conv_efficiency"] = node_eff.get(entry["id"], 0.0)
     memmap = {
         "segments": {k: list(v) for k, v in layout.segments.items()},
         "tensors": {k: list(v) for k, v in sorted(layout.tensor_map.items())},
@@ -264,6 +277,7 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
         "pipelined": options.pipeline,
         "instructions": len(prog.instructions),
         "estimated_makespan": trace.makespan,
+        "conv_efficiency": total_eff,
         "queue_busy": trace.busy,
         "attempts": list(attempts),
     }
@@ -274,6 +288,25 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
         tile_trees=({nd.id: lw.tree.to_dict()
                      for nd, lw, _m in lowered_nodes}
                     if options.keep_tile_trees else None))
+
+
+def _conv_efficiency(prog, marks, trace, cfg):
+    """Ideal CONV cycles (MACs / conv_macs_per_cycle) over the makespan,
+    and per node over the node's trace span (its first start to its last
+    end)."""
+    macs, spans = {}, {}
+    for ins, mark, ev in zip(prog.instructions, marks, trace.events):
+        nid = mark[0]
+        if ins.op == CONV:
+            macs[nid] = macs.get(nid, 0) + ins.conv_macs()
+        lo, hi = spans.get(nid, (ev.start, ev.end))
+        spans[nid] = (min(lo, ev.start), max(hi, ev.end))
+    ideal = {nid: m / cfg.conv_macs_per_cycle for nid, m in macs.items()}
+    total = (sum(ideal.values()) / trace.makespan if trace.makespan
+             else 0.0)
+    per_node = {nid: ideal.get(nid, 0.0) / (hi - lo) if hi > lo else 0.0
+                for nid, (lo, hi) in spans.items()}
+    return total, per_node
 
 
 def _mid_tensors(g):
@@ -357,6 +390,10 @@ def _bind_tiles(node, lowered, mems, layout, aliases, param_offs, pbase,
             bound = []
             for t in group:
                 kind = type(t).__name__
+                # tile whose windows the template reads: its own, except
+                # for a conv reading a window resident across slabs
+                src_ti = ti if getattr(t, "in_tile", None) is None \
+                    else t.in_tile
                 if kind == "TLoad":
                     base, (h, w, c), _ = tensor_geom(t.tensor)
                     off = base + (t.row * w + t.col0) * c
@@ -403,7 +440,7 @@ def _bind_tiles(node, lowered, mems, layout, aliases, param_offs, pbase,
                 elif kind == "TConv":
                     ins = Instruction(
                         op=CONV, sub="conv",
-                        src=stream_addr(t.stream_in, ti, t.in_row0),
+                        src=stream_addr(t.stream_in, src_ti, t.in_row0),
                         dst=stream_addr(t.stream_out, ti, t.out_row0),
                         wgt_off=pm_off[t.block],
                         wgt_bytes=sum(blocks[t.block]),
@@ -450,7 +487,9 @@ def _bind_tiles(node, lowered, mems, layout, aliases, param_offs, pbase,
                         dst_blk_stride=t.dst_blk_step)
                 else:
                     raise AssertionError(kind)
-                for attr in t.READS + t.WRITES:
+                for attr in t.READS:
+                    touch((getattr(t, attr), src_ti), ins)
+                for attr in t.WRITES:
                     touch((getattr(t, attr), ti), ins)
                 bound.append(ins)
             stages.append((queue, bound))

@@ -15,7 +15,11 @@ Every tensor lives in DDR between nodes.  Tiles re-read their full input
 window from DDR (the per-tile load stage), so consecutive tiles of a
 strided kernel re-load the k - s overlapping rows.  That keeps every tile
 self-contained and the per-class liveness at the two-slice
-double-buffering bound.
+double-buffering bound.  The one exception is a conv whose output fits one
+height band but whose weights stream through several PM slabs: the first
+slab's tile of each width strip loads the input window, and the tiles of
+the later slabs convolve that same window (`TConv.in_tile`) instead of
+re-loading it once per slab.
 """
 
 from dataclasses import dataclass, field
@@ -338,7 +342,10 @@ def weight_tiling(c_out, kh, kw, c_in, cfg):
 
     A single slab is used when weights + biases fit PM outright; otherwise
     slabs are capped at half of PM so the next slab's LOAD can overlap the
-    running slab's convolutions (double buffering).
+    running slab's convolutions (double buffering).  The conv lowering
+    issues that prefetch behind the activation loads of the slab's LOAD
+    stage, so the in-order LOAD queue never holds a tile's input rows
+    behind a weight load that waits on the previous slab's conv.
     """
     per_ch = kh * kw * c_in + 4  # int8 taps + int32 bias
     total = c_out * per_ch
@@ -403,6 +410,7 @@ class TConv:
     pr: int
     shift: int
     block: int = 0  # PM block holding taps + bias
+    in_tile: int = None  # tile owning the stream_in window; None: this one
 
 
 @dataclass
@@ -499,7 +507,10 @@ class StreamInfo:
 
 @dataclass
 class Tile:
-    stages: list  # ordered (queue, [templates]) groups
+    # ordered (queue, [templates]) groups; every tile of a node has the
+    # same queue sequence (the pipeliner aligns stages by position), so a
+    # stage with nothing to do keeps its place as an empty group
+    stages: list
     label: str = ""
 
 
@@ -543,10 +554,6 @@ def _save_stage(stream, local_rows, tensor, out_rows, cols, ch):
         out.append(TSave(stream, local_rows[0] + i, 1, tensor.name,
                          out_rows[0] + i, clo, chi - clo, ch0, ch1 - ch0))
     return out
-
-
-def _mk_tile(stages, label=""):
-    return Tile([(q, group) for q, group in stages if group], label)
 
 
 def _tree_for_tiles(root, tiles):
@@ -638,6 +645,10 @@ def _lower_conv(node, ctx, cfg):
     streams = {}
     tree = TileTree("w-split", axis="w")
     final_h = y.shape[0]
+    nbands = -(-final_h // band_h)
+    # one band: the input window of a strip is the same for every slab, so
+    # it stays resident in FM from the first slab's tile to the last
+    resident = nbands == 1 and len(slabs) > 1
     for wi, chain in enumerate(strips):
         out_rng, mid_rng, in_rng = chain[0], chain[-2], chain[-1]
         olo, ohi = out_rng[0], out_rng[1]
@@ -669,24 +680,31 @@ def _lower_conv(node, ctx, cfg):
                 xlo, xhi, cpt, cpb = receptive_range(mlo, mhi, ck[0], cs[0],
                                                      cp[0], h_i)
                 win = xhi - xlo
+                ti = len(tiles) + len(band_tiles)
                 loads = []
-                nbands = -(-final_h // band_h)
                 if si == 0 and bi == 0:
                     if wi == 0 or len(slabs) > 2:
                         loads.append(TLoadW(0, 1))
                     if len(slabs) > 1 and (wi == 0 or len(slabs) > 2):
                         loads.append(TLoadW(1, 1))
-                # prefetch the next slab one band into this pass, so its
-                # PM-slot reuse gate is already satisfied and the load
-                # overlaps this slab's convolutions
+                if resident and si > 0:
+                    in_tile = ti - si  # the strip's first-slab tile
+                else:
+                    in_tile = None
+                    loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in)
+                    streams[s_in].window_rows[ti] = win
+                # prefetch the next slab one band into this pass, behind
+                # the band's activation loads: the prefetch waits for the
+                # previous slab's conv to free its PM half, and the
+                # in-order LOAD queue must not hold this band's input rows
+                # behind it
                 if (si >= 1 and si + 1 < len(slabs)
                         and bi == min(1, nbands - 1)):
                     loads.append(TLoadW(si + 1, 1))
-                loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in)
                 conv = TConv(s_in, 0, win, ihi_s - ilo_s, c_i, s_mid, 0,
                              mhi_s - mlo_s, nch, ck[0], ck[1], cs[0], cs[1],
                              cpt, in_rng[2], cpb, in_rng[3],
-                             conv_shift, block=si)
+                             conv_shift, block=si, in_tile=in_tile)
                 stages = [("LOAD", loads), ("CONV", [conv])]
                 if fused:
                     pools = []
@@ -709,9 +727,7 @@ def _lower_conv(node, ctx, cfg):
                     saves = _save_stage(s_mid, (0, mhi - mlo), y, (mlo, mhi),
                                         (mlo_s, mhi_s), c_slice)
                 stages.append(("SAVE", saves))
-                ti = len(tiles) + len(band_tiles)
-                band_tiles.append(_mk_tile(stages, f"w{wi}s{si}b{bi}"))
-                streams[s_in].window_rows[ti] = win
+                band_tiles.append(Tile(stages, f"w{wi}s{si}b{bi}"))
                 streams[s_mid].window_rows[ti] = mhi - mlo
                 if fused:
                     streams[s_out].window_rows[ti] = bhi - blo
@@ -727,7 +743,8 @@ def _lower_conv(node, ctx, cfg):
         + b_all[s.c_lo:s.c_hi].astype("<i4").tobytes()
         for s in slabs]
     ln.notes = {"kind": "conv", "fused": bool(fused), "slabs": len(slabs),
-                "strips": len(strips), "band_h": band_h}
+                "strips": len(strips), "band_h": band_h,
+                "resident": resident}
     return ln
 
 
@@ -774,8 +791,8 @@ def _lower_pool(node, ctx, cfg):
             saves = _save_stage(s_out, (0, bhi - blo), y, (blo, bhi),
                                 (olo, ohi), (0, c))
             ti = len(tiles) + len(band_tiles)
-            band_tiles.append(_mk_tile([("LOAD", loads), ("MISC", pools),
-                                        ("SAVE", saves)], f"w{wi}b{blo}"))
+            band_tiles.append(Tile([("LOAD", loads), ("MISC", pools),
+                                    ("SAVE", saves)], f"w{wi}b{blo}"))
             streams[s_in].window_rows[ti] = xhi - xlo
             streams[s_out].window_rows[ti] = bhi - blo
         tiles += band_tiles
@@ -818,8 +835,8 @@ def _lower_elt(node, ctx, cfg):
             saves = _save_stage(so, (0, bhi - blo), y, (blo, bhi),
                                 (olo, ohi), (0, c))
             ti = len(tiles) + len(band_tiles)
-            band_tiles.append(_mk_tile([("LOAD", loads), ("MISC", elts),
-                                        ("SAVE", saves)], f"w{wi}b{blo}"))
+            band_tiles.append(Tile([("LOAD", loads), ("MISC", elts),
+                                    ("SAVE", saves)], f"w{wi}b{blo}"))
             for s in (sa, sb, so):
                 streams[s].window_rows[ti] = bhi - blo
         tiles += band_tiles
@@ -855,8 +872,8 @@ def _lower_upsample(node, ctx, cfg):
         saves = _save_stage(s_up, (0, out_hi - out_lo), y, (out_lo, out_hi),
                             (0, w_o), (0, c))
         ti = len(tiles)
-        tiles.append(_mk_tile([("LOAD", loads), ("MISC", ups),
-                               ("SAVE", saves)], f"b{blo}"))
+        tiles.append(Tile([("LOAD", loads), ("MISC", ups),
+                           ("SAVE", saves)], f"b{blo}"))
         streams[s_in].window_rows[ti] = bhi - blo
         streams[s_up].window_rows[ti] = out_hi - out_lo
     _tree_for_tiles(tree, tiles)
@@ -886,8 +903,8 @@ def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag=""):
         saves = _save_stage(s_in, (0, bhi - blo), y, (blo, bhi), (0, w),
                             (ch_off, ch_off + c))
         streams[s_in].window_rows[len(tiles)] = bhi - blo
-        tiles.append(_mk_tile([("LOAD", loads), ("SAVE", saves)],
-                              f"{stream_tag}b{blo}"))
+        tiles.append(Tile([("LOAD", loads), ("SAVE", saves)],
+                          f"{stream_tag}b{blo}"))
     _tree_for_tiles(tree, tiles)
     ln = LoweredNode(node_id, tiles, streams, tree)
     ln.notes = {"kind": "copy", "band_h": band_h}
@@ -1020,9 +1037,9 @@ def _lower_deconv_series(node, ctx, cfg, plan):
         saves = _save_stage(s_out, (0, out_hi - out_lo), y, (out_lo, out_hi),
                             (0, w_o), (0, c_o))
         ti = len(tiles)
-        tiles.append(_mk_tile([("LOAD", loads), ("CONV", convs),
-                               ("MISC", shuffles), ("SAVE", saves)],
-                              f"t{tlo}"))
+        tiles.append(Tile([("LOAD", loads), ("CONV", convs),
+                           ("MISC", shuffles), ("SAVE", saves)],
+                          f"t{tlo}"))
         streams[s_in].window_rows[ti] = xhi - xlo
         for idx, sk in enumerate(subs):
             g = phase_geo[idx]
@@ -1077,9 +1094,9 @@ def _lower_deconv_upsample(node, ctx, cfg):
         saves = _save_stage(s_mid, (0, bhi - blo), y, (blo, bhi), (0, w_o),
                             (0, c_o))
         ti = len(tiles)
-        tiles.append(_mk_tile([("LOAD", loads), ("MISC", ups),
-                               ("CONV", [conv]), ("SAVE", saves)],
-                              f"b{blo}"))
+        tiles.append(Tile([("LOAD", loads), ("MISC", ups),
+                           ("CONV", [conv]), ("SAVE", saves)],
+                          f"b{blo}"))
         streams[s_in].window_rows[ti] = ihi - ilo
         streams[s_up].window_rows[ti] = uhi - ulo_al
         streams[s_mid].window_rows[ti] = bhi - blo

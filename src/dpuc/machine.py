@@ -218,6 +218,10 @@ class Instruction:
     def conv_out_rows(self):
         return (self.in_rows + self.pt + self.pb - self.kh) // self.sh + 1
 
+    def conv_macs(self):
+        return (self.conv_out_rows() * self.out_w * self.c_out
+                * self.kh * self.kw * self.c_in)
+
     def misc_out_rows(self):
         if self.sub == "maxpool":
             return (self.in_rows + self.pt + self.pb - self.kh) // self.sh + 1
@@ -346,9 +350,7 @@ def instruction_cost(ins, cfg):
     if ins.op in (LOAD, SAVE):
         return math.ceil(ins.transfer_bytes() / cfg.ddr_bytes_per_cycle) + oh
     if ins.op == CONV:
-        macs = (ins.conv_out_rows() * ins.out_w * ins.c_out
-                * ins.kh * ins.kw * ins.c_in)
-        return math.ceil(macs / cfg.conv_macs_per_cycle) + oh
+        return math.ceil(ins.conv_macs() / cfg.conv_macs_per_cycle) + oh
     if ins.sub == "maxpool":
         elems = ins.misc_out_rows() * ins.out_w * ins.c_in
     elif ins.sub == "eltwise":

@@ -2,7 +2,9 @@
 
 pipeline() skews a sequential tile stream T_i = L_i C_i P_i S_i into
 groups (L_i, C_{i-1}, P_{i-2}, S_{i-3}) so the four units overlap across
-neighbouring tiles; the skew works for any per-tile stage shape.
+neighbouring tiles.  Stages are aligned by position, so every tile of a
+stream must have the same queue sequence; a stage with nothing to do is
+an empty group, not a missing one.
 
 assign_typed_deps() encodes the stream's true cross-queue data and
 buffer-reuse dependencies with nothing but the four instruction types.
@@ -30,12 +32,17 @@ class PipelinedStream:
 def pipeline(tiles, enabled=True):
     """Reorder per-tile stage groups into the skewed pipeline shape.
 
-    tiles: list of stage lists [(queue, [Instruction, ...]), ...].  With m
-    stages and k tiles the stream has k + m - 1 groups; group g holds
-    stage j of tile g - j.  Fewer than m tiles degenerates to head + tail
-    only.  With enabled=False the sequential order is kept (the baseline
-    stream for A/B makespan comparison).
+    tiles: list of stage lists [(queue, [Instruction, ...]), ...], all
+    with the same queue sequence (EncodingError otherwise).  With m stages
+    and k tiles the stream has k + m - 1 groups; group g holds stage j of
+    tile g - j.  Fewer than m tiles degenerates to head + tail only.  With
+    enabled=False the sequential order is kept (the baseline stream for
+    A/B makespan comparison).
     """
+    shapes = {tuple(q for q, _group in tile) for tile in tiles}
+    if len(shapes) > 1:
+        raise EncodingError(f"tiles differ in their stage queues: "
+                            f"{sorted(shapes)}")
     instrs = []
     marks = []
     if not enabled:
@@ -47,7 +54,7 @@ def pipeline(tiles, enabled=True):
         return PipelinedStream(instrs, marks, pipelined=False)
 
     k = len(tiles)
-    m = max((len(t) for t in tiles), default=0)
+    m = len(tiles[0]) if tiles else 0
     for g in range(k + m - 1):
         region = ("head" if g < m - 1 else
                   "steady" if g < k else "tail")
@@ -56,7 +63,7 @@ def pipeline(tiles, enabled=True):
         # issue order is itself a valid sequential execution
         for sj in reversed(range(min(g + 1, m))):
             ti = g - sj
-            if 0 <= ti < k and sj < len(tiles[ti]):
+            if 0 <= ti < k:
                 _q, group = tiles[ti][sj]
                 for ins in group:
                     instrs.append(ins)

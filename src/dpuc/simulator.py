@@ -439,8 +439,20 @@ class Trace:
 
     @classmethod
     def from_dict(cls, d):
-        return cls([TraceEvent(**e) for e in d["events"]], d["makespan"],
-                   d["busy"], d["util"])
+        """Inverse of to_dict.  Raises ValueError for a queue outside
+        OP_TYPES or a cycle count or index that is not an int."""
+        events = [TraceEvent(**e) for e in d["events"]]
+        for e in events:
+            if e.queue not in OP_TYPES:
+                raise ValueError(f"event {e.index}: unknown queue "
+                                 f"{e.queue!r}")
+            for name in ("index", "issue", "start", "duration"):
+                if type(getattr(e, name)) is not int:
+                    raise ValueError(f"event {e.index}: {name} "
+                                     f"{getattr(e, name)!r} is not an int")
+        if type(d["makespan"]) is not int:
+            raise ValueError(f"makespan {d['makespan']!r} is not an int")
+        return cls(events, d["makespan"], d["busy"], d["util"])
 
 
 def token_pairings(instructions):
@@ -468,13 +480,16 @@ def token_pairings(instructions):
     return out
 
 
-def run_timing(prog, cfg, watchdog=10**6):
+def run_timing(prog, cfg):
     """Discrete-event simulation of four in-order, non-overlapping queues.
 
     An instruction starts when its queue is free, its queue predecessor
     has finished, and for every type in its DPON set the paired pace
     maker (counted FIFO per producer-consumer type channel) has
-    completed.  Deadlock (an unsatisfiable pairing) raises DeadlockError.
+    completed.  Deadlock raises DeadlockError: a consumer whose pace
+    maker never issues, or a circular wait (a pass over the four queue
+    heads that starts nothing).  A long but finite stall is not a
+    deadlock, however many cycles it lasts.
     """
     instrs = prog.instructions
     pairings = token_pairings(instrs)
@@ -503,9 +518,6 @@ def run_timing(prog, cfg, watchdog=10**6):
                     break
                 issue = free_at[op]
                 start = max([issue] + [done[p] for p in gates[idx]])
-                if start - issue > watchdog:
-                    raise DeadlockError(f"watchdog: instruction {idx} "
-                                        f"stalled {start - issue} cycles")
                 dur = instruction_cost(instrs[idx], cfg)
                 done[idx] = start + dur
                 events[idx] = TraceEvent(idx, op, instrs[idx].sub,

@@ -181,6 +181,32 @@ def test_env_config_default(corpus_dir, tmp_path, monkeypatch):
     assert saved["gamma"] == 4096
 
 
+def _trace_body(**event):
+    ev = {"index": 0, "queue": "LOAD", "sub": "act",
+          "color": "load-activation", "issue": 0, "start": 0,
+          "duration": 5, **event}
+    return json.dumps({"events": [ev], "makespan": 5, "busy": {},
+                       "util": {}})
+
+
+def test_compile_line_reports_conv_efficiency(corpus_dir, tmp_path, capsys):
+    # weight_tiled: 20,736 ideal CONV cycles over a 29,468-cycle makespan
+    rc = cli.main(["compile", str(corpus_dir / "weight_tiled.json"),
+                   "-o", str(tmp_path / "art")])
+    assert rc == 0
+    line = capsys.readouterr().out
+    assert "estimated makespan 29468 cycles, CONV efficiency 0.70 " in line
+    report = json.loads((tmp_path / "art" / "report.json").read_text())
+    assert report["conv_efficiency"] == 20736 / 29468
+
+
+def test_viz_wellformed_trace_body_renders(tmp_path):
+    # the malformed bodies below differ from this one in a single value
+    path = tmp_path / "trace.json"
+    path.write_text(_trace_body())
+    assert cli.main(["viz", str(path), "-o", str(tmp_path / "t.svg")]) == 0
+
+
 def test_viz_bad_path_fails(tmp_path):
     rc = cli.main(["viz", str(tmp_path / "missing.json")])
     assert rc == 3
@@ -197,7 +223,9 @@ def test_missing_graph_file_exit_three(tmp_path, capsys, cmd):
 
 
 @pytest.mark.parametrize("body", ['{"events": [{"x": 1}]}', '{"events": 1}',
-                                  "[]", "not json"])
+                                  "[]", "not json",
+                                  _trace_body(queue="DMA"),
+                                  _trace_body(start="a")])
 def test_viz_malformed_trace_exit_three(tmp_path, capsys, body):
     path = tmp_path / "trace.json"
     path.write_text(body)

@@ -119,6 +119,88 @@ def test_weight_tiling_slab_structure_and_overlap():
                for w in wloads for c in convs)
 
 
+def test_conv_efficiency_hand_count_weight_tiled():
+    # 12x12 outputs x 256 channels x 3x3 taps x 64 input channels, at
+    # 1024 MACs per cycle: 20,736 ideal CONV cycles
+    art = compiled("weight_tiled")
+    ideal = 12 * 12 * 256 * 3 * 3 * 64 / 1024
+    assert ideal == 20736
+    tr = S.run_timing(art.program, CFG)
+    assert art.report["conv_efficiency"] == ideal / tr.makespan
+    lo = min(e.start for e in tr.events)
+    hi = max(e.end for e in tr.events)
+    node = art.report["nodes"][0]
+    assert node["conv_efficiency"] == ideal / (hi - lo)
+
+
+def test_conv_efficiency_per_node_spans():
+    # each node's ideal CONV cycles over its own first-start..last-end
+    # span; the eltwise node does no CONV work
+    art = compiled("resnet_cell")
+    tr = S.run_timing(art.program, CFG)
+    spans, ideal = {}, {}
+    for ins, mark, e in zip(art.program.instructions, art.marks, tr.events):
+        lo, hi = spans.get(mark[0], (e.start, e.end))
+        spans[mark[0]] = (min(lo, e.start), max(hi, e.end))
+        if ins.op == CONV:
+            macs = (ins.conv_out_rows() * ins.out_w * ins.c_out
+                    * ins.kh * ins.kw * ins.c_in)
+            ideal[mark[0]] = ideal.get(mark[0], 0) + macs / 1024
+    for n in art.report["nodes"]:
+        lo, hi = spans[n["id"]]
+        assert n["conv_efficiency"] == pytest.approx(
+            ideal.get(n["id"], 0) / (hi - lo)), n["id"]
+    by_id = {n["id"]: n for n in art.report["nodes"]}
+    assert by_id["add"]["conv_efficiency"] == 0.0
+    assert art.report["conv_efficiency"] == pytest.approx(
+        sum(ideal.values()) / tr.makespan)
+
+
+def _lower_big(cfg):
+    g = G.fold_constants_and_quantizers(corpus.corpus_graph("weight_tiled"))
+    return L.lower_node(g.nodes["big"], L.LowerContext(tensors=g.tensors),
+                        cfg)
+
+
+def test_slab_prefetch_issues_behind_activation_loads():
+    # two bands, three slabs: slab 1's second band prefetches slab 2, and
+    # that weight load comes after the band's activation rows
+    lowered = _lower_big(CFG)
+    assert lowered.notes["slabs"] == 3 and not lowered.notes["resident"]
+    prefetches = 0
+    for tile in lowered.tiles:
+        queue, loads = tile.stages[0]
+        assert queue == "LOAD"
+        kinds = [type(t).__name__ for t in loads]
+        if "s0" not in tile.label and "TLoadW" in kinds:
+            prefetches += 1
+            assert kinds[-1] == "TLoadW" and kinds.count("TLoadW") == 1
+            assert kinds.count("TLoad") > 0
+    assert prefetches == 1
+
+
+def test_resident_window_live_over_every_reading_tile():
+    # h_c = 12 gives weight_tiled one band, so slabs 1 and 2 convolve the
+    # window slab 0 loaded.  With every stream forced into one memory, the
+    # planner must keep the later slabs' windows off that window's bytes.
+    cfg = MachineConfig(h_c=12)
+    lowered = _lower_big(cfg)
+    assert lowered.notes["resident"]
+    assert sorted(lowered.streams["in0"].window_rows) == [0]
+    readers = [ti for ti, tile in enumerate(lowered.tiles)
+               for _q, grp in tile.stages for t in grp
+               if isinstance(t, L.TConv)
+               and (t.in_tile if t.in_tile is not None else ti) == 0]
+    assert readers == [0, 1, 2]
+    C._plan_windows(lowered, dict.fromkeys(lowered.streams, 0), cfg)
+    allocs = lowered.notes["allocs"]
+    win = allocs[("in0", 0)]
+    for (sname, ti), al in allocs.items():
+        if sname != "in0" and ti in readers:
+            assert (al.start >= win.start + win.length
+                    or al.start + al.length <= win.start), (sname, ti)
+
+
 def test_concat_resolved_by_save_aliasing():
     art = compiled("inception_cell")
     # the concat node itself contributes no instructions

@@ -235,3 +235,51 @@ def test_deadlock_detected_for_starved_consumer():
     prog = Program(instructions=ins)
     with pytest.raises(DeadlockError):
         run_timing(prog, MachineConfig())
+
+
+def test_deadlock_detected_for_circular_wait():
+    # L0 waits on C1's token and C1 on L0's: both pairings exist, so no
+    # consumer is starved, yet neither queue head can ever start
+    ld, cv = load(0), conv(0, 0)
+    ld.dpon, ld.dpby = frozenset({CONV}), frozenset({CONV})
+    cv.dpon, cv.dpby = frozenset({LOAD}), frozenset({LOAD})
+    with pytest.raises(DeadlockError, match="unsatisfiable"):
+        run_timing(Program(instructions=[ld, cv]), MachineConfig())
+
+
+def test_long_finite_stall_is_not_a_deadlock():
+    # a LOAD of more than 16e6 B takes over 10^6 cycles at 16 B/cycle;
+    # the CONV it gates stalls that long and must still simulate
+    cfg = MachineConfig()
+    nbytes = 17_000_000
+    ld, cv = load(0, nbytes=nbytes), conv(0, 0)
+    ld.dpby = frozenset({CONV})
+    cv.dpon = frozenset({LOAD})
+    trace = run_timing(Program(instructions=[ld, cv]), cfg)
+    load_end = -(-nbytes // cfg.ddr_bytes_per_cycle) + cfg.issue_overhead
+    assert trace.events[0].end == load_end
+    assert trace.events[1].issue == 0
+    assert trace.events[1].start == load_end > 10**6
+    assert trace.makespan == load_end + trace.events[1].duration
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_pipeline_rejects_mixed_stage_shapes(enabled):
+    # stages are aligned by position, so a tile missing its LOAD group
+    # would skew its CONV into another tile's LOAD slot
+    tiles = four_stage_tiles(2)
+    tiles[0] = [tiles[0][0], tiles[0][1], tiles[0][3]]  # LOAD CONV SAVE
+    tiles[1] = [tiles[1][1], tiles[1][3]]               # CONV SAVE
+    with pytest.raises(EncodingError, match="stage queues"):
+        P.pipeline(tiles, enabled=enabled)
+
+
+def test_pipeline_keeps_empty_groups_in_place():
+    # an empty LOAD group still occupies stage 0, so the CONV of tile 1
+    # lands in group 2 next to tile 2's LOAD, as for a full tile
+    tiles = four_stage_tiles(3)
+    tiles[1][0] = ("LOAD", [])
+    stream = P.pipeline(tiles)
+    got = [(ins.op, g, ti) for ins, (_r, g, ti, _sj)
+           in zip(stream.instructions, stream.marks) if ti == 1]
+    assert got == [(CONV, 2, 1), (MISC, 3, 1), (SAVE, 4, 1)]

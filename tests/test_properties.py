@@ -17,7 +17,7 @@ from dpuc import graph as G
 from dpuc import lowering as L
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
-from dpuc.machine import MachineConfig, SAVE
+from dpuc.machine import LOAD, MachineConfig, SAVE
 
 
 def b64(a):
@@ -268,3 +268,72 @@ def test_sequential_streams_hazard_free():
         assert S.check_hazards(art.program, trace,
                                allocs=art.memmap["fm_allocs"],
                                cfg=cfg) == [], name
+
+
+# ---------------------------------------------------------------------------
+# input windows resident across weight slabs
+# ---------------------------------------------------------------------------
+
+def conv_pool_doc(h, w, ci, co, rng):
+    """3x3/p1 conv followed by a 2x2/s2 max pool (a fusable pair)."""
+    wgt = rng.integers(-24, 24, (co, 3, 3, ci)).astype(np.int8)
+    bias = rng.integers(-500, 500, co).astype(np.int32)
+    return {
+        "tensors": [{"name": "x", "shape": [h, w, ci], "quant": q(-2)},
+                    {"name": "t", "shape": [h, w, co], "quant": q(5)},
+                    {"name": "y", "shape": [h // 2, w // 2, co],
+                     "quant": q(5)}],
+        "nodes": [
+            {"id": "in", "op": "input", "inputs": [], "output": "x"},
+            {"id": "c", "op": "conv", "inputs": ["x"], "output": "t",
+             "attrs": {"kernel": [3, 3], "padding": [1, 1], "c_out": co},
+             "params": {"weights": b64(wgt), "bias": b64(bias),
+                        "shape": [co, 3, 3, ci], "quant": q(-3)}},
+            {"id": "p", "op": "maxpool", "inputs": ["t"], "output": "y",
+             "attrs": {"kernel": [2, 2], "stride": [2, 2]}}],
+        "inputs": ["x"], "outputs": ["y"],
+    }
+
+
+RESIDENT_CASES = {
+    # name: (h, w, c_in, c_out, fused, machine overrides)
+    "4x4x32-128": (4, 4, 32, 128, False, {"pm_bytes": 16384}),
+    "6x6x32-96-pool": (6, 6, 32, 96, True, {"pm_bytes": 16384}),
+    "4x40x16-64-strips": (4, 40, 16, 64, False,
+                          {"pm_bytes": 8192, "gamma": 1024}),
+    "4x40x16-64-strips-pool": (4, 40, 16, 64, True,
+                               {"pm_bytes": 8192, "gamma": 1024}),
+}
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("case", sorted(RESIDENT_CASES))
+def test_single_band_input_resident_across_slabs(case, pipelined):
+    # one height band and several PM slabs: each width strip loads its
+    # input rows once, in its first slab's tile; the later slabs' tiles
+    # carry no activation load and convolve that same window
+    h, w, ci, co, fused, over = RESIDENT_CASES[case]
+    rng = np.random.default_rng(h * 1000 + w * 10 + co)
+    doc = (conv_pool_doc(h, w, ci, co, rng) if fused
+           else conv_doc(h, w, ci, co, 3, 1, 1, rng))
+    cfg = MachineConfig(**over)
+    options = CompileOptions(pipeline=pipelined, keep_tile_trees=True)
+    art = roundtrip(doc, cfg, options)
+    node = art.report["nodes"][0]
+    assert node["fused"] == fused
+    assert node["slabs"] > 1 and node["resident"]
+    assert (node["strips"] > 1) == ("strips" in case)
+    act_loads = sum(ins.op == LOAD and ins.sub == "act"
+                    for ins in art.program.instructions)
+    assert act_loads == h * node["strips"]
+    tree = art.tile_trees[node["id"]]
+    for strip in tree["children"]:
+        slabs = strip["children"]
+        assert len(slabs) == node["slabs"]
+        for si, slab in enumerate(slabs):
+            leaves = [leaf["leaf"] for tile in slab["children"]
+                      for leaf in tile["children"]]
+            assert ("TLoad" in leaves) == (si == 0)
+    again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
+    assert again.assembly == art.assembly
