@@ -194,8 +194,8 @@ def _plan_windows(lowered, mems, cfg):
                 f"alongside {len(conflicts)} concurrent streams")
         placed[mem].append((base, base + need, t_lo, t_hi))
         for ti, size in sizes.items():
-            allocs[(sname, ti)] = MM.CircularAlloc(
-                mem, base + (ti % nslots) * slot, size, False)
+            allocs[(sname, ti)] = MM.WindowAlloc(
+                mem, base + (ti % nslots) * slot, size)
     lowered.notes["allocs"] = allocs
 
 
@@ -327,8 +327,8 @@ def _window_records(window_usage, index_of):
             idxs = sorted(index_of[id(o)] for o in usage[key])
             out.append({"key": f"{nd.id}/{key[0]}/{key[1]}",
                         "mem": al.mem, "start": al.start,
-                        "length": al.length, "wrap": al.wrap,
-                        "first": idxs[0], "last": idxs[-1]})
+                        "length": al.length, "first": idxs[0],
+                        "last": idxs[-1]})
     return out
 
 
@@ -341,7 +341,7 @@ def _alloc_records(prog):
         _space, mem, lo, hi = lr.key
         out.append({"key": f"fm{mem}@{lo}+{hi - lo}:{lr.first}",
                     "mem": mem, "start": lo, "length": hi - lo,
-                    "wrap": False, "first": lr.first, "last": lr.last})
+                    "first": lr.first, "last": lr.last})
     return out
 
 

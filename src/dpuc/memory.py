@@ -2,7 +2,7 @@
 
 DDR is flat and split by pointers into five segments (inputs, outputs,
 parameters, instructions, swap).  FM windows are placed by the compiler's
-window planner as `CircularAlloc` records: each stream gets two
+window planner as `WindowAlloc` records: each stream gets two
 alternating slots, so double buffering and its buffer-reuse dependencies
 follow from the stream order.  `compute_liveness` derives, from the final
 program, the first write and last read of every written FM byte range;
@@ -141,13 +141,11 @@ def compute_liveness(instructions, exact=False):
 
 
 @dataclass(frozen=True)
-class CircularAlloc:
-    """A placed FM window: `length` bytes of memory `mem` from `start`,
-    continuing at byte zero when `wrap` is set."""
+class WindowAlloc:
+    """A placed FM window: `length` bytes of memory `mem` from `start`."""
     mem: int
     start: int
     length: int
-    wrap: bool
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ checker replays a trace against exact byte footprints to prove that the
 typed dependencies were sufficient.
 """
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -544,26 +545,62 @@ def run_timing(prog, cfg):
 # hazard checking
 # ---------------------------------------------------------------------------
 
-def _live_alloc_overlaps(allocs, ev, capacity):
+class _Pieces:
+    """Sorted, disjoint byte pieces [lo, hi) of one memory, each with a
+    value, kept as three parallel lists searched with bisect.  The hazard
+    checker keeps two per (space, mem): the last writer of each byte, and
+    the tuple of instructions that have read it since that write.  Values
+    must be immutable, since a cut piece hands its value to both parts."""
+
+    def __init__(self):
+        self.los, self.his, self.vals = [], [], []
+
+    def span(self, lo, hi):
+        """Index range [i, j) of the pieces overlapping a nonempty [lo, hi)."""
+        return bisect_right(self.his, lo), bisect_left(self.los, hi)
+
+    def put(self, i, j, lo, hi, pieces):
+        """Make [lo, hi), whose span is [i, j), hold exactly `pieces`, a
+        list of (lo, hi, value) inside it; pieces sticking out past either
+        end keep their outer parts."""
+        if i < j and self.los[i] < lo:
+            pieces = [(self.los[i], lo, self.vals[i])] + pieces
+        if i < j and self.his[j - 1] > hi:
+            pieces = pieces + [(hi, self.his[j - 1], self.vals[j - 1])]
+        self.los[i:j], self.his[i:j], self.vals[i:j] = \
+            zip(*pieces) if pieces else ((), (), ())
+
+    def add_reader(self, lo, hi, idx):
+        """Append idx to the reader tuple of every byte of [lo, hi)."""
+        i, j = self.span(lo, hi)
+        pieces = []
+        at = lo
+        for k in range(i, j):
+            plo, phi = max(self.los[k], lo), min(self.his[k], hi)
+            if at < plo:
+                pieces.append((at, plo, (idx,)))
+            got = self.vals[k]
+            pieces.append((plo, phi, got if got[-1] == idx else got + (idx,)))
+            at = phi
+        if at < hi:
+            pieces.append((at, hi, (idx,)))
+        self.put(i, j, lo, hi, pieces)
+
+
+def _live_alloc_overlaps(allocs, ev):
     """Sorted index pairs (i, j), i < j, of same-memory allocations whose
     lifetimes (first start to last end, in cycles) and bytes overlap.
 
-    A wrapping allocation is cut into its two linear pieces.  Per memory
-    the pieces are swept in order of lifetime start.  The pieces still
-    live are kept sorted by address, so a new piece is tested only
-    against those starting less than the longest piece's length below its
-    own start: no piece further down can reach it."""
+    Per memory the allocations are swept in order of lifetime start.  The
+    ones still live are kept sorted by address, so a new one is tested
+    only against those starting less than the longest one's length below
+    its own start: nothing further down can reach it."""
     by_mem = {}
     for i, a in enumerate(allocs):
-        t0, t1 = ev[a["first"]].start, ev[a["last"]].end
-        lo, n = a["start"], a["length"]
-        if a.get("wrap", False):
-            pieces = ((lo, capacity), (0, lo + n - capacity))
-        else:
-            pieces = ((lo, lo + n),)
-        rows = by_mem.setdefault(a["mem"], [])
-        rows.extend((t0, t1, plo, phi, i) for plo, phi in pieces
-                    if plo < phi)
+        lo, hi = a["start"], a["start"] + a["length"]
+        if lo < hi:
+            by_mem.setdefault(a["mem"], []).append(
+                (ev[a["first"]].start, ev[a["last"]].end, lo, hi, i))
     pairs = set()
     for rows in by_mem.values():
         rows.sort()
@@ -592,51 +629,59 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     a pending earlier read of those bytes has finished, (2) no two
     simultaneously-live allocations overlap, and (3) no FM or PM port
     serves two concurrently-executing instructions in the same direction.
+
+    For (1) the instructions are replayed in issue order against two
+    piece tables per (space, mem), both written here rather than taken
+    from `intervals.py`, so that the check shares no code with the
+    dependency derivation it checks: the last writer of each byte, and
+    the readers of each byte since that write.  A read is checked against
+    the writer pieces it overlaps (one raw-hazard entry per piece) and
+    then joins the reader table; a write is checked against the readers
+    of its bytes (one war-hazard entry per reader), which it then clears,
+    and becomes their writer.  Accesses of zero bytes touch nothing.
+    `cfg` is accepted and unused.
     """
     report = []
     instrs = prog.instructions
     ev = {e.index: e for e in trace.events}
+    end = {i: e.start + e.duration for i, e in ev.items()}
 
-    writers = {}   # (space, mem) -> list of [lo, hi, idx]
-    readers = {}
+    # (space, mem) -> (last-writer pieces, reader pieces)
+    tables = defaultdict(lambda: (_Pieces(), _Pieces()))
     for idx, ins in enumerate(instrs):
         if idx not in ev:
             continue
+        start = ev[idx].start
         for space, mem, lo, hi in ins.reads(exact=True):
-            key = (space, mem)
-            for wlo, whi, widx in writers.get(key, []):
-                if wlo < hi and lo < whi and ev[widx].end > ev[idx].start:
-                    report.append(
-                        ("raw-hazard", idx, widx,
-                         f"instr {idx} reads {space}{mem}[{max(lo, wlo)},"
-                         f"{min(hi, whi)}) before writer {widx} completes"))
-            readers.setdefault(key, []).append([lo, hi, idx])
+            if lo >= hi:
+                continue
+            writers, readers = tables[space, mem]
+            i, j = writers.span(lo, hi)
+            late = [(writers.vals[k], writers.los[k], writers.his[k])
+                    for k in range(i, j) if end[writers.vals[k]] > start]
+            for widx, wlo, whi in sorted(late):
+                report.append(
+                    ("raw-hazard", idx, widx,
+                     f"instr {idx} reads {space}{mem}[{max(lo, wlo)},"
+                     f"{min(hi, whi)}) before writer {widx} completes"))
+            readers.add_reader(lo, hi, idx)
         for space, mem, lo, hi in ins.writes(exact=True):
-            key = (space, mem)
-            for rlo, rhi, ridx in readers.get(key, []):
-                if rlo < hi and lo < rhi and ridx != idx \
-                        and ev[ridx].end > ev[idx].start:
-                    report.append(
-                        ("war-hazard", idx, ridx,
-                         f"instr {idx} overwrites {space}{mem} bytes "
-                         f"instr {ridx} is still reading"))
-            def cut(table):
-                out = []
-                for e in table:
-                    if e[0] < hi and lo < e[1]:
-                        if e[0] < lo:
-                            out.append([e[0], lo, e[2]])
-                        if hi < e[1]:
-                            out.append([hi, e[1], e[2]])
-                    else:
-                        out.append(e)
-                return out
-            writers[key] = cut(writers.setdefault(key, [])) + [[lo, hi, idx]]
-            readers[key] = cut(readers.get(key, []))
+            if lo >= hi:
+                continue
+            writers, readers = tables[space, mem]
+            i, j = readers.span(lo, hi)
+            late = {r for k in range(i, j) for r in readers.vals[k]
+                    if r != idx and end[r] > start}
+            for ridx in sorted(late):
+                report.append(
+                    ("war-hazard", idx, ridx,
+                     f"instr {idx} overwrites {space}{mem} bytes "
+                     f"instr {ridx} is still reading"))
+            readers.put(i, j, lo, hi, [])
+            writers.put(*writers.span(lo, hi), lo, hi, [(lo, hi, idx)])
 
     if allocs:
-        for i, j in _live_alloc_overlaps(allocs, ev,
-                                         cfg.fm_bytes if cfg else 1 << 62):
+        for i, j in _live_alloc_overlaps(allocs, ev):
             a, b = allocs[i], allocs[j]
             report.append(
                 ("alloc-overlap", a["key"], b["key"],

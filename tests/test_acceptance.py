@@ -231,9 +231,9 @@ def test_criterion_6_hazard_freedom(built):
     tr2 = S.run_timing(art.program, CFG)
     n = len(art.program.instructions) - 1
     allocs = [{"key": "a", "mem": 0, "start": 0, "length": 64,
-               "wrap": False, "first": 0, "last": n},
+               "first": 0, "last": n},
               {"key": "b", "mem": 0, "start": 32, "length": 64,
-               "wrap": False, "first": 0, "last": n}]
+               "first": 0, "last": n}]
     report2 = S.check_hazards(art.program, tr2, allocs=allocs, cfg=CFG)
     assert any(kind == "alloc-overlap" for kind, *_ in report2)
     _report("PASS criterion 6: corpus hazard-free; dropped-DPON and "

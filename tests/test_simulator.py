@@ -1,4 +1,8 @@
+import importlib
 import json
+import re
+import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import dpuc
 from dpuc import corpus
 from dpuc import graph as G
 from dpuc import quant
@@ -561,43 +566,36 @@ def test_hazard_overlapping_allocations_detected():
     prog = Program(instructions=[ld, sv])
     tr = S.run_timing(prog, cfg)
     allocs = [
-        {"key": "a", "mem": 0, "start": 0, "length": 64, "wrap": False,
-         "first": 0, "last": 1},
-        {"key": "b", "mem": 0, "start": 32, "length": 64, "wrap": False,
-         "first": 0, "last": 1},
+        {"key": "a", "mem": 0, "start": 0, "length": 64, "first": 0,
+         "last": 1},
+        {"key": "b", "mem": 0, "start": 32, "length": 64, "first": 0,
+         "last": 1},
     ]
     report = S.check_hazards(prog, tr, allocs=allocs, cfg=cfg)
     assert any(kind == "alloc-overlap" for kind, *_ in report)
 
 
-def _pairwise_alloc_overlaps(allocs, ev, cap):
-    """Every same-memory pair, in (i, j) order, with explicit pieces."""
-    def pieces(a):
-        if not a["wrap"]:
-            return [(a["start"], a["start"] + a["length"])]
-        return [(a["start"], cap),
-                (0, a["length"] - (cap - a["start"]))]
-
+def _pairwise_alloc_overlaps(allocs, ev):
+    """Every same-memory pair, in (i, j) order."""
     out = []
     for i, a in enumerate(allocs):
         for b in allocs[i + 1:]:
             ta = (ev[a["first"]].start, ev[a["last"]].end)
             tb = (ev[b["first"]].start, ev[b["last"]].end)
             if a["mem"] == b["mem"] and ta[0] < tb[1] and tb[0] < ta[1] \
-                    and any(x0 < y1 and y0 < x1 for x0, x1 in pieces(a)
-                            for y0, y1 in pieces(b)):
+                    and a["start"] < b["start"] + b["length"] \
+                    and b["start"] < a["start"] + a["length"]:
                 out.append((a["key"], b["key"]))
     return out
 
 
 @given(hst.lists(hst.tuples(hst.integers(0, 1), hst.integers(0, 255),
-                            hst.integers(1, 256), hst.booleans(),
-                            hst.integers(0, 7), hst.integers(0, 7)),
+                            hst.integers(1, 256), hst.integers(0, 7),
+                            hst.integers(0, 7)),
                  max_size=24))
 @settings(max_examples=200, deadline=None)
 def test_alloc_overlaps_match_pairwise_check(spec):
-    # 256 B memories, so wrapping placements and both of their pieces
-    # are exercised; lifetimes come from a trace with staggered queues
+    # lifetimes come from a trace with staggered queues
     cfg = MachineConfig(fm_banks_per_memory=1, fm_bank_rows=1,
                         fm_row_bytes=256)
     instrs = []
@@ -611,14 +609,158 @@ def test_alloc_overlaps_match_pairwise_check(spec):
     prog = Program(instructions=instrs)
     tr = S.run_timing(prog, cfg)
     allocs = [{"key": f"a{i}", "mem": mem, "start": start,
-               "length": length, "wrap": wrap, "first": first,
-               "last": last}
-              for i, (mem, start, length, wrap, first, last)
-              in enumerate(spec)]
-    report = S.check_hazards(prog, tr, allocs=allocs, cfg=cfg)
+               "length": length, "first": first, "last": last}
+              for i, (mem, start, length, first, last) in enumerate(spec)]
+    report = S.check_hazards(prog, tr, allocs=allocs)
     got = [(a, b) for kind, a, b, _msg in report if kind == "alloc-overlap"]
     ev = {e.index: e for e in tr.events}
-    assert got == _pairwise_alloc_overlaps(allocs, ev, cfg.fm_bytes)
+    assert got == _pairwise_alloc_overlaps(allocs, ev)
+
+
+def _event(idx, ins, start, duration):
+    return S.TraceEvent(idx, ins.op, ins.sub, ins.color(), start, start,
+                        duration)
+
+
+def _fm_transfer(op, fm_off, nbytes):
+    fm, ddr = Addr(FM, fm_off, 0), Addr(DDR, 0)
+    return Instruction(op=op, sub="act", src=(ddr, fm)[op == SAVE],
+                       dst=(fm, ddr)[op == SAVE], rows=1, blocks=1,
+                       block_bytes=nbytes, ddr_row_stride=nbytes,
+                       ddr_blk_stride=0)
+
+
+@pytest.mark.parametrize("wide_op,empty_op", [(LOAD, SAVE), (SAVE, LOAD)])
+def test_hazard_zero_length_access_touches_nothing(wide_op, empty_op):
+    # a LOAD writes (a SAVE reads) fm0[0, 64) over cycles 0-100; the other
+    # op touches fm0[16, 16) from cycle 10: no byte, so no RAW (no WAR)
+    wide, empty = _fm_transfer(wide_op, 0, 64), _fm_transfer(empty_op, 16, 0)
+    prog = Program(instructions=[wide, empty])
+    tr = S.Trace([_event(0, wide, 0, 100), _event(1, empty, 10, 1)], 100,
+                 {}, {})
+    assert S.check_hazards(prog, tr) == []
+
+
+@hst.composite
+def _footprint_instr(draw):
+    """A LOAD, SAVE, CONV or MISC move on DDR, PM and two FM memories.
+    Footprints stay within the first 80 B of each memory, so they often
+    overlap; some are strided, some are empty."""
+    def ints(lo, hi):
+        return draw(hst.integers(lo, hi))
+
+    def fm():
+        return Addr(FM, ints(0, 24), ints(0, 1))
+
+    kind = draw(hst.sampled_from(("load", "save", "conv", "move")))
+    if kind == "conv":
+        rows, w = ints(0, 3), ints(1, 4)
+        return Instruction(
+            op=CONV, sub="conv", src=fm(), dst=fm(), in_rows=rows, in_w=w,
+            c_in=ints(1, 4), out_w=w, c_out=ints(1, 4), kh=1, kw=1, sh=1,
+            sw=1, pt=0, pl=0, pb=0, pr=0, shift=0, wgt_off=ints(0, 16),
+            wgt_bytes=ints(0, 16))
+    geometry = dict(rows=ints(1, 3), blocks=ints(1, 2),
+                    block_bytes=ints(0, 8))
+    if kind == "move":
+        return Instruction(
+            op=MISC, sub="move", src=fm(), dst=fm(),
+            src_row_stride=ints(0, 20), dst_row_stride=ints(0, 20),
+            src_blk_stride=ints(0, 10), dst_blk_stride=ints(0, 10),
+            **geometry)
+    ddr = Addr(DDR, ints(0, 32))
+    geometry.update(ddr_row_stride=ints(0, 20), ddr_blk_stride=ints(0, 10))
+    if kind == "load":
+        return Instruction(op=LOAD, sub="act", src=ddr, dst=fm(), **geometry)
+    return Instruction(op=SAVE, sub="act", src=fm(), dst=ddr, **geometry)
+
+
+def _per_byte_hazards(instrs, ev):
+    """Every RAW and WAR as (kind, idx, other), found byte by byte from the
+    last writer of each byte and the readers since that write; also the
+    bytes behind each RAW pair."""
+    writer, readers, found, raw_bytes = {}, {}, set(), {}
+    for idx, ins in enumerate(instrs):
+        start = ev[idx].start
+        for space, mem, lo, hi in ins.reads(exact=True):
+            for b in range(lo, hi):
+                w = writer.get((space, mem, b))
+                if w is not None and ev[w].end > start:
+                    found.add(("raw-hazard", idx, w))
+                    raw_bytes.setdefault((idx, w), set()).add((space, mem, b))
+                readers.setdefault((space, mem, b), set()).add(idx)
+        for space, mem, lo, hi in ins.writes(exact=True):
+            for b in range(lo, hi):
+                found.update(("war-hazard", idx, r)
+                             for r in readers.pop((space, mem, b), ())
+                             if r != idx and ev[r].end > start)
+                writer[(space, mem, b)] = idx
+    return found, raw_bytes
+
+
+@given(hst.lists(hst.tuples(_footprint_instr(), hst.integers(1, 6),
+                            hst.one_of(hst.just(0), hst.integers(0, 9))),
+                 max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_raw_war_tables_match_per_byte_oracle(spec):
+    # each instruction starts up to `back` cycles before the previous one
+    # ends, so some accesses overlap in time and some do not
+    instrs, events, t = [], [], 0
+    for idx, (ins, duration, back) in enumerate(spec):
+        start = max(0, t - back)
+        instrs.append(ins)
+        events.append(_event(idx, ins, start, duration))
+        t = start + duration
+    report = S.check_hazards(Program(instructions=instrs),
+                             S.Trace(events, t, {}, {}))
+    hazards = [r for r in report if r[0] in ("raw-hazard", "war-hazard")]
+    want, raw_bytes = _per_byte_hazards(instrs, {e.index: e for e in events})
+    assert {tuple(r[:3]) for r in hazards} == want
+    assert (hazards == []) == (not want)
+    # a RAW entry names bytes that its writer had not finished
+    for _kind, idx, w, msg in (r for r in hazards if r[0] == "raw-hazard"):
+        space, mem, lo, hi = re.fullmatch(
+            rf"instr {idx} reads ([a-z]+)(\d+)\[(\d+),(\d+)\) before "
+            rf"writer {w} completes", msg).groups()
+        assert int(lo) < int(hi)
+        assert {(space, int(mem), b) for b in range(int(lo), int(hi))} \
+            <= raw_bytes[(idx, w)]
+
+
+def test_hazard_war_only_fault_detected():
+    """Dropping the CONV -> LOAD back-edge of conv_pool's double-buffered
+    input stream lets the LOAD into a slot overwrite the window that a
+    CONV is still reading; the intact program is clean."""
+    cfg = MachineConfig()
+    prog = compile_graph(corpus.corpus_graph("conv_pool"), cfg).program
+    assert S.check_hazards(prog, S.run_timing(prog, cfg)) == []
+    load, conv = S.token_pairings(prog.instructions)[(CONV, LOAD)][0]
+    instrs = list(prog.instructions)
+    instrs[load] = replace(instrs[load], dpon=instrs[load].dpon - {CONV})
+    instrs[conv] = replace(instrs[conv], dpby=instrs[conv].dpby - {LOAD})
+    bad = replace(prog, instructions=instrs)
+    report = S.check_hazards(bad, S.run_timing(bad, cfg))
+    assert {kind for kind, *_ in report} == {"war-hazard"}
+    assert ("war-hazard", load, conv) in {tuple(r[:3]) for r in report}
+
+
+def test_hazard_checker_runs_without_dependency_derivation(monkeypatch):
+    """A fresh simulator module, imported while intervals.py and
+    pipeline.py cannot be, finds every corpus program hazard-free."""
+    cfg = MachineConfig()
+    arts = [compile_graph(corpus.corpus_graph(name), cfg, options)
+            for name, options in CORPUS_BUILDS]
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "dpuc.intervals", None)
+        m.setitem(sys.modules, "dpuc.pipeline", None)
+        m.delitem(sys.modules, "dpuc.simulator")
+        m.setattr(dpuc, "simulator", S)   # the import below rebinds it
+        fresh = importlib.import_module("dpuc.simulator")
+        assert fresh is not S
+        for art in arts:
+            trace = fresh.run_timing(art.program, cfg)
+            assert fresh.check_hazards(art.program, trace,
+                                       allocs=art.memmap["fm_allocs"]) == []
 
 
 def test_timeline_empty_trace():
