@@ -1,7 +1,9 @@
 """Fixed-point arithmetic model used by every execution path.
 
 All tensors are int8 with a power-of-two scale (real value = int8 * step).
-Accumulation is int32.  Requantization multiplies by the ratio of scales,
+Accumulators are int64: a conv sums K = kh·kw·c_in int8 products, each at
+most 2**14 in magnitude, plus an int32 bias, and the data oracles check
+that K·2**14 < 2**53.  Requantization multiplies by the ratio of scales,
 rounds half away from zero, and saturates to [-128, 127].  Keeping every
 rounding decision in this module lets the policy be swapped in one place.
 """
@@ -31,31 +33,34 @@ def step_exponent(step):
 
 
 def shift_round_half_away(acc, shift):
-    """Multiply int32 values by 2**shift with round-half-away-from-zero.
+    """Multiply int64 values by 2**shift with round-half-away-from-zero.
 
-    shift >= 0 is an exact left shift; shift < 0 divides by 2**-shift and
-    rounds ties away from zero (so -2.5 -> -3, 2.5 -> 3).
+    shift >= 0 is an exact left shift; shift < 0 divides by 2**k, k = -shift,
+    and rounds ties away from zero (so -2.5 -> -3, 2.5 -> 3).  For acc >= 0
+    that is floor((acc + half) / 2**k) with half = 2**(k-1); for acc < 0 it
+    is ceil((acc - half) / 2**k) = floor((acc - half + 2**k - 1) / 2**k),
+    and 2**k - half = half, so both signs are (acc + half - (acc < 0)) >> k.
+    Returns a new array; acc is not modified.
     """
     acc = np.asarray(acc, dtype=np.int64)
     if shift >= 0:
         return acc << shift
     k = -shift
-    half = np.int64(1) << (k - 1)
-    mag = (np.abs(acc) + half) >> k
-    return np.sign(acc) * mag
-
-
-def saturate_int8(x):
-    return np.clip(x, INT8_MIN, INT8_MAX).astype(np.int8)
+    out = acc + (np.int64(1) << (k - 1))
+    out -= acc < 0
+    out >>= k
+    return out
 
 
 def requantize(acc, shift):
-    """int32 accumulator -> int8 at the target scale.
+    """int64 accumulator -> int8 at the target scale.
 
     shift is the exponent of the scale ratio (source scale / target scale),
     i.e. result = sat(round(acc * 2**shift)).
     """
-    return saturate_int8(shift_round_half_away(acc, shift))
+    out = shift_round_half_away(acc, shift)
+    np.clip(out, INT8_MIN, INT8_MAX, out=out)
+    return out.astype(np.int8)
 
 
 def conv_shift(in_exp, wgt_exp, out_exp):
@@ -71,7 +76,7 @@ def eltwise_exponents(exp_a, exp_b, out_exp):
     """Alignment exponents for a two-operand add.
 
     Both operands are brought to the finest common scale exactly, summed in
-    int32, then requantized once.  Returns (ea, eb, eo): operand left-shifts
+    int64, then requantized once.  Returns (ea, eb, eo): operand left-shifts
     and the final requantization shift.
     """
     common = min(exp_a, exp_b)

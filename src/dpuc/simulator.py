@@ -100,27 +100,49 @@ def _scatter_ddr(state, ins, data):
                             row[b * ins.block_bytes:(b + 1) * ins.block_bytes])
 
 
+# Every int8 product is at most 2**14 in magnitude and float32 holds every
+# integer up to 2**24, so a float32 sum of at most this many products is
+# exact in any order (BLAS blocking and FMA included).
+F32_EXACT_TERMS = 2**24 // 2**14
+
+
 def _conv_window_sum(x, w, sh, sw, out_rows, out_w):
     """Per-tap sum of a padded tile: int64 (out_rows, out_w, c_out).
 
-    x: (rows, cols, c_in) float64 holding int8 values, padded;
+    x: (rows, cols, c_in) float32 holding int8 values, padded;
     w: (c_out, kh, kw, c_in) int8.  Each tap is one contiguous
-    (out_rows·out_w, c_in) @ (c_in, c_out) float64 product.  Every product
-    is at most 2**14 in magnitude, so every partial sum is an integer below
-    kh·kw·c_in·2**14, which float64 holds exactly while that is < 2**53.
+    (out_rows·out_w, c_in) @ (c_in, c_out) float32 product, split along
+    c_in when c_in > F32_EXACT_TERMS.  Taps are summed in float32 while a
+    group holds at most F32_EXACT_TERMS products per output; each full
+    group is added into a float64 total, which is exact while
+    kh·kw·c_in·2**14 < 2**53.
     """
     c_out, kh, kw, c_in = w.shape
+    if x.dtype != np.float32:
+        raise ShapeError(f"conv tile must be float32, got {x.dtype}")
     if kh * kw * c_in * 2**14 >= 2**53:
         raise ShapeError(f"conv reduction of {kh * kw * c_in} int8 "
                          f"products is not exact in float64")
-    taps = w.transpose(1, 2, 3, 0).astype(np.float64)   # (kh, kw, ci, co)
-    acc = np.zeros((out_rows * out_w, c_out), np.float64)
+    taps = w.transpose(1, 2, 3, 0).astype(np.float32)   # (kh, kw, ci, co)
+    group = np.zeros((out_rows * out_w, c_out), np.float32)
+    total, n = None, 0          # float64 sum of flushed groups; group size
     for a in range(kh):
         for b in range(kw):
-            window = x[a:a + (out_rows - 1) * sh + 1:sh,
-                       b:b + (out_w - 1) * sw + 1:sw]
-            acc += np.ascontiguousarray(window).reshape(-1, c_in) @ taps[a, b]
-    return acc.astype(np.int64).reshape(out_rows, out_w, c_out)
+            window = np.ascontiguousarray(
+                x[a:a + (out_rows - 1) * sh + 1:sh,
+                  b:b + (out_w - 1) * sw + 1:sw]).reshape(-1, c_in)
+            for c0 in range(0, c_in, F32_EXACT_TERMS):
+                c1 = min(c0 + F32_EXACT_TERMS, c_in)
+                if n + c1 - c0 > F32_EXACT_TERMS:
+                    total = group.astype(np.float64) if total is None \
+                        else total + group
+                    group[...] = 0
+                    n = 0
+                group += window[:, c0:c1] @ taps[a, b, c0:c1]
+                n += c1 - c0
+    if total is not None:
+        group = total + group
+    return group.astype(np.int64).reshape(out_rows, out_w, c_out)
 
 
 def _exec_conv(state, ins):
@@ -141,7 +163,7 @@ def _exec_conv(state, ins):
     pr_eff = max(ins.pr, (ins.out_w - 1) * ins.sw + ins.kw
                  - ins.pl - ins.in_w)
     xp = np.zeros((ins.pt + ins.in_rows + ins.pb,
-                   ins.pl + ins.in_w + max(pr_eff, 0), ins.c_in), np.float64)
+                   ins.pl + ins.in_w + max(pr_eff, 0), ins.c_in), np.float32)
     xp[ins.pt:ins.pt + ins.in_rows, ins.pl:ins.pl + ins.in_w] = x
     acc = _conv_window_sum(xp, w, ins.sh, ins.sw, out_rows, ins.out_w)
     acc += bias
@@ -233,21 +255,24 @@ def run_functional(prog, state):
 # graph-level reference executor
 # ---------------------------------------------------------------------------
 
-REF_COLS_BYTES = 2 << 20   # float64 im2col block of the reference conv
+REF_COLS_BYTES = 2 << 20   # float32 im2col block of the reference conv
 
 
 def _ref_conv(x, w, bias, stride, padding, shift):
     """im2col convolution of int8 x (h, w, ci) by int8 w (co, kh, kw, ci).
 
     The column matrix is built from a sliding-window view one block of
-    output rows at a time, so at most about REF_COLS_BYTES of it exists,
-    and each block is one float64 GEMM against the (ci·kh·kw, co) weight
-    matrix.  Every product is at most 2**14 in magnitude, so the sums are
-    exact integers while ci·kh·kw·2**14 < 2**53."""
+    output rows at a time, so at most about REF_COLS_BYTES of it exists;
+    each block copy reads contiguous channel runs and converts int8 to
+    float32 as it goes.  Every product is at most 2**14 in magnitude, so a
+    float32 GEMM over K = kh·kw·ci <= F32_EXACT_TERMS columns is exact and
+    a block is one such GEMM against the (kh·kw·ci, co) weight matrix.  A
+    larger K is summed over K-slices of at most F32_EXACT_TERMS columns
+    into a float64 block, exact while K·2**14 < 2**53."""
     sh, sw = stride
     ph, pw = padding
     co, kh, kw, ci = w.shape
-    k = ci * kh * kw
+    k = kh * kw * ci
     if x.dtype != np.int8 or w.dtype != np.int8:
         raise ShapeError(f"conv operands must be int8, got {x.dtype} "
                          f"and {w.dtype}")
@@ -255,18 +280,26 @@ def _ref_conv(x, w, bias, stride, padding, shift):
         raise ShapeError(f"conv reduction of {k} int8 products is not "
                          f"exact in float64")
     xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
-    # windows in (oh, ow, ci, kh, kw) order; the weights follow it
+    # windows in (oh, ow, kh, kw, ci) order; the weights follow it
     win = np.lib.stride_tricks.sliding_window_view(
-        xp, (kh, kw), axis=(0, 1))[::sh, ::sw]
+        xp, (kh, kw), axis=(0, 1)).transpose(0, 1, 3, 4, 2)[::sh, ::sw]
     oh, ow = win.shape[:2]
-    wmat = w.transpose(3, 1, 2, 0).reshape(k, co).astype(np.float64)
+    wmat = w.reshape(co, k).T.astype(np.float32, order="C")
     acc = np.empty((oh * ow, co), np.int64)
-    block = max(1, REF_COLS_BYTES // (ow * k * 8))
+    block = max(1, REF_COLS_BYTES // (ow * k * 4))
     for r0 in range(0, oh, block):
         r1 = min(r0 + block, oh)
-        cols = np.empty((r1 - r0, ow, ci, kh, kw), np.float64)
+        cols = np.empty((r1 - r0, ow, kh, kw, ci), np.float32)
         cols[...] = win[r0:r1]
-        acc[r0 * ow:r1 * ow] = cols.reshape(-1, k) @ wmat
+        cols = cols.reshape(-1, k)
+        if k <= F32_EXACT_TERMS:
+            acc[r0 * ow:r1 * ow] = cols @ wmat
+            continue
+        part = np.zeros((len(cols), co), np.float64)
+        for k0 in range(0, k, F32_EXACT_TERMS):
+            k1 = min(k0 + F32_EXACT_TERMS, k)
+            part += cols[:, k0:k1] @ wmat[k0:k1]
+        acc[r0 * ow:r1 * ow] = part
     acc += bias.astype(np.int64)
     if shift is None:
         return acc.reshape(oh, ow, co)
@@ -295,9 +328,10 @@ def _ref_upsample(x, factor):
 
 def reference_execute(g, inputs):
     """Direct nested evaluation of the graph with the centralized
-    requantization policy.  Convolutions accumulate as one exact float64
-    im2col GEMM per block of output rows (|acc| <= kh·kw·c_in·2**14, far
-    below 2**53), then add the bias in int64.  Handles folded graphs (with
+    requantization policy.  Convolutions are exact im2col GEMMs per block
+    of output rows: float32 over K-slices of at most F32_EXACT_TERMS
+    products, summed in float64 when K is larger (|acc| <= K·2**14, far
+    below 2**53), then the bias is added in int64.  Handles folded graphs (with
     fused super-nodes) and unfolded graphs (explicit fix/const nodes)."""
     from .graph import _topo_order
     vals = {}

@@ -44,6 +44,36 @@ def test_shift_matches_fraction_oracle(value, shift):
     assert got == round_half_away_oracle(value, shift)
 
 
+@st.composite
+def acc_and_shift(draw):
+    """An int64 array mixing random values in [-2**31, 2**31], exact ties
+    of the drawn shift (odd multiples of 2**(k-1)), zeros and the int32
+    edges, both signs."""
+    shift = draw(st.integers(-20, 6))
+    k = max(-shift, 1)
+    tie = st.integers(-(2**(31 - k)), 2**(31 - k) - 1).map(
+        lambda m: (2 * m + 1) << (k - 1))
+    edge = st.sampled_from([0, 1, -1, 2**31, -(2**31), 2**31 - 1,
+                            -(2**31) + 1])
+    values = draw(st.lists(st.one_of(st.integers(-(2**31), 2**31), tie,
+                                     edge), min_size=1, max_size=64))
+    return np.array(values, np.int64), shift
+
+
+@given(acc_and_shift())
+def test_shift_and_requantize_match_oracle_on_arrays(case):
+    acc, shift = case
+    before = acc.copy()
+    got = quant.shift_round_half_away(acc, shift)
+    expect = [round_half_away_oracle(v, shift) for v in acc.tolist()]
+    assert got.dtype == np.int64 and got.tolist() == expect
+    out = quant.requantize(acc, shift)
+    assert out.dtype == np.int8
+    assert out.tolist() == [min(max(v, quant.INT8_MIN), quant.INT8_MAX)
+                            for v in expect]
+    assert np.array_equal(acc, before)   # the input is left untouched
+
+
 @given(st.integers(-(2**20), 2**20), st.integers(-8, 0))
 def test_requantize_saturates(value, shift):
     out = int(quant.requantize(np.array([value]), shift)[0])

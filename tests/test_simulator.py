@@ -308,10 +308,16 @@ KERNEL_CASE = hst.fixed_dictionaries({
 })
 
 
+# float32 group sizes: 1 and 3 make small shapes flush groups and split
+# taps (c_in > 3) or slice K; 1024 is the real bound
+TERMS = hst.sampled_from([1, 3, S.F32_EXACT_TERMS])
+
+
 @given(KERNEL_CASE, hst.tuples(*[hst.integers(0, 4)] * 4),
-       hst.integers(0, 3), hst.integers(-14, 0))
+       hst.integers(0, 3), hst.integers(-14, 0), TERMS)
 @settings(max_examples=150, deadline=None)
-def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift):
+def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift,
+                                            terms):
     # asymmetric padding (top, bottom, left, right); extra_w output
     # columns past the right padding make _exec_conv pad further (pr_eff)
     (kh, kw), (sh, sw), (h, wd), (ci, co) = (case["k"], case["s"],
@@ -327,8 +333,9 @@ def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift):
     expect = pixel_conv_sum(x, w, (sh, sw), (pt, pl), (out_rows, out_w))
 
     pr_eff = max(pr, (out_w - 1) * sw + kw - pl - wd)
-    xp = np.pad(x.astype(np.float64), ((pt, pb), (pl, pr_eff), (0, 0)))
-    acc = S._conv_window_sum(xp, w, sh, sw, out_rows, out_w)
+    xp = np.pad(x.astype(np.float32), ((pt, pb), (pl, pr_eff), (0, 0)))
+    with mock.patch.object(S, "F32_EXACT_TERMS", terms):
+        acc = S._conv_window_sum(xp, w, sh, sw, out_rows, out_w)
     assert acc.dtype == np.int64 and np.array_equal(acc, expect)
 
     st = mkstate(MachineConfig())
@@ -342,7 +349,8 @@ def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift):
                       in_rows=h, in_w=wd, c_in=ci, out_w=out_w, c_out=co,
                       kh=kh, kw=kw, sh=sh, sw=sw, pt=pt, pl=pl, pb=pb, pr=pr,
                       shift=shift)
-    S.run_functional(Program(instructions=[ins]), st)
+    with mock.patch.object(S, "F32_EXACT_TERMS", terms):
+        S.run_functional(Program(instructions=[ins]), st)
     n = out_rows * out_w * co
     got = st.fm[1][:n].view(np.int8).reshape(out_rows, out_w, co)
     assert np.array_equal(got, quant.requantize(expect + bias, shift))
@@ -350,11 +358,11 @@ def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift):
 
 @given(KERNEL_CASE, hst.tuples(hst.integers(0, 4), hst.integers(0, 4)),
        hst.one_of(hst.none(), hst.integers(-14, 2)),
-       hst.sampled_from([1, 300, S.REF_COLS_BYTES]))
+       hst.sampled_from([1, 300, S.REF_COLS_BYTES]), TERMS)
 @settings(max_examples=150, deadline=None)
-def test_ref_conv_matches_pixel_loop(case, pads, shift, cols_bytes):
+def test_ref_conv_matches_pixel_loop(case, pads, shift, cols_bytes, terms):
     # a small column budget splits the output into blocks of one or a
-    # few rows, with a short last block
+    # few rows, with a short last block; a small group size slices K
     (kh, kw), (sh, sw), (h, wd), (ci, co) = (case["k"], case["s"],
                                             case["hw"], case["c"])
     out_hw = ((h + 2 * pads[0] - kh) // sh + 1,
@@ -366,7 +374,8 @@ def test_ref_conv_matches_pixel_loop(case, pads, shift, cols_bytes):
     bias = rng.integers(-2**20, 2**20, co).astype(np.int32)
     acc = pixel_conv_sum(x, w, (sh, sw), pads, out_hw) + bias
     expect = acc if shift is None else quant.requantize(acc, shift)
-    with mock.patch.object(S, "REF_COLS_BYTES", cols_bytes):
+    with mock.patch.object(S, "REF_COLS_BYTES", cols_bytes), \
+            mock.patch.object(S, "F32_EXACT_TERMS", terms):
         got = S._ref_conv(x, w, bias, (sh, sw), pads, shift)
     assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
@@ -394,7 +403,9 @@ def test_conv_kernels_exact_at_largest_accumulator(low):
     # K = 3*3*512 = 4608 (the deep workload).  All -128 gives every product
     # +2**14, the largest accumulator any reachable conv produces; values
     # drawn from [-128, low] give sums past 2**24 with random low bits,
-    # which a float32 accumulator would round
+    # which one float32 sum over all of K would round.  Both kernels sum
+    # in float32 over chunks of at most F32_EXACT_TERMS products and add
+    # the chunks in float64
     rng = np.random.default_rng(-low)
     x = rng.integers(-128, low + 1, (3, 3, 512)).astype(np.int8)
     w = rng.integers(-128, low + 1, (2, 3, 3, 512)).astype(np.int8)
@@ -402,7 +413,7 @@ def test_conv_kernels_exact_at_largest_accumulator(low):
     if low == -128:
         assert expect[1, 1, 0] == 4608 * 2**14
     assert expect[1, 1].min() > 2**25
-    xp = np.pad(x.astype(np.float64), ((1, 1), (1, 1), (0, 0)))
+    xp = np.pad(x.astype(np.float32), ((1, 1), (1, 1), (0, 0)))
     assert np.array_equal(S._conv_window_sum(xp, w, 1, 1, 3, 3), expect)
     got = S._ref_conv(x, w, np.zeros(2, np.int32), (1, 1), (1, 1), None)
     assert np.array_equal(got, expect)
@@ -412,7 +423,7 @@ def test_conv_kernels_reject_inexact_reduction():
     # c_in = 2**39 gives K * 2**14 = 2**53; zero-stride views, no memory
     w = np.broadcast_to(np.int8(0), (1, 1, 1, 2**39))
     x = np.broadcast_to(np.int8(0), (1, 1, 2**39))
-    xf = np.broadcast_to(np.float64(0), (1, 1, 2**39))
+    xf = np.broadcast_to(np.float32(0), (1, 1, 2**39))
     with pytest.raises(ShapeError, match="not exact"):
         S._conv_window_sum(xf, w, 1, 1, 1, 1)
     with pytest.raises(ShapeError, match="not exact"):
@@ -422,6 +433,27 @@ def test_conv_kernels_reject_inexact_reduction():
         S._ref_conv(np.full((1, 1, 1), 300, np.int16), np.ones(
             (1, 1, 1, 1), np.int8), np.zeros(1, np.int32), (1, 1), (0, 0),
             None)
+    # and the float32 sums hold for a float32 tile only: numpy would run a
+    # float64 tile's GEMMs in float64
+    with pytest.raises(ShapeError, match="float32"):
+        S._conv_window_sum(np.zeros((1, 1, 1), np.float64),
+                           np.zeros((1, 1, 1, 1), np.int8), 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("kw, ci", [(1, 1025), (5, 205), (1025, 1)])
+def test_conv_kernels_exact_past_float32_group(kw, ci):
+    # K = 1025 products: 1024 of (-128)·(-128) = 2**14 and one of 1·1 sum
+    # to 2**24 + 1, which no float32 holds, so a float32 sum of more than
+    # F32_EXACT_TERMS products rounds; (1, 1025) splits one tap, (5, 205)
+    # flushes after four taps, (1025, 1) after 1024 one-channel taps
+    x = np.full((1, kw, ci), -128, np.int8)
+    w = np.full((1, 1, kw, ci), -128, np.int8)
+    x[0, -1, -1] = w[0, 0, -1, -1] = 1
+    expect = np.full((1, 1, 1), 2**24 + 1, np.int64)
+    xp = x.astype(np.float32)
+    assert np.array_equal(S._conv_window_sum(xp, w, 1, 1, 1, 1), expect)
+    got = S._ref_conv(x, w, np.zeros(1, np.int32), (1, 1), (0, 0), None)
+    assert np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------
