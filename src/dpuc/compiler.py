@@ -1,15 +1,17 @@
 """Pass driver: schedule, lower, allocate, bind, pipeline, encode.
 
-Per schedule the driver lays out DDR, then walks nodes in order: each node
-is lowered to tile templates, its streams get FM memories by chain role,
-tile windows get double-buffered slots from the window planner, and the
-templates are bound to concrete instructions.  Per-node tile streams are
-skewed by the software pipeliner, concatenated, and the typed
+The compiler takes the top-ranked schedule, lays out DDR, then walks nodes in
+order: each node is lowered to tiles of ISA instructions whose addresses
+are still symbolic, its streams get FM memories by chain role, tile
+windows get double-buffered slots from the window planner, and binding
+replaces every symbolic address with a placed one.  Per-node tile streams
+are skewed by the software pipeliner, concatenated, and the typed
 dependencies are derived over the whole program so consecutive nodes
 synchronize through the same DPON/DPBY machinery.  A node that cannot be
 placed retries with reduced tile height, then unfused, then deeper width
-splits; when every schedule fails the CompileError carries the attempt
-ledger.
+splits; when every step fails the CompileError carries the attempt ledger.
+Lowering, window planning and the DDR layout never read the node order,
+so a node the ladder cannot place fails under every schedule.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,10 @@ from . import memory as MM
 from . import pipeline as PL
 from .errors import CompileError, InfeasibleError, OutOfMemoryError, \
     PortConflictError, UnsupportedError
-from .machine import Addr, CONV, DDR, FM, Instruction, LOAD, MISC, PM, \
-    Program, SAVE, check_bounds, emit_assembly
+from .machine import Addr, CONV, DDR, FM, Program, check_bounds, \
+    emit_assembly
 
-# schedules tried, cheapest peak footprint first
+# schedules ranked by peak footprint; the cheapest is compiled
 SCHEDULE_BUDGET = 4
 
 
@@ -51,16 +53,8 @@ def compile_graph(g, cfg, options=None):
     options = options or CompileOptions()
     folded = GG.fold_constants_and_quantizers(g)
     fused = GG.fuse_superlayers(folded, cfg)
-    ranked = GG.explore_schedules(fused, SCHEDULE_BUDGET)
-    attempts = []
-    for schedule, estimate in ranked:
-        try:
-            return _compile_schedule(fused, schedule, cfg, options,
-                                     attempts)
-        except (InfeasibleError, OutOfMemoryError, PortConflictError) as e:
-            attempts.append(f"schedule {list(schedule.order)}: {e}")
-    raise CompileError(
-        f"all {len(ranked)} schedules exhausted", attempts)
+    schedule, _peak = GG.explore_schedules(fused, SCHEDULE_BUDGET)[0]
+    return _compile_schedule(fused, schedule, cfg, options)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +110,8 @@ def _ladder_steps(fused):
 
 
 def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts):
-    """Returns a list of (node, LoweredNode, fm assignment)."""
+    """Returns a list of (node, LoweredNode) pairs.  Raises CompileError,
+    with the attempt ledger, when no ladder step fits."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
@@ -131,7 +126,7 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts):
                 lowered = LW.lower_node(nd, ctx, cfg)
                 mems = MM.assign_fm_memories(lowered, cfg)
                 _plan_windows(lowered, mems, cfg)
-                out.append((nd, lowered, mems))
+                out.append((nd, lowered))
             if step:
                 attempts.append(f"node {node.id}: retried with {step}")
             return out
@@ -139,7 +134,7 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts):
                 UnsupportedError) as e:
             last = e
             attempts.append(f"node {node.id} with {step or 'defaults'}: {e}")
-    raise InfeasibleError(f"node {node.id}: {last}")
+    raise CompileError(f"node {node.id}: {last}", attempts)
 
 
 def _plan_windows(lowered, mems, cfg):
@@ -150,17 +145,17 @@ def _plan_windows(lowered, mems, cfg):
     buffer-reuse dependency on the reader of window i, so at most two
     windows of a class are ever live.  A stream with a single window (a
     conv input resident across weight slabs) gets one slot.  A stream is
-    live from the first to the last tile whose templates use it, which
+    live from the first to the last tile whose instructions use it, which
     for a resident window includes every later-slab tile reading it.
     Streams of one node share a memory by simple bumping; capacity
     overflow sends the node back down the retry ladder."""
-    span = {}   # stream -> (first, last) tile whose templates use it
+    span = {}   # stream -> (first, last) tile whose instructions use it
     for ti, tile in enumerate(lowered.tiles):
         for _q, group in tile.stages:
-            for t in group:
-                for attr in t.READS + t.WRITES:
-                    sname = getattr(t, attr)
-                    span[sname] = (span.get(sname, (ti,))[0], ti)
+            for ins in group:
+                for a in (ins.src, ins.src2, ins.dst):
+                    if isinstance(a, LW.Win):
+                        span[a.stream] = (span.get(a.stream, (ti,))[0], ti)
     placed = {m: [] for m in range(cfg.fm_memories)}
     allocs = {}
     for sname in sorted(lowered.streams):
@@ -199,8 +194,9 @@ def _plan_windows(lowered, mems, cfg):
     lowered.notes["allocs"] = allocs
 
 
-def _compile_schedule(g, schedule, cfg, options, attempts):
+def _compile_schedule(g, schedule, cfg, options):
     aliases = _concat_aliases(g)
+    attempts = []
 
     # lowering is symbolic, so it runs before the DDR layout; the layout
     # then reserves exactly the parameter bytes the lowering decided on
@@ -213,13 +209,13 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
             continue
         parts = _lower_with_ladder(node, g.tensors | _mid_tensors(g),
                                    aliases, cfg, options, attempts)
-        for nd, lowered, mems in parts:
+        for nd, lowered in parts:
             offs = []
             for payload in lowered.pm_payloads:
                 offs.append(len(param_image))
                 param_image.extend(payload)
             param_offsets[nd.id] = offs
-            lowered_nodes.append((nd, lowered, mems))
+            lowered_nodes.append((nd, lowered))
 
     layout = MM.ddr_layout(g, len(param_image), cfg, aliases=aliases)
     pbase, psize = layout.segments["parameters"]
@@ -229,10 +225,11 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
     report_nodes = []
     window_usage = []   # (node, lowered, {(stream, tile): [instr objects]})
     index_of = {}
-    for nd, lowered, mems in lowered_nodes:
-        bound_tiles, usage = _bind_tiles(nd, lowered, mems, layout, aliases,
-                                         param_offsets[nd.id], pbase, cfg, g)
-        stream = PL.pipeline(bound_tiles, enabled=options.pipeline)
+    for nd, lowered in lowered_nodes:
+        usage = _bind(lowered, layout,
+                      [pbase + off for off in param_offsets[nd.id]])
+        stream = PL.pipeline([t.stages for t in lowered.tiles],
+                             enabled=options.pipeline)
         for ins, mark in zip(stream.instructions, stream.marks):
             index_of[id(ins)] = len(instructions)
             instructions.append(ins)
@@ -286,7 +283,7 @@ def _compile_schedule(g, schedule, cfg, options, attempts):
         param_image=bytes(param_image), memmap=memmap, report=report,
         marks=marks,
         tile_trees=({nd.id: lw.tree.to_dict()
-                     for nd, lw, _m in lowered_nodes}
+                     for nd, lw in lowered_nodes}
                     if options.keep_tile_trees else None))
 
 
@@ -346,152 +343,30 @@ def _alloc_records(prog):
 
 
 # ---------------------------------------------------------------------------
-# template binding
+# binding
 # ---------------------------------------------------------------------------
 
-def _bind_tiles(node, lowered, mems, layout, aliases, param_offs, pbase,
-                cfg, g):
+def _bind(lowered, layout, param_addrs):
+    """Replace every symbolic address of the lowered instructions, in
+    place: a window offset by its placed FM window, a tensor offset by
+    the tensor's DDR address, a PM block by its DDR address in
+    param_addrs.  Returns {(stream, tile): [instructions using that
+    window]}."""
     allocs = lowered.notes["allocs"]
-    blocks = lowered.pm_blocks
-    multi_slab = lowered.notes.get("slabs", 1) > 1
-    pm_off = []
-    run = 0
-    for bi, (wb, bb) in enumerate(blocks):
-        if multi_slab:
-            pm_off.append((bi % 2) * (cfg.pm_bytes // 2))
-        else:
-            pm_off.append(run)
-            run += wb + bb
-
-    def stream_addr(sname, ti, row):
-        al = allocs[(sname, ti)]
-        st = lowered.streams[sname]
-        return Addr(FM, al.start + row * st.row_bytes, al.mem)
-
-    tensors = g.tensors | _mid_tensors(g)
-
-    def tensor_geom(name):
-        t = tensors[name]
-        if name in aliases:
-            target, ch_off = aliases[name]
-            tt = tensors[target]
-            return layout.address(target), tt.shape, ch_off
-        return layout.address(name), t.shape, 0
-
     usage = {}
-
-    def touch(key, ins):
-        usage.setdefault(key, []).append(ins)
-
-    out_tiles = []
-    for ti, tile in enumerate(lowered.tiles):
-        stages = []
-        for queue, group in tile.stages:
-            bound = []
-            for t in group:
-                kind = type(t).__name__
-                # tile whose windows the template reads: its own, except
-                # for a conv reading a window resident across slabs
-                src_ti = ti if getattr(t, "in_tile", None) is None \
-                    else t.in_tile
-                if kind == "TLoad":
-                    base, (h, w, c), _ = tensor_geom(t.tensor)
-                    off = base + (t.row * w + t.col0) * c
-                    if t.nch == c:
-                        ins = Instruction(
-                            op=LOAD, sub="act", src=Addr(DDR, off),
-                            dst=stream_addr(t.stream, ti, t.win_row),
-                            rows=1, blocks=1, block_bytes=t.ncols * c,
-                            ddr_row_stride=t.ncols * c, ddr_blk_stride=0)
-                    else:
-                        ins = Instruction(
-                            op=LOAD, sub="act",
-                            src=Addr(DDR, off + t.ch0),
-                            dst=stream_addr(t.stream, ti, t.win_row),
-                            rows=1, blocks=t.ncols, block_bytes=t.nch,
-                            ddr_row_stride=t.ncols * c, ddr_blk_stride=c)
-                elif kind == "TLoadW":
-                    size = sum(sum(blocks[b]) for b in
-                               range(t.block0, t.block0 + t.nblocks))
-                    ins = Instruction(
-                        op=LOAD, sub="weight",
-                        src=Addr(DDR, pbase + param_offs[t.block0]),
-                        dst=Addr(PM, pm_off[t.block0]),
-                        rows=1, blocks=1, block_bytes=size,
-                        ddr_row_stride=size, ddr_blk_stride=0)
-                elif kind == "TSave":
-                    base, (h, w, c), ch_off = tensor_geom(t.tensor)
-                    ch0 = t.ch0 + ch_off
-                    off = base + (t.out_row0 * w + t.col0) * c
-                    if t.nch == c:
-                        ins = Instruction(
-                            op=SAVE, sub="act",
-                            src=stream_addr(t.stream, ti, t.win_row0),
-                            dst=Addr(DDR, off), rows=t.rows, blocks=1,
-                            block_bytes=t.ncols * c,
-                            ddr_row_stride=w * c, ddr_blk_stride=0)
-                    else:
-                        ins = Instruction(
-                            op=SAVE, sub="act",
-                            src=stream_addr(t.stream, ti, t.win_row0),
-                            dst=Addr(DDR, off + ch0), rows=t.rows,
-                            blocks=t.ncols, block_bytes=t.nch,
-                            ddr_row_stride=w * c, ddr_blk_stride=c)
-                elif kind == "TConv":
-                    ins = Instruction(
-                        op=CONV, sub="conv",
-                        src=stream_addr(t.stream_in, src_ti, t.in_row0),
-                        dst=stream_addr(t.stream_out, ti, t.out_row0),
-                        wgt_off=pm_off[t.block],
-                        wgt_bytes=sum(blocks[t.block]),
-                        in_rows=t.in_rows, in_w=t.in_w, c_in=t.c_in,
-                        out_w=t.out_w, c_out=t.c_out, kh=t.kh, kw=t.kw,
-                        sh=t.sh, sw=t.sw, pt=t.pt, pl=t.pl, pb=t.pb,
-                        pr=t.pr, shift=t.shift)
-                elif kind == "TPool":
-                    ins = Instruction(
-                        op=MISC, sub="maxpool",
-                        src=stream_addr(t.stream_in, ti, t.in_row0),
-                        dst=stream_addr(t.stream_out, ti, t.out_row0),
-                        in_rows=t.in_rows, in_w=t.in_w, c_in=t.c,
-                        out_w=t.out_w, kh=t.kh, kw=t.kw, sh=t.sh, sw=t.sw,
-                        pt=t.pt, pl=t.pl, pb=t.pb, pr=t.pr, shift=t.shift)
-                elif kind == "TElt":
-                    ins = Instruction(
-                        op=MISC, sub="eltwise",
-                        src=stream_addr(t.stream_a, ti, t.a_row0),
-                        src2=stream_addr(t.stream_b, ti, t.b_row0),
-                        dst=stream_addr(t.stream_out, ti, t.out_row0),
-                        rows=t.rows, w=t.w, c=t.c, ea=t.ea, eb=t.eb,
-                        eo=t.eo)
-                elif kind == "TUpsample":
-                    ins = Instruction(
-                        op=MISC, sub="upsample",
-                        src=stream_addr(t.stream_in, ti, t.in_row0),
-                        dst=stream_addr(t.stream_out, ti, t.out_row0),
-                        in_rows=t.in_rows, w=t.w, c=t.c, factor=t.factor,
-                        out_rows=t.out_rows)
-                elif kind == "TShuffle":
-                    src = stream_addr(t.stream_in, ti, t.src_row0)
-                    dst_al = allocs[(t.stream_out, ti)]
-                    dst = Addr(FM,
-                               dst_al.start + t.dst_row0 * t.dst_row_bytes
-                               + t.dst_col_off, dst_al.mem)
-                    ins = Instruction(
-                        op=MISC, sub="move", src=src, dst=dst,
-                        rows=t.n_rows, blocks=t.blocks,
-                        block_bytes=t.block_bytes,
-                        src_row_stride=t.src_row_bytes,
-                        dst_row_stride=t.dst_row_step * t.dst_row_bytes,
-                        src_blk_stride=t.block_bytes,
-                        dst_blk_stride=t.dst_blk_step)
-                else:
-                    raise AssertionError(kind)
-                for attr in t.READS:
-                    touch((getattr(t, attr), src_ti), ins)
-                for attr in t.WRITES:
-                    touch((getattr(t, attr), ti), ins)
-                bound.append(ins)
-            stages.append((queue, bound))
-        out_tiles.append(stages)
-    return out_tiles, usage
+    for tile in lowered.tiles:
+        for _q, group in tile.stages:
+            for ins in group:
+                for f in ("src", "src2", "dst"):
+                    a = getattr(ins, f)
+                    if isinstance(a, LW.Win):
+                        key = (a.stream, a.tile)
+                        al = allocs[key]
+                        usage.setdefault(key, []).append(ins)
+                        setattr(ins, f, Addr(FM, al.start + a.off, al.mem))
+                    elif isinstance(a, LW.TensorAt):
+                        setattr(ins, f,
+                                Addr(DDR, layout.address(a.name) + a.off))
+                    elif isinstance(a, LW.ParamAt):
+                        setattr(ins, f, Addr(DDR, param_addrs[a.block]))
+    return usage

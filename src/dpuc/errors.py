@@ -66,7 +66,8 @@ class DeadlockError(DpucError):
 
 
 class CompileError(DpucError):
-    """All schedules exhausted; carries the per-attempt failure ledger."""
+    """A node fits under no step of the retry ladder; carries the
+    per-attempt failure ledger."""
 
     def __init__(self, msg, attempts=None):
         super().__init__(msg)

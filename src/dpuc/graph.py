@@ -34,6 +34,10 @@ class QuantInfo:
             raise ShapeError(f"quant range empty: ({self.lo}, {self.hi})")
         if self.step <= 0:
             raise ShapeError(f"quant step must be positive: {self.step}")
+        try:
+            quant.step_exponent(self.step)
+        except ValueError as e:
+            raise ShapeError(str(e)) from None
         if (self.hi - self.lo) / self.step > 256 + 1e-9:
             raise ShapeError(
                 f"range ({self.lo},{self.hi}) needs more than 256 steps "
@@ -211,8 +215,12 @@ def infer_out_shape(node, in_shapes):
 # parse / validate
 # ---------------------------------------------------------------------------
 
-def _decode(b64, dtype):
-    return np.frombuffer(base64.b64decode(b64), dtype=dtype).copy()
+def _decode(b64, dtype, where):
+    try:
+        return np.frombuffer(base64.b64decode(b64), dtype=dtype).copy()
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{where}: bad {np.dtype(dtype).name} data: {e}") \
+            from None
 
 
 # attrs an op cannot be shaped without, and attrs that must be >= 1
@@ -222,16 +230,42 @@ POSITIVE_ATTRS = ("c_out", "kernel", "stride", "factor", "upsample")
 PAIR_ATTRS = {"conv": ("kernel", "stride", "padding"),
               "maxpool": ("kernel", "stride", "padding"),
               "deconv": ("kernel",)}
+SCALAR_ATTRS = {"conv": ("c_out",), "deconv": ("c_out", "upsample", "padding"),
+                "upsample": ("factor",)}
+# activation inputs per op as (fewest, most); parameter inputs not counted
+ARITY = {"eltwise-add": (2, 2), "concat": (1, None)}
+
+
+def _dims(v, where, n=None):
+    """v as a tuple of positive integers (exactly n of them when given)."""
+    if not (isinstance(v, list) and v and (n is None or len(v) == n)
+            and all(isinstance(d, int) and d >= 1 for d in v)):
+        raise ParseError(f"{where}: shape must be a list of "
+                         f"{n or 'some'} positive integers, got {v!r}")
+    return tuple(v)
+
+
+def _names(v, where):
+    if not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
+        raise ParseError(f"{where}: expected a list of tensor names, got "
+                         f"{v!r}")
+    return list(v)
 
 
 def _req(d, key, where):
+    if not isinstance(d, dict):
+        raise ParseError(f"{where}: expected an object, got {d!r}")
     if key not in d:
         raise ParseError(f"{where}: missing key {key!r}")
     return d[key]
 
 
 def _quant_of(d, where):
-    return QuantInfo(*(float(_req(d, k, where)) for k in ("lo", "hi", "step")))
+    try:
+        return QuantInfo(*(float(_req(d, k, where))
+                           for k in ("lo", "hi", "step")))
+    except (TypeError, ValueError, ShapeError) as e:
+        raise ParseError(f"{where}: bad quant: {e}") from None
 
 
 def _check_attrs(node):
@@ -241,13 +275,44 @@ def _check_attrs(node):
     for key in PAIR_ATTRS.get(node.op, ()):
         v = node.attrs.get(key, [0, 0])
         if not (isinstance(v, list) and len(v) == 2
-                and all(isinstance(x, int) for x in v)):
+                and all(isinstance(x, int) and x >= 0 for x in v)):
             raise ParseError(f"{where}: {key} must be a list of two "
-                             f"integers, got {v!r}")
+                             f"non-negative integers, got {v!r}")
+    # deconv shapes and both lowering paths read kernel[0] for both axes
+    kernel = node.attrs.get("kernel")
+    if node.op == "deconv" and kernel[0] != kernel[1]:
+        raise ParseError(f"{where}: deconv kernel must be square, got "
+                         f"{kernel}")
+    # a pool window lying wholly in the padding has no value to take
+    pad = node.attrs.get("padding", [0, 0])
+    if node.op == "maxpool" and any(p >= k for p, k in zip(pad, kernel)):
+        raise ParseError(f"{where}: padding {pad} must be smaller than "
+                         f"kernel {kernel}")
+    for key in SCALAR_ATTRS.get(node.op, ()):
+        v = node.attrs.get(key, 0)
+        if not (isinstance(v, int) and v >= 0):
+            raise ParseError(f"{where}: {key} must be a non-negative "
+                             f"integer, got {v!r}")
     for key in POSITIVE_ATTRS:
         v = node.attrs.get(key, 1)
-        if any(x < 1 for x in (v if isinstance(v, list) else [v])):
+        if any(not isinstance(x, int) or x < 1
+               for x in (v if isinstance(v, list) else [v])):
             raise ParseError(f"{where}: {key} must be at least 1, got {v}")
+    if node.op == "fix":
+        _quant_of(node.attrs, where)
+
+
+def _check_params(node, c_in, err):
+    """A conv/deconv's weights must be (c_out, kh, kw, c_in) and its bias
+    c_out int32 values."""
+    want = (node.attrs["c_out"], *node.attrs["kernel"], c_in)
+    w, b = node.params.weights, node.params.bias
+    if w.shape != want:
+        raise err(f"node {node.id}: weights {list(w.shape)} do not match "
+                  f"(c_out, kh, kw, c_in) = {list(want)}")
+    if b.shape != (want[0],) or b.dtype != np.int32:
+        raise err(f"node {node.id}: bias must be {want[0]} int32 values, "
+                  f"got {b.size} {b.dtype}")
 
 
 def parse_graph(text):
@@ -261,15 +326,16 @@ def parse_graph(text):
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
     for key in ("tensors", "nodes", "inputs", "outputs"):
-        if key not in doc:
-            raise ParseError(f"missing top-level key {key!r}")
+        if not isinstance(_req(doc, key, "graph"), list):
+            raise ParseError(f"graph: {key} must be a list")
 
     tensors = {}
     for td in doc["tensors"]:
         name = _req(td, "name", "tensor")
         where = f"tensor {name}"
         q = _quant_of(td["quant"], where) if td.get("quant") else None
-        t = TensorRef(name, tuple(_req(td, "shape", where)), quant=q)
+        t = TensorRef(name, _dims(_req(td, "shape", where), where, 3),
+                      quant=q)
         if t.name in tensors:
             raise ParseError(f"duplicate tensor {t.name}")
         tensors[t.name] = t
@@ -283,8 +349,13 @@ def parse_graph(text):
             raise ParseError(f"duplicate node id {nid}")
         seen.add(nid)
         where = f"node {nid}"
-        node = Node(nid, _req(nd, "op", where), list(nd.get("inputs", [])),
-                    _req(nd, "output", where), dict(nd.get("attrs", {})))
+        attrs = nd.get("attrs", {})
+        if not isinstance(attrs, dict):
+            raise ParseError(f"{where}: attrs must be an object, got "
+                             f"{attrs!r}")
+        node = Node(nid, _req(nd, "op", where),
+                    _names(nd.get("inputs", []), where),
+                    _req(nd, "output", where), dict(attrs))
         _check_attrs(node)
         if node.op == "const":
             p = nd.get("params", {})
@@ -293,27 +364,32 @@ def parse_graph(text):
             dt = {"int8": "<i1", "int32": "<i4"}.get(p["dtype"])
             if dt is None:
                 raise ParseError(f"const {node.id}: bad dtype {p['dtype']}")
-            arr = _decode(p["data"], dt)
+            arr = _decode(p["data"], dt, f"const {node.id}")
             if "shape" in p:
-                arr = arr.reshape(p["shape"])
+                shape = _dims(p["shape"], f"const {node.id}")
+                if arr.size != int(np.prod(shape)):
+                    raise ParseError(f"const {node.id}: {arr.size} values "
+                                     f"do not fill shape {list(shape)}")
+                arr = arr.reshape(shape)
             param_data[node.output] = arr
         elif "params" in nd:
             # pre-folded convenience form: weights/bias directly on the node
             p = nd["params"]
             where = f"node {nid} params"
-            shape = _req(p, "shape", where)
-            w = _decode(_req(p, "weights", where), "<i1")
+            shape = _dims(_req(p, "shape", where), where)
+            w = _decode(_req(p, "weights", where), "<i1", where)
             if w.size != int(np.prod(shape)):
                 raise ParseError(f"{where}: {w.size} weight bytes do not "
-                                 f"fill shape {shape}")
+                                 f"fill shape {list(shape)}")
             w = w.reshape(shape)
-            b = (_decode(p["bias"], "<i4") if "bias" in p
+            b = (_decode(p["bias"], "<i4", where) if "bias" in p
                  else np.zeros(shape[0], np.int32))
             node.params = WeightSpec(w, b, _quant_of(_req(p, "quant", where),
                                                      where))
         nodes.append(node)
 
-    g = Graph(tensors, nodes, doc["inputs"], doc["outputs"], param_data)
+    g = Graph(tensors, nodes, _names(doc["inputs"], "graph"),
+              _names(doc["outputs"], "graph"), param_data)
     _validate(g)
     return g
 
@@ -347,11 +423,18 @@ def _validate(g):
                 raise ParseError(f"node {n.id} reads undeclared tensor {t}")
         if n.op in ("input", "const"):
             continue
-        if n.op == "fix" and n.inputs[0] in params:
+        if n.op == "fix" and n.inputs and n.inputs[0] in params:
             shapes[n.output] = shapes[n.inputs[0]]
             params.add(n.output)
             continue
         act_shapes = [shapes[t] for t in n.inputs if t not in params]
+        least, most = ARITY.get(n.op, (1, 1))
+        if (len(act_shapes) < least
+                or most is not None and len(act_shapes) > most):
+            raise ParseError(f"node {n.id} ({n.op}): {len(act_shapes)} "
+                             f"activation inputs")
+        if n.params is not None:
+            _check_params(n, act_shapes[0][2], ParseError)
         want = infer_out_shape(n, act_shapes)
         shapes.setdefault(n.output, want)
         if n.output in g.tensors and want is not None:
@@ -481,13 +564,13 @@ def fold_constants_and_quantizers(g):
         if wname not in param_quant:
             raise FoldError(f"node {n.id}: weights {wname} have no quantizer")
         w = param_data[wname]
-        if w.ndim != 4:
-            raise FoldError(f"node {n.id}: weights must be 4-D, got {w.shape}")
         bname = next((t for t in prms if t != wname), None)
-        b = (param_data[bname].astype(np.int32) if bname
-             else np.zeros(w.shape[0], np.int32))
+        b = (param_data[bname] if bname
+             else np.zeros(n.attrs["c_out"], np.int32))
         n.params = WeightSpec(w, b, param_quant[wname])
         n.inputs = acts
+        if acts[0] in tensors:
+            _check_params(n, tensors[acts[0]].shape[2], FoldError)
 
     for n in nodes.values():
         for t in n.inputs:

@@ -4,12 +4,12 @@ Split order is fixed: width first (so the gamma row-vector limit holds
 independent of height), then height, then weights.  Width strips are
 back-propagated through the node's chain of windowed stages
 (`_strip_chain`); the conv tile height is the largest preferred height
-whose double-buffered windows fit FM (`conv_tile_height`).  Each leaf is a
-single elementary computation bound to an instruction template; templates
-use symbolic stream positions until memory allocation assigns addresses.
-Each template class declares its queue (`QUEUE`) and which of its stream
-fields it reads (`READS`) and writes (`WRITES`); FM role assignment and
-template binding read those declarations.
+whose double-buffered windows fit FM (`conv_tile_height`).  Each leaf is
+one ISA instruction (`machine.Instruction`) with every field final except
+its addresses: src, src2 and dst stay symbolic (`Win`, `TensorAt`,
+`ParamAt`) until window planning and the DDR layout place them, and the
+compiler's binder then replaces them.  Transfer geometry, strides, PM
+offsets and weight sizes are all decided here.
 
 Every tensor lives in DDR between nodes.  Tiles re-read their full input
 window from DDR (the per-tile load stage), so consecutive tiles of a
@@ -17,9 +17,9 @@ strided kernel re-load the k - s overlapping rows.  That keeps every tile
 self-contained and the per-class liveness at the two-slice
 double-buffering bound.  The one exception is a conv whose output fits one
 height band but whose weights stream through several PM slabs: the first
-slab's tile of each width strip loads the input window, and the tiles of
-the later slabs convolve that same window (`TConv.in_tile`) instead of
-re-loading it once per slab.
+slab's tile of each width strip loads the input window, and the convs of
+the later slabs read that tile's window (their src `Win` names it)
+instead of re-loading it once per slab.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import quant
 from .errors import InfeasibleError, UnsupportedError
+from .machine import Addr, CONV, Instruction, LOAD, MISC, PM, SAVE
 
 
 def receptive_range(lo, hi, k, s, p, size):
@@ -78,7 +79,7 @@ class TileTree:
         if self.in_range is not None:
             d["in_range"] = list(self.in_range)
         if self.leaf is not None:
-            d["leaf"] = type(self.leaf).__name__
+            d["leaf"] = f"{self.leaf.op}/{self.leaf.sub}"
         if self.children:
             d["children"] = [c.to_dict() for c in self.children]
         return d
@@ -329,12 +330,7 @@ def upsample_conv_mult_count(out_shape, k, c_i):
 class Slab:
     c_lo: int
     c_hi: int
-    wgt_bytes: int
-    bias_bytes: int
-
-    @property
-    def nbytes(self):
-        return self.wgt_bytes + self.bias_bytes
+    nbytes: int   # int8 taps + int32 biases of channels [c_lo, c_hi)
 
 
 def weight_tiling(c_out, kh, kw, c_in, cfg):
@@ -350,7 +346,7 @@ def weight_tiling(c_out, kh, kw, c_in, cfg):
     per_ch = kh * kw * c_in + 4  # int8 taps + int32 bias
     total = c_out * per_ch
     if total <= cfg.pm_bytes:
-        return [Slab(0, c_out, c_out * (per_ch - 4), 4 * c_out)]
+        return [Slab(0, c_out, total)]
     half = cfg.pm_bytes // 2
     ch_per_slab = half // per_ch
     if ch_per_slab < 1:
@@ -360,141 +356,62 @@ def weight_tiling(c_out, kh, kw, c_in, cfg):
     slabs = []
     for lo in range(0, c_out, ch_per_slab):
         hi = min(c_out, lo + ch_per_slab)
-        slabs.append(Slab(lo, hi, (hi - lo) * (per_ch - 4), 4 * (hi - lo)))
+        slabs.append(Slab(lo, hi, (hi - lo) * per_ch))
     return slabs
 
 
 # ---------------------------------------------------------------------------
-# instruction templates (symbolic stream positions)
+# symbolic addresses
 # ---------------------------------------------------------------------------
+# The ISA fixes the stream roles: an instruction reads the windows its src
+# and src2 name and writes the one its dst names.
 
-@dataclass
-class TLoad:
-    QUEUE, READS, WRITES = "LOAD", (), ("stream",)
-    tensor: str
-    row: int
-    col0: int
-    ncols: int
-    ch0: int
-    nch: int
+@dataclass(frozen=True)
+class Win:
+    """Byte `off` of the FM window that tile `tile` owns on `stream`."""
     stream: str
-    win_row: int
+    tile: int
+    off: int
 
 
-@dataclass
-class TLoadW:
-    QUEUE, READS, WRITES = "LOAD", (), ()
-    block0: int   # first PM block loaded
-    nblocks: int
+@dataclass(frozen=True)
+class TensorAt:
+    """Byte `off` of DDR tensor `name`."""
+    name: str
+    off: int
 
 
-@dataclass
-class TConv:
-    QUEUE, READS, WRITES = "CONV", ("stream_in",), ("stream_out",)
-    stream_in: str
-    in_row0: int
-    in_rows: int
-    in_w: int
-    c_in: int
-    stream_out: str
-    out_row0: int
-    out_w: int
-    c_out: int
-    kh: int
-    kw: int
-    sh: int
-    sw: int
-    pt: int
-    pl: int
-    pb: int
-    pr: int
-    shift: int
-    block: int = 0  # PM block holding taps + bias
-    in_tile: int = None  # tile owning the stream_in window; None: this one
+@dataclass(frozen=True)
+class ParamAt:
+    """Start of the node's PM block `block` in the parameter image."""
+    block: int
 
 
-@dataclass
-class TPool:
-    QUEUE, READS, WRITES = "MISC", ("stream_in",), ("stream_out",)
-    stream_in: str
-    in_row0: int
-    in_rows: int
-    in_w: int
-    c: int
-    stream_out: str
-    out_row0: int
-    out_w: int
-    kh: int
-    kw: int
-    sh: int
-    sw: int
-    pt: int
-    pl: int
-    pb: int
-    pr: int
-    shift: int
+def _weight_load(block, pm_off, nbytes):
+    return Instruction(op=LOAD, sub="weight", src=ParamAt(block),
+                       dst=Addr(PM, pm_off), rows=1, blocks=1,
+                       block_bytes=nbytes, ddr_row_stride=nbytes,
+                       ddr_blk_stride=0)
 
 
-@dataclass
-class TElt:
-    QUEUE, READS, WRITES = "MISC", ("stream_a", "stream_b"), ("stream_out",)
-    stream_a: str
-    a_row0: int
-    stream_b: str
-    b_row0: int
-    stream_out: str
-    out_row0: int
-    rows: int
-    w: int
-    c: int
-    ea: int
-    eb: int
-    eo: int
+def _conv(src, dst, wgt, in_rows, in_w, c_in, out_w, c_out, kernel, stride,
+          pads, shift):
+    """CONV over PM bytes wgt = (off, nbytes); pads = (top, left, bottom,
+    right)."""
+    (kh, kw), (sh, sw), (pt, pl, pb, pr) = kernel, stride, pads
+    return Instruction(op=CONV, sub="conv", src=src, dst=dst,
+                       wgt_off=wgt[0], wgt_bytes=wgt[1], in_rows=in_rows,
+                       in_w=in_w, c_in=c_in, out_w=out_w, c_out=c_out,
+                       kh=kh, kw=kw, sh=sh, sw=sw, pt=pt, pl=pl, pb=pb,
+                       pr=pr, shift=shift)
 
 
-@dataclass
-class TUpsample:
-    QUEUE, READS, WRITES = "MISC", ("stream_in",), ("stream_out",)
-    stream_in: str
-    in_row0: int
-    in_rows: int
-    w: int
-    c: int
-    factor: int
-    stream_out: str
-    out_row0: int
-    out_rows: int
-
-
-@dataclass
-class TShuffle:
-    QUEUE, READS, WRITES = "MISC", ("stream_in",), ("stream_out",)
-    stream_in: str
-    src_row0: int
-    n_rows: int
-    blocks: int
-    block_bytes: int
-    src_row_bytes: int
-    stream_out: str
-    dst_row0: int
-    dst_row_step: int
-    dst_col_off: int
-    dst_blk_step: int
-    dst_row_bytes: int
-
-
-@dataclass
-class TSave:
-    QUEUE, READS, WRITES = "SAVE", ("stream",), ()
-    stream: str
-    win_row0: int
-    rows: int
-    tensor: str
-    out_row0: int
-    col0: int
-    ncols: int
-    ch0: int
-    nch: int
+def _maxpool(src, dst, in_rows, in_w, c, out_w, kernel, stride, pads, shift):
+    (kh, kw), (sh, sw), (pt, pl, pb, pr) = kernel, stride, pads
+    return Instruction(op=MISC, sub="maxpool", src=src, dst=dst,
+                       in_rows=in_rows, in_w=in_w, c_in=c, out_w=out_w,
+                       kh=kh, kw=kw, sh=sh, sw=sw, pt=pt, pl=pl, pb=pb,
+                       pr=pr, shift=shift)
 
 
 @dataclass
@@ -507,7 +424,7 @@ class StreamInfo:
 
 @dataclass
 class Tile:
-    # ordered (queue, [templates]) groups; every tile of a node has the
+    # ordered (queue, [Instruction]) groups; every tile of a node has the
     # same queue sequence (the pipeliner aligns stages by position), so a
     # stage with nothing to do keeps its place as an empty group
     stages: list
@@ -520,8 +437,7 @@ class LoweredNode:
     tiles: list
     streams: dict
     tree: TileTree
-    pm_blocks: list = field(default_factory=list)   # (wgt_bytes, bias_bytes)
-    pm_payloads: list = field(default_factory=list)  # bytes per block
+    pm_payloads: list = field(default_factory=list)  # bytes per PM block
     notes: dict = field(default_factory=dict)
 
 
@@ -539,20 +455,45 @@ def _exp(tensor):
     return tensor.quant.exp
 
 
-def _load_stage(tensor, rows, cols, stream):
+def _load_stage(tensor, rows, cols, stream, ti):
+    """One LOAD per input row, every channel, into tile ti's window."""
     lo, hi = rows
     clo, chi = cols
-    return [TLoad(tensor.name, r, clo, chi - clo, 0, tensor.shape[2],
-                  stream, r - lo) for r in range(lo, hi)]
+    _h, w, c = tensor.shape
+    n = (chi - clo) * c
+    return [Instruction(op=LOAD, sub="act",
+                        src=TensorAt(tensor.name, (r * w + clo) * c),
+                        dst=Win(stream, ti, (r - lo) * n), rows=1, blocks=1,
+                        block_bytes=n, ddr_row_stride=n, ddr_blk_stride=0)
+            for r in range(lo, hi)]
 
 
-def _save_stage(stream, local_rows, tensor, out_rows, cols, ch):
-    out = []
+def _save_stage(ctx, stream, ti, local_rows, tensor, out_rows, cols, ch):
+    """One SAVE per output row of tile ti's window into columns `cols` and
+    channels `ch` of `tensor`.  A concat input aliased into its
+    concatenation is saved into the concatenation's channel slice."""
+    name, ch_off = tensor.name, 0
+    if name in (ctx.aliases or {}):
+        name, ch_off = ctx.aliases[name]
+    _h, w, c = ctx.tensors[name].shape
     clo, chi = cols
-    ch0, ch1 = ch
+    ch0, nch = ch[0] + ch_off, ch[1] - ch[0]
+    n = (chi - clo) * nch
+    out = []
     for i in range(out_rows[1] - out_rows[0]):
-        out.append(TSave(stream, local_rows[0] + i, 1, tensor.name,
-                         out_rows[0] + i, clo, chi - clo, ch0, ch1 - ch0))
+        src = Win(stream, ti, (local_rows[0] + i) * n)
+        off = ((out_rows[0] + i) * w + clo) * c
+        if nch == c:
+            ins = Instruction(op=SAVE, sub="act", src=src,
+                              dst=TensorAt(name, off), rows=1, blocks=1,
+                              block_bytes=n, ddr_row_stride=w * c,
+                              ddr_blk_stride=0)
+        else:
+            ins = Instruction(op=SAVE, sub="act", src=src,
+                              dst=TensorAt(name, off + ch0), rows=1,
+                              blocks=chi - clo, block_bytes=nch,
+                              ddr_row_stride=w * c, ddr_blk_stride=c)
+        out.append(ins)
     return out
 
 
@@ -560,8 +501,8 @@ def _tree_for_tiles(root, tiles):
     for t in tiles:
         tn = TileTree("tile", axis="h", out_range=None)
         for _, group in t.stages:
-            for tmpl in group:
-                tn.children.append(TileTree("leaf", leaf=tmpl))
+            for ins in group:
+                tn.children.append(TileTree("leaf", leaf=ins))
         root.children.append(tn)
     return root
 
@@ -569,9 +510,9 @@ def _tree_for_tiles(root, tiles):
 def lower_node(node, ctx, cfg):
     """Recursive tiling of one scheduled node: width, height, then weights.
 
-    Leaves carry LOAD/CONV/MISC/SAVE templates over symbolic stream
-    positions; prologue and epilogue tiles differ from steady tiles in
-    their clamped input ranges and explicit padding attributes.
+    Leaves are LOAD/CONV/MISC/SAVE instructions over symbolic addresses;
+    prologue and epilogue tiles differ from steady tiles in their clamped
+    input ranges and explicit padding attributes.
     """
     op = node.op
     if op == "input":
@@ -612,7 +553,8 @@ def _lower_conv(node, ctx, cfg):
     conv_shift = _conv_shift(ctx, node, mid.quant)
 
     slabs = weight_tiling(c_m, ck[0], ck[1], c_i, cfg)
-    pm_blocks = [(s.wgt_bytes, s.bias_bytes) for s in slabs]
+    # several slabs alternate between the two halves of PM
+    pm_offs = [(si % 2) * (cfg.pm_bytes // 2) for si in range(len(slabs))]
 
     conv_level = (ck[1], cs[1], cp[1], w_i, c_i)
     if fused:
@@ -682,16 +624,15 @@ def _lower_conv(node, ctx, cfg):
                 win = xhi - xlo
                 ti = len(tiles) + len(band_tiles)
                 loads = []
-                if si == 0 and bi == 0:
-                    if wi == 0 or len(slabs) > 2:
-                        loads.append(TLoadW(0, 1))
-                    if len(slabs) > 1 and (wi == 0 or len(slabs) > 2):
-                        loads.append(TLoadW(1, 1))
+                if si == 0 and bi == 0 and (wi == 0 or len(slabs) > 2):
+                    loads += [_weight_load(b, pm_offs[b], slabs[b].nbytes)
+                              for b in range(min(len(slabs), 2))]
                 if resident and si > 0:
-                    in_tile = ti - si  # the strip's first-slab tile
+                    src_tile = ti - si  # the strip's first-slab tile
                 else:
-                    in_tile = None
-                    loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in)
+                    src_tile = ti
+                    loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in,
+                                         ti)
                     streams[s_in].window_rows[ti] = win
                 # prefetch the next slab one band into this pass, behind
                 # the band's activation loads: the prefetch waits for the
@@ -700,13 +641,15 @@ def _lower_conv(node, ctx, cfg):
                 # behind it
                 if (si >= 1 and si + 1 < len(slabs)
                         and bi == min(1, nbands - 1)):
-                    loads.append(TLoadW(si + 1, 1))
-                conv = TConv(s_in, 0, win, ihi_s - ilo_s, c_i, s_mid, 0,
-                             mhi_s - mlo_s, nch, ck[0], ck[1], cs[0], cs[1],
-                             cpt, in_rng[2], cpb, in_rng[3],
-                             conv_shift, block=si, in_tile=in_tile)
+                    loads.append(_weight_load(si + 1, pm_offs[si + 1],
+                                              slabs[si + 1].nbytes))
+                conv = _conv(Win(s_in, src_tile, 0), Win(s_mid, ti, 0),
+                             (pm_offs[si], slab.nbytes), win, ihi_s - ilo_s,
+                             c_i, mhi_s - mlo_s, nch, ck, cs,
+                             (cpt, in_rng[2], cpb, in_rng[3]), conv_shift)
                 stages = [("LOAD", loads), ("CONV", [conv])]
                 if fused:
+                    w_mid, w_out = mhi_s - mlo_s, ohi - olo
                     pools = []
                     for j in range(-(-(bhi - blo) // plan.out_per_instr)):
                         plo = blo + j * plan.out_per_instr
@@ -714,18 +657,18 @@ def _lower_conv(node, ctx, cfg):
                         glo, ghi, ipt, ipb = receptive_range(
                             plo, phi, fused.kernel[0], fused.stride[0],
                             fused.padding[0], h_m)
-                        pools.append(TPool(
-                            s_mid, glo - mlo, ghi - glo, mhi_s - mlo_s, nch,
-                            s_out, plo - blo, ohi - olo,
-                            fused.kernel[0], fused.kernel[1],
-                            fused.stride[0], fused.stride[1],
-                            ipt, mid_rng[2], ipb, mid_rng[3], pool_shift))
+                        pools.append(_maxpool(
+                            Win(s_mid, ti, (glo - mlo) * w_mid * nch),
+                            Win(s_out, ti, (plo - blo) * w_out * nch),
+                            ghi - glo, w_mid, nch, w_out, fused.kernel,
+                            fused.stride, (ipt, mid_rng[2], ipb, mid_rng[3]),
+                            pool_shift))
                     stages.append(("MISC", pools))
-                    saves = _save_stage(s_out, (0, bhi - blo), y, (blo, bhi),
-                                        (olo, ohi), c_slice)
+                    saves = _save_stage(ctx, s_out, ti, (0, bhi - blo), y,
+                                        (blo, bhi), (olo, ohi), c_slice)
                 else:
-                    saves = _save_stage(s_mid, (0, mhi - mlo), y, (mlo, mhi),
-                                        (mlo_s, mhi_s), c_slice)
+                    saves = _save_stage(ctx, s_mid, ti, (0, mhi - mlo), y,
+                                        (mlo, mhi), (mlo_s, mhi_s), c_slice)
                 stages.append(("SAVE", saves))
                 band_tiles.append(Tile(stages, f"w{wi}s{si}b{bi}"))
                 streams[s_mid].window_rows[ti] = mhi - mlo
@@ -736,7 +679,7 @@ def _lower_conv(node, ctx, cfg):
             strip_tree.children.append(slab_tree)
         tree.children.append(strip_tree)
 
-    ln = LoweredNode(node.id, tiles, streams, tree, pm_blocks)
+    ln = LoweredNode(node.id, tiles, streams, tree)
     w_all, b_all = node.params.weights, node.params.bias
     ln.pm_payloads = [
         w_all[s.c_lo:s.c_hi].tobytes()
@@ -775,22 +718,23 @@ def _lower_pool(node, ctx, cfg):
         band_tiles = []
         for blo in range(0, h_o, band_h):
             bhi = min(h_o, blo + band_h)
+            ti = len(tiles) + len(band_tiles)
             xlo, xhi, _, _ = receptive_range(blo, bhi, pk[0], ps[0], pp[0],
                                              h_i)
-            loads = _load_stage(x, (xlo, xhi), (ilo, ihi), s_in)
+            loads = _load_stage(x, (xlo, xhi), (ilo, ihi), s_in, ti)
             pools = []
             for j in range(-(-(bhi - blo) // out_per)):
                 plo = blo + j * out_per
                 phi = min(bhi, plo + out_per)
                 glo, ghi, ipt, ipb = receptive_range(plo, phi, pk[0], ps[0],
                                                      pp[0], h_i)
-                pools.append(TPool(s_in, glo - xlo, ghi - glo, ihi - ilo, c,
-                                   s_out, plo - blo, ohi - olo,
-                                   pk[0], pk[1], ps[0], ps[1],
-                                   ipt, pl, ipb, pr, shift))
-            saves = _save_stage(s_out, (0, bhi - blo), y, (blo, bhi),
+                pools.append(_maxpool(
+                    Win(s_in, ti, (glo - xlo) * (ihi - ilo) * c),
+                    Win(s_out, ti, (plo - blo) * (ohi - olo) * c),
+                    ghi - glo, ihi - ilo, c, ohi - olo, pk, ps,
+                    (ipt, pl, ipb, pr), shift))
+            saves = _save_stage(ctx, s_out, ti, (0, bhi - blo), y, (blo, bhi),
                                 (olo, ohi), (0, c))
-            ti = len(tiles) + len(band_tiles)
             band_tiles.append(Tile([("LOAD", loads), ("MISC", pools),
                                     ("SAVE", saves)], f"w{wi}b{blo}"))
             streams[s_in].window_rows[ti] = xhi - xlo
@@ -824,17 +768,20 @@ def _lower_elt(node, ctx, cfg):
         band_tiles = []
         for blo in range(0, h, band_h):
             bhi = min(h, blo + band_h)
-            loads = (_load_stage(ta, (blo, bhi), (olo, ohi), sa)
-                     + _load_stage(tb, (blo, bhi), (olo, ohi), sb))
+            ti = len(tiles) + len(band_tiles)
+            loads = (_load_stage(ta, (blo, bhi), (olo, ohi), sa, ti)
+                     + _load_stage(tb, (blo, bhi), (olo, ohi), sb, ti))
             elts = []
             for j in range(-(-(bhi - blo) // cfg.h_e)):
                 rlo = blo + j * cfg.h_e
                 rhi = min(bhi, rlo + cfg.h_e)
-                elts.append(TElt(sa, rlo - blo, sb, rlo - blo, so, rlo - blo,
-                                 rhi - rlo, ohi - olo, c, ea, eb, eo))
-            saves = _save_stage(so, (0, bhi - blo), y, (blo, bhi),
+                off = (rlo - blo) * (ohi - olo) * c
+                elts.append(Instruction(
+                    op=MISC, sub="eltwise", src=Win(sa, ti, off),
+                    src2=Win(sb, ti, off), dst=Win(so, ti, off),
+                    rows=rhi - rlo, w=ohi - olo, c=c, ea=ea, eb=eb, eo=eo))
+            saves = _save_stage(ctx, so, ti, (0, bhi - blo), y, (blo, bhi),
                                 (olo, ohi), (0, c))
-            ti = len(tiles) + len(band_tiles)
             band_tiles.append(Tile([("LOAD", loads), ("MISC", elts),
                                     ("SAVE", saves)], f"w{wi}b{blo}"))
             for s in (sa, sb, so):
@@ -866,12 +813,13 @@ def _lower_upsample(node, ctx, cfg):
         bhi = min(h_i, blo + band_in)
         out_lo = blo * f
         out_hi = min(h_o, bhi * f)
-        loads = _load_stage(x, (blo, bhi), (0, w_i), s_in)
-        ups = [TUpsample(s_in, 0, bhi - blo, w_i, c, f, s_up, 0,
-                         out_hi - out_lo)]
-        saves = _save_stage(s_up, (0, out_hi - out_lo), y, (out_lo, out_hi),
-                            (0, w_o), (0, c))
         ti = len(tiles)
+        loads = _load_stage(x, (blo, bhi), (0, w_i), s_in, ti)
+        ups = [Instruction(op=MISC, sub="upsample", src=Win(s_in, ti, 0),
+                           dst=Win(s_up, ti, 0), in_rows=bhi - blo, w=w_i,
+                           c=c, factor=f, out_rows=out_hi - out_lo)]
+        saves = _save_stage(ctx, s_up, ti, (0, out_hi - out_lo), y,
+                            (out_lo, out_hi), (0, w_o), (0, c))
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
                            ("SAVE", saves)], f"b{blo}"))
         streams[s_in].window_rows[ti] = bhi - blo
@@ -888,7 +836,9 @@ def _lower_copy(node, ctx, cfg):
     return _copy_tiles(x, y, ctx, cfg, ch_off=0, node_id=node.id)
 
 
-def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag=""):
+def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag="", tile0=0):
+    """Copy x into channels from ch_off of y; the tiles are numbered from
+    tile0 within their node."""
     h, w, c = x.shape
     if w * c > cfg.gamma:
         raise InfeasibleError("copy rows exceed gamma")
@@ -899,10 +849,11 @@ def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag=""):
     tree = TileTree("h-split", axis="h")
     for blo in range(0, h, band_h):
         bhi = min(h, blo + band_h)
-        loads = _load_stage(x, (blo, bhi), (0, w), s_in)
-        saves = _save_stage(s_in, (0, bhi - blo), y, (blo, bhi), (0, w),
-                            (ch_off, ch_off + c))
-        streams[s_in].window_rows[len(tiles)] = bhi - blo
+        ti = tile0 + len(tiles)
+        loads = _load_stage(x, (blo, bhi), (0, w), s_in, ti)
+        saves = _save_stage(ctx, s_in, ti, (0, bhi - blo), y, (blo, bhi),
+                            (0, w), (ch_off, ch_off + c))
+        streams[s_in].window_rows[ti] = bhi - blo
         tiles.append(Tile([("LOAD", loads), ("SAVE", saves)],
                           f"{stream_tag}b{blo}"))
     _tree_for_tiles(tree, tiles)
@@ -929,11 +880,7 @@ def _lower_concat(node, ctx, cfg):
             ch += x.shape[2]
             continue
         part = _copy_tiles(x, y, ctx, cfg, ch_off=ch, node_id=node.id,
-                           stream_tag=f"p{idx}")
-        base = len(tiles)
-        for st in part.streams.values():
-            st.window_rows = {base + t: r
-                              for t, r in st.window_rows.items()}
+                           stream_tag=f"p{idx}", tile0=len(tiles))
         tiles += part.tiles
         streams.update(part.streams)
         tree.children.append(part.tree)
@@ -976,7 +923,9 @@ def _lower_deconv_series(node, ctx, cfg, plan):
         # a column crop would need strided row reads the conv unit lacks
         raise UnsupportedError("deconv padding too small for the series "
                                "path; phase windows need a column crop")
-    pm_blocks = [(sk.taps.size, 4 * c_o) for sk in subs]
+    # every sub-kernel's taps + bias, packed one after another in PM
+    pm_blocks = [sk.taps.size + 4 * c_o for sk in subs]
+    pm_offs = [sum(pm_blocks[:idx]) for idx in range(len(subs))]
     # phase-row tiling: each tile covers t in [tlo, thi) for every phase,
     # i.e. s * (thi - tlo) interleaved output rows
     n_t = max(sk.out_rows for sk in subs)
@@ -994,6 +943,7 @@ def _lower_deconv_series(node, ctx, cfg, plan):
     tree = TileTree("h-split", axis="h")
     for bi, tlo in enumerate(range(0, n_t, band_t)):
         thi = min(n_t, tlo + band_t)
+        ti = len(tiles)
         # union of the input rows every phase needs for this t-range
         xlo, xhi = h_i, 0
         phase_geo = []
@@ -1012,8 +962,8 @@ def _lower_deconv_series(node, ctx, cfg, plan):
             xlo, xhi = min(xlo, plo), max(xhi, phi)
         loads = []
         if bi == 0:
-            loads.append(TLoadW(0, len(subs)))
-        loads += _load_stage(x, (xlo, xhi), (0, w_i), s_in)
+            loads.append(_weight_load(0, 0, sum(pm_blocks)))
+        loads += _load_stage(x, (xlo, xhi), (0, w_i), s_in, ti)
         convs, shuffles = [], []
         out_lo = tlo * s
         out_hi = min(h_o, thi * s)
@@ -1025,18 +975,24 @@ def _lower_deconv_series(node, ctx, cfg, plan):
             p_eff_l = sk.pad[1] - sk.crop[1]
             _, _, ppl, ppr = receptive_range(0, sk.out_cols, tw, 1, p_eff_l,
                                              w_i)
-            convs.append(TConv(s_in, plo - xlo, phi - plo, w_i, c_i,
-                               phase_streams[idx], 0, sk.out_cols, c_o,
-                               th, tw, 1, 1, ppt, ppl, ppb, ppr, shift,
-                               block=idx))
+            ps = phase_streams[idx]
+            convs.append(_conv(
+                Win(s_in, ti, (plo - xlo) * w_i * c_i), Win(ps, ti, 0),
+                (pm_offs[idx], pm_blocks[idx]), phi - plo, w_i, c_i,
+                sk.out_cols, c_o, (th, tw), (1, 1), (ppt, ppl, ppb, ppr),
+                shift))
+            # interleave phase (ry, rx): its row t lands on output row
+            # s * t + ry, its column j on output column s * j + rx
             ry, rx = sk.phase
-            shuffles.append(TShuffle(
-                phase_streams[idx], 0, thi_p - tlo, sk.out_cols, c_o,
-                sk.out_cols * c_o, s_out, ry + tlo * s - out_lo, s,
-                rx * c_o, s * c_o, w_o * c_o))
-        saves = _save_stage(s_out, (0, out_hi - out_lo), y, (out_lo, out_hi),
-                            (0, w_o), (0, c_o))
-        ti = len(tiles)
+            shuffles.append(Instruction(
+                op=MISC, sub="move", src=Win(ps, ti, 0),
+                dst=Win(s_out, ti, (ry * w_o + rx) * c_o),
+                rows=thi_p - tlo, blocks=sk.out_cols, block_bytes=c_o,
+                src_row_stride=sk.out_cols * c_o,
+                dst_row_stride=s * w_o * c_o, src_blk_stride=c_o,
+                dst_blk_stride=s * c_o))
+        saves = _save_stage(ctx, s_out, ti, (0, out_hi - out_lo), y,
+                            (out_lo, out_hi), (0, w_o), (0, c_o))
         tiles.append(Tile([("LOAD", loads), ("CONV", convs),
                            ("MISC", shuffles), ("SAVE", saves)],
                           f"t{tlo}"))
@@ -1047,7 +1003,7 @@ def _lower_deconv_series(node, ctx, cfg, plan):
                 0 if g is None else g[4] - tlo)
         streams[s_out].window_rows[ti] = out_hi - out_lo
     _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, streams, tree, pm_blocks)
+    ln = LoweredNode(node.id, tiles, streams, tree)
     bias = node.params.bias.astype("<i4").tobytes()
     ln.pm_payloads = [sk.taps.tobytes() + bias for sk in subs]
     ln.notes = {"kind": "deconv-series", "sub_kernels": len(subs),
@@ -1070,7 +1026,7 @@ def _lower_deconv_upsample(node, ctx, cfg):
         raise InfeasibleError("deconv upsample path rows exceed gamma")
 
     weights = node.params.weights
-    pm_blocks = [(weights.size, 4 * c_o)]
+    wgt_bytes = weights.size + 4 * c_o
     band_h = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c))
     s_in, s_up, s_mid = "in0", "up0", "mid0"
     streams = {s_in: StreamInfo(s_in, 0, w_i * c_i),
@@ -1080,20 +1036,22 @@ def _lower_deconv_upsample(node, ctx, cfg):
     tree = TileTree("h-split", axis="h")
     for bi, blo in enumerate(range(0, h_o, band_h)):
         bhi = min(h_o, blo + band_h)
+        ti = len(tiles)
         ulo, uhi, cpt, cpb = receptive_range(blo, bhi, k, 1, p, h_u)
         ulo_al = (ulo // s) * s
         ilo = ulo_al // s
         ihi = (uhi - 1) // s + 1
-        loads = ([TLoadW(0, 1)] if bi == 0 else [])
-        loads += _load_stage(x, (ilo, ihi), (0, w_i), s_in)
-        ups = [TUpsample(s_in, 0, ihi - ilo, w_i, c_i, s, s_up, 0,
-                         uhi - ulo_al)]
-        conv = TConv(s_up, ulo - ulo_al, uhi - ulo, w_u, c_i, s_mid, 0,
-                     w_o, c_o, k, k, 1, 1, cpt, p, cpb,
-                     max(0, (w_o - 1) + k - p - w_u), shift, block=0)
-        saves = _save_stage(s_mid, (0, bhi - blo), y, (blo, bhi), (0, w_o),
-                            (0, c_o))
-        ti = len(tiles)
+        loads = [_weight_load(0, 0, wgt_bytes)] if bi == 0 else []
+        loads += _load_stage(x, (ilo, ihi), (0, w_i), s_in, ti)
+        ups = [Instruction(op=MISC, sub="upsample", src=Win(s_in, ti, 0),
+                           dst=Win(s_up, ti, 0), in_rows=ihi - ilo, w=w_i,
+                           c=c_i, factor=s, out_rows=uhi - ulo_al)]
+        conv = _conv(Win(s_up, ti, (ulo - ulo_al) * w_u * c_i),
+                     Win(s_mid, ti, 0), (0, wgt_bytes), uhi - ulo, w_u, c_i,
+                     w_o, c_o, (k, k), (1, 1),
+                     (cpt, p, cpb, max(0, (w_o - 1) + k - p - w_u)), shift)
+        saves = _save_stage(ctx, s_mid, ti, (0, bhi - blo), y, (blo, bhi),
+                            (0, w_o), (0, c_o))
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
                            ("CONV", [conv]), ("SAVE", saves)],
                           f"b{blo}"))
@@ -1101,7 +1059,7 @@ def _lower_deconv_upsample(node, ctx, cfg):
         streams[s_up].window_rows[ti] = uhi - ulo_al
         streams[s_mid].window_rows[ti] = bhi - blo
     _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, streams, tree, pm_blocks)
+    ln = LoweredNode(node.id, tiles, streams, tree)
     ln.pm_payloads = [weights.tobytes()
                       + node.params.bias.astype("<i4").tobytes()]
     ln.notes = {"kind": "deconv-upsample",

@@ -160,7 +160,7 @@ _ASM_FIELDS = {
 _ADDR_FIELDS = {"src", "src2", "dst"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     op: str
     sub: str
@@ -234,37 +234,31 @@ class Instruction:
 
     # ---- byte footprint (for dependency derivation and hazard checks) ----
 
-    def _ddr_ranges(self, base, exact):
-        rs, bs = self.ddr_row_stride, self.ddr_blk_stride
-        if exact and (self.blocks > 1 or rs != self.blocks * self.block_bytes):
+    def _strided_ranges(self, space, mem, base, row_stride, blk_stride,
+                        exact):
+        """Footprint of rows x blocks blocks of block_bytes from base: one
+        range per block when exact and the blocks are not contiguous,
+        else the covering range."""
+        if exact and (self.blocks > 1
+                      or row_stride != self.blocks * self.block_bytes):
             out = []
             for r in range(self.rows):
                 for b in range(self.blocks):
-                    o = base + r * rs + b * bs
-                    out.append((DDR, 0, o, o + self.block_bytes))
+                    o = base + r * row_stride + b * blk_stride
+                    out.append((space, mem, o, o + self.block_bytes))
             return out
-        end = (base + (self.rows - 1) * rs + (self.blocks - 1) * bs
-               + self.block_bytes)
-        return [(DDR, 0, base, end)]
-
-    def _move_ranges(self, addr, row_stride, blk_stride, exact):
-        if exact and (self.blocks > 1 or row_stride != self.blocks * self.block_bytes):
-            out = []
-            for r in range(self.rows):
-                for b in range(self.blocks):
-                    o = addr.off + r * row_stride + b * blk_stride
-                    out.append((addr.space, addr.mem, o, o + self.block_bytes))
-            return out
-        end = (addr.off + (self.rows - 1) * row_stride
+        end = (base + (self.rows - 1) * row_stride
                + (self.blocks - 1) * blk_stride + self.block_bytes)
-        return [(addr.space, addr.mem, addr.off, end)]
+        return [(space, mem, base, end)]
 
     def reads(self, exact=False):
         """Byte ranges this instruction reads, as (space, mem, lo, hi)."""
         if self.is_noop:
             return []
         if self.op == LOAD:
-            return self._ddr_ranges(self.src.off, exact)
+            return self._strided_ranges(DDR, 0, self.src.off,
+                                        self.ddr_row_stride,
+                                        self.ddr_blk_stride, exact)
         if self.op == SAVE:
             n = self.transfer_bytes()
             return [(FM, self.src.mem, self.src.off, self.src.off + n)]
@@ -280,8 +274,9 @@ class Instruction:
             return [(FM, self.src.mem, self.src.off, self.src.off + n),
                     (FM, self.src2.mem, self.src2.off, self.src2.off + n)]
         if self.sub == "move":
-            return self._move_ranges(self.src, self.src_row_stride,
-                                     self.src_blk_stride, exact)
+            return self._strided_ranges(self.src.space, self.src.mem,
+                                        self.src.off, self.src_row_stride,
+                                        self.src_blk_stride, exact)
         if self.sub == "upsample":
             n = self.in_rows * self.w * self.c
             return [(FM, self.src.mem, self.src.off, self.src.off + n)]
@@ -296,7 +291,9 @@ class Instruction:
             a = self.dst
             return [(a.space, a.mem, a.off, a.off + n)]
         if self.op == SAVE:
-            return self._ddr_ranges(self.dst.off, exact)
+            return self._strided_ranges(DDR, 0, self.dst.off,
+                                        self.ddr_row_stride,
+                                        self.ddr_blk_stride, exact)
         if self.op == CONV:
             n = self.conv_out_rows() * self.out_w * self.c_out
             return [(FM, self.dst.mem, self.dst.off, self.dst.off + n)]
@@ -307,8 +304,9 @@ class Instruction:
             n = self.rows * self.w * self.c
             return [(FM, self.dst.mem, self.dst.off, self.dst.off + n)]
         if self.sub == "move":
-            return self._move_ranges(self.dst, self.dst_row_stride,
-                                     self.dst_blk_stride, exact)
+            return self._strided_ranges(self.dst.space, self.dst.mem,
+                                        self.dst.off, self.dst_row_stride,
+                                        self.dst_blk_stride, exact)
         if self.sub == "upsample":
             n = self.out_rows * ((self.w - 1) * self.factor + 1) * self.c
             return [(FM, self.dst.mem, self.dst.off, self.dst.off + n)]

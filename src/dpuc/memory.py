@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, PortConflictError, UseBeforeDefError
 from .intervals import IntervalMap
+from .lowering import Win
 from .machine import DDR_SEGMENTS, FM
 
 # DDR bytes reserved for the instruction stream
@@ -175,8 +176,9 @@ def check_ports(usage):
 def assign_fm_memories(lowered, cfg):
     """Map each stream of a lowered node to an FM memory by chain
     position, then verify the one-read-one-write port rule over the units
-    that run concurrently once the node is pipelined.  Each template
-    declares its queue and the stream fields it reads and writes."""
+    that run concurrently once the node is pipelined.  An instruction's
+    unit is its op; it reads the windows (`lowering.Win`) named by its src
+    and src2 and writes the one named by its dst."""
     assignment = {}
     for name, st in lowered.streams.items():
         mem = FM_ROLE_BY_CHAIN_POS[st.chain_pos % len(FM_ROLE_BY_CHAIN_POS)]
@@ -188,10 +190,12 @@ def assign_fm_memories(lowered, cfg):
 
     usage = {}
     for tile in lowered.tiles:
-        for queue, group in tile.stages:
-            for t in group:
-                reads, writes = usage.setdefault(t.QUEUE, (set(), set()))
-                reads.update(assignment[getattr(t, f)] for f in t.READS)
-                writes.update(assignment[getattr(t, f)] for f in t.WRITES)
+        for _q, group in tile.stages:
+            for ins in group:
+                reads, writes = usage.setdefault(ins.op, (set(), set()))
+                for a, side in ((ins.src, reads), (ins.src2, reads),
+                                (ins.dst, writes)):
+                    if isinstance(a, Win):
+                        side.add(assignment[a.stream])
     check_ports((u, r, w) for u, (r, w) in sorted(usage.items()))
     return assignment

@@ -1,3 +1,4 @@
+import base64
 import json
 from dataclasses import replace
 
@@ -112,6 +113,30 @@ def test_verify_compile_failure_exit_three(corpus_dir, tmp_path):
     rc = cli.main(["verify", str(corpus_dir / "toy_conv.json"),
                    "-c", str(cfgfile)])
     assert rc == 3
+
+
+def _toy_weights(shape):
+    doc = corpus.toy_conv()
+    doc["nodes"][1]["params"].update(
+        weights=base64.b64encode(bytes(int(np.prod(shape)))).decode(),
+        shape=list(shape))
+    return doc
+
+
+@pytest.mark.parametrize("cmd", ["compile", "verify"])
+@pytest.mark.parametrize("shape", [(8, 5, 5, 4), (4, 3, 3, 8), (8, 9, 4)],
+                         ids=["kernel", "channels", "3d"])
+def test_params_that_do_not_match_the_node_exit_three(tmp_path, capsys, cmd,
+                                                      shape):
+    # these compiled, or failed inside the simulator, before the check
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_toy_weights(shape)))
+    argv = [cmd, str(path)]
+    argv += ["-o", str(tmp_path / "art")] if cmd == "compile" else \
+        ["--seeds", "1"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: node conv: weights"), err
 
 
 def test_run_rejects_missing_fm_memory_exit_three(corpus_dir, tmp_path,

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +10,7 @@ from dpuc import lowering as L
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.errors import CompileError
-from dpuc.machine import CONV, LOAD, MISC, MachineConfig, SAVE, \
+from dpuc.machine import Addr, CONV, LOAD, MISC, MachineConfig, SAVE, \
     emit_assembly, parse_assembly
 
 
@@ -171,11 +170,11 @@ def test_slab_prefetch_issues_behind_activation_loads():
     for tile in lowered.tiles:
         queue, loads = tile.stages[0]
         assert queue == "LOAD"
-        kinds = [type(t).__name__ for t in loads]
-        if "s0" not in tile.label and "TLoadW" in kinds:
+        subs = [t.sub for t in loads]
+        if "s0" not in tile.label and "weight" in subs:
             prefetches += 1
-            assert kinds[-1] == "TLoadW" and kinds.count("TLoadW") == 1
-            assert kinds.count("TLoad") > 0
+            assert subs[-1] == "weight" and subs.count("weight") == 1
+            assert subs.count("act") > 0
     assert prefetches == 1
 
 
@@ -189,8 +188,7 @@ def test_resident_window_live_over_every_reading_tile():
     assert sorted(lowered.streams["in0"].window_rows) == [0]
     readers = [ti for ti, tile in enumerate(lowered.tiles)
                for _q, grp in tile.stages for t in grp
-               if isinstance(t, L.TConv)
-               and (t.in_tile if t.in_tile is not None else ti) == 0]
+               if t.op == CONV and t.src.stream == "in0" and t.src.tile == 0]
     assert readers == [0, 1, 2]
     C._plan_windows(lowered, dict.fromkeys(lowered.streams, 0), cfg)
     allocs = lowered.notes["allocs"]
@@ -304,7 +302,7 @@ def test_lower_node_padded_first_tile_attributes():
     node = g.nodes["big"]
     ctx = L.LowerContext(tensors=g.tensors)
     lowered = L.lower_node(node, ctx, CFG)
-    convs = [l for l in lowered.tree.leaves() if isinstance(l, L.TConv)]
+    convs = [l for l in lowered.tree.leaves() if l.op == CONV]
     # 12 rows at pad 1, tile height 8: the first tile reads a clamped
     # 9-row window with an explicit top pad; the epilogue tile reads 5
     # rows with a bottom pad; an interior window would read 10
@@ -313,10 +311,12 @@ def test_lower_node_padded_first_tile_attributes():
 
 
 @pytest.mark.parametrize("mode", ["series", "upsample"])
-def test_templates_declare_every_stream_role(mode):
-    """Every stream field of a template is declared read or written
-    exactly once, and names a stream of its lowered node: a template that
-    forgot a role would silently drop out of the FM port check."""
+def test_symbolic_addresses_name_planned_windows(mode):
+    """Every window an instruction names is a stream of its lowered node
+    with a planned window for that tile, and every instruction sits in the
+    group of its own queue: an instruction naming a stream the planner
+    never placed would silently drop out of the FM port check.  After
+    compile_graph no address is symbolic."""
     options = CompileOptions(deconv_mode=mode)
     seen = set()
     for name in corpus.corpus_names():
@@ -329,19 +329,24 @@ def test_templates_declare_every_stream_role(mode):
             parts = C._lower_with_ladder(g.nodes[nid],
                                          g.tensors | C._mid_tensors(g),
                                          aliases, CFG, options, [])
-            for _nd, lowered, _mems in parts:
+            for _nd, lowered in parts:
+                allocs = lowered.notes["allocs"]
                 for tile in lowered.tiles:
                     for queue, group in tile.stages:
                         for t in group:
-                            fields = sorted(
-                                f.name for f in dataclasses.fields(t)
-                                if f.name.startswith("stream"))
-                            assert sorted(t.READS + t.WRITES) == fields, t
-                            assert t.QUEUE == queue
-                            for attr in fields:
-                                assert getattr(t, attr) in lowered.streams
-                            seen.add(type(t).__name__)
-    # the corpus exercises every template class
-    want = {"TLoad", "TLoadW", "TConv", "TPool", "TElt", "TSave"}
-    want |= {"TShuffle"} if mode == "series" else {"TUpsample"}
+                            assert t.op == queue
+                            for a in (t.src, t.src2, t.dst):
+                                if isinstance(a, L.Win):
+                                    st = lowered.streams[a.stream]
+                                    assert a.tile in st.window_rows, t
+                                    assert (a.stream, a.tile) in allocs, t
+                            seen.add((t.op, t.sub))
+        art = compile_graph(corpus.corpus_graph(name), CFG, options)
+        for ins in art.program.instructions:
+            for a in (ins.src, ins.src2, ins.dst):
+                assert a is None or isinstance(a, Addr), (name, ins)
+    # the corpus exercises every instruction the lowering emits
+    want = {(LOAD, "act"), (LOAD, "weight"), (CONV, "conv"),
+            (MISC, "maxpool"), (MISC, "eltwise"), (SAVE, "act")}
+    want |= {(MISC, "move")} if mode == "series" else {(MISC, "upsample")}
     assert want <= seen

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -103,6 +104,49 @@ def _maxpool_scalar_kernel():
     return doc
 
 
+def _b64(arr):
+    return base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode()
+
+
+def _set_weights(shape):
+    def mutate(conv, doc):
+        conv["params"].update(weights=_b64(np.ones(shape, np.int8)),
+                              shape=list(shape))
+    return mutate
+
+
+def _first_op(doc_fn, op, mutate):
+    def build():
+        doc = doc_fn()
+        mutate(next(n for n in doc["nodes"] if n["op"] == op))
+        return doc
+    return build
+
+
+def _maxpool_padding_2():
+    # 2x2/s2 pool over 64x12 with padding 2: the output shape is consistent
+    doc = corpus.conv_pool()
+    doc["nodes"][2]["attrs"]["padding"] = [2, 2]
+    doc["tensors"][2]["shape"] = [34, 8, 16]
+    return doc
+
+
+def _negative_padding(conv, doc):
+    # the declared output matches, so only the padding is wrong
+    conv["attrs"]["padding"] = [-1, -1]
+    doc["tensors"][1]["shape"] = [4, 4, 8]
+
+
+def _add_fix_with_step(step):
+    def mutate(conv, doc):
+        doc["tensors"].append({"name": "z", "shape": [8, 8, 8], "quant": q()})
+        doc["nodes"].append({"id": "f", "op": "fix", "inputs": ["y"],
+                             "output": "z",
+                             "attrs": {"lo": -1.0, "hi": 1.0, "step": step}})
+        doc["outputs"] = ["z"]
+    return mutate
+
+
 def _add_fix_without_lo(conv, doc):
     doc["tensors"].append({"name": "z", "shape": [8, 8, 8], "quant": q()})
     doc["nodes"].append({"id": "f", "op": "fix", "inputs": ["y"],
@@ -136,6 +180,38 @@ MALFORMED = {
         lambda n, d: n["attrs"].update(padding=[1, 1, 1])),
     "maxpool_scalar_kernel": _maxpool_scalar_kernel,
     "deconv_scalar_kernel": _deconv_scalar_kernel,
+    # inline parameters that do not match their node (c_out 8, 3x3, c_in 4)
+    "weights_5x5_under_3x3": _conv_doc(_set_weights((8, 5, 5, 4))),
+    "weights_c_out_c_in_swapped": _conv_doc(_set_weights((4, 3, 3, 8))),
+    "weights_3d": _conv_doc(_set_weights((8, 9, 4))),
+    "four_biases_for_c_out_8": _conv_doc(lambda n, d: n["params"].update(
+        bias=_b64(np.ones(4, np.int32)))),
+    "bias_bytes_not_int32": _conv_doc(lambda n, d: n["params"].update(
+        bias=base64.b64encode(bytes(6)).decode())),
+    "eltwise_one_input": _first_op(
+        corpus.resnet_cell, "eltwise-add",
+        lambda n: n.update(inputs=n["inputs"][:1])),
+    "concat_no_inputs": _first_op(corpus.inception_cell, "concat",
+                                  lambda n: n.update(inputs=[])),
+    "deconv_pair_upsample": _first_op(
+        corpus.deconv, "deconv", lambda n: n["attrs"].update(upsample=[2, 2])),
+    "deconv_pair_padding": _first_op(
+        corpus.deconv, "deconv", lambda n: n["attrs"].update(padding=[1, 1])),
+    "tensor_string_dim": _conv_doc(
+        lambda n, d: d["tensors"][0].update(shape=["8", 8, 4])),
+    "attrs_not_an_object": _conv_doc(lambda n, d: n.update(attrs=[1])),
+    "negative_padding": _conv_doc(_negative_padding),
+    "deconv_negative_padding": _first_op(
+        corpus.deconv, "deconv", lambda n: n["attrs"].update(padding=-1)),
+    "deconv_non_square_kernel": _first_op(
+        corpus.deconv, "deconv", lambda n: n["attrs"].update(kernel=[4, 3])),
+    "maxpool_padding_not_below_kernel": _maxpool_padding_2,
+    "node_inputs_not_a_list": _conv_doc(lambda n, d: n.update(inputs=5)),
+    "graph_inputs_not_a_list": _conv_doc(lambda n, d: d.update(inputs=5)),
+    "fix_step_not_a_number": _conv_doc(_add_fix_with_step("abc")),
+    "quant_step_not_power_of_two": _conv_doc(
+        lambda n, d: d["tensors"][1]["quant"].update(step=3.0, lo=-300.0,
+                                                     hi=300.0)),
 }
 
 
@@ -148,6 +224,7 @@ def test_parse_malformed_graph_raises_parse_error(case):
 def test_parse_malformed_graph_bases_are_well_formed():
     # each malformed case is one edit away from a graph that parses
     for doc in (minimal_conv_doc(), corpus.deconv(), corpus.conv_pool(),
+                corpus.resnet_cell(), corpus.inception_cell(),
                 _upsample_doc(2)):
         parse(doc)
 
@@ -212,6 +289,29 @@ def test_fold_rejects_shared_prefix_tensor():
     doc["outputs"].append("t2")
     g = parse(doc)
     with pytest.raises(FoldError):
+        G.fold_constants_and_quantizers(g)
+
+
+def _const(doc, nid, arr):
+    node = next(n for n in doc["nodes"] if n["id"] == nid)
+    node["params"].update(data=_b64(arr), shape=list(arr.shape),
+                          dtype=str(arr.dtype))
+
+
+CONST_MISMATCH = {
+    # vgg_prefix conv1: c_out 16, 3x3, c_in 8, weights n02_w1, bias n04_b1
+    "weights_c_in_5": ("n02_w1", np.ones((16, 3, 3, 5), np.int8)),
+    "weights_3d": ("n02_w1", np.ones((16, 9, 8), np.int8)),
+    "eight_biases": ("n04_b1", np.ones(8, np.int32)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONST_MISMATCH))
+def test_fold_rejects_const_params_that_do_not_match_the_node(case):
+    doc = corpus.vgg_prefix()
+    _const(doc, *CONST_MISMATCH[case])
+    g = parse(doc)
+    with pytest.raises(FoldError, match="n06_conv1"):
         G.fold_constants_and_quantizers(g)
 
 

@@ -17,7 +17,7 @@ from dpuc import graph as G
 from dpuc import lowering as L
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
-from dpuc.machine import LOAD, MachineConfig, SAVE
+from dpuc.machine import CONV, LOAD, MachineConfig, SAVE
 
 
 def b64(a):
@@ -206,18 +206,19 @@ def test_leaf_receptive_field_soundness(k, s, p):
                            MachineConfig())
     covered = np.zeros(oh, np.int32)
     for tile in lowered.tiles:
-        loads = [t for _q, grp in tile.stages for t in grp
-                 if isinstance(t, L.TLoad)]
-        convs = [t for _q, grp in tile.stages for t in grp
-                 if isinstance(t, L.TConv)]
-        saves = [t for _q, grp in tile.stages for t in grp
-                 if isinstance(t, L.TSave)]
+        ins = [t for _q, grp in tile.stages for t in grp]
+        loads = [t for t in ins if (t.op, t.sub) == (LOAD, "act")]
+        convs = [t for t in ins if t.op == CONV]
+        saves = [t for t in ins if t.op == SAVE]
         assert len(convs) == 1
-        out_rows = {sv.out_row0 for sv in saves}
+        # one strip and one slab: rows are whole tensor rows in DDR
+        assert all(t.src.name == "x" for t in loads)
+        assert all(t.dst.name == "y" for t in saves)
+        out_rows = {sv.dst.off // (ow * co) for sv in saves}
         covered[sorted(out_rows)] += 1
         field = touched_rows_oracle(min(out_rows), max(out_rows) + 1,
                                     k, s, p, h)
-        loaded = {ld.row for ld in loads}
+        loaded = {ld.src.off // (w * ci) for ld in loads}
         # full-window tiles may include boundary rows the padded edge
         # outputs never touch, but never rows outside the window bound
         lo, hi, _, _ = L.receptive_range(min(out_rows), max(out_rows) + 1,
@@ -334,6 +335,6 @@ def test_single_band_input_resident_across_slabs(case, pipelined):
         for si, slab in enumerate(slabs):
             leaves = [leaf["leaf"] for tile in slab["children"]
                       for leaf in tile["children"]]
-            assert ("TLoad" in leaves) == (si == 0)
+            assert ("LOAD/act" in leaves) == (si == 0)
     again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
     assert again.assembly == art.assembly
