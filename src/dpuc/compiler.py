@@ -2,16 +2,17 @@
 
 The compiler takes the top-ranked schedule, lays out DDR, then walks nodes in
 order: each node is lowered to tiles of ISA instructions whose addresses
-are still symbolic, its streams get FM memories by chain role, tile
-windows get double-buffered slots from the window planner, and binding
-replaces every symbolic address with a placed one.  Per-node tile streams
-are skewed by the software pipeliner, concatenated, and the typed
-dependencies are derived over the whole program so consecutive nodes
-synchronize through the same DPON/DPBY machinery.  A node that cannot be
-placed retries with reduced tile height, then unfused, then deeper width
-splits; when every step fails the CompileError carries the attempt ledger.
-Lowering, window planning and the DDR layout never read the node order,
-so a node the ladder cannot place fails under every schedule.
+are still symbolic, its streams get FM memories from the data flow of
+those instructions, tile windows get double-buffered slots sized to what
+the instructions' window operands touch, and binding replaces every
+symbolic address with a placed one.  Per-node tile streams are skewed by
+the software pipeliner, concatenated, and the typed dependencies are
+derived over the whole program so consecutive nodes synchronize through
+the same DPON/DPBY machinery.  A node that cannot be placed retries with
+reduced tile height, then unfused, then deeper width splits; when every
+step fails the CompileError carries the attempt ledger.  Lowering, window
+planning and the DDR layout never read the node order, so a node the
+ladder cannot place fails under every schedule.
 """
 
 from dataclasses import dataclass
@@ -139,33 +140,36 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts):
 
 def _plan_windows(lowered, mems, cfg):
     """Give each stream a double-buffered region: two bank-row-aligned
-    slots that consecutive tile windows alternate between.
+    slots that consecutive tile windows alternate between, and store the
+    placements in `lowered.allocs`.
 
-    Writing window i+2 over window i's slot is what creates the
-    buffer-reuse dependency on the reader of window i, so at most two
-    windows of a class are ever live.  A stream with a single window (a
-    conv input resident across weight slabs) gets one slot.  A stream is
-    live from the first to the last tile whose instructions use it, which
-    for a resident window includes every later-slab tile reading it.
-    Streams of one node share a memory by simple bumping; capacity
+    A window is exactly what the instructions touch: the furthest byte any
+    `Win` operand naming it reaches (its offset plus the operand's extent),
+    rounded up to a bank row.  Writing window i+2 over window i's slot is
+    what creates the buffer-reuse dependency on the reader of window i, so
+    at most two windows of a class are ever live.  A stream with a single
+    window (a conv input resident across weight slabs) gets one slot.  A
+    stream is live from the first to the last tile whose instructions use
+    it, which for a resident window includes every later-slab tile reading
+    it.  Streams of one node share a memory by simple bumping; capacity
     overflow sends the node back down the retry ladder."""
     span = {}   # stream -> (first, last) tile whose instructions use it
+    ends = {}   # stream -> {window tile: end of the furthest access}
     for ti, tile in enumerate(lowered.tiles):
         for _q, group in tile.stages:
             for ins in group:
-                for a in (ins.src, ins.src2, ins.dst):
+                for f in ("src", "src2", "dst"):
+                    a = getattr(ins, f)
                     if isinstance(a, LW.Win):
                         span[a.stream] = (span.get(a.stream, (ti,))[0], ti)
+                        win = ends.setdefault(a.stream, {})
+                        win[a.tile] = max(win.get(a.tile, 0),
+                                          a.off + ins.extent(f))
     placed = {m: [] for m in range(cfg.fm_memories)}
-    allocs = {}
-    for sname in sorted(lowered.streams):
-        st = lowered.streams[sname]
+    for sname in sorted(ends):
         mem = mems[sname]
-        sizes = {ti: cfg.round_to_bank_row(rows * st.row_bytes)
-                 for ti, rows in st.window_rows.items()
-                 if rows > 0 and st.row_bytes > 0}
-        if not sizes:
-            continue
+        sizes = {ti: cfg.round_to_bank_row(end)
+                 for ti, end in ends[sname].items()}
         slot = max(sizes.values())
         nslots = 2 if len(sizes) > 1 else 1
         need = nslots * slot
@@ -189,9 +193,8 @@ def _plan_windows(lowered, mems, cfg):
                 f"alongside {len(conflicts)} concurrent streams")
         placed[mem].append((base, base + need, t_lo, t_hi))
         for ti, size in sizes.items():
-            allocs[(sname, ti)] = MM.WindowAlloc(
+            lowered.allocs[(sname, ti)] = MM.WindowAlloc(
                 mem, base + (ti % nslots) * slot, size)
-    lowered.notes["allocs"] = allocs
 
 
 def _compile_schedule(g, schedule, cfg, options):
@@ -235,9 +238,7 @@ def _compile_schedule(g, schedule, cfg, options):
             instructions.append(ins)
             marks.append((nd.id,) + mark)
         window_usage.append((nd, lowered, usage))
-        report_nodes.append({"id": nd.id, **{k: v for k, v in
-                                             lowered.notes.items()
-                                             if k != "allocs"},
+        report_nodes.append({"id": nd.id, **lowered.notes,
                              "tiles": len(lowered.tiles)})
 
     full = PL.PipelinedStream(instructions, marks,
@@ -316,11 +317,8 @@ def _window_records(window_usage, index_of):
     window planner's view, for the memory-map dump)."""
     out = []
     for nd, lowered, usage in window_usage:
-        allocs = lowered.notes["allocs"]
         for key in sorted(usage, key=str):
-            if key not in allocs or not usage[key]:
-                continue
-            al = allocs[key]
+            al = lowered.allocs[key]
             idxs = sorted(index_of[id(o)] for o in usage[key])
             out.append({"key": f"{nd.id}/{key[0]}/{key[1]}",
                         "mem": al.mem, "start": al.start,
@@ -334,7 +332,7 @@ def _alloc_records(prog):
     per written range, live until its last reader.  This is the
     granularity at which the pairwise-disjointness invariant holds."""
     out = []
-    for lr in MM.compute_liveness(prog.instructions, exact=True):
+    for lr in MM.compute_liveness(prog.instructions):
         _space, mem, lo, hi = lr.key
         out.append({"key": f"fm{mem}@{lo}+{hi - lo}:{lr.first}",
                     "mem": mem, "start": lo, "length": hi - lo,
@@ -352,7 +350,7 @@ def _bind(lowered, layout, param_addrs):
     the tensor's DDR address, a PM block by its DDR address in
     param_addrs.  Returns {(stream, tile): [instructions using that
     window]}."""
-    allocs = lowered.notes["allocs"]
+    allocs = lowered.allocs
     usage = {}
     for tile in lowered.tiles:
         for _q, group in tile.stages:

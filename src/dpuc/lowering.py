@@ -9,7 +9,10 @@ one ISA instruction (`machine.Instruction`) with every field final except
 its addresses: src, src2 and dst stay symbolic (`Win`, `TensorAt`,
 `ParamAt`) until window planning and the DDR layout place them, and the
 compiler's binder then replaces them.  Transfer geometry, strides, PM
-offsets and weight sizes are all decided here.
+offsets and weight sizes are all decided here.  Windows are not declared:
+a window is as large as the bytes its `Win` operands touch
+(`compiler._plan_windows`), and its stream's FM memory follows from which
+streams the writing instruction reads (`memory.assign_fm_memories`).
 
 Every tensor lives in DDR between nodes.  Tiles re-read their full input
 window from DDR (the per-tile load stage), so consecutive tiles of a
@@ -415,14 +418,6 @@ def _maxpool(src, dst, in_rows, in_w, c, out_w, kernel, stride, pads, shift):
 
 
 @dataclass
-class StreamInfo:
-    name: str
-    chain_pos: int        # 0 = load destination, 1/2 = compute outputs
-    row_bytes: int
-    window_rows: dict = field(default_factory=dict)  # tile index -> rows
-
-
-@dataclass
 class Tile:
     # ordered (queue, [Instruction]) groups; every tile of a node has the
     # same queue sequence (the pipeliner aligns stages by position), so a
@@ -435,10 +430,11 @@ class Tile:
 class LoweredNode:
     node_id: str
     tiles: list
-    streams: dict
     tree: TileTree
     pm_payloads: list = field(default_factory=list)  # bytes per PM block
     notes: dict = field(default_factory=dict)
+    # (stream, tile) -> memory.WindowAlloc, set by the window planner
+    allocs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -516,7 +512,7 @@ def lower_node(node, ctx, cfg):
     """
     op = node.op
     if op == "input":
-        return LoweredNode(node.id, [], {}, TileTree("tile"))
+        return LoweredNode(node.id, [], TileTree("tile"))
     if op == "conv":
         return _lower_conv(node, ctx, cfg)
     if op == "maxpool":
@@ -584,7 +580,6 @@ def _lower_conv(node, ctx, cfg):
                                   min(ctx.max_h or cfg.h_c, cfg.h_c))
 
     tiles = []
-    streams = {}
     tree = TileTree("w-split", axis="w")
     final_h = y.shape[0]
     nbands = -(-final_h // band_h)
@@ -597,17 +592,12 @@ def _lower_conv(node, ctx, cfg):
         mlo_s, mhi_s = mid_rng[0], mid_rng[1]
         ilo_s, ihi_s = in_rng[0], in_rng[1]
         s_in = f"in{wi}"
-        streams[s_in] = StreamInfo(s_in, 0, (ihi_s - ilo_s) * c_i)
         strip_tree = TileTree("w-strip", axis="w", out_range=(olo, ohi),
                               in_range=(ilo_s, ihi_s))
         for si, slab in enumerate(slabs):
             c_slice = (slab.c_lo, slab.c_hi)
             nch = slab.c_hi - slab.c_lo
-            s_mid = f"mid{wi}s{si}"
-            streams[s_mid] = StreamInfo(s_mid, 1, (mhi_s - mlo_s) * nch)
-            if fused:
-                s_out = f"out{wi}s{si}"
-                streams[s_out] = StreamInfo(s_out, 2, (ohi - olo) * nch)
+            s_mid, s_out = f"mid{wi}s{si}", f"out{wi}s{si}"
             slab_tree = TileTree("slab-split", axis="c_out",
                                  out_range=c_slice)
             band_tiles = []
@@ -633,7 +623,6 @@ def _lower_conv(node, ctx, cfg):
                     src_tile = ti
                     loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in,
                                          ti)
-                    streams[s_in].window_rows[ti] = win
                 # prefetch the next slab one band into this pass, behind
                 # the band's activation loads: the prefetch waits for the
                 # previous slab's conv to free its PM half, and the
@@ -671,15 +660,12 @@ def _lower_conv(node, ctx, cfg):
                                         (mlo, mhi), (mlo_s, mhi_s), c_slice)
                 stages.append(("SAVE", saves))
                 band_tiles.append(Tile(stages, f"w{wi}s{si}b{bi}"))
-                streams[s_mid].window_rows[ti] = mhi - mlo
-                if fused:
-                    streams[s_out].window_rows[ti] = bhi - blo
             tiles += band_tiles
             _tree_for_tiles(slab_tree, band_tiles)
             strip_tree.children.append(slab_tree)
         tree.children.append(strip_tree)
 
-    ln = LoweredNode(node.id, tiles, streams, tree)
+    ln = LoweredNode(node.id, tiles, tree)
     w_all, b_all = node.params.weights, node.params.bias
     ln.pm_payloads = [
         w_all[s.c_lo:s.c_hi].tobytes()
@@ -706,13 +692,11 @@ def _lower_pool(node, ctx, cfg):
     per_tile = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c) // (out_per * ps[0]))
     band_h = per_tile * out_per
 
-    tiles, streams = [], {}
+    tiles = []
     tree = TileTree("w-split", axis="w")
     for wi, chain in enumerate(strips):
         (olo, ohi, _, _), (ilo, ihi, pl, pr) = chain
         s_in, s_out = f"in{wi}", f"mid{wi}"
-        streams[s_in] = StreamInfo(s_in, 0, (ihi - ilo) * c)
-        streams[s_out] = StreamInfo(s_out, 1, (ohi - olo) * c)
         strip_tree = TileTree("w-strip", axis="w", out_range=(olo, ohi),
                               in_range=(ilo, ihi))
         band_tiles = []
@@ -737,12 +721,10 @@ def _lower_pool(node, ctx, cfg):
                                 (olo, ohi), (0, c))
             band_tiles.append(Tile([("LOAD", loads), ("MISC", pools),
                                     ("SAVE", saves)], f"w{wi}b{blo}"))
-            streams[s_in].window_rows[ti] = xhi - xlo
-            streams[s_out].window_rows[ti] = bhi - blo
         tiles += band_tiles
         _tree_for_tiles(strip_tree, band_tiles)
         tree.children.append(strip_tree)
-    ln = LoweredNode(node.id, tiles, streams, tree)
+    ln = LoweredNode(node.id, tiles, tree)
     ln.notes = {"kind": "maxpool", "strips": len(strips), "band_h": band_h}
     return ln
 
@@ -755,14 +737,11 @@ def _lower_elt(node, ctx, cfg):
     strips = _strip_chain(w, c, [(1, 1, 0, w, c)], cfg, ctx.w_min_parts)
     band_h = max(cfg.h_e, min(ctx.max_h or cfg.h_c, cfg.h_c))
 
-    tiles, streams = [], {}
+    tiles = []
     tree = TileTree("w-split", axis="w")
     for wi, chain in enumerate(strips):
         (olo, ohi, _, _), _ = chain
         sa, sb, so = f"ina{wi}", f"inb{wi}", f"mid{wi}"
-        for s in (sa, sb):
-            streams[s] = StreamInfo(s, 0, (ohi - olo) * c)
-        streams[so] = StreamInfo(so, 1, (ohi - olo) * c)
         strip_tree = TileTree("w-strip", axis="w", out_range=(olo, ohi),
                               in_range=(olo, ohi))
         band_tiles = []
@@ -784,12 +763,10 @@ def _lower_elt(node, ctx, cfg):
                                 (olo, ohi), (0, c))
             band_tiles.append(Tile([("LOAD", loads), ("MISC", elts),
                                     ("SAVE", saves)], f"w{wi}b{blo}"))
-            for s in (sa, sb, so):
-                streams[s].window_rows[ti] = bhi - blo
         tiles += band_tiles
         _tree_for_tiles(strip_tree, band_tiles)
         tree.children.append(strip_tree)
-    ln = LoweredNode(node.id, tiles, streams, tree)
+    ln = LoweredNode(node.id, tiles, tree)
     ln.notes = {"kind": "eltwise", "strips": len(strips), "band_h": band_h}
     return ln
 
@@ -806,8 +783,6 @@ def _lower_upsample(node, ctx, cfg):
     band_in = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c) // f)
     tiles = []
     s_in, s_up = "in0", "mid0"
-    streams = {s_in: StreamInfo(s_in, 0, w_i * c),
-               s_up: StreamInfo(s_up, 1, w_o * c)}
     tree = TileTree("h-split", axis="h")
     for blo in range(0, h_i, band_in):
         bhi = min(h_i, blo + band_in)
@@ -822,10 +797,8 @@ def _lower_upsample(node, ctx, cfg):
                             (out_lo, out_hi), (0, w_o), (0, c))
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
                            ("SAVE", saves)], f"b{blo}"))
-        streams[s_in].window_rows[ti] = bhi - blo
-        streams[s_up].window_rows[ti] = out_hi - out_lo
     _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, streams, tree)
+    ln = LoweredNode(node.id, tiles, tree)
     ln.notes = {"kind": "upsample", "band_h": band_in}
     return ln
 
@@ -844,7 +817,6 @@ def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag="", tile0=0):
         raise InfeasibleError("copy rows exceed gamma")
     band_h = min(ctx.max_h or cfg.h_c, cfg.h_c)
     s_in = f"in{stream_tag}0"
-    streams = {s_in: StreamInfo(s_in, 0, w * c)}
     tiles = []
     tree = TileTree("h-split", axis="h")
     for blo in range(0, h, band_h):
@@ -853,11 +825,10 @@ def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag="", tile0=0):
         loads = _load_stage(x, (blo, bhi), (0, w), s_in, ti)
         saves = _save_stage(ctx, s_in, ti, (0, bhi - blo), y, (blo, bhi),
                             (0, w), (ch_off, ch_off + c))
-        streams[s_in].window_rows[ti] = bhi - blo
         tiles.append(Tile([("LOAD", loads), ("SAVE", saves)],
                           f"{stream_tag}b{blo}"))
     _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node_id, tiles, streams, tree)
+    ln = LoweredNode(node_id, tiles, tree)
     ln.notes = {"kind": "copy", "band_h": band_h}
     return ln
 
@@ -870,7 +841,7 @@ def _lower_concat(node, ctx, cfg):
     an alias lower to nothing here.
     """
     y = ctx.tensors[node.output]
-    tiles, streams = [], {}
+    tiles = []
     tree = TileTree("concat", axis="c")
     ch = 0
     copied = 0
@@ -882,11 +853,10 @@ def _lower_concat(node, ctx, cfg):
         part = _copy_tiles(x, y, ctx, cfg, ch_off=ch, node_id=node.id,
                            stream_tag=f"p{idx}", tile0=len(tiles))
         tiles += part.tiles
-        streams.update(part.streams)
         tree.children.append(part.tree)
         ch += x.shape[2]
         copied += 1
-    ln = LoweredNode(node.id, tiles, streams, tree)
+    ln = LoweredNode(node.id, tiles, tree)
     ln.notes = {"kind": "concat", "parts": len(node.inputs),
                 "copied": copied}
     return ln
@@ -930,15 +900,7 @@ def _lower_deconv_series(node, ctx, cfg, plan):
     # i.e. s * (thi - tlo) interleaved output rows
     n_t = max(sk.out_rows for sk in subs)
     band_t = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c))
-    s_in = "in0"
-    s_out = "out0"
-    streams = {s_in: StreamInfo(s_in, 0, w_i * c_i),
-               s_out: StreamInfo(s_out, 2, w_o * c_o)}
-    phase_streams = {}
-    for idx, sk in enumerate(subs):
-        ps = f"ph{idx}"
-        phase_streams[idx] = ps
-        streams[ps] = StreamInfo(ps, 1, sk.out_cols * c_o)
+    s_in, s_out = "in0", "out0"
     tiles = []
     tree = TileTree("h-split", axis="h")
     for bi, tlo in enumerate(range(0, n_t, band_t)):
@@ -975,7 +937,7 @@ def _lower_deconv_series(node, ctx, cfg, plan):
             p_eff_l = sk.pad[1] - sk.crop[1]
             _, _, ppl, ppr = receptive_range(0, sk.out_cols, tw, 1, p_eff_l,
                                              w_i)
-            ps = phase_streams[idx]
+            ps = f"ph{idx}"
             convs.append(_conv(
                 Win(s_in, ti, (plo - xlo) * w_i * c_i), Win(ps, ti, 0),
                 (pm_offs[idx], pm_blocks[idx]), phi - plo, w_i, c_i,
@@ -996,14 +958,8 @@ def _lower_deconv_series(node, ctx, cfg, plan):
         tiles.append(Tile([("LOAD", loads), ("CONV", convs),
                            ("MISC", shuffles), ("SAVE", saves)],
                           f"t{tlo}"))
-        streams[s_in].window_rows[ti] = xhi - xlo
-        for idx, sk in enumerate(subs):
-            g = phase_geo[idx]
-            streams[phase_streams[idx]].window_rows[ti] = (
-                0 if g is None else g[4] - tlo)
-        streams[s_out].window_rows[ti] = out_hi - out_lo
     _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, streams, tree)
+    ln = LoweredNode(node.id, tiles, tree)
     bias = node.params.bias.astype("<i4").tobytes()
     ln.pm_payloads = [sk.taps.tobytes() + bias for sk in subs]
     ln.notes = {"kind": "deconv-series", "sub_kernels": len(subs),
@@ -1029,9 +985,6 @@ def _lower_deconv_upsample(node, ctx, cfg):
     wgt_bytes = weights.size + 4 * c_o
     band_h = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c))
     s_in, s_up, s_mid = "in0", "up0", "mid0"
-    streams = {s_in: StreamInfo(s_in, 0, w_i * c_i),
-               s_up: StreamInfo(s_up, 1, w_u * c_i),
-               s_mid: StreamInfo(s_mid, 2, w_o * c_o)}
     tiles = []
     tree = TileTree("h-split", axis="h")
     for bi, blo in enumerate(range(0, h_o, band_h)):
@@ -1055,11 +1008,8 @@ def _lower_deconv_upsample(node, ctx, cfg):
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
                            ("CONV", [conv]), ("SAVE", saves)],
                           f"b{blo}"))
-        streams[s_in].window_rows[ti] = ihi - ilo
-        streams[s_up].window_rows[ti] = uhi - ulo_al
-        streams[s_mid].window_rows[ti] = bhi - blo
     _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, streams, tree)
+    ln = LoweredNode(node.id, tiles, tree)
     ln.pm_payloads = [weights.tobytes()
                       + node.params.bias.astype("<i4").tobytes()]
     ln.notes = {"kind": "deconv-upsample",

@@ -216,101 +216,98 @@ class Instruction:
         return self.sub == "noop"
 
     def conv_out_rows(self):
+        """Output rows of a windowed op: a conv or a max pool."""
         return (self.in_rows + self.pt + self.pb - self.kh) // self.sh + 1
 
     def conv_macs(self):
         return (self.conv_out_rows() * self.out_w * self.c_out
                 * self.kh * self.kw * self.c_in)
 
-    def misc_out_rows(self):
-        if self.sub == "maxpool":
-            return (self.in_rows + self.pt + self.pb - self.kh) // self.sh + 1
-        if self.sub == "upsample":
-            return self.out_rows
-        return self.rows
-
     def transfer_bytes(self):
         return self.rows * self.blocks * self.block_bytes
 
     # ---- byte footprint (for dependency derivation and hazard checks) ----
 
-    def _strided_ranges(self, space, mem, base, row_stride, blk_stride,
-                        exact):
-        """Footprint of rows x blocks blocks of block_bytes from base: one
-        range per block when exact and the blocks are not contiguous,
-        else the covering range."""
-        if exact and (self.blocks > 1
-                      or row_stride != self.blocks * self.block_bytes):
+    def _strides(self, f):
+        """(row, block) strides of a strided operand, else None: the DDR
+        side of a transfer and both sides of a move are strided."""
+        if (f, self.op) in (("src", LOAD), ("dst", SAVE)):
+            return self.ddr_row_stride, self.ddr_blk_stride
+        if self.sub != "move":
+            return None
+        if f == "src":
+            return self.src_row_stride, self.src_blk_stride
+        return self.dst_row_stride, self.dst_blk_stride
+
+    def extent(self, f):
+        """Bytes operand f ("src", "src2" or "dst") covers from its own
+        address; a strided operand covers the range from its first block
+        to the end of its last."""
+        return self._extent(f, self._strides(f))
+
+    def _extent(self, f, strides):
+        if strides is not None:
+            row, blk = strides
+            return ((self.rows - 1) * row + (self.blocks - 1) * blk
+                    + self.block_bytes)
+        if self.op in (LOAD, SAVE):
+            return self.transfer_bytes()
+        src = f != "dst"
+        if self.op == CONV:
+            return (self.in_rows * self.in_w * self.c_in if src
+                    else self.conv_out_rows() * self.out_w * self.c_out)
+        if self.sub == "maxpool":
+            return (self.in_rows * self.in_w if src
+                    else self.conv_out_rows() * self.out_w) * self.c_in
+        if self.sub == "eltwise":
+            return self.rows * self.w * self.c
+        if self.sub == "upsample":
+            return (self.in_rows * self.w if src else
+                    self.out_rows * ((self.w - 1) * self.factor + 1)) * self.c
+        raise AssertionError(self.sub)
+
+    def _ranges(self, f, exact):
+        """Footprint of operand f as (space, mem, lo, hi) ranges: one per
+        block of a strided operand when exact and its blocks are not
+        contiguous, else the extent.  The DDR side of a transfer is DDR,
+        a LOAD lands in the space its dst names, and a move names both of
+        its spaces; every other operand is FM."""
+        a = getattr(self, f)
+        strides = self._strides(f)
+        if strides is None:
+            space, mem = (a.space if self.op == LOAD else FM), a.mem
+        elif self.sub == "move":
+            space, mem = a.space, a.mem
+        else:
+            space, mem = DDR, 0
+        if exact and strides is not None and (
+                self.blocks > 1 or strides[0] != self.block_bytes):
+            row, blk = strides
             out = []
             for r in range(self.rows):
                 for b in range(self.blocks):
-                    o = base + r * row_stride + b * blk_stride
+                    o = a.off + r * row + b * blk
                     out.append((space, mem, o, o + self.block_bytes))
             return out
-        end = (base + (self.rows - 1) * row_stride
-               + (self.blocks - 1) * blk_stride + self.block_bytes)
-        return [(space, mem, base, end)]
+        return [(space, mem, a.off, a.off + self._extent(f, strides))]
 
     def reads(self, exact=False):
-        """Byte ranges this instruction reads, as (space, mem, lo, hi)."""
+        """Byte ranges this instruction reads, as (space, mem, lo, hi):
+        src, then an eltwise's src2, then a conv's PM weights."""
         if self.is_noop:
             return []
-        if self.op == LOAD:
-            return self._strided_ranges(DDR, 0, self.src.off,
-                                        self.ddr_row_stride,
-                                        self.ddr_blk_stride, exact)
-        if self.op == SAVE:
-            n = self.transfer_bytes()
-            return [(FM, self.src.mem, self.src.off, self.src.off + n)]
-        if self.op == CONV:
-            n = self.in_rows * self.in_w * self.c_in
-            return [(FM, self.src.mem, self.src.off, self.src.off + n),
-                    (PM, 0, self.wgt_off, self.wgt_off + self.wgt_bytes)]
-        if self.sub == "maxpool":
-            n = self.in_rows * self.in_w * self.c_in
-            return [(FM, self.src.mem, self.src.off, self.src.off + n)]
+        out = self._ranges("src", exact)
         if self.sub == "eltwise":
-            n = self.rows * self.w * self.c
-            return [(FM, self.src.mem, self.src.off, self.src.off + n),
-                    (FM, self.src2.mem, self.src2.off, self.src2.off + n)]
-        if self.sub == "move":
-            return self._strided_ranges(self.src.space, self.src.mem,
-                                        self.src.off, self.src_row_stride,
-                                        self.src_blk_stride, exact)
-        if self.sub == "upsample":
-            n = self.in_rows * self.w * self.c
-            return [(FM, self.src.mem, self.src.off, self.src.off + n)]
-        raise AssertionError(self.sub)
+            out += self._ranges("src2", exact)
+        elif self.op == CONV:
+            out.append((PM, 0, self.wgt_off, self.wgt_off + self.wgt_bytes))
+        return out
 
     def writes(self, exact=False):
         """Byte ranges this instruction writes, as (space, mem, lo, hi)."""
         if self.is_noop:
             return []
-        if self.op == LOAD:
-            n = self.transfer_bytes()
-            a = self.dst
-            return [(a.space, a.mem, a.off, a.off + n)]
-        if self.op == SAVE:
-            return self._strided_ranges(DDR, 0, self.dst.off,
-                                        self.ddr_row_stride,
-                                        self.ddr_blk_stride, exact)
-        if self.op == CONV:
-            n = self.conv_out_rows() * self.out_w * self.c_out
-            return [(FM, self.dst.mem, self.dst.off, self.dst.off + n)]
-        if self.sub == "maxpool":
-            n = self.misc_out_rows() * self.out_w * self.c_in
-            return [(FM, self.dst.mem, self.dst.off, self.dst.off + n)]
-        if self.sub == "eltwise":
-            n = self.rows * self.w * self.c
-            return [(FM, self.dst.mem, self.dst.off, self.dst.off + n)]
-        if self.sub == "move":
-            return self._strided_ranges(self.dst.space, self.dst.mem,
-                                        self.dst.off, self.dst_row_stride,
-                                        self.dst_blk_stride, exact)
-        if self.sub == "upsample":
-            n = self.out_rows * ((self.w - 1) * self.factor + 1) * self.c
-            return [(FM, self.dst.mem, self.dst.off, self.dst.off + n)]
-        raise AssertionError(self.sub)
+        return self._ranges("dst", exact)
 
     def color(self):
         """Timeline color class."""
@@ -349,14 +346,8 @@ def instruction_cost(ins, cfg):
         return math.ceil(ins.transfer_bytes() / cfg.ddr_bytes_per_cycle) + oh
     if ins.op == CONV:
         return math.ceil(ins.conv_macs() / cfg.conv_macs_per_cycle) + oh
-    if ins.sub == "maxpool":
-        elems = ins.misc_out_rows() * ins.out_w * ins.c_in
-    elif ins.sub == "eltwise":
-        elems = ins.rows * ins.w * ins.c
-    elif ins.sub == "upsample":
-        elems = ins.out_rows * ((ins.w - 1) * ins.factor + 1) * ins.c
-    else:  # move
-        elems = ins.transfer_bytes()
+    # a move's strided dst covers more bytes than it moves
+    elems = ins.transfer_bytes() if ins.sub == "move" else ins.extent("dst")
     return math.ceil(elems / cfg.misc_elems_per_cycle) + oh
 
 

@@ -7,8 +7,9 @@ alternating slots, so double buffering and its buffer-reuse dependencies
 follow from the stream order.  `compute_liveness` derives, from the final
 program, the first write and last read of every written FM byte range;
 the memory map lists these as live allocations for the hazard checker.
-Streams map to FM memories by chain position under the one-read-port,
-one-write-port rule.
+Each stream's FM memory follows from the data flow of the instructions
+whose `Win` operands name it, under the one-read-port, one-write-port
+rule.
 """
 
 from dataclasses import dataclass
@@ -20,10 +21,6 @@ from .machine import DDR_SEGMENTS, FM
 
 # DDR bytes reserved for the instruction stream
 PROGRAM_SIZE_ESTIMATE = 65536
-
-# default roles: loads land in memory 0, the first compute stage writes
-# memory 1, the second writes memory 2 (one read + one write port each)
-FM_ROLE_BY_CHAIN_POS = (0, 1, 2)
 
 
 @dataclass
@@ -100,18 +97,18 @@ class LiveRange:
             raise ValueError("liveness range inverted")
 
 
-def compute_liveness(instructions, exact=False):
+def compute_liveness(instructions):
     """First-write/last-read index per written FM byte range, byte-precise.
 
     Each FM byte belongs to the piece of the write that last covered it,
     valued (writer, last read).  A write takes over the bytes it covers
     and emits the displaced pieces with the last read seen on exactly
     those bytes; a read moves the last read of the pieces it covers, cut
-    at its ends.  Pieces never read collapse to their write and are
-    flagged dead.  DDR and PM are not tracked: FM is the only space whose
-    allocations the memory map records.  An FM read of bytes nothing has
-    written raises UseBeforeDefError.  Ranges come back in (first, key)
-    order.
+    at its ends.  A strided access counts block by block.  Pieces never
+    read collapse to their write and are flagged dead.  DDR and PM are not
+    tracked: FM is the only space whose allocations the memory map
+    records.  An FM read of bytes nothing has written raises
+    UseBeforeDefError.  Ranges come back in (first, key) order.
     """
     owners = IntervalMap()
     done = []
@@ -124,12 +121,12 @@ def compute_liveness(instructions, exact=False):
         def read(value):
             return value[0], idx
 
-        for space, mem, lo, hi in ins.reads(exact=exact):
+        for space, mem, lo, hi in ins.reads(exact=True):
             if space == FM and not owners.update((FM, mem), lo, hi, read):
                 raise UseBeforeDefError(
                     f"instruction {idx} ({ins.op}/{ins.sub}) reads "
                     f"{(space, mem, lo, hi)} before any write")
-        for space, mem, lo, hi in ins.writes(exact=exact):
+        for space, mem, lo, hi in ins.writes(exact=True):
             if space != FM:
                 continue
             for plo, phi, (first, last) in owners.assign((FM, mem), lo, hi,
@@ -174,28 +171,30 @@ def check_ports(usage):
 
 
 def assign_fm_memories(lowered, cfg):
-    """Map each stream of a lowered node to an FM memory by chain
-    position, then verify the one-read-one-write port rule over the units
-    that run concurrently once the node is pipelined.  An instruction's
-    unit is its op; it reads the windows (`lowering.Win`) named by its src
-    and src2 and writes the one named by its dst."""
+    """Map each stream of a lowered node to an FM memory by data flow,
+    then verify the one-read-one-write port rule over the units that run
+    concurrently once the node is pipelined.  An instruction's unit is its
+    op; it reads the windows (`lowering.Win`) named by its src and src2
+    and writes the one named by its dst.  A stream a LOAD writes lives in
+    fm0; a stream written by an instruction that reads streams S lives in
+    1 + the highest memory of S.  Tiles are walked in stage order, so a
+    stream's memory is known before any instruction reads it."""
     assignment = {}
-    for name, st in lowered.streams.items():
-        mem = FM_ROLE_BY_CHAIN_POS[st.chain_pos % len(FM_ROLE_BY_CHAIN_POS)]
-        if mem >= cfg.fm_memories:
-            raise PortConflictError(
-                f"stream {name} needs memory {mem}, machine has "
-                f"{cfg.fm_memories}")
-        assignment[name] = mem
-
     usage = {}
     for tile in lowered.tiles:
         for _q, group in tile.stages:
             for ins in group:
+                srcs = [assignment[a.stream] for a in (ins.src, ins.src2)
+                        if isinstance(a, Win)]
                 reads, writes = usage.setdefault(ins.op, (set(), set()))
-                for a, side in ((ins.src, reads), (ins.src2, reads),
-                                (ins.dst, writes)):
-                    if isinstance(a, Win):
-                        side.add(assignment[a.stream])
+                reads.update(srcs)
+                if isinstance(ins.dst, Win):
+                    name, mem = ins.dst.stream, 1 + max(srcs, default=-1)
+                    if mem >= cfg.fm_memories:
+                        raise PortConflictError(
+                            f"stream {name} needs memory {mem}, machine "
+                            f"has {cfg.fm_memories}")
+                    assignment[name] = mem
+                    writes.add(mem)
     check_ports((u, r, w) for u, (r, w) in sorted(usage.items()))
     return assignment

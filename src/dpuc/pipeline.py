@@ -14,7 +14,7 @@ gated by the completion of the n-th type-s instruction that carries the
 matching DPBY.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EncodingError
 from .intervals import IntervalMap
@@ -155,8 +155,10 @@ def assign_typed_deps(stream, deps=None):
     earlier instruction of its queue already waits on takes no token:
     in-order execution carries that guarantee forward.  Paired targets
     therefore rise strictly along each channel, so the n-th DPON of a
-    channel meets its n-th DPBY.  Raises EncodingError for a dependency
-    on a later instruction.
+    channel meets its n-th DPBY.  DPON/DPBY are set in place, replacing
+    any earlier encoding, and the returned stream holds the same
+    instruction objects.  Raises EncodingError for a dependency on a
+    later instruction.
     """
     instructions = stream.instructions
     if deps is None:
@@ -178,6 +180,6 @@ def assign_typed_deps(stream, deps=None):
                 enforced[(s, u)] = target
                 dpon[c].add(s)
                 dpby[target].add(u)
-    out = [replace(ins, dpon=frozenset(dpon[i]), dpby=frozenset(dpby[i]))
-           for i, ins in enumerate(instructions)]
-    return PipelinedStream(out, stream.marks, stream.pipelined)
+    for ins, on, by in zip(instructions, dpon, dpby):
+        ins.dpon, ins.dpby = frozenset(on), frozenset(by)
+    return PipelinedStream(instructions, stream.marks, stream.pipelined)

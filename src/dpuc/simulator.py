@@ -175,7 +175,7 @@ def _exec_maxpool(state, ins):
     n = ins.in_rows * ins.in_w * ins.c_in
     x = state.read(FM, ins.src.mem, ins.src.off, n).view(np.int8)
     x = x.reshape(ins.in_rows, ins.in_w, ins.c_in)
-    out_rows = ins.misc_out_rows()
+    out_rows = ins.conv_out_rows()
     pr_eff = max(ins.pr, (ins.out_w - 1) * ins.sw + ins.kw
                  - ins.pl - ins.in_w)
     xp = np.pad(x, ((ins.pt, ins.pb), (ins.pl, max(pr_eff, 0)), (0, 0)),

@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from dpuc import cli
 from dpuc import compiler as C
 from dpuc import corpus
 from dpuc import graph as G
@@ -185,13 +187,16 @@ def test_resident_window_live_over_every_reading_tile():
     cfg = MachineConfig(h_c=12)
     lowered = _lower_big(cfg)
     assert lowered.notes["resident"]
-    assert sorted(lowered.streams["in0"].window_rows) == [0]
+    wins = [a for tile in lowered.tiles for _q, grp in tile.stages
+            for t in grp for a in (t.src, t.src2, t.dst)
+            if isinstance(a, L.Win)]
+    assert {a.tile for a in wins if a.stream == "in0"} == {0}
     readers = [ti for ti, tile in enumerate(lowered.tiles)
                for _q, grp in tile.stages for t in grp
                if t.op == CONV and t.src.stream == "in0" and t.src.tile == 0]
     assert readers == [0, 1, 2]
-    C._plan_windows(lowered, dict.fromkeys(lowered.streams, 0), cfg)
-    allocs = lowered.notes["allocs"]
+    C._plan_windows(lowered, {a.stream: 0 for a in wins}, cfg)
+    allocs = lowered.allocs
     win = allocs[("in0", 0)]
     for (sname, ti), al in allocs.items():
         if sname != "in0" and ti in readers:
@@ -312,36 +317,45 @@ def test_lower_node_padded_first_tile_attributes():
 
 @pytest.mark.parametrize("mode", ["series", "upsample"])
 def test_symbolic_addresses_name_planned_windows(mode):
-    """Every window an instruction names is a stream of its lowered node
-    with a planned window for that tile, and every instruction sits in the
-    group of its own queue: an instruction naming a stream the planner
-    never placed would silently drop out of the FM port check.  After
-    compile_graph no address is symbolic."""
+    """Every window access an instruction makes lies inside the window the
+    planner placed for its (stream, tile), and each window is exactly the
+    furthest byte its accesses reach, rounded up to a bank row: on the
+    default machine and on one with 16-byte bank rows, where the rounding
+    cannot hide a window that is a row short.  Every instruction sits in
+    the group of its own queue, and after compile_graph no address is
+    symbolic."""
     options = CompileOptions(deconv_mode=mode)
+    fine_rows = MachineConfig(fm_row_bytes=16, fm_bank_rows=8192)
     seen = set()
-    for name in corpus.corpus_names():
+    for cfg, name in itertools.product((CFG, fine_rows),
+                                       corpus.corpus_names()):
         g = G.fuse_superlayers(
-            G.fold_constants_and_quantizers(corpus.corpus_graph(name)), CFG)
+            G.fold_constants_and_quantizers(corpus.corpus_graph(name)), cfg)
         aliases = C._concat_aliases(g)
         for nid in G.topological_schedule(g):
             if g.nodes[nid].op == "input":
                 continue
             parts = C._lower_with_ladder(g.nodes[nid],
                                          g.tensors | C._mid_tensors(g),
-                                         aliases, CFG, options, [])
+                                         aliases, cfg, options, [])
             for _nd, lowered in parts:
-                allocs = lowered.notes["allocs"]
+                ends = dict.fromkeys(lowered.allocs, 0)
                 for tile in lowered.tiles:
                     for queue, group in tile.stages:
                         for t in group:
                             assert t.op == queue
-                            for a in (t.src, t.src2, t.dst):
+                            for f in ("src", "src2", "dst"):
+                                a = getattr(t, f)
                                 if isinstance(a, L.Win):
-                                    st = lowered.streams[a.stream]
-                                    assert a.tile in st.window_rows, t
-                                    assert (a.stream, a.tile) in allocs, t
+                                    key = (a.stream, a.tile)
+                                    end = a.off + t.extent(f)
+                                    assert 0 <= a.off, t
+                                    assert end <= lowered.allocs[key].length, t
+                                    ends[key] = max(ends[key], end)
                             seen.add((t.op, t.sub))
-        art = compile_graph(corpus.corpus_graph(name), CFG, options)
+                for key, al in lowered.allocs.items():
+                    assert al.length == cfg.round_to_bank_row(ends[key]), key
+        art = compile_graph(corpus.corpus_graph(name), cfg, options)
         for ins in art.program.instructions:
             for a in (ins.src, ins.src2, ins.dst):
                 assert a is None or isinstance(a, Addr), (name, ins)
@@ -350,3 +364,38 @@ def test_symbolic_addresses_name_planned_windows(mode):
             (MISC, "maxpool"), (MISC, "eltwise"), (SAVE, "act")}
     want |= {(MISC, "move")} if mode == "series" else {(MISC, "upsample")}
     assert want <= seen
+
+
+def test_fm_roles_follow_the_data_flow(tmp_path):
+    """On two FM memories a fused conv+pool needs fm2 for the pool output
+    (load -> fm0, conv -> fm1, pool -> fm2), so the ladder unfuses it and
+    the program still verifies.  A deconv's shuffle output needs fm2 on
+    every step, so the compile fails with the attempt ledger."""
+    cfg = MachineConfig(fm_memories=2)
+    for name in ("conv_pool", "vgg_prefix"):
+        g = corpus.corpus_graph(name)
+        art = compile_graph(g, cfg)
+        attempts = art.report["attempts"]
+        assert any("needs memory 2, machine has 2" in a for a in attempts)
+        assert "retried with {'unfuse': True}" in attempts[-1], attempts
+        folded = G.fold_constants_and_quantizers(g)
+        inputs = rand_inputs(folded, 3)
+        got = S.run_program(art.program, cfg, inputs)
+        ref = S.reference_execute(folded, inputs)
+        for out in ref:
+            assert np.array_equal(got[out], ref[out]), (name, out)
+        trace = S.run_timing(art.program, cfg)
+        assert S.check_hazards(art.program, trace,
+                               allocs=art.memmap["fm_allocs"],
+                               cfg=cfg) == [], name
+        assert {a["mem"] for a in art.memmap["fm_allocs"]} == {0, 1}
+    for mode in ("series", "upsample"):
+        with pytest.raises(CompileError, match="needs memory 2") as err:
+            compile_graph(corpus.corpus_graph("deconv"), cfg,
+                          CompileOptions(deconv_mode=mode))
+        assert err.value.attempts
+    gpath, cpath = tmp_path / "deconv.json", tmp_path / "fm2.json"
+    gpath.write_text(json.dumps(corpus.corpus_doc("deconv")))
+    cfg.to_json(cpath)
+    assert cli.main(["compile", str(gpath), "-c", str(cpath),
+                     "-o", str(tmp_path / "art")]) == 3
