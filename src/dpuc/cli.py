@@ -25,6 +25,7 @@ from .compiler import CompileOptions, compile_graph
 from .corpus import write_corpus
 from .errors import CompileError, DpucError, ParseError
 from .graph import fold_constants_and_quantizers, parse_graph
+from .lowering import tile_tree
 from .machine import MachineConfig, check_bounds, parse_assembly
 from .simulator import Trace, check_hazards, reference_execute, \
     run_program, run_timing
@@ -57,9 +58,6 @@ def save_artifacts(art, cfg, outdir):
     _write(os.path.join(outdir, "report.json"),
            json.dumps(art.report, indent=1, sort_keys=True) + "\n")
     cfg.to_json(os.path.join(outdir, "config.json"))
-    if art.tile_trees is not None:
-        _write(os.path.join(outdir, "tiles.json"),
-               json.dumps(art.tile_trees, indent=1, sort_keys=True) + "\n")
 
 
 def load_artifacts(artdir):
@@ -78,10 +76,13 @@ def cmd_compile(args):
         g = parse_graph(fh.read())
     cfg = load_config(args.config)
     options = CompileOptions(pipeline=not args.no_pipeline,
-                             deconv_mode=args.deconv_mode,
-                             keep_tile_trees=args.dump_tiles)
+                             deconv_mode=args.deconv_mode)
     art = compile_graph(g, cfg, options)
     save_artifacts(art, cfg, args.out)
+    if args.dump_tiles:
+        trees = {nid: tile_tree(tiles) for nid, tiles in art.tiles.items()}
+        _write(os.path.join(args.out, "tiles.json"),
+               json.dumps(trees, indent=1, sort_keys=True) + "\n")
     if args.dump_mem:
         print(json.dumps(art.memmap, indent=1, sort_keys=True))
     print(f"compiled {args.graph}: {art.report['instructions']} "
@@ -214,7 +215,9 @@ def build_parser():
     p.add_argument("-o", "--out", required=True)
     add_common(p)
     p.add_argument("--dump-tiles", action="store_true",
-                   help="also write the tile trees as tiles.json")
+                   help="also write tiles.json: per node, its tiles "
+                        "nested by width strip and weight slab or concat "
+                        "part, each with its output rows and instructions")
     p.add_argument("--dump-mem", action="store_true",
                    help="print the memory map JSON")
     p.set_defaults(func=cmd_compile)

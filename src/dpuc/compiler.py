@@ -34,7 +34,6 @@ SCHEDULE_BUDGET = 4
 class CompileOptions:
     pipeline: bool = True
     deconv_mode: str = "series"
-    keep_tile_trees: bool = False
 
 
 @dataclass
@@ -46,7 +45,8 @@ class CompileArtifacts:
     report: dict
     # per instruction: (node id, region, group, tile, stage)
     marks: list = None
-    tile_trees: dict = None
+    # node id -> its lowering.Tile list, addresses bound
+    tiles: dict = None
 
 
 def compile_graph(g, cfg, options=None):
@@ -117,9 +117,10 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts):
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
                  else [node])
-        ctx = LW.LowerContext(tensors=tensors, aliases=aliases,
+        ctx = LW.LowerContext(tensors=tensors,
+                              h_cap=min(step.get("max_h", cfg.h_c), cfg.h_c),
+                              aliases=aliases,
                               deconv_mode=options.deconv_mode,
-                              max_h=step.get("max_h"),
                               w_min_parts=step.get("w_min_parts", 1))
         try:
             out = []
@@ -282,10 +283,7 @@ def _compile_schedule(g, schedule, cfg, options):
     return CompileArtifacts(
         program=prog, assembly=emit_assembly(prog),
         param_image=bytes(param_image), memmap=memmap, report=report,
-        marks=marks,
-        tile_trees=({nd.id: lw.tree.to_dict()
-                     for nd, lw in lowered_nodes}
-                    if options.keep_tile_trees else None))
+        marks=marks, tiles={nd.id: lw.tiles for nd, lw in lowered_nodes})
 
 
 def _conv_efficiency(prog, marks, trace, cfg):

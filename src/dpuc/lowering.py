@@ -3,8 +3,12 @@
 Split order is fixed: width first (so the gamma row-vector limit holds
 independent of height), then height, then weights.  Width strips are
 back-propagated through the node's chain of windowed stages
-(`_strip_chain`); the conv tile height is the largest preferred height
-whose double-buffered windows fit FM (`conv_tile_height`).  Each leaf is
+(`_strip_chain`); the conv tile height is the largest preferred height,
+at most the retry ladder's cap (`LowerContext.h_cap`), whose
+double-buffered windows fit FM (`conv_tile_height`).  Each `Tile` records
+the output rows of its band, the output and input columns of its width
+strip and the output channels of its weight slab or concat part;
+`tile_tree` nests them for `dpuc compile --dump-tiles`.  Each leaf is
 one ISA instruction (`machine.Instruction`) with every field final except
 its addresses: src, src2 and dst stay symbolic (`Win`, `TensorAt`,
 `ParamAt`) until window planning and the DDR layout place them, and the
@@ -26,6 +30,7 @@ instead of re-loading it once per slab.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -56,36 +61,6 @@ class OpGeometry:
     stride: tuple = (1, 1)
     padding: tuple = (0, 0)
     factor: int = 1  # upsample factor (upsample/deconv)
-
-
-@dataclass
-class TileTree:
-    kind: str            # w-split | h-split | slab-split | tile | leaf
-    axis: str = None
-    out_range: tuple = None  # index range on the parent's output axis
-    in_range: tuple = None   # input rows/cols required, may overlap siblings
-    children: list = field(default_factory=list)
-    leaf: object = None
-
-    def leaves(self):
-        if self.leaf is not None:
-            yield self.leaf
-        for ch in self.children:
-            yield from ch.leaves()
-
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.axis:
-            d["axis"] = self.axis
-        if self.out_range is not None:
-            d["out_range"] = list(self.out_range)
-        if self.in_range is not None:
-            d["in_range"] = list(self.in_range)
-        if self.leaf is not None:
-            d["leaf"] = f"{self.leaf.op}/{self.leaf.sub}"
-        if self.children:
-            d["children"] = [c.to_dict() for c in self.children]
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +157,9 @@ class FusionPlan:
     reason: str = ""
 
 
-def plan_fusion(conv_geom, consumer_geom, cfg, max_h=None):
-    """Choose the largest conv tile height H_c' <= H_c with an integer
-    consumer ratio whose intermediate footprint fits FM.
+def plan_fusion(conv_geom, consumer_geom, cfg, h_cap=None):
+    """Choose the largest conv tile height H_c' <= h_cap (by default H_c)
+    with an integer consumer ratio whose intermediate footprint fits FM.
 
     Consumers whose kernel exceeds their stride would carry rows between
     consumer tiles, forcing reshaped (less efficient) tiles, so fusion is
@@ -203,8 +178,7 @@ def plan_fusion(conv_geom, consumer_geom, cfg, max_h=None):
     carry = t_h - advance
 
     mid_h = conv_geom.out_shape[0]
-    h_cap = min(cfg.h_c, max_h) if max_h else cfg.h_c
-    k_max = min(h_cap, mid_h) // advance
+    k_max = min(h_cap or cfg.h_c, mid_h) // advance
     if k_max < 1:
         return FusionPlan(False, h_p=advance, out_per_instr=out_per, t_h=t_h,
                           carry=max(0, carry),
@@ -409,28 +383,76 @@ def _conv(src, dst, wgt, in_rows, in_w, c_in, out_w, c_out, kernel, stride,
                        pr=pr, shift=shift)
 
 
-def _maxpool(src, dst, in_rows, in_w, c, out_w, kernel, stride, pads, shift):
-    (kh, kw), (sh, sw), (pt, pl, pb, pr) = kernel, stride, pads
-    return Instruction(op=MISC, sub="maxpool", src=src, dst=dst,
-                       in_rows=in_rows, in_w=in_w, c_in=c, out_w=out_w,
-                       kh=kh, kw=kw, sh=sh, sw=sw, pt=pt, pl=pl, pb=pb,
-                       pr=pr, shift=shift)
+def _pool_rows(src, dst, ti, rows, in_lo, in_h, in_w, c, out_w, out_per,
+               pool, pads_lr, shift):
+    """The max-pool stage of tile ti: output rows [lo, hi) of its window
+    on dst, out_per rows per MISC instruction, each reading its receptive
+    rows from the window on src, whose first row is input row in_lo.
+    pool = (kernel, stride, padding); pads_lr = the strip's (left, right)
+    padding."""
+    (kh, kw), (sh, sw), ph = pool[0], pool[1], pool[2][0]
+    lo, hi = rows
+    out = []
+    for plo in range(lo, hi, out_per):
+        phi = min(hi, plo + out_per)
+        glo, ghi, pt, pb = receptive_range(plo, phi, kh, sh, ph, in_h)
+        out.append(Instruction(
+            op=MISC, sub="maxpool", src=Win(src, ti, (glo - in_lo) * in_w * c),
+            dst=Win(dst, ti, (plo - lo) * out_w * c), in_rows=ghi - glo,
+            in_w=in_w, c_in=c, out_w=out_w, kh=kh, kw=kw, sh=sh, sw=sw,
+            pt=pt, pl=pads_lr[0], pb=pb, pr=pads_lr[1], shift=shift))
+    return out
 
 
 @dataclass
 class Tile:
-    # ordered (queue, [Instruction]) groups; every tile of a node has the
-    # same queue sequence (the pipeliner aligns stages by position), so a
-    # stage with nothing to do keeps its place as an empty group
+    """One tile of a node and the part of the output it covers.
+
+    stages: ordered (queue, [Instruction]) groups; every tile of a node
+    has the same queue sequence (the pipeliner aligns stages by
+    position), so a stage with nothing to do keeps its place as an empty
+    group.  rows: the output rows of its height band.  cols, in_cols: the
+    output and input columns of its width strip, and ch: the output
+    channels of its weight slab or concat part; None where the node has
+    no such split.  All ranges are [lo, hi)."""
     stages: list
-    label: str = ""
+    rows: tuple
+    cols: tuple = None
+    in_cols: tuple = None
+    ch: tuple = None
+
+
+# tiles.json nests one level per split, outermost first
+_TREE_LEVELS = (("strip", ("cols", "in_cols")), ("slab", ("ch",)))
+
+
+def tile_tree(tiles):
+    """The tiles.json tree of one node's tiles: a level per split the
+    node has (width strip, then weight slab or concat part), grouping
+    consecutive tiles that share its coordinates; under it one node per
+    tile with its output rows, and one leaf ("op/sub") per instruction."""
+    levels = [(kind, names) for kind, names in _TREE_LEVELS
+              if tiles and getattr(tiles[0], names[0]) is not None]
+
+    def nest(run, levels):
+        if not levels:
+            return [{"kind": "tile", "rows": list(t.rows),
+                     "children": [{"kind": "leaf", "leaf": f"{i.op}/{i.sub}"}
+                                  for _q, group in t.stages for i in group]}
+                    for t in run]
+        (kind, names), rest = levels[0], levels[1:]
+        return [{"kind": kind, **{n: list(v) for n, v in zip(names, key)},
+                 "children": nest(list(part), rest)}
+                for key, part in groupby(
+                    run, lambda t: [getattr(t, n) for n in names])]
+
+    return {"kind": "node", "children": nest(tiles, levels)}
 
 
 @dataclass
 class LoweredNode:
     node_id: str
     tiles: list
-    tree: TileTree
     pm_payloads: list = field(default_factory=list)  # bytes per PM block
     notes: dict = field(default_factory=dict)
     # (stream, tile) -> memory.WindowAlloc, set by the window planner
@@ -441,9 +463,9 @@ class LoweredNode:
 class LowerContext:
     """Everything lower_node needs from the surrounding schedule."""
     tensors: dict                 # name -> TensorRef
+    h_cap: int                    # retry ladder: tile height cap, <= h_c
     aliases: dict = None          # tensor -> (concat target, channel off)
     deconv_mode: str = "series"
-    max_h: int = None             # retry ladder: cap on tile height
     w_min_parts: int = 1          # retry ladder: force deeper width split
 
 
@@ -493,16 +515,6 @@ def _save_stage(ctx, stream, ti, local_rows, tensor, out_rows, cols, ch):
     return out
 
 
-def _tree_for_tiles(root, tiles):
-    for t in tiles:
-        tn = TileTree("tile", axis="h", out_range=None)
-        for _, group in t.stages:
-            for ins in group:
-                tn.children.append(TileTree("leaf", leaf=ins))
-        root.children.append(tn)
-    return root
-
-
 def lower_node(node, ctx, cfg):
     """Recursive tiling of one scheduled node: width, height, then weights.
 
@@ -511,8 +523,6 @@ def lower_node(node, ctx, cfg):
     input ranges and explicit padding attributes.
     """
     op = node.op
-    if op == "input":
-        return LoweredNode(node.id, [], TileTree("tile"))
     if op == "conv":
         return _lower_conv(node, ctx, cfg)
     if op == "maxpool":
@@ -570,17 +580,15 @@ def _lower_conv(node, ctx, cfg):
         pool_shift = _exp(mid) - _exp(y)
         pool_geom = OpGeometry("maxpool", strip_conv.out_shape, y.shape,
                                fused.kernel, fused.stride, fused.padding)
-        plan = plan_fusion(strip_conv, pool_geom, cfg, max_h=ctx.max_h)
+        plan = plan_fusion(strip_conv, pool_geom, cfg, h_cap=ctx.h_cap)
         if not plan.enabled:
             raise InfeasibleError(f"node {node.id}: fusion plan not viable: "
                                   f"{plan.reason}")
         band_h = plan.k * plan.out_per_instr  # final rows per tile
     else:
-        band_h = conv_tile_height(strip_conv, cfg,
-                                  min(ctx.max_h or cfg.h_c, cfg.h_c))
+        band_h = conv_tile_height(strip_conv, cfg, ctx.h_cap)
 
     tiles = []
-    tree = TileTree("w-split", axis="w")
     final_h = y.shape[0]
     nbands = -(-final_h // band_h)
     # one band: the input window of a strip is the same for every slab, so
@@ -592,15 +600,10 @@ def _lower_conv(node, ctx, cfg):
         mlo_s, mhi_s = mid_rng[0], mid_rng[1]
         ilo_s, ihi_s = in_rng[0], in_rng[1]
         s_in = f"in{wi}"
-        strip_tree = TileTree("w-strip", axis="w", out_range=(olo, ohi),
-                              in_range=(ilo_s, ihi_s))
         for si, slab in enumerate(slabs):
             c_slice = (slab.c_lo, slab.c_hi)
             nch = slab.c_hi - slab.c_lo
             s_mid, s_out = f"mid{wi}s{si}", f"out{wi}s{si}"
-            slab_tree = TileTree("slab-split", axis="c_out",
-                                 out_range=c_slice)
-            band_tiles = []
             for bi, blo in enumerate(range(0, final_h, band_h)):
                 bhi = min(final_h, blo + band_h)
                 if fused:
@@ -612,7 +615,7 @@ def _lower_conv(node, ctx, cfg):
                 xlo, xhi, cpt, cpb = receptive_range(mlo, mhi, ck[0], cs[0],
                                                      cp[0], h_i)
                 win = xhi - xlo
-                ti = len(tiles) + len(band_tiles)
+                ti = len(tiles)
                 loads = []
                 if si == 0 and bi == 0 and (wi == 0 or len(slabs) > 2):
                     loads += [_weight_load(b, pm_offs[b], slabs[b].nbytes)
@@ -638,34 +641,21 @@ def _lower_conv(node, ctx, cfg):
                              (cpt, in_rng[2], cpb, in_rng[3]), conv_shift)
                 stages = [("LOAD", loads), ("CONV", [conv])]
                 if fused:
-                    w_mid, w_out = mhi_s - mlo_s, ohi - olo
-                    pools = []
-                    for j in range(-(-(bhi - blo) // plan.out_per_instr)):
-                        plo = blo + j * plan.out_per_instr
-                        phi = min(bhi, plo + plan.out_per_instr)
-                        glo, ghi, ipt, ipb = receptive_range(
-                            plo, phi, fused.kernel[0], fused.stride[0],
-                            fused.padding[0], h_m)
-                        pools.append(_maxpool(
-                            Win(s_mid, ti, (glo - mlo) * w_mid * nch),
-                            Win(s_out, ti, (plo - blo) * w_out * nch),
-                            ghi - glo, w_mid, nch, w_out, fused.kernel,
-                            fused.stride, (ipt, mid_rng[2], ipb, mid_rng[3]),
-                            pool_shift))
-                    stages.append(("MISC", pools))
+                    stages.append(("MISC", _pool_rows(
+                        s_mid, s_out, ti, (blo, bhi), mlo, h_m,
+                        mhi_s - mlo_s, nch, ohi - olo, plan.out_per_instr,
+                        (fused.kernel, fused.stride, fused.padding),
+                        mid_rng[2:], pool_shift)))
                     saves = _save_stage(ctx, s_out, ti, (0, bhi - blo), y,
                                         (blo, bhi), (olo, ohi), c_slice)
                 else:
                     saves = _save_stage(ctx, s_mid, ti, (0, mhi - mlo), y,
                                         (mlo, mhi), (mlo_s, mhi_s), c_slice)
                 stages.append(("SAVE", saves))
-                band_tiles.append(Tile(stages, f"w{wi}s{si}b{bi}"))
-            tiles += band_tiles
-            _tree_for_tiles(slab_tree, band_tiles)
-            strip_tree.children.append(slab_tree)
-        tree.children.append(strip_tree)
+                tiles.append(Tile(stages, (blo, bhi), (olo, ohi),
+                                  (ilo_s, ihi_s), c_slice))
 
-    ln = LoweredNode(node.id, tiles, tree)
+    ln = LoweredNode(node.id, tiles)
     w_all, b_all = node.params.weights, node.params.bias
     ln.pm_payloads = [
         w_all[s.c_lo:s.c_hi].tobytes()
@@ -689,42 +679,27 @@ def _lower_pool(node, ctx, cfg):
     shift = _exp(x) - _exp(y)
     strips = _strip_chain(w_o, c, [(pk[1], ps[1], pp[1], w_i, c)], cfg,
                           ctx.w_min_parts)
-    per_tile = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c) // (out_per * ps[0]))
-    band_h = per_tile * out_per
+    band_h = max(1, ctx.h_cap // (out_per * ps[0])) * out_per
 
     tiles = []
-    tree = TileTree("w-split", axis="w")
     for wi, chain in enumerate(strips):
         (olo, ohi, _, _), (ilo, ihi, pl, pr) = chain
         s_in, s_out = f"in{wi}", f"mid{wi}"
-        strip_tree = TileTree("w-strip", axis="w", out_range=(olo, ohi),
-                              in_range=(ilo, ihi))
-        band_tiles = []
         for blo in range(0, h_o, band_h):
             bhi = min(h_o, blo + band_h)
-            ti = len(tiles) + len(band_tiles)
+            ti = len(tiles)
             xlo, xhi, _, _ = receptive_range(blo, bhi, pk[0], ps[0], pp[0],
                                              h_i)
             loads = _load_stage(x, (xlo, xhi), (ilo, ihi), s_in, ti)
-            pools = []
-            for j in range(-(-(bhi - blo) // out_per)):
-                plo = blo + j * out_per
-                phi = min(bhi, plo + out_per)
-                glo, ghi, ipt, ipb = receptive_range(plo, phi, pk[0], ps[0],
-                                                     pp[0], h_i)
-                pools.append(_maxpool(
-                    Win(s_in, ti, (glo - xlo) * (ihi - ilo) * c),
-                    Win(s_out, ti, (plo - blo) * (ohi - olo) * c),
-                    ghi - glo, ihi - ilo, c, ohi - olo, pk, ps,
-                    (ipt, pl, ipb, pr), shift))
+            pools = _pool_rows(s_in, s_out, ti, (blo, bhi), xlo, h_i,
+                               ihi - ilo, c, ohi - olo, out_per,
+                               (pk, ps, pp), (pl, pr), shift)
             saves = _save_stage(ctx, s_out, ti, (0, bhi - blo), y, (blo, bhi),
                                 (olo, ohi), (0, c))
-            band_tiles.append(Tile([("LOAD", loads), ("MISC", pools),
-                                    ("SAVE", saves)], f"w{wi}b{blo}"))
-        tiles += band_tiles
-        _tree_for_tiles(strip_tree, band_tiles)
-        tree.children.append(strip_tree)
-    ln = LoweredNode(node.id, tiles, tree)
+            tiles.append(Tile([("LOAD", loads), ("MISC", pools),
+                               ("SAVE", saves)], (blo, bhi), (olo, ohi),
+                              (ilo, ihi)))
+    ln = LoweredNode(node.id, tiles)
     ln.notes = {"kind": "maxpool", "strips": len(strips), "band_h": band_h}
     return ln
 
@@ -735,19 +710,15 @@ def _lower_elt(node, ctx, cfg):
     h, w, c = y.shape
     ea, eb, eo = quant.eltwise_exponents(_exp(ta), _exp(tb), _exp(y))
     strips = _strip_chain(w, c, [(1, 1, 0, w, c)], cfg, ctx.w_min_parts)
-    band_h = max(cfg.h_e, min(ctx.max_h or cfg.h_c, cfg.h_c))
+    band_h = max(cfg.h_e, ctx.h_cap)
 
     tiles = []
-    tree = TileTree("w-split", axis="w")
     for wi, chain in enumerate(strips):
         (olo, ohi, _, _), _ = chain
         sa, sb, so = f"ina{wi}", f"inb{wi}", f"mid{wi}"
-        strip_tree = TileTree("w-strip", axis="w", out_range=(olo, ohi),
-                              in_range=(olo, ohi))
-        band_tiles = []
         for blo in range(0, h, band_h):
             bhi = min(h, blo + band_h)
-            ti = len(tiles) + len(band_tiles)
+            ti = len(tiles)
             loads = (_load_stage(ta, (blo, bhi), (olo, ohi), sa, ti)
                      + _load_stage(tb, (blo, bhi), (olo, ohi), sb, ti))
             elts = []
@@ -761,12 +732,10 @@ def _lower_elt(node, ctx, cfg):
                     rows=rhi - rlo, w=ohi - olo, c=c, ea=ea, eb=eb, eo=eo))
             saves = _save_stage(ctx, so, ti, (0, bhi - blo), y, (blo, bhi),
                                 (olo, ohi), (0, c))
-            band_tiles.append(Tile([("LOAD", loads), ("MISC", elts),
-                                    ("SAVE", saves)], f"w{wi}b{blo}"))
-        tiles += band_tiles
-        _tree_for_tiles(strip_tree, band_tiles)
-        tree.children.append(strip_tree)
-    ln = LoweredNode(node.id, tiles, tree)
+            tiles.append(Tile([("LOAD", loads), ("MISC", elts),
+                               ("SAVE", saves)], (blo, bhi), (olo, ohi),
+                              (olo, ohi)))
+    ln = LoweredNode(node.id, tiles)
     ln.notes = {"kind": "eltwise", "strips": len(strips), "band_h": band_h}
     return ln
 
@@ -780,10 +749,9 @@ def _lower_upsample(node, ctx, cfg):
     if w_i * c > cfg.gamma or w_o * c > cfg.gamma:
         raise InfeasibleError("upsample rows exceed gamma; width splitting "
                               "of zero-inserted rows is not supported")
-    band_in = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c) // f)
+    band_in = max(1, ctx.h_cap // f)
     tiles = []
     s_in, s_up = "in0", "mid0"
-    tree = TileTree("h-split", axis="h")
     for blo in range(0, h_i, band_in):
         bhi = min(h_i, blo + band_in)
         out_lo = blo * f
@@ -796,9 +764,8 @@ def _lower_upsample(node, ctx, cfg):
         saves = _save_stage(ctx, s_up, ti, (0, out_hi - out_lo), y,
                             (out_lo, out_hi), (0, w_o), (0, c))
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
-                           ("SAVE", saves)], f"b{blo}"))
-    _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, tree)
+                           ("SAVE", saves)], (out_lo, out_hi)))
+    ln = LoweredNode(node.id, tiles)
     ln.notes = {"kind": "upsample", "band_h": band_in}
     return ln
 
@@ -806,31 +773,29 @@ def _lower_upsample(node, ctx, cfg):
 def _lower_copy(node, ctx, cfg):
     x = ctx.tensors[node.inputs[0]]
     y = ctx.tensors[node.output]
-    return _copy_tiles(x, y, ctx, cfg, ch_off=0, node_id=node.id)
+    return LoweredNode(node.id, _copy_tiles(x, y, ctx, cfg),
+                       notes={"kind": "copy", "band_h": ctx.h_cap})
 
 
-def _copy_tiles(x, y, ctx, cfg, ch_off, node_id, stream_tag="", tile0=0):
-    """Copy x into channels from ch_off of y; the tiles are numbered from
-    tile0 within their node."""
+def _copy_tiles(x, y, ctx, cfg, part=None, tag="", tile0=0):
+    """Tiles copying x into y, or into channels `part` of y for a concat
+    input, one width strip at a time; they are numbered from tile0
+    within their node."""
     h, w, c = x.shape
-    if w * c > cfg.gamma:
-        raise InfeasibleError("copy rows exceed gamma")
-    band_h = min(ctx.max_h or cfg.h_c, cfg.h_c)
-    s_in = f"in{stream_tag}0"
+    ch = part or (0, c)
+    strips = _strip_chain(w, c, [(1, 1, 0, w, c)], cfg, ctx.w_min_parts)
     tiles = []
-    tree = TileTree("h-split", axis="h")
-    for blo in range(0, h, band_h):
-        bhi = min(h, blo + band_h)
-        ti = tile0 + len(tiles)
-        loads = _load_stage(x, (blo, bhi), (0, w), s_in, ti)
-        saves = _save_stage(ctx, s_in, ti, (0, bhi - blo), y, (blo, bhi),
-                            (0, w), (ch_off, ch_off + c))
-        tiles.append(Tile([("LOAD", loads), ("SAVE", saves)],
-                          f"{stream_tag}b{blo}"))
-    _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node_id, tiles, tree)
-    ln.notes = {"kind": "copy", "band_h": band_h}
-    return ln
+    for wi, ((lo, hi, _, _), _) in enumerate(strips):
+        s_in = f"in{tag}{wi}"
+        for blo in range(0, h, ctx.h_cap):
+            bhi = min(h, blo + ctx.h_cap)
+            ti = tile0 + len(tiles)
+            loads = _load_stage(x, (blo, bhi), (lo, hi), s_in, ti)
+            saves = _save_stage(ctx, s_in, ti, (0, bhi - blo), y, (blo, bhi),
+                                (lo, hi), ch)
+            tiles.append(Tile([("LOAD", loads), ("SAVE", saves)], (blo, bhi),
+                              (lo, hi), (lo, hi), part))
+    return tiles
 
 
 def _lower_concat(node, ctx, cfg):
@@ -842,24 +807,18 @@ def _lower_concat(node, ctx, cfg):
     """
     y = ctx.tensors[node.output]
     tiles = []
-    tree = TileTree("concat", axis="c")
     ch = 0
     copied = 0
     for idx, name in enumerate(node.inputs):
-        x = ctx.tensors[name]
-        if name in (ctx.aliases or {}):
-            ch += x.shape[2]
-            continue
-        part = _copy_tiles(x, y, ctx, cfg, ch_off=ch, node_id=node.id,
-                           stream_tag=f"p{idx}", tile0=len(tiles))
-        tiles += part.tiles
-        tree.children.append(part.tree)
-        ch += x.shape[2]
-        copied += 1
-    ln = LoweredNode(node.id, tiles, tree)
-    ln.notes = {"kind": "concat", "parts": len(node.inputs),
-                "copied": copied}
-    return ln
+        c = ctx.tensors[name].shape[2]
+        if name not in (ctx.aliases or {}):
+            tiles += _copy_tiles(ctx.tensors[name], y, ctx, cfg,
+                                 (ch, ch + c), f"p{idx}", len(tiles))
+            copied += 1
+        ch += c
+    return LoweredNode(node.id, tiles,
+                       notes={"kind": "concat", "parts": len(node.inputs),
+                              "copied": copied})
 
 
 def _lower_deconv(node, ctx, cfg):
@@ -899,12 +858,10 @@ def _lower_deconv_series(node, ctx, cfg, plan):
     # phase-row tiling: each tile covers t in [tlo, thi) for every phase,
     # i.e. s * (thi - tlo) interleaved output rows
     n_t = max(sk.out_rows for sk in subs)
-    band_t = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c))
     s_in, s_out = "in0", "out0"
     tiles = []
-    tree = TileTree("h-split", axis="h")
-    for bi, tlo in enumerate(range(0, n_t, band_t)):
-        thi = min(n_t, tlo + band_t)
+    for bi, tlo in enumerate(range(0, n_t, ctx.h_cap)):
+        thi = min(n_t, tlo + ctx.h_cap)
         ti = len(tiles)
         # union of the input rows every phase needs for this t-range
         xlo, xhi = h_i, 0
@@ -957,9 +914,8 @@ def _lower_deconv_series(node, ctx, cfg, plan):
                             (out_lo, out_hi), (0, w_o), (0, c_o))
         tiles.append(Tile([("LOAD", loads), ("CONV", convs),
                            ("MISC", shuffles), ("SAVE", saves)],
-                          f"t{tlo}"))
-    _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, tree)
+                          (out_lo, out_hi)))
+    ln = LoweredNode(node.id, tiles)
     bias = node.params.bias.astype("<i4").tobytes()
     ln.pm_payloads = [sk.taps.tobytes() + bias for sk in subs]
     ln.notes = {"kind": "deconv-series", "sub_kernels": len(subs),
@@ -983,12 +939,10 @@ def _lower_deconv_upsample(node, ctx, cfg):
 
     weights = node.params.weights
     wgt_bytes = weights.size + 4 * c_o
-    band_h = max(1, min(ctx.max_h or cfg.h_c, cfg.h_c))
     s_in, s_up, s_mid = "in0", "up0", "mid0"
     tiles = []
-    tree = TileTree("h-split", axis="h")
-    for bi, blo in enumerate(range(0, h_o, band_h)):
-        bhi = min(h_o, blo + band_h)
+    for bi, blo in enumerate(range(0, h_o, ctx.h_cap)):
+        bhi = min(h_o, blo + ctx.h_cap)
         ti = len(tiles)
         ulo, uhi, cpt, cpb = receptive_range(blo, bhi, k, 1, p, h_u)
         ulo_al = (ulo // s) * s
@@ -1006,10 +960,8 @@ def _lower_deconv_upsample(node, ctx, cfg):
         saves = _save_stage(ctx, s_mid, ti, (0, bhi - blo), y, (blo, bhi),
                             (0, w_o), (0, c_o))
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
-                           ("CONV", [conv]), ("SAVE", saves)],
-                          f"b{blo}"))
-    _tree_for_tiles(tree, tiles)
-    ln = LoweredNode(node.id, tiles, tree)
+                           ("CONV", [conv]), ("SAVE", saves)], (blo, bhi)))
+    ln = LoweredNode(node.id, tiles)
     ln.pm_payloads = [weights.tobytes()
                       + node.params.bias.astype("<i4").tobytes()]
     ln.notes = {"kind": "deconv-upsample",

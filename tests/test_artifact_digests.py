@@ -26,13 +26,26 @@ tighter windows and weight slabs there.  Those digests were computed on
 the tree before window sizes and FM memories were derived from the
 instructions' window operands.  Only `weight_tiled` differs from its
 default-config digests, as the other graphs fit either machine alike.
+
+`FINE_DIGESTS` pins every corpus graph, and the test-local graphs below,
+on `FINE`: the same 1 MiB of FM cut into 16-byte bank rows, so every
+window is its exact byte size rounded to 16 bytes instead of a 2 KB row.
+`LOCAL_DIGESTS` pins three graphs that reach the identity copy, the 2x
+upsample and concat's copy fallback, which no corpus graph lowers; they
+stay out of `corpus.py` because the benchmark iterates its names.  Both
+tables were computed on the tree before tiles carried their coordinates.
 """
 
+import base64
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from dpuc import cli, corpus
+from dpuc import graph as G
+from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.machine import MachineConfig
 
@@ -131,17 +144,168 @@ SMALL_DIGESTS = {
 }
 
 
+def _q(exp):
+    step = 2.0 ** exp
+    return {"lo": -128 * step, "hi": 127 * step, "step": step}
+
+
+def _b64(arr):
+    return base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode()
+
+
+def identity_doc(h=20, w=12, c=8):
+    return {
+        "tensors": [{"name": "x", "shape": [h, w, c], "quant": _q(-2)},
+                    {"name": "y", "shape": [h, w, c], "quant": _q(-2)}],
+        "nodes": [{"id": "in", "op": "input", "inputs": [], "output": "x"},
+                  {"id": "copy", "op": "identity", "inputs": ["x"],
+                   "output": "y"}],
+        "inputs": ["x"], "outputs": ["y"],
+    }
+
+
+def upsample_doc():
+    """2x zero-insertion upsample: (h - 1) * 2 + 1 output rows."""
+    return {
+        "tensors": [{"name": "x", "shape": [10, 8, 8], "quant": _q(-2)},
+                    {"name": "y", "shape": [19, 15, 8], "quant": _q(-2)}],
+        "nodes": [{"id": "in", "op": "input", "inputs": [], "output": "x"},
+                  {"id": "up", "op": "upsample", "inputs": ["x"],
+                   "output": "y", "attrs": {"factor": 2}}],
+        "inputs": ["x"], "outputs": ["y"],
+    }
+
+
+def concat_copy_doc(h=12, w=8, c=8):
+    """concat(x, b): x is a graph input that the conv reads too and b is
+    a graph output, so neither can be aliased into the concatenation and
+    the concat copies both parts."""
+    rng = np.random.default_rng(55)
+    wgt = rng.integers(-24, 24, (c, 1, 1, c)).astype(np.int8)
+    bias = rng.integers(-1000, 1000, c).astype(np.int32)
+    return {
+        "tensors": [{"name": "x", "shape": [h, w, c], "quant": _q(-2)},
+                    {"name": "b", "shape": [h, w, c], "quant": _q(-2)},
+                    {"name": "y", "shape": [h, w, 2 * c], "quant": _q(-2)}],
+        "nodes": [
+            {"id": "in", "op": "input", "inputs": [], "output": "x"},
+            {"id": "branch", "op": "conv", "inputs": ["x"], "output": "b",
+             "attrs": {"kernel": [1, 1], "c_out": c},
+             "params": {"weights": _b64(wgt), "bias": _b64(bias),
+                        "shape": [c, 1, 1, c], "quant": _q(-6)}},
+            {"id": "join", "op": "concat", "inputs": ["x", "b"],
+             "output": "y"}],
+        "inputs": ["x"], "outputs": ["b", "y"],
+    }
+
+
+# graphs that reach the copy and upsample lowerings, kept out of the
+# shipped corpus (the benchmark iterates `corpus.corpus_names()`)
+LOCAL = {"identity": identity_doc, "upsample": upsample_doc,
+         "concat_copy": concat_copy_doc}
+
+LOCAL_DIGESTS = {
+    ("concat_copy", "series"): (
+        "431ef2c7ec13d9db0f2f60ec4469a1a0b623701a260c7bdf24e7c2f76d9cde67",
+        "6ef8c6ab44c451616358382358e2f44706d50625dbc221accdf67385b3fbdf24",
+        "58c7ac3940db0522dcf11fa4be5eb4f740e28e6ac47152e6277a0ae9631049f1",
+        "ed2080b37305bc32733657915b6439d02ddb1ac53e72077189bd0d9393f54ff2"),
+    ("identity", "series"): (
+        "51504598ea0dfcd0f49254e7afe9418b2f59bb7b565960b046b04d779364589b",
+        "6358f5452a2eb1b654fc558f0f28e4c294a288a2e0d08ea768dab5184a73485d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "618ef87085f230754dd72fa0e2bc7afa672c364d2faccb97a30994d34cc5a700"),
+    ("upsample", "series"): (
+        "0e27accfbc445f353e7d22988503caf310c110b95d9a5231bc9035871a79b127",
+        "795948359756c90df1cf3aafaaa2cdbcf56e8614f0ea384c8395c02fa04c0065",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "95caf4e461a72f53e3902ba9747f3aee366317505de85ddd1e4d8add7f637057"),
+}
+
+FINE = MachineConfig(fm_row_bytes=16, fm_bank_rows=8192)
+
+FINE_DIGESTS = {
+    ("concat_copy", "series"): (
+        "a484c1f34cfe9afe4d489c1a7d1f4ba405dad11db568048c7f5d78b9b3563daf",
+        "3f97e5bd29db5cae38c9923090126287c3a0357ae63af899a3fbe0c3ee02cc0e",
+        "58c7ac3940db0522dcf11fa4be5eb4f740e28e6ac47152e6277a0ae9631049f1",
+        "ed2080b37305bc32733657915b6439d02ddb1ac53e72077189bd0d9393f54ff2"),
+    ("conv_pool", "series"): (
+        "72fb1f45be5bfc84318ab5718964d24cccc2e1e4d93854ff5166183741b1604e",
+        "7fee539b5d61c5c2aa3c818073e0a59fee94d69a5b4b911d52c5630ccdc1a776",
+        "3ea9f50323cd004968c6509170af12053c2d10eeb847d2bb57fbb90816d38fc1",
+        "009b58180dc92515f098539836203ad33ced8e8c999b60f66957a204c8f7260b"),
+    ("deconv", "series"): (
+        "10d72443e2041bebae70b014ce29e68534c11ade1ae0751cbeced698355a63a9",
+        "4cd957adaf8063617771fd1a07672035a3e81ad90ac3a2e5c37a7b871fd32003",
+        "15450a48f1cf9e43743b65d7285c98057bfd01b727e862b4ceb5d57509ae7bd1",
+        "39390d73105ea12c0e32607648da15179f20266c291dd30b31cf1a9a9d19732b"),
+    ("deconv", "upsample"): (
+        "b0c8382f093ace943f5e825b92bdd512f4dbee5aa75104cbf7d4a65f8fcc265d",
+        "6e43502ab9cf4036a131d7b6ae30841d8efd29045a1c7fb2d35b6a7aafc2e7c4",
+        "a8f7b15c3dca52d76ea09aa58b6bcbfde395b9dd575ca3baf7217a456069c53d",
+        "aad67de88c2074e3ac05ac381f82b0059a3d0bc8aa6c546a700c169521de0516"),
+    ("identity", "series"): (
+        "6d8108802ec36e0180b337d9199e21fe53a1fd503c2acee984ef1ca942a79424",
+        "274f23fa0455de5bd574dbec0a8d3892c9f1e36a1b2aefc0b278fbd83a57f34f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "618ef87085f230754dd72fa0e2bc7afa672c364d2faccb97a30994d34cc5a700"),
+    ("inception_cell", "series"): (
+        "8f365c4b5ada09ae979fe116c0f9fc5094458e60821bd804c48591631c329144",
+        "fdfcbd2bf648bd1c43641f998e53fd7dc5ac1b2bd9da1d615edd82be0c992bbd",
+        "6cc1da936af82e7859716936a7e2f348779c5a0ea7af3bcfa1264f899b679c1c",
+        "7a596c10a8abf4fd66f1c12c39d4426a99592224057f5c910f4905bbe3046f78"),
+    ("resnet_cell", "series"): (
+        "743a4a0d797b6225aa916481d5ee13579c7548c99b87176a3219d6e67b999664",
+        "33621d274dfadeb90e2e40a991a310d36847c97df3cfd4418721d811c09fbc4b",
+        "8b2f67c3efeebe6a2df9265c1ae6d7464a0840c2782ec3663475525706aae4de",
+        "78e274d5a2bded66bb03df14eb710998ab6638526ef0dac65d3cf5bf3bb3aa4f"),
+    ("toy_conv", "series"): (
+        "159b47e9907c1263e2090d14925e88b44fdce46392588697e7fb39eb409f30fc",
+        "3347e3f518d966dcba831fd6198ca77688335f7565290bdcdb97e958e9e23894",
+        "cca903d92edfa1958cf5d1d4835316b58e8783611bbc8e07c2968732b1e40cac",
+        "013f1c7e2ec75dce4cef224e261c5db7bba11d40bcda01244f080d9f57165b7f"),
+    ("upsample", "series"): (
+        "8b04c70b229b237626e048017ece5fae2ba5d06df6c7af7825d261ebff5fa5b0",
+        "e9c69f4ae970e46fc593349f2cd148c38b68d5441e9e7bd04180dabcf9570f42",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "95caf4e461a72f53e3902ba9747f3aee366317505de85ddd1e4d8add7f637057"),
+    ("vgg_prefix", "series"): (
+        "b435c698f145bae0dfc9681100ca3779527b527f8ff3c51798dc82fceef6e85f",
+        "ac5dd071499862d93b46b31a48abbbf010c1359e9e99efa686b2199fab65950f",
+        "ab9251f7975f50d630cbba4ac462ae30b483429218d10ea21b912831a77f2608",
+        "b191ff76655b208e893bb410565733db8736e6f881f8a10c924361c023a5ed18"),
+    ("weight_tiled", "series"): (
+        "46f9ba4fbbdbee4130e4a1408d58298ea8dd96c84f7b9645c57e010d0b3b3b51",
+        "b63c49612347ff532880f39200988f9fb2645636042ffa31a183b8018f52272e",
+        "a3af02383fdf576ad1ff92bd2bf307ff7d13c761012c6046fdbc44d3a94e8563",
+        "8322bed82523b37526540979ecf97db8a2a673acf0fc1c1270cb5e9d638e42e2"),
+}
+
+
+def _graph(name):
+    if name in LOCAL:
+        return G.parse_graph(json.dumps(LOCAL[name]()))
+    return corpus.corpus_graph(name)
+
+
 def test_every_corpus_graph_is_pinned():
-    for pinned in (DIGESTS, SMALL_DIGESTS):
-        assert {name for name, _mode in pinned} == set(corpus.corpus_names())
+    for pinned in (DIGESTS, SMALL_DIGESTS, FINE_DIGESTS):
+        names = {name for name, _mode in pinned} - set(LOCAL)
+        assert names == set(corpus.corpus_names())
+    assert {name for name, _mode in LOCAL_DIGESTS} == set(LOCAL)
+    assert {name for name, _mode in FINE_DIGESTS} >= set(LOCAL)
+
+
+def digests(cfg, name, mode, outdir):
+    art = compile_graph(_graph(name), cfg, CompileOptions(deconv_mode=mode))
+    cli.save_artifacts(art, cfg, outdir)
+    return tuple(hashlib.sha256((outdir / f).read_bytes()).hexdigest()
+                 for f in FILES)
 
 
 def _check(cfg, name, mode, want, tmp_path):
-    art = compile_graph(corpus.corpus_graph(name), cfg,
-                        CompileOptions(deconv_mode=mode))
-    cli.save_artifacts(art, cfg, tmp_path)
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                for f in FILES)
+    got = digests(cfg, name, mode, tmp_path)
     assert dict(zip(FILES, got)) == dict(zip(FILES, want))
 
 
@@ -153,3 +317,54 @@ def test_artifact_digests(name, mode, tmp_path):
 @pytest.mark.parametrize("name,mode", sorted(SMALL_DIGESTS))
 def test_artifact_digests_small_fm_pm(name, mode, tmp_path):
     _check(SMALL, name, mode, SMALL_DIGESTS[(name, mode)], tmp_path)
+
+
+@pytest.mark.parametrize("name,mode", sorted(LOCAL_DIGESTS))
+def test_artifact_digests_copy_and_upsample(name, mode, tmp_path):
+    _check(MachineConfig(), name, mode, LOCAL_DIGESTS[(name, mode)],
+           tmp_path)
+
+
+@pytest.mark.parametrize("name,mode", sorted(FINE_DIGESTS))
+def test_artifact_digests_narrow_bank_rows(name, mode, tmp_path):
+    _check(FINE, name, mode, FINE_DIGESTS[(name, mode)], tmp_path)
+
+
+def _bit_exact_hazard_free(g, cfg, options):
+    art = compile_graph(g, cfg, options)
+    folded = G.fold_constants_and_quantizers(g)
+    rng = np.random.default_rng(7)
+    inputs = {n: rng.integers(-128, 128, folded.tensors[n].shape)
+              .astype(np.int8) for n in folded.inputs}
+    got = S.run_program(art.program, cfg, inputs)
+    ref = S.reference_execute(folded, inputs)
+    assert set(ref) == set(g.outputs)
+    for out in ref:
+        assert np.array_equal(got[out], ref[out]), out
+    trace = S.run_timing(art.program, cfg)
+    assert S.check_hazards(art.program, trace,
+                           allocs=art.memmap["fm_allocs"], cfg=cfg) == []
+    return art
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("name", sorted(LOCAL))
+def test_copy_and_upsample_graphs_bit_exact(name, pipelined):
+    _bit_exact_hazard_free(_graph(name), MachineConfig(),
+                           CompileOptions(pipeline=pipelined))
+
+
+@pytest.mark.parametrize("doc,node", [(identity_doc, "copy"),
+                                      (concat_copy_doc, "join")],
+                         ids=["identity", "concat"])
+def test_copy_rows_wider_than_gamma_split_into_strips(doc, node):
+    # 600 x 16 B = 9,600 B rows against an 8,192 B gamma: the copy tiles
+    # take two width strips, as a 1x1 max pool of the same tensor does
+    cfg = MachineConfig()
+    g = G.parse_graph(json.dumps(doc(4, 600, 16)))
+    art = _bit_exact_hazard_free(g, cfg, CompileOptions())
+    tiles = art.tiles[node]
+    strips = sorted({t.cols for t in tiles})
+    assert strips == [(0, 300), (300, 600)]
+    assert all((hi - lo) * 16 <= cfg.gamma for lo, hi in strips)

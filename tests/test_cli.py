@@ -46,6 +46,40 @@ def test_compile_run_viz_roundtrip(corpus_dir, tmp_path):
         assert lane in body
 
 
+@pytest.mark.parametrize("name,levels,rows", [
+    ("weight_tiled", ("strip", "slab"), 12), ("deconv", (), 24)])
+def test_dump_tiles_gives_every_tile_its_coordinates(corpus_dir, tmp_path,
+                                                     name, levels, rows):
+    # every tile names its output rows; a conv tile sits under its width
+    # strip's columns and its weight slab's channels, a deconv tile (no
+    # width or weight split) directly under the node; and the leaves are
+    # the program's instructions
+    art = tmp_path / "art"
+    assert cli.main(["compile", str(corpus_dir / f"{name}.json"),
+                     "-o", str(art), "--dump-tiles"]) == 0
+    trees = json.loads((art / "tiles.json").read_text())
+    report = json.loads((art / "report.json").read_text())
+    assert list(trees) == [n["id"] for n in report["nodes"]]
+    keys = {"strip": ["children", "cols", "in_cols", "kind"],
+            "slab": ["ch", "children", "kind"]}
+    leaves = 0
+    for tree in trees.values():
+        assert tree["kind"] == "node"
+        groups = [tree]
+        for kind in levels:
+            groups = [g for parent in groups for g in parent["children"]]
+            assert all(sorted(g) == keys[kind] and g["kind"] == kind
+                       for g in groups)
+        for group in groups:
+            tiles = group["children"]
+            assert all(t["kind"] == "tile" for t in tiles)
+            bands = [t["rows"] for t in tiles]
+            assert bands[0][0] == 0 and bands[-1][1] == rows
+            assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+            leaves += sum(len(t["children"]) for t in tiles)
+    assert leaves == report["instructions"]
+
+
 def test_run_output_matches_reference(corpus_dir, tmp_path):
     from dpuc.graph import fold_constants_and_quantizers, parse_graph
     from dpuc.simulator import reference_execute

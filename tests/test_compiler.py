@@ -159,8 +159,8 @@ def test_conv_efficiency_per_node_spans():
 
 def _lower_big(cfg):
     g = G.fold_constants_and_quantizers(corpus.corpus_graph("weight_tiled"))
-    return L.lower_node(g.nodes["big"], L.LowerContext(tensors=g.tensors),
-                        cfg)
+    return L.lower_node(g.nodes["big"],
+                        L.LowerContext(tensors=g.tensors, h_cap=cfg.h_c), cfg)
 
 
 def test_slab_prefetch_issues_behind_activation_loads():
@@ -173,7 +173,7 @@ def test_slab_prefetch_issues_behind_activation_loads():
         queue, loads = tile.stages[0]
         assert queue == "LOAD"
         subs = [t.sub for t in loads]
-        if "s0" not in tile.label and "weight" in subs:
+        if tile.ch[0] > 0 and "weight" in subs:
             prefetches += 1
             assert subs[-1] == "weight" and subs.count("weight") == 1
             assert subs.count("act") > 0
@@ -305,9 +305,10 @@ def test_compile_error_lists_attempts_when_exhausted():
 def test_lower_node_padded_first_tile_attributes():
     g = G.fold_constants_and_quantizers(corpus.corpus_graph("weight_tiled"))
     node = g.nodes["big"]
-    ctx = L.LowerContext(tensors=g.tensors)
+    ctx = L.LowerContext(tensors=g.tensors, h_cap=CFG.h_c)
     lowered = L.lower_node(node, ctx, CFG)
-    convs = [l for l in lowered.tree.leaves() if l.op == CONV]
+    convs = [ins for tile in lowered.tiles for _q, group in tile.stages
+             for ins in group if ins.op == CONV]
     # 12 rows at pad 1, tile height 8: the first tile reads a clamped
     # 9-row window with an explicit top pad; the epilogue tile reads 5
     # rows with a bottom pad; an interior window would read 10

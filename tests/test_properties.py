@@ -202,8 +202,10 @@ def test_leaf_receptive_field_soundness(k, s, p):
     rng = np.random.default_rng(0)
     doc = conv_doc(h, w, ci, co, k, s, p, rng)
     g = G.fold_constants_and_quantizers(G.parse_graph(json.dumps(doc)))
-    lowered = L.lower_node(g.nodes["c"], L.LowerContext(tensors=g.tensors),
-                           MachineConfig())
+    cfg = MachineConfig()
+    lowered = L.lower_node(g.nodes["c"],
+                           L.LowerContext(tensors=g.tensors, h_cap=cfg.h_c),
+                           cfg)
     covered = np.zeros(oh, np.int32)
     for tile in lowered.tiles:
         ins = [t for _q, grp in tile.stages for t in grp]
@@ -215,6 +217,9 @@ def test_leaf_receptive_field_soundness(k, s, p):
         assert all(t.src.name == "x" for t in loads)
         assert all(t.dst.name == "y" for t in saves)
         out_rows = {sv.dst.off // (ow * co) for sv in saves}
+        # the tile's coordinates name the rows its saves write
+        assert out_rows == set(range(*tile.rows))
+        assert tile.cols == (0, ow) and tile.ch == (0, co)
         covered[sorted(out_rows)] += 1
         field = touched_rows_oracle(min(out_rows), max(out_rows) + 1,
                                     k, s, p, h)
@@ -319,7 +324,7 @@ def test_single_band_input_resident_across_slabs(case, pipelined):
     doc = (conv_pool_doc(h, w, ci, co, rng) if fused
            else conv_doc(h, w, ci, co, 3, 1, 1, rng))
     cfg = MachineConfig(**over)
-    options = CompileOptions(pipeline=pipelined, keep_tile_trees=True)
+    options = CompileOptions(pipeline=pipelined)
     art = roundtrip(doc, cfg, options)
     node = art.report["nodes"][0]
     assert node["fused"] == fused
@@ -328,7 +333,7 @@ def test_single_band_input_resident_across_slabs(case, pipelined):
     act_loads = sum(ins.op == LOAD and ins.sub == "act"
                     for ins in art.program.instructions)
     assert act_loads == h * node["strips"]
-    tree = art.tile_trees[node["id"]]
+    tree = L.tile_tree(art.tiles[node["id"]])
     for strip in tree["children"]:
         slabs = strip["children"]
         assert len(slabs) == node["slabs"]
