@@ -85,10 +85,15 @@ def cmd_compile(args):
                json.dumps(trees, indent=1, sort_keys=True) + "\n")
     if args.dump_mem:
         print(json.dumps(art.memmap, indent=1, sort_keys=True))
+    weighted = [n for n in art.report["nodes"] if "min_load_bytes" in n]
+    loaded = sum(n["act_load_bytes"] + n["weight_load_bytes"]
+                 for n in weighted)
+    least = sum(n["min_load_bytes"] for n in weighted)
     print(f"compiled {args.graph}: {art.report['instructions']} "
           f"instructions, estimated makespan "
           f"{art.report['estimated_makespan']} cycles, CONV efficiency "
-          f"{art.report['conv_efficiency']:.2f} -> {args.out}")
+          f"{art.report['conv_efficiency']:.2f} (conv LOAD {loaded} B, "
+          f"node minimum {least} B) -> {args.out}")
     return 0
 
 

@@ -3,8 +3,8 @@
 The compiler takes the top-ranked schedule, lays out DDR, then walks nodes in
 order: each node is lowered to tiles of ISA instructions whose addresses
 are still symbolic, its streams get FM memories from the data flow of
-those instructions, tile windows get double-buffered slots sized to what
-the instructions' window operands touch, and binding replaces every
+those instructions, tile windows get slots sized to what the
+instructions' window operands touch, and binding replaces every
 symbolic address with a placed one.  Per-node tile streams are skewed by
 the software pipeliner, concatenated, and the typed dependencies are
 derived over the whole program so consecutive nodes synchronize through
@@ -23,7 +23,7 @@ from . import memory as MM
 from . import pipeline as PL
 from .errors import CompileError, InfeasibleError, OutOfMemoryError, \
     PortConflictError, UnsupportedError
-from .machine import Addr, CONV, DDR, FM, Program, check_bounds, \
+from .machine import Addr, CONV, DDR, FM, LOAD, Program, check_bounds, \
     emit_assembly
 
 # schedules ranked by peak footprint; the cheapest is compiled
@@ -140,41 +140,44 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts):
 
 
 def _plan_windows(lowered, mems, cfg):
-    """Give each stream a double-buffered region: two bank-row-aligned
-    slots that consecutive tile windows alternate between, and store the
-    placements in `lowered.allocs`.
+    """Give each stream a region of bank-row-aligned slots, one window
+    per slot at a time, and store the placements in `lowered.allocs`.
 
     A window is exactly what the instructions touch: the furthest byte any
     `Win` operand naming it reaches (its offset plus the operand's extent),
-    rounded up to a bank row.  Writing window i+2 over window i's slot is
-    what creates the buffer-reuse dependency on the reader of window i, so
-    at most two windows of a class are ever live.  A stream with a single
-    window (a conv input resident across weight slabs) gets one slot.  A
-    stream is live from the first to the last tile whose instructions use
-    it, which for a resident window includes every later-slab tile reading
-    it.  Streams of one node share a memory by simple bumping; capacity
-    overflow sends the node back down the retry ladder."""
-    span = {}   # stream -> (first, last) tile whose instructions use it
+    rounded up to a bank row.  Its slot follows from the tiles over which
+    it is live (`_window_slots`): windows read by their own tile only
+    alternate between two slots, and writing window i+2 over window i's
+    slot is what creates the buffer-reuse dependency on the reader of
+    window i; a conv input window that every later weight slab reads
+    holds its own slot until the last of them.  A stream is live from the
+    first to the last tile whose instructions use it.  Streams of one node
+    share a memory by simple bumping; capacity overflow sends the node
+    back down the retry ladder."""
     ends = {}   # stream -> {window tile: end of the furthest access}
+    live = {}   # stream -> {window tile: (first, last) tile using it}
     for ti, tile in enumerate(lowered.tiles):
         for _q, group in tile.stages:
             for ins in group:
                 for f in ("src", "src2", "dst"):
                     a = getattr(ins, f)
                     if isinstance(a, LW.Win):
-                        span[a.stream] = (span.get(a.stream, (ti,))[0], ti)
                         win = ends.setdefault(a.stream, {})
                         win[a.tile] = max(win.get(a.tile, 0),
                                           a.off + ins.extent(f))
+                        span = live.setdefault(a.stream, {})
+                        span[a.tile] = (span.get(a.tile, (ti,))[0], ti)
     placed = {m: [] for m in range(cfg.fm_memories)}
     for sname in sorted(ends):
         mem = mems[sname]
         sizes = {ti: cfg.round_to_bank_row(end)
                  for ti, end in ends[sname].items()}
         slot = max(sizes.values())
-        nslots = 2 if len(sizes) > 1 else 1
+        where = _window_slots(live[sname])
+        nslots = 1 + max(where.values())
         need = nslots * slot
-        t_lo, t_hi = span[sname]
+        t_lo = min(lo for lo, _hi in live[sname].values())
+        t_hi = max(hi for _lo, hi in live[sname].values())
         # streams whose tile ranges are disjoint (successive width strips,
         # successive weight slabs) reuse each other's bytes; the derived
         # write-after-read dependencies serialize the hand-over
@@ -195,7 +198,28 @@ def _plan_windows(lowered, mems, cfg):
         placed[mem].append((base, base + need, t_lo, t_hi))
         for ti, size in sizes.items():
             lowered.allocs[(sname, ti)] = MM.WindowAlloc(
-                mem, base + (ti % nslots) * slot, size)
+                mem, base + where[ti] * slot, size)
+
+
+def _window_slots(live):
+    """Slot index per window of one stream, from {window tile: (first,
+    last) tile using it}.  A window holds its slot from its first tile
+    through the tile after its last, so the next tile can fill another
+    slot while this one computes, and the stream gets as many slots as
+    windows are ever held at once.  In tile order, each window takes slot
+    `tile % nslots` when that is free, else the lowest free one, so
+    single-tile windows alternate between two slots."""
+    held = {w: (lo, hi + 1) for w, (lo, hi) in live.items()}
+    nslots = max(sum(lo <= t <= hi for lo, hi in held.values())
+                 for t, _hi in held.values())
+    free_from = [0] * nslots   # first tile at which each slot is free
+    where = {}
+    for w in sorted(held, key=lambda w: held[w]):
+        lo, hi = held[w]
+        s = next(s for s in [w % nslots] + list(range(nslots))
+                 if free_from[s] <= lo)
+        where[w], free_from[s] = s, hi + 1
+    return where
 
 
 def _compile_schedule(g, schedule, cfg, options):
@@ -241,6 +265,8 @@ def _compile_schedule(g, schedule, cfg, options):
         window_usage.append((nd, lowered, usage))
         report_nodes.append({"id": nd.id, **lowered.notes,
                              "tiles": len(lowered.tiles)})
+        if lowered.pm_payloads:
+            report_nodes[-1].update(_load_bytes(nd, lowered, g))
 
     full = PL.PipelinedStream(instructions, marks,
                               pipelined=options.pipeline)
@@ -303,6 +329,22 @@ def _conv_efficiency(prog, marks, trace, cfg):
     per_node = {nid: ideal.get(nid, 0.0) / (hi - lo) if hi > lo else 0.0
                 for nid, (lo, hi) in spans.items()}
     return total, per_node
+
+
+def _load_bytes(nd, lowered, g):
+    """The bytes a node with weights LOADs, activations and weights
+    apart, and the least it could load: its input and its PM payloads,
+    once each."""
+    moved = {"act": 0, "weight": 0}
+    for tile in lowered.tiles:
+        for _q, group in tile.stages:
+            for ins in group:
+                if ins.op == LOAD:
+                    moved[ins.sub] += ins.transfer_bytes()
+    return {"act_load_bytes": moved["act"],
+            "weight_load_bytes": moved["weight"],
+            "min_load_bytes": (g.tensors[nd.inputs[0]].nbytes
+                               + sum(map(len, lowered.pm_payloads)))}
 
 
 def _mid_tensors(g):

@@ -22,11 +22,16 @@ Every tensor lives in DDR between nodes.  Tiles re-read their full input
 window from DDR (the per-tile load stage), so consecutive tiles of a
 strided kernel re-load the k - s overlapping rows.  That keeps every tile
 self-contained and the per-class liveness at the two-slice
-double-buffering bound.  The one exception is a conv whose output fits one
-height band but whose weights stream through several PM slabs: the first
-slab's tile of each width strip loads the input window, and the convs of
-the later slabs read that tile's window (their src `Win` names it)
-instead of re-loading it once per slab.
+double-buffering bound.  The exception is a conv whose weights stream
+through several PM slabs.  Its tiles are walked strip -> slab -> band, and
+one reuse rule decides what each loads: a tile loads its (strip, band)
+input window only when that window is not already in FM, and a weight
+slab only when the slab's PM half does not already hold it.  The first
+slab's tiles load a strip's input windows; when one window slot per band
+fits one FM memory the windows stay there, and the convs of the later
+slabs read them (their src `Win` names the loading tile) instead of
+re-loading them once per slab.  When they do not fit, every slab's tiles
+re-load their windows.
 """
 
 from dataclasses import dataclass, field
@@ -315,10 +320,13 @@ def weight_tiling(c_out, kh, kw, c_in, cfg):
 
     A single slab is used when weights + biases fit PM outright; otherwise
     slabs are capped at half of PM so the next slab's LOAD can overlap the
-    running slab's convolutions (double buffering).  The conv lowering
-    issues that prefetch behind the activation loads of the slab's LOAD
-    stage, so the in-order LOAD queue never holds a tile's input rows
-    behind a weight load that waits on the previous slab's conv.
+    running slab's convolutions (double buffering): slab si lives in PM
+    half si % 2.  The conv lowering issues that prefetch behind the
+    activation loads of the slab's LOAD stage, so the in-order LOAD queue
+    never holds a tile's input rows behind a weight load that waits on the
+    previous slab's conv.  A slab is loaded only when its half does not
+    already hold it: with two slabs, or three, later width strips find
+    slab 1 still in half 1.
     """
     per_ch = kh * kw * c_in + 4  # int8 taps + int32 bias
     total = c_out * per_ch
@@ -590,54 +598,66 @@ def _lower_conv(node, ctx, cfg):
 
     tiles = []
     final_h = y.shape[0]
-    nbands = -(-final_h // band_h)
-    # one band: the input window of a strip is the same for every slab, so
-    # it stays resident in FM from the first slab's tile to the last
-    resident = nbands == 1 and len(slabs) > 1
+    bands = []   # (final rows, conv output rows, input rows, pad top/bottom)
+    for blo in range(0, final_h, band_h):
+        bhi = min(final_h, blo + band_h)
+        if fused:
+            mlo, mhi, _, _ = receptive_range(blo, bhi, fused.kernel[0],
+                                             fused.stride[0],
+                                             fused.padding[0], h_m)
+        else:
+            mlo, mhi = blo, bhi
+        xlo, xhi, cpt, cpb = receptive_range(mlo, mhi, ck[0], cs[0], cp[0],
+                                             h_i)
+        bands.append(((blo, bhi), (mlo, mhi), (xlo, xhi), (cpt, cpb)))
+    nbands = len(bands)
+    # a strip's input windows stay in FM from its first slab to its last
+    # when the window planner's one slot per band fits one FM memory
+    win_rows = max(xhi - xlo for _b, _m, (xlo, xhi), _p in bands)
+    windows_fit = (nbands * cfg.round_to_bank_row(win_rows * w_in_max * c_i)
+                   <= cfg.fm_bytes)
+    held = [None, None]   # the slab each PM half holds
+
+    def weight_load(s):
+        """The LOAD of slab s, or none when its PM half still holds it."""
+        if s >= len(slabs) or held[s % 2] == s:
+            return []
+        held[s % 2] = s
+        return [_weight_load(s, pm_offs[s], slabs[s].nbytes)]
+
     for wi, chain in enumerate(strips):
         out_rng, mid_rng, in_rng = chain[0], chain[-2], chain[-1]
         olo, ohi = out_rng[0], out_rng[1]
         mlo_s, mhi_s = mid_rng[0], mid_rng[1]
         ilo_s, ihi_s = in_rng[0], in_rng[1]
         s_in = f"in{wi}"
+        loaded = {}   # band -> the tile whose window holds its input rows
         for si, slab in enumerate(slabs):
             c_slice = (slab.c_lo, slab.c_hi)
             nch = slab.c_hi - slab.c_lo
             s_mid, s_out = f"mid{wi}s{si}", f"out{wi}s{si}"
-            for bi, blo in enumerate(range(0, final_h, band_h)):
-                bhi = min(final_h, blo + band_h)
-                if fused:
-                    mlo, mhi, _, _ = receptive_range(
-                        blo, bhi, fused.kernel[0], fused.stride[0],
-                        fused.padding[0], h_m)
-                else:
-                    mlo, mhi = blo, bhi
-                xlo, xhi, cpt, cpb = receptive_range(mlo, mhi, ck[0], cs[0],
-                                                     cp[0], h_i)
-                win = xhi - xlo
+            for bi, ((blo, bhi), (mlo, mhi), (xlo, xhi), (cpt, cpb)) \
+                    in enumerate(bands):
                 ti = len(tiles)
-                loads = []
-                if si == 0 and bi == 0 and (wi == 0 or len(slabs) > 2):
-                    loads += [_weight_load(b, pm_offs[b], slabs[b].nbytes)
-                              for b in range(min(len(slabs), 2))]
-                if resident and si > 0:
-                    src_tile = ti - si  # the strip's first-slab tile
-                else:
-                    src_tile = ti
+                # slabs 0 and 1 go ahead of the strip's first input rows
+                loads = (weight_load(0) + weight_load(1)
+                         if si == 0 and bi == 0 else [])
+                if bi not in loaded:
                     loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in,
                                          ti)
+                    if windows_fit:
+                        loaded[bi] = ti
+                src_tile = loaded.get(bi, ti)
                 # prefetch the next slab one band into this pass, behind
                 # the band's activation loads: the prefetch waits for the
                 # previous slab's conv to free its PM half, and the
                 # in-order LOAD queue must not hold this band's input rows
                 # behind it
-                if (si >= 1 and si + 1 < len(slabs)
-                        and bi == min(1, nbands - 1)):
-                    loads.append(_weight_load(si + 1, pm_offs[si + 1],
-                                              slabs[si + 1].nbytes))
+                if si >= 1 and bi == min(1, nbands - 1):
+                    loads += weight_load(si + 1)
                 conv = _conv(Win(s_in, src_tile, 0), Win(s_mid, ti, 0),
-                             (pm_offs[si], slab.nbytes), win, ihi_s - ilo_s,
-                             c_i, mhi_s - mlo_s, nch, ck, cs,
+                             (pm_offs[si], slab.nbytes), xhi - xlo,
+                             ihi_s - ilo_s, c_i, mhi_s - mlo_s, nch, ck, cs,
                              (cpt, in_rng[2], cpb, in_rng[3]), conv_shift)
                 stages = [("LOAD", loads), ("CONV", [conv])]
                 if fused:
@@ -663,7 +683,7 @@ def _lower_conv(node, ctx, cfg):
         for s in slabs]
     ln.notes = {"kind": "conv", "fused": bool(fused), "slabs": len(slabs),
                 "strips": len(strips), "band_h": band_h,
-                "resident": resident}
+                "resident": windows_fit and len(slabs) > 1}
     return ln
 
 

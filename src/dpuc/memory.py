@@ -2,9 +2,10 @@
 
 DDR is flat and split by pointers into five segments (inputs, outputs,
 parameters, instructions, swap).  FM windows are placed by the compiler's
-window planner as `WindowAlloc` records: each stream gets two
-alternating slots, so double buffering and its buffer-reuse dependencies
-follow from the stream order.  `compute_liveness` derives, from the final
+window planner as `WindowAlloc` records: the windows of a stream take
+turns in its slots (two alternating ones for double buffering, one per
+band for a conv input kept across weight slabs), so the buffer-reuse
+dependencies follow from the stream order.  `compute_liveness` derives, from the final
 program, the first write and last read of every written FM byte range;
 the memory map lists these as live allocations for the hazard checker.
 Each stream's FM memory follows from the data flow of the instructions

@@ -257,6 +257,13 @@ def test_compile_line_reports_conv_efficiency(corpus_dir, tmp_path, capsys):
     assert "estimated makespan 29468 cycles, CONV efficiency 0.70 " in line
     report = json.loads((tmp_path / "art" / "report.json").read_text())
     assert report["conv_efficiency"] == 20736 / 29468
+    # two bands of 9 and 5 input rows of 12 x 64 B, loaded once for all
+    # three slabs; 256 channels of 3x3x64 taps and an int32 bias, once
+    node = report["nodes"][0]
+    assert node["act_load_bytes"] == (9 + 5) * 12 * 64
+    assert node["weight_load_bytes"] == 256 * (9 * 64 + 4)
+    assert node["min_load_bytes"] == 12 * 12 * 64 + 256 * (9 * 64 + 4)
+    assert "(conv LOAD 159232 B, node minimum 157696 B)" in line
 
 
 def test_viz_wellformed_trace_body_renders(tmp_path):

@@ -163,10 +163,16 @@ def _lower_big(cfg):
                         L.LowerContext(tensors=g.tensors, h_cap=cfg.h_c), cfg)
 
 
+# 16 KB FM memories: weight_tiled's conv takes six bands of two rows, and
+# six input windows of 4 KB (two 2 KB bank rows each) overflow one memory
+NO_FIT = MachineConfig(fm_bank_rows=1)
+
+
 def test_slab_prefetch_issues_behind_activation_loads():
-    # two bands, three slabs: slab 1's second band prefetches slab 2, and
-    # that weight load comes after the band's activation rows
-    lowered = _lower_big(CFG)
+    # six bands, three slabs, input windows re-loaded per slab: slab 1's
+    # second band prefetches slab 2, and that weight load comes after the
+    # band's activation rows
+    lowered = _lower_big(NO_FIT)
     assert lowered.notes["slabs"] == 3 and not lowered.notes["resident"]
     prefetches = 0
     for tile in lowered.tiles:
@@ -178,6 +184,33 @@ def test_slab_prefetch_issues_behind_activation_loads():
             assert subs[-1] == "weight" and subs.count("weight") == 1
             assert subs.count("act") > 0
     assert prefetches == 1
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+def test_windows_that_do_not_fit_fm_reload_per_slab(pipelined):
+    # the lowering keeps weight_tiled's windows out of FM on NO_FIT from
+    # the geometry, so the retry ladder is never entered; every slab's
+    # tiles re-load the input rows of their band
+    g = corpus.corpus_graph("weight_tiled")
+    art = compile_graph(g, NO_FIT, CompileOptions(pipeline=pipelined))
+    assert art.report["attempts"] == []
+    node = art.report["nodes"][0]
+    assert node["slabs"] == 3 and node["band_h"] == 2
+    assert not node["resident"]
+    # 3x3/p1 over 12 rows in bands of 2: windows of 3, 4, 4, 4, 4, 3 rows
+    act_loads = sum(ins.op == LOAD and ins.sub == "act"
+                    for ins in art.program.instructions)
+    assert act_loads == 22 * 3
+    assert node["act_load_bytes"] == 22 * 3 * 12 * 64
+    folded = G.fold_constants_and_quantizers(g)
+    inputs = rand_inputs(folded)
+    got = S.run_program(art.program, NO_FIT, inputs)
+    ref = S.reference_execute(folded, inputs)
+    assert np.array_equal(got["y"], ref["y"])
+    trace = S.run_timing(art.program, NO_FIT)
+    assert S.check_hazards(art.program, trace,
+                           allocs=art.memmap["fm_allocs"], cfg=NO_FIT) == []
 
 
 def test_resident_window_live_over_every_reading_tile():

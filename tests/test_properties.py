@@ -309,16 +309,32 @@ RESIDENT_CASES = {
                           {"pm_bytes": 8192, "gamma": 1024}),
     "4x40x16-64-strips-pool": (4, 40, 16, 64, True,
                                {"pm_bytes": 8192, "gamma": 1024}),
+    # three height bands, five or three slabs
+    "20x6x32-128-bands": (20, 6, 32, 128, False, {"pm_bytes": 16384}),
+    "20x6x32-128-bands-pool": (20, 6, 32, 128, True, {"pm_bytes": 16384}),
+    "20x40x16-64-bands-strips": (20, 40, 16, 64, False,
+                                 {"pm_bytes": 8192, "gamma": 1024}),
 }
+
+
+def band_window_rows(h, band_h, final_h, fused):
+    """Input rows a 3x3/p1 conv reads for each height band of band_h
+    final output rows; a fused 2x2/s2 pool doubles the conv rows."""
+    f = 2 if fused else 1
+    return [min(h, f * min(final_h, lo + band_h) + 1) - max(0, f * lo - 1)
+            for lo in range(0, final_h, band_h)]
 
 
 @pytest.mark.parametrize("pipelined", [True, False],
                          ids=["pipeline", "sequential"])
 @pytest.mark.parametrize("case", sorted(RESIDENT_CASES))
 def test_single_band_input_resident_across_slabs(case, pipelined):
-    # one height band and several PM slabs: each width strip loads its
-    # input rows once, in its first slab's tile; the later slabs' tiles
-    # carry no activation load and convolve that same window
+    # one or several height bands and several PM slabs: each width strip
+    # loads the input rows of each band once, in its first slab's tiles;
+    # the later slabs' tiles carry no activation load and convolve those
+    # same windows.  Outputs are compared with the reference: a window
+    # overwritten while a later slab still reads it is not a hazard the
+    # trace checker sees, only a wrong output.
     h, w, ci, co, fused, over = RESIDENT_CASES[case]
     rng = np.random.default_rng(h * 1000 + w * 10 + co)
     doc = (conv_pool_doc(h, w, ci, co, rng) if fused
@@ -330,9 +346,12 @@ def test_single_band_input_resident_across_slabs(case, pipelined):
     assert node["fused"] == fused
     assert node["slabs"] > 1 and node["resident"]
     assert (node["strips"] > 1) == ("strips" in case)
+    rows = band_window_rows(h, node["band_h"], h // 2 if fused else h,
+                            fused)
+    assert (len(rows) > 1) == ("bands" in case)
     act_loads = sum(ins.op == LOAD and ins.sub == "act"
                     for ins in art.program.instructions)
-    assert act_loads == h * node["strips"]
+    assert act_loads == sum(rows) * node["strips"]
     tree = L.tile_tree(art.tiles[node["id"]])
     for strip in tree["children"]:
         slabs = strip["children"]
@@ -343,3 +362,28 @@ def test_single_band_input_resident_across_slabs(case, pipelined):
             assert ("LOAD/act" in leaves) == (si == 0)
     again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
     assert again.assembly == art.assembly
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+def test_weight_slab_still_in_its_pm_half_is_not_reloaded(pipelined):
+    # two width strips, three slabs: strip 0 leaves slab 2 in PM half 0
+    # and slab 1 in half 1, so strip 1 re-loads slab 0 and then slab 2
+    # but finds slab 1 in place: 5 weight LOADs, not 6
+    doc = conv_doc(4, 30, 16, 64, 3, 1, 1, np.random.default_rng(430))
+    cfg = MachineConfig(pm_bytes=8192, gamma=1024)
+    art = roundtrip(doc, cfg, CompileOptions(pipeline=pipelined))
+    node = art.report["nodes"][0]
+    assert (node["strips"], node["slabs"]) == (2, 3)
+    loads = [ins for ins in art.program.instructions
+             if ins.op == LOAD and ins.sub == "weight"]
+    # slab s comes from its own block of the parameter image and goes to
+    # PM half s % 2
+    blocks = sorted({ins.src.off for ins in loads})
+    assert len(blocks) == 3
+    order = [blocks.index(ins.src.off) for ins in loads]
+    assert order == [0, 1, 2, 0, 2]
+    assert [ins.dst.off for ins in loads] == [
+        s % 2 * cfg.pm_bytes // 2 for s in order]
+    assert node["weight_load_bytes"] == sum(ins.transfer_bytes()
+                                            for ins in loads)
