@@ -140,6 +140,8 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    if args.seeds < 1:
+        raise DpucError(f"--seeds must be at least 1, got {args.seeds}")
     with open(args.graph) as fh:
         g = parse_graph(fh.read())
     cfg = load_config(args.config)

@@ -1,18 +1,21 @@
-"""Pass driver: schedule, lower, allocate, bind, pipeline, encode.
+"""Pass driver: schedule, lower, allocate, pipeline, bind, encode.
 
-The compiler takes the top-ranked schedule, lays out DDR, then walks nodes in
-order: each node is lowered to tiles of ISA instructions whose addresses
-are still symbolic, its streams get FM memories from the data flow of
-those instructions, tile windows get slots sized to what the
-instructions' window operands touch, and binding replaces every
-symbolic address with a placed one.  Per-node tile streams are skewed by
-the software pipeliner, concatenated, and the typed dependencies are
-derived over the whole program so consecutive nodes synchronize through
-the same DPON/DPBY machinery.  A node that cannot be placed retries with
-reduced tile height, then unfused, then deeper width splits; when every
-step fails the CompileError carries the attempt ledger.  Lowering, window
-planning and the DDR layout never read the node order, so a node the
-ladder cannot place fails under every schedule.
+The compiler takes the top-ranked schedule, lowers each node to tiles of
+ISA instructions whose addresses are still symbolic, gives its streams FM
+memories from the data flow of those instructions and its tile windows
+slots sized to what the instructions' window operands touch, then lays
+out DDR.  Per-node tile streams are skewed by the software pipeliner and
+concatenated; `memory.compute_liveness` reads each planned window's span
+of final instruction indices off the still-symbolic operands, and those
+windows are the memory map's `fm_allocs`, the one FM allocation record
+the hazard checker checks.  Binding then replaces every symbolic address
+with a placed one, and the typed dependencies are derived over the whole
+program so consecutive nodes synchronize through the same DPON/DPBY
+machinery.  A node that cannot be placed retries with reduced tile
+height, then unfused, then deeper width splits; when every step fails the
+CompileError carries the attempt ledger.  Lowering, window planning and
+the DDR layout never read the node order, so a node the ladder cannot
+place fails under every schedule.
 """
 
 from dataclasses import dataclass
@@ -251,22 +254,21 @@ def _compile_schedule(g, schedule, cfg, options):
     marks = []
     instructions = []
     report_nodes = []
-    window_usage = []   # (node, lowered, {(stream, tile): [instr objects]})
-    index_of = {}
+    node_streams = []   # (node id, its pipelined instructions, its windows)
     for nd, lowered in lowered_nodes:
-        usage = _bind(lowered, layout,
-                      [pbase + off for off in param_offsets[nd.id]])
         stream = PL.pipeline([t.stages for t in lowered.tiles],
                              enabled=options.pipeline)
-        for ins, mark in zip(stream.instructions, stream.marks):
-            index_of[id(ins)] = len(instructions)
-            instructions.append(ins)
-            marks.append((nd.id,) + mark)
-        window_usage.append((nd, lowered, usage))
+        instructions += stream.instructions
+        marks += [(nd.id,) + mark for mark in stream.marks]
+        node_streams.append((nd.id, stream.instructions, lowered.allocs))
         report_nodes.append({"id": nd.id, **lowered.notes,
                              "tiles": len(lowered.tiles)})
         if lowered.pm_payloads:
             report_nodes[-1].update(_load_bytes(nd, lowered, g))
+    # window spans are read off the Win operands, so before binding
+    fm_allocs = MM.compute_liveness(node_streams)
+    for nd, lowered in lowered_nodes:
+        _bind(lowered, layout, [pbase + off for off in param_offsets[nd.id]])
 
     full = PL.PipelinedStream(instructions, marks,
                               pipelined=options.pipeline)
@@ -293,8 +295,7 @@ def _compile_schedule(g, schedule, cfg, options):
         "segments": {k: list(v) for k, v in layout.segments.items()},
         "tensors": {k: list(v) for k, v in sorted(layout.tensor_map.items())},
         "aliases": {k: [v[0], v[1]] for k, v in sorted(aliases.items())},
-        "fm_windows": _window_records(window_usage, index_of),
-        "fm_allocs": _alloc_records(prog),
+        "fm_allocs": fm_allocs,
     }
     report = {
         "schedule": list(schedule.order),
@@ -352,34 +353,6 @@ def _mid_tensors(g):
             for n in g.nodes.values() if n.fused}
 
 
-def _window_records(window_usage, index_of):
-    """Per-stream window placements with their instruction spans (the
-    window planner's view, for the memory-map dump)."""
-    out = []
-    for nd, lowered, usage in window_usage:
-        for key in sorted(usage, key=str):
-            al = lowered.allocs[key]
-            idxs = sorted(index_of[id(o)] for o in usage[key])
-            out.append({"key": f"{nd.id}/{key[0]}/{key[1]}",
-                        "mem": al.mem, "start": al.start,
-                        "length": al.length, "first": idxs[0],
-                        "last": idxs[-1]})
-    return out
-
-
-def _alloc_records(prog):
-    """Slice-granular live allocations of the final program: one record
-    per written range, live until its last reader.  This is the
-    granularity at which the pairwise-disjointness invariant holds."""
-    out = []
-    for lr in MM.compute_liveness(prog.instructions):
-        _space, mem, lo, hi = lr.key
-        out.append({"key": f"fm{mem}@{lo}+{hi - lo}:{lr.first}",
-                    "mem": mem, "start": lo, "length": hi - lo,
-                    "first": lr.first, "last": lr.last})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # binding
 # ---------------------------------------------------------------------------
@@ -388,23 +361,18 @@ def _bind(lowered, layout, param_addrs):
     """Replace every symbolic address of the lowered instructions, in
     place: a window offset by its placed FM window, a tensor offset by
     the tensor's DDR address, a PM block by its DDR address in
-    param_addrs.  Returns {(stream, tile): [instructions using that
-    window]}."""
+    param_addrs."""
     allocs = lowered.allocs
-    usage = {}
     for tile in lowered.tiles:
         for _q, group in tile.stages:
             for ins in group:
                 for f in ("src", "src2", "dst"):
                     a = getattr(ins, f)
                     if isinstance(a, LW.Win):
-                        key = (a.stream, a.tile)
-                        al = allocs[key]
-                        usage.setdefault(key, []).append(ins)
+                        al = allocs[a.stream, a.tile]
                         setattr(ins, f, Addr(FM, al.start + a.off, al.mem))
                     elif isinstance(a, LW.TensorAt):
                         setattr(ins, f,
                                 Addr(DDR, layout.address(a.name) + a.off))
                     elif isinstance(a, LW.ParamAt):
                         setattr(ins, f, Addr(DDR, param_addrs[a.block]))
-    return usage

@@ -1,9 +1,10 @@
-"""Sorted byte-interval map shared by liveness and dependency derivation.
+"""Sorted byte-interval map behind dependency derivation.
 
 Per `(space, mem)` the map keeps sorted, disjoint byte pieces `[lo, hi)`,
-each carrying a value.  Both operations first split the pieces that
-straddle a range's ends: `update` then rewrites the values inside the
-range, `assign` replaces them by a single piece and hands back what it
+each carrying a value; every memory starts as one piece carrying the
+initial value.  Both operations first split the pieces that straddle a
+range's ends: `update` then rewrites the values inside the range,
+`assign` replaces them by a single piece and hands back what it
 displaced.  Pieces never merge, so the boundaries a caller sees are
 exactly the ones its accesses produced.  Lookups are `bisect` searches
 over the piece starts and ends; replacing a run of pieces is one
@@ -15,30 +16,23 @@ from bisect import bisect_left, bisect_right
 # bytes of a memory that starts as one piece: past every real address
 ADDR_LIMIT = 1 << 62
 
-_NO_VALUE = object()
-
 
 class IntervalMap:
     """Sorted, disjoint, valued byte pieces per `(space, mem)` key.
 
-    With `initial`, every memory starts as one piece `[0, ADDR_LIMIT)`
-    carrying it; without, bytes belong to no piece until assigned.
-    Values should be immutable: a split hands the same object to both
-    halves.
+    Every memory starts as one piece `[0, ADDR_LIMIT)` carrying
+    `initial`.  Values should be immutable: a split hands the same object
+    to both halves.
     """
 
-    def __init__(self, initial=_NO_VALUE):
+    def __init__(self, initial):
         self._initial = initial
         self._mems = {}   # key -> (piece starts, piece ends, values)
 
     def _lists(self, key):
         lists = self._mems.get(key)
         if lists is None:
-            if self._initial is _NO_VALUE:
-                lists = ([], [], [])
-            else:
-                lists = ([0], [ADDR_LIMIT], [self._initial])
-            self._mems[key] = lists
+            lists = self._mems[key] = ([0], [ADDR_LIMIT], [self._initial])
         return lists
 
     def _split(self, key, lo, hi):
@@ -62,12 +56,10 @@ class IntervalMap:
 
     def update(self, key, lo, hi, fn):
         """Replace the value `v` of every piece inside `[lo, hi)` by
-        `fn(v)`, splitting at the ends first.  Returns whether any piece
-        overlapped the range."""
+        `fn(v)`, splitting at the ends first."""
         (_los, _his, vals), i, j = self._split(key, lo, hi)
         for k in range(i, j):
             vals[k] = fn(vals[k])
-        return i < j
 
     def assign(self, key, lo, hi, value):
         """Make `[lo, hi)` one piece carrying `value`.  Returns the
@@ -81,10 +73,3 @@ class IntervalMap:
         his[i:j] = [hi]
         vals[i:j] = [value]
         return old
-
-    def pieces(self):
-        """Every piece as `(key, lo, hi, value)`, in key insertion order
-        and address order within a key."""
-        for key, (los, his, vals) in self._mems.items():
-            for lo, hi, v in zip(los, his, vals):
-                yield key, lo, hi, v

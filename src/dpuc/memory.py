@@ -5,20 +5,20 @@ parameters, instructions, swap).  FM windows are placed by the compiler's
 window planner as `WindowAlloc` records: the windows of a stream take
 turns in its slots (two alternating ones for double buffering, one per
 band for a conv input kept across weight slabs), so the buffer-reuse
-dependencies follow from the stream order.  `compute_liveness` derives, from the final
-program, the first write and last read of every written FM byte range;
-the memory map lists these as live allocations for the hazard checker.
-Each stream's FM memory follows from the data flow of the instructions
-whose `Win` operands name it, under the one-read-port, one-write-port
-rule.
+dependencies follow from the stream order.  `compute_liveness` gives each
+placed window the span of final instruction indices that use it; the
+memory map lists these windows as the FM allocations, and the hazard
+checker checks that no two of one memory share bytes while both are
+live.  Each stream's FM memory follows from the data flow of the
+instructions whose `Win` operands name it, under the one-read-port,
+one-write-port rule.
 """
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, PortConflictError, UseBeforeDefError
-from .intervals import IntervalMap
+from .errors import CapacityError, PortConflictError
 from .lowering import Win
-from .machine import DDR_SEGMENTS, FM
+from .machine import DDR_SEGMENTS
 
 # DDR bytes reserved for the instruction stream
 PROGRAM_SIZE_ESTIMATE = 65536
@@ -86,57 +86,35 @@ def ddr_layout(g, param_bytes, cfg=None, aliases=None):
 # liveness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LiveRange:
-    key: tuple        # (space, mem, lo, hi) of the written slice
-    first: int        # writer instruction index
-    last: int         # last reader index (== first when never read)
-    dead: bool = False
+def compute_liveness(nodes):
+    """The FM allocations of a program: one record per placed window.
 
-    def __post_init__(self):
-        if self.first > self.last:
-            raise ValueError("liveness range inverted")
-
-
-def compute_liveness(instructions):
-    """First-write/last-read index per written FM byte range, byte-precise.
-
-    Each FM byte belongs to the piece of the write that last covered it,
-    valued (writer, last read).  A write takes over the bytes it covers
-    and emits the displaced pieces with the last read seen on exactly
-    those bytes; a read moves the last read of the pieces it covers, cut
-    at its ends.  A strided access counts block by block.  Pieces never
-    read collapse to their write and are flagged dead.  DDR and PM are not
-    tracked: FM is the only space whose allocations the memory map
-    records.  An FM read of bytes nothing has written raises
-    UseBeforeDefError.  Ranges come back in (first, key) order.
+    `nodes` lists, in program order, each node's id, its pipelined
+    instructions (window operands still `lowering.Win`, before binding)
+    and its window placements {(stream, tile): WindowAlloc}.  A window is
+    live from the first to the last instruction, inclusive, whose src,
+    src2 or dst names it, counted in final program indices.  Records are
+    dicts {key, mem, start, length, first, last} keyed "node/stream/tile",
+    per node in the given order and per window in the order of
+    `str((stream, tile))`.
     """
-    owners = IntervalMap()
-    done = []
-
-    def emit(key, lo, hi, first, last):
-        done.append(LiveRange(key + (lo, hi), first, last,
-                              dead=last == first))
-
-    for idx, ins in enumerate(instructions):
-        def read(value):
-            return value[0], idx
-
-        for space, mem, lo, hi in ins.reads(exact=True):
-            if space == FM and not owners.update((FM, mem), lo, hi, read):
-                raise UseBeforeDefError(
-                    f"instruction {idx} ({ins.op}/{ins.sub}) reads "
-                    f"{(space, mem, lo, hi)} before any write")
-        for space, mem, lo, hi in ins.writes(exact=True):
-            if space != FM:
-                continue
-            for plo, phi, (first, last) in owners.assign((FM, mem), lo, hi,
-                                                         (idx, idx)):
-                emit((FM, mem), plo, phi, first, last)
-    for key, lo, hi, (first, last) in owners.pieces():
-        emit(key, lo, hi, first, last)
-    done.sort(key=lambda lr: (lr.first, lr.key))
-    return done
+    out = []
+    base = 0
+    for nid, instructions, placed in nodes:
+        spans = {}
+        for idx, ins in enumerate(instructions, base):
+            for a in (ins.src, ins.src2, ins.dst):
+                if isinstance(a, Win):
+                    key = (a.stream, a.tile)
+                    spans[key] = (spans.get(key, (idx,))[0], idx)
+        base += len(instructions)
+        for key in sorted(placed, key=str):
+            al = placed[key]
+            first, last = spans[key]
+            out.append({"key": f"{nid}/{key[0]}/{key[1]}", "mem": al.mem,
+                        "start": al.start, "length": al.length,
+                        "first": first, "last": last})
+    return out
 
 
 @dataclass(frozen=True)

@@ -621,12 +621,13 @@ class _Pieces:
         self.put(i, j, lo, hi, pieces)
 
 
-def _live_alloc_overlaps(allocs, ev):
+def _live_alloc_overlaps(allocs):
     """Sorted index pairs (i, j), i < j, of same-memory allocations whose
-    lifetimes (first start to last end, in cycles) and bytes overlap.
+    bytes overlap while both are live, that is while their inclusive
+    instruction spans [first, last] intersect.
 
-    Per memory the allocations are swept in order of lifetime start.  The
-    ones still live are kept sorted by address, so a new one is tested
+    Per memory the allocations are swept in order of first instruction.
+    The ones still live are kept sorted by address, so a new one is tested
     only against those starting less than the longest one's length below
     its own start: nothing further down can reach it."""
     by_mem = {}
@@ -634,24 +635,24 @@ def _live_alloc_overlaps(allocs, ev):
         lo, hi = a["start"], a["start"] + a["length"]
         if lo < hi:
             by_mem.setdefault(a["mem"], []).append(
-                (ev[a["first"]].start, ev[a["last"]].end, lo, hi, i))
+                (a["first"], a["last"], lo, hi, i))
     pairs = set()
     for rows in by_mem.values():
         rows.sort()
-        reach = max((hi - lo for _t0, _t1, lo, hi, _i in rows), default=0)
-        live = []     # (lo, hi, t0, i) in address order
-        ends = []     # heap of (t1, live entry)
-        for t0, t1, lo, hi, i in rows:
-            while ends and ends[0][0] <= t0:
+        reach = max(hi - lo for _first, _last, lo, hi, _i in rows)
+        live = []     # (lo, hi, i) in address order
+        ends = []     # heap of (last, live entry)
+        for first, last, lo, hi, i in rows:
+            while ends and ends[0][0] < first:
                 del live[bisect_left(live, heappop(ends)[1])]
             near = live[bisect_left(live, (lo - reach + 1,)):
                         bisect_left(live, (hi,))]
-            for _lo, other_hi, other_t0, k in near:
-                if lo < other_hi and other_t0 < t1 and k != i:
+            for _lo, other_hi, k in near:
+                if lo < other_hi:
                     pairs.add((min(i, k), max(i, k)))
-            entry = (lo, hi, t0, i)
+            entry = (lo, hi, i)
             insort(live, entry)
-            heappush(ends, (t1, entry))
+            heappush(ends, (last, entry))
     return sorted(pairs)
 
 
@@ -659,10 +660,13 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     """Validate a trace against exact byte footprints.
 
     Empty report iff (1) every read starts at or after the completion of
-    the instruction that produced those bytes, and no write begins before
-    a pending earlier read of those bytes has finished, (2) no two
-    simultaneously-live allocations overlap, and (3) no FM or PM port
-    serves two concurrently-executing instructions in the same direction.
+    the instruction that produced those bytes (RAW), no write begins
+    before a pending earlier read of those bytes has finished (WAR), and
+    no write begins before an earlier writer of those bytes has finished
+    (WAW), (2) no two allocations of one FM memory share bytes while
+    their instruction spans, first to last inclusive, overlap, and (3) no
+    FM or PM port serves two concurrently-executing instructions in the
+    same direction.
 
     For (1) the instructions are replayed in issue order against two
     piece tables per (space, mem), both written here rather than taken
@@ -671,9 +675,16 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     the readers of each byte since that write.  A read is checked against
     the writer pieces it overlaps (one raw-hazard entry per piece) and
     then joins the reader table; a write is checked against the readers
-    of its bytes (one war-hazard entry per reader), which it then clears,
-    and becomes their writer.  Accesses of zero bytes touch nothing.
-    `cfg` is accepted and unused.
+    of its bytes (one war-hazard entry per reader) and their writers (one
+    waw-hazard entry per writer), clears the readers, and becomes the
+    writer.  Accesses of zero bytes touch nothing.  The allocations of
+    (2) are the compiler's planned windows (`memmap["fm_allocs"]`), and
+    the check is of the plan, not the timing: the issue order is a valid
+    sequential execution, and in it no window may be reused while it is
+    still in use.  Trace times would flag sound programs, since a window
+    is coarser than its accesses: when the last access to one window and
+    the first to the next touch different bytes of the slot, nothing
+    orders them, and rightly so.  `cfg` is accepted and unused.
     """
     report = []
     instrs = prog.instructions
@@ -712,10 +723,18 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
                      f"instr {idx} overwrites {space}{mem} bytes "
                      f"instr {ridx} is still reading"))
             readers.put(i, j, lo, hi, [])
-            writers.put(*writers.span(lo, hi), lo, hi, [(lo, hi, idx)])
+            i, j = writers.span(lo, hi)
+            late = {w for w in writers.vals[i:j]
+                    if w != idx and end[w] > start}
+            for widx in sorted(late):
+                report.append(
+                    ("waw-hazard", idx, widx,
+                     f"instr {idx} writes {space}{mem}[{lo},{hi}) before "
+                     f"writer {widx} completes"))
+            writers.put(i, j, lo, hi, [(lo, hi, idx)])
 
     if allocs:
-        for i, j in _live_alloc_overlaps(allocs, ev):
+        for i, j in _live_alloc_overlaps(allocs):
             a, b = allocs[i], allocs[j]
             report.append(
                 ("alloc-overlap", a["key"], b["key"],

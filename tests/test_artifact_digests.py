@@ -5,7 +5,7 @@ This test compiles every shipped corpus graph with the default options,
 plus `deconv` with `deconv_mode="upsample"`, writes the artifacts the way
 `dpuc compile` does (`cli.save_artifacts`, default `MachineConfig`) and
 compares the sha256 of `program.asm`, `memmap.json` (which holds the
-`fm_allocs` liveness records), `params.bin` and `report.json` with the
+`fm_allocs` window records), `params.bin` and `report.json` with the
 digests below, in that order.
 
 The digests were produced by running exactly this procedure on the source
@@ -45,6 +45,15 @@ gained `act_load_bytes`, `weight_load_bytes` and `min_load_bytes` in
 `report.json`, every `report.json` digest of a graph with such a node
 moved; each of those reports, with the three keys removed, still gave its
 old digest (`weight_tiled`'s apart, whose program had changed).
+
+Every `memmap.json` digest of all four tables was re-pinned once more when
+the planned windows became the only FM allocation record: `fm_allocs` now
+holds one `{key, mem, start, length, first, last}` record per planned
+window, which the separate `fm_windows` key used to list, instead of the
+byte pieces of the deleted byte-piece liveness, and `fm_windows` is gone.
+Each new file equals the old one with `fm_windows` removed and
+`fm_allocs` replaced by the old `fm_windows`; no `program.asm`,
+`params.bin` or `report.json` digest moved.
 """
 
 import base64
@@ -65,32 +74,32 @@ FILES = ("program.asm", "memmap.json", "params.bin", "report.json")
 DIGESTS = {
     ("conv_pool", "series"): (
         "0a4b203ca8382f2f83647c254a5c9554aa34188a9abe1a4fc5181d859fa097f7",
-        "4216701b64821934a3882a5fdeb774ec686502e4359877dfa9b6e5b8b4def64f",
+        "02a306a03c87116af0506cbd8d254bbe7eb34daaa7353c860f577a29a7f85737",
         "3ea9f50323cd004968c6509170af12053c2d10eeb847d2bb57fbb90816d38fc1",
         "1a6d3f1a44f782d615e643bf513c65d875b79a4152cd4494991089966eadd451"),
     ("deconv", "series"): (
         "56f484504bfccad335134010d60981e2ac3097faf2d22954fc68f94604aded35",
-        "80a64325d9eab87f8c56bc61bcf43d4c6704f77dfaeaa4c93af122fb54829e02",
+        "1e18017d8511fd8129fde6bb074c093e4336934715597d44318ba4b8ed07fe4b",
         "15450a48f1cf9e43743b65d7285c98057bfd01b727e862b4ceb5d57509ae7bd1",
         "d41bf985aa038143b91ad5bf8dc69b63d6262dd35af268064e07e90101593b4b"),
     ("inception_cell", "series"): (
         "dc2589dccf264e93f97dd897b84ea5f1fecb4d1f6a55bb0132124e10b639c5fe",
-        "8b1ad25811749a6512bdd867baa60d5be09e352cf4957cb99ed835c6e1d50ec3",
+        "a7f1ec69a8f7ea81ffaddb8aac67216919040b90cb53350a47ea205c8e607e65",
         "6cc1da936af82e7859716936a7e2f348779c5a0ea7af3bcfa1264f899b679c1c",
         "b39cfc66fd486aee8713fdbb34f39e4328a1bfa7b6465ad9de2aaabb32a57567"),
     ("resnet_cell", "series"): (
         "d2ffbdfee517806b653e222fd93215ebc95a63d8087cd57ec7e1309856f41ae2",
-        "55efeb4e32902f5d7a057bef99455b347161ee8dd5c07fdbc95fb5b6c38bef14",
+        "44c455f6a95fa88e1e7a1f6d93772173feea25623201631adbf0a84cca616eda",
         "8b2f67c3efeebe6a2df9265c1ae6d7464a0840c2782ec3663475525706aae4de",
         "78fc22283b521ef84ec3b8cdb74e035ca84de892ef892f034aa946417cda06ed"),
     ("toy_conv", "series"): (
         "159b47e9907c1263e2090d14925e88b44fdce46392588697e7fb39eb409f30fc",
-        "fa8add112032ebb25c1f35a400695360eea11c49cf0df7dbc7c2c3a56e5dca5f",
+        "b782a0b2e075f0b3c2a04f0c12d43d7c1fc88335c2f47729d155af164d6b0c38",
         "cca903d92edfa1958cf5d1d4835316b58e8783611bbc8e07c2968732b1e40cac",
         "7cead384e8b2f0969921364d527c8ac9790a7d4c586378e2618fa681cab30aa3"),
     ("vgg_prefix", "series"): (
         "3610fa328595b6e0853263e6b25e66c26da0b3f81ee580140f84cea256c01217",
-        "a6f5c926dcb8781f9c9e066a145e1f102da69534828ed9e73d2054219a78da9f",
+        "03f00730afce3930b88ed792951a11bedef0cdea55e7ce6cb1c3bba43c1a7a3f",
         "ab9251f7975f50d630cbba4ac462ae30b483429218d10ea21b912831a77f2608",
         "ab8a9964310a9bccc0b82bfad39f2da34c6dffe5f6419e24b86f31f979762065"),
     # re-pinned when the next slab's weight prefetch moved behind the
@@ -98,12 +107,12 @@ DIGESTS = {
     # still 29,468
     ("weight_tiled", "series"): (
         "5f86ddbaa7c22713e9744fc7653bd9adf8570fd1c1bd5e62b36ac05bcb65adc3",
-        "cebc7afab13deabc9a9375cffdb9671ea3b651e3b5716bf33a9b6095a8210458",
+        "cf95420d543bea2ae1a4089d5bda9e21eb686a8173af31ccf21a189362c6c7ab",
         "a3af02383fdf576ad1ff92bd2bf307ff7d13c761012c6046fdbc44d3a94e8563",
         "d21f5b33b01daefcf810911a384cd96438cf6cfc368d57364332676de7e7a01b"),
     ("deconv", "upsample"): (
         "ebc1911f332bf6841e53cc87f7737e0ec7e0b488d6720a93da60be900b15e5b6",
-        "48cb9601882743c19c87bcc1cc23570d7b66281a2a90f19bf368b70056e579cb",
+        "1e2ae1dbdf5ced9abc56e9382f88c36bc878a8205ef55741d85f9366d860de0c",
         "a8f7b15c3dca52d76ea09aa58b6bcbfde395b9dd575ca3baf7217a456069c53d",
         "0cd467e13225a8784f67b866f5b3eec6da33df08b1a15fc367d81ad61202d22a"),
 }
@@ -114,42 +123,42 @@ SMALL = MachineConfig(fm_bank_rows=8, pm_bytes=16384)
 SMALL_DIGESTS = {
     ("conv_pool", "series"): (
         "0a4b203ca8382f2f83647c254a5c9554aa34188a9abe1a4fc5181d859fa097f7",
-        "4216701b64821934a3882a5fdeb774ec686502e4359877dfa9b6e5b8b4def64f",
+        "02a306a03c87116af0506cbd8d254bbe7eb34daaa7353c860f577a29a7f85737",
         "3ea9f50323cd004968c6509170af12053c2d10eeb847d2bb57fbb90816d38fc1",
         "1a6d3f1a44f782d615e643bf513c65d875b79a4152cd4494991089966eadd451"),
     ("deconv", "series"): (
         "56f484504bfccad335134010d60981e2ac3097faf2d22954fc68f94604aded35",
-        "80a64325d9eab87f8c56bc61bcf43d4c6704f77dfaeaa4c93af122fb54829e02",
+        "1e18017d8511fd8129fde6bb074c093e4336934715597d44318ba4b8ed07fe4b",
         "15450a48f1cf9e43743b65d7285c98057bfd01b727e862b4ceb5d57509ae7bd1",
         "d41bf985aa038143b91ad5bf8dc69b63d6262dd35af268064e07e90101593b4b"),
     ("deconv", "upsample"): (
         "ebc1911f332bf6841e53cc87f7737e0ec7e0b488d6720a93da60be900b15e5b6",
-        "48cb9601882743c19c87bcc1cc23570d7b66281a2a90f19bf368b70056e579cb",
+        "1e2ae1dbdf5ced9abc56e9382f88c36bc878a8205ef55741d85f9366d860de0c",
         "a8f7b15c3dca52d76ea09aa58b6bcbfde395b9dd575ca3baf7217a456069c53d",
         "0cd467e13225a8784f67b866f5b3eec6da33df08b1a15fc367d81ad61202d22a"),
     ("inception_cell", "series"): (
         "dc2589dccf264e93f97dd897b84ea5f1fecb4d1f6a55bb0132124e10b639c5fe",
-        "8b1ad25811749a6512bdd867baa60d5be09e352cf4957cb99ed835c6e1d50ec3",
+        "a7f1ec69a8f7ea81ffaddb8aac67216919040b90cb53350a47ea205c8e607e65",
         "6cc1da936af82e7859716936a7e2f348779c5a0ea7af3bcfa1264f899b679c1c",
         "b39cfc66fd486aee8713fdbb34f39e4328a1bfa7b6465ad9de2aaabb32a57567"),
     ("resnet_cell", "series"): (
         "d2ffbdfee517806b653e222fd93215ebc95a63d8087cd57ec7e1309856f41ae2",
-        "55efeb4e32902f5d7a057bef99455b347161ee8dd5c07fdbc95fb5b6c38bef14",
+        "44c455f6a95fa88e1e7a1f6d93772173feea25623201631adbf0a84cca616eda",
         "8b2f67c3efeebe6a2df9265c1ae6d7464a0840c2782ec3663475525706aae4de",
         "78fc22283b521ef84ec3b8cdb74e035ca84de892ef892f034aa946417cda06ed"),
     ("toy_conv", "series"): (
         "159b47e9907c1263e2090d14925e88b44fdce46392588697e7fb39eb409f30fc",
-        "fa8add112032ebb25c1f35a400695360eea11c49cf0df7dbc7c2c3a56e5dca5f",
+        "b782a0b2e075f0b3c2a04f0c12d43d7c1fc88335c2f47729d155af164d6b0c38",
         "cca903d92edfa1958cf5d1d4835316b58e8783611bbc8e07c2968732b1e40cac",
         "7cead384e8b2f0969921364d527c8ac9790a7d4c586378e2618fa681cab30aa3"),
     ("vgg_prefix", "series"): (
         "3610fa328595b6e0853263e6b25e66c26da0b3f81ee580140f84cea256c01217",
-        "a6f5c926dcb8781f9c9e066a145e1f102da69534828ed9e73d2054219a78da9f",
+        "03f00730afce3930b88ed792951a11bedef0cdea55e7ce6cb1c3bba43c1a7a3f",
         "ab9251f7975f50d630cbba4ac462ae30b483429218d10ea21b912831a77f2608",
         "ab8a9964310a9bccc0b82bfad39f2da34c6dffe5f6419e24b86f31f979762065"),
     ("weight_tiled", "series"): (
         "20c052f1e5e0b2d7318e5568388a674cda1682c7a75d548b549760b60415b67c",
-        "4c3e760e821c97123f7be716765a111c9ac4d5a43f73ea3d8bbe4c6faaf9e8fe",
+        "a3b9edbf04327949c5011a2405e4eca663ee5e71304851b5d90311e3e78baf9c",
         "042c32e6e5becfe1d9a3f43084902d733fbe822483a6595d97ce9ea42205fee5",
         "ef59c40b0098e9f6e23458cfdbe369cebc00a76af35ea787344f9a5700003792"),
 }
@@ -218,17 +227,17 @@ LOCAL = {"identity": identity_doc, "upsample": upsample_doc,
 LOCAL_DIGESTS = {
     ("concat_copy", "series"): (
         "431ef2c7ec13d9db0f2f60ec4469a1a0b623701a260c7bdf24e7c2f76d9cde67",
-        "6ef8c6ab44c451616358382358e2f44706d50625dbc221accdf67385b3fbdf24",
+        "1b6c8ca2d792495133fc41204dc09cb86a8be6e82c1da637f0ce8054278d25f2",
         "58c7ac3940db0522dcf11fa4be5eb4f740e28e6ac47152e6277a0ae9631049f1",
         "a8a012d45db616a3fd1de612041b4cbaf80b83b1228a931df34d435a3a0dcad2"),
     ("identity", "series"): (
         "51504598ea0dfcd0f49254e7afe9418b2f59bb7b565960b046b04d779364589b",
-        "6358f5452a2eb1b654fc558f0f28e4c294a288a2e0d08ea768dab5184a73485d",
+        "67c557c8c6c0f09e064426a3dfb9d93c05a68f94ae0645ea59bdc579e755ddbc",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "618ef87085f230754dd72fa0e2bc7afa672c364d2faccb97a30994d34cc5a700"),
     ("upsample", "series"): (
         "0e27accfbc445f353e7d22988503caf310c110b95d9a5231bc9035871a79b127",
-        "795948359756c90df1cf3aafaaa2cdbcf56e8614f0ea384c8395c02fa04c0065",
+        "f623b7c857a3452115722df926986917133b4d5e3d8d41911fa3d31d2947983b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "95caf4e461a72f53e3902ba9747f3aee366317505de85ddd1e4d8add7f637057"),
 }
@@ -238,57 +247,57 @@ FINE = MachineConfig(fm_row_bytes=16, fm_bank_rows=8192)
 FINE_DIGESTS = {
     ("concat_copy", "series"): (
         "a484c1f34cfe9afe4d489c1a7d1f4ba405dad11db568048c7f5d78b9b3563daf",
-        "3f97e5bd29db5cae38c9923090126287c3a0357ae63af899a3fbe0c3ee02cc0e",
+        "25bcf78fadb4c8261b3ddc6721003791d18f300fd58167e85ea61514e0620c06",
         "58c7ac3940db0522dcf11fa4be5eb4f740e28e6ac47152e6277a0ae9631049f1",
         "a8a012d45db616a3fd1de612041b4cbaf80b83b1228a931df34d435a3a0dcad2"),
     ("conv_pool", "series"): (
         "72fb1f45be5bfc84318ab5718964d24cccc2e1e4d93854ff5166183741b1604e",
-        "7fee539b5d61c5c2aa3c818073e0a59fee94d69a5b4b911d52c5630ccdc1a776",
+        "fce8d520ec71ee491997c4a16b538ea442b144dd7b13339e20144efd4f9ee2da",
         "3ea9f50323cd004968c6509170af12053c2d10eeb847d2bb57fbb90816d38fc1",
         "1a6d3f1a44f782d615e643bf513c65d875b79a4152cd4494991089966eadd451"),
     ("deconv", "series"): (
         "10d72443e2041bebae70b014ce29e68534c11ade1ae0751cbeced698355a63a9",
-        "4cd957adaf8063617771fd1a07672035a3e81ad90ac3a2e5c37a7b871fd32003",
+        "26ad8813323748637d52d3ef10f661a470a0776fc7bfcdddd1564ff639fda6c8",
         "15450a48f1cf9e43743b65d7285c98057bfd01b727e862b4ceb5d57509ae7bd1",
         "d41bf985aa038143b91ad5bf8dc69b63d6262dd35af268064e07e90101593b4b"),
     ("deconv", "upsample"): (
         "b0c8382f093ace943f5e825b92bdd512f4dbee5aa75104cbf7d4a65f8fcc265d",
-        "6e43502ab9cf4036a131d7b6ae30841d8efd29045a1c7fb2d35b6a7aafc2e7c4",
+        "b45d472d03d99b7acd0db4db009418fbaac7674906ab6cb81f4133e176b413fc",
         "a8f7b15c3dca52d76ea09aa58b6bcbfde395b9dd575ca3baf7217a456069c53d",
         "0cd467e13225a8784f67b866f5b3eec6da33df08b1a15fc367d81ad61202d22a"),
     ("identity", "series"): (
         "6d8108802ec36e0180b337d9199e21fe53a1fd503c2acee984ef1ca942a79424",
-        "274f23fa0455de5bd574dbec0a8d3892c9f1e36a1b2aefc0b278fbd83a57f34f",
+        "5dfab8336ede7131e45a13846d1746b9d2e71003b7cf32817c9a9664ad63bae0",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "618ef87085f230754dd72fa0e2bc7afa672c364d2faccb97a30994d34cc5a700"),
     ("inception_cell", "series"): (
         "8f365c4b5ada09ae979fe116c0f9fc5094458e60821bd804c48591631c329144",
-        "fdfcbd2bf648bd1c43641f998e53fd7dc5ac1b2bd9da1d615edd82be0c992bbd",
+        "aa53dce04cad78134349bf7b40529af179fd15a3735108eb6e7d1ae60c2f7cf5",
         "6cc1da936af82e7859716936a7e2f348779c5a0ea7af3bcfa1264f899b679c1c",
         "b39cfc66fd486aee8713fdbb34f39e4328a1bfa7b6465ad9de2aaabb32a57567"),
     ("resnet_cell", "series"): (
         "743a4a0d797b6225aa916481d5ee13579c7548c99b87176a3219d6e67b999664",
-        "33621d274dfadeb90e2e40a991a310d36847c97df3cfd4418721d811c09fbc4b",
+        "ce9392ad73f3545a34d89fe60a563808d19ea5ba8ac27685b2537811c35e59ff",
         "8b2f67c3efeebe6a2df9265c1ae6d7464a0840c2782ec3663475525706aae4de",
         "78fc22283b521ef84ec3b8cdb74e035ca84de892ef892f034aa946417cda06ed"),
     ("toy_conv", "series"): (
         "159b47e9907c1263e2090d14925e88b44fdce46392588697e7fb39eb409f30fc",
-        "3347e3f518d966dcba831fd6198ca77688335f7565290bdcdb97e958e9e23894",
+        "6d9a5c7ab9eb50f767d36c03be9b8b579e81003b086038beccfa65417542f18d",
         "cca903d92edfa1958cf5d1d4835316b58e8783611bbc8e07c2968732b1e40cac",
         "7cead384e8b2f0969921364d527c8ac9790a7d4c586378e2618fa681cab30aa3"),
     ("upsample", "series"): (
         "8b04c70b229b237626e048017ece5fae2ba5d06df6c7af7825d261ebff5fa5b0",
-        "e9c69f4ae970e46fc593349f2cd148c38b68d5441e9e7bd04180dabcf9570f42",
+        "51811539da503063f35830588bc578f7ebfd00ae56abf5a6764c18ff3fcff4d4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "95caf4e461a72f53e3902ba9747f3aee366317505de85ddd1e4d8add7f637057"),
     ("vgg_prefix", "series"): (
         "b435c698f145bae0dfc9681100ca3779527b527f8ff3c51798dc82fceef6e85f",
-        "ac5dd071499862d93b46b31a48abbbf010c1359e9e99efa686b2199fab65950f",
+        "8c41098bbe8a166751d6cb671e3b0274af5eed29f13806630db9cf3a865d3495",
         "ab9251f7975f50d630cbba4ac462ae30b483429218d10ea21b912831a77f2608",
         "ab8a9964310a9bccc0b82bfad39f2da34c6dffe5f6419e24b86f31f979762065"),
     ("weight_tiled", "series"): (
         "ee97cd737dc81b1b3b9ffb45cb1f9bb46dde74ec9c5a66de9b7e5897b4909f87",
-        "0791416a5b1756b3be751f82487bf7897b865eac3972d8b9f927dfacb61d237c",
+        "5cd684ac12d76aaabb94365e732f30701a16d3a789936b31b40fb3d161e06a2f",
         "a3af02383fdf576ad1ff92bd2bf307ff7d13c761012c6046fdbc44d3a94e8563",
         "d21f5b33b01daefcf810911a384cd96438cf6cfc368d57364332676de7e7a01b"),
 }

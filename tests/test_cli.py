@@ -149,6 +149,17 @@ def test_verify_compile_failure_exit_three(corpus_dir, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_without_seeds_exit_three(corpus_dir, capsys, seeds):
+    # no seed means nothing was compared; exit 2 would mean a hazard
+    rc = cli.main(["verify", str(corpus_dir / "toy_conv.json"),
+                   "--seeds", seeds])
+    assert rc == 3
+    out = capsys.readouterr()
+    assert "PASS" not in out.out
+    assert out.err == f"error: --seeds must be at least 1, got {seeds}\n"
+
+
 def _toy_weights(shape):
     doc = corpus.toy_conv()
     doc["nodes"][1]["params"].update(

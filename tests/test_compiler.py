@@ -301,7 +301,7 @@ def test_liveness_bound_two_windows_per_stream():
     tr = S.run_timing(art.program, CFG)
     ev = {e.index: e for e in tr.events}
     windows = {}
-    for rec in art.memmap["fm_windows"]:
+    for rec in art.memmap["fm_allocs"]:
         node_stream = rec["key"].rsplit("/", 1)[0]
         windows.setdefault(node_stream, []).append(
             (ev[rec["first"]].start, ev[rec["last"]].end))

@@ -1,22 +1,19 @@
-"""The byte-interval map and its two users, liveness and dependency
-derivation, against brute-force per-byte oracles.
+"""The byte-interval map and its user, dependency derivation, against a
+brute-force per-byte oracle.
 
 Random access sequences run over two FM memories of MEM_BYTES bytes.  An
 access is a stand-in instruction with a queue type and a few read and
-write ranges; both users only look at those.
+write ranges; dependency derivation only looks at those.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpuc.errors import UseBeforeDefError
 from dpuc.intervals import ADDR_LIMIT, IntervalMap
 from dpuc.machine import FM, OP_TYPES
-from dpuc.memory import compute_liveness
 from dpuc.pipeline import derive_dependencies
 
 MEM_BYTES = 64
@@ -48,66 +45,19 @@ accesses = st.lists(
 
 
 def test_interval_map_split_update_assign():
-    m = IntervalMap()
-    assert m.assign(K, 0, 64, "a") == []
-    assert m.update(K, 16, 32, str.upper)
-    assert not m.update(K, 64, 80, str.upper)
-    assert not m.update((FM, 1), 0, 8, str.upper)
+    m = IntervalMap("a")
+    m.update(K, 16, 32, str.upper)
+    m.update((FM, 1), 0, 8, str.upper)
+    m.update(K, 40, 40, str.upper)     # an empty range changes nothing
     # displaced pieces come back clipped to the assigned range
     assert m.assign(K, 8, 24, "b") == [(8, 16, "a"), (16, 24, "A")]
-    # equal neighbours stay separate pieces
-    m.update(K, 0, 64, str.lower)
-    assert list(m.pieces()) == [(K, 0, 8, "a"), (K, 8, 24, "b"),
-                                (K, 24, 32, "a"), (K, 32, 64, "a")]
     assert m.assign(K, 4, 4, "c") == []
-
-    d = IntervalMap(0)
-    assert d.update(K, 4, 8, lambda v: v + 1)
-    assert list(d.pieces()) == [(K, 0, 4, 0), (K, 4, 8, 1),
-                                (K, 8, ADDR_LIMIT, 0)]
-
-
-def liveness_oracle(prog):
-    """Sorted per-byte (mem, byte, first write, last read) lifetimes, and
-    the index of the first read of never-written bytes (or None)."""
-    writer = np.full((2, MEM_BYTES), -1)
-    last = np.full((2, MEM_BYTES), -1)
-    out = []
-    for idx, acc in enumerate(prog):
-        for _s, m, lo, hi in acc.rd:
-            owned = writer[m, lo:hi] >= 0
-            if not owned.any():
-                return None, idx
-            last[m, lo:hi][owned] = idx
-        for _s, m, lo, hi in acc.wr:
-            for b in np.flatnonzero(writer[m, lo:hi] >= 0) + lo:
-                out.append((m, int(b), int(writer[m, b]), int(last[m, b])))
-            writer[m, lo:hi] = idx
-            last[m, lo:hi] = idx
-    for m, b in zip(*np.nonzero(writer >= 0)):
-        out.append((int(m), int(b), int(writer[m, b]), int(last[m, b])))
-    return sorted(out), None
-
-
-@given(accesses)
-@settings(max_examples=200, deadline=None)
-def test_liveness_matches_per_byte_oracle(prog):
-    expected, bad_read = liveness_oracle(prog)
-    if bad_read is not None:
-        with pytest.raises(UseBeforeDefError,
-                           match=f"instruction {bad_read} "):
-            compute_liveness(prog)
-        return
-    ranges = compute_liveness(prog)
-    assert [(r.first, r.key) for r in ranges] == \
-        sorted((r.first, r.key) for r in ranges)
-    per_byte = []
-    for r in ranges:
-        space, mem, lo, hi = r.key
-        assert space == FM and lo < hi
-        assert r.dead == (r.first == r.last)
-        per_byte += [(mem, b, r.first, r.last) for b in range(lo, hi)]
-    assert sorted(per_byte) == expected
+    # equal neighbours stay separate pieces; a memory starts as one piece
+    m.update(K, 0, 64, str.lower)
+    assert m.assign(K, 0, ADDR_LIMIT, "d") == [
+        (0, 8, "a"), (8, 24, "b"), (24, 32, "a"), (32, 64, "a"),
+        (64, ADDR_LIMIT, "a")]
+    assert m.assign((FM, 1), 0, 16, "e") == [(0, 8, "A"), (8, 16, "a")]
 
 
 def deps_oracle(prog):

@@ -2,8 +2,9 @@ import pytest
 
 from dpuc import graph as G
 from dpuc import memory as MEM
-from dpuc.errors import PortConflictError, UseBeforeDefError
-from dpuc.machine import Addr, DDR, FM, Instruction, LOAD, MISC, SAVE
+from dpuc.errors import PortConflictError
+from dpuc.lowering import Win
+from dpuc.machine import Addr, DDR, Instruction, LOAD, MISC, SAVE
 
 
 def small_graph():
@@ -47,74 +48,30 @@ def test_ddr_layout_empty_graph_zero_segments():
     assert lay.segments["instructions"] == (0, MEM.PROGRAM_SIZE_ESTIMATE)
 
 
-def load_instr(dst_off, nbytes, mem=0, src=0):
-    return Instruction(op=LOAD, sub="act", src=Addr(DDR, src),
-                       dst=Addr(FM, dst_off, mem), rows=1, blocks=1,
-                       block_bytes=nbytes, ddr_row_stride=nbytes,
-                       ddr_blk_stride=0)
+def test_liveness_spans_every_window_in_program_indices():
+    # two nodes in program order: node b's indices follow node a's, and a
+    # node's windows come out in the order of str((stream, tile))
+    def ins(op, src=None, dst=None):
+        return Instruction(op=op, sub="move" if op == MISC else "act",
+                           src=src, dst=dst)
 
-
-def save_instr(src_off, nbytes, mem=0, dst=0):
-    return Instruction(op=SAVE, sub="act", src=Addr(FM, src_off, mem),
-                       dst=Addr(DDR, dst), rows=1, blocks=1,
-                       block_bytes=nbytes, ddr_row_stride=nbytes,
-                       ddr_blk_stride=0)
-
-
-def test_liveness_write_then_read_chain():
-    instrs = [load_instr(0, 64), save_instr(0, 64), save_instr(0, 64)]
-    ranges = MEM.compute_liveness(instrs)
-    # FM only: the DDR bytes the load reads and the saves write are not
-    # tracked
-    assert [r.key for r in ranges] == [(FM, 0, 0, 64)]
-    assert ranges[0].first == 0 and ranges[0].last == 2
-    assert not ranges[0].dead
-
-
-def test_liveness_never_read_is_dead():
-    ranges = MEM.compute_liveness([load_instr(0, 64)])
-    assert len(ranges) == 1
-    assert ranges[0].dead and ranges[0].first == ranges[0].last == 0
-
-
-def test_liveness_use_before_def():
-    with pytest.raises(UseBeforeDefError):
-        MEM.compute_liveness([save_instr(0, 64)])
-    # a read of another FM memory's written bytes does not count
-    with pytest.raises(UseBeforeDefError):
-        MEM.compute_liveness([load_instr(0, 64, mem=1), save_instr(0, 64)])
-    # DDR is never tracked, so reading unwritten DDR is not an error
-    assert MEM.compute_liveness([load_instr(0, 64, src=4096)])
-
-
-def test_liveness_partial_overwrite_keeps_piece_boundaries():
-    # a read cuts its slice at the read's ends, a partial overwrite emits
-    # only the bytes it displaces, and equal neighbours are not merged
-    instrs = [load_instr(0, 64), save_instr(0, 16), save_instr(0, 64),
-              load_instr(8, 16), save_instr(0, 64)]
-    got = [(r.key[2:], r.first, r.last, r.dead)
-           for r in MEM.compute_liveness(instrs)]
-    assert got == [((0, 8), 0, 4, False), ((8, 16), 0, 2, False),
-                   ((16, 24), 0, 2, False), ((24, 64), 0, 4, False),
-                   ((8, 24), 3, 4, False)]
-
-
-def test_liveness_double_buffered_stream_two_live():
-    # pipelined order: L1 L2 S1 L3 S2 L4 S3 S4, windows alternate offsets
-    instrs = []
-    order = [(0, None), (64, None), (None, 0), (0, None), (None, 64),
-             (64, None), (None, 0), (None, 64)]
-    for l, s in order:
-        if l is not None:
-            instrs.append(load_instr(l, 64))
-        else:
-            instrs.append(save_instr(s, 64))
-    ranges = MEM.compute_liveness(instrs)
-    assert len(ranges) == 4 and all(r.key[0] == FM for r in ranges)
-    # at any instruction index at most two slices of the class are live
-    for idx in range(len(instrs)):
-        live = [r for r in ranges if r.first <= idx <= r.last]
-        assert len(live) <= 2
+    a = [ins(LOAD, Addr(DDR, 0), Win("in", 2, 0)),
+         ins(LOAD, Addr(DDR, 64), Win("in", 10, 0)),
+         ins(SAVE, Win("in", 2, 64), Addr(DDR, 128)),
+         ins(SAVE, Win("in", 10, 0), Addr(DDR, 192))]
+    b = [ins(LOAD, Addr(DDR, 0), Win("in", 0, 0)),
+         ins(MISC, Win("in", 0, 0), Win("out", 0, 0)),
+         ins(SAVE, Win("out", 0, 0), Addr(DDR, 64))]
+    placed_a = {("in", 2): MEM.WindowAlloc(0, 0, 2048),
+                ("in", 10): MEM.WindowAlloc(0, 2048, 2048)}
+    placed_b = {("out", 0): MEM.WindowAlloc(1, 0, 2048),
+                ("in", 0): MEM.WindowAlloc(0, 0, 4096)}
+    got = MEM.compute_liveness([("a", a, placed_a), ("b", b, placed_b)])
+    assert [(r["key"], r["first"], r["last"]) for r in got] == [
+        ("a/in/10", 1, 3), ("a/in/2", 0, 2), ("b/in/0", 4, 5),
+        ("b/out/0", 5, 6)]
+    assert [(r["mem"], r["start"], r["length"]) for r in got] == [
+        (0, 2048, 2048), (0, 0, 2048), (0, 0, 4096), (1, 0, 2048)]
 
 
 def test_check_ports_valid_chain():

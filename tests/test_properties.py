@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpuc import compiler as C
 from dpuc import graph as G
 from dpuc import lowering as L
 from dpuc import simulator as S
@@ -317,6 +318,15 @@ RESIDENT_CASES = {
 }
 
 
+def resident_case(case):
+    """The graph document and machine of a RESIDENT_CASES entry."""
+    h, w, ci, co, fused, over = RESIDENT_CASES[case]
+    rng = np.random.default_rng(h * 1000 + w * 10 + co)
+    doc = (conv_pool_doc(h, w, ci, co, rng) if fused
+           else conv_doc(h, w, ci, co, 3, 1, 1, rng))
+    return doc, MachineConfig(**over)
+
+
 def band_window_rows(h, band_h, final_h, fused):
     """Input rows a 3x3/p1 conv reads for each height band of band_h
     final output rows; a fused 2x2/s2 pool doubles the conv rows."""
@@ -332,14 +342,10 @@ def test_single_band_input_resident_across_slabs(case, pipelined):
     # one or several height bands and several PM slabs: each width strip
     # loads the input rows of each band once, in its first slab's tiles;
     # the later slabs' tiles carry no activation load and convolve those
-    # same windows.  Outputs are compared with the reference: a window
-    # overwritten while a later slab still reads it is not a hazard the
-    # trace checker sees, only a wrong output.
-    h, w, ci, co, fused, over = RESIDENT_CASES[case]
-    rng = np.random.default_rng(h * 1000 + w * 10 + co)
-    doc = (conv_pool_doc(h, w, ci, co, rng) if fused
-           else conv_doc(h, w, ci, co, 3, 1, 1, rng))
-    cfg = MachineConfig(**over)
+    # same windows.  Outputs are compared with the reference, and the
+    # hazard checker finds no planned window reused while still in use.
+    h, w, ci, co, fused, _over = RESIDENT_CASES[case]
+    doc, cfg = resident_case(case)
     options = CompileOptions(pipeline=pipelined)
     art = roundtrip(doc, cfg, options)
     node = art.report["nodes"][0]
@@ -362,6 +368,30 @@ def test_single_band_input_resident_across_slabs(case, pipelined):
             assert ("LOAD/act" in leaves) == (si == 0)
     again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
     assert again.assembly == art.assembly
+
+
+@pytest.mark.parametrize("case", sorted(c for c in RESIDENT_CASES
+                                         if "bands" in c))
+def test_two_slot_plan_of_resident_windows_is_an_alloc_overlap(
+        case, monkeypatch):
+    # a planner that kept the two alternating slots for every stream
+    # would overwrite a band's resident input window while later slabs
+    # still read it: the outputs go wrong, and the hazard checker reports
+    # the planned windows that share bytes while both are in use
+    monkeypatch.setattr(C, "_window_slots", lambda live: {t: t % 2
+                                                          for t in live})
+    doc, cfg = resident_case(case)
+    g = G.parse_graph(json.dumps(doc))
+    art = compile_graph(g, cfg)
+    folded = G.fold_constants_and_quantizers(g)
+    inputs = {"x": np.random.default_rng(99).integers(
+        -128, 128, folded.tensors["x"].shape).astype(np.int8)}
+    got = S.run_program(art.program, cfg, inputs)
+    ref = S.reference_execute(folded, inputs)
+    assert not np.array_equal(got["y"], ref["y"])
+    report = S.check_hazards(art.program, S.run_timing(art.program, cfg),
+                             allocs=art.memmap["fm_allocs"], cfg=cfg)
+    assert "alloc-overlap" in {kind for kind, *_ in report}
 
 
 @pytest.mark.parametrize("pipelined", [True, False],

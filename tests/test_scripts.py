@@ -1,6 +1,8 @@
 """Smoke tests of the experiment scripts: each runs in a subprocess, as
-from the command line, and writes only under a temporary directory."""
+from the command line, and writes only under a temporary directory.  The
+benchmark's tracer is checked against the functions it wraps."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -47,3 +49,17 @@ def test_render_timelines_writes_one_svg_per_job(tmp_path):
                           + ["deconv_upsample_path.svg"])
     for name in svgs:
         assert (out / name).read_text().lstrip().startswith("<svg")
+
+
+def test_traced_functions_exist():
+    # the benchmark's --trace 1 runs swap each (module, attr) of
+    # perfbench/tracing.WRAPPED for a wrapper; a renamed function would
+    # break those runs only
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for mod, attr, _span in tracing.WRAPPED:
+        assert mod.__name__.startswith("dpuc."), mod.__name__
+        assert callable(getattr(mod, attr, None)), (mod.__name__, attr)

@@ -607,46 +607,35 @@ def test_hazard_overlapping_allocations_detected():
     assert any(kind == "alloc-overlap" for kind, *_ in report)
 
 
-def _pairwise_alloc_overlaps(allocs, ev):
-    """Every same-memory pair, in (i, j) order."""
+def _pairwise_alloc_overlaps(allocs):
+    """Every same-memory pair sharing a byte and an instruction, in
+    (i, j) order."""
     out = []
     for i, a in enumerate(allocs):
         for b in allocs[i + 1:]:
-            ta = (ev[a["first"]].start, ev[a["last"]].end)
-            tb = (ev[b["first"]].start, ev[b["last"]].end)
-            if a["mem"] == b["mem"] and ta[0] < tb[1] and tb[0] < ta[1] \
-                    and a["start"] < b["start"] + b["length"] \
-                    and b["start"] < a["start"] + a["length"]:
+            if a["mem"] == b["mem"] \
+                    and max(a["first"], b["first"]) \
+                    <= min(a["last"], b["last"]) \
+                    and max(a["start"], b["start"]) \
+                    < min(a["start"] + a["length"], b["start"] + b["length"]):
                 out.append((a["key"], b["key"]))
     return out
 
 
 @given(hst.lists(hst.tuples(hst.integers(0, 1), hst.integers(0, 255),
-                            hst.integers(1, 256), hst.integers(0, 7),
-                            hst.integers(0, 7)),
+                            hst.integers(0, 256), hst.integers(0, 7),
+                            hst.integers(0, 3)),
                  max_size=24))
 @settings(max_examples=200, deadline=None)
 def test_alloc_overlaps_match_pairwise_check(spec):
-    # lifetimes come from a trace with staggered queues
-    cfg = MachineConfig(fm_banks_per_memory=1, fm_bank_rows=1,
-                        fm_row_bytes=256)
-    instrs = []
-    for k in range(8):
-        n = 16 * (k + 1)
-        fm, ddr = Addr(FM, 0, 0), Addr(DDR, 4096 * k)
-        instrs.append(Instruction(
-            op=(LOAD, SAVE)[k % 2], sub="act",
-            src=(ddr, fm)[k % 2], dst=(fm, ddr)[k % 2], rows=1, blocks=1,
-            block_bytes=n, ddr_row_stride=n, ddr_blk_stride=0))
-    prog = Program(instructions=instrs)
-    tr = S.run_timing(prog, cfg)
+    # spans are inclusive instruction indices; the check needs no trace
     allocs = [{"key": f"a{i}", "mem": mem, "start": start,
-               "length": length, "first": first, "last": last}
-              for i, (mem, start, length, first, last) in enumerate(spec)]
-    report = S.check_hazards(prog, tr, allocs=allocs)
+               "length": length, "first": first, "last": first + extra}
+              for i, (mem, start, length, first, extra) in enumerate(spec)]
+    report = S.check_hazards(Program(instructions=[]),
+                             S.Trace([], 0, {}, {}), allocs=allocs)
     got = [(a, b) for kind, a, b, _msg in report if kind == "alloc-overlap"]
-    ev = {e.index: e for e in tr.events}
-    assert got == _pairwise_alloc_overlaps(allocs, ev)
+    assert got == _pairwise_alloc_overlaps(allocs)
 
 
 def _event(idx, ins, start, duration):
@@ -671,6 +660,34 @@ def test_hazard_zero_length_access_touches_nothing(wide_op, empty_op):
     tr = S.Trace([_event(0, wide, 0, 100), _event(1, empty, 10, 1)], 100,
                  {}, {})
     assert S.check_hazards(prog, tr) == []
+
+
+@pytest.mark.parametrize("second", [CONV, MISC])
+def test_hazard_write_after_unfinished_write_detected(second):
+    # a LOAD fills fm0[0, 4096); a CONV or MISC on another queue writes
+    # fm0[0, 64) with no DPON on the LOAD, so it starts while the LOAD
+    # still runs.  Writes to one memory share its write port, so the
+    # port check reports the pair too.
+    cfg = MachineConfig()
+    ld = _fm_transfer(LOAD, 0, 4096)
+    if second == CONV:
+        wr = Instruction(op=CONV, sub="conv", src=Addr(FM, 0, 1),
+                         dst=Addr(FM, 0, 0), wgt_off=0, wgt_bytes=64 + 4,
+                         in_rows=1, in_w=1, c_in=64, out_w=1, c_out=1,
+                         kh=1, kw=1, sh=1, sw=1, pt=0, pl=0, pb=0, pr=0,
+                         shift=0)
+    else:
+        wr = Instruction(op=MISC, sub="move", src=Addr(FM, 0, 1),
+                         dst=Addr(FM, 0, 0), rows=1, blocks=1,
+                         block_bytes=64, src_row_stride=64,
+                         dst_row_stride=64, src_blk_stride=0,
+                         dst_blk_stride=0)
+    prog = Program(instructions=[ld, wr])
+    tr = S.run_timing(prog, cfg)
+    assert tr.events[1].start < tr.events[0].end
+    report = S.check_hazards(prog, tr)
+    assert ("waw-hazard", 1, 0) in {tuple(r[:3]) for r in report}
+    assert {kind for kind, *_ in report} == {"waw-hazard", "port-conflict"}
 
 
 @hst.composite
@@ -708,9 +725,9 @@ def _footprint_instr(draw):
 
 
 def _per_byte_hazards(instrs, ev):
-    """Every RAW and WAR as (kind, idx, other), found byte by byte from the
-    last writer of each byte and the readers since that write; also the
-    bytes behind each RAW pair."""
+    """Every RAW, WAR and WAW as (kind, idx, other), found byte by byte
+    from the last writer of each byte and the readers since that write;
+    also the bytes behind each RAW pair."""
     writer, readers, found, raw_bytes = {}, {}, set(), {}
     for idx, ins in enumerate(instrs):
         start = ev[idx].start
@@ -726,6 +743,9 @@ def _per_byte_hazards(instrs, ev):
                 found.update(("war-hazard", idx, r)
                              for r in readers.pop((space, mem, b), ())
                              if r != idx and ev[r].end > start)
+                w = writer.get((space, mem, b))
+                if w is not None and w != idx and ev[w].end > start:
+                    found.add(("waw-hazard", idx, w))
                 writer[(space, mem, b)] = idx
     return found, raw_bytes
 
@@ -745,7 +765,8 @@ def test_raw_war_tables_match_per_byte_oracle(spec):
         t = start + duration
     report = S.check_hazards(Program(instructions=instrs),
                              S.Trace(events, t, {}, {}))
-    hazards = [r for r in report if r[0] in ("raw-hazard", "war-hazard")]
+    hazards = [r for r in report
+               if r[0] in ("raw-hazard", "war-hazard", "waw-hazard")]
     want, raw_bytes = _per_byte_hazards(instrs, {e.index: e for e in events})
     assert {tuple(r[:3]) for r in hazards} == want
     assert (hazards == []) == (not want)
@@ -777,13 +798,14 @@ def test_hazard_war_only_fault_detected():
 
 
 def test_hazard_checker_runs_without_dependency_derivation(monkeypatch):
-    """A fresh simulator module, imported while intervals.py and
-    pipeline.py cannot be, finds every corpus program hazard-free."""
+    """A fresh simulator module, imported while intervals.py, memory.py
+    and pipeline.py cannot be, finds every corpus program hazard-free."""
     cfg = MachineConfig()
     arts = [compile_graph(corpus.corpus_graph(name), cfg, options)
             for name, options in CORPUS_BUILDS]
     with monkeypatch.context() as m:
         m.setitem(sys.modules, "dpuc.intervals", None)
+        m.setitem(sys.modules, "dpuc.memory", None)
         m.setitem(sys.modules, "dpuc.pipeline", None)
         m.delitem(sys.modules, "dpuc.simulator")
         m.setattr(dpuc, "simulator", S)   # the import below rebinds it
