@@ -13,9 +13,12 @@ with a placed one, and the typed dependencies are derived over the whole
 program so consecutive nodes synchronize through the same DPON/DPBY
 machinery.  A node that cannot be placed retries with reduced tile
 height, then unfused, then deeper width splits; when every step fails the
-CompileError carries the attempt ledger.  Lowering, window planning and
-the DDR layout never read the node order, so a node the ladder cannot
-place fails under every schedule.
+CompileError carries the attempt ledger.  Window planning and the DDR
+layout never read the node order, and lowering reads only which PM halves
+the previous node with weights leaves busy, so that a conv's weight slabs
+start in the free half (`_pm_halves_read`).  The half changes no size and
+no feasibility, so a node the ladder cannot place fails under every
+schedule.
 """
 
 from dataclasses import dataclass
@@ -113,33 +116,51 @@ def _ladder_steps(fused):
     return steps
 
 
-def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts):
-    """Returns a list of (node, LoweredNode) pairs.  Raises CompileError,
-    with the attempt ledger, when no ladder step fits."""
+def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
+                       pm_busy):
+    """Returns a list of (node, LoweredNode) pairs and the PM halves the
+    last of them with weights leaves busy, given those the nodes before it
+    left busy (`pm_busy`).  Raises CompileError, with the attempt ledger,
+    when no ladder step fits."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
                  else [node])
-        ctx = LW.LowerContext(tensors=tensors,
-                              h_cap=min(step.get("max_h", cfg.h_c), cfg.h_c),
-                              aliases=aliases,
-                              deconv_mode=options.deconv_mode,
-                              w_min_parts=step.get("w_min_parts", 1))
         try:
-            out = []
+            out, busy = [], pm_busy
             for nd in nodes:
+                ctx = LW.LowerContext(
+                    tensors=tensors,
+                    h_cap=min(step.get("max_h", cfg.h_c), cfg.h_c),
+                    aliases=aliases, deconv_mode=options.deconv_mode,
+                    w_min_parts=step.get("w_min_parts", 1), pm_busy=busy)
                 lowered = LW.lower_node(nd, ctx, cfg)
                 mems = MM.assign_fm_memories(lowered, cfg)
                 _plan_windows(lowered, mems, cfg)
                 out.append((nd, lowered))
+                busy = _pm_halves_read(lowered, cfg, busy)
             if step:
                 attempts.append(f"node {node.id}: retried with {step}")
-            return out
+            return out, busy
         except (InfeasibleError, OutOfMemoryError, PortConflictError,
                 UnsupportedError) as e:
             last = e
             attempts.append(f"node {node.id} with {step or 'defaults'}: {e}")
     raise CompileError(f"node {node.id}: {last}", attempts)
+
+
+def _pm_halves_read(lowered, cfg, busy):
+    """The PM halves the last CONV of a lowered node reads, from its
+    wgt_off and wgt_bytes; `busy` when the node has no CONV."""
+    half = cfg.pm_bytes // 2
+    for tile in reversed(lowered.tiles):
+        for _q, group in reversed(tile.stages):
+            for ins in reversed(group):
+                if ins.op == CONV:
+                    lo = ins.wgt_off // half
+                    hi = min(1, (ins.wgt_off + ins.wgt_bytes - 1) // half)
+                    return tuple(range(lo, hi + 1))
+    return busy
 
 
 def _plan_windows(lowered, mems, cfg):
@@ -234,12 +255,14 @@ def _compile_schedule(g, schedule, cfg, options):
     param_image = bytearray()
     param_offsets = {}
     lowered_nodes = []
+    pm_busy = ()   # both PM halves are free at program start
     for nid in schedule:
         node = g.nodes[nid]
         if node.op == "input":
             continue
-        parts = _lower_with_ladder(node, g.tensors | _mid_tensors(g),
-                                   aliases, cfg, options, attempts)
+        parts, pm_busy = _lower_with_ladder(
+            node, g.tensors | _mid_tensors(g), aliases, cfg, options,
+            attempts, pm_busy)
         for nd, lowered in parts:
             offs = []
             for payload in lowered.pm_payloads:
@@ -316,7 +339,8 @@ def _compile_schedule(g, schedule, cfg, options):
 def _conv_efficiency(prog, marks, trace, cfg):
     """Ideal CONV cycles (MACs / conv_macs_per_cycle) over the makespan,
     and per node over the node's trace span (its first start to its last
-    end)."""
+    end).  Node spans may overlap: a conv's first weight slab loads while
+    the previous node with weights still convolves."""
     macs, spans = {}, {}
     for ins, mark, ev in zip(prog.instructions, marks, trace.events):
         nid = mark[0]

@@ -32,6 +32,14 @@ fits one FM memory the windows stay there, and the convs of the later
 slabs read them (their src `Win` names the loading tile) instead of
 re-loading them once per slab.  When they do not fit, every slab's tiles
 re-load their windows.
+
+The PM double buffer is the one thing lowering takes from the node order.
+Such a conv's slabs alternate between the PM halves starting from the
+half the previous node with weights left free (`LowerContext.pm_busy`,
+derived by the compiler from that node's last CONV), and a slab whose
+half that CONV still reads when the node starts loads behind the first
+band's input rows, in every width strip.  The halves change no size and
+no feasibility.
 """
 
 from dataclasses import dataclass, field
@@ -318,15 +326,18 @@ class Slab:
 def weight_tiling(c_out, kh, kw, c_in, cfg):
     """Split conv weights into PM slabs along output channels.
 
-    A single slab is used when weights + biases fit PM outright; otherwise
-    slabs are capped at half of PM so the next slab's LOAD can overlap the
-    running slab's convolutions (double buffering): slab si lives in PM
-    half si % 2.  The conv lowering issues that prefetch behind the
-    activation loads of the slab's LOAD stage, so the in-order LOAD queue
-    never holds a tile's input rows behind a weight load that waits on the
-    previous slab's conv.  A slab is loaded only when its half does not
-    already hold it: with two slabs, or three, later width strips find
-    slab 1 still in half 1.
+    A single slab is used when weights + biases fit PM outright, at PM
+    offset 0; otherwise slabs are capped at half of PM so the next slab's
+    LOAD can overlap the running slab's convolutions (double buffering).
+    The double buffer runs on across nodes: slab si lives in PM half
+    (si + h0) % 2, where h0 is the first half the previous node with
+    weights leaves free (`LowerContext.pm_busy`), so the first slab loads
+    while that node still convolves.  The conv lowering issues every
+    prefetch behind the activation loads of a LOAD stage, so the in-order
+    LOAD queue never holds a tile's input rows behind a weight load that
+    waits on a conv still reading its half.  A slab is loaded only when
+    its half does not already hold it: with two slabs, or three, later
+    width strips find slab 1 still in its half.
     """
     per_ch = kh * kw * c_in + 4  # int8 taps + int32 bias
     total = c_out * per_ch
@@ -475,6 +486,9 @@ class LowerContext:
     aliases: dict = None          # tensor -> (concat target, channel off)
     deconv_mode: str = "series"
     w_min_parts: int = 1          # retry ladder: force deeper width split
+    # PM halves (0, 1) the last CONV of the previous node with weights
+    # reads; derived by the compiler from the node order
+    pm_busy: tuple = ()
 
 
 def _exp(tensor):
@@ -567,8 +581,15 @@ def _lower_conv(node, ctx, cfg):
     conv_shift = _conv_shift(ctx, node, mid.quant)
 
     slabs = weight_tiling(c_m, ck[0], ck[1], c_i, cfg)
-    # several slabs alternate between the two halves of PM
-    pm_offs = [(si % 2) * (cfg.pm_bytes // 2) for si in range(len(slabs))]
+    # several slabs alternate between the two halves of PM, starting in
+    # the first half the previous node with weights left free; slab 0 or
+    # 1 whose half that node's last CONV still reads loads late (below)
+    halves, late = [0], []
+    if len(slabs) > 1:
+        h0 = next((h for h in (0, 1) if h not in ctx.pm_busy), 0)
+        halves = [(si + h0) % 2 for si in range(len(slabs))]
+        late = [s for s in (0, 1) if halves[s] in ctx.pm_busy]
+    pm_offs = [h * (cfg.pm_bytes // 2) for h in halves]
 
     conv_level = (ck[1], cs[1], cp[1], w_i, c_i)
     if fused:
@@ -618,12 +639,15 @@ def _lower_conv(node, ctx, cfg):
                    <= cfg.fm_bytes)
     held = [None, None]   # the slab each PM half holds
 
-    def weight_load(s):
-        """The LOAD of slab s, or none when its PM half still holds it."""
-        if s >= len(slabs) or held[s % 2] == s:
-            return []
-        held[s % 2] = s
-        return [_weight_load(s, pm_offs[s], slabs[s].nbytes)]
+    def weight_loads(ss):
+        """The LOADs of slabs ss, skipping a slab past the last one and
+        one its PM half still holds."""
+        out = []
+        for s in ss:
+            if s < len(slabs) and held[halves[s]] != s:
+                held[halves[s]] = s
+                out.append(_weight_load(s, pm_offs[s], slabs[s].nbytes))
+        return out
 
     for wi, chain in enumerate(strips):
         out_rng, mid_rng, in_rng = chain[0], chain[-2], chain[-1]
@@ -639,14 +663,20 @@ def _lower_conv(node, ctx, cfg):
             for bi, ((blo, bhi), (mlo, mhi), (xlo, xhi), (cpt, cpb)) \
                     in enumerate(bands):
                 ti = len(tiles)
-                # slabs 0 and 1 go ahead of the strip's first input rows
-                loads = (weight_load(0) + weight_load(1)
-                         if si == 0 and bi == 0 else [])
+                # slabs 0 and 1 go ahead of the strip's first input rows,
+                # but one whose PM half was busy at the node's start is
+                # prefetched behind them, like every later slab, and
+                # every strip repeats that order
+                first = si == 0 and bi == 0
+                loads = (weight_loads(s for s in (0, 1) if s not in late)
+                         if first else [])
                 if bi not in loaded:
                     loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in,
                                          ti)
                     if windows_fit:
                         loaded[bi] = ti
+                if first:
+                    loads += weight_loads(late)
                 src_tile = loaded.get(bi, ti)
                 # prefetch the next slab one band into this pass, behind
                 # the band's activation loads: the prefetch waits for the
@@ -654,7 +684,7 @@ def _lower_conv(node, ctx, cfg):
                 # in-order LOAD queue must not hold this band's input rows
                 # behind it
                 if si >= 1 and bi == min(1, nbands - 1):
-                    loads += weight_load(si + 1)
+                    loads += weight_loads([si + 1])
                 conv = _conv(Win(s_in, src_tile, 0), Win(s_mid, ti, 0),
                              (pm_offs[si], slab.nbytes), xhi - xlo,
                              ihi_s - ilo_s, c_i, mhi_s - mlo_s, nch, ck, cs,

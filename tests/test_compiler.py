@@ -369,9 +369,9 @@ def test_symbolic_addresses_name_planned_windows(mode):
         for nid in G.topological_schedule(g):
             if g.nodes[nid].op == "input":
                 continue
-            parts = C._lower_with_ladder(g.nodes[nid],
-                                         g.tensors | C._mid_tensors(g),
-                                         aliases, cfg, options, [])
+            parts, _busy = C._lower_with_ladder(
+                g.nodes[nid], g.tensors | C._mid_tensors(g), aliases, cfg,
+                options, [], ())
             for _nd, lowered in parts:
                 ends = dict.fromkeys(lowered.allocs, 0)
                 for tile in lowered.tiles:

@@ -408,7 +408,8 @@ def test_weight_slab_still_in_its_pm_half_is_not_reloaded(pipelined):
     loads = [ins for ins in art.program.instructions
              if ins.op == LOAD and ins.sub == "weight"]
     # slab s comes from its own block of the parameter image and goes to
-    # PM half s % 2
+    # PM half s % 2: the conv is the program's first node with weights,
+    # so both halves are free when it starts
     blocks = sorted({ins.src.off for ins in loads})
     assert len(blocks) == 3
     order = [blocks.index(ins.src.off) for ins in loads]
@@ -417,3 +418,138 @@ def test_weight_slab_still_in_its_pm_half_is_not_reloaded(pipelined):
         s % 2 * cfg.pm_bytes // 2 for s in order]
     assert node["weight_load_bytes"] == sum(ins.transfer_bytes()
                                             for ins in loads)
+
+
+# ---------------------------------------------------------------------------
+# weight slabs across nodes
+# ---------------------------------------------------------------------------
+
+def conv_chain_doc(h, w, chans, kernels, rng):
+    """A chain of k x k / p (k // 2) convs conv1, conv2, ... through
+    channel counts chans[0] -> chans[1] -> ... at H = h, W = w."""
+    names = ["x"] + [f"t{i}" for i in range(1, len(chans) - 1)] + ["y"]
+    nodes = [{"id": "in", "op": "input", "inputs": [], "output": "x"}]
+    for i, k in enumerate(kernels, 1):
+        ci, co = chans[i - 1], chans[i]
+        wgt = rng.integers(-24, 24, (co, k, k, ci)).astype(np.int8)
+        bias = rng.integers(-500, 500, co).astype(np.int32)
+        nodes.append({
+            "id": f"conv{i}", "op": "conv", "inputs": [names[i - 1]],
+            "output": names[i],
+            "attrs": {"kernel": [k, k], "padding": [k // 2, k // 2],
+                      "c_out": co},
+            "params": {"weights": b64(wgt), "bias": b64(bias),
+                       "shape": [co, k, k, ci], "quant": q(-6)}})
+    return {
+        "tensors": [{"name": n, "shape": [h, w, c], "quant": q(-2 + 3 * i)}
+                    for i, (n, c) in enumerate(zip(names, chans))],
+        "nodes": nodes, "inputs": ["x"], "outputs": ["y"],
+    }
+
+
+SLAB_CHAIN_CASES = {
+    # name: (conv1 c_out, conv2 c_out, conv1 slabs, PM halves conv1's
+    # last CONV reads), with c_in 8 and a 4 KiB PM: conv2 streams 3 or 4
+    # slabs
+    "odd-slabs": (64, 8, 3, {0}),
+    "even-slabs": (96, 8, 4, {1}),
+    "one-slab-in-half": (16, 32, 1, {0}),
+    "one-slab-over-half": (40, 16, 1, {0, 1}),
+}
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("case", sorted(SLAB_CHAIN_CASES))
+def test_next_conv_streams_its_first_slab_into_the_free_pm_half(case,
+                                                                pipelined):
+    # conv2's slabs alternate from the PM half conv1's last CONV left
+    # free, so its first slab loads while conv1 still convolves; a slab
+    # whose half conv1 still reads waits behind conv2's first input rows
+    # instead of holding them up in the in-order LOAD queue.  When conv1
+    # leaves no half free, conv2's slab 0 keeps half 0.
+    c1, c2, slabs1, busy = SLAB_CHAIN_CASES[case]
+    doc = conv_chain_doc(12, 6, [8, c1, c2], [3, 3],
+                         np.random.default_rng(c1))
+    cfg = MachineConfig(pm_bytes=4096)
+    options = CompileOptions(pipeline=pipelined)
+    art = roundtrip(doc, cfg, options)
+    nodes = {n["id"]: n for n in art.report["nodes"]}
+    assert nodes["conv1"]["slabs"] == slabs1
+    assert nodes["conv2"]["slabs"] > 2 and nodes["conv2"]["band_h"] < 12
+    half = cfg.pm_bytes // 2
+    marked = list(enumerate(zip(art.program.instructions, art.marks)))
+    last_conv1 = max(i for i, (ins, m) in marked
+                     if m[0] == "conv1" and ins.op == CONV)
+    conv = art.program.instructions[last_conv1]
+    assert set(range(conv.wgt_off // half,
+                     (conv.wgt_off + conv.wgt_bytes - 1) // half + 1)) == busy
+    wloads = [(i, ins) for i, (ins, m) in marked
+              if m[0] == "conv2" and ins.op == LOAD and ins.sub == "weight"]
+    first_rows = [i for i, (ins, m) in marked
+                  if m[0] == "conv2" and m[3] == 0 and ins.op == LOAD
+                  and ins.sub == "act"]
+    h0 = min({0, 1} - busy, default=0)
+    assert wloads[0][1].dst.off == h0 * half
+    for i, ins in wloads[:2]:
+        if ins.dst.off // half in busy:
+            assert i > max(first_rows), (i, first_rows)
+        else:
+            assert i < min(first_rows), (i, first_rows)
+    if pipelined and busy != {0, 1}:
+        trace = S.run_timing(art.program, cfg)
+        assert (trace.events[wloads[0][0]].start
+                < trace.events[last_conv1].end)
+    again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
+    assert again.assembly == art.assembly
+    assert again.param_image == art.param_image
+
+
+@pytest.mark.parametrize("shape,makespan,instructions,ddr_bytes", [
+    ((14, 128, 256), 179796, 287, 1073152),
+    ((7, 256, 512), 231763, 518, 3630848),
+])
+def test_weight_streaming_conv_pair_makespan(shape, makespan, instructions,
+                                             ddr_bytes):
+    # two 3x3/p1 convs c_in -> c -> c at H = W = h streaming 5 to 37 PM
+    # slabs, the shapes of the benchmark's `deep` graphs: conv2's first
+    # slab loads into the PM half conv1's last CONV leaves free, so the
+    # weight stream does not stall at the node boundary (188,794 and
+    # 235,774 cycles when every conv restarted at half 0)
+    h, c_in, c = shape
+    doc = conv_chain_doc(h, h, [c_in, c, c], [3, 3],
+                         np.random.default_rng(h))
+    art = compile_graph(G.parse_graph(json.dumps(doc)), MachineConfig())
+    assert art.report["estimated_makespan"] == makespan
+    assert len(art.program.instructions) == instructions
+    assert sum(ins.transfer_bytes() for ins in art.program.instructions
+               if ins.op in (LOAD, SAVE)) == ddr_bytes
+
+
+@st.composite
+def slab_chain(draw):
+    """2-3 convs of kernel 1 or 3 through 4-32 channels at a 1 KiB PM:
+    each streams one slab, an even or an odd number of them."""
+    n = draw(st.integers(2, 3))
+    chans = draw(st.lists(st.integers(4, 32), min_size=n + 1,
+                          max_size=n + 1))
+    kernels = draw(st.lists(st.sampled_from((1, 3)), min_size=n,
+                            max_size=n))
+    return draw(st.integers(1, 10)), draw(st.integers(1, 6)), chans, kernels
+
+
+@given(slab_chain())
+@settings(max_examples=100, deadline=None)
+def test_random_conv_chain_with_streamed_slabs_bit_exact(chain):
+    # whatever PM halves one conv's slabs leave busy, the next conv's
+    # slabs computed from them are bit-exact, hazard-free and
+    # deterministic, with the pipeline on and off
+    h, w, chans, kernels = chain
+    doc = conv_chain_doc(h, w, chans, kernels,
+                         np.random.default_rng(sum(chans) * h + w))
+    cfg = MachineConfig(pm_bytes=1024)
+    for pipelined in (True, False):
+        options = CompileOptions(pipeline=pipelined)
+        art = roundtrip(doc, cfg, options)
+        again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
+        assert again.assembly == art.assembly
