@@ -159,6 +159,42 @@ _ASM_FIELDS = {
 
 _ADDR_FIELDS = {"src", "src2", "dst"}
 
+_GEOMETRY_FIELDS = ("rows", "blocks", "block_bytes", "ddr_row_stride",
+                    "ddr_blk_stride", "src_row_stride", "dst_row_stride",
+                    "src_blk_stride", "dst_blk_stride")
+
+
+def blocks_overlap(rows, blocks, size, row, blk):
+    """True when two of the rows x blocks runs of `size` bytes, run (r, b)
+    at offset r·row + b·blk, share a byte (counts and strides are
+    non-negative).
+
+    Two runs overlap iff their offsets differ by less than `size`.  When
+    one count is 1, that is the other stride below `size`.  Otherwise take
+    the dimension with the larger stride s1 as outer and the other (count
+    n2, stride s2) as inner: an inner step alone overlaps iff s2 < size.
+    Past that, for an outer step d only the inner steps k = d·s1 // s2 and
+    k + 1 can come within `size`, and once d·s1 reaches
+    size + (n2 - 1)·s2 no later outer step can."""
+    if size == 0 or rows * blocks <= 1:
+        return False
+    if rows == 1 or blocks == 1:
+        return (blk if rows == 1 else row) < size
+    (n1, s1), (n2, s2) = sorted(((rows, row), (blocks, blk)),
+                                key=lambda p: p[1], reverse=True)
+    if s2 < size:
+        return True
+    for d in range(1, n1):
+        x = d * s1
+        if x >= size + (n2 - 1) * s2:
+            return False
+        k = x // s2
+        if k <= n2 - 1 and x - k * s2 < size:
+            return True
+        if k + 1 <= n2 - 1 and (k + 1) * s2 - x < size:
+            return True
+    return False
+
 
 @dataclass(slots=True)
 class Instruction:
@@ -226,9 +262,28 @@ class Instruction:
     def transfer_bytes(self):
         return self.rows * self.blocks * self.block_bytes
 
+    def geometry_error(self):
+        """Why this transfer's or move's geometry is malformed, else None:
+        a negative count, block size or stride, or a strided operand whose
+        blocks overlap each other.  Every other operation has none."""
+        if self.block_bytes is None:
+            return None
+        for name in _GEOMETRY_FIELDS:
+            v = getattr(self, name)
+            if v is not None and v < 0:
+                return f"{name}={v} is negative"
+        for f in ("src", "dst"):
+            strides = self.strides(f)
+            if strides is not None and blocks_overlap(
+                    self.rows, self.blocks, self.block_bytes, *strides):
+                return (f"{f} blocks overlap: {self.rows} rows x "
+                        f"{self.blocks} blocks of {self.block_bytes} B at "
+                        f"strides {strides[0]}, {strides[1]}")
+        return None
+
     # ---- byte footprint (for dependency derivation and hazard checks) ----
 
-    def _strides(self, f):
+    def strides(self, f):
         """(row, block) strides of a strided operand, else None: the DDR
         side of a transfer and both sides of a move are strided."""
         if (f, self.op) in (("src", LOAD), ("dst", SAVE)):
@@ -242,12 +297,14 @@ class Instruction:
     def extent(self, f):
         """Bytes operand f ("src", "src2" or "dst") covers from its own
         address; a strided operand covers the range from its first block
-        to the end of its last."""
-        return self._extent(f, self._strides(f))
+        to the end of its last, or nothing when it moves no byte."""
+        return self._extent(f, self.strides(f))
 
     def _extent(self, f, strides):
         if strides is not None:
             row, blk = strides
+            if not self.transfer_bytes():
+                return 0
             return ((self.rows - 1) * row + (self.blocks - 1) * blk
                     + self.block_bytes)
         if self.op in (LOAD, SAVE):
@@ -273,7 +330,7 @@ class Instruction:
         a LOAD lands in the space its dst names, and a move names both of
         its spaces; every other operand is FM."""
         a = getattr(self, f)
-        strides = self._strides(f)
+        strides = self.strides(f)
         if strides is None:
             space, mem = (a.space if self.op == LOAD else FM), a.mem
         elif self.sub == "move":
@@ -450,5 +507,9 @@ def parse_assembly(text):
                 kw[name] = Addr.parse(val) if name in _ADDR_FIELDS else int(val)
             except ValueError as e:
                 raise AsmError(lineno, str(e)) from None
-        prog.instructions.append(Instruction(**kw))
+        ins = Instruction(**kw)
+        err = ins.geometry_error()
+        if err:
+            raise AsmError(lineno, f"{op}/{sub}: {err}")
+        prog.instructions.append(ins)
     return prog

@@ -2,9 +2,13 @@
 
 Functional mode walks the instruction stream in issue order and evolves
 the byte-level machine state (DDR, three FM memories, PM); its output
-must match the graph-level reference executor bit for bit.  Timing mode
-runs a discrete-event simulation of the four in-order queues with the
-counted DPON/DPBY token semantics; it never looks at data.  The hazard
+must match the graph-level reference executor bit for bit.  Each strided
+operand moves in one array operation on a (rows, blocks, block_bytes)
+view of its bytes (`_strided`); a move reads its whole source before it
+writes, and malformed geometry (a negative count, size or stride, or
+overlapping blocks) raises ShapeError.  Timing mode runs a discrete-event
+simulation of the four in-order queues with the counted DPON/DPBY token
+semantics; it never looks at data.  The hazard
 checker replays a trace against exact byte footprints to prove that the
 typed dependencies were sufficient.
 """
@@ -20,7 +24,7 @@ from . import quant
 from .errors import DeadlockError, OutOfBoundsError, ShapeError, \
     UseBeforeDefError
 from .machine import CONV, DDR, FM, LOAD, OP_TYPES, PM, SAVE, \
-    instruction_cost
+    blocks_overlap, instruction_cost
 
 
 class MachineState:
@@ -45,7 +49,7 @@ class MachineState:
         return self.pm, self.pm_written
 
     def preload(self, off, data):
-        data = np.frombuffer(bytes(data), np.uint8)
+        data = np.frombuffer(data, np.uint8)
         self.ddr[off:off + data.size] = data
         self.ddr_written[off:off + data.size] = True
 
@@ -54,7 +58,8 @@ class MachineState:
         if off < 0 or off + n > buf.size:
             raise OutOfBoundsError(f"{space}{mem} read [{off},{off + n}) "
                                    f"outside {buf.size} B")
-        if check and not written[off:off + n].all():
+        # count_nonzero is the cheapest all() of a small bool array
+        if check and np.count_nonzero(written[off:off + n]) != n:
             raise UseBeforeDefError(
                 f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
         return buf[off:off + n]
@@ -73,31 +78,36 @@ class MachineState:
 # functional execution of one instruction
 # ---------------------------------------------------------------------------
 
-def _gather_ddr(state, ins):
-    rows = []
-    for r in range(ins.rows):
-        base = ins.src.off + r * ins.ddr_row_stride
-        if ins.blocks == 1:
-            rows.append(state.read(DDR, 0, base, ins.block_bytes))
-        else:
-            parts = [state.read(DDR, 0, base + b * ins.ddr_blk_stride,
-                                ins.block_bytes)
-                     for b in range(ins.blocks)]
-            rows.append(np.concatenate(parts))
-    return np.concatenate(rows) if rows else np.zeros(0, np.uint8)
+def _strided(state, ins, f, write):
+    """(rows, blocks, block_bytes) views of strided operand f's bytes and
+    of their written flags, over the operand's exact extent.
 
-
-def _scatter_ddr(state, ins, data):
-    rb = ins.blocks * ins.block_bytes
-    for r in range(ins.rows):
-        row = data[r * rb:(r + 1) * rb]
-        base = ins.dst.off + r * ins.ddr_row_stride
-        if ins.blocks == 1:
-            state.write(DDR, 0, base, row)
-        else:
-            for b in range(ins.blocks):
-                state.write(DDR, 0, base + b * ins.ddr_blk_stride,
-                            row[b * ins.block_bytes:(b + 1) * ins.block_bytes])
+    The DDR side of a transfer is DDR; a move's operands name their
+    memories.  The views alias the machine state, so one assignment moves
+    the whole operand.  Malformed geometry, which no such view can
+    express, raises ShapeError; an extent outside the memory raises
+    OutOfBoundsError, and a read of any unwritten byte UseBeforeDefError.
+    """
+    shape = (ins.rows, ins.blocks, ins.block_bytes)
+    row, blk = ins.strides(f)
+    if min(*shape, row, blk) < 0 or blocks_overlap(*shape, row, blk):
+        raise ShapeError(ins.geometry_error())
+    a = getattr(ins, f)
+    space = a.space if ins.sub == "move" else DDR
+    buf, written = state._pair(space, a.mem)
+    n = ins.extent(f)
+    if a.off < 0 or a.off + n > buf.size:
+        raise OutOfBoundsError(
+            f"{space}{a.mem} {('read', 'write')[write]} [{a.off},{a.off + n}) "
+            f"outside {buf.size} B")
+    if not n:
+        return np.zeros(shape, np.uint8), np.zeros(shape, bool)
+    view = np.ndarray(shape, np.uint8, buf, a.off, (row, blk, 1))
+    flags = np.ndarray(shape, bool, written, a.off, (row, blk, 1))
+    if not write and np.count_nonzero(flags) != flags.size:
+        raise UseBeforeDefError(
+            f"{space}{a.mem} read [{a.off},{a.off + n}) of unwritten bytes")
+    return view, flags
 
 
 # Every int8 product is at most 2**14 in magnitude and float32 holds every
@@ -176,10 +186,18 @@ def _exec_maxpool(state, ins):
     x = state.read(FM, ins.src.mem, ins.src.off, n).view(np.int8)
     x = x.reshape(ins.in_rows, ins.in_w, ins.c_in)
     out_rows = ins.conv_out_rows()
-    pr_eff = max(ins.pr, (ins.out_w - 1) * ins.sw + ins.kw
-                 - ins.pl - ins.in_w)
-    xp = np.pad(x, ((ins.pt, ins.pb), (ins.pl, max(pr_eff, 0)), (0, 0)),
-                constant_values=quant.INT8_MIN)
+    pr = max(ins.pr, (ins.out_w - 1) * ins.sw + ins.kw - ins.pl - ins.in_w,
+             0)
+    if min(ins.pt, ins.pl, ins.pb) < 0:
+        raise ShapeError(f"negative max pool padding {ins.pt}, {ins.pl}, "
+                         f"{ins.pb}")
+    if ins.pt or ins.pl or ins.pb or pr:
+        xp = np.full((ins.pt + ins.in_rows + ins.pb,
+                      ins.pl + ins.in_w + pr, ins.c_in), quant.INT8_MIN,
+                     np.int8)
+        xp[ins.pt:ins.pt + ins.in_rows, ins.pl:ins.pl + ins.in_w] = x
+    else:
+        xp = x
     out = np.full((out_rows, ins.out_w, ins.c_in), quant.INT8_MIN, np.int8)
     for a in range(ins.kh):
         for b in range(ins.kw):
@@ -201,14 +219,12 @@ def _exec_eltwise(state, ins):
 
 
 def _exec_move(state, ins):
-    for r in range(ins.rows):
-        for blk in range(ins.blocks):
-            src = (ins.src.off + r * ins.src_row_stride
-                   + blk * ins.src_blk_stride)
-            data = state.read(FM, ins.src.mem, src, ins.block_bytes)
-            dst = (ins.dst.off + r * ins.dst_row_stride
-                   + blk * ins.dst_blk_stride)
-            state.write(FM, ins.dst.mem, dst, data)
+    """Copy the source as it was before the instruction: numpy buffers a
+    source that overlaps the destination."""
+    src, _ = _strided(state, ins, "src", write=False)
+    dst, flags = _strided(state, ins, "dst", write=True)
+    dst[...] = src
+    flags[...] = True
 
 
 def _exec_upsample(state, ins):
@@ -230,12 +246,15 @@ def run_functional(prog, state):
             if ins.is_noop:
                 continue
             if ins.op == LOAD:
-                data = _gather_ddr(state, ins)
-                state.write(ins.dst.space, ins.dst.mem, ins.dst.off, data)
+                data, _ = _strided(state, ins, "src", write=False)
+                state.write(ins.dst.space, ins.dst.mem, ins.dst.off,
+                            data.reshape(-1))
             elif ins.op == SAVE:
-                n = ins.transfer_bytes()
-                data = state.read(FM, ins.src.mem, ins.src.off, n)
-                _scatter_ddr(state, ins, data)
+                data = state.read(FM, ins.src.mem, ins.src.off,
+                                  ins.transfer_bytes())
+                dst, flags = _strided(state, ins, "dst", write=True)
+                dst[...] = data.reshape(dst.shape)
+                flags[...] = True
             elif ins.op == CONV:
                 _exec_conv(state, ins)
             elif ins.sub == "maxpool":
@@ -494,24 +513,29 @@ def token_pairings(instructions):
     """Static pairing per channel: consumer index -> producer index.
 
     Returns {(s, u): [(consumer, producer or None), ...]} in queue order;
-    None marks a starved consumer (a deadlock once simulated).
+    None marks a starved consumer (a deadlock once simulated).  Channels
+    come in OP_TYPES order and only those with a consumer appear.  One
+    pass over the program collects every channel's producers (op s, u in
+    DPBY) and consumers (op u, s in DPON); the n-th consumer pairs with
+    the n-th producer.
     """
+    channels = [(s, u) for s in OP_TYPES for u in OP_TYPES if s != u]
+    producers = {ch: [] for ch in channels}
+    consumers = {ch: [] for ch in channels}
+    for i, ins in enumerate(instructions):
+        op = ins.op
+        for u in ins.dpby:
+            if u != op:
+                producers[op, u].append(i)
+        for s in ins.dpon:
+            if s != op:
+                consumers[s, op].append(i)
     out = {}
-    for s in OP_TYPES:
-        for u in OP_TYPES:
-            if s == u:
-                continue
-            producers = [i for i, ins in enumerate(instructions)
-                         if ins.op == s and u in ins.dpby]
-            consumers = [i for i, ins in enumerate(instructions)
-                         if ins.op == u and s in ins.dpon]
-            if not consumers:
-                continue
-            pairs = []
-            for n, c in enumerate(consumers):
-                pairs.append((c, producers[n] if n < len(producers)
-                              else None))
-            out[(s, u)] = pairs
+    for ch in channels:
+        cons, prods = consumers[ch], producers[ch]
+        if cons:
+            out[ch] = [(c, prods[n] if n < len(prods) else None)
+                       for n, c in enumerate(cons)]
     return out
 
 
@@ -524,12 +548,12 @@ def run_timing(prog, cfg):
     completed.  Deadlock raises DeadlockError: a consumer whose pace
     maker never issues, or a circular wait (a pass over the four queue
     heads that starts nothing).  A long but finite stall is not a
-    deadlock, however many cycles it lasts.
+    deadlock, however many cycles it lasts.  State lives in lists indexed
+    by instruction or by queue position in OP_TYPES.
     """
     instrs = prog.instructions
-    pairings = token_pairings(instrs)
-    gates = {i: [] for i in range(len(instrs))}
-    for (s, u), pairs in pairings.items():
+    gates = [[] for _ in instrs]
+    for (s, u), pairs in token_pairings(instrs).items():
         for consumer, producer in pairs:
             if producer is None:
                 raise DeadlockError(
@@ -537,42 +561,49 @@ def run_timing(prog, cfg):
                     f"that never issues")
             gates[consumer].append(producer)
 
-    queues = {op: [i for i, ins in enumerate(instrs) if ins.op == op]
-              for op in OP_TYPES}
-    head = {op: 0 for op in OP_TYPES}
-    free_at = {op: 0 for op in OP_TYPES}
-    done = {}
+    qpos = {op: q for q, op in enumerate(OP_TYPES)}
+    queues = [[] for _ in OP_TYPES]
+    for i, ins in enumerate(instrs):
+        queues[qpos[ins.op]].append(i)
+    head = [0] * len(OP_TYPES)
+    free_at = [0] * len(OP_TYPES)
+    busy = [0] * len(OP_TYPES)
+    done = [None] * len(instrs)
     events = [None] * len(instrs)
-    remaining = len(instrs)
+    remaining, makespan = len(instrs), 0
     while remaining:
         progressed = False
-        for op in OP_TYPES:
-            while head[op] < len(queues[op]):
-                idx = queues[op][head[op]]
-                if any(p not in done for p in gates[idx]):
-                    break
-                issue = free_at[op]
-                start = max([issue] + [done[p] for p in gates[idx]])
-                dur = instruction_cost(instrs[idx], cfg)
-                done[idx] = start + dur
-                events[idx] = TraceEvent(idx, op, instrs[idx].sub,
-                                         instrs[idx].color(), issue, start,
-                                         dur)
-                free_at[op] = start + dur
-                head[op] += 1
-                remaining -= 1
+        for q, op in enumerate(OP_TYPES):
+            queue, h, issue = queues[q], head[q], free_at[q]
+            while h < len(queue):
+                idx = queue[h]
+                start = issue
+                if gates[idx]:
+                    ends = [done[p] for p in gates[idx]]
+                    if None in ends:
+                        break
+                    start = max(issue, *ends)
+                ins = instrs[idx]
+                dur = instruction_cost(ins, cfg)
+                events[idx] = TraceEvent(idx, op, ins.sub, ins.color(),
+                                         issue, start, dur)
+                issue = done[idx] = start + dur
+                busy[q] += dur
+                makespan = max(makespan, issue)
+                h += 1
+            if h > head[q]:
+                remaining -= h - head[q]
+                head[q], free_at[q] = h, issue
                 progressed = True
         if remaining and not progressed:
-            stuck = [queues[op][head[op]] for op in OP_TYPES
-                     if head[op] < len(queues[op])]
+            stuck = [queue[h] for queue, h in zip(queues, head)
+                     if h < len(queue)]
             raise DeadlockError(f"typed dependencies unsatisfiable; queues "
                                 f"stuck at {stuck}")
-    makespan = max((e.end for e in events if e is not None), default=0)
-    busy = {op: sum(e.duration for e in events if e and e.queue == op)
-            for op in OP_TYPES}
+    busy = dict(zip(OP_TYPES, busy))
     util = {op: (busy[op] / makespan if makespan else 0.0)
             for op in OP_TYPES}
-    return Trace([e for e in events if e is not None], makespan, busy, util)
+    return Trace(events, makespan, busy, util)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +821,7 @@ def run_program(prog, cfg, inputs):
             raise ShapeError(f"input {name}: got {arr.shape}, program "
                              f"expects {tuple(t['shape'])}")
         base = prog.segments[t["segment"]][0] + t["off"]
-        state.preload(base, arr.tobytes())
+        state.preload(base, arr)
     run_functional(prog, state)
     outputs = {}
     for name, t in prog.tensors.items():

@@ -200,6 +200,45 @@ def test_run_rejects_missing_fm_memory_exit_three(corpus_dir, tmp_path,
     assert err.startswith("error:") and "fm9" in err
 
 
+# edits of toy_conv's second LOAD (rows=1 blocks=1 block_bytes=32
+# ddr_row_stride=32): a negative block size, a negative row stride, and
+# rows whose blocks overlap
+MALFORMED_GEOMETRY = {
+    "negative-block-bytes": {"block_bytes": -32},
+    "negative-row-stride": {"rows": 2, "ddr_row_stride": -16},
+    "overlapping-rows": {"rows": 2, "ddr_row_stride": 16},
+}
+
+
+@pytest.mark.parametrize("mode", ["timing", "functional"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_GEOMETRY))
+def test_run_rejects_malformed_transfer_geometry_exit_three(
+        corpus_dir, tmp_path, capsys, case, mode):
+    # before the check, timing mode ran such a LOAD and functional mode
+    # skipped it silently and blamed the CONV that read its bytes
+    art = tmp_path / "art"
+    assert cli.main(["compile", str(corpus_dir / "toy_conv.json"),
+                     "-o", str(art)]) == 0
+    asm = art / "program.asm"
+    lines = asm.read_text().splitlines()
+    at = [i for i, l in enumerate(lines) if l.startswith("LOAD")][1]
+    toks = lines[at].split()
+    assert toks[3:6] == ["act", "src=ddr:0", "dst=fm0:0"]
+    fields = dict(t.split("=") for t in toks[4:])
+    fields.update(MALFORMED_GEOMETRY[case])
+    lines[at] = " ".join(toks[:4] + [f"{k}={v}" for k, v in fields.items()])
+    asm.write_text("\n".join(lines) + "\n")
+    xfile = tmp_path / "x.bin"
+    np.zeros((8, 8, 4), np.int8).tofile(xfile)
+    capsys.readouterr()
+    rc = cli.main(["run", str(art), "--mode", mode, "--input", f"x={xfile}",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {at + 1}: LOAD/act: "), err
+    assert "Traceback" not in err
+
+
 def test_no_pipeline_flag_produces_slower_program(corpus_dir, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 
@@ -48,6 +49,78 @@ def test_functional_equivalence_per_graph(name):
 def test_assembly_roundtrip_per_graph(name):
     art = compiled(name)
     back = parse_assembly(art.assembly)
+    assert back == art.program
+    assert emit_assembly(back) == art.assembly
+
+
+def _conv3x3(rng, nid, src, dst, c_in, c_out):
+    w = rng.integers(-24, 24, (c_out, 3, 3, c_in)).astype(np.int8)
+    b = rng.integers(-1000, 1000, c_out).astype(np.int32)
+    return {"id": nid, "op": "conv", "inputs": [src], "output": dst,
+            "attrs": {"kernel": [3, 3], "padding": [1, 1], "c_out": c_out},
+            "params": {"weights": base64.b64encode(w.tobytes()).decode(),
+                       "bias": base64.b64encode(b.tobytes()).decode(),
+                       "shape": [c_out, 3, 3, c_in],
+                       "quant": {"lo": -8.0, "hi": 7.9375,
+                                 "step": 0.0625}}}
+
+
+def _chain_graph(shapes, layers):
+    """shapes: tensor name -> (h, w, c), "x" the input and the last
+    layer's output the graph output; every tensor steps by 1/16."""
+    return G.parse_graph(json.dumps({
+        "tensors": [{"name": n, "shape": list(shape),
+                     "quant": {"lo": -8.0, "hi": 7.9375, "step": 0.0625}}
+                    for n, shape in shapes.items()],
+        "nodes": [{"id": "in", "op": "input", "inputs": [], "output": "x"}]
+                 + layers,
+        "inputs": ["x"], "outputs": [layers[-1]["output"]]}))
+
+
+def _scaled_shaped(h, c=32):
+    # conv -> conv -> 2x2/s2 max pool -> conv at H = W = h
+    rng = np.random.default_rng(h)
+    return _chain_graph(
+        {"x": (h, h, c), "a": (h, h, c), "b": (h, h, c),
+         "p": (h // 2, h // 2, c), "y": (h // 2, h // 2, c)},
+        [_conv3x3(rng, "conv1", "x", "a", c, c),
+         _conv3x3(rng, "conv2", "a", "b", c, c),
+         {"id": "pool", "op": "maxpool", "inputs": ["b"], "output": "p",
+          "attrs": {"kernel": [2, 2], "stride": [2, 2]}},
+         _conv3x3(rng, "conv3", "p", "y", c, c)])
+
+
+def _deep_shaped(h, c_in, c):
+    # two weight-streaming 3x3 convs c_in -> c -> c at H = W = h
+    rng = np.random.default_rng(c)
+    return _chain_graph(
+        {"x": (h, h, c_in), "a": (h, h, c), "y": (h, h, c)},
+        [_conv3x3(rng, "conv1", "x", "a", c_in, c),
+         _conv3x3(rng, "conv2", "a", "y", c, c)])
+
+
+ROUNDTRIP_GRAPHS = {
+    **{name: lambda name=name: corpus.corpus_graph(name)
+       for name in corpus.corpus_names()},
+    "scaled_h56": lambda: _scaled_shaped(56),
+    "scaled_h112": lambda: _scaled_shaped(112),
+    "scaled_h224": lambda: _scaled_shaped(224),
+    "deep_14x14_c256": lambda: _deep_shaped(14, 128, 256),
+    "deep_7x7_c512": lambda: _deep_shaped(7, 256, 512),
+}
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_GRAPHS))
+def test_every_compiled_program_roundtrips_through_assembly(name, pipelined):
+    # parse_assembly rejects malformed transfer geometry; nothing the
+    # compiler emits may trip it
+    art = compile_graph(ROUNDTRIP_GRAPHS[name](), CFG,
+                        CompileOptions(pipeline=pipelined))
+    assert all(ins.geometry_error() is None
+               for ins in art.program.instructions)
+    back = parse_assembly(emit_assembly(art.program))
     assert back == art.program
     assert emit_assembly(back) == art.assembly
 

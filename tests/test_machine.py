@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -152,6 +153,72 @@ def test_parse_rejects_bad_metadata_comment(line):
     with pytest.raises(AsmError) as err:
         M.parse_assembly("# dpuc-asm v1\n" + line + "\n")
     assert err.value.lineno == 2
+
+
+def _move(**geometry):
+    return M.Instruction(op=M.MISC, sub="move", src=M.Addr(M.FM, 0, 0),
+                         dst=M.Addr(M.FM, 0, 1), rows=2, blocks=2,
+                         block_bytes=8, src_row_stride=32, dst_row_stride=16,
+                         src_blk_stride=8, dst_blk_stride=8, **geometry)
+
+
+# (sample-program instruction index or a move, fields to change, the
+# message's first words); instruction 0 is a LOAD of 4 rows, the last a
+# SAVE of 2 rows x 4 blocks of 8 B at strides 64, 16
+MALFORMED_GEOMETRY = {
+    "load-negative-rows": (0, {"rows": -1}, "rows=-1 is negative"),
+    "load-negative-blocks": (0, {"blocks": -2}, "blocks=-2 is negative"),
+    "load-negative-block-bytes": (0, {"block_bytes": -32},
+                                  "block_bytes=-32 is negative"),
+    "load-negative-row-stride": (0, {"ddr_row_stride": -16},
+                                 "ddr_row_stride=-16 is negative"),
+    "load-rows-overlap": (0, {"ddr_row_stride": 100}, "src blocks overlap"),
+    "save-negative-blk-stride": (-1, {"ddr_blk_stride": -16},
+                                 "ddr_blk_stride=-16 is negative"),
+    "save-blocks-overlap": (-1, {"ddr_blk_stride": 4}, "dst blocks overlap"),
+    "save-rows-overlap-blocks": (-1, {"ddr_row_stride": 36},
+                                 "dst blocks overlap"),
+    "move-negative-stride": (None, {"src_blk_stride": -8},
+                             "src_blk_stride=-8 is negative"),
+    "move-src-overlap": (None, {"src_row_stride": 12}, "src blocks overlap"),
+    "move-dst-overlap": (None, {"dst_blk_stride": 0}, "dst blocks overlap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GEOMETRY))
+def test_parse_rejects_malformed_transfer_geometry(case):
+    at, fields, words = MALFORMED_GEOMETRY[case]
+    prog = sample_program()
+    if at is None:
+        prog.instructions.append(_move())
+        at = -1
+    good = prog.instructions[at]
+    assert good.geometry_error() is None
+    prog.instructions[at] = bad = replace(good, **fields)
+    text = M.emit_assembly(prog)
+    with pytest.raises(AsmError) as err:
+        M.parse_assembly(text)
+    n = len(prog.instructions)
+    assert err.value.lineno == len(text.splitlines()) - n + at % n + 1
+    assert f"{bad.op}/{bad.sub}: {words}" in str(err.value)
+
+
+def _overlap_by_byte(rows, blocks, size, row, blk):
+    seen = set()
+    for r in range(rows):
+        for b in range(blocks):
+            run = set(range(r * row + b * blk, r * row + b * blk + size))
+            if seen & run:
+                return True
+            seen |= run
+    return False
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 9),
+       st.integers(0, 40), st.integers(0, 40))
+def test_blocks_overlap_matches_byte_sets(rows, blocks, size, row, blk):
+    assert M.blocks_overlap(rows, blocks, size, row, blk) \
+        == _overlap_by_byte(rows, blocks, size, row, blk)
 
 
 def test_save_exact_ranges_are_strided():

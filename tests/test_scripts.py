@@ -1,11 +1,16 @@
 """Smoke tests of the experiment scripts: each runs in a subprocess, as
 from the command line, and writes only under a temporary directory.  The
-benchmark's tracer is checked against the functions it wraps."""
+benchmark's tracer is checked against the functions it wraps, and the
+paired-run tool's summary against canned result lines (no benchmark
+runs here)."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from dpuc import corpus
 
@@ -63,3 +68,61 @@ def test_traced_functions_exist():
     for mod, attr, _span in tracing.WRAPPED:
         assert mod.__name__.startswith("dpuc."), mod.__name__
         assert callable(getattr(mod, attr, None)), (mod.__name__, attr)
+
+
+def _load_script(name):
+    path = os.path.join(SCRIPTS, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result_line(verify_s, cycles, failed=0):
+    # the last line perfbench/run.py prints
+    return json.dumps({"correct": not failed, "attempted": 10,
+                       "failed": failed, "metrics": {
+                           "verify_s": {"value": verify_s, "unit": "s"},
+                           "sim_cycles": {"value": cycles,
+                                          "unit": "cycles"}}})
+
+
+def test_ab_pairs_summary_counts_wins_and_applies_the_gain_rule():
+    ab = _load_script("ab_pairs")
+    parent = [0.20, 0.21, 0.19, 0.20, 0.22, 0.20, 0.21, 0.19, 0.20, 0.20]
+    change = [0.17, 0.18, 0.16, 0.17, 0.18, 0.17, 0.22, 0.16, 0.17, 0.17]
+    lines = [(_result_line(p, 100), _result_line(c, 100))
+             for p, c in zip(parent, change)]
+    got = ab.summarize(lines, {"verify_s": "lower", "sim_cycles": "lower"})
+    assert got["_ops"] == {"parent": (0, 100), "change": (0, 100)}
+    v = got["verify_s"]
+    assert v["wins"] == 9 and v["pairs"] == 10
+    assert v["parent"] == pytest.approx((0.2, 0.2, 0.2075))
+    assert v["change"][1] == pytest.approx(0.17)
+    assert v["rel"] == pytest.approx(-0.15)
+    assert v["gain"]
+    # equal values win nothing
+    assert got["sim_cycles"]["wins"] == 0 and not got["sim_cycles"]["gain"]
+    # 8 wins of 10 fall short of the rule, however large the gap
+    worse = [(a, _result_line(0.3, 100)) if k == 0 else (a, b)
+             for k, (a, b) in enumerate(lines)]
+    v = ab.summarize(worse)["verify_s"]
+    assert v["wins"] == 8 and not v["gain"]
+    # a gap inside the parent's quartile distance is no gain either
+    near = [(_result_line(p, 100), _result_line(p - 0.001, 100))
+            for p in parent]
+    v = ab.summarize(near)["verify_s"]
+    assert v["wins"] == 10 and not v["gain"]
+    # nor is a faster change that fails more operations
+    failing = [(a, _result_line(c, 100, failed=k == 3))
+               for k, ((a, _b), c) in enumerate(zip(lines, change))]
+    v = ab.summarize(failing)
+    assert v["_ops"]["change"] == (1, 100)
+    assert v["verify_s"]["wins"] == 9 and not v["verify_s"]["gain"]
+    # higher is better: the sign flips
+    v = ab.summarize(lines, {"verify_s": "higher"})["verify_s"]
+    assert v["wins"] == 1 and not v["gain"]
+    lines_out = ab.report_lines(got)
+    assert lines_out[0] == "parent: 0 of 100 operations failed"
+    assert lines_out[-2].split()[0] == "verify_s"
+    assert lines_out[-2].split()[-2:] == ["9/10", "yes"]

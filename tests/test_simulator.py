@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import re
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import dpuc
@@ -256,6 +257,162 @@ def test_functional_upsample_zero_insertion():
     S.run_functional(Program(instructions=[ins]), st)
     got = st.fm[1][:9].view(np.int8).reshape(3, 3)
     assert np.array_equal(got, [[1, 0, 2], [0, 0, 0], [3, 0, 4]])
+
+
+# ---------------------------------------------------------------------------
+# strided operands against a per-byte oracle
+# ---------------------------------------------------------------------------
+
+# 256 B in each FM memory and in PM; DDR is sized per test
+SMALL = MachineConfig(fm_banks_per_memory=1, fm_bank_rows=4, fm_row_bytes=64,
+                      pm_bytes=256)
+
+
+def _runs(off, rows, blocks, size, row, blk):
+    """Byte addresses of a strided operand, in transfer order."""
+    return [off + r * row + b * blk + i for r in range(rows)
+            for b in range(blocks) for i in range(size)]
+
+
+@hst.composite
+def _strided_op(draw):
+    """A LOAD, SAVE or move whose strided operands' blocks are disjoint,
+    with offsets and strides that keep it inside 256 B memories."""
+    def ints(lo, hi):
+        return draw(hst.integers(lo, hi))
+
+    def strides():
+        row, blk = ints(0, 24), ints(0, 12)
+        addrs = _runs(0, rows, blocks, size, row, blk)
+        assume(len(set(addrs)) == len(addrs))
+        return row, blk
+
+    kind = draw(hst.sampled_from(("load", "save", "move")))
+    rows, blocks, size = ints(1, 4), ints(1, 3), ints(0, 6)
+    geometry = dict(rows=rows, blocks=blocks, block_bytes=size)
+    if kind == "move":
+        (sr, sb), (dr, db) = strides(), strides()
+        return Instruction(op=MISC, sub="move", src=Addr(FM, ints(0, 60), 0),
+                           dst=Addr(FM, ints(0, 60), ints(0, 1)),
+                           src_row_stride=sr, src_blk_stride=sb,
+                           dst_row_stride=dr, dst_blk_stride=db, **geometry)
+    row, blk = strides()
+    geometry.update(ddr_row_stride=row, ddr_blk_stride=blk)
+    ddr, fm = Addr(DDR, ints(0, 60)), Addr(FM, ints(0, 60), ints(0, 1))
+    if kind == "load":
+        return Instruction(op=LOAD, sub="act", src=ddr, dst=fm, **geometry)
+    return Instruction(op=SAVE, sub="act", src=fm, dst=ddr, **geometry)
+
+
+def _footprints(ins):
+    """((space, mem, addresses) read, (space, mem, addresses) written),
+    each in transfer order."""
+    size = (ins.rows, ins.blocks, ins.block_bytes)
+    n = ins.transfer_bytes()
+    if ins.op == LOAD:
+        return ((DDR, 0, _runs(ins.src.off, *size, ins.ddr_row_stride,
+                               ins.ddr_blk_stride)),
+                (FM, ins.dst.mem, list(range(ins.dst.off, ins.dst.off + n))))
+    if ins.op == SAVE:
+        return ((FM, ins.src.mem, list(range(ins.src.off, ins.src.off + n))),
+                (DDR, 0, _runs(ins.dst.off, *size, ins.ddr_row_stride,
+                               ins.ddr_blk_stride)))
+    return ((FM, ins.src.mem, _runs(ins.src.off, *size, ins.src_row_stride,
+                                    ins.src_blk_stride)),
+            (FM, ins.dst.mem, _runs(ins.dst.off, *size, ins.dst_row_stride,
+                                    ins.dst_blk_stride)))
+
+
+def _filled_state(seed, ddr_bytes=256):
+    """Every byte of every memory random and written."""
+    st = S.MachineState(SMALL, ddr_bytes)
+    rng = np.random.default_rng(seed)
+    for buf, written in (st._pair(DDR, 0), st._pair(FM, 0), st._pair(FM, 1),
+                         st._pair(PM, 0)):
+        buf[:] = rng.integers(0, 256, buf.size)
+        written[:] = True
+    return st
+
+
+@given(_strided_op(), hst.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_strided_operand_matches_per_byte_oracle(ins, seed):
+    st = _filled_state(seed)
+    (rs, rm, src), (ws, wm, dst) = _footprints(ins)
+    if (rs, rm) != (ws, wm):
+        st._pair(ws, wm)[1][:] = False  # to see which bytes get written
+    before = {k: (buf.copy(), written.copy()) for k in
+              ((DDR, 0), (FM, 0), (FM, 1))
+              for buf, written in [st._pair(*k)]}
+    S.run_functional(Program(instructions=[ins]), st)
+    want = {k: (buf.copy(), written.copy()) for k, (buf, written)
+            in before.items()}
+    for a, b in zip(src, dst):          # from the pre-instruction bytes
+        want[ws, wm][0][b] = before[rs, rm][0][a]
+        want[ws, wm][1][b] = True
+    for k, (buf, written) in want.items():
+        got_buf, got_written = st._pair(*k)
+        assert np.array_equal(got_buf, buf), k
+        assert np.array_equal(got_written, written), k
+
+
+@given(_strided_op(), hst.integers(0, 2**32 - 1), hst.data())
+@settings(max_examples=200, deadline=None)
+def test_strided_read_of_unwritten_byte_raises(ins, seed, data):
+    (rs, rm, src), _ = _footprints(ins)
+    assume(src)
+    st = _filled_state(seed)
+    st._pair(rs, rm)[1][data.draw(hst.sampled_from(src))] = False
+    with pytest.raises(UseBeforeDefError,
+                       match=rf"^at instruction 0 \({ins.op}/{ins.sub}\): "):
+        S.run_functional(Program(instructions=[ins]), st)
+
+
+@given(_strided_op(), hst.integers(0, 2**32 - 1), hst.data())
+@settings(max_examples=200, deadline=None)
+def test_strided_extent_past_memory_raises(ins, seed, data):
+    # shrink DDR, or move the operand's FM side, so its last byte falls
+    # just past the end of the memory
+    (rs, rm, src), (ws, wm, dst) = _footprints(ins)
+    assume(src)
+    side = data.draw(hst.sampled_from(("src", "dst")))
+    space, addrs = (rs, src) if side == "src" else (ws, dst)
+    addr = getattr(ins, side)
+    if space == DDR:
+        st = _filled_state(seed, ddr_bytes=max(addrs))
+    else:
+        st = _filled_state(seed)
+        shift = SMALL.fm_bytes - max(addrs)
+        ins = replace(ins, **{side: Addr(FM, addr.off + shift, addr.mem)})
+    with pytest.raises(OutOfBoundsError,
+                       match=rf"^at instruction 0 \({ins.op}/{ins.sub}\): "):
+        S.run_functional(Program(instructions=[ins]), st)
+
+
+def test_overlapping_move_copies_the_source_before_the_instruction():
+    # 16 bytes move 2 bytes up within fm0, as four 4-byte blocks; a
+    # block-by-block copy would read bytes the move already overwrote
+    st = _filled_state(0)
+    old = st.fm[0].copy()
+    ins = Instruction(op=MISC, sub="move", src=Addr(FM, 0, 0),
+                      dst=Addr(FM, 2, 0), rows=1, blocks=4, block_bytes=4,
+                      src_row_stride=16, dst_row_stride=16, src_blk_stride=4,
+                      dst_blk_stride=4)
+    S.run_functional(Program(instructions=[ins]), st)
+    assert np.array_equal(st.fm[0][2:18], old[0:16])
+    assert np.array_equal(st.fm[0][:2], old[:2])
+    assert np.array_equal(st.fm[0][18:], old[18:])
+
+
+@pytest.mark.parametrize("fields", [{"block_bytes": -4}, {"rows": -1},
+                                    {"ddr_blk_stride": 2}],
+                         ids=["negative-size", "negative-rows", "overlap"])
+def test_hand_built_malformed_geometry_raises(fields):
+    ins = replace(_transfer(LOAD, "act", Addr(DDR, 0), Addr(FM, 0, 0)),
+                  blocks=2, block_bytes=4, ddr_blk_stride=4)
+    ins = replace(ins, **fields)
+    with pytest.raises(ShapeError, match=r"^at instruction 0 \(LOAD/act\): "):
+        S.run_functional(Program(instructions=[ins]), _filled_state(0))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +707,98 @@ def test_timing_determinism():
     t1 = S.run_timing(Program(instructions=instrs), cfg)
     t2 = S.run_timing(Program(instructions=instrs), cfg)
     assert t1.to_dict() == t2.to_dict()
+
+
+# sha256 of json.dumps(run_timing(program).to_dict()) per corpus graph and
+# pipeline setting, taken before the timing simulator was rewritten: the
+# trace, event order included, must not move
+TRACE_DIGESTS = {
+    ("conv_pool", True): "1bd3cd5ec3fe36540ddfaa58cd3461e3e7abcb5af3c11ced4441934a441fe73c",
+    ("conv_pool", False): "5ca425a0ec5899a9ff97ddf3fc1cc0b7b4c0ae188b6f220ae026eed01486993a",
+    ("deconv", True): "35d62736b150b8134cc6fe8c61c558cd62e7bf8b6e60bf817c3efd910f4ca525",
+    ("deconv", False): "0d74c45eb15cba711f1d2626578666626c871db0a835a823a68b62fefce13ff6",
+    ("inception_cell", True): "42600a69d0b13eaa29b8e895bf5d39fcf1fa47c9fda3aa6bc0b23f9a1a8e2368",
+    ("inception_cell", False): "33293df26f12fb07065d7483cf8b7b6f9f4abfb8453d75b71c09497798897c65",
+    ("resnet_cell", True): "db4911134976cfaf7cb413cc31781d3cdf61096f590cf17c6ab07ed7a2aec744",
+    ("resnet_cell", False): "efb0a899d176a9872e5e5249511fdcbe309f33be134f833f9b12f1a69a79190f",
+    ("toy_conv", True): "ac115f0a72a06e21ba03862eade07faf00c385e534e3c6d31c90071f4f0f5439",
+    ("toy_conv", False): "ac115f0a72a06e21ba03862eade07faf00c385e534e3c6d31c90071f4f0f5439",
+    ("vgg_prefix", True): "4f2ec8fca9ec47a4ab2ea985468c7a71d290c5ef5a5cd3d50c81e3de05d83112",
+    ("vgg_prefix", False): "a294fda52fab3e987e99db57b1b9c07e4c5bd8a3abba245960333cbacc8a4950",
+    ("weight_tiled", True): "e5d80cae19883649d7376c513e08102531e81c13e0a6e8207f6d2a250d90c43f",
+    ("weight_tiled", False): "e5f14eadb8a9e16cdaa88222f64f37cff55d0f67e06a8b4dea1e7fbcce335e4f",
+}
+
+
+def _corpus_program(name, pipeline):
+    return compile_graph(corpus.corpus_graph(name), MachineConfig(),
+                         CompileOptions(pipeline=pipeline)).program
+
+
+@pytest.mark.parametrize("name,pipeline", sorted(TRACE_DIGESTS))
+def test_timing_trace_digest_pinned(name, pipeline):
+    trace = S.run_timing(_corpus_program(name, pipeline), MachineConfig())
+    got = hashlib.sha256(json.dumps(trace.to_dict()).encode()).hexdigest()
+    assert got == TRACE_DIGESTS[name, pipeline]
+
+
+def _scanned_pairings(instructions):
+    """token_pairings written as one scan of the program per channel."""
+    out = {}
+    for s in (LOAD, SAVE, CONV, MISC):
+        for u in (LOAD, SAVE, CONV, MISC):
+            if s == u:
+                continue
+            producers = [i for i, ins in enumerate(instructions)
+                         if ins.op == s and u in ins.dpby]
+            consumers = [i for i, ins in enumerate(instructions)
+                         if ins.op == u and s in ins.dpon]
+            if consumers:
+                out[(s, u)] = [(c, producers[n] if n < len(producers)
+                                else None) for n, c in enumerate(consumers)]
+    return out
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_token_pairings_match_channel_scan_on_corpus(name):
+    for pipeline in (True, False):
+        instrs = _corpus_program(name, pipeline).instructions
+        got, want = S.token_pairings(instrs), _scanned_pairings(instrs)
+        assert got == want and list(got) == list(want)
+
+
+_MASKED_NOOPS = hst.lists(hst.tuples(
+    hst.sampled_from((LOAD, SAVE, CONV, MISC)),
+    hst.frozensets(hst.sampled_from((LOAD, SAVE, CONV, MISC))),
+    hst.frozensets(hst.sampled_from((LOAD, SAVE, CONV, MISC)))), max_size=20)
+
+
+@given(_MASKED_NOOPS)
+@settings(max_examples=200, deadline=None)
+def test_token_pairings_match_channel_scan_on_random_masks(spec):
+    instrs = [Instruction(op=op, sub="noop", dpon=on - {op}, dpby=by - {op})
+              for op, on, by in spec]
+    got, want = S.token_pairings(instrs), _scanned_pairings(instrs)
+    assert got == want and list(got) == list(want)
+
+
+def test_timing_consumer_before_producer_in_text():
+    # the CONV comes first in the program text but waits on the LOAD after
+    # it; the queues are independent, so the program still simulates
+    cfg = MachineConfig(issue_overhead=0)
+    cv = Instruction(op=CONV, sub="conv", src=Addr(FM, 0, 0),
+                     dst=Addr(FM, 0, 1), wgt_off=0, wgt_bytes=256 + 4,
+                     in_rows=1, in_w=1, c_in=256, out_w=1, c_out=1,
+                     kh=1, kw=1, sh=1, sw=1, pt=0, pl=0, pb=0, pr=0,
+                     shift=0, dpon=frozenset({LOAD}))
+    ld = Instruction(op=LOAD, sub="act", src=Addr(DDR, 0),
+                     dst=Addr(FM, 0, 0), rows=1, blocks=1, block_bytes=256,
+                     ddr_row_stride=256, ddr_blk_stride=0,
+                     dpby=frozenset({CONV}))
+    tr = S.run_timing(Program(instructions=[cv, ld]), cfg)
+    assert [e.index for e in tr.events] == [0, 1]
+    assert tr.events[1].start == 0 and tr.events[1].duration == 16
+    assert tr.events[0].start == 16 and tr.makespan == 17
 
 
 # ---------------------------------------------------------------------------
