@@ -249,6 +249,8 @@ def _window_slots(live):
 def _compile_schedule(g, schedule, cfg, options):
     aliases = _concat_aliases(g)
     attempts = []
+    # graph tensors and the intermediates fusion took out of the graph
+    tensors = g.tensors | _mid_tensors(g)
 
     # lowering is symbolic, so it runs before the DDR layout; the layout
     # then reserves exactly the parameter bytes the lowering decided on
@@ -261,8 +263,7 @@ def _compile_schedule(g, schedule, cfg, options):
         if node.op == "input":
             continue
         parts, pm_busy = _lower_with_ladder(
-            node, g.tensors | _mid_tensors(g), aliases, cfg, options,
-            attempts, pm_busy)
+            node, tensors, aliases, cfg, options, attempts, pm_busy)
         for nd, lowered in parts:
             offs = []
             for payload in lowered.pm_payloads:
@@ -301,7 +302,7 @@ def _compile_schedule(g, schedule, cfg, options):
                    param_image=bytes(param_image))
     prog.segments = dict(layout.segments)
     for name, (seg, off) in sorted(layout.tensor_map.items()):
-        t = g.tensors.get(name) or _mid_tensors(g).get(name)
+        t = tensors[name]
         prog.tensors[name] = {
             "segment": seg, "off": off, "bytes": t.nbytes,
             "shape": t.shape, "step_exp": t.quant.exp if t.quant else 0,

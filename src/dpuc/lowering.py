@@ -591,14 +591,13 @@ def _lower_conv(node, ctx, cfg):
         late = [s for s in (0, 1) if halves[s] in ctx.pm_busy]
     pm_offs = [h * (cfg.pm_bytes // 2) for h in halves]
 
-    conv_level = (ck[1], cs[1], cp[1], w_i, c_i)
-    if fused:
-        levels = [(fused.kernel[1], fused.stride[1], fused.padding[1],
-                   w_m, c_m), conv_level]
-        strips = _strip_chain(y.shape[1], y.shape[2], levels, cfg,
-                              ctx.w_min_parts)
-    else:
-        strips = _strip_chain(w_m, c_m, [conv_level], cfg, ctx.w_min_parts)
+    # the conv's consumer window: the fused pool's, or the identity
+    pk, ps, pp = ((fused.kernel, fused.stride, fused.padding) if fused
+                  else ((1, 1), (1, 1), (0, 0)))
+    strips = _strip_chain(y.shape[1], y.shape[2],
+                          [(pk[1], ps[1], pp[1], w_m, c_m),
+                           (ck[1], cs[1], cp[1], w_i, c_i)],
+                          cfg, ctx.w_min_parts)
     # footprint feasibility over the widest strip, not the full tensor;
     # the last two levels of a chain are the conv's output and input
     w_mid_max = max(ch[-2][1] - ch[-2][0] for ch in strips)
@@ -608,7 +607,7 @@ def _lower_conv(node, ctx, cfg):
     if fused:
         pool_shift = _exp(mid) - _exp(y)
         pool_geom = OpGeometry("maxpool", strip_conv.out_shape, y.shape,
-                               fused.kernel, fused.stride, fused.padding)
+                               pk, ps, pp)
         plan = plan_fusion(strip_conv, pool_geom, cfg, h_cap=ctx.h_cap)
         if not plan.enabled:
             raise InfeasibleError(f"node {node.id}: fusion plan not viable: "
@@ -622,12 +621,7 @@ def _lower_conv(node, ctx, cfg):
     bands = []   # (final rows, conv output rows, input rows, pad top/bottom)
     for blo in range(0, final_h, band_h):
         bhi = min(final_h, blo + band_h)
-        if fused:
-            mlo, mhi, _, _ = receptive_range(blo, bhi, fused.kernel[0],
-                                             fused.stride[0],
-                                             fused.padding[0], h_m)
-        else:
-            mlo, mhi = blo, bhi
+        mlo, mhi, _, _ = receptive_range(blo, bhi, pk[0], ps[0], pp[0], h_m)
         xlo, xhi, cpt, cpb = receptive_range(mlo, mhi, ck[0], cs[0], cp[0],
                                              h_i)
         bands.append(((blo, bhi), (mlo, mhi), (xlo, xhi), (cpt, cpb)))
@@ -694,14 +688,10 @@ def _lower_conv(node, ctx, cfg):
                     stages.append(("MISC", _pool_rows(
                         s_mid, s_out, ti, (blo, bhi), mlo, h_m,
                         mhi_s - mlo_s, nch, ohi - olo, plan.out_per_instr,
-                        (fused.kernel, fused.stride, fused.padding),
-                        mid_rng[2:], pool_shift)))
-                    saves = _save_stage(ctx, s_out, ti, (0, bhi - blo), y,
-                                        (blo, bhi), (olo, ohi), c_slice)
-                else:
-                    saves = _save_stage(ctx, s_mid, ti, (0, mhi - mlo), y,
-                                        (mlo, mhi), (mlo_s, mhi_s), c_slice)
-                stages.append(("SAVE", saves))
+                        (pk, ps, pp), mid_rng[2:], pool_shift)))
+                stages.append(("SAVE", _save_stage(
+                    ctx, s_out if fused else s_mid, ti, (0, bhi - blo), y,
+                    (blo, bhi), (olo, ohi), c_slice)))
                 tiles.append(Tile(stages, (blo, bhi), (olo, ohi),
                                   (ilo_s, ihi_s), c_slice))
 

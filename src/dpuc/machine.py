@@ -6,6 +6,10 @@ one write port each, a linear parameter memory (PM) shared by the conv
 unit, and a flat DDR split into five segments.  An access outside a memory
 is an OutOfBoundsError; addresses never wrap.  Instructions synchronize
 through DPON/DPBY sets over the four unit types only.
+
+`Instruction.layout` and `Instruction.operand` describe every operand once
+(shape, strides, memory) for dependency derivation, the window planner,
+the hazard checker and the functional simulator.
 """
 
 import json
@@ -159,9 +163,20 @@ _ASM_FIELDS = {
 
 _ADDR_FIELDS = {"src", "src2", "dst"}
 
-_GEOMETRY_FIELDS = ("rows", "blocks", "block_bytes", "ddr_row_stride",
-                    "ddr_blk_stride", "src_row_stride", "dst_row_stride",
-                    "src_blk_stride", "dst_blk_stride")
+# geometry fields that may be negative, and those that must be at least 1
+_SIGNED_FIELDS = {"shift", "ea", "eb", "eo"}
+_POSITIVE_FIELDS = {"kh", "kw", "sh", "sw", "factor"}
+
+
+def span(shape, strides):
+    """Bytes a (rows, blocks, block_bytes) operand at (row, block) strides
+    covers from its first block to the end of its last; 0 when it holds no
+    byte."""
+    rows, blocks, size = shape
+    if not rows * blocks * size:
+        return 0
+    row, blk = strides
+    return (rows - 1) * row + (blocks - 1) * blk + size
 
 
 def blocks_overlap(rows, blocks, size, row, blk):
@@ -263,90 +278,103 @@ class Instruction:
         return self.rows * self.blocks * self.block_bytes
 
     def geometry_error(self):
-        """Why this transfer's or move's geometry is malformed, else None:
-        a negative count, block size or stride, or a strided operand whose
-        blocks overlap each other.  Every other operation has none."""
-        if self.block_bytes is None:
+        """Why this instruction's geometry is malformed, else None: a
+        negative unsigned field, a kernel, stride, upsample factor or
+        upsample width below 1, a window taller than its padded input, an
+        upsample with rows its input does not feed, or a strided operand
+        whose blocks overlap.  Fields go first: `layout` divides by sh."""
+        if self.is_noop:
             return None
-        for name in _GEOMETRY_FIELDS:
+        for name in _ASM_FIELDS[(self.op, self.sub)]:
+            if name in _ADDR_FIELDS or name in _SIGNED_FIELDS:
+                continue
             v = getattr(self, name)
-            if v is not None and v < 0:
+            if v < 0:
                 return f"{name}={v} is negative"
+            if v < 1 and (name in _POSITIVE_FIELDS
+                          or name == "w" and self.sub == "upsample"):
+                return f"{name}={v} is below 1"
+        if self.op == CONV or self.sub == "maxpool":
+            if self.in_rows + self.pt + self.pb < self.kh:
+                return (f"kh={self.kh} exceeds in_rows={self.in_rows} "
+                        f"padded by pt={self.pt} and pb={self.pb}")
+        elif self.sub == "upsample" and \
+                self.out_rows > self.in_rows * self.factor:
+            return (f"out_rows={self.out_rows} exceeds in_rows="
+                    f"{self.in_rows} x factor={self.factor}")
         for f in ("src", "dst"):
-            strides = self.strides(f)
-            if strides is not None and blocks_overlap(
-                    self.rows, self.blocks, self.block_bytes, *strides):
-                return (f"{f} blocks overlap: {self.rows} rows x "
-                        f"{self.blocks} blocks of {self.block_bytes} B at "
-                        f"strides {strides[0]}, {strides[1]}")
+            shape, strides = self.layout(f)
+            if blocks_overlap(*shape, *strides):
+                return (f"{f} blocks overlap: {shape[0]} rows x {shape[1]} "
+                        f"blocks of {shape[2]} B at strides {strides[0]}, "
+                        f"{strides[1]}")
         return None
 
-    # ---- byte footprint (for dependency derivation and hazard checks) ----
+    # ---- operands (one description for every reader of the program) ----
 
-    def strides(self, f):
-        """(row, block) strides of a strided operand, else None: the DDR
-        side of a transfer and both sides of a move are strided."""
-        if (f, self.op) in (("src", LOAD), ("dst", SAVE)):
-            return self.ddr_row_stride, self.ddr_blk_stride
-        if self.sub != "move":
-            return None
-        if f == "src":
-            return self.src_row_stride, self.src_blk_stride
-        return self.dst_row_stride, self.dst_blk_stride
+    def layout(self, f):
+        """((rows, blocks, block_bytes), (row, block) strides) of operand f
+        ("src", "src2" or "dst").  The DDR side of a transfer and both
+        sides of a move are strided; every other operand is one run of n
+        bytes, ((1, 1, n), (n, n)).  The operand's address is never read,
+        so a symbolic operand has a layout too."""
+        op = self.op
+        if op == LOAD or op == SAVE:
+            if (f == "src") == (op == LOAD):
+                return ((self.rows, self.blocks, self.block_bytes),
+                        (self.ddr_row_stride, self.ddr_blk_stride))
+            n = self.rows * self.blocks * self.block_bytes
+        elif op == CONV:
+            n = (self.in_rows * self.in_w * self.c_in if f != "dst"
+                 else self.conv_out_rows() * self.out_w * self.c_out)
+        elif self.sub == "move":
+            return ((self.rows, self.blocks, self.block_bytes),
+                    (self.src_row_stride, self.src_blk_stride) if f == "src"
+                    else (self.dst_row_stride, self.dst_blk_stride))
+        elif self.sub == "maxpool":
+            n = (self.in_rows * self.in_w if f != "dst"
+                 else self.conv_out_rows() * self.out_w) * self.c_in
+        elif self.sub == "eltwise":
+            n = self.rows * self.w * self.c
+        elif self.sub == "upsample":
+            n = (self.in_rows * self.w if f != "dst" else
+                 self.out_rows * ((self.w - 1) * self.factor + 1)) * self.c
+        else:
+            raise AssertionError(self.sub)
+        return (1, 1, n), (n, n)
+
+    def operand(self, f):
+        """(space, mem, off, shape, strides) of operand f: its `layout`
+        and the memory it addresses.  The DDR side of a transfer is DDR, a
+        LOAD's dst is in the space its address names, a move uses both of
+        its addresses' spaces, and every other operand is FM."""
+        a = getattr(self, f)
+        shape, strides = self.layout(f)
+        op = self.op
+        if op == LOAD and f == "dst" or self.sub == "move":
+            return a.space, a.mem, a.off, shape, strides
+        if op == LOAD or op == SAVE and f == "dst":
+            return DDR, 0, a.off, shape, strides
+        return FM, a.mem, a.off, shape, strides
 
     def extent(self, f):
-        """Bytes operand f ("src", "src2" or "dst") covers from its own
-        address; a strided operand covers the range from its first block
-        to the end of its last, or nothing when it moves no byte."""
-        return self._extent(f, self.strides(f))
-
-    def _extent(self, f, strides):
-        if strides is not None:
-            row, blk = strides
-            if not self.transfer_bytes():
-                return 0
-            return ((self.rows - 1) * row + (self.blocks - 1) * blk
-                    + self.block_bytes)
-        if self.op in (LOAD, SAVE):
-            return self.transfer_bytes()
-        src = f != "dst"
-        if self.op == CONV:
-            return (self.in_rows * self.in_w * self.c_in if src
-                    else self.conv_out_rows() * self.out_w * self.c_out)
-        if self.sub == "maxpool":
-            return (self.in_rows * self.in_w if src
-                    else self.conv_out_rows() * self.out_w) * self.c_in
-        if self.sub == "eltwise":
-            return self.rows * self.w * self.c
-        if self.sub == "upsample":
-            return (self.in_rows * self.w if src else
-                    self.out_rows * ((self.w - 1) * self.factor + 1)) * self.c
-        raise AssertionError(self.sub)
+        """Bytes operand f covers from its own address: the range from its
+        first block to the end of its last, or nothing when it moves no
+        byte."""
+        return span(*self.layout(f))
 
     def _ranges(self, f, exact):
         """Footprint of operand f as (space, mem, lo, hi) ranges: one per
-        block of a strided operand when exact and its blocks are not
-        contiguous, else the extent.  The DDR side of a transfer is DDR,
-        a LOAD lands in the space its dst names, and a move names both of
-        its spaces; every other operand is FM."""
-        a = getattr(self, f)
-        strides = self.strides(f)
-        if strides is None:
-            space, mem = (a.space if self.op == LOAD else FM), a.mem
-        elif self.sub == "move":
-            space, mem = a.space, a.mem
-        else:
-            space, mem = DDR, 0
-        if exact and strides is not None and (
-                self.blocks > 1 or strides[0] != self.block_bytes):
-            row, blk = strides
-            out = []
-            for r in range(self.rows):
-                for b in range(self.blocks):
-                    o = a.off + r * row + b * blk
-                    out.append((space, mem, o, o + self.block_bytes))
-            return out
-        return [(space, mem, a.off, a.off + self._extent(f, strides))]
+        block of a strided operand when exact and its blocks are not one
+        run, else the extent."""
+        space, mem, off, shape, strides = self.operand(f)
+        (rows, blocks, size), (row, blk) = shape, strides
+        if rows == blocks == 1:     # a single block is its own extent
+            return [(space, mem, off, off + size)]
+        if exact and (blocks > 1 or row != size):
+            return [(space, mem, (o := off + r * row + b * blk), o + size)
+                    for r in range(rows) for b in range(blocks)]
+        return [(space, mem, off, off + span(shape, strides))]
 
     def reads(self, exact=False):
         """Byte ranges this instruction reads, as (space, mem, lo, hi):
@@ -403,8 +431,8 @@ def instruction_cost(ins, cfg):
         return math.ceil(ins.transfer_bytes() / cfg.ddr_bytes_per_cycle) + oh
     if ins.op == CONV:
         return math.ceil(ins.conv_macs() / cfg.conv_macs_per_cycle) + oh
-    # a move's strided dst covers more bytes than it moves
-    elems = ins.transfer_bytes() if ins.sub == "move" else ins.extent("dst")
+    # the bytes written, which for a move are fewer than its dst extent
+    elems = math.prod(ins.layout("dst")[0])
     return math.ceil(elems / cfg.misc_elems_per_cycle) + oh
 
 

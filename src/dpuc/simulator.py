@@ -2,15 +2,17 @@
 
 Functional mode walks the instruction stream in issue order and evolves
 the byte-level machine state (DDR, three FM memories, PM); its output
-must match the graph-level reference executor bit for bit.  Each strided
-operand moves in one array operation on a (rows, blocks, block_bytes)
-view of its bytes (`_strided`); a move reads its whole source before it
-writes, and malformed geometry (a negative count, size or stride, or
-overlapping blocks) raises ShapeError.  Timing mode runs a discrete-event
-simulation of the four in-order queues with the counted DPON/DPBY token
-semantics; it never looks at data.  The hazard
-checker replays a trace against exact byte footprints to prove that the
-typed dependencies were sufficient.
+must match the graph-level reference executor bit for bit.  Every
+operand goes through one accessor (`_operand`), which takes its memory
+and layout from `Instruction.operand` and moves it in one array
+operation: a flat slice when it is one run of bytes, else a (rows,
+blocks, block_bytes) view.  A LOAD, SAVE or move reads its whole source
+before it writes, and malformed geometry (a negative count, size or
+stride, or overlapping blocks) raises ShapeError.  Timing mode runs a
+discrete-event simulation of the four in-order queues with the counted
+DPON/DPBY token semantics; it never looks at data.  The hazard checker
+replays a trace against exact byte footprints to prove that the typed
+dependencies were sufficient.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -23,8 +25,8 @@ import numpy as np
 from . import quant
 from .errors import DeadlockError, OutOfBoundsError, ShapeError, \
     UseBeforeDefError
-from .machine import CONV, DDR, FM, LOAD, OP_TYPES, PM, SAVE, \
-    blocks_overlap, instruction_cost
+from .machine import DDR, FM, LOAD, OP_TYPES, PM, SAVE, blocks_overlap, \
+    instruction_cost, span
 
 
 class MachineState:
@@ -53,61 +55,63 @@ class MachineState:
         self.ddr[off:off + data.size] = data
         self.ddr_written[off:off + data.size] = True
 
-    def read(self, space, mem, off, n, check=True):
+    def read(self, space, mem, off, n):
         buf, written = self._pair(space, mem)
         if off < 0 or off + n > buf.size:
             raise OutOfBoundsError(f"{space}{mem} read [{off},{off + n}) "
                                    f"outside {buf.size} B")
         # count_nonzero is the cheapest all() of a small bool array
-        if check and np.count_nonzero(written[off:off + n]) != n:
+        if np.count_nonzero(written[off:off + n]) != n:
             raise UseBeforeDefError(
                 f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
         return buf[off:off + n]
-
-    def write(self, space, mem, off, data):
-        buf, written = self._pair(space, mem)
-        n = data.size
-        if off < 0 or off + n > buf.size:
-            raise OutOfBoundsError(f"{space}{mem} write [{off},{off + n}) "
-                                   f"outside {buf.size} B")
-        buf[off:off + n] = data
-        written[off:off + n] = True
 
 
 # ---------------------------------------------------------------------------
 # functional execution of one instruction
 # ---------------------------------------------------------------------------
 
-def _strided(state, ins, f, write):
-    """(rows, blocks, block_bytes) views of strided operand f's bytes and
-    of their written flags, over the operand's exact extent.
+def _operand(state, ins, f, write):
+    """Bytes of operand f and their written flags, as `ins.operand(f)`
+    describes them: flat slices when the operand is one run of bytes,
+    else (rows, blocks, block_bytes) views over its exact extent.
 
-    The DDR side of a transfer is DDR; a move's operands name their
-    memories.  The views alias the machine state, so one assignment moves
-    the whole operand.  Malformed geometry, which no such view can
-    express, raises ShapeError; an extent outside the memory raises
-    OutOfBoundsError, and a read of any unwritten byte UseBeforeDefError.
+    Both alias the machine state, so one assignment moves the whole
+    operand.  Malformed geometry, which no such view can express, raises
+    ShapeError; an extent outside the memory raises OutOfBoundsError, and
+    a read of any unwritten byte UseBeforeDefError.
     """
-    shape = (ins.rows, ins.blocks, ins.block_bytes)
-    row, blk = ins.strides(f)
-    if min(*shape, row, blk) < 0 or blocks_overlap(*shape, row, blk):
+    space, mem, off, shape, (row, blk) = ins.operand(f)
+    rows, blocks, size = shape
+    if min(rows, blocks, size, row, blk) < 0 or (
+            rows * blocks > 1 and blocks_overlap(*shape, row, blk)):
         raise ShapeError(ins.geometry_error())
-    a = getattr(ins, f)
-    space = a.space if ins.sub == "move" else DDR
-    buf, written = state._pair(space, a.mem)
-    n = ins.extent(f)
-    if a.off < 0 or a.off + n > buf.size:
+    n = rows * blocks * size
+    one_run = not n or ((blocks == 1 or blk == size)
+                        and (rows == 1 or row == blocks * size))
+    if not one_run:
+        n = span(shape, (row, blk))
+    buf, written = state._pair(space, mem)
+    if off < 0 or off + n > buf.size:
         raise OutOfBoundsError(
-            f"{space}{a.mem} {('read', 'write')[write]} [{a.off},{a.off + n}) "
+            f"{space}{mem} {('read', 'write')[write]} [{off},{off + n}) "
             f"outside {buf.size} B")
-    if not n:
-        return np.zeros(shape, np.uint8), np.zeros(shape, bool)
-    view = np.ndarray(shape, np.uint8, buf, a.off, (row, blk, 1))
-    flags = np.ndarray(shape, bool, written, a.off, (row, blk, 1))
+    if one_run:
+        view, flags = buf[off:off + n], written[off:off + n]
+    else:
+        view = np.ndarray(shape, np.uint8, buf, off, (row, blk, 1))
+        flags = np.ndarray(shape, bool, written, off, (row, blk, 1))
     if not write and np.count_nonzero(flags) != flags.size:
         raise UseBeforeDefError(
-            f"{space}{a.mem} read [{a.off},{a.off + n}) of unwritten bytes")
+            f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
     return view, flags
+
+
+def _store(state, ins, data):
+    """Write data, whose size is the dst operand's, to the dst operand."""
+    view, flags = _operand(state, ins, "dst", write=True)
+    view[...] = data.reshape(view.shape)
+    flags[...] = True
 
 
 # Every int8 product is at most 2**14 in magnitude and float32 holds every
@@ -156,8 +160,7 @@ def _conv_window_sum(x, w, sh, sw, out_rows, out_w):
 
 
 def _exec_conv(state, ins):
-    n = ins.in_rows * ins.in_w * ins.c_in
-    x = state.read(FM, ins.src.mem, ins.src.off, n).view(np.int8)
+    x = _operand(state, ins, "src", write=False)[0].view(np.int8)
     x = x.reshape(ins.in_rows, ins.in_w, ins.c_in)
     taps_n = ins.c_out * ins.kh * ins.kw * ins.c_in
     blob = state.read(PM, 0, ins.wgt_off, ins.wgt_bytes)
@@ -177,13 +180,11 @@ def _exec_conv(state, ins):
     xp[ins.pt:ins.pt + ins.in_rows, ins.pl:ins.pl + ins.in_w] = x
     acc = _conv_window_sum(xp, w, ins.sh, ins.sw, out_rows, ins.out_w)
     acc += bias
-    y = quant.requantize(acc, ins.shift)
-    state.write(FM, ins.dst.mem, ins.dst.off, y.reshape(-1).view(np.uint8))
+    _store(state, ins, quant.requantize(acc, ins.shift).view(np.uint8))
 
 
 def _exec_maxpool(state, ins):
-    n = ins.in_rows * ins.in_w * ins.c_in
-    x = state.read(FM, ins.src.mem, ins.src.off, n).view(np.int8)
+    x = _operand(state, ins, "src", write=False)[0].view(np.int8)
     x = x.reshape(ins.in_rows, ins.in_w, ins.c_in)
     out_rows = ins.conv_out_rows()
     pr = max(ins.pr, (ins.out_w - 1) * ins.sw + ins.kw - ins.pl - ins.in_w,
@@ -206,65 +207,43 @@ def _exec_maxpool(state, ins):
             out = np.maximum(out, window)
     if ins.shift:
         out = quant.requantize(out.astype(np.int64), ins.shift)
-    state.write(FM, ins.dst.mem, ins.dst.off, out.reshape(-1).view(np.uint8))
+    _store(state, ins, out.view(np.uint8))
 
 
 def _exec_eltwise(state, ins):
-    n = ins.rows * ins.w * ins.c
-    a = state.read(FM, ins.src.mem, ins.src.off, n).view(np.int8)
-    b = state.read(FM, ins.src2.mem, ins.src2.off, n).view(np.int8)
+    a = _operand(state, ins, "src", write=False)[0].view(np.int8)
+    b = _operand(state, ins, "src2", write=False)[0].view(np.int8)
     acc = ((a.astype(np.int64) << ins.ea) + (b.astype(np.int64) << ins.eb))
-    y = quant.requantize(acc, ins.eo)
-    state.write(FM, ins.dst.mem, ins.dst.off, y.view(np.uint8))
-
-
-def _exec_move(state, ins):
-    """Copy the source as it was before the instruction: numpy buffers a
-    source that overlaps the destination."""
-    src, _ = _strided(state, ins, "src", write=False)
-    dst, flags = _strided(state, ins, "dst", write=True)
-    dst[...] = src
-    flags[...] = True
+    _store(state, ins, quant.requantize(acc, ins.eo).view(np.uint8))
 
 
 def _exec_upsample(state, ins):
-    n = ins.in_rows * ins.w * ins.c
-    x = state.read(FM, ins.src.mem, ins.src.off, n).view(np.int8)
+    x = _operand(state, ins, "src", write=False)[0].view(np.int8)
     x = x.reshape(ins.in_rows, ins.w, ins.c)
     ow = (ins.w - 1) * ins.factor + 1
     out = np.zeros((ins.out_rows, ow, ins.c), np.int8)
     rows = range(0, ins.out_rows, ins.factor)
     out[::ins.factor, ::ins.factor] = x[:len(rows)]
-    state.write(FM, ins.dst.mem, ins.dst.off, out.reshape(-1).view(np.uint8))
+    _store(state, ins, out.view(np.uint8))
+
+
+_EXEC = {"conv": _exec_conv, "maxpool": _exec_maxpool,
+         "eltwise": _exec_eltwise, "upsample": _exec_upsample}
 
 
 def run_functional(prog, state):
     """Execute in issue order; timing is ignored but addresses and
-    arithmetic are exact."""
+    arithmetic are exact.  A LOAD, SAVE or move copies its source as it
+    was before the instruction: numpy buffers a source that overlaps the
+    destination."""
     for idx, ins in enumerate(prog.instructions):
         try:
             if ins.is_noop:
                 continue
-            if ins.op == LOAD:
-                data, _ = _strided(state, ins, "src", write=False)
-                state.write(ins.dst.space, ins.dst.mem, ins.dst.off,
-                            data.reshape(-1))
-            elif ins.op == SAVE:
-                data = state.read(FM, ins.src.mem, ins.src.off,
-                                  ins.transfer_bytes())
-                dst, flags = _strided(state, ins, "dst", write=True)
-                dst[...] = data.reshape(dst.shape)
-                flags[...] = True
-            elif ins.op == CONV:
-                _exec_conv(state, ins)
-            elif ins.sub == "maxpool":
-                _exec_maxpool(state, ins)
-            elif ins.sub == "eltwise":
-                _exec_eltwise(state, ins)
-            elif ins.sub == "move":
-                _exec_move(state, ins)
-            elif ins.sub == "upsample":
-                _exec_upsample(state, ins)
+            if ins.op in (LOAD, SAVE) or ins.sub == "move":
+                _store(state, ins, _operand(state, ins, "src", False)[0])
+            else:
+                _EXEC[ins.sub](state, ins)
         except (UseBeforeDefError, OutOfBoundsError, ShapeError) as e:
             raise type(e)(f"at instruction {idx} ({ins.op}/{ins.sub}): {e}")
     return state

@@ -239,6 +239,57 @@ def test_run_rejects_malformed_transfer_geometry_exit_three(
     assert "Traceback" not in err
 
 
+# (graph, compile flags, edited sub-op, field edits, the message after
+# "OP/sub: "); before the check, toy_conv's CONV with c_out=-8 ran in
+# timing mode at "utilization CONV=-0.11", and sh=0 ended in an internal
+# ZeroDivisionError
+MALFORMED_WINDOWED = {
+    "conv-negative-c_out": ("toy_conv", [], "conv", {"c_out": -8},
+                            "c_out=-8 is negative"),
+    "conv-zero-stride": ("toy_conv", [], "conv", {"sh": 0}, "sh=0 is below 1"),
+    "maxpool-zero-kernel": ("conv_pool", [], "maxpool", {"kh": 0},
+                            "kh=0 is below 1"),
+    "eltwise-negative-width": ("resnet_cell", [], "eltwise", {"w": -16},
+                               "w=-16 is negative"),
+    "upsample-zero-factor": ("deconv", ["--deconv-mode", "upsample"],
+                             "upsample", {"factor": 0}, "factor=0 is below 1"),
+}
+
+
+@pytest.mark.parametrize("mode", ["timing", "functional"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_WINDOWED))
+def test_run_rejects_malformed_windowed_geometry_exit_three(
+        corpus_dir, tmp_path, capsys, case, mode):
+    graph, flags, sub, edits, words = MALFORMED_WINDOWED[case]
+    art = tmp_path / "art"
+    assert cli.main(["compile", str(corpus_dir / f"{graph}.json"),
+                     "-o", str(art)] + flags) == 0
+    asm = art / "program.asm"
+    lines = asm.read_text().splitlines()
+    at = next(i for i, l in enumerate(lines) if l.split()[3:4] == [sub])
+    toks = lines[at].split()
+    fields = dict(t.split("=") for t in toks[4:])
+    assert set(edits) <= set(fields)
+    fields.update(edits)
+    lines[at] = " ".join(toks[:4] + [f"{k}={v}" for k, v in fields.items()])
+    asm.write_text("\n".join(lines) + "\n")
+    inputs = []
+    for line in lines:
+        t = line.split()
+        if t[:2] == ["#", "tensor"] and t[3] == "inputs":
+            shape = tuple(int(d) for d in t[6].split("x"))
+            np.zeros(shape, np.int8).tofile(tmp_path / f"{t[2]}.bin")
+            inputs += ["--input", f"{t[2]}={tmp_path / f'{t[2]}.bin'}"]
+    assert inputs
+    capsys.readouterr()
+    rc = cli.main(["run", str(art), "--mode", mode, "--out-dir",
+                   str(tmp_path / "out")] + inputs)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {at + 1}: {toks[0]}/{sub}: {words}"), \
+        err
+
+
 def test_no_pipeline_flag_produces_slower_program(corpus_dir, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

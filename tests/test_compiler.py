@@ -13,7 +13,7 @@ from dpuc import lowering as L
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.errors import CompileError
-from dpuc.machine import Addr, CONV, LOAD, MISC, MachineConfig, SAVE, \
+from dpuc.machine import Addr, CONV, LOAD, MISC, MachineConfig, PM, SAVE, \
     emit_assembly, parse_assembly
 
 
@@ -123,6 +123,45 @@ def test_every_compiled_program_roundtrips_through_assembly(name, pipelined):
     back = parse_assembly(emit_assembly(art.program))
     assert back == art.program
     assert emit_assembly(back) == art.assembly
+
+
+def _operand_ranges(ins):
+    """[(operand, its ranges)] cut from reads(exact=True) and
+    writes(exact=True): src, an eltwise's src2, dst; a conv's PM weights
+    are checked and dropped."""
+    reads = ins.reads(exact=True)
+    if ins.op == CONV:
+        assert reads.pop() == (PM, 0, ins.wgt_off,
+                               ins.wgt_off + ins.wgt_bytes)
+    if ins.sub == "eltwise":
+        assert len(reads) == 2
+        return [("src", reads[:1]), ("src2", reads[1:]),
+                ("dst", ins.writes(exact=True))]
+    return [("src", reads), ("dst", ins.writes(exact=True))]
+
+
+FOOTPRINT_GRAPHS = [*corpus.corpus_names(), "scaled_h56", "deep_7x7_c512"]
+
+
+@pytest.mark.parametrize("name", FOOTPRINT_GRAPHS)
+def test_exact_footprints_follow_the_operand_model(name):
+    # every exact range of an operand lies within [off, off + extent), in
+    # the operand's memory, and the ranges are disjoint and cover exactly
+    # its rows x blocks x block_bytes bytes (a one-run operand's extent)
+    art = compile_graph(ROUNDTRIP_GRAPHS[name](), CFG)
+    for ins in art.program.instructions:
+        if ins.is_noop:
+            continue
+        for f, ranges in _operand_ranges(ins):
+            space, mem, off, (rows, blocks, size), _ = ins.operand(f)
+            end = off + ins.extent(f)
+            assert all((s, m) == (space, mem) and off <= lo <= hi <= end
+                       for s, m, lo, hi in ranges), (ins, f)
+            ranges = sorted(r[2:] for r in ranges)
+            assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
+            assert sum(hi - lo for lo, hi in ranges) == (
+                ins.extent(f) if (rows, blocks) == (1, 1)
+                else rows * blocks * size)
 
 
 def test_t1_shape_first_tile():

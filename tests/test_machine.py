@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpuc import machine as M
@@ -201,6 +201,112 @@ def test_parse_rejects_malformed_transfer_geometry(case):
     n = len(prog.instructions)
     assert err.value.lineno == len(text.splitlines()) - n + at % n + 1
     assert f"{bad.op}/{bad.sub}: {words}" in str(err.value)
+
+
+# one instruction per (op, sub) and the operand(f) of each of its
+# operands, worked out by hand: (space, mem, off, shape, strides)
+_STRIDED = dict(rows=3, blocks=2, block_bytes=4, ddr_row_stride=32,
+                ddr_blk_stride=8)
+OPERANDS = {
+    (M.LOAD, "act"): (
+        M.Instruction(op=M.LOAD, sub="act", src=M.Addr(M.DDR, 100),
+                      dst=M.Addr(M.FM, 200, 2), **_STRIDED),
+        {"src": (M.DDR, 0, 100, (3, 2, 4), (32, 8)),
+         "dst": (M.FM, 2, 200, (1, 1, 24), (24, 24))}),
+    (M.LOAD, "weight"): (
+        M.Instruction(op=M.LOAD, sub="weight", src=M.Addr(M.DDR, 100),
+                      dst=M.Addr(M.PM, 300), **_STRIDED),
+        {"src": (M.DDR, 0, 100, (3, 2, 4), (32, 8)),
+         "dst": (M.PM, 0, 300, (1, 1, 24), (24, 24))}),
+    (M.SAVE, "act"): (
+        M.Instruction(op=M.SAVE, sub="act", src=M.Addr(M.FM, 200, 1),
+                      dst=M.Addr(M.DDR, 100), **_STRIDED),
+        {"src": (M.FM, 1, 200, (1, 1, 24), (24, 24)),
+         "dst": (M.DDR, 0, 100, (3, 2, 4), (32, 8))}),
+    (M.MISC, "move"): (
+        M.Instruction(op=M.MISC, sub="move", src=M.Addr(M.PM, 10),
+                      dst=M.Addr(M.FM, 20, 1), rows=3, blocks=2,
+                      block_bytes=4, src_row_stride=16, src_blk_stride=4,
+                      dst_row_stride=40, dst_blk_stride=12),
+        {"src": (M.PM, 0, 10, (3, 2, 4), (16, 4)),
+         "dst": (M.FM, 1, 20, (3, 2, 4), (40, 12))}),
+    # 4 rows, padded to 6, under a 3-row window: 4 rows of 5 x 2 out
+    (M.CONV, "conv"): (
+        conv_instr(in_rows=4, in_w=5, c_in=3, out_w=5, c_out=2,
+                   pads=(1, 1, 1, 1)),
+        {"src": (M.FM, 0, 0, (1, 1, 60), (60, 60)),
+         "dst": (M.FM, 1, 0, (1, 1, 40), (40, 40))}),
+    # 2x2/s2 pool of 4 x 4 x 2: 2 rows of 2 x 2 out
+    (M.MISC, "maxpool"): (
+        M.Instruction(op=M.MISC, sub="maxpool", src=M.Addr(M.FM, 64, 2),
+                      dst=M.Addr(M.FM, 128, 0), in_rows=4, in_w=4, c_in=2,
+                      out_w=2, kh=2, kw=2, sh=2, sw=2, pt=0, pl=0, pb=0,
+                      pr=0, shift=0),
+        {"src": (M.FM, 2, 64, (1, 1, 32), (32, 32)),
+         "dst": (M.FM, 0, 128, (1, 1, 8), (8, 8))}),
+    (M.MISC, "eltwise"): (
+        sample_program().instructions[2],
+        {"src": (M.FM, 0, 0, (1, 1, 64), (64, 64)),
+         "src2": (M.FM, 1, 64, (1, 1, 64), (64, 64)),
+         "dst": (M.FM, 2, 0, (1, 1, 64), (64, 64))}),
+    # 2 rows of 3 x 2 at factor 2: 3 rows of 5 x 2 out
+    (M.MISC, "upsample"): (
+        M.Instruction(op=M.MISC, sub="upsample", src=M.Addr(M.FM, 8, 0),
+                      dst=M.Addr(M.FM, 16, 1), in_rows=2, w=3, c=2,
+                      factor=2, out_rows=3),
+        {"src": (M.FM, 0, 8, (1, 1, 12), (12, 12)),
+         "dst": (M.FM, 1, 16, (1, 1, 30), (30, 30))}),
+}
+
+
+def test_operand_table_covers_every_instruction():
+    assert set(OPERANDS) == {k for k in M._ASM_FIELDS if k[1] != "noop"}
+
+
+@pytest.mark.parametrize("key", sorted(OPERANDS))
+def test_operand_and_layout(key):
+    ins, want = OPERANDS[key]
+    assert ins.geometry_error() is None
+    # layout reads no address, so it holds for symbolic operands too
+    symbolic = replace(ins, src=None, src2=None, dst=None)
+    for f, (space, mem, off, shape, strides) in want.items():
+        assert ins.operand(f) == (space, mem, off, shape, strides), f
+        assert symbolic.layout(f) == (shape, strides), f
+        rows, blocks, size = shape
+        assert ins.extent(f) == ((rows - 1) * strides[0]
+                                 + (blocks - 1) * strides[1] + size), f
+
+
+@st.composite
+def _asm_line(draw):
+    """An instruction line whose integer fields are drawn from 1..9,
+    except at most one drawn from -3..0."""
+    op, sub = draw(st.sampled_from(sorted(M._ASM_FIELDS)))
+    names = M._ASM_FIELDS[(op, sub)]
+    odd = draw(st.sampled_from((None,) + names))
+    toks = [op, "0b0000", "0b0000", sub]
+    for name in names:
+        if name in M._ADDR_FIELDS:
+            toks.append(f"{name}=" + ("ddr:0" if (op, name) in (
+                (M.LOAD, "src"), (M.SAVE, "dst")) else "fm0:0"))
+        else:
+            v = draw(st.integers(-3, 0) if name == odd
+                     else st.integers(1, 9))
+            toks.append(f"{name}={v}")
+    return " ".join(toks)
+
+
+@given(_asm_line())
+@settings(max_examples=400, deadline=None)
+def test_every_accepted_instruction_costs_at_least_its_overhead(line):
+    # at one unit of work per cycle, any negative work shows
+    cfg = mkcfg(ddr_bytes_per_cycle=1, conv_macs_per_cycle=1,
+                misc_elems_per_cycle=1)
+    try:
+        (ins,) = M.parse_assembly(line + "\n").instructions
+    except AsmError:
+        return
+    assert M.instruction_cost(ins, cfg) >= cfg.issue_overhead, line
 
 
 def _overlap_by_byte(rows, blocks, size, row, blk):
