@@ -93,8 +93,8 @@ def _unfuse(node):
     conv = GG.Node(node.id + ".conv", "conv", list(node.inputs),
                    f.mid.name, dict(node.attrs), node.params, None)
     cons = GG.Node(node.id + ".post", f.kind, [f.mid.name], node.output,
-                   {"kernel": list(f.kernel), "stride": list(f.stride),
-                    "padding": list(f.padding)})
+                   {"kernel": f.kernel, "stride": f.stride,
+                    "padding": f.padding})
     return [conv, cons]
 
 

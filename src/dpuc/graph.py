@@ -5,7 +5,9 @@ Tensors are (h, w, c) with the channel innermost in memory.  Quantizer
 nodes ("fix") and parameter constants ("const") are explicit after parsing
 and are assimilated into their consuming compute nodes by
 fold_constants_and_quantizers, mirroring how a framework front end hands
-the graph over.
+the graph over.  Parsing checks each node's attrs as written, then fills
+in the optional ones from DEFAULT_ATTRS and turns pairs into tuples, so
+no later pass spells a default.
 """
 
 import base64
@@ -184,24 +186,20 @@ def infer_out_shape(node, in_shapes):
     if op in ("fix", "identity"):
         return in_shapes[0]
     if op == "conv":
-        return conv_out_shape(in_shapes[0], a["c_out"], tuple(a["kernel"]),
-                              tuple(a.get("stride", (1, 1))),
-                              tuple(a.get("padding", (0, 0))))
+        return conv_out_shape(in_shapes[0], a["c_out"], a["kernel"],
+                              a["stride"], a["padding"])
     if op == "deconv":
-        return deconv_out_shape(in_shapes[0], a["c_out"], tuple(a["kernel"]),
-                                a.get("upsample", 2), a.get("padding", 0))
+        return deconv_out_shape(in_shapes[0], a["c_out"], a["kernel"],
+                                a["upsample"], a["padding"])
     if op == "maxpool":
-        h, w, c = conv_out_shape(in_shapes[0], in_shapes[0][2],
-                                 tuple(a["kernel"]),
-                                 tuple(a.get("stride", (1, 1))),
-                                 tuple(a.get("padding", (0, 0))))
-        return (h, w, c)
+        return conv_out_shape(in_shapes[0], in_shapes[0][2], a["kernel"],
+                              a["stride"], a["padding"])
     if op == "eltwise-add":
         if in_shapes[0] != in_shapes[1]:
             raise ShapeError(f"eltwise operands differ: {in_shapes}")
         return in_shapes[0]
     if op == "upsample":
-        return upsample_out_shape(in_shapes[0], a.get("factor", 2))
+        return upsample_out_shape(in_shapes[0], a["factor"])
     if op == "concat":
         h, w, _ = in_shapes[0]
         for s in in_shapes[1:]:
@@ -232,6 +230,11 @@ PAIR_ATTRS = {"conv": ("kernel", "stride", "padding"),
               "deconv": ("kernel",)}
 SCALAR_ATTRS = {"conv": ("c_out",), "deconv": ("c_out", "upsample", "padding"),
                 "upsample": ("factor",)}
+# the optional attrs parse_graph fills in after checking the given ones
+DEFAULT_ATTRS = {"conv": {"stride": (1, 1), "padding": (0, 0)},
+                 "maxpool": {"stride": (1, 1), "padding": (0, 0)},
+                 "deconv": {"upsample": 2, "padding": 0},
+                 "upsample": {"factor": 2}}
 # activation inputs per op as (fewest, most); parameter inputs not counted
 ARITY = {"eltwise-add": (2, 2), "concat": (1, None)}
 
@@ -357,6 +360,9 @@ def parse_graph(text):
                     _names(nd.get("inputs", []), where),
                     _req(nd, "output", where), dict(attrs))
         _check_attrs(node)
+        node.attrs = {**DEFAULT_ATTRS.get(node.op, {}), **node.attrs}
+        for key in PAIR_ATTRS.get(node.op, ()):
+            node.attrs[key] = tuple(node.attrs[key])
         if node.op == "const":
             p = nd.get("params", {})
             if "data" not in p or "dtype" not in p:
@@ -623,10 +629,8 @@ def fuse_superlayers(g, cfg=None):
         if not plan.enabled:
             continue
         fused = nodes[n.id]
-        fused.fused = Fused("maxpool", tensors[mid],
-                            kernel=tuple(consumer.attrs["kernel"]),
-                            stride=tuple(consumer.attrs.get("stride", (1, 1))),
-                            padding=tuple(consumer.attrs.get("padding", (0, 0))))
+        fused.fused = Fused("maxpool", tensors[mid], pool.kernel,
+                            pool.stride, pool.padding)
         fused.output = consumer.output
         del nodes[consumer.id]
         del tensors[mid]
@@ -636,19 +640,14 @@ def fuse_superlayers(g, cfg=None):
 
 
 def node_geometry(g, n):
-    """Geometry summary handed to the lowering module."""
+    """Geometry summary of a conv or max pool, handed to the lowering
+    module."""
     from .lowering import OpGeometry
     in_shape = g.tensors[n.inputs[0]].shape if n.inputs else None
     out_shape = g.tensors[n.output].shape if n.output in g.tensors else None
     a = n.attrs
-    return OpGeometry(
-        op=n.op,
-        in_shape=in_shape,
-        out_shape=out_shape,
-        kernel=tuple(a.get("kernel", (1, 1))),
-        stride=tuple(a.get("stride", (1, 1))),
-        padding=tuple(a.get("padding", (0, 0))),
-    )
+    return OpGeometry(n.op, in_shape, out_shape, a["kernel"], a["stride"],
+                      a["padding"])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ one ISA instruction (`machine.Instruction`) with every field final except
 its addresses: src, src2 and dst stay symbolic (`Win`, `TensorAt`,
 `ParamAt`) until window planning and the DDR layout place them, and the
 compiler's binder then replaces them.  Transfer geometry, strides, PM
-offsets and weight sizes are all decided here.  Windows are not declared:
+offsets and weight sizes are all decided here; every activation LOAD and
+SAVE comes from `_transfer`, one per row of a rows x columns x channels
+box of a DDR tensor.  Node attrs are read as `graph.parse_graph` resolved
+them: defaults filled in, pairs as tuples.  Windows are not declared:
 a window is as large as the bytes its `Win` operands touch
 (`compiler._plan_windows`), and its stream's FM memory follows from which
 streams the writing instruction reads (`memory.assign_fm_memories`).
@@ -483,7 +486,8 @@ class LowerContext:
     """Everything lower_node needs from the surrounding schedule."""
     tensors: dict                 # name -> TensorRef
     h_cap: int                    # retry ladder: tile height cap, <= h_c
-    aliases: dict = None          # tensor -> (concat target, channel off)
+    # tensor -> (concat target, channel off)
+    aliases: dict = field(default_factory=dict)
     deconv_mode: str = "series"
     w_min_parts: int = 1          # retry ladder: force deeper width split
     # PM halves (0, 1) the last CONV of the previous node with weights
@@ -495,45 +499,31 @@ def _exp(tensor):
     return tensor.quant.exp
 
 
-def _load_stage(tensor, rows, cols, stream, ti):
-    """One LOAD per input row, every channel, into tile ti's window."""
-    lo, hi = rows
-    clo, chi = cols
-    _h, w, c = tensor.shape
-    n = (chi - clo) * c
-    return [Instruction(op=LOAD, sub="act",
-                        src=TensorAt(tensor.name, (r * w + clo) * c),
-                        dst=Win(stream, ti, (r - lo) * n), rows=1, blocks=1,
-                        block_bytes=n, ddr_row_stride=n, ddr_blk_stride=0)
-            for r in range(lo, hi)]
-
-
-def _save_stage(ctx, stream, ti, local_rows, tensor, out_rows, cols, ch):
-    """One SAVE per output row of tile ti's window into columns `cols` and
-    channels `ch` of `tensor`.  A concat input aliased into its
-    concatenation is saved into the concatenation's channel slice."""
-    name, ch_off = tensor.name, 0
-    if name in (ctx.aliases or {}):
-        name, ch_off = ctx.aliases[name]
+def _transfer(op, ctx, tensor, rows, cols, stream, ti, ch=None):
+    """One LOAD or SAVE (op) per row of the rows x cols x ch box of DDR
+    tensor `tensor` (ch: every channel by default), between that row and
+    tile ti's window on `stream`, where the box is packed densely.  A
+    concat input aliased into its concatenation is moved to and from the
+    concatenation's channel slice; a slice narrower than the tensor is
+    one block per column."""
+    name, ch_off = ctx.aliases.get(tensor.name, (tensor.name, 0))
     _h, w, c = ctx.tensors[name].shape
-    clo, chi = cols
-    ch0, nch = ch[0] + ch_off, ch[1] - ch[0]
-    n = (chi - clo) * nch
+    (lo, hi), (clo, chi) = rows, cols
+    ch0, ch1 = ch or (0, tensor.shape[2])
+    n = (chi - clo) * (ch1 - ch0)
+    blocks, size, blk = ((1, n, 0) if ch1 - ch0 == c
+                         else (chi - clo, ch1 - ch0, c))
+    # one row never steps it: LOADs carry the box row's bytes, SAVEs the pitch
+    row_stride = n if op == LOAD else w * c
     out = []
-    for i in range(out_rows[1] - out_rows[0]):
-        src = Win(stream, ti, (local_rows[0] + i) * n)
-        off = ((out_rows[0] + i) * w + clo) * c
-        if nch == c:
-            ins = Instruction(op=SAVE, sub="act", src=src,
-                              dst=TensorAt(name, off), rows=1, blocks=1,
-                              block_bytes=n, ddr_row_stride=w * c,
-                              ddr_blk_stride=0)
-        else:
-            ins = Instruction(op=SAVE, sub="act", src=src,
-                              dst=TensorAt(name, off + ch0), rows=1,
-                              blocks=chi - clo, block_bytes=nch,
-                              ddr_row_stride=w * c, ddr_blk_stride=c)
-        out.append(ins)
+    for r in range(lo, hi):
+        ddr = TensorAt(name, (r * w + clo) * c + ch_off + ch0)
+        fm = Win(stream, ti, (r - lo) * n)
+        src, dst = (ddr, fm) if op == LOAD else (fm, ddr)
+        out.append(Instruction(op=op, sub="act", src=src, dst=dst, rows=1,
+                               blocks=blocks, block_bytes=size,
+                               ddr_row_stride=row_stride,
+                               ddr_blk_stride=blk))
     return out
 
 
@@ -573,8 +563,7 @@ def _lower_conv(node, ctx, cfg):
     y = ctx.tensors[node.output]
     h_i, w_i, c_i = x.shape
     a = node.attrs
-    ck, cs, cp = (tuple(a["kernel"]), tuple(a.get("stride", (1, 1))),
-                  tuple(a.get("padding", (0, 0))))
+    ck, cs, cp = a["kernel"], a["stride"], a["padding"]
     fused = node.fused
     mid = fused.mid if fused else y
     h_m, w_m, c_m = mid.shape
@@ -665,8 +654,8 @@ def _lower_conv(node, ctx, cfg):
                 loads = (weight_loads(s for s in (0, 1) if s not in late)
                          if first else [])
                 if bi not in loaded:
-                    loads += _load_stage(x, (xlo, xhi), (ilo_s, ihi_s), s_in,
-                                         ti)
+                    loads += _transfer(LOAD, ctx, x, (xlo, xhi),
+                                       (ilo_s, ihi_s), s_in, ti)
                     if windows_fit:
                         loaded[bi] = ti
                 if first:
@@ -689,9 +678,9 @@ def _lower_conv(node, ctx, cfg):
                         s_mid, s_out, ti, (blo, bhi), mlo, h_m,
                         mhi_s - mlo_s, nch, ohi - olo, plan.out_per_instr,
                         (pk, ps, pp), mid_rng[2:], pool_shift)))
-                stages.append(("SAVE", _save_stage(
-                    ctx, s_out if fused else s_mid, ti, (0, bhi - blo), y,
-                    (blo, bhi), (olo, ohi), c_slice)))
+                stages.append(("SAVE", _transfer(
+                    SAVE, ctx, y, (blo, bhi), (olo, ohi),
+                    s_out if fused else s_mid, ti, c_slice)))
                 tiles.append(Tile(stages, (blo, bhi), (olo, ohi),
                                   (ilo_s, ihi_s), c_slice))
 
@@ -713,8 +702,7 @@ def _lower_pool(node, ctx, cfg):
     h_i, w_i, c = x.shape
     h_o, w_o, _ = y.shape
     a = node.attrs
-    pk, ps, pp = (tuple(a["kernel"]), tuple(a.get("stride", (1, 1))),
-                  tuple(a.get("padding", (0, 0))))
+    pk, ps, pp = a["kernel"], a["stride"], a["padding"]
     out_per = max(1, cfg.h_p // ps[0])
     shift = _exp(x) - _exp(y)
     strips = _strip_chain(w_o, c, [(pk[1], ps[1], pp[1], w_i, c)], cfg,
@@ -730,12 +718,12 @@ def _lower_pool(node, ctx, cfg):
             ti = len(tiles)
             xlo, xhi, _, _ = receptive_range(blo, bhi, pk[0], ps[0], pp[0],
                                              h_i)
-            loads = _load_stage(x, (xlo, xhi), (ilo, ihi), s_in, ti)
+            loads = _transfer(LOAD, ctx, x, (xlo, xhi), (ilo, ihi), s_in, ti)
             pools = _pool_rows(s_in, s_out, ti, (blo, bhi), xlo, h_i,
                                ihi - ilo, c, ohi - olo, out_per,
                                (pk, ps, pp), (pl, pr), shift)
-            saves = _save_stage(ctx, s_out, ti, (0, bhi - blo), y, (blo, bhi),
-                                (olo, ohi), (0, c))
+            saves = _transfer(SAVE, ctx, y, (blo, bhi), (olo, ohi), s_out,
+                              ti)
             tiles.append(Tile([("LOAD", loads), ("MISC", pools),
                                ("SAVE", saves)], (blo, bhi), (olo, ohi),
                               (ilo, ihi)))
@@ -759,8 +747,9 @@ def _lower_elt(node, ctx, cfg):
         for blo in range(0, h, band_h):
             bhi = min(h, blo + band_h)
             ti = len(tiles)
-            loads = (_load_stage(ta, (blo, bhi), (olo, ohi), sa, ti)
-                     + _load_stage(tb, (blo, bhi), (olo, ohi), sb, ti))
+            loads = (_transfer(LOAD, ctx, ta, (blo, bhi), (olo, ohi), sa, ti)
+                     + _transfer(LOAD, ctx, tb, (blo, bhi), (olo, ohi), sb,
+                                 ti))
             elts = []
             for j in range(-(-(bhi - blo) // cfg.h_e)):
                 rlo = blo + j * cfg.h_e
@@ -770,8 +759,7 @@ def _lower_elt(node, ctx, cfg):
                     op=MISC, sub="eltwise", src=Win(sa, ti, off),
                     src2=Win(sb, ti, off), dst=Win(so, ti, off),
                     rows=rhi - rlo, w=ohi - olo, c=c, ea=ea, eb=eb, eo=eo))
-            saves = _save_stage(ctx, so, ti, (0, bhi - blo), y, (blo, bhi),
-                                (olo, ohi), (0, c))
+            saves = _transfer(SAVE, ctx, y, (blo, bhi), (olo, ohi), so, ti)
             tiles.append(Tile([("LOAD", loads), ("MISC", elts),
                                ("SAVE", saves)], (blo, bhi), (olo, ohi),
                               (olo, ohi)))
@@ -783,7 +771,7 @@ def _lower_elt(node, ctx, cfg):
 def _lower_upsample(node, ctx, cfg):
     x = ctx.tensors[node.inputs[0]]
     y = ctx.tensors[node.output]
-    f = node.attrs.get("factor", 2)
+    f = node.attrs["factor"]
     h_i, w_i, c = x.shape
     h_o, w_o, _ = y.shape
     if w_i * c > cfg.gamma or w_o * c > cfg.gamma:
@@ -797,12 +785,12 @@ def _lower_upsample(node, ctx, cfg):
         out_lo = blo * f
         out_hi = min(h_o, bhi * f)
         ti = len(tiles)
-        loads = _load_stage(x, (blo, bhi), (0, w_i), s_in, ti)
+        loads = _transfer(LOAD, ctx, x, (blo, bhi), (0, w_i), s_in, ti)
         ups = [Instruction(op=MISC, sub="upsample", src=Win(s_in, ti, 0),
                            dst=Win(s_up, ti, 0), in_rows=bhi - blo, w=w_i,
                            c=c, factor=f, out_rows=out_hi - out_lo)]
-        saves = _save_stage(ctx, s_up, ti, (0, out_hi - out_lo), y,
-                            (out_lo, out_hi), (0, w_o), (0, c))
+        saves = _transfer(SAVE, ctx, y, (out_lo, out_hi), (0, w_o), s_up,
+                          ti)
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
                            ("SAVE", saves)], (out_lo, out_hi)))
     ln = LoweredNode(node.id, tiles)
@@ -822,7 +810,6 @@ def _copy_tiles(x, y, ctx, cfg, part=None, tag="", tile0=0):
     input, one width strip at a time; they are numbered from tile0
     within their node."""
     h, w, c = x.shape
-    ch = part or (0, c)
     strips = _strip_chain(w, c, [(1, 1, 0, w, c)], cfg, ctx.w_min_parts)
     tiles = []
     for wi, ((lo, hi, _, _), _) in enumerate(strips):
@@ -830,9 +817,9 @@ def _copy_tiles(x, y, ctx, cfg, part=None, tag="", tile0=0):
         for blo in range(0, h, ctx.h_cap):
             bhi = min(h, blo + ctx.h_cap)
             ti = tile0 + len(tiles)
-            loads = _load_stage(x, (blo, bhi), (lo, hi), s_in, ti)
-            saves = _save_stage(ctx, s_in, ti, (0, bhi - blo), y, (blo, bhi),
-                                (lo, hi), ch)
+            loads = _transfer(LOAD, ctx, x, (blo, bhi), (lo, hi), s_in, ti)
+            saves = _transfer(SAVE, ctx, y, (blo, bhi), (lo, hi), s_in, ti,
+                              part)
             tiles.append(Tile([("LOAD", loads), ("SAVE", saves)], (blo, bhi),
                               (lo, hi), (lo, hi), part))
     return tiles
@@ -851,7 +838,7 @@ def _lower_concat(node, ctx, cfg):
     copied = 0
     for idx, name in enumerate(node.inputs):
         c = ctx.tensors[name].shape[2]
-        if name not in (ctx.aliases or {}):
+        if name not in ctx.aliases:
             tiles += _copy_tiles(ctx.tensors[name], y, ctx, cfg,
                                  (ch, ch + c), f"p{idx}", len(tiles))
             copied += 1
@@ -864,8 +851,7 @@ def _lower_concat(node, ctx, cfg):
 def _lower_deconv(node, ctx, cfg):
     x = ctx.tensors[node.inputs[0]]
     y = ctx.tensors[node.output]
-    s = node.attrs.get("upsample", 2)
-    p = node.attrs.get("padding", 0)
+    s, p = node.attrs["upsample"], node.attrs["padding"]
     if ctx.deconv_mode == "series":
         try:
             plan = decompose_deconv(node.params.weights, s, p, x.shape,
@@ -882,7 +868,7 @@ def _lower_deconv_series(node, ctx, cfg, plan):
     y = ctx.tensors[node.output]
     h_i, w_i, c_i = x.shape
     h_o, w_o, c_o = y.shape
-    s = node.attrs.get("upsample", 2)
+    s = node.attrs["upsample"]
     shift = _conv_shift(ctx, node, y.quant)
     if w_i * c_i > cfg.gamma or w_o * c_o > cfg.gamma:
         raise UnsupportedError("deconv series path does not width-split")
@@ -922,7 +908,7 @@ def _lower_deconv_series(node, ctx, cfg, plan):
         loads = []
         if bi == 0:
             loads.append(_weight_load(0, 0, sum(pm_blocks)))
-        loads += _load_stage(x, (xlo, xhi), (0, w_i), s_in, ti)
+        loads += _transfer(LOAD, ctx, x, (xlo, xhi), (0, w_i), s_in, ti)
         convs, shuffles = [], []
         out_lo = tlo * s
         out_hi = min(h_o, thi * s)
@@ -950,8 +936,8 @@ def _lower_deconv_series(node, ctx, cfg, plan):
                 src_row_stride=sk.out_cols * c_o,
                 dst_row_stride=s * w_o * c_o, src_blk_stride=c_o,
                 dst_blk_stride=s * c_o))
-        saves = _save_stage(ctx, s_out, ti, (0, out_hi - out_lo), y,
-                            (out_lo, out_hi), (0, w_o), (0, c_o))
+        saves = _transfer(SAVE, ctx, y, (out_lo, out_hi), (0, w_o), s_out,
+                          ti)
         tiles.append(Tile([("LOAD", loads), ("CONV", convs),
                            ("MISC", shuffles), ("SAVE", saves)],
                           (out_lo, out_hi)))
@@ -968,8 +954,7 @@ def _lower_deconv_upsample(node, ctx, cfg):
     y = ctx.tensors[node.output]
     h_i, w_i, c_i = x.shape
     h_o, w_o, c_o = y.shape
-    s = node.attrs.get("upsample", 2)
-    p = node.attrs.get("padding", 0)
+    s, p = node.attrs["upsample"], node.attrs["padding"]
     k = node.attrs["kernel"][0]
     w_u = (w_i - 1) * s + 1
     h_u = (h_i - 1) * s + 1
@@ -989,7 +974,7 @@ def _lower_deconv_upsample(node, ctx, cfg):
         ilo = ulo_al // s
         ihi = (uhi - 1) // s + 1
         loads = [_weight_load(0, 0, wgt_bytes)] if bi == 0 else []
-        loads += _load_stage(x, (ilo, ihi), (0, w_i), s_in, ti)
+        loads += _transfer(LOAD, ctx, x, (ilo, ihi), (0, w_i), s_in, ti)
         ups = [Instruction(op=MISC, sub="upsample", src=Win(s_in, ti, 0),
                            dst=Win(s_up, ti, 0), in_rows=ihi - ilo, w=w_i,
                            c=c_i, factor=s, out_rows=uhi - ulo_al)]
@@ -997,8 +982,7 @@ def _lower_deconv_upsample(node, ctx, cfg):
                      Win(s_mid, ti, 0), (0, wgt_bytes), uhi - ulo, w_u, c_i,
                      w_o, c_o, (k, k), (1, 1),
                      (cpt, p, cpb, max(0, (w_o - 1) + k - p - w_u)), shift)
-        saves = _save_stage(ctx, s_mid, ti, (0, bhi - blo), y, (blo, bhi),
-                            (0, w_o), (0, c_o))
+        saves = _transfer(SAVE, ctx, y, (blo, bhi), (0, w_o), s_mid, ti)
         tiles.append(Tile([("LOAD", loads), ("MISC", ups),
                            ("CONV", [conv]), ("SAVE", saves)], (blo, bhi)))
     ln = LoweredNode(node.id, tiles)

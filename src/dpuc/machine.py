@@ -280,9 +280,10 @@ class Instruction:
     def geometry_error(self):
         """Why this instruction's geometry is malformed, else None: a
         negative unsigned field, a kernel, stride, upsample factor or
-        upsample width below 1, a window taller than its padded input, an
-        upsample with rows its input does not feed, or a strided operand
-        whose blocks overlap.  Fields go first: `layout` divides by sh."""
+        upsample width below 1, a CONV weight block that is not its taps
+        and biases, a window taller than its padded input, an upsample
+        with rows its input does not feed, or a strided operand whose
+        blocks overlap.  Fields go first: `layout` divides by sh."""
         if self.is_noop:
             return None
         for name in _ASM_FIELDS[(self.op, self.sub)]:
@@ -294,6 +295,11 @@ class Instruction:
             if v < 1 and (name in _POSITIVE_FIELDS
                           or name == "w" and self.sub == "upsample"):
                 return f"{name}={v} is below 1"
+        if self.op == CONV:
+            want = self.c_out * (self.kh * self.kw * self.c_in + 4)
+            if self.wgt_bytes != want:
+                return (f"wgt_bytes={self.wgt_bytes} is not the {want} B of "
+                        f"c_out x kh x kw x c_in taps and c_out biases")
         if self.op == CONV or self.sub == "maxpool":
             if self.in_rows + self.pt + self.pb < self.kh:
                 return (f"kh={self.kh} exceeds in_rows={self.in_rows} "

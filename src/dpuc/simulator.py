@@ -164,9 +164,6 @@ def _exec_conv(state, ins):
     x = x.reshape(ins.in_rows, ins.in_w, ins.c_in)
     taps_n = ins.c_out * ins.kh * ins.kw * ins.c_in
     blob = state.read(PM, 0, ins.wgt_off, ins.wgt_bytes)
-    if ins.wgt_bytes != taps_n + 4 * ins.c_out:
-        raise ShapeError(f"weight block is {ins.wgt_bytes} B, expected "
-                         f"{taps_n + 4 * ins.c_out}")
     w = blob[:taps_n].view(np.int8).reshape(ins.c_out, ins.kh, ins.kw,
                                             ins.c_in)
     bias = blob[taps_n:].view("<i4").astype(np.int64)
@@ -393,15 +390,12 @@ def reference_execute(g, inputs):
             else:
                 shift = xexp + wexp - mid.quant.exp
             if n.op == "deconv":
-                s = n.attrs.get("upsample", 2)
-                p = n.attrs.get("padding", 0)
-                x = _ref_upsample(x, s)
+                p = n.attrs["padding"]
+                x = _ref_upsample(x, n.attrs["upsample"])
                 out = _ref_conv(x, w, bias, (1, 1), (p, p), shift)
             else:
-                out = _ref_conv(x, w, bias,
-                                tuple(n.attrs.get("stride", (1, 1))),
-                                tuple(n.attrs.get("padding", (0, 0))),
-                                shift)
+                out = _ref_conv(x, w, bias, n.attrs["stride"],
+                                n.attrs["padding"], shift)
             if shift is None:
                 quants[n.output] = xexp + wexp
             if n.fused:
@@ -413,10 +407,9 @@ def reference_execute(g, inputs):
             x = vals[n.inputs[0]]
             shift = (g.tensors[n.inputs[0]].quant.exp
                      - g.tensors[n.output].quant.exp)
-            vals[n.output] = _ref_maxpool(
-                x, tuple(n.attrs["kernel"]),
-                tuple(n.attrs.get("stride", (1, 1))),
-                tuple(n.attrs.get("padding", (0, 0))), shift)
+            vals[n.output] = _ref_maxpool(x, n.attrs["kernel"],
+                                          n.attrs["stride"],
+                                          n.attrs["padding"], shift)
         elif n.op == "eltwise-add":
             a, b = vals[n.inputs[0]], vals[n.inputs[1]]
             vals[n.output] = quant.eltwise_add(
@@ -425,7 +418,7 @@ def reference_execute(g, inputs):
                 g.tensors[n.output].quant.exp)
         elif n.op == "upsample":
             vals[n.output] = _ref_upsample(vals[n.inputs[0]],
-                                           n.attrs.get("factor", 2))
+                                           n.attrs["factor"])
         elif n.op == "identity":
             vals[n.output] = vals[n.inputs[0]].copy()
         elif n.op == "concat":

@@ -388,3 +388,87 @@ def test_copy_rows_wider_than_gamma_split_into_strips(doc, node):
     strips = sorted({t.cols for t in tiles})
     assert strips == [(0, 300), (300, 600)]
     assert all((hi - lo) * 16 <= cfg.gamma for lo, hi in strips)
+
+
+def aliased_concat_doc(h=4, w=600, c_in=8, c=16):
+    """y = concat(a, b) of two 1x1 convs of x; a and b are read by the
+    concat only, so both convs save straight into their channel slices
+    of y."""
+    rng = np.random.default_rng(56)
+    nodes = [{"id": "in", "op": "input", "inputs": [], "output": "x"}]
+    for nid, out in (("ca", "a"), ("cb", "b")):
+        wgt = rng.integers(-24, 24, (c, 1, 1, c_in)).astype(np.int8)
+        bias = rng.integers(-1000, 1000, c).astype(np.int32)
+        nodes.append({"id": nid, "op": "conv", "inputs": ["x"],
+                      "output": out, "attrs": {"kernel": [1, 1], "c_out": c},
+                      "params": {"weights": _b64(wgt), "bias": _b64(bias),
+                                 "shape": [c, 1, 1, c_in],
+                                 "quant": _q(-6)}})
+    nodes.append({"id": "join", "op": "concat", "inputs": ["a", "b"],
+                  "output": "y"})
+    return {
+        "tensors": [{"name": "x", "shape": [h, w, c_in], "quant": _q(-2)},
+                    {"name": "a", "shape": [h, w, c], "quant": _q(-2)},
+                    {"name": "b", "shape": [h, w, c], "quant": _q(-2)},
+                    {"name": "y", "shape": [h, w, 2 * c], "quant": _q(-2)}],
+        "nodes": nodes, "inputs": ["x"], "outputs": ["y"],
+    }
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+def test_aliased_concat_saves_across_width_strips(pipelined):
+    # a's and b's 600 x 16 B = 9,600 B rows exceed the 8,192 B gamma, so
+    # each conv saves two width strips into its channel slice of y
+    cfg = MachineConfig()
+    g = G.parse_graph(json.dumps(aliased_concat_doc()))
+    art = _bit_exact_hazard_free(g, cfg, CompileOptions(pipeline=pipelined))
+    assert art.memmap["aliases"] == {"a": ["y", 0], "b": ["y", 16]}
+    for nid in ("ca", "cb"):
+        assert sorted({t.cols for t in art.tiles[nid]}) == [(0, 300),
+                                                             (300, 600)]
+    seg, off = art.memmap["tensors"]["y"]
+    base = art.memmap["segments"][seg][0] + off
+    saves = [ins for ins, mark in zip(art.program.instructions, art.marks)
+             if mark[0] == "cb" and ins.op == "SAVE"]
+    assert saves
+    for ins in saves:
+        for space, _mem, lo, hi in ins.writes(exact=True):
+            ch = (lo - base) % 32
+            assert space == "ddr" and 0 <= lo - base < 4 * 600 * 32
+            assert 16 <= ch and ch + (hi - lo) <= 32, (lo, hi)
+
+
+def _docs():
+    """Every corpus graph document and every test-local one."""
+    docs = {name: corpus.corpus_doc(name) for name in corpus.corpus_names()}
+    docs.update((name, doc()) for name, doc in LOCAL.items())
+    docs["aliased_concat"] = aliased_concat_doc()
+    return docs
+
+
+def test_parse_resolves_every_default_attr():
+    for name, doc in _docs().items():
+        for n in G.parse_graph(json.dumps(doc)).nodes.values():
+            for key, default in G.DEFAULT_ATTRS.get(n.op, {}).items():
+                v = n.attrs[key]
+                assert type(v) is type(default), (name, n.id, key, v)
+                if isinstance(v, tuple):
+                    assert len(v) == 2 and all(type(x) is int for x in v)
+            for key in G.PAIR_ATTRS.get(n.op, ()):
+                assert isinstance(n.attrs[key], tuple), (name, n.id, key)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.corpus_names()))
+def test_omitted_default_attrs_compile_like_spelled_out(name):
+    doc = corpus.corpus_doc(name)
+    spelled, omitted = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    for sp, om in zip(spelled["nodes"], omitted["nodes"]):
+        for key, default in G.DEFAULT_ATTRS.get(sp["op"], {}).items():
+            want = list(default) if isinstance(default, tuple) else default
+            if sp["attrs"].setdefault(key, want) == want:
+                om["attrs"].pop(key, None)
+    assert spelled != omitted
+    arts = [compile_graph(G.parse_graph(json.dumps(d)), MachineConfig())
+            for d in (spelled, omitted)]
+    assert arts[0].assembly == arts[1].assembly

@@ -149,6 +149,33 @@ def test_verify_compile_failure_exit_three(corpus_dir, tmp_path):
     assert rc == 3
 
 
+def test_ddr_capacity_exit_three(corpus_dir, tmp_path, capsys):
+    # toy_conv's DDR layout takes 66,624 B
+    graph = str(corpus_dir / "toy_conv.json")
+    cfgfile = tmp_path / "cap.json"
+    cfgfile.write_text('{"ddr_capacity": 4096}')
+    capsys.readouterr()
+    assert cli.main(["compile", graph, "-o", str(tmp_path / "capped"),
+                     "-c", str(cfgfile)]) == 3
+    assert capsys.readouterr().err == \
+        "error: DDR layout needs 66624 B, cap is 4096 B\n"
+    assert cli.main(["verify", graph, "-c", str(cfgfile)]) == 3
+    assert "FAIL compile" in capsys.readouterr().out
+    # artifacts compiled uncapped, then run on a machine with less DDR
+    art = tmp_path / "art"
+    assert cli.main(["compile", graph, "-o", str(art)]) == 0
+    MachineConfig(ddr_capacity=1000).to_json(art / "config.json")
+    xfile = tmp_path / "x.bin"
+    np.zeros((8, 8, 4), np.int8).tofile(xfile)
+    for mode in ("timing", "functional"):
+        capsys.readouterr()
+        assert cli.main(["run", str(art), "--mode", mode, "--input",
+                         f"x={xfile}", "--out-dir", str(tmp_path / "out")]) \
+            == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds cap" in err, err
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_verify_without_seeds_exit_three(corpus_dir, capsys, seeds):
     # no seed means nothing was compared; exit 2 would mean a hazard
@@ -242,10 +269,14 @@ def test_run_rejects_malformed_transfer_geometry_exit_three(
 # (graph, compile flags, edited sub-op, field edits, the message after
 # "OP/sub: "); before the check, toy_conv's CONV with c_out=-8 ran in
 # timing mode at "utilization CONV=-0.11", and sh=0 ended in an internal
-# ZeroDivisionError
+# ZeroDivisionError; with wgt_bytes=100 it ran in timing mode and failed
+# only in functional mode, at run time
 MALFORMED_WINDOWED = {
     "conv-negative-c_out": ("toy_conv", [], "conv", {"c_out": -8},
                             "c_out=-8 is negative"),
+    "conv-weight-bytes": ("toy_conv", [], "conv", {"wgt_bytes": 100},
+                          "wgt_bytes=100 is not the 320 B of c_out x kh x "
+                          "kw x c_in taps and c_out biases"),
     "conv-zero-stride": ("toy_conv", [], "conv", {"sh": 0}, "sh=0 is below 1"),
     "maxpool-zero-kernel": ("conv_pool", [], "maxpool", {"kh": 0},
                             "kh=0 is below 1"),

@@ -47,7 +47,7 @@ def conv_instr(in_rows=10, in_w=16, c_in=64, out_w=16, c_out=64,
     pt, pl, pb, pr = pads
     return M.Instruction(op=M.CONV, sub="conv",
                          src=M.Addr(M.FM, 0, 0), dst=M.Addr(M.FM, 0, 1),
-                         wgt_off=0, wgt_bytes=kh * kw * c_in * c_out,
+                         wgt_off=0, wgt_bytes=(kh * kw * c_in + 4) * c_out,
                          in_rows=in_rows, in_w=in_w, c_in=c_in,
                          out_w=out_w, c_out=c_out, kh=kh, kw=kw,
                          sh=sh, sw=sw, pt=pt, pl=pl, pb=pb, pr=pr, shift=0)
