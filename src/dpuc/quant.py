@@ -1,11 +1,14 @@
 """Fixed-point arithmetic model used by every execution path.
 
 All tensors are int8 with a power-of-two scale (real value = int8 * step).
-Accumulators are int64: a conv sums K = kh·kw·c_in int8 products, each at
-most 2**14 in magnitude, plus an int32 bias, and the data oracles check
-that K·2**14 < 2**53.  Requantization multiplies by the ratio of scales,
-rounds half away from zero, and saturates to [-128, 127].  Keeping every
-rounding decision in this module lets the policy be swapped in one place.
+A conv sums K = kh·kw·c_in int8 products, each at most 2**14 in magnitude,
+plus an int32 bias, and the data oracles check that K·2**14 < 2**53.  Its
+accumulator is int32 when `accumulator_dtype` proves that the sum and the
+rounding of `requantize` fit there, else int64; `requantize` computes in
+the dtype it is given, with the same result in either.  Requantization
+multiplies by the ratio of scales, rounds half away from zero, and
+saturates to [-128, 127].  Keeping every rounding decision in this module
+lets the policy be swapped in one place.
 """
 
 import math
@@ -32,33 +35,67 @@ def step_exponent(step):
     return int(r)
 
 
+def _as_accumulator(acc):
+    """acc as an int32 array if it is one, else as an int64 array."""
+    acc = np.asarray(acc)
+    return acc if acc.dtype == np.int32 else acc.astype(np.int64, copy=False)
+
+
 def shift_round_half_away(acc, shift):
-    """Multiply int64 values by 2**shift with round-half-away-from-zero.
+    """Multiply int32 or int64 values by 2**shift with round-half-away-from-
+    zero, in int32 for int32 values and in int64 for any other.
 
     shift >= 0 is an exact left shift; shift < 0 divides by 2**k, k = -shift,
     and rounds ties away from zero (so -2.5 -> -3, 2.5 -> 3).  For acc >= 0
     that is floor((acc + half) / 2**k) with half = 2**(k-1); for acc < 0 it
     is ceil((acc - half) / 2**k) = floor((acc - half + 2**k - 1) / 2**k),
     and 2**k - half = half, so both signs are (acc + half - (acc < 0)) >> k.
-    Returns a new array; acc is not modified.
+    acc + half must fit the dtype.  Returns a new array; acc is not
+    modified.
     """
-    acc = np.asarray(acc, dtype=np.int64)
+    acc = _as_accumulator(acc)
     if shift >= 0:
         return acc << shift
     k = -shift
-    out = acc + (np.int64(1) << (k - 1))
+    out = acc + acc.dtype.type(1 << (k - 1))
     out -= acc < 0
     out >>= k
     return out
 
 
+def accumulator_dtype(terms, bias, shift):
+    """np.int32 for an accumulator of `terms` int8 products plus a value of
+    `bias` (an int or an array of them) when it fits int32 through
+    `requantize(acc, shift)`, else np.int64.
+
+    Such an accumulator has magnitude at most terms·2**14 + max|bias|.  A
+    shift < 0 adds half = 2**(k-1), k = -shift, before its right shift,
+    so int32 holds iff terms·2**14 + max|bias| + half < 2**31.  A shift
+    >= 0 saturates before it shifts, so it adds nothing to the bound.
+    """
+    top = terms * 2**14 + int(np.abs(np.asarray(bias, np.int64)).max(
+        initial=0))
+    if shift < 0:
+        top += 1 << (-shift - 1)
+    return np.int32 if top < 2**31 else np.int64
+
+
 def requantize(acc, shift):
-    """int64 accumulator -> int8 at the target scale.
+    """int32 or int64 accumulator -> int8 at the target scale, computed in
+    the accumulator's dtype (int64 for any other integer dtype).
 
     shift is the exponent of the scale ratio (source scale / target scale),
-    i.e. result = sat(round(acc * 2**shift)).
+    i.e. result = sat(round(acc * 2**shift)).  An int32 accumulator must
+    lie inside the `accumulator_dtype` bound for this shift.  For shift >=
+    0 the values saturate first: sat(x·2**s) = sat(sat(x)·2**s), and a
+    shift past 8 moves every nonzero int8 out of range just as 8 does, so
+    the shift cannot overflow.
     """
-    out = shift_round_half_away(acc, shift)
+    if shift >= 0:
+        out = np.clip(_as_accumulator(acc), INT8_MIN, INT8_MAX)
+        out <<= min(shift, 8)
+    else:
+        out = shift_round_half_away(acc, shift)
     np.clip(out, INT8_MIN, INT8_MAX, out=out)
     return out.astype(np.int8)
 

@@ -120,8 +120,9 @@ def _store(state, ins, data):
 F32_EXACT_TERMS = 2**24 // 2**14
 
 
-def _conv_window_sum(x, w, sh, sw, out_rows, out_w):
-    """Per-tap sum of a padded tile: int64 (out_rows, out_w, c_out).
+def _conv_window_sum(x, w, sh, sw, out_rows, out_w, dtype):
+    """Per-tap sum of a padded tile: (out_rows, out_w, c_out) of dtype, an
+    integer type that holds every sum (`quant.accumulator_dtype`).
 
     x: (rows, cols, c_in) float32 holding int8 values, padded;
     w: (c_out, kh, kw, c_in) int8.  Each tap is one contiguous
@@ -156,7 +157,7 @@ def _conv_window_sum(x, w, sh, sw, out_rows, out_w):
                 n += c1 - c0
     if total is not None:
         group = total + group
-    return group.astype(np.int64).reshape(out_rows, out_w, c_out)
+    return group.astype(dtype).reshape(out_rows, out_w, c_out)
 
 
 def _exec_conv(state, ins):
@@ -166,7 +167,7 @@ def _exec_conv(state, ins):
     blob = state.read(PM, 0, ins.wgt_off, ins.wgt_bytes)
     w = blob[:taps_n].view(np.int8).reshape(ins.c_out, ins.kh, ins.kw,
                                             ins.c_in)
-    bias = blob[taps_n:].view("<i4").astype(np.int64)
+    bias = blob[taps_n:].view("<i4")
     out_rows = ins.conv_out_rows()
     # pad far enough that every window position exists; cols beyond in_w
     # contribute zeros exactly like rows beyond in_rows
@@ -175,7 +176,10 @@ def _exec_conv(state, ins):
     xp = np.zeros((ins.pt + ins.in_rows + ins.pb,
                    ins.pl + ins.in_w + max(pr_eff, 0), ins.c_in), np.float32)
     xp[ins.pt:ins.pt + ins.in_rows, ins.pl:ins.pl + ins.in_w] = x
-    acc = _conv_window_sum(xp, w, ins.sh, ins.sw, out_rows, ins.out_w)
+    dtype = quant.accumulator_dtype(ins.kh * ins.kw * ins.c_in, bias,
+                                    ins.shift)
+    acc = _conv_window_sum(xp, w, ins.sh, ins.sw, out_rows, ins.out_w,
+                           dtype)
     acc += bias
     _store(state, ins, quant.requantize(acc, ins.shift).view(np.uint8))
 
@@ -203,7 +207,9 @@ def _exec_maxpool(state, ins):
                         b:b + (ins.out_w - 1) * ins.sw + 1:ins.sw]
             out = np.maximum(out, window)
     if ins.shift:
-        out = quant.requantize(out.astype(np.int64), ins.shift)
+        # an int8 is an accumulator of no products and one int8 value
+        dtype = quant.accumulator_dtype(0, quant.INT8_MIN, ins.shift)
+        out = quant.requantize(out.astype(dtype), ins.shift)
     _store(state, ins, out.view(np.uint8))
 
 
@@ -257,13 +263,16 @@ def _ref_conv(x, w, bias, stride, padding, shift):
     """im2col convolution of int8 x (h, w, ci) by int8 w (co, kh, kw, ci).
 
     The column matrix is built from a sliding-window view one block of
-    output rows at a time, so at most about REF_COLS_BYTES of it exists;
+    output rows at a time into one buffer of at most about REF_COLS_BYTES;
     each block copy reads contiguous channel runs and converts int8 to
     float32 as it goes.  Every product is at most 2**14 in magnitude, so a
     float32 GEMM over K = kh·kw·ci <= F32_EXACT_TERMS columns is exact and
     a block is one such GEMM against the (kh·kw·ci, co) weight matrix.  A
     larger K is summed over K-slices of at most F32_EXACT_TERMS columns
-    into a float64 block, exact while K·2**14 < 2**53."""
+    into a float64 block, exact while K·2**14 < 2**53.  Each block is
+    finished while it is in cache: cast to the `quant.accumulator_dtype`
+    accumulator, biased and requantized into the int8 output.  With shift
+    None the biased int64 accumulator is returned instead."""
     sh, sw = stride
     ph, pw = padding
     co, kh, kw, ci = w.shape
@@ -280,25 +289,29 @@ def _ref_conv(x, w, bias, stride, padding, shift):
         xp, (kh, kw), axis=(0, 1)).transpose(0, 1, 3, 4, 2)[::sh, ::sw]
     oh, ow = win.shape[:2]
     wmat = w.reshape(co, k).T.astype(np.float32, order="C")
-    acc = np.empty((oh * ow, co), np.int64)
-    block = max(1, REF_COLS_BYTES // (ow * k * 4))
+    if shift is None:
+        dtype, out = np.int64, np.empty((oh, ow, co), np.int64)
+    else:
+        dtype = quant.accumulator_dtype(k, bias, shift)
+        out = np.empty((oh, ow, co), np.int8)
+    block = max(1, min(oh, REF_COLS_BYTES // (ow * k * 4)))
+    buf = np.empty(block * ow * k, np.float32)
     for r0 in range(0, oh, block):
         r1 = min(r0 + block, oh)
-        cols = np.empty((r1 - r0, ow, kh, kw, ci), np.float32)
+        cols = buf[:(r1 - r0) * ow * k].reshape(r1 - r0, ow, kh, kw, ci)
         cols[...] = win[r0:r1]
         cols = cols.reshape(-1, k)
         if k <= F32_EXACT_TERMS:
-            acc[r0 * ow:r1 * ow] = cols @ wmat
-            continue
-        part = np.zeros((len(cols), co), np.float64)
-        for k0 in range(0, k, F32_EXACT_TERMS):
-            k1 = min(k0 + F32_EXACT_TERMS, k)
-            part += cols[:, k0:k1] @ wmat[k0:k1]
-        acc[r0 * ow:r1 * ow] = part
-    acc += bias.astype(np.int64)
-    if shift is None:
-        return acc.reshape(oh, ow, co)
-    return quant.requantize(acc, shift).reshape(oh, ow, co)
+            part = cols @ wmat
+        else:
+            part = np.zeros((len(cols), co), np.float64)
+            for k0 in range(0, k, F32_EXACT_TERMS):
+                k1 = min(k0 + F32_EXACT_TERMS, k)
+                part += cols[:, k0:k1] @ wmat[k0:k1]
+        acc = part.astype(dtype).reshape(r1 - r0, ow, co)
+        acc += bias
+        out[r0:r1] = acc if shift is None else quant.requantize(acc, shift)
+    return out
 
 
 def _ref_maxpool(x, kernel, stride, padding, shift):
@@ -310,7 +323,9 @@ def _ref_maxpool(x, kernel, stride, padding, shift):
     out = np.lib.stride_tricks.sliding_window_view(
         xp, (kh, kw), axis=(0, 1))[::sh, ::sw].max(axis=(3, 4))
     if shift:
-        out = quant.requantize(out.astype(np.int64), shift)
+        # an int8 is an accumulator of no products and one int8 value
+        dtype = quant.accumulator_dtype(0, quant.INT8_MIN, shift)
+        out = quant.requantize(out.astype(dtype), shift)
     return out
 
 
@@ -326,8 +341,10 @@ def reference_execute(g, inputs):
     requantization policy.  Convolutions are exact im2col GEMMs per block
     of output rows: float32 over K-slices of at most F32_EXACT_TERMS
     products, summed in float64 when K is larger (|acc| <= K·2**14, far
-    below 2**53), then the bias is added in int64.  Handles folded graphs (with
-    fused super-nodes) and unfolded graphs (explicit fix/const nodes)."""
+    below 2**53); each block is then biased and requantized in the int32
+    or int64 accumulator `quant.accumulator_dtype` picks.  Handles folded
+    graphs (with fused super-nodes) and unfolded graphs (explicit
+    fix/const nodes)."""
     from .graph import _topo_order
     vals = {}
     for name, data in inputs.items():

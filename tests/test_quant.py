@@ -80,6 +80,79 @@ def test_requantize_saturates(value, shift):
     assert quant.INT8_MIN <= out <= quant.INT8_MAX
 
 
+def int32_top(shift):
+    """Largest |acc| that accumulator_dtype lets into int32 at shift."""
+    return 2**31 - 1 - (1 << (-shift - 1) if shift < 0 else 0)
+
+
+@st.composite
+def int32_acc_and_shift(draw):
+    """Values inside the int32 bound of a shift in [-30, 8]: random ones,
+    the bound itself, exact ties (odd multiples of 2**(k-1)) and values
+    next to the edges where the int8 result saturates, both signs."""
+    shift = draw(st.integers(-30, 8))
+    top = int32_top(shift)
+    near = st.sampled_from([-1, 0, 1])
+    pool = [st.integers(-top, top), st.sampled_from([top, -top, 0])]
+    if shift < 0:
+        k = -shift
+        half = 1 << (k - 1)
+        pool.append(st.integers(-(2**(31 - k)), 2**(31 - k) - 1).map(
+            lambda m: (2 * m + 1) * half))
+        # m·2**k rounds to m; the edges are m = -129, -128, 127, 128
+        pool.append(st.tuples(st.integers(-130, 129),
+                              st.sampled_from([-half, 0, half]), near).map(
+            lambda t: (t[0] << k) + t[1] + t[2]))
+    else:
+        # v·2**shift crosses 127 and -128 at v = ±(128 >> shift)
+        pool.append(st.tuples(st.integers(-130, 129), near).map(
+            lambda t: (t[0] >> shift) + t[1]))
+    values = draw(st.lists(st.one_of(*pool), min_size=1, max_size=64))
+    return [max(-top, min(top, v)) for v in values], shift
+
+
+@given(int32_acc_and_shift())
+def test_requantize_int32_matches_int64(case):
+    values, shift = case
+    acc32 = np.array(values, np.int32)
+    got = quant.requantize(acc32, shift)
+    assert got.dtype == np.int8
+    assert got.tolist() == quant.requantize(
+        np.array(values, np.int64), shift).tolist()
+    assert got.tolist() == [
+        min(max(round_half_away_oracle(v, shift), quant.INT8_MIN),
+            quant.INT8_MAX) for v in values]
+    assert acc32.tolist() == values      # the input is left untouched
+    if shift < 0:
+        assert quant.shift_round_half_away(acc32, shift).dtype == np.int32
+
+
+@given(st.integers(-30, 8), st.integers(0, 2**17), st.booleans())
+def test_accumulator_dtype_is_int32_up_to_its_bound(shift, terms, negative):
+    # terms·2**14 + max|bias| + half = 2**31 - 1 is the last int32 case
+    top = int32_top(shift)
+    terms = min(terms, top >> 14)
+    bias = (top - (terms << 14)) * (-1 if negative else 1)
+    assert quant.accumulator_dtype(terms, [0, bias], shift) == np.int32
+    step = -1 if negative else 1
+    assert quant.accumulator_dtype(terms, [0, bias + step], shift) \
+        == np.int64
+    assert quant.accumulator_dtype(terms + 1, [0, bias], shift) == np.int64
+
+
+def test_accumulator_dtype_past_int32_shifts():
+    # half = 2**30 still fits with nothing else; half = 2**31 never does
+    assert quant.accumulator_dtype(0, 0, -31) == np.int32
+    assert quant.accumulator_dtype(0, 0, -32) == np.int64
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_requantize_saturates_before_a_large_left_shift(dtype):
+    # 2**31 - 1 shifted by 40 overflows int64; saturating first cannot
+    acc = np.array([2**31 - 1, -(2**31 - 1), 1, -1, 0], dtype)
+    assert quant.requantize(acc, 40).tolist() == [127, -128, 127, -128, 0]
+
+
 def test_eltwise_add_aligns_scales():
     # 3 * 2^0 + 5 * 2^-1 = 5.5 at scale 2^-1 -> 11
     a = np.array([3], dtype=np.int32)

@@ -3,6 +3,7 @@ import importlib
 import json
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -469,12 +470,23 @@ KERNEL_CASE = hst.fixed_dictionaries({
 # taps (c_in > 3) or slice K; 1024 is the real bound
 TERMS = hst.sampled_from([1, 3, S.F32_EXACT_TERMS])
 
+# a bias at the int32 edge forces the int64 accumulator; random biases
+# from the whole int32 range almost always leave room for int32
+BIAS_EDGE = hst.sampled_from([None, 2**31 - 1, -(2**31 - 1)])
+
+
+def _bias(rng, co, edge):
+    bias = rng.integers(-2**31, 2**31, co).astype(np.int32)
+    if edge is not None:
+        bias[0] = edge
+    return bias
+
 
 @given(KERNEL_CASE, hst.tuples(*[hst.integers(0, 4)] * 4),
-       hst.integers(0, 3), hst.integers(-14, 0), TERMS)
+       hst.integers(0, 3), hst.integers(-14, 0), TERMS, BIAS_EDGE)
 @settings(max_examples=150, deadline=None)
 def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift,
-                                            terms):
+                                            terms, edge):
     # asymmetric padding (top, bottom, left, right); extra_w output
     # columns past the right padding make _exec_conv pad further (pr_eff)
     (kh, kw), (sh, sw), (h, wd), (ci, co) = (case["k"], case["s"],
@@ -486,14 +498,17 @@ def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift,
         return
     rng = np.random.default_rng(case["seed"])
     x, w = _int8(rng, (h, wd, ci)), _int8(rng, (co, kh, kw, ci))
-    bias = rng.integers(-2**20, 2**20, co).astype(np.int32)
+    bias = _bias(rng, co, edge)
     expect = pixel_conv_sum(x, w, (sh, sw), (pt, pl), (out_rows, out_w))
+    dtype = quant.accumulator_dtype(kh * kw * ci, bias, shift)
+    assert edge is None or dtype == np.int64
 
+    # the sums come back in the accumulator dtype the caller picks
     pr_eff = max(pr, (out_w - 1) * sw + kw - pl - wd)
     xp = np.pad(x.astype(np.float32), ((pt, pb), (pl, pr_eff), (0, 0)))
     with mock.patch.object(S, "F32_EXACT_TERMS", terms):
-        acc = S._conv_window_sum(xp, w, sh, sw, out_rows, out_w)
-    assert acc.dtype == np.int64 and np.array_equal(acc, expect)
+        acc = S._conv_window_sum(xp, w, sh, sw, out_rows, out_w, dtype)
+    assert acc.dtype == dtype and np.array_equal(acc, expect)
 
     st = mkstate(MachineConfig())
     st.fm[0][:x.size] = x.reshape(-1).view(np.uint8)
@@ -515,9 +530,10 @@ def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift,
 
 @given(KERNEL_CASE, hst.tuples(hst.integers(0, 4), hst.integers(0, 4)),
        hst.one_of(hst.none(), hst.integers(-14, 2)),
-       hst.sampled_from([1, 300, S.REF_COLS_BYTES]), TERMS)
+       hst.sampled_from([1, 300, S.REF_COLS_BYTES]), TERMS, BIAS_EDGE)
 @settings(max_examples=150, deadline=None)
-def test_ref_conv_matches_pixel_loop(case, pads, shift, cols_bytes, terms):
+def test_ref_conv_matches_pixel_loop(case, pads, shift, cols_bytes, terms,
+                                     edge):
     # a small column budget splits the output into blocks of one or a
     # few rows, with a short last block; a small group size slices K
     (kh, kw), (sh, sw), (h, wd), (ci, co) = (case["k"], case["s"],
@@ -528,7 +544,9 @@ def test_ref_conv_matches_pixel_loop(case, pads, shift, cols_bytes, terms):
         return
     rng = np.random.default_rng(case["seed"])
     x, w = _int8(rng, (h, wd, ci)), _int8(rng, (co, kh, kw, ci))
-    bias = rng.integers(-2**20, 2**20, co).astype(np.int32)
+    bias = _bias(rng, co, edge)
+    assert edge is None or shift is None or quant.accumulator_dtype(
+        kh * kw * ci, bias, shift) == np.int64
     acc = pixel_conv_sum(x, w, (sh, sw), pads, out_hw) + bias
     expect = acc if shift is None else quant.requantize(acc, shift)
     with mock.patch.object(S, "REF_COLS_BYTES", cols_bytes), \
@@ -555,6 +573,26 @@ def test_ref_maxpool_matches_pixel_max(case, pads, shift):
     assert got.dtype == np.int8 and np.array_equal(got, expect)
 
 
+def test_ref_conv_peak_memory_is_one_block():
+    # the first layer of the scaled workload: 224x224x32, 3x3, 32 outputs.
+    # Besides the column buffer, the int8 output and the padded input, a
+    # block's GEMM result and epilogue temporaries are each pixels·co·4 B,
+    # a ninth of its columns (K = 9·co), so together they stay below a
+    # second REF_COLS_BYTES.  A full-map int64 accumulator (12.8 MB) does not
+    rng = np.random.default_rng(5)
+    x, w = _int8(rng, (224, 224, 32)), _int8(rng, (32, 3, 3, 32))
+    bias = rng.integers(-2**20, 2**20, 32).astype(np.int32)
+    bound = 2 * S.REF_COLS_BYTES + 224 * 224 * 32 + 226 * 226 * 32
+    tracemalloc.start()
+    try:
+        out = S._ref_conv(x, w, bias, (1, 1), (1, 1), -9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (224, 224, 32) and out.dtype == np.int8
+    assert peak < bound
+
+
 @pytest.mark.parametrize("low", [-128, -100])
 def test_conv_kernels_exact_at_largest_accumulator(low):
     # K = 3*3*512 = 4608 (the deep workload).  All -128 gives every product
@@ -571,7 +609,8 @@ def test_conv_kernels_exact_at_largest_accumulator(low):
         assert expect[1, 1, 0] == 4608 * 2**14
     assert expect[1, 1].min() > 2**25
     xp = np.pad(x.astype(np.float32), ((1, 1), (1, 1), (0, 0)))
-    assert np.array_equal(S._conv_window_sum(xp, w, 1, 1, 3, 3), expect)
+    assert np.array_equal(S._conv_window_sum(xp, w, 1, 1, 3, 3, np.int32),
+                          expect)
     got = S._ref_conv(x, w, np.zeros(2, np.int32), (1, 1), (1, 1), None)
     assert np.array_equal(got, expect)
 
@@ -582,7 +621,7 @@ def test_conv_kernels_reject_inexact_reduction():
     x = np.broadcast_to(np.int8(0), (1, 1, 2**39))
     xf = np.broadcast_to(np.float32(0), (1, 1, 2**39))
     with pytest.raises(ShapeError, match="not exact"):
-        S._conv_window_sum(xf, w, 1, 1, 1, 1)
+        S._conv_window_sum(xf, w, 1, 1, 1, 1, np.int64)
     with pytest.raises(ShapeError, match="not exact"):
         S._ref_conv(x, w, np.zeros(1, np.int32), (1, 1), (0, 0), None)
     # the bound holds for int8 operands only
@@ -594,7 +633,8 @@ def test_conv_kernels_reject_inexact_reduction():
     # float64 tile's GEMMs in float64
     with pytest.raises(ShapeError, match="float32"):
         S._conv_window_sum(np.zeros((1, 1, 1), np.float64),
-                           np.zeros((1, 1, 1, 1), np.int8), 1, 1, 1, 1)
+                           np.zeros((1, 1, 1, 1), np.int8), 1, 1, 1, 1,
+                           np.int64)
 
 
 @pytest.mark.parametrize("kw, ci", [(1, 1025), (5, 205), (1025, 1)])
@@ -608,7 +648,8 @@ def test_conv_kernels_exact_past_float32_group(kw, ci):
     x[0, -1, -1] = w[0, 0, -1, -1] = 1
     expect = np.full((1, 1, 1), 2**24 + 1, np.int64)
     xp = x.astype(np.float32)
-    assert np.array_equal(S._conv_window_sum(xp, w, 1, 1, 1, 1), expect)
+    assert np.array_equal(S._conv_window_sum(xp, w, 1, 1, 1, 1, np.int32),
+                          expect)
     got = S._ref_conv(x, w, np.zeros(1, np.int32), (1, 1), (0, 0), None)
     assert np.array_equal(got, expect)
 
