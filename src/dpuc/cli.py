@@ -83,8 +83,6 @@ def cmd_compile(args):
         trees = {nid: tile_tree(tiles) for nid, tiles in art.tiles.items()}
         _write(os.path.join(args.out, "tiles.json"),
                json.dumps(trees, indent=1, sort_keys=True) + "\n")
-    if args.dump_mem:
-        print(json.dumps(art.memmap, indent=1, sort_keys=True))
     weighted = [n for n in art.report["nodes"] if "min_load_bytes" in n]
     loaded = sum(n["act_load_bytes"] + n["weight_load_bytes"]
                  for n in weighted)
@@ -225,8 +223,6 @@ def build_parser():
                    help="also write tiles.json: per node, its tiles "
                         "nested by width strip and weight slab or concat "
                         "part, each with its output rows and instructions")
-    p.add_argument("--dump-mem", action="store_true",
-                   help="print the memory map JSON")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="run compiled artifacts")

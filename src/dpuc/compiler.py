@@ -250,7 +250,7 @@ def _compile_schedule(g, schedule, cfg, options):
     aliases = _concat_aliases(g)
     attempts = []
     # graph tensors and the intermediates fusion took out of the graph
-    tensors = g.tensors | _mid_tensors(g)
+    tensors = g.tensors | g.fused_mids()
 
     # lowering is symbolic, so it runs before the DDR layout; the layout
     # then reserves exactly the parameter bytes the lowering decided on
@@ -371,11 +371,6 @@ def _load_bytes(nd, lowered, g):
             "weight_load_bytes": moved["weight"],
             "min_load_bytes": (g.tensors[nd.inputs[0]].nbytes
                                + sum(map(len, lowered.pm_payloads)))}
-
-
-def _mid_tensors(g):
-    return {n.fused.mid.name: n.fused.mid
-            for n in g.nodes.values() if n.fused}
 
 
 # ---------------------------------------------------------------------------

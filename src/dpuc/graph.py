@@ -135,6 +135,13 @@ class Graph:
             for t in n.inputs:
                 self.consumers.setdefault(t, []).append(n.id)
 
+    def fused_mids(self):
+        """{name: TensorRef} of the intermediates fusion took out of the
+        graph, in node-id order."""
+        return {n.fused.mid.name: n.fused.mid
+                for n in sorted(self.nodes.values(), key=lambda n: n.id)
+                if n.fused is not None}
+
     def successors(self, node_id):
         out = self.nodes[node_id].output
         return sorted(self.consumers.get(out, []))

@@ -3,12 +3,13 @@
 Split order is fixed: width first (so the gamma row-vector limit holds
 independent of height), then height, then weights.  Width strips are
 back-propagated through the node's chain of windowed stages
-(`_strip_chain`); the conv tile height is the largest preferred height,
-at most the retry ladder's cap (`LowerContext.h_cap`), whose
-double-buffered windows fit FM (`conv_tile_height`).  Each `Tile` records
-the output rows of its band, the output and input columns of its width
-strip and the output channels of its weight slab or concat part;
-`tile_tree` nests them for `dpuc compile --dump-tiles`.  Each leaf is
+(`_strip_chain`).  Every conv is lowered as a conv and its consumer, the
+fused max pool or else the identity, and `plan_fusion` plans its bands:
+the largest conv band, at most the retry ladder's cap
+(`LowerContext.h_cap`), whose double-buffered windows fit FM.  Each
+`Tile` records the output rows of its band, the output and input columns
+of its width strip and the output channels of its weight slab or concat
+part; `tile_tree` nests them for `dpuc compile --dump-tiles`.  Each leaf is
 one ISA instruction (`machine.Instruction`) with every field final except
 its addresses: src, src2 and dst stay symbolic (`Win`, `TensorAt`,
 `ParamAt`) until window planning and the DDR layout place them, and the
@@ -128,27 +129,8 @@ def _strip_chain(out_w, out_c, levels, cfg, min_parts):
         parts += 1
 
 
-def conv_tile_height(geom, cfg, preferred_h):
-    """Output rows per conv tile: at most preferred_h, reduced toward 1
-    until the double-buffered input window ((h - 1) * s_h + k_h rows) and
-    output band both fit one FM memory.  The retry ladder then splits
-    deeper along the width, which shrinks the per-row byte cost."""
-    h_i, w_i, c_i = geom.in_shape
-    h_o, w_o, c_o = geom.out_shape
-    kh, sh = geom.kernel[0], geom.stride[0]
-    for h in range(min(preferred_h, h_o), 0, -1):
-        win_rows = (h - 1) * sh + kh
-        in_bytes = cfg.round_to_bank_row(win_rows * w_i * c_i)
-        out_bytes = cfg.round_to_bank_row(h * w_o * c_o)
-        if 2 * in_bytes <= cfg.fm_bytes and 2 * out_bytes <= cfg.fm_bytes:
-            return h
-    raise InfeasibleError(
-        f"input window of {kh} rows x {w_i * c_i} B does not fit FM "
-        f"even at height 1")
-
-
 # ---------------------------------------------------------------------------
-# fusion planning
+# band planning
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -174,21 +156,28 @@ class FusionPlan:
 
 
 def plan_fusion(conv_geom, consumer_geom, cfg, h_cap=None):
-    """Choose the largest conv tile height H_c' <= h_cap (by default H_c)
-    with an integer consumer ratio whose intermediate footprint fits FM.
+    """The band plan of a conv and its consumer: the largest conv tile
+    height H_c' <= h_cap (by default H_c) with an integer consumer ratio
+    whose input window and intermediate band both fit FM double-buffered.
 
-    Consumers whose kernel exceeds their stride would carry rows between
-    consumer tiles, forcing reshaped (less efficient) tiles, so fusion is
-    turned off for them; the rate math is still reported.
+    A max pool advances max(1, h_p // stride) output rows per MISC
+    instruction; the identity consumer of an unfused conv has no MISC
+    stage and advances one row, so its k is the band height.  Consumers
+    whose kernel exceeds their stride would carry rows between consumer
+    tiles, forcing reshaped (less efficient) tiles, so fusion is turned
+    off for them; the rate math is still reported.
     """
     if conv_geom.op != "conv":
         return FusionPlan(False, reason="producer is not a convolution")
-    if consumer_geom.op != "maxpool":
+    if consumer_geom.op == "maxpool":
+        pk, ps = consumer_geom.kernel[0], consumer_geom.stride[0]
+        out_per = max(1, cfg.h_p // ps)
+    elif consumer_geom.op == "identity":
+        pk = ps = out_per = 1
+    else:
         return FusionPlan(False,
                           reason=f"unsupported consumer {consumer_geom.op}")
-    pk, ps = consumer_geom.kernel[0], consumer_geom.stride[0]
 
-    out_per = max(1, cfg.h_p // ps)
     advance = out_per * ps
     t_h = (out_per - 1) * ps + pk
     carry = t_h - advance
@@ -203,12 +192,15 @@ def plan_fusion(conv_geom, consumer_geom, cfg, h_cap=None):
     h_i, w_i, c_i = conv_geom.in_shape
     _, w_m, c_m = conv_geom.out_shape
     ck, cs = conv_geom.kernel[0], conv_geom.stride[0]
+
+    def fits(rows, row_bytes):
+        return 2 * cfg.round_to_bank_row(rows * row_bytes) <= cfg.fm_bytes
+
     for k in range(k_max, 0, -1):
         h_conv = k * advance
         in_rows = (h_conv - 1) * cs + ck
-        in_bytes = cfg.round_to_bank_row(in_rows * w_i * c_i)
-        mid_bytes = cfg.round_to_bank_row((h_conv + max(0, carry)) * w_m * c_m)
-        if 2 * in_bytes <= cfg.fm_bytes and 2 * mid_bytes <= cfg.fm_bytes:
+        mid_rows = h_conv + max(0, carry)
+        if fits(in_rows, w_i * c_i) and fits(mid_rows, w_m * c_m):
             if carry > 0:
                 return FusionPlan(False, k=k, h_conv=h_conv, h_p=advance,
                                   out_per_instr=out_per, t_h=t_h, carry=carry,
@@ -216,9 +208,16 @@ def plan_fusion(conv_geom, consumer_geom, cfg, h_cap=None):
                                          "tiles would carry rows")
             return FusionPlan(True, k=k, h_conv=h_conv, h_p=advance,
                               out_per_instr=out_per, t_h=t_h, carry=0)
+    # the last band tried was the smallest one, k = 1
+    big = [f"{what} of {rows} rows x {row_bytes} B"
+           for what, rows, row_bytes in (("input window", in_rows, w_i * c_i),
+                                         ("conv output band", mid_rows,
+                                          w_m * c_m))
+           if not fits(rows, row_bytes)]
     return FusionPlan(False, h_p=advance, out_per_instr=out_per, t_h=t_h,
                       carry=max(0, carry),
-                      reason="no conv tile height fits the FM footprint")
+                      reason=" and ".join(big) + " cannot be double-buffered "
+                             f"in one FM memory ({cfg.fm_bytes} B)")
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +243,7 @@ class SubKernel:
 
 @dataclass(frozen=True)
 class DeconvPlan:
-    mode: str                 # series | upsample
-    sub_kernels: tuple = ()
-    reason: str = ""
+    sub_kernels: tuple
 
 
 def _phase_axis(k, s, p, out_n, in_n):
@@ -273,6 +270,8 @@ def decompose_deconv(weights, upsample, padding, in_shape, out_shape):
     that land on non-zero positions of the zero-inserted input, so the tap
     sets partition the deconv kernel and no multiplication touches an
     inserted zero.  Phase outputs are interleaved back by a shuffle stage.
+    Raises UnsupportedError where the decomposition does not apply, and
+    the lowering then takes the upsample+conv path.
     """
     s = upsample
     c_o, k, kw_, c_i = weights.shape
@@ -284,11 +283,10 @@ def decompose_deconv(weights, upsample, padding, in_shape, out_shape):
     if s == 1:
         sub = SubKernel((0, 0), weights, (padding,) * 4, (0, 0),
                         out_shape[0], out_shape[1])
-        return DeconvPlan("series", (sub,))
+        return DeconvPlan((sub,))
     if k < s:
         # some output phases would receive no taps at all (bias only)
-        return DeconvPlan("upsample", (),
-                          reason=f"kernel {k} smaller than upsample {s}")
+        raise UnsupportedError(f"kernel {k} smaller than upsample {s}")
 
     h_in, w_in, _ = in_shape
     h_out, w_out, _ = out_shape
@@ -301,7 +299,7 @@ def decompose_deconv(weights, upsample, padding, in_shape, out_shape):
             subs.append(SubKernel((ry, rx), taps, (pt, pl, pb, pr),
                                   (crop_t, crop_l), n_r, n_c))
     assert len(subs) == min(k, s) ** 2
-    return DeconvPlan("series", tuple(subs))
+    return DeconvPlan(tuple(subs))
 
 
 def series_mult_count(plan, c_o, c_i):
@@ -568,6 +566,7 @@ def _lower_conv(node, ctx, cfg):
     mid = fused.mid if fused else y
     h_m, w_m, c_m = mid.shape
     conv_shift = _conv_shift(ctx, node, mid.quant)
+    pool_shift = _exp(mid) - _exp(y)
 
     slabs = weight_tiling(c_m, ck[0], ck[1], c_i, cfg)
     # several slabs alternate between the two halves of PM, starting in
@@ -593,17 +592,13 @@ def _lower_conv(node, ctx, cfg):
     w_in_max = max(ch[-1][1] - ch[-1][0] for ch in strips)
     strip_conv = OpGeometry("conv", (h_i, w_in_max, c_i),
                             (h_m, w_mid_max, c_m), ck, cs, cp)
-    if fused:
-        pool_shift = _exp(mid) - _exp(y)
-        pool_geom = OpGeometry("maxpool", strip_conv.out_shape, y.shape,
-                               pk, ps, pp)
-        plan = plan_fusion(strip_conv, pool_geom, cfg, h_cap=ctx.h_cap)
-        if not plan.enabled:
-            raise InfeasibleError(f"node {node.id}: fusion plan not viable: "
-                                  f"{plan.reason}")
-        band_h = plan.k * plan.out_per_instr  # final rows per tile
-    else:
-        band_h = conv_tile_height(strip_conv, cfg, ctx.h_cap)
+    consumer = OpGeometry("maxpool" if fused else "identity",
+                          strip_conv.out_shape, y.shape, pk, ps, pp)
+    plan = plan_fusion(strip_conv, consumer, cfg, h_cap=ctx.h_cap)
+    if not plan.enabled:
+        raise InfeasibleError(f"node {node.id}: no band height: "
+                              f"{plan.reason}")
+    band_h = plan.k * plan.out_per_instr  # final rows per tile
 
     tiles = []
     final_h = y.shape[0]
@@ -853,11 +848,10 @@ def _lower_deconv(node, ctx, cfg):
     y = ctx.tensors[node.output]
     s, p = node.attrs["upsample"], node.attrs["padding"]
     if ctx.deconv_mode == "series":
+        # every case the series path does not cover raises UnsupportedError
         try:
-            plan = decompose_deconv(node.params.weights, s, p, x.shape,
-                                    y.shape)
-            if plan.mode == "series":
-                return _lower_deconv_series(node, ctx, cfg, plan)
+            return _lower_deconv_series(node, ctx, cfg, decompose_deconv(
+                node.params.weights, s, p, x.shape, y.shape))
         except UnsupportedError:
             pass
     return _lower_deconv_upsample(node, ctx, cfg)

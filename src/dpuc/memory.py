@@ -39,10 +39,12 @@ def ddr_layout(g, param_bytes, cfg=None, aliases=None):
 
     Graph inputs and outputs go to their own segments; every intermediate
     activation is spilled to the swap segment.  Concat inputs resolved by
-    aliasing get no space of their own.  The intermediates of fused
-    super-nodes reserve swap space so the unfuse fallback never
-    invalidates the layout.  The parameter segment holds the param_bytes
-    of the packed slab image the lowering produced.
+    aliasing get no space of their own.  The intermediate of each fused
+    super-node gets swap space too, after the graph's own, in node-id
+    order: the retry ladder, which runs before the layout, may have
+    unfused the node, and its conv then saves there.  The parameter
+    segment holds the param_bytes of the packed slab image the lowering
+    produced.
     """
     aliases = aliases or {}
     tensor_map = {}
@@ -58,18 +60,11 @@ def ddr_layout(g, param_bytes, cfg=None, aliases=None):
         place(name, "outputs", g.tensors[name].nbytes)
     sizes["parameters"] = int(param_bytes)
     sizes["instructions"] = PROGRAM_SIZE_ESTIMATE
-    interm = [t for t in sorted(g.tensors)
+    interm = [g.tensors[t] for t in sorted(g.tensors)
               if t not in g.inputs and t not in g.outputs
               and t not in aliases]
-    for n in sorted(g.nodes.values(), key=lambda n: n.id):
-        if n.fused is not None:
-            interm.append(n.fused.mid.name)
-    for name in interm:
-        t = g.tensors.get(name)
-        if t is None:
-            t = next(n.fused.mid for n in g.nodes.values()
-                     if n.fused and n.fused.mid.name == name)
-        place(name, "swap", t.nbytes)
+    for t in interm + list(g.fused_mids().values()):
+        place(t.name, "swap", t.nbytes)
 
     segments = {}
     base = 0

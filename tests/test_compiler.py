@@ -220,6 +220,45 @@ def test_deconv_both_paths_identical_outputs():
     assert t_ser.makespan < t_up.makespan
 
 
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("k, s, p", [(1, 2, 0), (2, 3, 1), (3, 3, 1)])
+def test_deconv_series_falls_back_to_upsample(k, s, p, pipelined):
+    # a kernel below the upsample factor, or an upsample above 2, has no
+    # series decomposition: the deconv lowers through upsample + conv
+    rng = np.random.default_rng(100 * k + s)
+    c_in, c_out = 4, 6
+    oh, ow, _ = G.deconv_out_shape((6, 5, c_in), c_out, (k, k), s, p)
+    w = rng.integers(-24, 24, (c_out, k, k, c_in)).astype(np.int8)
+    b = rng.integers(-1000, 1000, c_out).astype(np.int32)
+    b64 = lambda a: base64.b64encode(a.tobytes()).decode()
+    q = lambda e: {"lo": -128.0 * 2.0 ** e, "hi": 127.0 * 2.0 ** e,
+                   "step": 2.0 ** e}
+    doc = {
+        "tensors": [{"name": "x", "shape": [6, 5, c_in], "quant": q(-2)},
+                    {"name": "y", "shape": [oh, ow, c_out], "quant": q(2)}],
+        "nodes": [
+            {"id": "in", "op": "input", "inputs": [], "output": "x"},
+            {"id": "up", "op": "deconv", "inputs": ["x"], "output": "y",
+             "attrs": {"kernel": [k, k], "upsample": s, "padding": p,
+                       "c_out": c_out},
+             "params": {"weights": b64(w), "bias": b64(b),
+                        "shape": [c_out, k, k, c_in], "quant": q(-3)}}],
+        "inputs": ["x"], "outputs": ["y"],
+    }
+    g = G.parse_graph(json.dumps(doc))
+    art = compile_graph(g, CFG, CompileOptions(pipeline=pipelined,
+                                               deconv_mode="series"))
+    assert [n["kind"] for n in art.report["nodes"]] == ["deconv-upsample"]
+    folded = G.fold_constants_and_quantizers(g)
+    inputs = rand_inputs(folded)
+    got = S.run_program(art.program, CFG, inputs)["y"]
+    assert np.array_equal(got, S.reference_execute(folded, inputs)["y"])
+    trace = S.run_timing(art.program, CFG)
+    assert S.check_hazards(art.program, trace,
+                           allocs=art.memmap["fm_allocs"], cfg=CFG) == []
+
+
 def test_weight_tiling_slab_structure_and_overlap():
     art = compiled("weight_tiled")
     node = art.report["nodes"][0]
@@ -482,7 +521,7 @@ def test_symbolic_addresses_name_planned_windows(mode):
             if g.nodes[nid].op == "input":
                 continue
             parts, _busy = C._lower_with_ladder(
-                g.nodes[nid], g.tensors | C._mid_tensors(g), aliases, cfg,
+                g.nodes[nid], g.tensors | g.fused_mids(), aliases, cfg,
                 options, [], ())
             for _nd, lowered in parts:
                 ends = dict.fromkeys(lowered.allocs, 0)

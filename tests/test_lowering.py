@@ -106,10 +106,26 @@ def test_w_split_covers_all_columns(k, s, p, w_o, c):
     assert cols == list(range(w_o))
 
 
+def identity_plan(geom, cfg, h_cap):
+    """The band plan of an unfused conv, as _lower_conv asks for it."""
+    ident = L.OpGeometry("identity", geom.out_shape, geom.out_shape)
+    return L.plan_fusion(geom, ident, cfg, h_cap=h_cap)
+
+
+def band_height(geom, cfg, h_cap):
+    """The planned band height, raising as _lower_conv does when no
+    height fits."""
+    plan = identity_plan(geom, cfg, h_cap)
+    if not plan.enabled:
+        raise InfeasibleError(plan.reason)
+    assert plan.out_per_instr == 1 and plan.h_conv == plan.k
+    return plan.k
+
+
 def height_bands(geom, cfg, preferred_h):
-    """Output row bands of conv_tile_height rows, as _lower_conv walks
-    them, each with the input row range it reads."""
-    h = L.conv_tile_height(geom, cfg, preferred_h)
+    """Output row bands of the planned height, as _lower_conv walks them,
+    each with the input row range it reads."""
+    h = band_height(geom, cfg, preferred_h)
     h_o, h_i = geom.out_shape[0], geom.in_shape[0]
     k, s, p = geom.kernel[0], geom.stride[0], geom.padding[0]
     return [((lo, min(h_o, lo + h)),
@@ -147,7 +163,7 @@ def test_h_split_reduces_height_to_fit_fm():
     # double-buffered window of (h-1)+3 rows x 64 B must fit 1024 B
     geom = L.OpGeometry("conv", (32, 16, 4), (30, 16, 4), (3, 3), (1, 1),
                         (0, 0))
-    h = L.conv_tile_height(geom, small, preferred_h=8)
+    h = band_height(geom, small, 8)
     assert 1 <= h < 8
     win = (h - 1) + 3
     assert 2 * small.round_to_bank_row(win * 64) <= small.fm_bytes
@@ -156,15 +172,44 @@ def test_h_split_reduces_height_to_fit_fm():
     # at 144 B per row only a single-row band (3-row window) fits
     wide = L.OpGeometry("conv", (32, 36, 4), (30, 36, 4), (3, 3), (1, 1),
                         (0, 0))
-    assert L.conv_tile_height(wide, small, preferred_h=8) == 1
+    assert band_height(wide, small, 8) == 1
 
 
 def test_h_split_infeasible_at_height_one():
     tiny = cfg(fm_bank_rows=1, fm_row_bytes=64, gamma=8192)
     geom = L.OpGeometry("conv", (32, 32, 16), (30, 30, 16), (3, 3), (1, 1),
                         (0, 0))
-    with pytest.raises(InfeasibleError):
-        L.conv_tile_height(geom, tiny, preferred_h=8)
+    with pytest.raises(InfeasibleError, match="input window of 3 rows"):
+        band_height(geom, tiny, 8)
+
+
+@given(k=st.integers(1, 5), s=st.integers(1, 3), p=st.integers(0, 2),
+       h=st.integers(1, 40), w=st.integers(1, 40), c_in=st.integers(1, 32),
+       c_out=st.integers(1, 32), row_bytes=st.sampled_from([16, 64, 256]),
+       bank_rows=st.integers(1, 4), h_cap=st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_identity_band_plan_is_largest_fitting_height(k, s, p, h, w, c_in,
+                                                      c_out, row_bytes,
+                                                      bank_rows, h_cap):
+    # the unfused conv's band rule, spelled out as an oracle: the largest
+    # height whose double-buffered input window and output band each fit
+    # one FM memory
+    h_o, w_o = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    if h_o < 1 or w_o < 1:
+        return
+    c = cfg(fm_row_bytes=row_bytes, fm_bank_rows=bank_rows)
+    geom = L.OpGeometry("conv", (h, w, c_in), (h_o, w_o, c_out), (k, k),
+                        (s, s), (p, p))
+
+    def fits(rows, row):
+        return 2 * c.round_to_bank_row(rows * row) <= c.fm_bytes
+
+    ok = [b for b in range(1, min(h_cap, h_o) + 1)
+          if fits((b - 1) * s + k, w * c_in) and fits(b, w_o * c_out)]
+    plan = identity_plan(geom, c, h_cap)
+    assert plan.enabled == bool(ok), plan.reason
+    if ok:
+        assert plan.k == max(ok) and plan.out_per_instr == 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +346,6 @@ def test_deconv_k4_s2_gives_four_2x2_kernels():
     rng = np.random.default_rng(0)
     w = rng.integers(-8, 8, (3, 4, 4, 2), dtype=np.int8)
     plan = L.decompose_deconv(w, 2, 2, (6, 6, 2), (12, 12, 3))
-    assert plan.mode == "series"
     assert len(plan.sub_kernels) == 4
     for sk in plan.sub_kernels:
         assert sk.taps.shape[1:3] == (2, 2)
@@ -361,7 +405,6 @@ def test_deconv_series_equals_upsample_conv(k):
 def test_deconv_s1_identity():
     w = np.ones((1, 3, 3, 1), np.int8)
     plan = L.decompose_deconv(w, 1, 1, (4, 4, 1), (4, 4, 1))
-    assert plan.mode == "series"
     assert len(plan.sub_kernels) == 1
     assert np.array_equal(plan.sub_kernels[0].taps, w)
 
@@ -374,8 +417,9 @@ def test_deconv_s3_unsupported():
 
 def test_deconv_k_smaller_than_s_falls_back():
     w = np.ones((1, 1, 1, 1), np.int8)
-    plan = L.decompose_deconv(w, 2, 1, (4, 4, 1), (7, 7, 1))
-    assert plan.mode == "upsample"
+    with pytest.raises(UnsupportedError,
+                       match="kernel 1 smaller than upsample 2"):
+        L.decompose_deconv(w, 2, 1, (4, 4, 1), (7, 7, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Smoke tests of the experiment scripts: each runs in a subprocess, as
-from the command line, and writes only under a temporary directory.  The
-benchmark's tracer is checked against the functions it wraps, and the
-paired-run tool's summary against canned result lines (no benchmark
-runs here)."""
+from the command line, and writes only under a temporary directory.
+`dpuc corpus` is checked against the committed corpus.  The benchmark's
+tracer is checked against the functions it wraps, and the paired-run
+tool's summary against canned result lines (no benchmark runs here)."""
 
 import importlib.util
 import json
@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from dpuc import corpus
+from dpuc import cli, corpus
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -27,8 +27,9 @@ def run_script(name, *args, cwd):
 
 
 def test_make_corpus_matches_committed_corpus(tmp_path):
+    # `dpuc corpus -o DIR` regenerates corpus/ byte for byte
     out = tmp_path / "corpus"
-    run_script("make_corpus.py", out, cwd=tmp_path)
+    assert cli.main(["corpus", "-o", str(out)]) == 0
     committed = os.path.join(ROOT, "corpus")
     assert sorted(os.listdir(out)) == sorted(os.listdir(committed))
     for fname in os.listdir(committed):
