@@ -117,23 +117,24 @@ def _ladder_steps(fused):
 
 
 def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
-                       pm_busy):
+                       pm_busy, addressed):
     """Returns a list of (node, LoweredNode) pairs and the PM halves the
     last of them with weights leaves busy, given those the nodes before it
-    left busy (`pm_busy`).  Raises CompileError, with the attempt ledger,
-    when no ladder step fits."""
+    left busy (`pm_busy`); adds the DDR tensors they name to `addressed`.
+    Raises CompileError, with the attempt ledger, when no ladder step fits."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
                  else [node])
         try:
-            out, busy = [], pm_busy
+            out, busy, named = [], pm_busy, set()
             for nd in nodes:
                 ctx = LW.LowerContext(
                     tensors=tensors,
                     h_cap=min(step.get("max_h", cfg.h_c), cfg.h_c),
                     aliases=aliases, deconv_mode=options.deconv_mode,
-                    w_min_parts=step.get("w_min_parts", 1), pm_busy=busy)
+                    w_min_parts=step.get("w_min_parts", 1), pm_busy=busy,
+                    addressed=named)
                 lowered = LW.lower_node(nd, ctx, cfg)
                 mems = MM.assign_fm_memories(lowered, cfg)
                 _plan_windows(lowered, mems, cfg)
@@ -141,6 +142,7 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
                 busy = _pm_halves_read(lowered, cfg, busy)
             if step:
                 attempts.append(f"node {node.id}: retried with {step}")
+            addressed |= named
             return out, busy
         except (InfeasibleError, OutOfMemoryError, PortConflictError,
                 UnsupportedError) as e:
@@ -257,13 +259,15 @@ def _compile_schedule(g, schedule, cfg, options):
     param_image = bytearray()
     param_offsets = {}
     lowered_nodes = []
+    addressed = set()   # the DDR tensors some lowered instruction names
     pm_busy = ()   # both PM halves are free at program start
     for nid in schedule:
         node = g.nodes[nid]
         if node.op == "input":
             continue
         parts, pm_busy = _lower_with_ladder(
-            node, tensors, aliases, cfg, options, attempts, pm_busy)
+            node, tensors, aliases, cfg, options, attempts, pm_busy,
+            addressed)
         for nd, lowered in parts:
             offs = []
             for payload in lowered.pm_payloads:
@@ -272,7 +276,8 @@ def _compile_schedule(g, schedule, cfg, options):
             param_offsets[nd.id] = offs
             lowered_nodes.append((nd, lowered))
 
-    layout = MM.ddr_layout(g, len(param_image), cfg, aliases=aliases)
+    layout = MM.ddr_layout(g, len(param_image),
+                           [tensors[name] for name in addressed], cfg)
     pbase, psize = layout.segments["parameters"]
 
     marks = []

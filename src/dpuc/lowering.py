@@ -491,6 +491,7 @@ class LowerContext:
     # PM halves (0, 1) the last CONV of the previous node with weights
     # reads; derived by the compiler from the node order
     pm_busy: tuple = ()
+    addressed: set = field(default_factory=set)  # DDR tensors _transfer names
 
 
 def _exp(tensor):
@@ -505,6 +506,7 @@ def _transfer(op, ctx, tensor, rows, cols, stream, ti, ch=None):
     concatenation's channel slice; a slice narrower than the tensor is
     one block per column."""
     name, ch_off = ctx.aliases.get(tensor.name, (tensor.name, 0))
+    ctx.addressed.add(name)
     _h, w, c = ctx.tensors[name].shape
     (lo, hi), (clo, chi) = rows, cols
     ch0, ch1 = ch or (0, tensor.shape[2])

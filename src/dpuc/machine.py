@@ -14,7 +14,7 @@ the hazard checker and the functional simulator.
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import AsmError, OutOfBoundsError, ParseError
 
@@ -105,9 +105,6 @@ class MachineConfig:
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class Addr:
@@ -162,6 +159,9 @@ _ASM_FIELDS = {
 }
 
 _ADDR_FIELDS = {"src", "src2", "dst"}
+
+# sub-op -> the operands it reads, in order; every other sub-op reads src
+_READS = {"eltwise": ("src", "src2"), "conv": ("src", "wgt"), "noop": ()}
 
 # geometry fields that may be negative, and those that must be at least 1
 _SIGNED_FIELDS = {"shift", "ea", "eb", "eo"}
@@ -320,12 +320,14 @@ class Instruction:
 
     def layout(self, f):
         """((rows, blocks, block_bytes), (row, block) strides) of operand f
-        ("src", "src2" or "dst").  The DDR side of a transfer and both
-        sides of a move are strided; every other operand is one run of n
-        bytes, ((1, 1, n), (n, n)).  The operand's address is never read,
-        so a symbolic operand has a layout too."""
+        ("src", "src2", "dst" or a conv's PM weights "wgt").  The DDR side
+        of a transfer and both sides of a move are strided; every other
+        operand is one run of n bytes, ((1, 1, n), (n, n)).  The operand's
+        address is never read, so a symbolic operand has a layout too."""
         op = self.op
-        if op == LOAD or op == SAVE:
+        if f == "wgt":
+            n = self.wgt_bytes
+        elif op == LOAD or op == SAVE:
             if (f == "src") == (op == LOAD):
                 return ((self.rows, self.blocks, self.block_bytes),
                         (self.ddr_row_stride, self.ddr_blk_stride))
@@ -351,11 +353,13 @@ class Instruction:
 
     def operand(self, f):
         """(space, mem, off, shape, strides) of operand f: its `layout`
-        and the memory it addresses.  The DDR side of a transfer is DDR, a
-        LOAD's dst is in the space its address names, a move uses both of
-        its addresses' spaces, and every other operand is FM."""
-        a = getattr(self, f)
+        and the memory it addresses.  A conv's "wgt" is PM at wgt_off, the
+        DDR side of a transfer is DDR, a LOAD's dst is in the space its
+        address names, a move uses both its addresses' spaces, else FM."""
         shape, strides = self.layout(f)
+        if f == "wgt":
+            return PM, 0, self.wgt_off, shape, strides
+        a = getattr(self, f)
         op = self.op
         if op == LOAD and f == "dst" or self.sub == "move":
             return a.space, a.mem, a.off, shape, strides
@@ -383,16 +387,11 @@ class Instruction:
         return [(space, mem, off, off + span(shape, strides))]
 
     def reads(self, exact=False):
-        """Byte ranges this instruction reads, as (space, mem, lo, hi):
-        src, then an eltwise's src2, then a conv's PM weights."""
-        if self.is_noop:
-            return []
-        out = self._ranges("src", exact)
-        if self.sub == "eltwise":
-            out += self._ranges("src2", exact)
-        elif self.op == CONV:
-            out.append((PM, 0, self.wgt_off, self.wgt_off + self.wgt_bytes))
-        return out
+        """Ranges (space, mem, lo, hi) of the `_READS` operands, in order."""
+        fields = _READS.get(self.sub)
+        if fields is None:      # src alone, most instructions: no copy
+            return self._ranges("src", exact)
+        return [r for f in fields for r in self._ranges(f, exact)]
 
     def writes(self, exact=False):
         """Byte ranges this instruction writes, as (space, mem, lo, hi)."""
@@ -489,7 +488,10 @@ def emit_assembly(prog):
 
 
 def parse_assembly(text):
+    """Parse assembly text into a Program.  AsmError names the first bad
+    line; a tensor outside its segment is caught after the last line."""
     prog = Program()
+    tensor_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -502,18 +504,26 @@ def parse_assembly(text):
             if len(toks) < want:
                 raise AsmError(lineno, f"# {toks[0]} needs {want - 1} "
                                        f"fields, got {len(toks) - 1}")
+            kind, name = toks[:2]
             try:
-                if toks[0] == "segment":
-                    prog.segments[toks[1]] = (int(toks[2]), int(toks[3]))
+                if kind == "segment":
+                    seg, nums = name, (int(toks[2]), int(toks[3]))
+                    prog.segments[name] = nums
                 else:
-                    prog.tensors[toks[1]] = {
-                        "segment": toks[2], "off": int(toks[3]),
-                        "bytes": int(toks[4]),
-                        "shape": tuple(int(d) for d in toks[5].split("x")),
-                        "step_exp": int(toks[6]),
-                    }
+                    seg, nums = toks[2], (int(toks[3]), int(toks[4]))
+                    shape = tuple(int(d) for d in toks[5].split("x"))
+                    prog.tensors[name] = {
+                        "segment": seg, "off": nums[0], "bytes": nums[1],
+                        "shape": shape, "step_exp": int(toks[6])}
+                    tensor_lines[name] = lineno
+                    if min(shape) < 1 or nums[1] != math.prod(shape):
+                        raise ValueError(f"{nums[1]} B is not the product "
+                                         f"of positive dims {toks[5]}")
+                if seg not in DDR_SEGMENTS or min(nums) < 0:
+                    raise ValueError(f"want one of {DDR_SEGMENTS} and no "
+                                     f"negative number, got {seg} {nums}")
             except ValueError as e:
-                raise AsmError(lineno, str(e)) from None
+                raise AsmError(lineno, f"# {kind} {name}: {e}") from None
             continue
         toks = line.split()
         if len(toks) < 4:
@@ -546,4 +556,11 @@ def parse_assembly(text):
         if err:
             raise AsmError(lineno, f"{op}/{sub}: {err}")
         prog.instructions.append(ins)
+    for name, lineno in tensor_lines.items():
+        t = prog.tensors[name]
+        segment = prog.segments.get(t["segment"])
+        if segment is None or t["off"] + t["bytes"] > segment[1]:
+            raise AsmError(lineno, f"# tensor {name}: [{t['off']},"
+                                   f"{t['off'] + t['bytes']}) is not inside "
+                                   f"a declared {t['segment']} segment")
     return prog

@@ -34,19 +34,14 @@ class DdrLayout:
         return self.segments[seg][0] + off
 
 
-def ddr_layout(g, param_bytes, cfg=None, aliases=None):
+def ddr_layout(g, param_bytes, addressed, cfg=None):
     """Pack tensors into the five DDR segments, deterministically.
 
-    Graph inputs and outputs go to their own segments; every intermediate
-    activation is spilled to the swap segment.  Concat inputs resolved by
-    aliasing get no space of their own.  The intermediate of each fused
-    super-node gets swap space too, after the graph's own, in node-id
-    order: the retry ladder, which runs before the layout, may have
-    unfused the node, and its conv then saves there.  The parameter
-    segment holds the param_bytes of the packed slab image the lowering
-    produced.
-    """
-    aliases = aliases or {}
+    Graph inputs and outputs go to their own segments, and swap holds the
+    other `addressed` tensors (those some lowered instruction names),
+    sorted by name: a fused intermediate gets bytes only when the retry
+    ladder unfused its node, and an aliased concat input never.  The
+    parameter segment holds the param_bytes of the lowered slab image."""
     tensor_map = {}
     sizes = dict.fromkeys(DDR_SEGMENTS, 0)
 
@@ -60,11 +55,9 @@ def ddr_layout(g, param_bytes, cfg=None, aliases=None):
         place(name, "outputs", g.tensors[name].nbytes)
     sizes["parameters"] = int(param_bytes)
     sizes["instructions"] = PROGRAM_SIZE_ESTIMATE
-    interm = [g.tensors[t] for t in sorted(g.tensors)
-              if t not in g.inputs and t not in g.outputs
-              and t not in aliases]
-    for t in interm + list(g.fused_mids().values()):
-        place(t.name, "swap", t.nbytes)
+    for t in sorted(addressed, key=lambda t: t.name):
+        if t.name not in tensor_map:
+            place(t.name, "swap", t.nbytes)
 
     segments = {}
     base = 0

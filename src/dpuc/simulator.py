@@ -1,18 +1,19 @@
 """Dual-mode execution of compiled programs.
 
 Functional mode walks the instruction stream in issue order and evolves
-the byte-level machine state (DDR, three FM memories, PM); its output
-must match the graph-level reference executor bit for bit.  Every
-operand goes through one accessor (`_operand`), which takes its memory
-and layout from `Instruction.operand` and moves it in one array
-operation: a flat slice when it is one run of bytes, else a (rows,
-blocks, block_bytes) view.  A LOAD, SAVE or move reads its whole source
-before it writes, and malformed geometry (a negative count, size or
-stride, or overlapping blocks) raises ShapeError.  Timing mode runs a
-discrete-event simulation of the four in-order queues with the counted
-DPON/DPBY token semantics; it never looks at data.  The hazard checker
-replays a trace against exact byte footprints to prove that the typed
-dependencies were sufficient.
+the byte-level machine state, a table of memories each made on its first
+access; its output must match the graph-level reference executor bit for
+bit.  Every byte it moves, operands, preloads and outputs alike, goes
+through one accessor (`MachineState.access`) in one array operation: a
+flat slice when it is one run of bytes, else a (rows, blocks,
+block_bytes) view.  An operand, a conv's PM weights included, takes its
+memory and layout from `Instruction.operand`.  A LOAD, SAVE or move reads
+its whole source before it writes, and malformed geometry (a negative
+count, size or stride, or overlapping blocks) raises ShapeError.
+Timing mode runs a discrete-event simulation of the four in-order queues
+with the counted DPON/DPBY token semantics; it never looks at data.  The
+hazard checker replays a trace against exact byte footprints to prove
+that the typed dependencies were sufficient.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -30,41 +31,60 @@ from .machine import DDR, FM, LOAD, OP_TYPES, PM, SAVE, blocks_overlap, \
 
 
 class MachineState:
+    """{(space, mem): (bytes, written flags)} of DDR (ddr_bytes), the FM
+    memories and PM, each made zeroed and unwritten on its first access:
+    a memory no access names costs nothing."""
+
     def __init__(self, cfg, ddr_bytes):
         self.cfg = cfg
-        self.ddr = np.zeros(ddr_bytes, np.uint8)
-        self.ddr_written = np.zeros(ddr_bytes, bool)
-        self.fm = [np.zeros(cfg.fm_bytes, np.uint8)
-                   for _ in range(cfg.fm_memories)]
-        self.fm_written = [np.zeros(cfg.fm_bytes, bool)
-                           for _ in range(cfg.fm_memories)]
-        self.pm = np.zeros(cfg.pm_bytes, np.uint8)
-        self.pm_written = np.zeros(cfg.pm_bytes, bool)
+        self.sizes = {DDR: ddr_bytes, FM: cfg.fm_bytes, PM: cfg.pm_bytes}
+        self.mems = {}
 
     def _pair(self, space, mem):
-        if space == DDR:
-            return self.ddr, self.ddr_written
-        if space == FM:
-            if not 0 <= mem < len(self.fm):
-                raise OutOfBoundsError(f"fm{mem} does not exist")
-            return self.fm[mem], self.fm_written[mem]
-        return self.pm, self.pm_written
+        pair = self.mems.get((space, mem))
+        if pair is None:
+            if not 0 <= mem < (self.cfg.fm_memories if space == FM else 1):
+                raise OutOfBoundsError(f"{space}{mem} does not exist")
+            n = self.sizes[space]
+            pair = self.mems[space, mem] = (np.zeros(n, np.uint8),
+                                            np.zeros(n, bool))
+        return pair
 
-    def preload(self, off, data):
-        data = np.frombuffer(data, np.uint8)
-        self.ddr[off:off + data.size] = data
-        self.ddr_written[off:off + data.size] = True
-
-    def read(self, space, mem, off, n):
+    def access(self, space, mem, off, shape, strides, write):
+        """Bytes and written flags of a well-formed (rows, blocks,
+        block_bytes) operand at (row, block) strides from `off` of memory
+        (space, mem), aliasing it, so one assignment moves the operand.
+        An extent outside the memory raises OutOfBoundsError, and a read
+        of any unwritten byte UseBeforeDefError."""
+        (rows, blocks, size), (row, blk) = shape, strides
+        n = rows * blocks * size
+        one_run = not n or ((blocks == 1 or blk == size)
+                            and (rows == 1 or row == blocks * size))
+        if not one_run:
+            n = span(shape, strides)
         buf, written = self._pair(space, mem)
         if off < 0 or off + n > buf.size:
-            raise OutOfBoundsError(f"{space}{mem} read [{off},{off + n}) "
-                                   f"outside {buf.size} B")
-        # count_nonzero is the cheapest all() of a small bool array
-        if np.count_nonzero(written[off:off + n]) != n:
+            raise OutOfBoundsError(
+                f"{space}{mem} {('read', 'write')[write]} [{off},{off + n}) "
+                f"outside {buf.size} B")
+        if one_run:
+            view, flags = buf[off:off + n], written[off:off + n]
+        else:
+            view = np.ndarray(shape, np.uint8, buf, off, (row, blk, 1))
+            flags = np.ndarray(shape, bool, written, off, (row, blk, 1))
+        # count_nonzero is the cheapest all() of a bool array
+        if not write and np.count_nonzero(flags) != flags.size:
             raise UseBeforeDefError(
                 f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
-        return buf[off:off + n]
+        return view, flags
+
+    def preload(self, off, data):
+        """Write the bytes of `data` to DDR from `off`."""
+        data = np.frombuffer(data, np.uint8)
+        view, flags = self.access(DDR, 0, off, (1, 1, data.size),
+                                  (data.size, data.size), write=True)
+        view[...] = data
+        flags[...] = True
 
 
 # ---------------------------------------------------------------------------
@@ -72,39 +92,12 @@ class MachineState:
 # ---------------------------------------------------------------------------
 
 def _operand(state, ins, f, write):
-    """Bytes of operand f and their written flags, as `ins.operand(f)`
-    describes them: flat slices when the operand is one run of bytes,
-    else (rows, blocks, block_bytes) views over its exact extent.
-
-    Both alias the machine state, so one assignment moves the whole
-    operand.  Malformed geometry, which no such view can express, raises
-    ShapeError; an extent outside the memory raises OutOfBoundsError, and
-    a read of any unwritten byte UseBeforeDefError.
-    """
-    space, mem, off, shape, (row, blk) = ins.operand(f)
-    rows, blocks, size = shape
-    if min(rows, blocks, size, row, blk) < 0 or (
-            rows * blocks > 1 and blocks_overlap(*shape, row, blk)):
+    """`MachineState.access` of operand f as `ins.operand(f)` describes it;
+    malformed geometry, which no view can express, raises ShapeError."""
+    space, mem, off, shape, strides = ins.operand(f)
+    if min(*shape, *strides) < 0 or blocks_overlap(*shape, *strides):
         raise ShapeError(ins.geometry_error())
-    n = rows * blocks * size
-    one_run = not n or ((blocks == 1 or blk == size)
-                        and (rows == 1 or row == blocks * size))
-    if not one_run:
-        n = span(shape, (row, blk))
-    buf, written = state._pair(space, mem)
-    if off < 0 or off + n > buf.size:
-        raise OutOfBoundsError(
-            f"{space}{mem} {('read', 'write')[write]} [{off},{off + n}) "
-            f"outside {buf.size} B")
-    if one_run:
-        view, flags = buf[off:off + n], written[off:off + n]
-    else:
-        view = np.ndarray(shape, np.uint8, buf, off, (row, blk, 1))
-        flags = np.ndarray(shape, bool, written, off, (row, blk, 1))
-    if not write and np.count_nonzero(flags) != flags.size:
-        raise UseBeforeDefError(
-            f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
-    return view, flags
+    return state.access(space, mem, off, shape, strides, write)
 
 
 def _store(state, ins, data):
@@ -164,7 +157,7 @@ def _exec_conv(state, ins):
     x = _operand(state, ins, "src", write=False)[0].view(np.int8)
     x = x.reshape(ins.in_rows, ins.in_w, ins.c_in)
     taps_n = ins.c_out * ins.kh * ins.kw * ins.c_in
-    blob = state.read(PM, 0, ins.wgt_off, ins.wgt_bytes)
+    blob = _operand(state, ins, "wgt", write=False)[0]
     w = blob[:taps_n].view(np.int8).reshape(ins.c_out, ins.kh, ins.kw,
                                             ins.c_in)
     bias = blob[taps_n:].view("<i4")
@@ -697,14 +690,16 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     then joins the reader table; a write is checked against the readers
     of its bytes (one war-hazard entry per reader) and their writers (one
     waw-hazard entry per writer), clears the readers, and becomes the
-    writer.  Accesses of zero bytes touch nothing.  The allocations of
-    (2) are the compiler's planned windows (`memmap["fm_allocs"]`), and
-    the check is of the plan, not the timing: the issue order is a valid
-    sequential execution, and in it no window may be reused while it is
-    still in use.  Trace times would flag sound programs, since a window
-    is coarser than its accesses: when the last access to one window and
-    the first to the next touch different bytes of the slot, nothing
-    orders them, and rightly so.  `cfg` is accepted and unused.
+    writer.  The replay also lists the users of each FM and PM port for
+    (3).  Accesses of zero bytes touch nothing and hold no port.  The
+    allocations of (2) are the compiler's planned windows
+    (`memmap["fm_allocs"]`), and the check is of the plan, not the
+    timing: the issue order is a valid sequential execution, and in it no
+    window may be reused while it is still in use.  Trace times would
+    flag sound programs, since a window is coarser than its accesses:
+    when the last access to one window and the first to the next touch
+    different bytes of the slot, nothing orders them, and rightly so.
+    `cfg` is accepted and unused.
     """
     report = []
     instrs = prog.instructions
@@ -713,6 +708,9 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
 
     # (space, mem) -> (last-writer pieces, reader pieces)
     tables = defaultdict(lambda: (_Pieces(), _Pieces()))
+    # (space, mem, "r" or "w") -> the instructions using that FM or PM
+    # port, as the keys of a dict, in issue order
+    port_use = {}
     for idx, ins in enumerate(instrs):
         if idx not in ev:
             continue
@@ -720,6 +718,8 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
         for space, mem, lo, hi in ins.reads(exact=True):
             if lo >= hi:
                 continue
+            if space != DDR:
+                port_use.setdefault((space, mem, "r"), {})[idx] = None
             writers, readers = tables[space, mem]
             i, j = writers.span(lo, hi)
             late = [(writers.vals[k], writers.los[k], writers.his[k])
@@ -733,6 +733,8 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
         for space, mem, lo, hi in ins.writes(exact=True):
             if lo >= hi:
                 continue
+            if space != DDR:
+                port_use.setdefault((space, mem, "w"), {})[idx] = None
             writers, readers = tables[space, mem]
             i, j = readers.span(lo, hi)
             late = {r for k in range(i, j) for r in readers.vals[k]
@@ -761,19 +763,6 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
                  f"live allocations {a['key']} and {b['key']} "
                  f"overlap in fm{a['mem']}"))
 
-    port_use = {}
-    for idx, ins in enumerate(instrs):
-        if idx not in ev or ins.is_noop:
-            continue
-        seen = set()
-        for space, mem, _lo, _hi in ins.reads():
-            if space in (FM, PM) and (space, mem, "r") not in seen:
-                seen.add((space, mem, "r"))
-                port_use.setdefault((space, mem, "r"), []).append(idx)
-        for space, mem, _lo, _hi in ins.writes():
-            if space in (FM, PM) and (space, mem, "w") not in seen:
-                seen.add((space, mem, "w"))
-                port_use.setdefault((space, mem, "w"), []).append(idx)
     for (space, mem, d), users in port_use.items():
         users = sorted(users, key=lambda i: ev[i].start)
         for a, b in zip(users, users[1:]):
@@ -789,34 +778,26 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
 # whole-program convenience runners
 # ---------------------------------------------------------------------------
 
-def program_state(prog, cfg):
-    """Fresh machine state with the parameter image preloaded."""
-    total = max((b + s) for b, s in prog.segments.values()) if \
-        prog.segments else 0
-    state = MachineState(cfg, total)
-    if prog.param_image:
-        pbase, _ = prog.segments["parameters"]
-        state.preload(pbase, prog.param_image)
-    return state
-
-
 def run_program(prog, cfg, inputs):
-    """Functional end-to-end run: place inputs, execute, collect outputs."""
-    state = program_state(prog, cfg)
+    """Functional end-to-end run: preload the parameter image and the
+    inputs, execute, collect outputs."""
+    state = MachineState(cfg, max(
+        (b + s for b, s in prog.segments.values()), default=0))
+    if prog.param_image:
+        state.preload(prog.segments["parameters"][0], prog.param_image)
     for name, data in inputs.items():
         t = prog.tensors[name]
         arr = np.ascontiguousarray(np.asarray(data, np.int8))
         if tuple(arr.shape) != tuple(t["shape"]):
             raise ShapeError(f"input {name}: got {arr.shape}, program "
                              f"expects {tuple(t['shape'])}")
-        base = prog.segments[t["segment"]][0] + t["off"]
-        state.preload(base, arr)
+        state.preload(prog.segments[t["segment"]][0] + t["off"], arr)
     run_functional(prog, state)
     outputs = {}
     for name, t in prog.tensors.items():
         if t["segment"] != "outputs":
             continue
-        base = prog.segments["outputs"][0] + t["off"]
-        raw = state.read(DDR, 0, base, t["bytes"])
+        base, n = prog.segments["outputs"][0] + t["off"], t["bytes"]
+        raw = state.access(DDR, 0, base, (1, 1, n), (n, n), write=False)[0]
         outputs[name] = raw.view(np.int8).reshape(t["shape"]).copy()
     return outputs

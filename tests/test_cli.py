@@ -266,6 +266,44 @@ def test_run_rejects_malformed_transfer_geometry_exit_three(
     assert "Traceback" not in err
 
 
+# toy_conv's metadata line (by its first words) and its replacement; before
+# the checks these ended in an internal error (exit 4) or ran (exit 0)
+MALFORMED_METADATA = {
+    "input-past-segment": ("# tensor x inputs",
+                           "# tensor x inputs 900000 256 8x8x4 -2"),
+    "output-bytes": ("# tensor y outputs", "# tensor y outputs 0 500 8x8x8 3"),
+    "output-zero-dim": ("# tensor y outputs",
+                        "# tensor y outputs 0 512 8x8x0 3"),
+    "unknown-segment": ("# tensor x inputs",
+                        "# tensor x bogus 0 256 8x8x4 -2"),
+    "negative-size": ("# segment inputs", "# segment inputs 0 -5"),
+}
+
+
+@pytest.mark.parametrize("mode", ["timing", "functional"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_METADATA))
+def test_run_rejects_malformed_metadata_exit_three(corpus_dir, tmp_path,
+                                                   capsys, case, mode):
+    words, edit = MALFORMED_METADATA[case]
+    art = tmp_path / "art"
+    assert cli.main(["compile", str(corpus_dir / "toy_conv.json"),
+                     "-o", str(art)]) == 0
+    asm = art / "program.asm"
+    lines = asm.read_text().splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(words + " "))
+    lines[at] = edit
+    asm.write_text("\n".join(lines) + "\n")
+    np.zeros((8, 8, 4), np.int8).tofile(tmp_path / "x.bin")
+    capsys.readouterr()
+    rc = cli.main(["run", str(art), "--mode", mode, "--out-dir",
+                   str(tmp_path / "out"), "--input",
+                   f"x={tmp_path / 'x.bin'}"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {at + 1}: "), err
+    assert "Traceback" not in err
+
+
 # (graph, compile flags, edited sub-op, field edits, the message after
 # "OP/sub: "); before the check, toy_conv's CONV with c_out=-8 ran in
 # timing mode at "utilization CONV=-0.11", and sh=0 ended in an internal
@@ -341,7 +379,7 @@ def test_cost_model_linearity(corpus_dir, tmp_path):
     assert cli.main(["compile", str(corpus_dir / "toy_conv.json"),
                      "-o", str(art)]) == 0
     prog, cfg = load_artifacts(str(art))
-    fast = cfg.with_overrides(conv_macs_per_cycle=cfg.conv_macs_per_cycle * 2)
+    fast = replace(cfg, conv_macs_per_cycle=cfg.conv_macs_per_cycle * 2)
     t1 = run_timing(prog, cfg)
     t2 = run_timing(prog, fast)
     for e1, e2 in zip(t1.events, t2.events):

@@ -522,7 +522,7 @@ def test_symbolic_addresses_name_planned_windows(mode):
                 continue
             parts, _busy = C._lower_with_ladder(
                 g.nodes[nid], g.tensors | g.fused_mids(), aliases, cfg,
-                options, [], ())
+                options, [], (), set())
             for _nd, lowered in parts:
                 ends = dict.fromkeys(lowered.allocs, 0)
                 for tile in lowered.tiles:

@@ -148,11 +148,31 @@ def test_parse_rejects_bad_lines():
     "# tensor x inputs 0",
     "# tensor x inputs 0 32 4x4x2",
     "# tensor x inputs 0 32 4xfourx2 0",
+    "# segment bogus 0 64",
+    "# segment inputs -8 64",
+    "# segment inputs 0 -5",
+    "# tensor x bogus 0 32 4x4x2 0",
+    "# tensor x inputs -1 32 4x4x2 0\n# segment inputs 0 64",
+    "# tensor x inputs 0 0 4x4x0 0\n# segment inputs 0 64",
+    "# tensor x inputs 0 30 4x4x2 0\n# segment inputs 0 64",
+    "# tensor x inputs 0 32 4x4x2 0\n# segment outputs 0 64",
+    "# tensor x inputs 40 32 4x4x2 0\n# segment inputs 0 64",
 ])
 def test_parse_rejects_bad_metadata_comment(line):
+    # a tensor is checked against its segment once every line is read, so
+    # the segment may follow it
     with pytest.raises(AsmError) as err:
         M.parse_assembly("# dpuc-asm v1\n" + line + "\n")
     assert err.value.lineno == 2
+
+
+def test_parse_accepts_tensor_filling_its_segment():
+    prog = M.parse_assembly("# tensor x inputs 32 32 4x4x2 -2\n"
+                            "# segment inputs 64 64\n")
+    assert prog.segments == {"inputs": (64, 64)}
+    assert prog.tensors["x"] == {"segment": "inputs", "off": 32,
+                                 "bytes": 32, "shape": (4, 4, 2),
+                                 "step_exp": -2}
 
 
 def _move(**geometry):
@@ -231,10 +251,12 @@ OPERANDS = {
         {"src": (M.PM, 0, 10, (3, 2, 4), (16, 4)),
          "dst": (M.FM, 1, 20, (3, 2, 4), (40, 12))}),
     # 4 rows, padded to 6, under a 3-row window: 4 rows of 5 x 2 out
+    # its weights are 2 x (3 x 3 x 3 taps + a 4 B bias) in PM
     (M.CONV, "conv"): (
-        conv_instr(in_rows=4, in_w=5, c_in=3, out_w=5, c_out=2,
-                   pads=(1, 1, 1, 1)),
+        replace(conv_instr(in_rows=4, in_w=5, c_in=3, out_w=5, c_out=2,
+                           pads=(1, 1, 1, 1)), wgt_off=96),
         {"src": (M.FM, 0, 0, (1, 1, 60), (60, 60)),
+         "wgt": (M.PM, 0, 96, (1, 1, 62), (62, 62)),
          "dst": (M.FM, 1, 0, (1, 1, 40), (40, 40))}),
     # 2x2/s2 pool of 4 x 4 x 2: 2 rows of 2 x 2 out
     (M.MISC, "maxpool"): (

@@ -28,7 +28,8 @@ def small_graph():
 
 def test_ddr_layout_segments_disjoint_and_ordered():
     g = small_graph()
-    lay = MEM.ddr_layout(g, param_bytes=96)
+    lay = MEM.ddr_layout(g, param_bytes=96,
+                         addressed=[g.tensors[t] for t in ("x", "t", "y")])
     bases = [lay.segments[s] for s in
              ("inputs", "outputs", "parameters", "instructions", "swap")]
     for (b1, s1), (b2, _) in zip(bases, bases[1:]):
@@ -42,7 +43,7 @@ def test_ddr_layout_segments_disjoint_and_ordered():
 
 def test_ddr_layout_empty_graph_zero_segments():
     g = G.Graph({}, [], [], [])
-    lay = MEM.ddr_layout(g, 0)
+    lay = MEM.ddr_layout(g, 0, [])
     assert all(size == 0 for seg, (_, size) in lay.segments.items()
                if seg != "instructions")
     assert lay.segments["instructions"] == (0, MEM.PROGRAM_SIZE_ESTIMATE)

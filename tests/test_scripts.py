@@ -1,8 +1,10 @@
-"""Smoke tests of the experiment scripts: each runs in a subprocess, as
-from the command line, and writes only under a temporary directory.
-`dpuc corpus` is checked against the committed corpus.  The benchmark's
-tracer is checked against the functions it wraps, and the paired-run
-tool's summary against canned result lines (no benchmark runs here)."""
+"""Smoke tests of the experiment scripts, run as from the command line
+or loaded in-process, each writing only under a temporary directory.
+`dpuc corpus` is checked against the committed corpus, and the parity
+sweep's records of toy_conv against a second sweep of it.  The
+benchmark's tracer is checked against the functions it wraps, and the
+paired-run tool's summary against canned result lines (no benchmark runs
+here)."""
 
 import importlib.util
 import json
@@ -13,6 +15,8 @@ import sys
 import pytest
 
 from dpuc import cli, corpus
+from dpuc.compiler import CompileOptions
+from dpuc.machine import MachineConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -55,6 +59,32 @@ def test_render_timelines_writes_one_svg_per_job(tmp_path):
                           + ["deconv_upsample_path.svg"])
     for name in svgs:
         assert (out / name).read_text().lstrip().startswith("<svg")
+
+
+def test_artifact_sweep_writes_every_record(tmp_path):
+    # toy_conv on the default machine, both deconv modes and pipeline
+    # settings; a second sweep of the same tree is identical file for file
+    sweep = _load_script("artifact_sweep")
+    g = corpus.corpus_graph("toy_conv")
+    runs = ["series-pipeline", "series-sequential",
+            "upsample-pipeline", "upsample-sequential"]
+    for out in ("a", "b"):
+        for run in runs:
+            mode, pipeline = run.split("-")
+            sweep.sweep_one(g, MachineConfig(), CompileOptions(
+                pipeline=pipeline == "pipeline", deconv_mode=mode),
+                tmp_path / out / run)
+    for run in runs:
+        a, b = tmp_path / "a" / run, tmp_path / "b" / run
+        files = sorted(p.name for p in a.iterdir())
+        assert files == ["config.json", "hazards.txt", "memmap.json",
+                         "outputs.txt", "params.bin", "program.asm",
+                         "report.json", "trace.json"]
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert len((a / "outputs.txt").read_text().splitlines()) == 2
+        assert (a / "hazards.txt").read_text().startswith("as compiled:\n"
+                                                          "every 7th DPON")
 
 
 def test_traced_functions_exist():

@@ -178,11 +178,11 @@ def test_functional_load_save_roundtrip_strided():
                     ddr_row_stride=32, ddr_blk_stride=16),
     ])
     S.run_functional(prog, st)
+    ddr = st._pair(DDR, 0)[0]
     for r in range(4):
         row = data[r * 16:(r + 1) * 16]
-        assert np.array_equal(st.ddr[1024 + r * 32:1024 + r * 32 + 8],
-                              row[:8])
-        assert np.array_equal(st.ddr[1024 + r * 32 + 16:1024 + r * 32 + 24],
+        assert np.array_equal(ddr[1024 + r * 32:1024 + r * 32 + 8], row[:8])
+        assert np.array_equal(ddr[1024 + r * 32 + 16:1024 + r * 32 + 24],
                               row[8:])
 
 
@@ -230,18 +230,20 @@ def test_functional_conv_instruction_matches_oracle():
     x = rng.integers(-128, 128, (6, 5, 2)).astype(np.int8)
     w = rng.integers(-16, 16, (3, 3, 3, 2)).astype(np.int8)
     bias = rng.integers(-100, 100, 3).astype(np.int32)
-    st.fm[0][:x.size] = x.reshape(-1).view(np.uint8)
-    st.fm_written[0][:x.size] = True
+    fm0, fm0_written = st._pair(FM, 0)
+    fm0[:x.size] = x.reshape(-1).view(np.uint8)
+    fm0_written[:x.size] = True
     blob = w.tobytes() + bias.astype("<i4").tobytes()
-    st.pm[:len(blob)] = np.frombuffer(blob, np.uint8)
-    st.pm_written[:len(blob)] = True
+    pm, pm_written = st._pair(PM, 0)
+    pm[:len(blob)] = np.frombuffer(blob, np.uint8)
+    pm_written[:len(blob)] = True
     ins = Instruction(op=CONV, sub="conv", src=Addr(FM, 0, 0),
                       dst=Addr(FM, 0, 1), wgt_off=0, wgt_bytes=len(blob),
                       in_rows=6, in_w=5, c_in=2, out_w=5, c_out=3,
                       kh=3, kw=3, sh=1, sw=1, pt=1, pl=1, pb=1, pr=1,
                       shift=-3)
     S.run_functional(Program(instructions=[ins]), st)
-    got = st.fm[1][:6 * 5 * 3].view(np.int8).reshape(6, 5, 3)
+    got = st._pair(FM, 1)[0][:6 * 5 * 3].view(np.int8).reshape(6, 5, 3)
     expect = brute_force_conv(x, w, bias, 1, 1, -3)
     assert np.array_equal(got, expect)
 
@@ -250,14 +252,66 @@ def test_functional_upsample_zero_insertion():
     cfg = MachineConfig()
     st = mkstate(cfg)
     x = np.array([[[1], [2]], [[3], [4]]], np.int8)
-    st.fm[0][:4] = x.reshape(-1).view(np.uint8)
-    st.fm_written[0][:4] = True
+    fm0, fm0_written = st._pair(FM, 0)
+    fm0[:4] = x.reshape(-1).view(np.uint8)
+    fm0_written[:4] = True
     ins = Instruction(op=MISC, sub="upsample", src=Addr(FM, 0, 0),
                       dst=Addr(FM, 0, 1), in_rows=2, w=2, c=1, factor=2,
                       out_rows=3)
     S.run_functional(Program(instructions=[ins]), st)
-    got = st.fm[1][:9].view(np.int8).reshape(3, 3)
+    got = st._pair(FM, 1)[0][:9].view(np.int8).reshape(3, 3)
     assert np.array_equal(got, [[1, 0, 2], [0, 0, 0], [3, 0, 4]])
+
+
+def test_input_past_ddr_raises_out_of_bounds():
+    # preloading goes through the same accessor as every operand, so an
+    # input placed past the end of DDR is an access outside a memory
+    prog = Program(segments={"inputs": (0, 16)}, tensors={"x": {
+        "segment": "inputs", "off": 12, "bytes": 8, "shape": (2, 2, 2),
+        "step_exp": 0}})
+    with pytest.raises(OutOfBoundsError,
+                       match=r"^ddr0 write \[12,20\) outside 16 B$"):
+        S.run_program(prog, MachineConfig(),
+                      {"x": np.zeros((2, 2, 2), np.int8)})
+
+
+def test_conv_with_unloaded_weights_raises():
+    st = mkstate(MachineConfig())
+    st._pair(FM, 0)[1][:4] = True
+    ins = Instruction(op=CONV, sub="conv", src=Addr(FM, 0, 0),
+                      dst=Addr(FM, 0, 1), wgt_off=8, wgt_bytes=8,
+                      in_rows=1, in_w=1, c_in=4, out_w=1, c_out=1, kh=1,
+                      kw=1, sh=1, sw=1, pt=0, pl=0, pb=0, pr=0, shift=0)
+    with pytest.raises(UseBeforeDefError,
+                       match=r"^at instruction 0 \(CONV/conv\): pm0 read "
+                             r"\[8,16\) of unwritten bytes$"):
+        S.run_functional(Program(instructions=[ins]), st)
+
+
+def test_output_no_save_writes_raises():
+    prog = Program(segments={"outputs": (0, 8)}, tensors={"y": {
+        "segment": "outputs", "off": 0, "bytes": 8, "shape": (2, 2, 2),
+        "step_exp": 0}})
+    with pytest.raises(UseBeforeDefError,
+                       match=r"^ddr0 read \[0,8\) of unwritten bytes$"):
+        S.run_program(prog, MachineConfig(), {})
+
+
+def test_memories_are_made_when_first_accessed():
+    # a program that names neither fm1, fm2 nor PM zeroes none of them
+    st = mkstate(MachineConfig())
+    st.preload(0, bytes(16))
+    ld = _transfer(LOAD, "act", Addr(DDR, 0), Addr(FM, 0, 0))
+    S.run_functional(Program(instructions=[ld]), st)
+    assert sorted(st.mems) == [(DDR, 0), (FM, 0)]
+    # DDR and PM are one memory each, FM has fm_memories: any other index
+    # is refused before a memory is made for it
+    for dst, name in ((Addr(PM, 0, 1), "pm1"), (Addr(DDR, 64, 1), "ddr1"),
+                      (Addr(FM, 0, MachineConfig().fm_memories), "fm3")):
+        with pytest.raises(OutOfBoundsError, match=f"{name} does not exist"):
+            S.run_functional(Program(instructions=[
+                replace(ld, dst=dst)]), st)
+    assert sorted(st.mems) == [(DDR, 0), (FM, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +448,16 @@ def test_overlapping_move_copies_the_source_before_the_instruction():
     # 16 bytes move 2 bytes up within fm0, as four 4-byte blocks; a
     # block-by-block copy would read bytes the move already overwrote
     st = _filled_state(0)
-    old = st.fm[0].copy()
+    fm0 = st._pair(FM, 0)[0]
+    old = fm0.copy()
     ins = Instruction(op=MISC, sub="move", src=Addr(FM, 0, 0),
                       dst=Addr(FM, 2, 0), rows=1, blocks=4, block_bytes=4,
                       src_row_stride=16, dst_row_stride=16, src_blk_stride=4,
                       dst_blk_stride=4)
     S.run_functional(Program(instructions=[ins]), st)
-    assert np.array_equal(st.fm[0][2:18], old[0:16])
-    assert np.array_equal(st.fm[0][:2], old[:2])
-    assert np.array_equal(st.fm[0][18:], old[18:])
+    assert np.array_equal(fm0[2:18], old[0:16])
+    assert np.array_equal(fm0[:2], old[:2])
+    assert np.array_equal(fm0[18:], old[18:])
 
 
 @pytest.mark.parametrize("fields", [{"block_bytes": -4}, {"rows": -1},
@@ -511,11 +566,13 @@ def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift,
     assert acc.dtype == dtype and np.array_equal(acc, expect)
 
     st = mkstate(MachineConfig())
-    st.fm[0][:x.size] = x.reshape(-1).view(np.uint8)
-    st.fm_written[0][:x.size] = True
+    fm0, fm0_written = st._pair(FM, 0)
+    fm0[:x.size] = x.reshape(-1).view(np.uint8)
+    fm0_written[:x.size] = True
     blob = w.tobytes() + bias.astype("<i4").tobytes()
-    st.pm[:len(blob)] = np.frombuffer(blob, np.uint8)
-    st.pm_written[:len(blob)] = True
+    pm, pm_written = st._pair(PM, 0)
+    pm[:len(blob)] = np.frombuffer(blob, np.uint8)
+    pm_written[:len(blob)] = True
     ins = Instruction(op=CONV, sub="conv", src=Addr(FM, 0, 0),
                       dst=Addr(FM, 0, 1), wgt_off=0, wgt_bytes=len(blob),
                       in_rows=h, in_w=wd, c_in=ci, out_w=out_w, c_out=co,
@@ -524,7 +581,7 @@ def test_conv_window_sum_matches_pixel_loop(case, pads, extra_w, shift,
     with mock.patch.object(S, "F32_EXACT_TERMS", terms):
         S.run_functional(Program(instructions=[ins]), st)
     n = out_rows * out_w * co
-    got = st.fm[1][:n].view(np.int8).reshape(out_rows, out_w, co)
+    got = st._pair(FM, 1)[0][:n].view(np.int8).reshape(out_rows, out_w, co)
     assert np.array_equal(got, quant.requantize(expect + bias, shift))
 
 
@@ -842,6 +899,56 @@ def test_timing_consumer_before_producer_in_text():
     assert tr.events[0].start == 16 and tr.makespan == 17
 
 
+def _pool_doc(out_exp):
+    """A standalone 3x2/s2 max pool with padding (1, 0) of a 9x10x8 input
+    at exponent -2, its output at out_exp."""
+    return graph_doc(
+        [{"name": "x", "shape": [9, 10, 8], "quant": q(2.0 ** -2)},
+         {"name": "y", "shape": [5, 5, 8], "quant": q(2.0 ** out_exp)}],
+        [{"id": "in", "op": "input", "inputs": [], "output": "x"},
+         {"id": "pool", "op": "maxpool", "inputs": ["x"], "output": "y",
+          "attrs": {"kernel": [3, 2], "stride": [2, 2],
+                    "padding": [1, 0]}}],
+        ["x"], ["y"])
+
+
+def _conv_pool_doc(out_exp):
+    """conv_pool, whose fused intermediate is at exponent 6, with its
+    output at out_exp."""
+    doc = corpus.corpus_doc("conv_pool")
+    doc["tensors"][2]["quant"] = q(2.0 ** out_exp)
+    return json.dumps(doc)
+
+
+# case -> (graph document, the pool instructions' shift)
+RESCALING_POOLS = {
+    **{f"conv_pool-exp{e}": (_conv_pool_doc(e), 6 - e) for e in (3, 5, 7, 9)},
+    **{f"pool-exp{e}": (_pool_doc(e), -2 - e) for e in (-4, -1, 0, 2)},
+}
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("case", sorted(RESCALING_POOLS))
+def test_rescaling_max_pool_bit_exact_and_hazard_free(case, pipelined):
+    # max pools whose output scale differs from their input's requantize
+    # on the machine: right shifts round, left shifts saturate
+    doc, shift = RESCALING_POOLS[case]
+    g, cfg = G.parse_graph(doc), MachineConfig()
+    art = compile_graph(g, cfg, CompileOptions(pipeline=pipelined))
+    assert {ins.shift for ins in art.program.instructions
+            if ins.sub == "maxpool"} == {shift}
+    folded = G.fold_constants_and_quantizers(g)
+    for seed in range(3):
+        x = np.random.default_rng(seed).integers(
+            -128, 128, folded.tensors["x"].shape).astype(np.int8)
+        got = S.run_program(art.program, cfg, {"x": x})["y"]
+        assert np.array_equal(got, S.reference_execute(folded, {"x": x})["y"])
+    trace = S.run_timing(art.program, cfg)
+    assert S.check_hazards(art.program, trace,
+                           allocs=art.memmap["fm_allocs"], cfg=cfg) == []
+
+
 # ---------------------------------------------------------------------------
 # hazards and timeline
 # ---------------------------------------------------------------------------
@@ -950,6 +1057,26 @@ def test_hazard_zero_length_access_touches_nothing(wide_op, empty_op):
     tr = S.Trace([_event(0, wide, 0, 100), _event(1, empty, 10, 1)], 100,
                  {}, {})
     assert S.check_hazards(prog, tr) == []
+
+
+@pytest.mark.parametrize("nbytes,kinds", [(0, set()),
+                                          (4, {"port-conflict"})])
+@pytest.mark.parametrize("wide_op", [LOAD, SAVE])
+def test_hazard_zero_length_access_holds_no_port(wide_op, nbytes, kinds):
+    # a LOAD writes (a SAVE reads) fm0[0, 64) over cycles 0-100; from
+    # cycle 10 a move writes (reads) nbytes of fm0 from byte 128: no byte
+    # is shared, and only a move of some bytes needs the same port
+    wide = _fm_transfer(wide_op, 0, 64)
+    fm0, fm1 = Addr(FM, 128, 0), Addr(FM, 0, 1)
+    src, dst = (fm1, fm0) if wide_op == LOAD else (fm0, fm1)
+    move = Instruction(op=MISC, sub="move", src=src, dst=dst, rows=1,
+                       blocks=1, block_bytes=nbytes, src_row_stride=nbytes,
+                       dst_row_stride=nbytes, src_blk_stride=0,
+                       dst_blk_stride=0)
+    prog = Program(instructions=[wide, move])
+    tr = S.Trace([_event(0, wide, 0, 100), _event(1, move, 10, 1)], 100,
+                 {}, {})
+    assert {kind for kind, *_ in S.check_hazards(prog, tr)} == kinds
 
 
 @pytest.mark.parametrize("second", [CONV, MISC])
