@@ -3,10 +3,14 @@
 compile lowers a graph JSON into an artifact directory (assembly text,
 parameter image, memory map, report, optional tile trees).  run executes
 compiled artifacts functionally and/or through the timing simulator.
-verify is the release gate: it compiles, replays random inputs against
-the reference executor, and hazard-checks the trace (exit 0 pass,
-1 mismatch, 2 hazard, 3 compile failure).  viz renders a trace as a
-four-lane SVG or JSON timeline.
+verify is the release gate: it compiles, replays random inputs through
+the program and through the reference executor on the graph as written
+(quantizers and constants unfolded, nothing fused), and hazard-checks the
+trace.  It exits 0 on a pass; 1 when an output differs or the program
+fails to run (`FAIL mismatch:`, `FAIL program:`); 2 when the trace has a
+hazard or cannot be timed (`FAIL hazards:`, `FAIL timing:`, a deadlock);
+3 when the graph does not compile.  viz renders a trace as a four-lane
+SVG or JSON timeline.
 
 Every command exits 3 with an `error:` line for bad input: a typed
 DpucError, or a file that cannot be read or written.  Any other exception
@@ -150,20 +154,30 @@ def cmd_verify(args):
     except (CompileError, DpucError) as e:
         print(f"FAIL compile: {e}")
         return 3
-    folded = fold_constants_and_quantizers(g)
+    # folding keeps the order of the graph inputs and only renames them
+    prog_inputs = fold_constants_and_quantizers(g).inputs
     rng = np.random.default_rng(args.rng_seed)
     for seed in range(args.seeds):
-        inputs = {n: rng.integers(-128, 128, folded.tensors[n].shape)
-                  .astype(np.int8) for n in folded.inputs}
-        got = run_program(art.program, cfg, inputs)
-        ref = reference_execute(folded, inputs)
+        inputs = {n: rng.integers(-128, 128, g.tensors[n].shape)
+                  .astype(np.int8) for n in g.inputs}
+        try:
+            got = run_program(art.program, cfg,
+                              dict(zip(prog_inputs, inputs.values())))
+        except DpucError as e:
+            print(f"FAIL program: seed {seed}: {e}")
+            return 1
+        ref = reference_execute(g, inputs)
         for name in ref:
             if not np.array_equal(got[name], ref[name]):
                 bad = int(np.sum(got[name] != ref[name]))
                 print(f"FAIL mismatch: seed {seed} tensor {name}: "
                       f"{bad} bytes differ")
                 return 1
-    trace = run_timing(art.program, cfg)
+    try:
+        trace = run_timing(art.program, cfg)
+    except DpucError as e:
+        print(f"FAIL timing: {e}")
+        return 2
     report = check_hazards(art.program, trace,
                            allocs=art.memmap["fm_allocs"], cfg=cfg)
     if report:

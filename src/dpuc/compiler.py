@@ -70,7 +70,10 @@ def compile_graph(g, cfg, options=None):
 
 def _concat_aliases(g):
     """tensor -> (concat output, channel offset) for inputs the layout
-    can resolve by pointing the producer's saves into the concatenation."""
+    can resolve by pointing the producer's saves into the concatenation.
+    Graph inputs have no saves, and a concat output aliased in turn would
+    leave its own aliased inputs one level short of the root, so both are
+    copied by the concat instead."""
     aliases = {}
     for n in g.nodes.values():
         if n.op != "concat":
@@ -80,7 +83,8 @@ def _concat_aliases(g):
             t = g.tensors[name]
             only_concat = (g.consumers.get(name, []) == [n.id]
                            and name not in g.outputs
-                           and name in g.producer)
+                           and g.nodes[g.producer[name]].op
+                           not in ("input", "concat"))
             if only_concat:
                 aliases[name] = (n.output, ch)
             ch += t.shape[2]

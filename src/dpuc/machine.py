@@ -489,7 +489,8 @@ def emit_assembly(prog):
 
 def parse_assembly(text):
     """Parse assembly text into a Program.  AsmError names the first bad
-    line; a tensor outside its segment is caught after the last line."""
+    line, and a segment overlapping an earlier one; a tensor outside its
+    segment is caught after the last line."""
     prog = Program()
     tensor_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -508,7 +509,6 @@ def parse_assembly(text):
             try:
                 if kind == "segment":
                     seg, nums = name, (int(toks[2]), int(toks[3]))
-                    prog.segments[name] = nums
                 else:
                     seg, nums = toks[2], (int(toks[3]), int(toks[4]))
                     shape = tuple(int(d) for d in toks[5].split("x"))
@@ -522,6 +522,13 @@ def parse_assembly(text):
                 if seg not in DDR_SEGMENTS or min(nums) < 0:
                     raise ValueError(f"want one of {DDR_SEGMENTS} and no "
                                      f"negative number, got {seg} {nums}")
+                if kind == "segment":
+                    lo, hi = nums[0], nums[0] + nums[1]
+                    for other, (b, n) in prog.segments.items():
+                        if other != name and b < hi and lo < b + n:
+                            raise ValueError(f"[{lo},{hi}) overlaps segment "
+                                             f"{other} [{b},{b + n})")
+                    prog.segments[name] = nums
             except ValueError as e:
                 raise AsmError(lineno, f"# {kind} {name}: {e}") from None
             continue

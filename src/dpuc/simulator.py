@@ -335,9 +335,9 @@ def reference_execute(g, inputs):
     of output rows: float32 over K-slices of at most F32_EXACT_TERMS
     products, summed in float64 when K is larger (|acc| <= K·2**14, far
     below 2**53); each block is then biased and requantized in the int32
-    or int64 accumulator `quant.accumulator_dtype` picks.  Handles folded
-    graphs (with fused super-nodes) and unfolded graphs (explicit
-    fix/const nodes)."""
+    or int64 accumulator `quant.accumulator_dtype` picks.  Takes the graph
+    as parsed, with explicit fix/const nodes or inline conv `params` (a
+    folded graph is this form); a fused node raises ShapeError."""
     from .graph import _topo_order
     vals = {}
     for name, data in inputs.items():
@@ -353,6 +353,8 @@ def reference_execute(g, inputs):
 
     for nid in _topo_order(g):
         n = g.nodes[nid]
+        if n.fused is not None:
+            raise ShapeError(f"reference cannot execute fused node {nid}")
         if n.op == "input":
             if n.output not in vals:
                 raise ShapeError(f"missing input tensor {n.output}")
@@ -393,12 +395,10 @@ def reference_execute(g, inputs):
                         else np.zeros(w.shape[0], np.int32))
                 wexp = quants[wname]
             xexp = g.tensors[n.inputs[0]].quant.exp
-            mid = n.fused.mid if n.fused else g.tensors.get(n.output)
-            if mid is None or mid.quant is None:
-                # unfolded form: leave the accumulator for the fix node
-                shift = None
-            else:
-                shift = xexp + wexp - mid.quant.exp
+            out_t = g.tensors.get(n.output)
+            # unfolded form: leave the accumulator for the fix node
+            shift = (None if out_t is None or out_t.quant is None
+                     else xexp + wexp - out_t.quant.exp)
             if n.op == "deconv":
                 p = n.attrs["padding"]
                 x = _ref_upsample(x, n.attrs["upsample"])
@@ -408,10 +408,6 @@ def reference_execute(g, inputs):
                                 n.attrs["padding"], shift)
             if shift is None:
                 quants[n.output] = xexp + wexp
-            if n.fused:
-                pshift = mid.quant.exp - g.tensors[n.output].quant.exp
-                out = _ref_maxpool(out, n.fused.kernel, n.fused.stride,
-                                   n.fused.padding, pshift)
             vals[n.output] = out
         elif n.op == "maxpool":
             x = vals[n.inputs[0]]

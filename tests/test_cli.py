@@ -7,7 +7,7 @@ import pytest
 
 from dpuc import cli
 from dpuc import corpus
-from dpuc.machine import MachineConfig
+from dpuc.machine import CONV, MachineConfig, SAVE
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,55 @@ def test_verify_stripped_dpon_exit_two(corpus_dir, monkeypatch):
     rc = cli.main(["verify", str(corpus_dir / "conv_pool.json"),
                    "--seeds", "1"])
     assert rc == 2
+
+
+def _compiled_then(edit):
+    """compile_graph, then `edit` the compiled instruction list in place."""
+    from dpuc import compiler as C
+    real = C.compile_graph
+
+    def compile_and_edit(g, cfg, options=None):
+        art = real(g, cfg, options)
+        edit(art.program.instructions)
+        return art
+    return compile_and_edit
+
+
+def _last_save(instructions):
+    return max(i for i, ins in enumerate(instructions) if ins.op == SAVE)
+
+
+def test_verify_program_that_fails_to_run_exit_one(corpus_dir, monkeypatch,
+                                                   capsys):
+    # an error from running the program verify just compiled is a verify
+    # failure, not bad input: without its last SAVE, toy_conv's program
+    # leaves the last row of y unwritten
+    monkeypatch.setattr(cli, "compile_graph", _compiled_then(
+        lambda ins: ins.pop(_last_save(ins))))
+    rc = cli.main(["verify", str(corpus_dir / "toy_conv.json"),
+                   "--seeds", "1"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out.startswith("FAIL program: seed 0: ddr0 read [256,768) "
+                              "of unwritten bytes"), out.out
+    assert out.err == ""
+
+
+def test_verify_program_that_deadlocks_exit_two(corpus_dir, monkeypatch,
+                                                capsys):
+    # the one CONV of toy_conv signals its first SAVE; a last SAVE that
+    # also waits on a CONV waits forever
+    def starve(ins):
+        i = _last_save(ins)
+        ins[i] = replace(ins[i], dpon=frozenset({CONV}))
+    monkeypatch.setattr(cli, "compile_graph", _compiled_then(starve))
+    rc = cli.main(["verify", str(corpus_dir / "toy_conv.json"),
+                   "--seeds", "1"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out.startswith("FAIL timing: instruction "), out.out
+    assert "never issues" in out.out
+    assert out.err == ""
 
 
 def test_verify_compile_failure_exit_three(corpus_dir, tmp_path):
@@ -277,6 +326,8 @@ MALFORMED_METADATA = {
     "unknown-segment": ("# tensor x inputs",
                         "# tensor x bogus 0 256 8x8x4 -2"),
     "negative-size": ("# segment inputs", "# segment inputs 0 -5"),
+    # ran at exit 0 and wrote a y.bin whose first half was the input
+    "overlapping-segments": ("# segment outputs", "# segment outputs 0 512"),
 }
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from dpuc import corpus
 from dpuc import graph as G
+from dpuc.compiler import compile_graph
 from dpuc.errors import FoldError, ParseError, ShapeError
 from dpuc.machine import MachineConfig
-from dpuc.simulator import reference_execute
+from dpuc.simulator import reference_execute, run_program
 
 
 def parse(doc):
@@ -344,13 +345,28 @@ def test_fuse_skips_multi_consumer_intermediate():
     assert all(n.fused is None for n in fused.nodes.values())
 
 
-def test_fuse_preserves_reference_execution():
-    g = G.fold_constants_and_quantizers(parse(corpus.conv_pool()))
-    fused = G.fuse_superlayers(g, MachineConfig())
+def test_fused_program_matches_unfused_reference():
+    # fusion stays outside the oracle: conv_pool's program runs conv and
+    # pool as one fused node, and the reference runs them apart, on the
+    # graph as written
+    g = parse(corpus.conv_pool())
+    cfg = MachineConfig()
+    art = compile_graph(g, cfg)
+    assert [n["fused"] for n in art.report["nodes"]] == [True]
     rng = np.random.default_rng(3)
     x = rng.integers(-128, 128, (68, 16, 16)).astype(np.int8)
-    assert np.array_equal(reference_execute(g, {"x": x})["y"],
-                          reference_execute(fused, {"x": x})["y"])
+    assert np.array_equal(run_program(art.program, cfg, {"x": x})["y"],
+                          reference_execute(g, {"x": x})["y"])
+
+
+def test_reference_rejects_fused_graph():
+    # without the check, conv_pool's fused conv would hand back its
+    # (64, 12, 16) conv output as the (32, 6, 16) pooled y
+    g = G.fold_constants_and_quantizers(parse(corpus.conv_pool()))
+    fused = G.fuse_superlayers(g, MachineConfig())
+    x = np.zeros((68, 16, 16), np.int8)
+    with pytest.raises(ShapeError, match="fused node"):
+        reference_execute(fused, {"x": x})
 
 
 def test_eltwise_pair_not_fused():

@@ -166,6 +166,24 @@ def test_parse_rejects_bad_metadata_comment(line):
     assert err.value.lineno == 2
 
 
+def test_parse_rejects_overlapping_segments():
+    # an outputs segment over the inputs would run, reading the outputs
+    # from bytes the inputs were loaded into
+    with pytest.raises(AsmError) as err:
+        M.parse_assembly("# segment inputs 0 256\n"
+                         "# segment swap 256 0\n"
+                         "# segment outputs 0 512\n")
+    assert err.value.lineno == 3
+    assert str(err.value) == ("line 3: # segment outputs: [0,512) overlaps "
+                              "segment inputs [0,256)")
+    # segments that only touch, or are empty, do not overlap
+    prog = M.parse_assembly("# segment inputs 0 256\n"
+                            "# segment swap 256 0\n"
+                            "# segment outputs 256 512\n")
+    assert prog.segments == {"inputs": (0, 256), "swap": (256, 0),
+                             "outputs": (256, 512)}
+
+
 def test_parse_accepts_tensor_filling_its_segment():
     prog = M.parse_assembly("# tensor x inputs 32 32 4x4x2 -2\n"
                             "# segment inputs 64 64\n")

@@ -18,6 +18,7 @@ from dpuc import graph as G
 from dpuc import lowering as L
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
+from dpuc.errors import DpucError
 from dpuc.machine import CONV, LOAD, MachineConfig, SAVE
 
 
@@ -49,20 +50,28 @@ def conv_doc(h, w, ci, co, k, s, p, rng):
     }
 
 
-def roundtrip(doc, cfg, options=None):
-    g = G.parse_graph(json.dumps(doc))
-    folded = G.fold_constants_and_quantizers(g)
-    art = compile_graph(g, cfg, options)
+def check_program(g, art, cfg):
+    """The program of `art` matches the reference executor on the graph
+    as written, `g`, for one random input, and its trace is hazard-free."""
+    # folding keeps the order of the graph inputs and only renames them
+    prog_inputs = G.fold_constants_and_quantizers(g).inputs
     rng = np.random.default_rng(99)
-    inputs = {n: rng.integers(-128, 128, folded.tensors[n].shape)
-              .astype(np.int8) for n in folded.inputs}
-    got = S.run_program(art.program, cfg, inputs)
-    ref = S.reference_execute(folded, inputs)
+    inputs = {n: rng.integers(-128, 128, g.tensors[n].shape)
+              .astype(np.int8) for n in g.inputs}
+    got = S.run_program(art.program, cfg,
+                        dict(zip(prog_inputs, inputs.values())))
+    ref = S.reference_execute(g, inputs)
     for name in ref:
         assert np.array_equal(got[name], ref[name]), name
     trace = S.run_timing(art.program, cfg)
     assert S.check_hazards(art.program, trace,
                            allocs=art.memmap["fm_allocs"], cfg=cfg) == []
+
+
+def roundtrip(doc, cfg, options=None):
+    g = G.parse_graph(json.dumps(doc))
+    art = compile_graph(g, cfg, options)
+    check_program(g, art, cfg)
     return art
 
 
@@ -383,11 +392,10 @@ def test_two_slot_plan_of_resident_windows_is_an_alloc_overlap(
     doc, cfg = resident_case(case)
     g = G.parse_graph(json.dumps(doc))
     art = compile_graph(g, cfg)
-    folded = G.fold_constants_and_quantizers(g)
     inputs = {"x": np.random.default_rng(99).integers(
-        -128, 128, folded.tensors["x"].shape).astype(np.int8)}
+        -128, 128, g.tensors["x"].shape).astype(np.int8)}
     got = S.run_program(art.program, cfg, inputs)
-    ref = S.reference_execute(folded, inputs)
+    ref = S.reference_execute(g, inputs)
     assert not np.array_equal(got["y"], ref["y"])
     report = S.check_hazards(art.program, S.run_timing(art.program, cfg),
                              allocs=art.memmap["fm_allocs"], cfg=cfg)
@@ -553,3 +561,225 @@ def test_random_conv_chain_with_streamed_slabs_bit_exact(chain):
         art = roundtrip(doc, cfg, options)
         again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
         assert again.assembly == art.assembly
+
+
+# ---------------------------------------------------------------------------
+# concat inputs the layout cannot alias
+# ---------------------------------------------------------------------------
+
+def conv1x1(nid, src, dst, c_in, c_out, rng):
+    wgt = rng.integers(-24, 24, (c_out, 1, 1, c_in)).astype(np.int8)
+    bias = rng.integers(-500, 500, c_out).astype(np.int32)
+    return {"id": nid, "op": "conv", "inputs": [src], "output": dst,
+            "attrs": {"kernel": [1, 1], "c_out": c_out},
+            "params": {"weights": b64(wgt), "bias": b64(bias),
+                       "shape": [c_out, 1, 1, c_in], "quant": q(-3)}}
+
+
+def concat_doc(convs, concats, inputs):
+    """8x8x8 graph: `convs` are 1x1 convs (id, src, dst), `concats` are
+    (id, inputs, dst), and a 1x1 conv reads the last concat into y."""
+    rng = np.random.default_rng(len(convs) * 10 + len(concats))
+    chans = dict.fromkeys(inputs + [c[2] for c in convs], 8)
+    for _nid, srcs, dst in concats:
+        chans[dst] = sum(chans[t] for t in srcs)
+    last = concats[-1][2]
+    nodes = [{"id": f"in_{n}", "op": "input", "inputs": [], "output": n}
+             for n in inputs]
+    nodes += [conv1x1(nid, src, dst, 8, 8, rng) for nid, src, dst in convs]
+    nodes += [{"id": nid, "op": "concat", "inputs": srcs, "output": dst}
+              for nid, srcs, dst in concats]
+    nodes.append(conv1x1("head", last, "y", chans[last], 8, rng))
+    return {
+        "tensors": [{"name": n, "shape": [8, 8, c], "quant": q(-2)}
+                    for n, c in chans.items()]
+                   + [{"name": "y", "shape": [8, 8, 8], "quant": q(4)}],
+        "nodes": nodes, "inputs": inputs, "outputs": ["y"],
+    }
+
+
+CONCAT_CASES = {
+    # a graph input has no saves to point into the concatenation
+    "graph-input": concat_doc([("ca", "x", "a")],
+                              [("cat", ["a", "r"], "cat")], ["x", "r"]),
+    # cat1's parts save into cat1, so cat1 itself is copied into cat2
+    "nested": concat_doc([("ca", "x", "a"), ("ca2", "x", "a2"),
+                          ("ca3", "x", "a3")],
+                         [("cat1", ["a", "a2"], "cat1"),
+                          ("cat2", ["cat1", "a3"], "cat2")], ["x"]),
+    "same-input-twice": concat_doc([("ca", "x", "a")],
+                                   [("cat", ["a", "a"], "cat")], ["x"]),
+}
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("case", sorted(CONCAT_CASES))
+def test_concat_copies_the_inputs_it_cannot_alias(case, pipelined):
+    # before, a graph input or a concat output read by a concat was
+    # aliased into its channel slice, which no instruction then wrote,
+    # and the program read unwritten DDR
+    doc, cfg = CONCAT_CASES[case], MachineConfig()
+    options = CompileOptions(pipeline=pipelined)
+    art = roundtrip(doc, cfg, options)
+    assert not {"r", "cat1"} & set(art.memmap["aliases"])
+    again = compile_graph(G.parse_graph(json.dumps(doc)), cfg, options)
+    assert again.assembly == art.assembly
+
+
+# ---------------------------------------------------------------------------
+# random multi-node graphs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def random_dag(draw):
+    """A graph document of 1-5 compute nodes over small maps: a graph input
+    is at most 8x8x8, or the size of the tensor it joins.  Each node reads
+    earlier tensors or new graph inputs: convs (1x1 or 3x3, stride 1-2, padded or not)
+    with inline parameters or explicit const and fix nodes, 2x2 or
+    overlapping padded 3x3 max pools, eltwise adds, concats (of graph
+    inputs and of concats too), upsamples and identities.  A graph input
+    may come through a fix node; every tensor nobody reads is an output."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    tensors, nodes, inputs = [], [], []
+    avail = {}   # tensor -> (shape, exponent), the operands so far
+    read = set()
+
+    def tensor(name, shape, e):
+        tensors.append({"name": name, "shape": list(shape), "quant": q(e)})
+        avail[name] = (tuple(shape), e)
+        return name
+
+    def graph_input(shape):
+        name = f"x{len(inputs)}"
+        if draw(st.booleans()):
+            tensors.append({"name": name + "_raw", "shape": list(shape)})
+            nodes.append({"id": f"in{len(inputs)}", "op": "input",
+                          "inputs": [], "output": name + "_raw"})
+            nodes.append({"id": f"fix_{name}", "op": "fix",
+                          "inputs": [name + "_raw"], "output": name,
+                          "attrs": q(-2)})
+            inputs.append(name + "_raw")
+        else:
+            nodes.append({"id": f"in{len(inputs)}", "op": "input",
+                          "inputs": [], "output": name})
+            inputs.append(name)
+        return tensor(name, shape, -2)
+
+    def operand(shape=None, hw=None):
+        """An earlier tensor of this shape (or these h, w), or a new graph
+        input of it."""
+        fits = [t for t, (sh, _e) in avail.items()
+                if (shape is None or sh == shape)
+                and (hw is None or sh[:2] == hw)]
+        if fits and (len(inputs) >= 3 or draw(st.integers(0, 3))):
+            name = fits[draw(st.integers(0, len(fits) - 1))]
+        else:
+            if shape is None:
+                shape = hw + (draw(st.integers(1, 8)),) if hw else (
+                    draw(st.integers(2, 8)), draw(st.integers(2, 8)),
+                    draw(st.integers(1, 8)))
+            name = graph_input(shape)
+        read.add(name)
+        return name
+
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("conv", "conv", "maxpool", "eltwise-add",
+                                     "concat", "upsample", "identity")))
+        src = operand()
+        (h, w, c), e = avail[src]
+        out = f"t{i}"
+        if kind == "conv":
+            k = draw(st.sampled_from((1, 3)))
+            s = draw(st.integers(1, 2))
+            # a 1-pixel map needs the padding
+            p = draw(st.integers(0 if min(h, w) >= k else k // 2, k // 2))
+            oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+            co = draw(st.integers(1, 8))
+            wgt = rng.integers(-24, 24, (co, k, k, c)).astype(np.int8)
+            bias = rng.integers(-500, 500, co).astype(np.int32)
+            attrs = {"kernel": [k, k], "stride": [s, s], "padding": [p, p],
+                     "c_out": co}
+            oe = e - 3 + draw(st.integers(6, 9))
+            if draw(st.booleans()):
+                nodes.append({"id": f"n{i}", "op": "conv", "inputs": [src],
+                              "output": out, "attrs": attrs,
+                              "params": {"weights": b64(wgt),
+                                         "bias": b64(bias),
+                                         "shape": [co, k, k, c],
+                                         "quant": q(-3)}})
+                tensor(out, (oh, ow, co), oe)
+                continue
+            nodes += [
+                {"id": f"n{i}_w", "op": "const", "inputs": [],
+                 "output": f"w{i}_raw",
+                 "params": {"data": b64(wgt), "dtype": "int8",
+                            "shape": [co, k, k, c]}},
+                {"id": f"n{i}_fix_w", "op": "fix", "inputs": [f"w{i}_raw"],
+                 "output": f"w{i}", "attrs": q(-3)},
+                {"id": f"n{i}_b", "op": "const", "inputs": [],
+                 "output": f"b{i}_raw",
+                 "params": {"data": b64(bias), "dtype": "int32",
+                            "shape": [co]}},
+                {"id": f"n{i}_fix_b", "op": "fix", "inputs": [f"b{i}_raw"],
+                 "output": f"b{i}", "attrs": q(e - 3)}]
+            conv = {"id": f"n{i}", "op": "conv",
+                    "inputs": [src, f"w{i}", f"b{i}"], "output": out,
+                    "attrs": attrs}
+            nodes.append(conv)
+            if draw(st.booleans()):
+                # the accumulator is quantized by its own fix node
+                conv["output"] = out + "_acc"
+                tensors.append({"name": out + "_acc",
+                                "shape": [oh, ow, co]})
+                nodes.append({"id": f"n{i}_fix", "op": "fix",
+                              "inputs": [out + "_acc"], "output": out,
+                              "attrs": q(oe)})
+            tensor(out, (oh, ow, co), oe)
+        elif kind == "maxpool":
+            k, s, p = draw(st.sampled_from(((2, 2, 0), (3, 2, 1),
+                                            (3, 1, 1))[min(h, w) < 2:]))
+            oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+            nodes.append({"id": f"n{i}", "op": "maxpool", "inputs": [src],
+                          "output": out,
+                          "attrs": {"kernel": [k, k], "stride": [s, s],
+                                    "padding": [p, p]}})
+            tensor(out, (oh, ow, c), e)
+        elif kind == "eltwise-add":
+            other = operand(shape=(h, w, c))
+            nodes.append({"id": f"n{i}", "op": "eltwise-add",
+                          "inputs": [src, other], "output": out})
+            tensor(out, (h, w, c),
+                   max(e, avail[other][1]) + draw(st.integers(0, 1)))
+        elif kind == "concat":
+            parts = [src] + [operand(hw=(h, w))
+                             for _ in range(draw(st.integers(1, 2)))]
+            nodes.append({"id": f"n{i}", "op": "concat", "inputs": parts,
+                          "output": out})
+            tensor(out, (h, w, sum(avail[t][0][2] for t in parts)), e)
+        elif kind == "upsample" and max(h, w) <= 8:
+            nodes.append({"id": f"n{i}", "op": "upsample", "inputs": [src],
+                          "output": out, "attrs": {"factor": 2}})
+            tensor(out, (2 * h - 1, 2 * w - 1, c), e)
+        else:
+            nodes.append({"id": f"n{i}", "op": "identity", "inputs": [src],
+                          "output": out})
+            tensor(out, (h, w, c), e)
+    return {"tensors": tensors, "nodes": nodes, "inputs": inputs,
+            "outputs": [t for t in avail if t not in read]}
+
+
+@given(random_dag())
+@settings(max_examples=200, deadline=None)
+def test_random_dag_bit_exact_or_typed_error(doc):
+    # every random graph compiles, under both pipeline settings, into a
+    # program that matches the reference on the graph as written and
+    # is hazard-free, or fails to compile with a typed error
+    g = G.parse_graph(json.dumps(doc))
+    cfg = MachineConfig()
+    for pipelined in (True, False):
+        try:
+            art = compile_graph(g, cfg, CompileOptions(pipeline=pipelined))
+        except DpucError:
+            continue
+        check_program(g, art, cfg)
