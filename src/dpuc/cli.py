@@ -28,7 +28,7 @@ import numpy as np
 from .compiler import CompileOptions, compile_graph
 from .corpus import write_corpus
 from .errors import CompileError, DpucError, ParseError
-from .graph import fold_constants_and_quantizers, parse_graph
+from .graph import parse_graph
 from .lowering import tile_tree
 from .machine import MachineConfig, check_bounds, parse_assembly
 from .simulator import Trace, check_hazards, reference_execute, \
@@ -154,15 +154,14 @@ def cmd_verify(args):
     except (CompileError, DpucError) as e:
         print(f"FAIL compile: {e}")
         return 3
-    # folding keeps the order of the graph inputs and only renames them
-    prog_inputs = fold_constants_and_quantizers(g).inputs
     rng = np.random.default_rng(args.rng_seed)
     for seed in range(args.seeds):
         inputs = {n: rng.integers(-128, 128, g.tensors[n].shape)
                   .astype(np.int8) for n in g.inputs}
         try:
             got = run_program(art.program, cfg,
-                              dict(zip(prog_inputs, inputs.values())))
+                              dict(zip(art.program.input_names,
+                                       inputs.values())))
         except DpucError as e:
             print(f"FAIL program: seed {seed}: {e}")
             return 1

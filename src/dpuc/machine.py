@@ -420,6 +420,14 @@ class Program:
     # segment name -> (base, size)
     segments: dict = field(default_factory=dict)
 
+    @property
+    def input_names(self):
+        """The input tensors in the order of their DDR offsets: the order
+        of the graph inputs, under their folded names."""
+        return sorted((n for n, t in self.tensors.items()
+                       if t["segment"] == "inputs"),
+                      key=lambda n: self.tensors[n]["off"])
+
     def __eq__(self, other):
         return (isinstance(other, Program)
                 and self.instructions == other.instructions
@@ -525,7 +533,8 @@ def parse_assembly(text):
                 if kind == "segment":
                     lo, hi = nums[0], nums[0] + nums[1]
                     for other, (b, n) in prog.segments.items():
-                        if other != name and b < hi and lo < b + n:
+                        if (other != name and n and nums[1] and b < hi
+                                and lo < b + n):
                             raise ValueError(f"[{lo},{hi}) overlaps segment "
                                              f"{other} [{b},{b + n})")
                     prog.segments[name] = nums

@@ -337,8 +337,26 @@ def reference_execute(g, inputs):
     below 2**53); each block is then biased and requantized in the int32
     or int64 accumulator `quant.accumulator_dtype` picks.  Takes the graph
     as parsed, with explicit fix/const nodes or inline conv `params` (a
-    folded graph is this form); a fused node raises ShapeError."""
+    folded graph is this form); a fused node raises ShapeError.  A tensor
+    without a quantizer is a parameter's, a conv accumulator's, or takes
+    that of the fix node producing it or else of the one fix node reading
+    it (which then changes nothing, as the fold has it)."""
     from .graph import _topo_order
+
+    def exp(name):
+        t = g.tensors.get(name)
+        if t is not None and t.quant is not None:
+            return t.quant.exp
+        if name in quants:
+            return quants[name]
+        prod = g.nodes.get(g.producer.get(name))
+        fixes = ([prod] if prod is not None and prod.op == "fix" else
+                 [g.nodes[c] for c in g.consumers.get(name, [])
+                  if g.nodes[c].op == "fix"])
+        if len(fixes) != 1:
+            raise ShapeError(f"tensor {name} has no quantization info")
+        return quant.step_exponent(fixes[0].attrs["step"])
+
     vals = {}
     for name, data in inputs.items():
         t = g.tensors[name]
@@ -369,16 +387,8 @@ def reference_execute(g, inputs):
                 vals[n.output] = src
                 quants[n.output] = q_to
                 continue
-            src_t = g.tensors.get(n.inputs[0])
-            if src_t is not None and src_t.quant is not None:
-                q_from = src_t.quant.exp
-            elif n.inputs[0] in quants:
-                # raw compute output still at accumulator precision
-                q_from = quants[n.inputs[0]]
-            else:
-                q_from = q_to
             vals[n.output] = quant.requantize(
-                src.astype(np.int64), q_from - q_to)
+                src.astype(np.int64), exp(n.inputs[0]) - q_to)
             continue
         if n.op in ("conv", "deconv"):
             x = vals[n.inputs[0]]
@@ -394,7 +404,7 @@ def reference_execute(g, inputs):
                 bias = (vals[bname].astype(np.int32) if bname
                         else np.zeros(w.shape[0], np.int32))
                 wexp = quants[wname]
-            xexp = g.tensors[n.inputs[0]].quant.exp
+            xexp = exp(n.inputs[0])
             out_t = g.tensors.get(n.output)
             # unfolded form: leave the accumulator for the fix node
             shift = (None if out_t is None or out_t.quant is None
@@ -411,17 +421,14 @@ def reference_execute(g, inputs):
             vals[n.output] = out
         elif n.op == "maxpool":
             x = vals[n.inputs[0]]
-            shift = (g.tensors[n.inputs[0]].quant.exp
-                     - g.tensors[n.output].quant.exp)
+            shift = exp(n.inputs[0]) - exp(n.output)
             vals[n.output] = _ref_maxpool(x, n.attrs["kernel"],
                                           n.attrs["stride"],
                                           n.attrs["padding"], shift)
         elif n.op == "eltwise-add":
             a, b = vals[n.inputs[0]], vals[n.inputs[1]]
             vals[n.output] = quant.eltwise_add(
-                a, b, g.tensors[n.inputs[0]].quant.exp,
-                g.tensors[n.inputs[1]].quant.exp,
-                g.tensors[n.output].quant.exp)
+                a, b, exp(n.inputs[0]), exp(n.inputs[1]), exp(n.output))
         elif n.op == "upsample":
             vals[n.output] = _ref_upsample(vals[n.inputs[0]],
                                            n.attrs["factor"])

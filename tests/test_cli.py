@@ -81,13 +81,12 @@ def test_dump_tiles_gives_every_tile_its_coordinates(corpus_dir, tmp_path,
 
 
 def test_run_output_matches_reference(corpus_dir, tmp_path):
-    from dpuc.graph import fold_constants_and_quantizers, parse_graph
+    from dpuc.graph import parse_graph
     from dpuc.simulator import reference_execute
     art = tmp_path / "art"
     assert cli.main(["compile", str(corpus_dir / "resnet_cell.json"),
                      "-o", str(art)]) == 0
     g = parse_graph((corpus_dir / "resnet_cell.json").read_text())
-    folded = fold_constants_and_quantizers(g)
     x = np.random.default_rng(9).integers(-128, 128, (16, 16, 8)) \
         .astype(np.int8)
     xfile = tmp_path / "x.bin"
@@ -96,7 +95,7 @@ def test_run_output_matches_reference(corpus_dir, tmp_path):
                      "--input", f"x={xfile}",
                      "--out-dir", str(tmp_path)]) == 0
     got = np.fromfile(tmp_path / "y.bin", np.int8).reshape(16, 16, 8)
-    ref = reference_execute(folded, {"x": x})["y"]
+    ref = reference_execute(g, {"x": x})["y"]
     assert np.array_equal(got, ref)
 
 

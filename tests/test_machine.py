@@ -176,12 +176,14 @@ def test_parse_rejects_overlapping_segments():
     assert err.value.lineno == 3
     assert str(err.value) == ("line 3: # segment outputs: [0,512) overlaps "
                               "segment inputs [0,256)")
-    # segments that only touch, or are empty, do not overlap
+    # segments that only touch, or are empty, do not overlap, even an
+    # empty one strictly inside another
     prog = M.parse_assembly("# segment inputs 0 256\n"
                             "# segment swap 256 0\n"
-                            "# segment outputs 256 512\n")
+                            "# segment outputs 256 512\n"
+                            "# segment parameters 300 0\n")
     assert prog.segments == {"inputs": (0, 256), "swap": (256, 0),
-                             "outputs": (256, 512)}
+                             "outputs": (256, 512), "parameters": (300, 0)}
 
 
 def test_parse_accepts_tensor_filling_its_segment():

@@ -155,6 +155,45 @@ def test_reference_maxpool_and_eltwise_and_upsample():
     assert np.array_equal(out["y"], expect)
 
 
+@pytest.mark.parametrize("declared", [True, False],
+                         ids=["raw-declared", "raw-undeclared"])
+@pytest.mark.parametrize("op", ["maxpool", "eltwise-add"])
+def test_reference_fix_after_pool_and_add(op, declared):
+    # quantizer exports put a fix after every op: the pool or add writes
+    # p_raw with no quantizer, the fix gives y (declared without one) an
+    # exponent, and a second pool reads y.  The fold makes the first node
+    # write y at that exponent; the reference must agree with the program
+    pool = {"kernel": [2, 2], "stride": [2, 2]}
+    if op == "maxpool":
+        srcs, h, attrs = ["x"], 4, {"attrs": pool}
+    else:
+        srcs, h, attrs = ["x", "r"], 8, {}
+    tensors = ([{"name": "x", "shape": [8, 8, 4], "quant": q(0.25)},
+                {"name": "r", "shape": [8, 8, 4], "quant": q(0.5)}][:len(srcs)]
+               + [{"name": "y", "shape": [h, h, 4]},
+                  {"name": "z", "shape": [h // 2, h // 2, 4],
+                   "quant": q(1.0)}]
+               + [{"name": "p_raw", "shape": [h, h, 4]}] * declared)
+    nodes = ([{"id": f"in_{t}", "op": "input", "inputs": [], "output": t}
+              for t in srcs]
+             + [{"id": "p", "op": op, "inputs": srcs, "output": "p_raw"}
+                | attrs,
+                {"id": "fx", "op": "fix", "inputs": ["p_raw"],
+                 "output": "y", "attrs": q(1.0)},
+                {"id": "p2", "op": "maxpool", "inputs": ["y"], "output": "z",
+                 "attrs": pool}])
+    g = G.parse_graph(graph_doc(tensors, nodes, srcs, ["z"]))
+    cfg = MachineConfig()
+    art = compile_graph(g, cfg)
+    rng = np.random.default_rng(3)
+    inputs = {t: rng.integers(-128, 128, (8, 8, 4)).astype(np.int8)
+              for t in srcs}
+    ref = S.reference_execute(g, inputs)["z"]
+    assert np.array_equal(S.run_program(art.program, cfg, inputs)["z"], ref)
+    folded = G.fold_constants_and_quantizers(g)
+    assert np.array_equal(S.reference_execute(folded, inputs)["z"], ref)
+
+
 # ---------------------------------------------------------------------------
 # functional instruction execution
 # ---------------------------------------------------------------------------
