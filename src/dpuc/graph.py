@@ -5,9 +5,9 @@ Tensors are (h, w, c) with the channel innermost in memory.  Quantizer
 nodes ("fix") and parameter constants ("const") are explicit after parsing
 and are assimilated into their consuming compute nodes by
 fold_constants_and_quantizers, mirroring how a framework front end hands
-the graph over.  Parsing checks each node's attrs as written, then fills
-in the optional ones from DEFAULT_ATTRS and turns pairs into tuples, so
-no later pass spells a default.
+the graph over.  Parsing checks every object against its declaration
+(`OPS` for each op; an undeclared key is a ParseError), fills in optional
+attrs and turns pairs into tuples, so no later pass spells a default.
 """
 
 import base64
@@ -20,9 +20,22 @@ import numpy as np
 from . import quant
 from .errors import CycleError, FoldError, ParseError, ShapeError
 
-COMPUTE_OPS = ("conv", "maxpool", "eltwise-add", "upsample", "deconv",
-               "identity", "concat")
-ALL_OPS = ("input", "fix", "const") + COMPUTE_OPS
+_WINDOW = {"kernel": (tuple, None), "stride": (tuple, (1, 1)),
+           "padding": (tuple, (0, 0))}
+# op -> ((fewest, most) activation inputs, {attr: (form, default)}); a form
+# is a pair of ints (tuple), an int, or a real (float; an int is one too),
+# and a default of None marks a required attr.  See _resolve for bounds.
+OPS = {
+    "input": ((0, 0), {}), "const": ((0, 0), {}),
+    "fix": ((1, 1), dict.fromkeys(("lo", "hi", "step"), (float, None))),
+    "conv": ((1, 1), {"c_out": (int, None), **_WINDOW}),
+    "maxpool": ((1, 1), _WINDOW),
+    "deconv": ((1, 1), {"c_out": (int, None), "kernel": (tuple, None),
+                        "upsample": (int, 2), "padding": (int, 0)}),
+    "upsample": ((1, 1), {"factor": (int, 2)}),
+    "eltwise-add": ((2, 2), {}), "concat": ((1, None), {}),
+    "identity": ((1, 1), {}),
+}
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,6 @@ class QuantInfo:
 class TensorRef:
     name: str
     shape: tuple  # (h, w, c)
-    dtype: str = "int8"
     quant: QuantInfo = None
 
     def __post_init__(self):
@@ -103,7 +115,7 @@ class Node:
     fused: Fused = None
 
     def __post_init__(self):
-        if self.op not in ALL_OPS:
+        if self.op not in OPS:
             raise ParseError(f"node {self.id}: unknown op {self.op!r}")
 
 
@@ -228,28 +240,47 @@ def _decode(b64, dtype, where):
             from None
 
 
-# attrs an op cannot be shaped without, and attrs that must be >= 1
-REQUIRED_ATTRS = {"conv": ("c_out", "kernel"), "deconv": ("c_out", "kernel"),
-                  "maxpool": ("kernel",), "fix": ("lo", "hi", "step")}
-POSITIVE_ATTRS = ("c_out", "kernel", "stride", "factor", "upsample")
-PAIR_ATTRS = {"conv": ("kernel", "stride", "padding"),
-              "maxpool": ("kernel", "stride", "padding"),
-              "deconv": ("kernel",)}
-SCALAR_ATTRS = {"conv": ("c_out",), "deconv": ("c_out", "upsample", "padding"),
-                "upsample": ("factor",)}
-# the optional attrs parse_graph fills in after checking the given ones
-DEFAULT_ATTRS = {"conv": {"stride": (1, 1), "padding": (0, 0)},
-                 "maxpool": {"stride": (1, 1), "padding": (0, 0)},
-                 "deconv": {"upsample": 2, "padding": 0},
-                 "upsample": {"factor": 2}}
-# activation inputs per op as (fewest, most); parameter inputs not counted
-ARITY = {"eltwise-add": (2, 2), "concat": (1, None)}
+_FORMS = {tuple: "a list of two integers >= {}", int: "an integer >= {}",
+          float: "a number"}
+
+
+def _obj(d, where, required, optional=()):
+    """d, a JSON object with every key of `required` and no key outside
+    `required` and `optional`."""
+    if not isinstance(d, dict):
+        raise ParseError(f"{where}: expected an object, got {d!r}")
+    for key in required:
+        if key not in d:
+            raise ParseError(f"{where}: missing key {key!r}")
+    for key in d:
+        if key not in required and key not in optional:
+            raise ParseError(f"{where}: undeclared key {key!r}")
+    return d
+
+
+def _resolve(d, where, decl):
+    """The JSON object d checked against decl {key: (form, default)}, with
+    defaults filled in and pairs as tuples.  Ints, never bools, are at
+    least 1 unless their default is 0 or (0, 0)."""
+    _obj(d, where, [k for k, (_, dft) in decl.items() if dft is None], decl)
+    out = {}
+    for key, (form, default) in decl.items():
+        v = d.get(key, default)
+        least = 0 if default in (0, (0, 0)) else 1
+        ints = ([v] if form is int else
+                v if isinstance(v, (list, tuple)) and len(v) == 2 else [None])
+        if not (type(v) in (int, float) if form is float
+                else all(type(x) is int and x >= least for x in ints)):
+            raise ParseError(f"{where}: {key} must be "
+                             f"{_FORMS[form].format(least)}, got {v!r}")
+        out[key] = tuple(v) if form is tuple else v
+    return out
 
 
 def _dims(v, where, n=None):
     """v as a tuple of positive integers (exactly n of them when given)."""
     if not (isinstance(v, list) and v and (n is None or len(v) == n)
-            and all(isinstance(d, int) and d >= 1 for d in v)):
+            and all(type(d) is int and d >= 1 for d in v)):
         raise ParseError(f"{where}: shape must be a list of "
                          f"{n or 'some'} positive integers, got {v!r}")
     return tuple(v)
@@ -257,59 +288,33 @@ def _dims(v, where, n=None):
 
 def _names(v, where):
     if not (isinstance(v, list) and all(isinstance(x, str) for x in v)):
-        raise ParseError(f"{where}: expected a list of tensor names, got "
-                         f"{v!r}")
+        raise ParseError(f"{where}: expected a list of names, got {v!r}")
     return list(v)
-
-
-def _req(d, key, where):
-    if not isinstance(d, dict):
-        raise ParseError(f"{where}: expected an object, got {d!r}")
-    if key not in d:
-        raise ParseError(f"{where}: missing key {key!r}")
-    return d[key]
 
 
 def _quant_of(d, where):
     try:
-        return QuantInfo(*(float(_req(d, k, where))
-                           for k in ("lo", "hi", "step")))
-    except (TypeError, ValueError, ShapeError) as e:
+        return QuantInfo(*map(float, _resolve(d, where,
+                                              OPS["fix"][1]).values()))
+    except (OverflowError, ShapeError) as e:
         raise ParseError(f"{where}: bad quant: {e}") from None
 
 
 def _check_attrs(node):
     where = f"node {node.id} ({node.op}) attrs"
-    for key in REQUIRED_ATTRS.get(node.op, ()):
-        _req(node.attrs, key, where)
-    for key in PAIR_ATTRS.get(node.op, ()):
-        v = node.attrs.get(key, [0, 0])
-        if not (isinstance(v, list) and len(v) == 2
-                and all(isinstance(x, int) and x >= 0 for x in v)):
-            raise ParseError(f"{where}: {key} must be a list of two "
-                             f"non-negative integers, got {v!r}")
+    attrs = _resolve(node.attrs, where, OPS[node.op][1])
+    kernel, pad = attrs.get("kernel"), attrs.get("padding")
     # deconv shapes and both lowering paths read kernel[0] for both axes
-    kernel = node.attrs.get("kernel")
     if node.op == "deconv" and kernel[0] != kernel[1]:
         raise ParseError(f"{where}: deconv kernel must be square, got "
-                         f"{kernel}")
+                         f"{list(kernel)}")
     # a pool window lying wholly in the padding has no value to take
-    pad = node.attrs.get("padding", [0, 0])
     if node.op == "maxpool" and any(p >= k for p, k in zip(pad, kernel)):
-        raise ParseError(f"{where}: padding {pad} must be smaller than "
-                         f"kernel {kernel}")
-    for key in SCALAR_ATTRS.get(node.op, ()):
-        v = node.attrs.get(key, 0)
-        if not (isinstance(v, int) and v >= 0):
-            raise ParseError(f"{where}: {key} must be a non-negative "
-                             f"integer, got {v!r}")
-    for key in POSITIVE_ATTRS:
-        v = node.attrs.get(key, 1)
-        if any(not isinstance(x, int) or x < 1
-               for x in (v if isinstance(v, list) else [v])):
-            raise ParseError(f"{where}: {key} must be at least 1, got {v}")
+        raise ParseError(f"{where}: padding {list(pad)} must be smaller than "
+                         f"kernel {list(kernel)}")
     if node.op == "fix":
-        _quant_of(node.attrs, where)
+        _quant_of(attrs, where)
+    return attrs
 
 
 def _check_params(node, c_in, err):
@@ -335,17 +340,18 @@ def parse_graph(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
-    for key in ("tensors", "nodes", "inputs", "outputs"):
-        if not isinstance(_req(doc, key, "graph"), list):
+    for key, v in _obj(doc, "graph", ("tensors", "nodes", "inputs",
+                                      "outputs")).items():
+        if not isinstance(v, list):
             raise ParseError(f"graph: {key} must be a list")
 
     tensors = {}
-    for td in doc["tensors"]:
-        name = _req(td, "name", "tensor")
+    for i, td in enumerate(doc["tensors"]):
+        _obj(td, f"tensors[{i}]", ("name", "shape"), ("quant",))
+        name, = _names([td["name"]], f"tensors[{i}]")
         where = f"tensor {name}"
-        q = _quant_of(td["quant"], where) if td.get("quant") else None
-        t = TensorRef(name, _dims(_req(td, "shape", where), where, 3),
-                      quant=q)
+        q = _quant_of(td["quant"], f"{where} quant") if "quant" in td else None
+        t = TensorRef(name, _dims(td["shape"], where, 3), quant=q)
         if t.name in tensors:
             raise ParseError(f"duplicate tensor {t.name}")
         tensors[t.name] = t
@@ -353,52 +359,47 @@ def parse_graph(text):
     nodes = []
     param_data = {}
     seen = set()
-    for nd in doc["nodes"]:
-        nid = _req(nd, "id", "node")
+    for i, nd in enumerate(doc["nodes"]):
+        where = f"nodes[{i}]"
+        _obj(nd, where, ("id", "op", "output"), ("inputs", "attrs", "params"))
+        nid, op, out = _names([nd["id"], nd["op"], nd["output"]], where)
         if nid in seen:
             raise ParseError(f"duplicate node id {nid}")
         seen.add(nid)
-        where = f"node {nid}"
-        attrs = nd.get("attrs", {})
-        if not isinstance(attrs, dict):
-            raise ParseError(f"{where}: attrs must be an object, got "
-                             f"{attrs!r}")
-        node = Node(nid, _req(nd, "op", where),
-                    _names(nd.get("inputs", []), where),
-                    _req(nd, "output", where), dict(attrs))
-        _check_attrs(node)
-        node.attrs = {**DEFAULT_ATTRS.get(node.op, {}), **node.attrs}
-        for key in PAIR_ATTRS.get(node.op, ()):
-            node.attrs[key] = tuple(node.attrs[key])
+        node = Node(nid, op, _names(nd.get("inputs", []), f"node {nid}"),
+                    out, nd.get("attrs", {}))
+        node.attrs = _check_attrs(node)
+        where = f"node {nid} params"
         if node.op == "const":
-            p = nd.get("params", {})
-            if "data" not in p or "dtype" not in p:
-                raise ParseError(f"const {node.id} missing params.data/dtype")
-            dt = {"int8": "<i1", "int32": "<i4"}.get(p["dtype"])
-            if dt is None:
-                raise ParseError(f"const {node.id}: bad dtype {p['dtype']}")
-            arr = _decode(p["data"], dt, f"const {node.id}")
+            p = _obj(nd.get("params", {}), where, ("data", "dtype"),
+                     ("shape",))
+            if p["dtype"] not in ("int8", "int32"):
+                raise ParseError(f"{where}: bad dtype {p['dtype']!r}")
+            arr = _decode(p["data"], "<i1" if p["dtype"] == "int8" else "<i4",
+                          where)
             if "shape" in p:
-                shape = _dims(p["shape"], f"const {node.id}")
+                shape = _dims(p["shape"], where)
                 if arr.size != int(np.prod(shape)):
-                    raise ParseError(f"const {node.id}: {arr.size} values "
-                                     f"do not fill shape {list(shape)}")
+                    raise ParseError(f"{where}: {arr.size} values do not "
+                                     f"fill shape {list(shape)}")
                 arr = arr.reshape(shape)
             param_data[node.output] = arr
         elif "params" in nd:
             # pre-folded convenience form: weights/bias directly on the node
-            p = nd["params"]
-            where = f"node {nid} params"
-            shape = _dims(_req(p, "shape", where), where)
-            w = _decode(_req(p, "weights", where), "<i1", where)
+            if node.op not in ("conv", "deconv"):
+                raise ParseError(f"{where}: {node.op} takes none")
+            p = _obj(nd["params"], where, ("shape", "weights", "quant"),
+                     ("bias",))
+            shape = _dims(p["shape"], where)
+            w = _decode(p["weights"], "<i1", where)
             if w.size != int(np.prod(shape)):
                 raise ParseError(f"{where}: {w.size} weight bytes do not "
                                  f"fill shape {list(shape)}")
             w = w.reshape(shape)
             b = (_decode(p["bias"], "<i4", where) if "bias" in p
                  else np.zeros(shape[0], np.int32))
-            node.params = WeightSpec(w, b, _quant_of(_req(p, "quant", where),
-                                                     where))
+            node.params = WeightSpec(w, b, _quant_of(p["quant"],
+                                                     f"{where} quant"))
         nodes.append(node)
 
     g = Graph(tensors, nodes, _names(doc["inputs"], "graph"),
@@ -434,18 +435,18 @@ def _validate(g):
         for t in n.inputs:
             if t not in shapes:
                 raise ParseError(f"node {n.id} reads undeclared tensor {t}")
-        if n.op in ("input", "const"):
-            continue
         if n.op == "fix" and n.inputs and n.inputs[0] in params:
             shapes[n.output] = shapes[n.inputs[0]]
             params.add(n.output)
             continue
         act_shapes = [shapes[t] for t in n.inputs if t not in params]
-        least, most = ARITY.get(n.op, (1, 1))
+        least, most = OPS[n.op][0]
         if (len(act_shapes) < least
                 or most is not None and len(act_shapes) > most):
             raise ParseError(f"node {n.id} ({n.op}): {len(act_shapes)} "
                              f"activation inputs")
+        if n.op in ("input", "const"):
+            continue
         if n.params is not None:
             _check_params(n, act_shapes[0][2], ParseError)
         want = infer_out_shape(n, act_shapes)

@@ -274,9 +274,7 @@ def decompose_deconv(weights, upsample, padding, in_shape, out_shape):
     the lowering then takes the upsample+conv path.
     """
     s = upsample
-    c_o, k, kw_, c_i = weights.shape
-    if k != kw_:
-        raise UnsupportedError(f"non-square deconv kernel {k}x{kw_}")
+    c_o, k, _, c_i = weights.shape
     if s > 2:
         raise UnsupportedError(f"upsample {s}x{s} not supported; use the "
                                f"upsample+conv path")
@@ -876,6 +874,9 @@ def _lower_deconv_series(node, ctx, cfg, plan):
                                "path; phase windows need a column crop")
     # every sub-kernel's taps + bias, packed one after another in PM
     pm_blocks = [sk.taps.size + 4 * c_o for sk in subs]
+    if sum(pm_blocks) > cfg.pm_bytes:
+        raise UnsupportedError(f"deconv sub-kernels need {sum(pm_blocks)} B "
+                               f"of PM, more than its {cfg.pm_bytes} B")
     pm_offs = [sum(pm_blocks[:idx]) for idx in range(len(subs))]
     # phase-row tiling: each tile covers t in [tlo, thi) for every phase,
     # i.e. s * (thi - tlo) interleaved output rows
@@ -960,6 +961,9 @@ def _lower_deconv_upsample(node, ctx, cfg):
 
     weights = node.params.weights
     wgt_bytes = weights.size + 4 * c_o
+    if wgt_bytes > cfg.pm_bytes:
+        raise InfeasibleError(f"deconv weights need {wgt_bytes} B of PM, "
+                              f"more than its {cfg.pm_bytes} B")
     s_in, s_up, s_mid = "in0", "up0", "mid0"
     tiles = []
     for bi, blo in enumerate(range(0, h_o, ctx.h_cap)):

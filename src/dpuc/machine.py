@@ -280,10 +280,11 @@ class Instruction:
     def geometry_error(self):
         """Why this instruction's geometry is malformed, else None: a
         negative unsigned field, a kernel, stride, upsample factor or
-        upsample width below 1, a CONV weight block that is not its taps
-        and biases, a window taller than its padded input, an upsample
-        with rows its input does not feed, or a strided operand whose
-        blocks overlap.  Fields go first: `layout` divides by sh."""
+        upsample width below 1, an address in another space than
+        `operand` gives its operand, a CONV weight block that is not its
+        taps and biases, a window taller than its padded input, an
+        upsample with rows its input does not feed, or a strided operand
+        whose blocks overlap.  Fields go first: `layout` divides by sh."""
         if self.is_noop:
             return None
         for name in _ASM_FIELDS[(self.op, self.sub)]:
@@ -295,6 +296,10 @@ class Instruction:
             if v < 1 and (name in _POSITIVE_FIELDS
                           or name == "w" and self.sub == "upsample"):
                 return f"{name}={v} is below 1"
+        for f in ("src", "src2", "dst"):
+            a = getattr(self, f)
+            if a is not None and (a.space, a.mem) != self.operand(f)[:2]:
+                return f"{f}={a.text()} must address {self.operand(f)[0]}"
         if self.op == CONV:
             want = self.c_out * (self.kh * self.kw * self.c_in + 4)
             if self.wgt_bytes != want:

@@ -55,7 +55,7 @@ class MachineState:
         block_bytes) operand at (row, block) strides from `off` of memory
         (space, mem), aliasing it, so one assignment moves the operand.
         An extent outside the memory raises OutOfBoundsError, and a read
-        of any unwritten byte UseBeforeDefError."""
+        of any unwritten byte UseBeforeDefError naming the first."""
         (rows, blocks, size), (row, blk) = shape, strides
         n = rows * blocks * size
         one_run = not n or ((blocks == 1 or blk == size)
@@ -74,8 +74,12 @@ class MachineState:
             flags = np.ndarray(shape, bool, written, off, (row, blk, 1))
         # count_nonzero is the cheapest all() of a bool array
         if not write and np.count_nonzero(flags) != flags.size:
+            # the lowest address of an unwritten byte, flat view or not
+            r, b, i = np.unravel_index(np.flatnonzero(~flags), shape)
+            first = off + int(np.min(r * row + b * blk + i))
             raise UseBeforeDefError(
-                f"{space}{mem} read [{off},{off + n}) of unwritten bytes")
+                f"{space}{mem} read [{off},{off + n}) of unwritten bytes, "
+                f"the first at {first}")
         return view, flags
 
     def preload(self, off, data):

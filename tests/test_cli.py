@@ -168,7 +168,8 @@ def test_verify_program_that_fails_to_run_exit_one(corpus_dir, monkeypatch,
     assert rc == 1
     out = capsys.readouterr()
     assert out.out.startswith("FAIL program: seed 0: ddr0 read [256,768) "
-                              "of unwritten bytes"), out.out
+                              "of unwritten bytes, the first at 704\n"), \
+        out.out
     assert out.err == ""
 
 
@@ -352,6 +353,43 @@ def test_run_rejects_malformed_metadata_exit_three(corpus_dir, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {at + 1}: "), err
     assert "Traceback" not in err
+
+
+# toy_conv's first instruction with the words given, the replacement of one
+# of its operands, and the space that operand must address; before the
+# check the first two ran in functional mode at exit 0 and wrote a y.bin
+# other than the unedited program's
+MISPLACED_OPERANDS = {
+    "conv-src-in-ddr": ("CONV", "src=fm0:0", "src=ddr:0", "fm"),
+    "save-src-in-pm": ("SAVE", "src=fm1:0", "src=pm:0", "fm"),
+    "load-src-in-fm": ("LOAD 0b0000 0b0000 act", "src=ddr:0", "src=fm0:0",
+                       "ddr"),
+}
+
+
+@pytest.mark.parametrize("mode", ["timing", "functional"])
+@pytest.mark.parametrize("case", sorted(MISPLACED_OPERANDS))
+def test_run_rejects_operand_in_another_space_exit_three(
+        corpus_dir, tmp_path, capsys, case, mode):
+    words, old, new, space = MISPLACED_OPERANDS[case]
+    art = tmp_path / "art"
+    assert cli.main(["compile", str(corpus_dir / "toy_conv.json"),
+                     "-o", str(art)]) == 0
+    asm = art / "program.asm"
+    lines = asm.read_text().splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(words + " "))
+    assert f" {old} " in lines[at]
+    lines[at] = lines[at].replace(f" {old} ", f" {new} ")
+    asm.write_text("\n".join(lines) + "\n")
+    np.zeros((8, 8, 4), np.int8).tofile(tmp_path / "x.bin")
+    capsys.readouterr()
+    rc = cli.main(["run", str(art), "--mode", mode, "--out-dir",
+                   str(tmp_path / "out"), "--input",
+                   f"x={tmp_path / 'x.bin'}"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {at + 1}: "), err
+    assert err.rstrip().endswith(f"{new} must address {space}"), err
 
 
 # (graph, compile flags, edited sub-op, field edits, the message after

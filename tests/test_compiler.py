@@ -259,6 +259,30 @@ def test_deconv_series_falls_back_to_upsample(k, s, p, pipelined):
                            allocs=art.memmap["fm_allocs"], cfg=CFG) == []
 
 
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+def test_deconv_weights_past_pm_fall_back_then_fail(pipelined):
+    # the corpus deconv's four series sub-kernels take 1,152 B of PM and
+    # its upsample-path kernel 1,056 B: with 1,100 B the series path falls
+    # back, and with 1,024 B neither fits, so the node fails the ladder
+    g = corpus.corpus_graph("deconv")
+    cfg = MachineConfig(pm_bytes=1100)
+    art = compile_graph(g, cfg, CompileOptions(pipeline=pipelined,
+                                               deconv_mode="series"))
+    assert [n["kind"] for n in art.report["nodes"]] == ["deconv-upsample"]
+    inputs = rand_inputs(g)
+    got = S.run_program(art.program, cfg, inputs)["y"]
+    assert np.array_equal(got, S.reference_execute(g, inputs)["y"])
+    assert S.check_hazards(art.program, S.run_timing(art.program, cfg),
+                           allocs=art.memmap["fm_allocs"]) == []
+    for mode in ("series", "upsample"):
+        with pytest.raises(CompileError, match="^node up: deconv weights "
+                           "need 1056 B of PM, more than its 1024 B$") as e:
+            compile_graph(g, MachineConfig(pm_bytes=1024), CompileOptions(
+                pipeline=pipelined, deconv_mode=mode))
+        assert e.value.attempts
+
+
 def test_weight_tiling_slab_structure_and_overlap():
     art = compiled("weight_tiled")
     node = art.report["nodes"][0]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dpuc import corpus
+from dpuc import cli, corpus
 from dpuc import graph as G
 from dpuc.compiler import compile_graph
 from dpuc.errors import FoldError, ParseError, ShapeError
@@ -124,6 +124,17 @@ def _first_op(doc_fn, op, mutate):
     return build
 
 
+def _params_on(doc_fn, op):
+    """Builder of doc_fn's graph with its first inline conv params copied
+    onto its first `op` node."""
+    def build():
+        doc = doc_fn()
+        params = next(n["params"] for n in doc["nodes"] if "params" in n)
+        next(n for n in doc["nodes"] if n["op"] == op)["params"] = params
+        return doc
+    return build
+
+
 def _maxpool_padding_2():
     # 2x2/s2 pool over 64x12 with padding 2: the output shape is consistent
     doc = corpus.conv_pool()
@@ -214,6 +225,54 @@ MALFORMED = {
         lambda n, d: d["tensors"][1]["quant"].update(step=3.0, lo=-300.0,
                                                      hi=300.0)),
 }
+# keys and attrs no declaration names, and bools where ints are declared,
+# each with the words of its error; most of these compiled to a different
+# network than the one written, or ended in an internal error
+UNDECLARED = {
+    "conv_dilation": (_conv_doc(lambda n, d: n["attrs"].update(
+        dilation=[2, 2])), "node conv (conv) attrs: undeclared key "
+                           "'dilation'"),
+    "conv_group": (_conv_doc(lambda n, d: n["attrs"].update(group=4)),
+                   "undeclared key 'group'"),
+    "conv_strides": (_conv_doc(lambda n, d: n["attrs"].update(
+        strides=[2, 2])), "undeclared key 'strides'"),
+    "conv_relu": (_conv_doc(lambda n, d: n["attrs"].update(relu=True)),
+                  "undeclared key 'relu'"),
+    "eltwise_relu": (_first_op(corpus.resnet_cell, "eltwise-add",
+                               lambda n: n.update(attrs={"relu": True})),
+                     "(eltwise-add) attrs: undeclared key 'relu'"),
+    "bool_stride": (_conv_doc(lambda n, d: n["attrs"].update(
+        stride=[True, True])), "stride must be a list of two integers >= 1, "
+                               "got [True, True]"),
+    "bool_c_out": (_conv_doc(lambda n, d: n["attrs"].update(c_out=True)),
+                   "c_out must be an integer >= 1, got True"),
+    "bool_shape_dim": (_conv_doc(
+        lambda n, d: d["tensors"][0].update(shape=[8, 8, True])),
+        "tensor x: shape must be a list of 3 positive integers, got "
+        "[8, 8, True]"),
+    "maxpool_params": (_params_on(corpus.conv_pool, "maxpool"),
+                       "node pool params: maxpool takes none"),
+    "eltwise_params": (_params_on(corpus.resnet_cell, "eltwise-add"),
+                       "params: eltwise-add takes none"),
+    "tensor_dtype": (_conv_doc(
+        lambda n, d: d["tensors"][0].update(dtype="int16")),
+        "tensors[0]: undeclared key 'dtype'"),
+    "node_key_attr": (_conv_doc(lambda n, d: n.update(attr=n.pop("attrs"))),
+                      "nodes[1]: undeclared key 'attr'"),
+    "quant_extra_key": (_conv_doc(
+        lambda n, d: d["tensors"][0]["quant"].update(zero_point=0)),
+        "tensor x quant: undeclared key 'zero_point'"),
+    "params_extra_key": (_conv_doc(lambda n, d: n["params"].update(
+        scale=1.0)), "node conv params: undeclared key 'scale'"),
+    "graph_extra_key": (_conv_doc(lambda n, d: d.update(name="toy")),
+                        "graph: undeclared key 'name'"),
+    "node_id_not_a_name": (_conv_doc(lambda n, d: n.update(id=["conv"])),
+                           "nodes[1]: expected a list of names"),
+    "const_dtype_not_a_name": (_first_op(
+        corpus.vgg_prefix, "const",
+        lambda n: n["params"].update(dtype=["int8"])), "bad dtype ['int8']"),
+}
+MALFORMED.update((case, build) for case, (build, _) in UNDECLARED.items())
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -222,11 +281,22 @@ def test_parse_malformed_graph_raises_parse_error(case):
         parse(MALFORMED[case]())
 
 
+@pytest.mark.parametrize("case", sorted(UNDECLARED))
+def test_verify_undeclared_key_exit_three(case, tmp_path, capsys):
+    build, words = UNDECLARED[case]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(build()))
+    assert cli.main(["verify", str(path), "--seeds", "1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: "), out
+    assert words in out.err and out.err.count("\n") == 1, out.err
+
+
 def test_parse_malformed_graph_bases_are_well_formed():
     # each malformed case is one edit away from a graph that parses
     for doc in (minimal_conv_doc(), corpus.deconv(), corpus.conv_pool(),
                 corpus.resnet_cell(), corpus.inception_cell(),
-                _upsample_doc(2)):
+                corpus.vgg_prefix(), _upsample_doc(2)):
         parse(doc)
 
 
@@ -247,7 +317,7 @@ def test_fold_vgg_prefix_to_four_nodes():
             assert len(n.inputs) == 1
     # invariant: nodes after folding = compute nodes + graph inputs
     compute = sum(1 for n in g.nodes.values()
-                  if n.op in G.COMPUTE_OPS)
+                  if n.op not in ("input", "fix", "const"))
     assert len(folded.nodes) == compute + len(g.inputs)
 
 

@@ -83,8 +83,20 @@ def test_artifact_sweep_writes_every_record(tmp_path):
         for name in files:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         assert len((a / "outputs.txt").read_text().splitlines()) == 2
-        assert (a / "hazards.txt").read_text().startswith("as compiled:\n"
-                                                          "every 7th DPON")
+        assert (a / "hazards.txt").read_text().startswith(
+            "as compiled:\ndpon-cleared: every 7th DPON cleared:\n")
+    # on conv_pool's pipelined program the oracle catches each fault, and
+    # only as the hazard kind the fault is made for
+    caught = sweep.sweep_one(corpus.corpus_graph("conv_pool"),
+                             MachineConfig(), CompileOptions(),
+                             tmp_path / "conv_pool")
+    assert caught == {"dpon-cleared": {"raw-hazard"},
+                      "window-rebased": {"alloc-overlap"},
+                      "stream-moved": {"port-conflict"}}
+    assert (tmp_path / "conv_pool" / "hazards.txt").read_text().endswith(
+        "dpon-cleared caught: raw-hazard\n"
+        "window-rebased caught: alloc-overlap\n"
+        "stream-moved caught: port-conflict\n")
 
 
 def test_traced_functions_exist():

@@ -323,7 +323,7 @@ def test_conv_with_unloaded_weights_raises():
                       kw=1, sh=1, sw=1, pt=0, pl=0, pb=0, pr=0, shift=0)
     with pytest.raises(UseBeforeDefError,
                        match=r"^at instruction 0 \(CONV/conv\): pm0 read "
-                             r"\[8,16\) of unwritten bytes$"):
+                             r"\[8,16\) of unwritten bytes, the first at 8$"):
         S.run_functional(Program(instructions=[ins]), st)
 
 
@@ -332,7 +332,8 @@ def test_output_no_save_writes_raises():
         "segment": "outputs", "off": 0, "bytes": 8, "shape": (2, 2, 2),
         "step_exp": 0}})
     with pytest.raises(UseBeforeDefError,
-                       match=r"^ddr0 read \[0,8\) of unwritten bytes$"):
+                       match=r"^ddr0 read \[0,8\) of unwritten bytes, the first "
+                             r"at 0$"):
         S.run_program(prog, MachineConfig(), {})
 
 
@@ -456,9 +457,11 @@ def test_strided_read_of_unwritten_byte_raises(ins, seed, data):
     (rs, rm, src), _ = _footprints(ins)
     assume(src)
     st = _filled_state(seed)
-    st._pair(rs, rm)[1][data.draw(hst.sampled_from(src))] = False
+    addr = data.draw(hst.sampled_from(src))
+    st._pair(rs, rm)[1][addr] = False
     with pytest.raises(UseBeforeDefError,
-                       match=rf"^at instruction 0 \({ins.op}/{ins.sub}\): "):
+                       match=rf"^at instruction 0 \({ins.op}/{ins.sub}\): "
+                             rf".* of unwritten bytes, the first at {addr}$"):
         S.run_functional(Program(instructions=[ins]), st)
 
 
