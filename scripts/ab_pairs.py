@@ -14,6 +14,11 @@ the change was better.  A gain holds when the change is better in at least
 the parent's quartile distance (IQR), and no larger share of its
 operations failed.  Which direction is better
 comes from the CHANGE checkout's BENCHMARK.json (lower when absent).
+
+With --layers N it then makes N `--trace 1` runs per side, alternating
+the same way, and prints the median of every per-layer `*_s` metric of
+each side next to the other's, with no verdict: it shows where a saving
+sits, not whether it holds.
 """
 
 import argparse
@@ -26,13 +31,14 @@ import sys
 WIN_SHARE = 0.9
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """The result object (last stdout line) of one benchmark run.  No
     bytecode is written, so neither side imports faster for a cache the
     other lacks."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     return proc.stdout.strip().splitlines()[-1]
@@ -97,6 +103,38 @@ def report_lines(summary):
     return out
 
 
+def layer_lines(lines):
+    """Per-layer `*_s` medians of both sides, from traced result lines
+    [(parent line, change line), ...], as printable lines; no verdict."""
+    pairs = [(json.loads(a)["metrics"], json.loads(b)["metrics"])
+             for a, b in lines]
+    out = [f"{'layer':<24} {'parent median':>14} {'change median':>14} "
+           f"{'change':>8}"]
+    for name in pairs[0][0]:
+        if not name.endswith("_s") or name not in pairs[0][1]:
+            continue
+        old, new = (statistics.median(p[k][name]["value"] for p in pairs)
+                    for k in (0, 1))
+        rel = f"{(new - old) / old:+7.1%}" if old else "-"
+        out.append(f"{name:<24} {old:>14.6g} {new:>14.6g} {rel:>8}")
+    return out
+
+
+def run_pairs(args, seeds, trace):
+    """[(parent line, change line), ...] of one run per side per seed,
+    the parent first at even positions; prints each line as it comes."""
+    lines = []
+    for i, seed in enumerate(seeds):
+        got = [None, None]
+        for k in (0, 1) if i % 2 == 0 else (1, 0):
+            got[k] = run_once((args.parent, args.change)[k], args.workload,
+                              seed, args.seconds, trace)
+        lines.append(tuple(got))
+        for side, line in zip(("parent", "change"), got):
+            print(f"{side}\t{seed}\t{line}", flush=True)
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -106,22 +144,15 @@ def main():
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed0", type=int, default=0,
                     help="pair i runs seed SEED0 + i")
+    ap.add_argument("--layers", type=int, default=0,
+                    help="then N traced runs per side, per-layer medians")
     args = ap.parse_args()
     for checkout in (args.parent, args.change):
         if os.path.isdir(os.path.join(checkout, "src", "dpuc", "__pycache__")):
             print(f"warning: {checkout} has src/dpuc/__pycache__; setup_s "
                   f"compares only between checkouts that both have one or "
                   f"both lack it", file=sys.stderr)
-    lines = []
-    for i in range(args.pairs):
-        seed = args.seed0 + i
-        got = [None, None]
-        for k in (0, 1) if i % 2 == 0 else (1, 0):
-            got[k] = run_once((args.parent, args.change)[k], args.workload,
-                              seed, args.seconds)
-        lines.append(tuple(got))
-        for side, line in zip(("parent", "change"), got):
-            print(f"{side}\t{seed}\t{line}", flush=True)
+    lines = run_pairs(args, range(args.seed0, args.seed0 + args.pairs), 0)
     better = {}
     spec = os.path.join(args.change, "BENCHMARK.json")
     if os.path.exists(spec):
@@ -130,6 +161,11 @@ def main():
                       for m in json.load(fh)["end_to_end"]}
     for line in report_lines(summarize(lines, better)):
         print(line)
+    if args.layers > 0:
+        traced = run_pairs(args, range(args.seed0, args.seed0 + args.layers),
+                           1)
+        for line in layer_lines(traced):
+            print(line)
     return 0
 
 

@@ -27,8 +27,8 @@ from . import graph as GG
 from . import lowering as LW
 from . import memory as MM
 from . import pipeline as PL
-from .errors import CompileError, InfeasibleError, OutOfMemoryError, \
-    PortConflictError, UnsupportedError
+from .errors import CapacityError, CompileError, InfeasibleError, \
+    OutOfMemoryError, PortConflictError, UnsupportedError
 from .machine import Addr, CONV, DDR, FM, LOAD, Program, check_bounds, \
     emit_assembly
 
@@ -125,7 +125,9 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
     """Returns a list of (node, LoweredNode) pairs and the PM halves the
     last of them with weights leaves busy, given those the nodes before it
     left busy (`pm_busy`); adds the DDR tensors they name to `addressed`.
-    Raises CompileError, with the attempt ledger, when no ladder step fits."""
+    Raises CompileError, with the attempt ledger, when no ladder step fits,
+    and at the first step when weights do not fit PM (CapacityError): no
+    tiling changes what must sit in PM at once."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
@@ -148,10 +150,12 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
                 attempts.append(f"node {node.id}: retried with {step}")
             addressed |= named
             return out, busy
-        except (InfeasibleError, OutOfMemoryError, PortConflictError,
-                UnsupportedError) as e:
+        except (CapacityError, InfeasibleError, OutOfMemoryError,
+                PortConflictError, UnsupportedError) as e:
             last = e
             attempts.append(f"node {node.id} with {step or 'defaults'}: {e}")
+            if isinstance(e, CapacityError):
+                break
     raise CompileError(f"node {node.id}: {last}", attempts)
 
 

@@ -38,7 +38,8 @@ class AsmError(DpucError):
 
 
 class CapacityError(DpucError):
-    """DDR capacity cap exceeded."""
+    """A memory cannot hold what must sit in it at once: the DDR layout
+    past its cap, or weights past PM under every tiling of the node."""
 
 
 class UseBeforeDefError(DpucError):

@@ -52,7 +52,7 @@ from itertools import groupby
 import numpy as np
 
 from . import quant
-from .errors import InfeasibleError, UnsupportedError
+from .errors import CapacityError, InfeasibleError, UnsupportedError
 from .machine import Addr, CONV, Instruction, LOAD, MISC, PM, SAVE
 
 
@@ -345,7 +345,7 @@ def weight_tiling(c_out, kh, kw, c_in, cfg):
     half = cfg.pm_bytes // 2
     ch_per_slab = half // per_ch
     if ch_per_slab < 1:
-        raise InfeasibleError(
+        raise CapacityError(
             f"one output channel needs {per_ch} B, more than half of PM "
             f"({half} B)")
     slabs = []
@@ -962,8 +962,8 @@ def _lower_deconv_upsample(node, ctx, cfg):
     weights = node.params.weights
     wgt_bytes = weights.size + 4 * c_o
     if wgt_bytes > cfg.pm_bytes:
-        raise InfeasibleError(f"deconv weights need {wgt_bytes} B of PM, "
-                              f"more than its {cfg.pm_bytes} B")
+        raise CapacityError(f"deconv weights need {wgt_bytes} B of PM, "
+                            f"more than its {cfg.pm_bytes} B")
     s_in, s_up, s_mid = "in0", "up0", "mid0"
     tiles = []
     for bi, blo in enumerate(range(0, h_o, ctx.h_cap)):

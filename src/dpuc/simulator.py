@@ -12,14 +12,15 @@ its whole source before it writes, and malformed geometry (a negative
 count, size or stride, or overlapping blocks) raises ShapeError.
 Timing mode runs a discrete-event simulation of the four in-order queues
 with the counted DPON/DPBY token semantics; it never looks at data.  The
-hazard checker replays a trace against exact byte footprints to prove
-that the typed dependencies were sufficient.
+hazard checker replays a trace against exact byte footprints, in one
+sorted numpy sweep over byte segments, to prove that the typed
+dependencies were sufficient.
 """
 
-from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -285,7 +286,8 @@ def _ref_conv(x, w, bias, stride, padding, shift):
     win = np.lib.stride_tricks.sliding_window_view(
         xp, (kh, kw), axis=(0, 1)).transpose(0, 1, 3, 4, 2)[::sh, ::sw]
     oh, ow = win.shape[:2]
-    wmat = w.reshape(co, k).T.astype(np.float32, order="C")
+    # (k, co) view of the (co, k) float32 weights: no transposing copy
+    wmat = w.reshape(co, k).astype(np.float32).T
     if shift is None:
         dtype, out = np.int64, np.empty((oh, ow, co), np.int64)
     else:
@@ -599,48 +601,6 @@ def run_timing(prog, cfg):
 # hazard checking
 # ---------------------------------------------------------------------------
 
-class _Pieces:
-    """Sorted, disjoint byte pieces [lo, hi) of one memory, each with a
-    value, kept as three parallel lists searched with bisect.  The hazard
-    checker keeps two per (space, mem): the last writer of each byte, and
-    the tuple of instructions that have read it since that write.  Values
-    must be immutable, since a cut piece hands its value to both parts."""
-
-    def __init__(self):
-        self.los, self.his, self.vals = [], [], []
-
-    def span(self, lo, hi):
-        """Index range [i, j) of the pieces overlapping a nonempty [lo, hi)."""
-        return bisect_right(self.his, lo), bisect_left(self.los, hi)
-
-    def put(self, i, j, lo, hi, pieces):
-        """Make [lo, hi), whose span is [i, j), hold exactly `pieces`, a
-        list of (lo, hi, value) inside it; pieces sticking out past either
-        end keep their outer parts."""
-        if i < j and self.los[i] < lo:
-            pieces = [(self.los[i], lo, self.vals[i])] + pieces
-        if i < j and self.his[j - 1] > hi:
-            pieces = pieces + [(hi, self.his[j - 1], self.vals[j - 1])]
-        self.los[i:j], self.his[i:j], self.vals[i:j] = \
-            zip(*pieces) if pieces else ((), (), ())
-
-    def add_reader(self, lo, hi, idx):
-        """Append idx to the reader tuple of every byte of [lo, hi)."""
-        i, j = self.span(lo, hi)
-        pieces = []
-        at = lo
-        for k in range(i, j):
-            plo, phi = max(self.los[k], lo), min(self.his[k], hi)
-            if at < plo:
-                pieces.append((at, plo, (idx,)))
-            got = self.vals[k]
-            pieces.append((plo, phi, got if got[-1] == idx else got + (idx,)))
-            at = phi
-        if at < hi:
-            pieces.append((at, hi, (idx,)))
-        self.put(i, j, lo, hi, pieces)
-
-
 def _live_alloc_overlaps(allocs):
     """Sorted index pairs (i, j), i < j, of same-memory allocations whose
     bytes overlap while both are live, that is while their inclusive
@@ -676,6 +636,82 @@ def _live_alloc_overlaps(allocs):
     return sorted(pairs)
 
 
+def _distinct(x):
+    """The sorted distinct values of a 1-d array; np.unique would import
+    numpy.ma on its first call."""
+    x = np.sort(x)
+    keep = np.ones(len(x), bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def _memory_hazards(acc, start, end):
+    """RAW, WAR and WAW entries of the accesses `acc`, a list of (memory
+    key, lo, hi, instruction, is write) in replay order, as (access,
+    kind, other instruction, lo, hi) in report order: by access, then
+    raw (0), war (1) and waw (2), then by instruction and byte; lo and
+    hi bound the bytes of a raw entry.  `start` and `end` are arrays of
+    the instructions' times.
+
+    Each memory is cut into elementary segments at every range end, and
+    the ranges are expanded into (segment, access) pairs sorted by
+    segment and then by replay order.  A running maximum of write
+    positions then gives each pair the previous write, and a running
+    minimum from the other end the next one; they count only within the
+    pair's own segment."""
+    key, lo, hi, who, write = np.fromiter(
+        chain.from_iterable(acc), np.int64, 5 * len(acc)).reshape(-1, 5).T
+    stride = int(hi.max())      # memory k is at [k·stride, (k+1)·stride)
+    lo, hi = key * stride + lo, key * stride + hi
+    cuts = _distinct(np.concatenate((lo, hi)))
+    s0 = np.searchsorted(cuts, lo)
+    n = np.searchsorted(cuts, hi) - s0
+    ac = np.repeat(np.arange(len(acc)), n)
+    seg = np.arange(len(ac)) - np.repeat(np.cumsum(n) - n - s0, n)
+    order = np.argsort(seg, kind="stable")
+    ac, seg = ac[order], seg[order]
+    is_w, inst, pos = write[ac] == 1, who[ac], np.arange(len(ac))
+    prev = np.maximum.accumulate(np.where(is_w, pos, -1))
+    prev = np.concatenate(([-1], prev[:-1]))
+    has_prev = prev >= 0
+    has_prev[has_prev] = seg[prev[has_prev]] == seg[has_prev]
+    nxt = np.minimum.accumulate(np.where(is_w, pos, len(ac))[::-1])[::-1]
+    nxt = np.concatenate((nxt[1:], [len(ac)]))
+    has_next = nxt < len(ac)
+    has_next[has_next] = seg[nxt[has_next]] == seg[has_next]
+    # the accesses of the previous and the next write, where there is one
+    wa, na = ac[prev], ac[np.minimum(nxt, len(ac) - 1)]
+
+    # RAW: a read of a write not finished when the read starts, one
+    # entry per run of adjacent segments of one write range in one read
+    m = ~is_w & has_prev
+    m[m] = end[who[wa[m]]] > start[inst[m]]
+    r, w, sg = ac[m], wa[m], seg[m]
+    o = np.lexsort((sg, r))
+    r, w, sg = r[o], w[o], sg[o]
+    new = np.ones(len(r) + 1, bool)     # a run starts at pair i, or i = end
+    new[1:-1] = (r[1:] != r[:-1]) | (w[1:] != w[:-1]) | (sg[1:] != sg[:-1] + 1)
+    a, b = np.flatnonzero(new[:-1]), np.flatnonzero(new[1:])
+    base = key[r[a]] * stride
+    out = [(ra, 0, wi, blo, bhi) for ra, wi, blo, bhi in zip(
+        r[a].tolist(), who[w[a]].tolist(), (cuts[sg[a]] - base).tolist(),
+        (cuts[sg[b] + 1] - base).tolist())]
+    # WAR: a read by another instruction, not finished when the next
+    # write of its bytes starts; WAW: a write over bytes whose previous
+    # writer, another instruction, has not finished
+    m = ~is_w & has_next
+    m[m] = (inst[m] != who[na[m]]) & (end[inst[m]] > start[who[na[m]]])
+    war = _distinct(na[m] * len(start) + inst[m])
+    m = is_w & has_prev
+    m[m] = (who[wa[m]] != inst[m]) & (end[who[wa[m]]] > start[inst[m]])
+    waw = _distinct(ac[m] * len(start) + who[wa[m]])
+    for kind, pairs in ((1, war), (2, waw)):
+        out += [(ra, kind, other, 0, 0) for ra, other in zip(
+            *(x.tolist() for x in divmod(pairs, len(start))))]
+    out.sort()
+    return out
+
+
 def check_hazards(prog, trace, allocs=None, cfg=None):
     """Validate a trace against exact byte footprints.
 
@@ -688,16 +724,19 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     FM or PM port serves two concurrently-executing instructions in the
     same direction.
 
-    For (1) the instructions are replayed in issue order against two
-    piece tables per (space, mem), both written here rather than taken
-    from `intervals.py`, so that the check shares no code with the
-    dependency derivation it checks: the last writer of each byte, and
-    the readers of each byte since that write.  A read is checked against
-    the writer pieces it overlaps (one raw-hazard entry per piece) and
-    then joins the reader table; a write is checked against the readers
-    of its bytes (one war-hazard entry per reader) and their writers (one
-    waw-hazard entry per writer), clears the readers, and becomes the
-    writer.  The replay also lists the users of each FM and PM port for
+    For (1) the exact byte ranges of every traced instruction are
+    replayed in issue order, each instruction's reads before its writes,
+    by one sorted sweep over byte segments (`_memory_hazards`), written
+    here rather than taken from `intervals.py`, so that the check shares
+    no code with the dependency derivation it checks.  The sweep compares
+    the times of each read with those of the previous write of its bytes,
+    and of each write with those of the previous write and the reads in
+    between.  A read gets one raw-hazard entry per run of bytes that one
+    unfinished write range left; a write gets one war-hazard entry per
+    unfinished reader of its bytes and one waw-hazard entry per
+    unfinished writer of them.  Entries follow the replay order of their
+    read or write, raw before war before waw, then by instruction and
+    byte.  The replay also lists the users of each FM and PM port for
     (3).  Accesses of zero bytes touch nothing and hold no port.  The
     allocations of (2) are the compiler's planned windows
     (`memmap["fm_allocs"]`), and the check is of the plan, not the
@@ -710,57 +749,49 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     """
     report = []
     instrs = prog.instructions
-    ev = {e.index: e for e in trace.events}
-    end = {i: e.start + e.duration for i, e in ev.items()}
+    ev = {e.index: e for e in trace.events if 0 <= e.index < len(instrs)}
+    # float64 holds every cycle count exactly
+    start, end = np.zeros(len(instrs)), np.zeros(len(instrs))
+    start[list(ev)] = [e.start for e in ev.values()]
+    end[list(ev)] = [e.end for e in ev.values()]
 
-    # (space, mem) -> (last-writer pieces, reader pieces)
-    tables = defaultdict(lambda: (_Pieces(), _Pieces()))
+    mems = {}   # (space, mem) -> its key in `acc`
+    acc = []    # (key, lo, hi, instruction, is write) in replay order
     # (space, mem, "r" or "w") -> the instructions using that FM or PM
     # port, as the keys of a dict, in issue order
     port_use = {}
     for idx, ins in enumerate(instrs):
         if idx not in ev:
             continue
-        start = ev[idx].start
-        for space, mem, lo, hi in ins.reads(exact=True):
-            if lo >= hi:
-                continue
-            if space != DDR:
-                port_use.setdefault((space, mem, "r"), {})[idx] = None
-            writers, readers = tables[space, mem]
-            i, j = writers.span(lo, hi)
-            late = [(writers.vals[k], writers.los[k], writers.his[k])
-                    for k in range(i, j) if end[writers.vals[k]] > start]
-            for widx, wlo, whi in sorted(late):
-                report.append(
-                    ("raw-hazard", idx, widx,
-                     f"instr {idx} reads {space}{mem}[{max(lo, wlo)},"
-                     f"{min(hi, whi)}) before writer {widx} completes"))
-            readers.add_reader(lo, hi, idx)
-        for space, mem, lo, hi in ins.writes(exact=True):
-            if lo >= hi:
-                continue
-            if space != DDR:
-                port_use.setdefault((space, mem, "w"), {})[idx] = None
-            writers, readers = tables[space, mem]
-            i, j = readers.span(lo, hi)
-            late = {r for k in range(i, j) for r in readers.vals[k]
-                    if r != idx and end[r] > start}
-            for ridx in sorted(late):
-                report.append(
-                    ("war-hazard", idx, ridx,
-                     f"instr {idx} overwrites {space}{mem} bytes "
-                     f"instr {ridx} is still reading"))
-            readers.put(i, j, lo, hi, [])
-            i, j = writers.span(lo, hi)
-            late = {w for w in writers.vals[i:j]
-                    if w != idx and end[w] > start}
-            for widx in sorted(late):
-                report.append(
-                    ("waw-hazard", idx, widx,
-                     f"instr {idx} writes {space}{mem}[{lo},{hi}) before "
-                     f"writer {widx} completes"))
-            writers.put(i, j, lo, hi, [(lo, hi, idx)])
+        for d, ranges in (("r", ins.reads(exact=True)),
+                          ("w", ins.writes(exact=True))):
+            for space, mem, lo, hi in ranges:
+                if lo >= hi:
+                    continue
+                if space != DDR:
+                    port_use.setdefault((space, mem, d), {})[idx] = None
+                acc.append((mems.setdefault((space, mem), len(mems)), lo, hi,
+                            idx, d == "w"))
+    names = list(mems)
+    for rr, kind, other, blo, bhi in (_memory_hazards(acc, start, end)
+                                      if acc else ()):
+        k, lo, hi, idx, _w = acc[rr]
+        space, mem = names[k]
+        if kind == 0:
+            report.append(
+                ("raw-hazard", idx, other,
+                 f"instr {idx} reads {space}{mem}[{blo},{bhi}) before "
+                 f"writer {other} completes"))
+        elif kind == 1:
+            report.append(
+                ("war-hazard", idx, other,
+                 f"instr {idx} overwrites {space}{mem} bytes "
+                 f"instr {other} is still reading"))
+        else:
+            report.append(
+                ("waw-hazard", idx, other,
+                 f"instr {idx} writes {space}{mem}[{lo},{hi}) before "
+                 f"writer {other} completes"))
 
     if allocs:
         for i, j in _live_alloc_overlaps(allocs):

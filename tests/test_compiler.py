@@ -280,7 +280,16 @@ def test_deconv_weights_past_pm_fall_back_then_fail(pipelined):
                            "need 1056 B of PM, more than its 1024 B$") as e:
             compile_graph(g, MachineConfig(pm_bytes=1024), CompileOptions(
                 pipeline=pipelined, deconv_mode=mode))
-        assert e.value.attempts
+        assert len(e.value.attempts) == 1
+
+
+def test_conv_channel_past_pm_fails_at_first_step():
+    # toy_conv's output channel takes 40 B of PM: no tiling fits 32 B
+    with pytest.raises(CompileError, match="^node conv: one output channel "
+                       r"needs 40 B, more than half of PM \(32 B\)$") as e:
+        compile_graph(corpus.corpus_graph("toy_conv"),
+                      MachineConfig(pm_bytes=64))
+    assert len(e.value.attempts) == 1
 
 
 def test_weight_tiling_slab_structure_and_overlap():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpuc import lowering as L
-from dpuc.errors import InfeasibleError, UnsupportedError
+from dpuc.errors import CapacityError, InfeasibleError, UnsupportedError
 from dpuc.machine import MachineConfig
 
 
@@ -445,5 +445,5 @@ def test_weight_tiling_80kb_into_64kb_pm():
 
 
 def test_weight_tiling_channel_too_large():
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(CapacityError, match="one output channel needs"):
         L.weight_tiling(4, 64, 64, 64, cfg(pm_bytes=131072))

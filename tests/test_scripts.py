@@ -169,3 +169,29 @@ def test_ab_pairs_summary_counts_wins_and_applies_the_gain_rule():
     assert lines_out[0] == "parent: 0 of 100 operations failed"
     assert lines_out[-2].split()[0] == "verify_s"
     assert lines_out[-2].split()[-2:] == ["9/10", "yes"]
+
+
+def _traced_line(hazard_s, reference_s):
+    # the last line of a `--trace 1` run: per-layer metrics only
+    return json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                       "metrics": {
+                           "simulator.hazard_s": {"value": hazard_s,
+                                                  "unit": "s"},
+                           "simulator.hazard_alloc_pairs": {"value": 7,
+                                                            "unit": "count"},
+                           "simulator.reference_s": {"value": reference_s,
+                                                     "unit": "s"}}})
+
+
+def test_ab_pairs_layer_lines_give_per_layer_medians():
+    ab = _load_script("ab_pairs")
+    lines = [(_traced_line(0.050, 0.040), _traced_line(0.015, 0.029)),
+             (_traced_line(0.048, 0.041), _traced_line(0.016, 0.030)),
+             (_traced_line(0.060, 0.039), _traced_line(0.014, 0.028))]
+    out = ab.layer_lines(lines)
+    assert out[0].split() == ["layer", "parent", "median", "change",
+                              "median", "change"]
+    # timed layers only, in result order; medians side by side, no verdict
+    assert [line.split() for line in out[1:]] == [
+        ["simulator.hazard_s", "0.05", "0.015", "-70.0%"],
+        ["simulator.reference_s", "0.04", "0.029", "-27.5%"]]

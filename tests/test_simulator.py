@@ -1,7 +1,6 @@
 import hashlib
 import importlib
 import json
-import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -1184,29 +1183,46 @@ def _footprint_instr(draw):
 
 
 def _per_byte_hazards(instrs, ev):
-    """Every RAW, WAR and WAW as (kind, idx, other), found byte by byte
-    from the last writer of each byte and the readers since that write;
-    also the bytes behind each RAW pair."""
-    writer, readers, found, raw_bytes = {}, {}, set(), {}
+    """The RAW, WAR and WAW entries of `check_hazards`, in its order,
+    found byte by byte from the last write range of each byte and the
+    readers since that write.  A read gets one raw-hazard entry per run
+    of adjacent bytes that one unfinished write range left, by writer and
+    byte; a write gets one war-hazard entry per unfinished reader of its
+    bytes, then one waw-hazard entry per unfinished writer, each by
+    instruction."""
+    writer, readers, report = {}, {}, []
     for idx, ins in enumerate(instrs):
         start = ev[idx].start
         for space, mem, lo, hi in ins.reads(exact=True):
+            runs = []     # [writer, lo, hi, write range]
             for b in range(lo, hi):
                 w = writer.get((space, mem, b))
-                if w is not None and ev[w].end > start:
-                    found.add(("raw-hazard", idx, w))
-                    raw_bytes.setdefault((idx, w), set()).add((space, mem, b))
+                if w is not None and ev[w[0]].end > start:
+                    if runs and runs[-1][3] == w and runs[-1][2] == b:
+                        runs[-1][2] = b + 1
+                    else:
+                        runs.append([w[0], b, b + 1, w])
                 readers.setdefault((space, mem, b), set()).add(idx)
-        for space, mem, lo, hi in ins.writes(exact=True):
+            report += [("raw-hazard", idx, widx,
+                        f"instr {idx} reads {space}{mem}[{blo},{bhi}) "
+                        f"before writer {widx} completes")
+                       for widx, blo, bhi, _w in sorted(runs)]
+        for k, (space, mem, lo, hi) in enumerate(ins.writes(exact=True)):
+            war, waw = set(), set()
             for b in range(lo, hi):
-                found.update(("war-hazard", idx, r)
-                             for r in readers.pop((space, mem, b), ())
-                             if r != idx and ev[r].end > start)
+                war.update(r for r in readers.pop((space, mem, b), ())
+                           if r != idx and ev[r].end > start)
                 w = writer.get((space, mem, b))
-                if w is not None and w != idx and ev[w].end > start:
-                    found.add(("waw-hazard", idx, w))
-                writer[(space, mem, b)] = idx
-    return found, raw_bytes
+                if w is not None and w[0] != idx and ev[w[0]].end > start:
+                    waw.add(w[0])
+                writer[(space, mem, b)] = (idx, k)
+            report += [("war-hazard", idx, r,
+                        f"instr {idx} overwrites {space}{mem} bytes "
+                        f"instr {r} is still reading") for r in sorted(war)]
+            report += [("waw-hazard", idx, w,
+                        f"instr {idx} writes {space}{mem}[{lo},{hi}) "
+                        f"before writer {w} completes") for w in sorted(waw)]
+    return report
 
 
 @given(hst.lists(hst.tuples(_footprint_instr(), hst.integers(1, 6),
@@ -1226,17 +1242,45 @@ def test_raw_war_tables_match_per_byte_oracle(spec):
                              S.Trace(events, t, {}, {}))
     hazards = [r for r in report
                if r[0] in ("raw-hazard", "war-hazard", "waw-hazard")]
-    want, raw_bytes = _per_byte_hazards(instrs, {e.index: e for e in events})
-    assert {tuple(r[:3]) for r in hazards} == want
-    assert (hazards == []) == (not want)
-    # a RAW entry names bytes that its writer had not finished
-    for _kind, idx, w, msg in (r for r in hazards if r[0] == "raw-hazard"):
-        space, mem, lo, hi = re.fullmatch(
-            rf"instr {idx} reads ([a-z]+)(\d+)\[(\d+),(\d+)\) before "
-            rf"writer {w} completes", msg).groups()
-        assert int(lo) < int(hi)
-        assert {(space, int(mem), b) for b in range(int(lo), int(hi))} \
-            <= raw_bytes[(idx, w)]
+    assert hazards == _per_byte_hazards(instrs,
+                                        {e.index: e for e in events})
+
+
+def _ddr_transfer(op, fm_mem, ddr_off, blocks, block_bytes):
+    fm, ddr = Addr(FM, 0, fm_mem), Addr(DDR, ddr_off)
+    return Instruction(op=op, sub="act", src=(ddr, fm)[op == SAVE],
+                       dst=(fm, ddr)[op == SAVE], rows=1, blocks=blocks,
+                       block_bytes=block_bytes,
+                       ddr_row_stride=blocks * block_bytes,
+                       ddr_blk_stride=block_bytes)
+
+
+def _raw(idx, w, lo, hi):
+    return ("raw-hazard", idx, w,
+            f"instr {idx} reads ddr0[{lo},{hi}) before writer {w} completes")
+
+
+@pytest.mark.parametrize("timed,want", [
+    # a SAVE writes ddr0[64, 88) as three contiguous 8 B blocks, and a
+    # LOAD reads all 24 B before it ends: one raw-hazard entry per block
+    ([(_ddr_transfer(SAVE, 0, 64, 3, 8), 0, 100),
+      (_ddr_transfer(LOAD, 1, 64, 1, 24), 10, 5)],
+     [_raw(1, 0, 64, 72), _raw(1, 0, 72, 80), _raw(1, 0, 80, 88)]),
+    # a second SAVE, finished before the LOAD, rewrites the middle 8 B of
+    # a first one that has not: the first one's bytes are two entries
+    ([(_ddr_transfer(SAVE, 0, 64, 1, 24), 0, 100),
+      (_ddr_transfer(SAVE, 1, 72, 1, 8), 10, 5),
+      (_ddr_transfer(LOAD, 2, 64, 1, 24), 20, 5)],
+     [("waw-hazard", 1, 0, "instr 1 writes ddr0[72,80) before writer 0 "
+       "completes"), _raw(2, 0, 64, 72), _raw(2, 0, 80, 88)]),
+], ids=["blocks", "split"])
+def test_raw_hazard_entry_per_run_of_one_write_range(timed, want):
+    instrs = [ins for ins, _start, _duration in timed]
+    events = [_event(idx, ins, start, duration)
+              for idx, (ins, start, duration) in enumerate(timed)]
+    assert _per_byte_hazards(instrs, {e.index: e for e in events}) == want
+    assert S.check_hazards(Program(instructions=instrs),
+                           S.Trace(events, 100, {}, {})) == want
 
 
 def test_hazard_war_only_fault_detected():
