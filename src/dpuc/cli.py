@@ -30,7 +30,8 @@ from .corpus import write_corpus
 from .errors import CompileError, DpucError, ParseError
 from .graph import parse_graph
 from .lowering import tile_tree
-from .machine import MachineConfig, check_bounds, parse_assembly
+from .machine import MachineConfig, check_bounds, footprints, \
+    parse_assembly
 from .simulator import Trace, check_hazards, reference_execute, \
     run_program, run_timing
 from .timeline import emit_timeline
@@ -70,8 +71,7 @@ def load_artifacts(artdir):
     with open(os.path.join(artdir, "params.bin"), "rb") as fh:
         prog.param_image = fh.read()
     cfg = MachineConfig.from_json(os.path.join(artdir, "config.json"))
-    for ins in prog.instructions:
-        check_bounds(ins, cfg)
+    check_bounds(prog.instructions, footprints(prog.instructions), cfg)
     return prog, cfg
 
 

@@ -30,7 +30,7 @@ from . import pipeline as PL
 from .errors import CapacityError, CompileError, InfeasibleError, \
     OutOfMemoryError, PortConflictError, UnsupportedError
 from .machine import Addr, CONV, DDR, FM, LOAD, Program, check_bounds, \
-    emit_assembly
+    emit_assembly, footprints
 
 # schedules ranked by peak footprint; the cheapest is compiled
 SCHEDULE_BUDGET = 4
@@ -126,8 +126,9 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
     last of them with weights leaves busy, given those the nodes before it
     left busy (`pm_busy`); adds the DDR tensors they name to `addressed`.
     Raises CompileError, with the attempt ledger, when no ladder step fits,
-    and at the first step when weights do not fit PM (CapacityError): no
-    tiling changes what must sit in PM at once."""
+    and at the first step on a CapacityError (weights past PM, an
+    upsample row past gamma): no tiling changes what must sit in PM at
+    once, nor the rows of a path that never width-splits."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
@@ -307,9 +308,11 @@ def _compile_schedule(g, schedule, cfg, options):
     for nd, lowered in lowered_nodes:
         _bind(lowered, layout, [pbase + off for off in param_offsets[nd.id]])
 
+    fp = footprints(instructions)
+    check_bounds(instructions, fp, cfg)
     full = PL.PipelinedStream(instructions, marks,
                               pipelined=options.pipeline)
-    full = PL.assign_typed_deps(full)
+    full = PL.assign_typed_deps(full, fp=fp)
 
     prog = Program(instructions=full.instructions,
                    param_image=bytes(param_image))
@@ -320,9 +323,6 @@ def _compile_schedule(g, schedule, cfg, options):
             "segment": seg, "off": off, "bytes": t.nbytes,
             "shape": t.shape, "step_exp": t.quant.exp if t.quant else 0,
         }
-    for ins in prog.instructions:
-        check_bounds(ins, cfg)
-
     from .simulator import run_timing
     trace = run_timing(prog, cfg)
     total_eff, node_eff = _conv_efficiency(prog, marks, trace, cfg)

@@ -39,7 +39,9 @@ class AsmError(DpucError):
 
 class CapacityError(DpucError):
     """A memory cannot hold what must sit in it at once: the DDR layout
-    past its cap, or weights past PM under every tiling of the node."""
+    past its cap, weights past PM under every tiling of the node, or a
+    row of an upsample or of the deconv upsample path past gamma (neither
+    width-splits, so no tiling shortens their rows)."""
 
 
 class UseBeforeDefError(DpucError):

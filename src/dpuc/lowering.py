@@ -770,8 +770,8 @@ def _lower_upsample(node, ctx, cfg):
     h_i, w_i, c = x.shape
     h_o, w_o, _ = y.shape
     if w_i * c > cfg.gamma or w_o * c > cfg.gamma:
-        raise InfeasibleError("upsample rows exceed gamma; width splitting "
-                              "of zero-inserted rows is not supported")
+        raise CapacityError("upsample rows exceed gamma; width splitting "
+                            "of zero-inserted rows is not supported")
     band_in = max(1, ctx.h_cap // f)
     tiles = []
     s_in, s_up = "in0", "mid0"
@@ -957,7 +957,7 @@ def _lower_deconv_upsample(node, ctx, cfg):
     h_u = (h_i - 1) * s + 1
     shift = _conv_shift(ctx, node, y.quant)
     if max(w_i * c_i, w_u * c_i, w_o * c_o) > cfg.gamma:
-        raise InfeasibleError("deconv upsample path rows exceed gamma")
+        raise CapacityError("deconv upsample path rows exceed gamma")
 
     weights = node.params.weights
     wgt_bytes = weights.size + 4 * c_o

@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .errors import AsmError, OutOfBoundsError, ParseError
 
 LOAD = "LOAD"
@@ -454,21 +456,57 @@ def instruction_cost(ins, cfg):
     return math.ceil(elems / cfg.misc_elems_per_cycle) + oh
 
 
-def check_bounds(ins, cfg):
-    for space, mem, lo, hi in ins.reads() + ins.writes():
-        if lo < 0:
-            raise OutOfBoundsError(f"negative offset in {ins.op}/{ins.sub}")
-        if space == FM:
-            if not 0 <= mem < cfg.fm_memories:
-                raise OutOfBoundsError(
-                    f"fm{mem} does not exist ({cfg.fm_memories} FM memories)")
-            if hi > cfg.fm_bytes:
-                raise OutOfBoundsError(
-                    f"fm{mem} range [{lo},{hi}) exceeds {cfg.fm_bytes}")
-        elif space == PM and hi > cfg.pm_bytes:
-            raise OutOfBoundsError(f"pm range [{lo},{hi}) exceeds {cfg.pm_bytes}")
-        elif space == DDR and cfg.ddr_capacity and hi > cfg.ddr_capacity:
-            raise OutOfBoundsError(f"ddr range [{lo},{hi}) exceeds cap")
+def footprints(instructions):
+    """Every instruction's footprint, taken once: an int64 table with a row
+    (memory key, lo, hi, instruction, is write) per range, in issue order
+    and each instruction's reads before its writes, and the (space, mem)
+    each memory key stands for.  Empty ranges keep their row; a range
+    past 64-bit addresses raises OutOfBoundsError."""
+    keys = {}
+    rows = []
+    for idx, ins in enumerate(instructions):
+        for w, ranges in ((0, ins.reads()), (1, ins.writes())):
+            for space, mem, lo, hi in ranges:
+                rows += (keys.setdefault((space, mem), len(keys)), lo, hi,
+                         idx, w)
+    try:
+        return np.array(rows, np.int64).reshape(-1, 5), list(keys)
+    except OverflowError:
+        raise OutOfBoundsError("a range does not fit 64-bit byte "
+                               "addresses") from None
+
+
+def check_bounds(instructions, fp, cfg):
+    """Raise OutOfBoundsError for the first range of the footprints `fp`
+    (from `footprints(instructions)`) with a negative offset or outside
+    its memory, naming the instruction and the range."""
+    table, mems = fp
+    # an FM memory that does not exist ends before byte 0, DDR without a
+    # cap past every range
+    limit = np.array([
+        (cfg.fm_bytes if 0 <= mem < cfg.fm_memories else -1) if space == FM
+        else cfg.pm_bytes if space == PM
+        else cfg.ddr_capacity or np.iinfo(np.int64).max
+        for space, mem in mems], np.int64)
+    key, lo, hi = table[:, :3].T
+    bad = np.flatnonzero((lo < 0) | (hi > limit[key]))
+    if not len(bad):
+        return
+    k, lo, hi, idx = (int(v) for v in table[bad[0], :4])
+    space, mem = mems[k]
+    ins = instructions[idx]
+    if lo < 0:
+        text = f"negative offset in {ins.op}/{ins.sub}"
+    elif space == FM and limit[k] < 0:
+        text = f"fm{mem} does not exist ({cfg.fm_memories} FM memories)"
+    elif space == FM:
+        text = f"fm{mem} range [{lo},{hi}) exceeds {cfg.fm_bytes}"
+    elif space == PM:
+        text = f"pm range [{lo},{hi}) exceeds {cfg.pm_bytes}"
+    else:
+        text = f"ddr range [{lo},{hi}) exceeds cap"
+    where = f"fm{mem}" if space == FM else space
+    raise OutOfBoundsError(f"{text} (instruction {idx}, {where}[{lo},{hi}))")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ an empty group, not a missing one.
 
 assign_typed_deps() encodes the stream's true cross-queue data and
 buffer-reuse dependencies with nothing but the four instruction types.
+derive_dependencies() finds them in one sorted numpy sweep over the byte
+segments of the stream's footprint table (`machine.footprints`); the
+hazard checker, which proves them sufficient, sweeps in code of its own.
 DPON/DPBY pairs act as counted tokens per (producer type -> consumer
 type) channel: the n-th instruction of a queue that depends on type s is
 gated by the completion of the n-th type-s instruction that carries the
@@ -16,9 +19,12 @@ matching DPBY.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EncodingError
-from .intervals import IntervalMap
-from .machine import FM
+from .machine import FM, OP_TYPES, footprints
+
+_QUEUE = {op: q for q, op in enumerate(OP_TYPES)}
 
 
 @dataclass
@@ -75,63 +81,80 @@ def pipeline(tiles, enabled=True):
 # dependency derivation
 # ---------------------------------------------------------------------------
 
-def derive_dependencies(instructions):
+def derive_dependencies(instructions, fp=None):
     """Cross-queue dependency targets per instruction, from byte ranges
-    and port usage.
+    and port usage, as {queue type: latest instruction of that type}.
 
-    Every byte carries (last writer, readers since that write) in one
-    interval map: a read depends on the writers of its bytes (RAW), a
-    write on their readers (WAR) and writer (WAW).  Same-queue ordering is
-    free (units are in-order and non-overlapping), so only the latest
-    cross-queue target per producer type matters.  Besides data and
-    buffer-reuse dependencies, each FM memory has a single read and a
-    single write port: when the user of a port switches to a different
-    unit, the newcomer must wait for the previous unit's last access, even
-    if the byte ranges are disjoint."""
-    accesses = IntervalMap((None, ()))
-    last_port_user = {}   # (mem, dir) -> instruction index
-    deps = []
-    for idx, ins in enumerate(instructions):
-        found = set()
+    A read depends on the last writer of its bytes (RAW), a write on
+    their last writer (WAW) and on the readers since that write (WAR).
+    Same-queue ordering is free (units are in-order and non-overlapping),
+    so only the latest cross-queue target per producer type matters.
+    Besides data and buffer-reuse dependencies, each FM memory has a
+    single read and a single write port: when the user of a port switches
+    to a different unit, the newcomer must wait for the previous unit's
+    last access, even if the byte ranges are disjoint.  An empty range
+    takes its port but no byte.
 
-        def read(value):
-            writer, readers = value
-            if writer is not None:
-                found.add(writer)
-            if readers and readers[-1] == idx:
-                return value
-            return writer, readers + (idx,)
+    `fp` is `machine.footprints(instructions)`, taken here when not
+    given; its offsets must be non-negative, as `check_bounds` makes
+    sure in the compile.  The bytes are replayed in one sorted sweep: every memory,
+    all of them laid end to end on one address line, is cut at each range
+    end, and the ranges are expanded into (segment, access) pairs sorted
+    stably by segment, so that issue order, reads before writes, holds
+    within each segment.  A running maximum of write positions gives each
+    pair the previous write of its segment, and per queue type a running
+    maximum of read positions the last reader of that type since then."""
+    table, mems = fp if fp is not None else footprints(instructions)
+    op = np.array([_QUEUE[ins.op] for ins in instructions], np.int64)
+    cells, found = [], []   # (instruction * 4 + queue type, target)
 
-        reads = ins.reads()
-        writes = ins.writes()
-        for space, mem, lo, hi in reads:
-            accesses.update((space, mem), lo, hi, read)
-        for space, mem, lo, hi in writes:
-            for _lo, _hi, (writer, readers) in accesses.assign(
-                    (space, mem), lo, hi, (idx, ())):
-                if writer is not None:
-                    found.add(writer)
-                found.update(readers)
-        targets = {}
-        for j in found:
-            other = instructions[j]
-            if other.op != ins.op:
-                targets[other.op] = max(targets.get(other.op, -1), j)
-        ports = set()
-        for space, mem, _lo, _hi in reads:
-            if space == FM:
-                ports.add((mem, "r"))
-        for space, mem, _lo, _hi in writes:
-            if space == FM:
-                ports.add((mem, "w"))
-        for port in sorted(ports):
-            j = last_port_user.get(port)
-            if j is not None and instructions[j].op != ins.op:
-                targets[instructions[j].op] = max(
-                    targets.get(instructions[j].op, -1), j)
-            last_port_user[port] = idx
-        deps.append(targets)
-    return deps
+    key, lo, hi, who, write = table[table[:, 1] < table[:, 2]].T
+    if len(key):
+        stride = int(hi.max())
+        lo, hi = key * stride + lo, key * stride + hi
+        cuts = np.sort(np.concatenate((lo, hi)))
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+        s0 = np.searchsorted(cuts, lo)
+        n = np.searchsorted(cuts, hi) - s0
+        acc = np.repeat(np.arange(len(lo)), n)
+        seg = np.arange(len(acc)) - np.repeat(np.cumsum(n) - n - s0, n)
+        order = np.argsort(seg, kind="stable")
+        acc, seg = acc[order], seg[order]
+        inst, is_w, pos = who[acc], write[acc] == 1, np.arange(len(acc))
+        first = np.searchsorted(seg, seg)   # the segment's first pair
+        prev = np.concatenate((
+            [-1], np.maximum.accumulate(np.where(is_w, pos, -1))[:-1]))
+        # RAW and WAW: the previous write of the segment
+        m = prev >= first
+        w = inst[prev[m]]
+        cells.append(inst[m] * 4 + op[w])
+        found.append(w)
+        # WAR: the last reader of each type since then
+        since = np.maximum(prev, first - 1)
+        reader_op = np.where(is_w, -1, op[inst])
+        for q in range(4):
+            last = np.maximum.accumulate(np.where(reader_op == q, pos, -1))
+            m = is_w & (last > since)
+            cells.append(inst[m] * 4 + q)
+            found.append(inst[last[m]])
+
+    # port hand-overs: each FM port's users in issue order
+    key, _lo, _hi, who, write = table.T
+    is_fm = np.array([space == FM for space, _mem in mems], bool)[key]
+    port, inst = np.divmod(np.sort(
+        (key[is_fm] * 2 + write[is_fm]) * len(op) + who[is_fm]), len(op))
+    # a second range of one instruction on a port pairs it with itself,
+    # which the same-queue rule below drops
+    m = port[1:] == port[:-1]
+    cells.append(inst[1:][m] * 4 + op[inst[:-1][m]])
+    found.append(inst[:-1][m])
+
+    targets = np.full((len(op), 4), -1, np.int64)
+    np.maximum.at(targets.reshape(-1), np.concatenate(cells),
+                  np.concatenate(found))
+    targets[np.arange(len(op)), op] = -1   # same-queue order is free
+    return [{OP_TYPES[q]: j for q, j in enumerate(row) if j >= 0}
+            for row in targets.tolist()]
 
 
 def chain_dependencies(instructions):
@@ -146,7 +169,7 @@ def chain_dependencies(instructions):
     return deps
 
 
-def assign_typed_deps(stream, deps=None):
+def assign_typed_deps(stream, deps=None, fp=None):
     """Encode dependency targets as DPON/DPBY token channels.
 
     Consumers are walked in issue order, which is queue order on every
@@ -158,11 +181,12 @@ def assign_typed_deps(stream, deps=None):
     channel meets its n-th DPBY.  DPON/DPBY are set in place, replacing
     any earlier encoding, and the returned stream holds the same
     instruction objects.  Raises EncodingError for a dependency on a
-    later instruction.
+    later instruction.  Without `deps`, a pipelined stream's targets are
+    derived from its footprints `fp` (see `derive_dependencies`).
     """
     instructions = stream.instructions
     if deps is None:
-        deps = (derive_dependencies(instructions) if stream.pipelined
+        deps = (derive_dependencies(instructions, fp) if stream.pipelined
                 else chain_dependencies(instructions))
     dpon = [set() for _ in instructions]
     dpby = [set() for _ in instructions]

@@ -727,8 +727,9 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     For (1) the exact byte ranges of every traced instruction are
     replayed in issue order, each instruction's reads before its writes,
     by one sorted sweep over byte segments (`_memory_hazards`), written
-    here rather than taken from `intervals.py`, so that the check shares
-    no code with the dependency derivation it checks.  The sweep compares
+    here rather than taken from `pipeline.py`, whose dependency
+    derivation sweeps the same way, so that the check shares no code
+    with what it checks.  The sweep compares
     the times of each read with those of the previous write of its bytes,
     and of each write with those of the previous write and the reads in
     between.  A read gets one raw-hazard entry per run of bytes that one

@@ -1,5 +1,8 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +228,68 @@ def test_ddr_capacity_exit_three(corpus_dir, tmp_path, capsys):
         assert err.startswith("error:") and "exceeds cap" in err, err
 
 
+# one edit of toy_conv's artifacts per bounds condition: (program.asm
+# text replaced once, or config fields) and the message.  Instruction 0
+# loads the 320 weight bytes from ddr[768,1088) to pm[0,320), 1-8 load
+# 32 B rows from ddr[0,256) to fm0.
+OUT_OF_BOUNDS = {
+    "negative-offset": (("src=ddr:0 ", "src=ddr:-32 "), {},
+                        "negative offset in LOAD/act "
+                        "(instruction 1, ddr[-32,0))"),
+    "past-64-bit": (("src=ddr:0 ", f"src=ddr:{2 ** 64} "), {},
+                    "a range does not fit 64-bit byte addresses"),
+    "missing-fm": (("dst=fm0:0 ", "dst=fm9:0 "), {},
+                   "fm9 does not exist (3 FM memories) "
+                   "(instruction 1, fm9[0,32))"),
+    "fm-bytes": ((), {"fm_banks_per_memory": 1, "fm_bank_rows": 1,
+                      "fm_row_bytes": 64},
+                 "fm0 range [64,96) exceeds 64 (instruction 3, fm0[64,96))"),
+    "pm-bytes": ((), {"pm_bytes": 256},
+                 "pm range [0,320) exceeds 256 (instruction 0, pm[0,320))"),
+    "ddr-capacity": ((), {"ddr_capacity": 1000},
+                     "ddr range [768,1088) exceeds cap "
+                     "(instruction 0, ddr[768,1088))"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_BOUNDS))
+def test_run_rejects_out_of_bounds_artifacts_exit_three(corpus_dir, tmp_path,
+                                                        capsys, case):
+    edit, fields, message = OUT_OF_BOUNDS[case]
+    art = tmp_path / "art"
+    assert cli.main(["compile", str(corpus_dir / "toy_conv.json"),
+                     "-o", str(art)]) == 0
+    if edit:
+        asm = art / "program.asm"
+        text = asm.read_text()
+        assert edit[0] in text
+        asm.write_text(text.replace(*edit, 1))
+    if fields:
+        MachineConfig(**fields).to_json(art / "config.json")
+    capsys.readouterr()
+    assert cli.main(["run", str(art), "--mode", "timing"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_compile_and_verify_leave_numpy_ma_unimported(corpus_dir, tmp_path):
+    # numpy.ma costs about 17 ms to import, and np.unique imports it on
+    # its first call: the compile and the checks take distinct values by
+    # sorting instead
+    graph, out = str(corpus_dir / "toy_conv.json"), str(tmp_path / "art")
+    code = ("import sys\n"
+            "from dpuc import cli\n"
+            f"assert cli.main(['compile', {graph!r}, '-o', {out!r}]) == 0\n"
+            f"assert cli.main(['verify', {graph!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_verify_without_seeds_exit_three(corpus_dir, capsys, seeds):
     # no seed means nothing was compared; exit 2 would mean a hazard
@@ -258,22 +323,6 @@ def test_params_that_do_not_match_the_node_exit_three(tmp_path, capsys, cmd,
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: node conv: weights"), err
-
-
-def test_run_rejects_missing_fm_memory_exit_three(corpus_dir, tmp_path,
-                                                  capsys):
-    art = tmp_path / "art"
-    assert cli.main(["compile", str(corpus_dir / "toy_conv.json"),
-                     "-o", str(art)]) == 0
-    asm = art / "program.asm"
-    text = asm.read_text()
-    assert "dst=fm0:0 " in text
-    asm.write_text(text.replace("dst=fm0:0 ", "dst=fm9:0 ", 1))
-    capsys.readouterr()
-    rc = cli.main(["run", str(art), "--mode", "timing"])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "fm9" in err
 
 
 # edits of toy_conv's second LOAD (rows=1 blocks=1 block_bytes=32

@@ -292,6 +292,30 @@ def test_conv_channel_past_pm_fails_at_first_step():
     assert len(e.value.attempts) == 1
 
 
+Q = {"lo": -32.0, "hi": 31.75, "step": 0.25}
+UPSAMPLE = {
+    "tensors": [{"name": "x", "shape": [10, 8, 8], "quant": Q},
+                {"name": "y", "shape": [19, 15, 8], "quant": Q}],
+    "nodes": [{"id": "in", "op": "input", "inputs": [], "output": "x"},
+              {"id": "up", "op": "upsample", "inputs": ["x"], "output": "y",
+               "attrs": {"factor": 2}}],
+    "inputs": ["x"], "outputs": ["y"],
+}
+
+
+@pytest.mark.parametrize("g,message", [
+    (corpus.corpus_graph("deconv"), "deconv upsample path rows exceed gamma"),
+    (G.parse_graph(json.dumps(UPSAMPLE)), "upsample rows exceed gamma; "
+     "width splitting of zero-inserted rows is not supported")],
+    ids=["deconv", "upsample"])
+def test_rows_past_gamma_without_width_split_fail_at_first_step(g, message):
+    # neither path width-splits, so no ladder step shortens a row of
+    # 15-24 pixels x 8 channels below 64 B
+    with pytest.raises(CompileError, match=f"^node up: {message}$") as e:
+        compile_graph(g, MachineConfig(gamma=64))
+    assert len(e.value.attempts) == 1
+
+
 def test_weight_tiling_slab_structure_and_overlap():
     art = compiled("weight_tiled")
     node = art.report["nodes"][0]

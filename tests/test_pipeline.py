@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -5,7 +8,7 @@ from hypothesis import strategies as hst
 from dpuc import pipeline as P
 from dpuc.errors import DeadlockError, EncodingError
 from dpuc.machine import Addr, CONV, DDR, FM, Instruction, LOAD, MISC, \
-    MachineConfig, OP_TYPES, SAVE
+    MachineConfig, OP_TYPES, PM, SAVE
 from dpuc.simulator import run_timing, token_pairings
 from dpuc.machine import Program
 
@@ -168,6 +171,75 @@ def test_shared_pacemaker_covered_by_queue_order():
     assert not any(i.is_noop for i in out.instructions)
     pairs = token_pairings(out.instructions)[(MISC, SAVE)]
     assert pairs == [(1, 0)]
+
+
+# dependency derivation against a brute-force per-byte oracle: random
+# stand-in instructions, each a queue type with a few read and write
+# ranges over three FM memories, PM and DDR of MEM_BYTES bytes each
+MEM_BYTES = 64
+MEMS = ((FM, 0), (FM, 1), (FM, 2), (PM, 0), (DDR, 0))
+
+
+@dataclass
+class Access:
+    op: str
+    rd: list
+    wr: list
+
+    def reads(self, exact=False):
+        return list(self.rd)
+
+    def writes(self, exact=False):
+        return list(self.wr)
+
+
+# zero-length ranges included: they take an FM port but no byte
+byte_range = hst.tuples(hst.sampled_from(MEMS), hst.integers(0, MEM_BYTES),
+                        hst.integers(0, 32)).map(
+    lambda t: (*t[0], t[1], min(MEM_BYTES, t[1] + t[2])))
+accesses = hst.lists(
+    hst.builds(lambda op, rd, wr, in_place: Access(
+        op, rd, wr + rd if in_place else wr),   # in place: writes its reads
+        hst.sampled_from(OP_TYPES), hst.lists(byte_range, max_size=2),
+        hst.lists(byte_range, max_size=2), hst.booleans()),
+    min_size=1, max_size=24)
+
+
+def deps_oracle(prog):
+    """Per access: the latest other-queue instruction it must wait for,
+    per queue, from per-byte RAW/WAR/WAW sets and FM port hand-overs."""
+    writer = {m: np.full(MEM_BYTES, -1) for m in MEMS}
+    readers = {m: np.zeros((len(prog), MEM_BYTES), bool) for m in MEMS}
+    port_user = {}
+    out = []
+    for idx, acc in enumerate(prog):
+        hits = set()
+        for s, m, lo, hi in acc.rd:
+            hits.update(writer[s, m][lo:hi].tolist())                  # RAW
+            readers[s, m][idx, lo:hi] = True
+        for s, m, lo, hi in acc.wr:
+            hits.update(writer[s, m][lo:hi].tolist())                  # WAW
+            hits.update(np.flatnonzero(
+                readers[s, m][:, lo:hi].any(axis=1)).tolist())         # WAR
+            writer[s, m][lo:hi] = idx
+            readers[s, m][:, lo:hi] = False
+        ports = {(m, d) for d, ranges in (("r", acc.rd), ("w", acc.wr))
+                 for s, m, _lo, _hi in ranges if s == FM}
+        for port in ports:
+            hits.add(port_user.get(port, -1))
+            port_user[port] = idx
+        targets = {}
+        for j in hits - {-1}:
+            if prog[j].op != acc.op:
+                targets[prog[j].op] = max(targets.get(prog[j].op, -1), j)
+        out.append(targets)
+    return out
+
+
+@given(accesses)
+@settings(max_examples=200, deadline=None)
+def test_dependency_targets_match_per_byte_oracle(prog):
+    assert P.derive_dependencies(prog) == deps_oracle(prog)
 
 
 MAKE = {LOAD: lambda n: load(0, n), CONV: lambda n: conv(0, 0, n),

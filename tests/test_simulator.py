@@ -1301,13 +1301,12 @@ def test_hazard_war_only_fault_detected():
 
 
 def test_hazard_checker_runs_without_dependency_derivation(monkeypatch):
-    """A fresh simulator module, imported while intervals.py, memory.py
-    and pipeline.py cannot be, finds every corpus program hazard-free."""
+    """A fresh simulator module, imported while memory.py and pipeline.py
+    cannot be, finds every corpus program hazard-free."""
     cfg = MachineConfig()
     arts = [compile_graph(corpus.corpus_graph(name), cfg, options)
             for name, options in CORPUS_BUILDS]
     with monkeypatch.context() as m:
-        m.setitem(sys.modules, "dpuc.intervals", None)
         m.setitem(sys.modules, "dpuc.memory", None)
         m.setitem(sys.modules, "dpuc.pipeline", None)
         m.delitem(sys.modules, "dpuc.simulator")
