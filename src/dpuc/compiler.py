@@ -127,8 +127,11 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
     left busy (`pm_busy`); adds the DDR tensors they name to `addressed`.
     Raises CompileError, with the attempt ledger, when no ladder step fits,
     and at the first step on a CapacityError (weights past PM, an
-    upsample row past gamma): no tiling changes what must sit in PM at
-    once, nor the rows of a path that never width-splits."""
+    upsample row past gamma, an unfused node whose narrowest strip is
+    past gamma or whose data flow needs more FM memories than there
+    are): no tiling changes what must sit in PM at once, the rows of a
+    path that never width-splits, the narrowest strip, nor the data
+    flow of a node that is not fused."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
@@ -143,7 +146,8 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
                     w_min_parts=step.get("w_min_parts", 1), pm_busy=busy,
                     addressed=named)
                 lowered = LW.lower_node(nd, ctx, cfg)
-                mems = MM.assign_fm_memories(lowered, cfg)
+                mems = MM.assign_fm_memories(lowered, cfg,
+                                             fused=nd.fused is not None)
                 _plan_windows(lowered, mems, cfg)
                 out.append((nd, lowered))
                 busy = _pm_halves_read(lowered, cfg, busy)
@@ -284,6 +288,8 @@ def _compile_schedule(g, schedule, cfg, options):
                 param_image.extend(payload)
             param_offsets[nd.id] = offs
             lowered_nodes.append((nd, lowered))
+    # one immutable image, shared by the program and the artifacts
+    param_image = bytes(param_image)
 
     layout = MM.ddr_layout(g, len(param_image),
                            [tensors[name] for name in addressed], cfg)
@@ -315,7 +321,7 @@ def _compile_schedule(g, schedule, cfg, options):
     full = PL.assign_typed_deps(full, fp=fp)
 
     prog = Program(instructions=full.instructions,
-                   param_image=bytes(param_image))
+                   param_image=param_image)
     prog.segments = dict(layout.segments)
     for name, (seg, off) in sorted(layout.tensor_map.items()):
         t = tensors[name]
@@ -346,7 +352,7 @@ def _compile_schedule(g, schedule, cfg, options):
     }
     return CompileArtifacts(
         program=prog, assembly=emit_assembly(prog),
-        param_image=bytes(param_image), memmap=memmap, report=report,
+        param_image=param_image, memmap=memmap, report=report,
         marks=marks, tiles={nd.id: lw.tiles for nd, lw in lowered_nodes})
 
 

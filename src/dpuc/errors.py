@@ -39,9 +39,11 @@ class AsmError(DpucError):
 
 class CapacityError(DpucError):
     """A memory cannot hold what must sit in it at once: the DDR layout
-    past its cap, weights past PM under every tiling of the node, or a
-    row of an upsample or of the deconv upsample path past gamma (neither
-    width-splits, so no tiling shortens their rows)."""
+    past its cap, weights past PM under every tiling of the node, a row
+    of an upsample or of the deconv upsample path past gamma (neither
+    width-splits, so no tiling shortens their rows), a row of an unfused
+    node past gamma at every strip count its width allows, or a stream of
+    an unfused node past the last FM memory."""
 
 
 class UseBeforeDefError(DpucError):

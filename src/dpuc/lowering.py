@@ -48,6 +48,7 @@ no feasibility.
 
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,18 +96,21 @@ def _even_ranges(n, parts):
     return out
 
 
-def _strip_chain(out_w, out_c, levels, cfg, min_parts):
+def _strip_chain(out_w, out_c, levels, cfg, min_parts, fused=False):
     """Width strips back-propagated through a chain of windowed stages.
 
     levels: innermost-last list of (kw, sw, pw, in_w, c) from the final
     output toward the input; the final output byte width is levels[0]'s
     "output".  Returns per-strip lists of (lo, hi, pad_l, pad_r) per level,
-    outermost (final output) first.
+    outermost (final output) first.  When no strip count from min_parts
+    up to out_w fits gamma, a deeper split cannot help either: that is a
+    CapacityError, and an InfeasibleError for a `fused` chain, which the
+    retry ladder may still unfuse.
     """
     parts = max(min_parts, 1)
     while True:
         if parts > out_w:
-            raise InfeasibleError(
+            raise (InfeasibleError if fused else CapacityError)(
                 f"cannot width-split {out_w} columns into {parts} strips")
         strips = []
         for lo, hi in _even_ranges(out_w, parts):
@@ -361,23 +365,20 @@ def weight_tiling(c_out, kh, kw, c_in, cfg):
 # The ISA fixes the stream roles: an instruction reads the windows its src
 # and src2 name and writes the one its dst names.
 
-@dataclass(frozen=True)
-class Win:
+class Win(NamedTuple):
     """Byte `off` of the FM window that tile `tile` owns on `stream`."""
     stream: str
     tile: int
     off: int
 
 
-@dataclass(frozen=True)
-class TensorAt:
+class TensorAt(NamedTuple):
     """Byte `off` of DDR tensor `name`."""
     name: str
     off: int
 
 
-@dataclass(frozen=True)
-class ParamAt:
+class ParamAt(NamedTuple):
     """Start of the node's PM block `block` in the parameter image."""
     block: int
 
@@ -585,7 +586,7 @@ def _lower_conv(node, ctx, cfg):
     strips = _strip_chain(y.shape[1], y.shape[2],
                           [(pk[1], ps[1], pp[1], w_m, c_m),
                            (ck[1], cs[1], cp[1], w_i, c_i)],
-                          cfg, ctx.w_min_parts)
+                          cfg, ctx.w_min_parts, fused=bool(fused))
     # footprint feasibility over the widest strip, not the full tensor;
     # the last two levels of a chain are the conv's output and input
     w_mid_max = max(ch[-2][1] - ch[-2][0] for ch in strips)

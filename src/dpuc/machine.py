@@ -15,6 +15,8 @@ the hazard checker and the functional simulator.
 import json
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,20 +110,28 @@ class MachineConfig:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Addr:
+class _AddrFields(NamedTuple):
     space: str  # ddr | fm | pm
     off: int
     mem: int = 0  # fm memory index; 0 for ddr/pm
 
-    def __post_init__(self):
-        if self.space not in (DDR, FM, PM):
-            raise ValueError(f"bad address space {self.space}")
+
+class Addr(_AddrFields):
+    """A placed operand address: immutable, hashable, equal by value."""
+
+    __slots__ = ()
+
+    def __new__(cls, space, off, mem=0):
+        if space not in (DDR, FM, PM):
+            raise ValueError(f"bad address space {space}")
+        return tuple.__new__(cls, (space, off, mem))
 
     def text(self):
         if self.space == FM:
             return f"fm{self.mem}:{self.off}"
         return f"{self.space}:{self.off}"
+
+    __str__ = text
 
     @classmethod
     def parse(cls, tok):
@@ -161,6 +171,17 @@ _ASM_FIELDS = {
 }
 
 _ADDR_FIELDS = {"src", "src2", "dst"}
+
+# timeline colour class of each sub-op
+_COLORS = {
+    (LOAD, "act"): "load-activation", (LOAD, "weight"): "load-weight",
+    (LOAD, "noop"): "load-activation",
+    (SAVE, "act"): "save", (SAVE, "noop"): "save",
+    (CONV, "conv"): "conv", (CONV, "noop"): "conv",
+    (MISC, "maxpool"): "pool", (MISC, "eltwise"): "eltwise",
+    (MISC, "move"): "eltwise", (MISC, "upsample"): "eltwise",
+    (MISC, "noop"): "eltwise",
+}
 
 # sub-op -> the operands it reads, in order; every other sub-op reads src
 _READS = {"eltwise": ("src", "src2"), "conv": ("src", "wgt"), "noop": ()}
@@ -408,14 +429,7 @@ class Instruction:
 
     def color(self):
         """Timeline color class."""
-        if self.op == LOAD:
-            return "load-weight" if self.sub == "weight" else "load-activation"
-        if self.op == SAVE:
-            return "save"
-        if self.op == CONV:
-            return "conv"
-        return {"maxpool": "pool", "eltwise": "eltwise", "move": "eltwise",
-                "upsample": "eltwise", "noop": "eltwise"}[self.sub]
+        return _COLORS[self.op, self.sub]
 
 
 @dataclass
@@ -513,6 +527,23 @@ def check_bounds(instructions, fp, cfg):
 # Assembly text
 # ---------------------------------------------------------------------------
 
+# the text of each of the 16 DPON/DPBY sets
+_MASK_TEXT = {mask_deps(m): f"0b{m:04b}" for m in range(16)}
+
+
+def _asm_writer(op, sub):
+    """(template, getter) writing one `op`/`sub` instruction: the getter
+    returns its DPON and DPBY sets and its `_ASM_FIELDS` values, and the
+    template takes the two mask texts and those values (an address
+    formats as its `text`)."""
+    names = _ASM_FIELDS[(op, sub)]
+    tmpl = " ".join([op, "{}", "{}", sub] + [f"{n}={{}}" for n in names])
+    return tmpl, attrgetter("dpon", "dpby", *names)
+
+
+_ASM_WRITERS = {key: _asm_writer(*key) for key in _ASM_FIELDS}
+
+
 def emit_assembly(prog):
     """One instruction per line: OPTYPE <dpon> <dpby> <sub> <k=v...>.
 
@@ -529,12 +560,9 @@ def emit_assembly(prog):
         lines.append(f"# tensor {name} {t['segment']} {t['off']} "
                      f"{t['bytes']} {shape} {t['step_exp']}")
     for ins in prog.instructions:
-        toks = [ins.op, f"0b{dep_mask(ins.dpon):04b}",
-                f"0b{dep_mask(ins.dpby):04b}", ins.sub]
-        for name in _ASM_FIELDS[(ins.op, ins.sub)]:
-            v = getattr(ins, name)
-            toks.append(f"{name}={v.text() if name in _ADDR_FIELDS else v}")
-        lines.append(" ".join(toks))
+        tmpl, get = _ASM_WRITERS[ins.op, ins.sub]
+        dpon, dpby, *values = get(ins)
+        lines.append(tmpl.format(_MASK_TEXT[dpon], _MASK_TEXT[dpby], *values))
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -137,7 +137,7 @@ def check_ports(usage):
             writers[m] = unit
 
 
-def assign_fm_memories(lowered, cfg):
+def assign_fm_memories(lowered, cfg, fused=False):
     """Map each stream of a lowered node to an FM memory by data flow,
     then verify the one-read-one-write port rule over the units that run
     concurrently once the node is pipelined.  An instruction's unit is its
@@ -145,7 +145,10 @@ def assign_fm_memories(lowered, cfg):
     and writes the one named by its dst.  A stream a LOAD writes lives in
     fm0; a stream written by an instruction that reads streams S lives in
     1 + the highest memory of S.  Tiles are walked in stage order, so a
-    stream's memory is known before any instruction reads it."""
+    stream's memory is known before any instruction reads it.  A stream
+    past the last memory is a CapacityError, since no tiling shortens the
+    data flow, and a PortConflictError for a `fused` node, which the
+    retry ladder may still unfuse."""
     assignment = {}
     usage = {}
     for tile in lowered.tiles:
@@ -158,7 +161,8 @@ def assign_fm_memories(lowered, cfg):
                 if isinstance(ins.dst, Win):
                     name, mem = ins.dst.stream, 1 + max(srcs, default=-1)
                     if mem >= cfg.fm_memories:
-                        raise PortConflictError(
+                        raise (PortConflictError if fused
+                               else CapacityError)(
                             f"stream {name} needs memory {mem}, machine "
                             f"has {cfg.fm_memories}")
                     assignment[name] = mem

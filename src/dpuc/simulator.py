@@ -21,6 +21,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,13 @@ def _operand(state, ins, f, write):
 
 
 def _store(state, ins, data):
-    """Write data, whose size is the dst operand's, to the dst operand."""
+    """Write data, whose size is the dst operand's, to the dst operand.
+    Data read from the dst operand's memory is copied first: numpy copies
+    an overlapping one-dimensional source backwards instead of buffering
+    it, which is wrong when the two strides differ."""
     view, flags = _operand(state, ins, "dst", write=True)
+    if data.base is view.base:
+        data = data.copy()
     view[...] = data.reshape(view.shape)
     flags[...] = True
 
@@ -235,8 +241,7 @@ _EXEC = {"conv": _exec_conv, "maxpool": _exec_maxpool,
 def run_functional(prog, state):
     """Execute in issue order; timing is ignored but addresses and
     arithmetic are exact.  A LOAD, SAVE or move copies its source as it
-    was before the instruction: numpy buffers a source that overlaps the
-    destination."""
+    was before the instruction, even where it overlaps the destination."""
     for idx, ins in enumerate(prog.instructions):
         try:
             if ins.is_noop:
@@ -452,8 +457,9 @@ def reference_execute(g, inputs):
 # timing simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """When one instruction issued, started and for how long it ran."""
+
     index: int
     queue: str
     sub: str
@@ -476,7 +482,7 @@ class Trace:
 
     def to_dict(self):
         return {
-            "events": [e.__dict__ for e in self.events],
+            "events": [e._asdict() for e in self.events],
             "makespan": self.makespan,
             "busy": self.busy,
             "util": self.util,

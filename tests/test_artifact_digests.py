@@ -64,6 +64,9 @@ swap bytes nothing read or wrote: its `# tensor` line and `memmap.json`
 entry are gone and the swap segment shrinks (12,288 -> 0 B and 32,768 ->
 16,384 B).  Every instruction line, `params.bin` and `report.json` is
 unchanged, and no other digest moved.
+
+`TRACE_DIGESTS` pins the `trace.json` text, `emit_timeline(run_timing(
+program), "json")`, of every compile in `DIGESTS`.
 """
 
 import base64
@@ -78,6 +81,7 @@ from dpuc import graph as G
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.machine import MachineConfig
+from dpuc.timeline import emit_timeline
 
 FILES = ("program.asm", "memmap.json", "params.bin", "report.json")
 
@@ -313,6 +317,28 @@ FINE_DIGESTS = {
 }
 
 
+# computed on the tree whose trace events were frozen dataclasses, before
+# they became named tuples
+TRACE_DIGESTS = {
+    ("conv_pool", "series"):
+        "76b9a7531b113f546d5f7c08e1fba9706156febe6add95fc1945a3857cb49fb3",
+    ("deconv", "series"):
+        "363f90d25c11343842218466b784d84637e871a162b75f42a41126da0d485d56",
+    ("deconv", "upsample"):
+        "93512655ab290f4c6fd631494a226ccc1d7a9f025d679707fb175f296d891a8d",
+    ("inception_cell", "series"):
+        "2bb20e250a59a0777d0049d1fccb1685df8f56fc489b12d309f24452067526f4",
+    ("resnet_cell", "series"):
+        "ab91078563787055a2ac9489c8a253a41bb91b5aecdf479f9239011498437afa",
+    ("toy_conv", "series"):
+        "b1b72b5799ee9b785295528cba629b4f955b643d89e1b4b27986aa918e89ffa5",
+    ("vgg_prefix", "series"):
+        "2612b6bb2334edaaeff6a8ba0bbce6c4d01cbeef2bde099a441187327b24f431",
+    ("weight_tiled", "series"):
+        "822246773296b0136b3ea3914fe0b25b35f4f1131c848c64d3db1829ebc140fb",
+}
+
+
 def _graph(name):
     if name in LOCAL:
         return G.parse_graph(json.dumps(LOCAL[name]()))
@@ -320,6 +346,7 @@ def _graph(name):
 
 
 def test_every_corpus_graph_is_pinned():
+    assert set(TRACE_DIGESTS) == set(DIGESTS)
     for pinned in (DIGESTS, SMALL_DIGESTS, FINE_DIGESTS):
         names = {name for name, _mode in pinned} - set(LOCAL)
         assert names == set(corpus.corpus_names())
@@ -342,6 +369,15 @@ def _check(cfg, name, mode, want, tmp_path):
 @pytest.mark.parametrize("name,mode", sorted(DIGESTS))
 def test_artifact_digests(name, mode, tmp_path):
     _check(MachineConfig(), name, mode, DIGESTS[(name, mode)], tmp_path)
+
+
+@pytest.mark.parametrize("name,mode", sorted(TRACE_DIGESTS))
+def test_trace_json_digests(name, mode):
+    cfg = MachineConfig()
+    art = compile_graph(_graph(name), cfg, CompileOptions(deconv_mode=mode))
+    text = emit_timeline(S.run_timing(art.program, cfg), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        TRACE_DIGESTS[(name, mode)]
 
 
 @pytest.mark.parametrize("name,mode", sorted(SMALL_DIGESTS))

@@ -316,6 +316,37 @@ def test_rows_past_gamma_without_width_split_fail_at_first_step(g, message):
     assert len(e.value.attempts) == 1
 
 
+@pytest.mark.parametrize("name,cfg,mode,message", [
+    # a 3-column input strip of 4 channels is 12 B against an 8 B gamma
+    ("toy_conv", MachineConfig(gamma=8), "series",
+     "cannot width-split 8 columns into 9 strips"),
+    # the deconv's shuffle writes a third memory on both paths
+    ("deconv", MachineConfig(fm_memories=2), "series",
+     "stream out0 needs memory 2, machine has 2"),
+    ("deconv", MachineConfig(fm_memories=2), "upsample",
+     "needs memory 2, machine has 2")],
+    ids=["width", "memories-series", "memories-upsample"])
+def test_unfused_node_no_step_can_change_fails_at_first_step(name, cfg, mode,
+                                                              message):
+    # deeper width splits and shorter bands change neither the widest
+    # strip of one column nor the data flow of an unfused node
+    with pytest.raises(CompileError, match=message) as e:
+        compile_graph(corpus.corpus_graph(name), cfg,
+                      CompileOptions(deconv_mode=mode))
+    assert len(e.value.attempts) == 1
+
+
+def test_fused_node_past_gamma_still_reaches_its_unfuse_step():
+    # conv_pool's fused strip of one pool column reads 6 input columns of
+    # 16 channels (96 B); unfused, the conv reads 5 (80 B) and fits
+    art = compile_graph(corpus.corpus_graph("conv_pool"),
+                        MachineConfig(gamma=80))
+    attempts = art.report["attempts"]
+    assert all("cannot width-split 6 columns into 7 strips" in a
+               for a in attempts[:-1]) and len(attempts) > 1
+    assert attempts[-1] == "node conv: retried with {'unfuse': True}"
+
+
 def test_weight_tiling_slab_structure_and_overlap():
     art = compiled("weight_tiled")
     node = art.report["nodes"][0]

@@ -83,9 +83,14 @@ def test_w_split_unit_kernel_disjoint():
 
 
 def test_w_split_infeasible_single_column():
+    # one column is already past gamma: no deeper split helps an unfused
+    # chain, while a fused one may still be unfused
     geom = L.OpGeometry("conv", (4, 8, 64), (4, 8, 64), (1, 1), (1, 1), (0, 0))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(CapacityError):
         width_strips(geom, cfg(gamma=32))
+    with pytest.raises(InfeasibleError):
+        L._strip_chain(8, 64, [(1, 1, 0, 8, 64)], cfg(gamma=32), 1,
+                       fused=True)
 
 
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2),

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpuc import lowering as L
 from dpuc import machine as M
+from dpuc import simulator as S
 from dpuc.errors import AsmError
 
 
@@ -317,6 +319,57 @@ def test_operand_and_layout(key):
         rows, blocks, size = shape
         assert ins.extent(f) == ((rows - 1) * strides[0]
                                  + (blocks - 1) * strides[1] + size), f
+
+
+def test_assembly_round_trips_every_sub_op():
+    # one instruction of every sub-op, each with its own DPON/DPBY sets
+    instrs = [ins for ins, _want in OPERANDS.values()] + [
+        M.Instruction(op=op, sub="noop") for op in M.OP_TYPES]
+    prog = M.Program(instructions=[
+        replace(ins, dpon=M.mask_deps(k % 16), dpby=M.mask_deps(15 - k % 16))
+        for k, ins in enumerate(instrs)])
+    text = M.emit_assembly(prog)
+    lines = [l.split() for l in text.splitlines() if not l.startswith("#")]
+    assert {(l[0], l[3]) for l in lines} == set(M._ASM_FIELDS)
+    for toks in lines:
+        names = M._ASM_FIELDS[(toks[0], toks[3])]
+        assert [t.partition("=")[0] for t in toks[4:]] == list(names)
+    assert M.parse_assembly(text) == prog
+    assert M.emit_assembly(M.parse_assembly(text)) == text
+
+
+# each record of the back end: its type, field names and one value
+RECORDS = {
+    "Addr": (M.Addr, ("space", "off", "mem"), (M.FM, 64, 2)),
+    "TraceEvent": (S.TraceEvent, ("index", "queue", "sub", "color", "issue",
+                                  "start", "duration"),
+                   (3, M.CONV, "conv", "conv", 10, 12, 40)),
+    "Win": (L.Win, ("stream", "tile", "off"), ("in0", 1, 8)),
+    "TensorAt": (L.TensorAt, ("name", "off"), ("x", 16)),
+    "ParamAt": (L.ParamAt, ("block",), (2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_values(name):
+    cls, fields, values = RECORDS[name]
+    rec = cls(**dict(zip(fields, values)))
+    assert tuple(getattr(rec, f) for f in fields) == values
+    for f in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(rec, f, 1)
+    twin = cls(*values)
+    assert twin == rec and hash(twin) == hash(rec) and twin is not rec
+    assert {rec: name}[twin] == name
+    other = cls(*values[:-1], values[-1] + 1)
+    assert other != rec
+
+
+def test_addr_parses_its_text_and_checks_its_space():
+    for a in (M.Addr(M.FM, 64, 2), M.Addr(M.DDR, 1024), M.Addr(M.PM, 8)):
+        assert M.Addr.parse(a.text()) == a and str(a) == a.text()
+    with pytest.raises(ValueError, match="bad address space xx"):
+        M.Addr("xx", 0)
 
 
 @st.composite

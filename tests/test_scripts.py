@@ -3,8 +3,8 @@ or loaded in-process, each writing only under a temporary directory.
 `dpuc corpus` is checked against the committed corpus, and the parity
 sweep's records of toy_conv against a second sweep of it.  The
 benchmark's tracer is checked against the functions it wraps, and the
-paired-run tool's summary against canned result lines (no benchmark runs
-here)."""
+summaries of the paired-run and in-process A/B tools against canned
+results (no benchmark runs here)."""
 
 import importlib.util
 import json
@@ -195,3 +195,20 @@ def test_ab_pairs_layer_lines_give_per_layer_medians():
     assert [line.split() for line in out[1:]] == [
         ["simulator.hazard_s", "0.05", "0.015", "-70.0%"],
         ["simulator.reference_s", "0.04", "0.029", "-27.5%"]]
+
+
+def test_ab_inproc_summary_gives_quartiles_and_pair_ratios():
+    ab = _load_script("ab_inproc")
+    times = [(0.040, 0.036), (0.044, 0.038), (0.042, 0.0378),
+             (0.050, 0.040), (0.041, 0.0369)]
+    got = ab.summarize(times)
+    assert got["parent"] == pytest.approx((0.041, 0.042, 0.044))
+    assert got["change"] == pytest.approx((0.0369, 0.0378, 0.038))
+    # the median of the per-pair ratios, not the ratio of the medians
+    assert got["ratio"] == pytest.approx((0.8636, 0.9, 0.9), abs=1e-4)
+    lines = ab.report_lines(got)
+    assert [l.split()[0] for l in lines] == ["side", "parent", "change",
+                                             "ratio"]
+    assert lines[-1] == "ratio change/parent: median 0.900 [0.864, 0.900]"
+    # no verdict: nothing says whether the change is a gain
+    assert not any("gain" in l or "yes" in l for l in lines)

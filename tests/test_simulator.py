@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import dpuc
@@ -430,6 +430,11 @@ def _filled_state(seed, ddr_bytes=256):
 
 @given(_strided_op(), hst.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
+# a move onto bytes its source still has to read, at another stride
+@example(Instruction(op=MISC, sub="move", src=Addr(FM, 0, 0),
+                     dst=Addr(FM, 1, 0), rows=1, blocks=3, block_bytes=1,
+                     src_row_stride=0, dst_row_stride=0, src_blk_stride=3,
+                     dst_blk_stride=1), 0)
 def test_strided_operand_matches_per_byte_oracle(ins, seed):
     st = _filled_state(seed)
     (rs, rm, src), (ws, wm, dst) = _footprints(ins)
@@ -1328,8 +1333,11 @@ def test_timeline_empty_trace():
 
 def test_timeline_json_roundtrip():
     cfg = MachineConfig()
-    instrs = [Instruction(op=MISC, sub="noop")]
-    tr = S.run_timing(Program(instructions=instrs), cfg)
-    payload = emit_timeline(tr, "json")
-    back = S.Trace.from_dict(json.loads(payload))
-    assert back.to_dict() == tr.to_dict()
+    for prog in (Program(instructions=[Instruction(op=MISC, sub="noop")]),
+                 compile_graph(corpus.corpus_graph("resnet_cell"),
+                               cfg).program):
+        tr = S.run_timing(prog, cfg)
+        back = S.Trace.from_dict(json.loads(emit_timeline(tr, "json")))
+        assert back.to_dict() == tr.to_dict()
+        assert back.events == tr.events
+        assert all(type(e) is S.TraceEvent for e in back.events)
