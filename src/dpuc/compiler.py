@@ -1,14 +1,16 @@
 """Pass driver: schedule, lower, allocate, pipeline, bind, encode.
 
 The compiler takes the top-ranked schedule, lowers each node to tiles of
-ISA instructions whose addresses are still symbolic, gives its streams FM
-memories from the data flow of those instructions and its tile windows
-slots sized to what the instructions' window operands touch, then lays
-out DDR.  Per-node tile streams are skewed by the software pipeliner and
-concatenated; `memory.compute_liveness` reads each planned window's span
-of final instruction indices off the still-symbolic operands, and those
-windows are the memory map's `fm_allocs`, the one FM allocation record
-the hazard checker checks.  Binding then replaces every symbolic address
+ISA instructions whose addresses are still symbolic, and from the node's
+table of those operands (`LoweredNode.operands`) gives its streams FM
+memories by data flow and its tile windows slots sized to what the window
+operands touch, then lays out DDR with a swap slot for each tensor a kept
+lowering names.  Per-node tile streams are skewed by the software
+pipeliner and concatenated; `memory.compute_liveness` reads each planned
+window's span of final instruction indices off the pipelined stream's
+still-symbolic operands (only that stream has the final order), and those
+windows are the memory map's `fm_allocs`, the one FM allocation record the
+hazard checker checks.  Binding then replaces every symbolic address
 with a placed one, and the typed dependencies are derived over the whole
 program so consecutive nodes synchronize through the same DPON/DPBY
 machinery.  A node that cannot be placed retries with reduced tile
@@ -121,30 +123,28 @@ def _ladder_steps(fused):
 
 
 def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
-                       pm_busy, addressed):
+                       pm_busy):
     """Returns a list of (node, LoweredNode) pairs and the PM halves the
     last of them with weights leaves busy, given those the nodes before it
-    left busy (`pm_busy`); adds the DDR tensors they name to `addressed`.
-    Raises CompileError, with the attempt ledger, when no ladder step fits,
-    and at the first step on a CapacityError (weights past PM, an
-    upsample row past gamma, an unfused node whose narrowest strip is
-    past gamma or whose data flow needs more FM memories than there
-    are): no tiling changes what must sit in PM at once, the rows of a
-    path that never width-splits, the narrowest strip, nor the data
-    flow of a node that is not fused."""
+    left busy (`pm_busy`).  Raises CompileError, with the attempt ledger,
+    when no ladder step fits, and at the first step on a CapacityError
+    (weights past PM, an upsample row past gamma, an unfused node whose
+    narrowest strip is past gamma or whose data flow needs more FM
+    memories than there are): no tiling changes what must sit in PM at
+    once, the rows of a path that never width-splits, the narrowest strip,
+    nor the data flow of a node that is not fused."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
                  else [node])
         try:
-            out, busy, named = [], pm_busy, set()
+            out, busy = [], pm_busy
             for nd in nodes:
                 ctx = LW.LowerContext(
                     tensors=tensors,
                     h_cap=min(step.get("max_h", cfg.h_c), cfg.h_c),
                     aliases=aliases, deconv_mode=options.deconv_mode,
-                    w_min_parts=step.get("w_min_parts", 1), pm_busy=busy,
-                    addressed=named)
+                    w_min_parts=step.get("w_min_parts", 1), pm_busy=busy)
                 lowered = LW.lower_node(nd, ctx, cfg)
                 mems = MM.assign_fm_memories(lowered, cfg,
                                              fused=nd.fused is not None)
@@ -153,7 +153,6 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
                 busy = _pm_halves_read(lowered, cfg, busy)
             if step:
                 attempts.append(f"node {node.id}: retried with {step}")
-            addressed |= named
             return out, busy
         except (CapacityError, InfeasibleError, OutOfMemoryError,
                 PortConflictError, UnsupportedError) as e:
@@ -195,17 +194,12 @@ def _plan_windows(lowered, mems, cfg):
     back down the retry ladder."""
     ends = {}   # stream -> {window tile: end of the furthest access}
     live = {}   # stream -> {window tile: (first, last) tile using it}
-    for ti, tile in enumerate(lowered.tiles):
-        for _q, group in tile.stages:
-            for ins in group:
-                for f in ("src", "src2", "dst"):
-                    a = getattr(ins, f)
-                    if isinstance(a, LW.Win):
-                        win = ends.setdefault(a.stream, {})
-                        win[a.tile] = max(win.get(a.tile, 0),
-                                          a.off + ins.extent(f))
-                        span = live.setdefault(a.stream, {})
-                        span[a.tile] = (span.get(a.tile, (ti,))[0], ti)
+    for ti, ins, f, a in lowered.operands:
+        if isinstance(a, LW.Win):
+            win = ends.setdefault(a.stream, {})
+            win[a.tile] = max(win.get(a.tile, 0), a.off + ins.extent(f))
+            span = live.setdefault(a.stream, {})
+            span[a.tile] = (span.get(a.tile, (ti,))[0], ti)
     placed = {m: [] for m in range(cfg.fm_memories)}
     for sname in sorted(ends):
         mem = mems[sname]
@@ -272,15 +266,13 @@ def _compile_schedule(g, schedule, cfg, options):
     param_image = bytearray()
     param_offsets = {}
     lowered_nodes = []
-    addressed = set()   # the DDR tensors some lowered instruction names
     pm_busy = ()   # both PM halves are free at program start
     for nid in schedule:
         node = g.nodes[nid]
         if node.op == "input":
             continue
         parts, pm_busy = _lower_with_ladder(
-            node, tensors, aliases, cfg, options, attempts, pm_busy,
-            addressed)
+            node, tensors, aliases, cfg, options, attempts, pm_busy)
         for nd, lowered in parts:
             offs = []
             for payload in lowered.pm_payloads:
@@ -291,6 +283,10 @@ def _compile_schedule(g, schedule, cfg, options):
     # one immutable image, shared by the program and the artifacts
     param_image = bytes(param_image)
 
+    # swap holds the DDR tensors the kept lowerings name
+    addressed = {a.name for _nd, lowered in lowered_nodes
+                 for _ti, _ins, _f, a in lowered.operands
+                 if isinstance(a, LW.TensorAt)}
     layout = MM.ddr_layout(g, len(param_image),
                            [tensors[name] for name in addressed], cfg)
     pbase, psize = layout.segments["parameters"]
@@ -402,16 +398,11 @@ def _bind(lowered, layout, param_addrs):
     the tensor's DDR address, a PM block by its DDR address in
     param_addrs."""
     allocs = lowered.allocs
-    for tile in lowered.tiles:
-        for _q, group in tile.stages:
-            for ins in group:
-                for f in ("src", "src2", "dst"):
-                    a = getattr(ins, f)
-                    if isinstance(a, LW.Win):
-                        al = allocs[a.stream, a.tile]
-                        setattr(ins, f, Addr(FM, al.start + a.off, al.mem))
-                    elif isinstance(a, LW.TensorAt):
-                        setattr(ins, f,
-                                Addr(DDR, layout.address(a.name) + a.off))
-                    elif isinstance(a, LW.ParamAt):
-                        setattr(ins, f, Addr(DDR, param_addrs[a.block]))
+    for _ti, ins, f, a in lowered.operands:
+        if isinstance(a, LW.Win):
+            al = allocs[a.stream, a.tile]
+            setattr(ins, f, Addr(FM, al.start + a.off, al.mem))
+        elif isinstance(a, LW.TensorAt):
+            setattr(ins, f, Addr(DDR, layout.address(a.name) + a.off))
+        else:
+            setattr(ins, f, Addr(DDR, param_addrs[a.block]))

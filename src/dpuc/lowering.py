@@ -13,14 +13,17 @@ part; `tile_tree` nests them for `dpuc compile --dump-tiles`.  Each leaf is
 one ISA instruction (`machine.Instruction`) with every field final except
 its addresses: src, src2 and dst stay symbolic (`Win`, `TensorAt`,
 `ParamAt`) until window planning and the DDR layout place them, and the
-compiler's binder then replaces them.  Transfer geometry, strides, PM
-offsets and weight sizes are all decided here; every activation LOAD and
-SAVE comes from `_transfer`, one per row of a rows x columns x channels
-box of a DDR tensor.  Node attrs are read as `graph.parse_graph` resolved
-them: defaults filled in, pairs as tuples.  Windows are not declared:
-a window is as large as the bytes its `Win` operands touch
-(`compiler._plan_windows`), and its stream's FM memory follows from which
-streams the writing instruction reads (`memory.assign_fm_memories`).
+compiler's binder then replaces them.  `lower_node` lists those operands
+once per node (`LoweredNode.operands`), and FM memory roles, window
+planning, the DDR swap set and the binder all read that list.  Transfer
+geometry, strides, PM offsets and weight sizes are all decided here; every
+activation LOAD and SAVE comes from `_transfer`, one per row of a rows x
+columns x channels box of a DDR tensor.  Node attrs are read as
+`graph.parse_graph` resolved them: defaults filled in, pairs as tuples.
+Windows are not declared: a window is as large as the bytes its `Win`
+operands touch (`compiler._plan_windows`), and its stream's FM memory
+follows from which streams the writing instruction reads
+(`memory.assign_fm_memories`).
 
 Every tensor lives in DDR between nodes.  Tiles re-read their full input
 window from DDR (the per-tile load stage), so consecutive tiles of a
@@ -474,6 +477,9 @@ class LoweredNode:
     tiles: list
     pm_payloads: list = field(default_factory=list)  # bytes per PM block
     notes: dict = field(default_factory=dict)
+    # (tile index, instruction, field, placeholder) per symbolic src, src2
+    # or dst, in stage order, src before src2 before dst; set by lower_node
+    operands: list = field(default_factory=list)
     # (stream, tile) -> memory.WindowAlloc, set by the window planner
     allocs: dict = field(default_factory=dict)
 
@@ -490,7 +496,6 @@ class LowerContext:
     # PM halves (0, 1) the last CONV of the previous node with weights
     # reads; derived by the compiler from the node order
     pm_busy: tuple = ()
-    addressed: set = field(default_factory=set)  # DDR tensors _transfer names
 
 
 def _exp(tensor):
@@ -505,7 +510,6 @@ def _transfer(op, ctx, tensor, rows, cols, stream, ti, ch=None):
     concatenation's channel slice; a slice narrower than the tensor is
     one block per column."""
     name, ch_off = ctx.aliases.get(tensor.name, (tensor.name, 0))
-    ctx.addressed.add(name)
     _h, w, c = ctx.tensors[name].shape
     (lo, hi), (clo, chi) = rows, cols
     ch0, ch1 = ch or (0, tensor.shape[2])
@@ -531,24 +535,18 @@ def lower_node(node, ctx, cfg):
 
     Leaves are LOAD/CONV/MISC/SAVE instructions over symbolic addresses;
     prologue and epilogue tiles differ from steady tiles in their clamped
-    input ranges and explicit padding attributes.
+    input ranges and explicit padding attributes.  The node's symbolic
+    operands are listed once, in `LoweredNode.operands`.
     """
-    op = node.op
-    if op == "conv":
-        return _lower_conv(node, ctx, cfg)
-    if op == "maxpool":
-        return _lower_pool(node, ctx, cfg)
-    if op == "eltwise-add":
-        return _lower_elt(node, ctx, cfg)
-    if op == "upsample":
-        return _lower_upsample(node, ctx, cfg)
-    if op == "identity":
-        return _lower_copy(node, ctx, cfg)
-    if op == "deconv":
-        return _lower_deconv(node, ctx, cfg)
-    if op == "concat":
-        return _lower_concat(node, ctx, cfg)
-    raise UnsupportedError(f"cannot lower op {op}")
+    if node.op not in _LOWERERS:
+        raise UnsupportedError(f"cannot lower op {node.op}")
+    ln = _LOWERERS[node.op](node, ctx, cfg)
+    ln.operands = [(ti, ins, f, a) for ti, tile in enumerate(ln.tiles)
+                   for _q, group in tile.stages for ins in group
+                   for f, a in (("src", ins.src), ("src2", ins.src2),
+                                ("dst", ins.dst))
+                   if type(a) in _SYMBOLIC]
+    return ln
 
 
 def _conv_shift(ctx, node, mid_quant):
@@ -992,3 +990,10 @@ def _lower_deconv_upsample(node, ctx, cfg):
     ln.notes = {"kind": "deconv-upsample",
                 "mult_count": upsample_conv_mult_count(y.shape, k, c_i)}
     return ln
+
+
+_LOWERERS = {"conv": _lower_conv, "maxpool": _lower_pool,
+             "eltwise-add": _lower_elt, "upsample": _lower_upsample,
+             "identity": _lower_copy, "deconv": _lower_deconv,
+             "concat": _lower_concat}
+_SYMBOLIC = {Win, TensorAt, ParamAt}   # the placeholder types

@@ -144,28 +144,30 @@ def assign_fm_memories(lowered, cfg, fused=False):
     op; it reads the windows (`lowering.Win`) named by its src and src2
     and writes the one named by its dst.  A stream a LOAD writes lives in
     fm0; a stream written by an instruction that reads streams S lives in
-    1 + the highest memory of S.  Tiles are walked in stage order, so a
-    stream's memory is known before any instruction reads it.  A stream
+    1 + the highest memory of S.  The operand table
+    (`LoweredNode.operands`) is in stage order, reads before their dst, so
+    a stream's memory is known before any instruction reads it.  A stream
     past the last memory is a CapacityError, since no tiling shortens the
-    data flow, and a PortConflictError for a `fused` node, which the
-    retry ladder may still unfuse."""
-    assignment = {}
-    usage = {}
-    for tile in lowered.tiles:
-        for _q, group in tile.stages:
-            for ins in group:
-                srcs = [assignment[a.stream] for a in (ins.src, ins.src2)
-                        if isinstance(a, Win)]
-                reads, writes = usage.setdefault(ins.op, (set(), set()))
-                reads.update(srcs)
-                if isinstance(ins.dst, Win):
-                    name, mem = ins.dst.stream, 1 + max(srcs, default=-1)
-                    if mem >= cfg.fm_memories:
-                        raise (PortConflictError if fused
-                               else CapacityError)(
-                            f"stream {name} needs memory {mem}, machine "
-                            f"has {cfg.fm_memories}")
-                    assignment[name] = mem
-                    writes.add(mem)
+    data flow, and a PortConflictError for a `fused` node, which the retry
+    ladder may still unfuse."""
+    assignment, usage = {}, {}
+    srcs, last = [], None   # the memories read by instruction `last`
+    for _ti, ins, f, a in lowered.operands:
+        if not isinstance(a, Win):
+            continue
+        if ins is not last:
+            srcs, last = [], ins
+        reads, writes = usage.setdefault(ins.op, (set(), set()))
+        if f != "dst":
+            srcs.append(assignment[a.stream])
+            reads.add(srcs[-1])
+            continue
+        mem = 1 + max(srcs, default=-1)
+        if mem >= cfg.fm_memories:
+            raise (PortConflictError if fused else CapacityError)(
+                f"stream {a.stream} needs memory {mem}, machine has "
+                f"{cfg.fm_memories}")
+        assignment[a.stream] = mem
+        writes.add(mem)
     check_ports((u, r, w) for u, (r, w) in sorted(usage.items()))
     return assignment

@@ -595,8 +595,9 @@ def test_symbolic_addresses_name_planned_windows(mode):
     furthest byte its accesses reach, rounded up to a bank row: on the
     default machine and on one with 16-byte bank rows, where the rounding
     cannot hide a window that is a row short.  Every instruction sits in
-    the group of its own queue, and after compile_graph no address is
-    symbolic."""
+    the group of its own queue, the lowered node's operand table lists
+    exactly the symbolic operands this walk finds, in its order, and
+    after compile_graph no address is symbolic."""
     options = CompileOptions(deconv_mode=mode)
     fine_rows = MachineConfig(fm_row_bytes=16, fm_bank_rows=8192)
     seen = set()
@@ -610,15 +611,19 @@ def test_symbolic_addresses_name_planned_windows(mode):
                 continue
             parts, _busy = C._lower_with_ladder(
                 g.nodes[nid], g.tensors | g.fused_mids(), aliases, cfg,
-                options, [], (), set())
+                options, [], ())
             for _nd, lowered in parts:
                 ends = dict.fromkeys(lowered.allocs, 0)
-                for tile in lowered.tiles:
+                symbolic = []
+                for ti, tile in enumerate(lowered.tiles):
                     for queue, group in tile.stages:
                         for t in group:
                             assert t.op == queue
                             for f in ("src", "src2", "dst"):
                                 a = getattr(t, f)
+                                if isinstance(a, (L.Win, L.TensorAt,
+                                                  L.ParamAt)):
+                                    symbolic.append((ti, t, f, a))
                                 if isinstance(a, L.Win):
                                     key = (a.stream, a.tile)
                                     end = a.off + t.extent(f)
@@ -628,6 +633,11 @@ def test_symbolic_addresses_name_planned_windows(mode):
                             seen.add((t.op, t.sub))
                 for key, al in lowered.allocs.items():
                     assert al.length == cfg.round_to_bank_row(ends[key]), key
+                # the operand table lists exactly these, in this order
+                assert len(lowered.operands) == len(symbolic)
+                for got, want in zip(lowered.operands, symbolic):
+                    assert got[0] == want[0] and got[1] is want[1]
+                    assert got[2:] == want[2:]
         art = compile_graph(corpus.corpus_graph(name), cfg, options)
         for ins in art.program.instructions:
             for a in (ins.src, ins.src2, ins.dst):
@@ -641,9 +651,11 @@ def test_symbolic_addresses_name_planned_windows(mode):
 
 def test_fm_roles_follow_the_data_flow(tmp_path):
     """On two FM memories a fused conv+pool needs fm2 for the pool output
-    (load -> fm0, conv -> fm1, pool -> fm2), so the ladder unfuses it and
-    the program still verifies.  A deconv's shuffle output needs fm2 on
-    every step, so the compile fails with the attempt ledger."""
+    (load -> fm0, conv -> fm1, pool -> fm2), so the ladder unfuses it, the
+    intermediate it then saves gets a swap slot, and the program still
+    verifies; fused on the default machine, conv_pool has no swap tensor.
+    A deconv's shuffle output needs fm2 on every step, so the compile
+    fails with the attempt ledger."""
     cfg = MachineConfig(fm_memories=2)
     for name in ("conv_pool", "vgg_prefix"):
         g = corpus.corpus_graph(name)
@@ -662,6 +674,13 @@ def test_fm_roles_follow_the_data_flow(tmp_path):
                                allocs=art.memmap["fm_allocs"],
                                cfg=cfg) == [], name
         assert {a["mem"] for a in art.memmap["fm_allocs"]} == {0, 1}
+        if name == "conv_pool":
+            # swap holds the intermediate the kept, unfused lowering names
+            assert art.memmap["tensors"]["t"] == ["swap", 0]
+    # fused, the intermediate never leaves FM and gets no DDR bytes
+    fused = compile_graph(corpus.corpus_graph("conv_pool"), MachineConfig())
+    assert fused.report["attempts"] == []
+    assert all(seg != "swap" for seg, _off in fused.memmap["tensors"].values())
     for mode in ("series", "upsample"):
         with pytest.raises(CompileError, match="needs memory 2") as err:
             compile_graph(corpus.corpus_graph("deconv"), cfg,
