@@ -10,14 +10,17 @@ process.  The workload's cases and their inputs are built once, through
 the parent's `perfbench/workloads.py` (imported, not edited), with seed 0
 and the benchmark's input rule.  Each side then prepares what its phase
 needs outside the timing: a parsed graph, and for the phases after
-compile its own compiled program and trace.
+compile its own compiled program and trace.  The `deps` phase is the
+compile's dependency step alone: `machine.footprints` plus
+`pipeline.assign_typed_deps` over the compiled stream.
 
 After one untimed pass per side, pair i times one pass of the phase over
 every case on each side, the parent first in even pairs and the change
 first in odd ones.  It prints
 each side's median and quartiles and the median and quartiles of the
 per-pair ratio change / parent; for `compile` it also says whether both
-sides wrote the same assembly for every case.
+sides wrote the same assembly for every case, and for `deps` whether
+both gave every instruction the same DPON and DPBY sets.
 
 It gives no verdict.  Wall times of separate processes minutes apart
 drift more than a pass-sized change on a shared host, so this tool sizes
@@ -43,7 +46,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_pairs import quartiles  # noqa: E402
 
 SIDES = ("parent", "change")
-PHASES = ("compile", "timing", "functional", "reference", "hazards")
+PHASES = ("compile", "deps", "timing", "functional", "reference",
+          "hazards")
 INPUTS_PER_CASE = 2     # as the benchmark's verify rounds
 SEED = 0                # the workload seed of the benchmark's first pair
 
@@ -95,6 +99,11 @@ def prepare(pkg, phase, cases):
         "compile": lambda it: pkg.compile_graph(it[0], cfg, it[1]).assembly,
         "reference": lambda it: [pkg.reference_execute(it[0], x)
                                  for x in it[2]],
+        "deps": lambda it: pkg.pipeline.assign_typed_deps(
+            pkg.pipeline.PipelinedStream(it[0].program.instructions,
+                                         it[0].marks,
+                                         it[0].report["pipelined"]),
+            fp=pkg.machine.footprints(it[0].program.instructions)),
         "timing": lambda it: pkg.run_timing(it[0].program, cfg),
         "functional": lambda it: [pkg.run_program(it[0].program, cfg, x)
                                   for x in it[2]],
@@ -103,6 +112,11 @@ def prepare(pkg, phase, cases):
             cfg=cfg),
     }[phase]
     return run, items
+
+
+def _tokens(stream):
+    """The DPON and DPBY sets of a stream's instructions, in order."""
+    return [(ins.dpon, ins.dpby) for ins in stream.instructions]
 
 
 def time_pass(run, items):
@@ -166,6 +180,11 @@ def main():
         print("assemblies: " + (f"differ on {', '.join(differ)}" if differ
                                 else f"identical on all {len(cases)} "
                                      f"cases"))
+    if args.phase == "deps":
+        differ = [case.name for (case, _), a, b in zip(cases, *last)
+                  if _tokens(a) != _tokens(b)]
+        print("dpon/dpby: " + (f"differ on {', '.join(differ)}" if differ
+                               else f"identical on all {len(cases)} cases"))
     return 0
 
 

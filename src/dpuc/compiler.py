@@ -263,7 +263,8 @@ def _compile_schedule(g, schedule, cfg, options):
 
     # lowering is symbolic, so it runs before the DDR layout; the layout
     # then reserves exactly the parameter bytes the lowering decided on
-    param_image = bytearray()
+    payloads = []   # the PM payloads in image order, `end` bytes so far
+    end = 0
     param_offsets = {}
     lowered_nodes = []
     pm_busy = ()   # both PM halves are free at program start
@@ -276,12 +277,13 @@ def _compile_schedule(g, schedule, cfg, options):
         for nd, lowered in parts:
             offs = []
             for payload in lowered.pm_payloads:
-                offs.append(len(param_image))
-                param_image.extend(payload)
+                offs.append(end)
+                end += len(payload)
+            payloads += lowered.pm_payloads
             param_offsets[nd.id] = offs
             lowered_nodes.append((nd, lowered))
     # one immutable image, shared by the program and the artifacts
-    param_image = bytes(param_image)
+    param_image = b"".join(payloads)
 
     # swap holds the DDR tensors the kept lowerings name
     addressed = {a.name for _nd, lowered in lowered_nodes

@@ -186,6 +186,13 @@ _COLORS = {
 # sub-op -> the operands it reads, in order; every other sub-op reads src
 _READS = {"eltwise": ("src", "src2"), "conv": ("src", "wgt"), "noop": ()}
 
+# sub-op -> the operands of its footprint as (field, is write): the
+# `_READS` operands in order, then dst unless it is a no-op
+_FOOTPRINT_FIELDS = {
+    sub: tuple((f, 0) for f in _READS.get(sub, ("src",)))
+    + (() if sub == "noop" else (("dst", 1),))
+    for _op, sub in _ASM_FIELDS}
+
 # geometry fields that may be negative, and those that must be at least 1
 _SIGNED_FIELDS = {"shift", "ea", "eb", "eo"}
 _POSITIVE_FIELDS = {"kh", "kw", "sh", "sw", "factor"}
@@ -415,17 +422,21 @@ class Instruction:
         return [(space, mem, off, off + span(shape, strides))]
 
     def reads(self, exact=False):
-        """Ranges (space, mem, lo, hi) of the `_READS` operands, in order."""
-        fields = _READS.get(self.sub)
-        if fields is None:      # src alone, most instructions: no copy
-            return self._ranges("src", exact)
-        return [r for f in fields for r in self._ranges(f, exact)]
+        """Ranges (space, mem, lo, hi) of the operands it reads, in
+        `_FOOTPRINT_FIELDS` order."""
+        out = []
+        for f, w in _FOOTPRINT_FIELDS[self.sub]:
+            if not w:
+                out += self._ranges(f, exact)
+        return out
 
     def writes(self, exact=False):
         """Byte ranges this instruction writes, as (space, mem, lo, hi)."""
-        if self.is_noop:
-            return []
-        return self._ranges("dst", exact)
+        out = []
+        for f, w in _FOOTPRINT_FIELDS[self.sub]:
+            if w:
+                out += self._ranges(f, exact)
+        return out
 
     def color(self):
         """Timeline color class."""
@@ -472,17 +483,18 @@ def instruction_cost(ins, cfg):
 
 def footprints(instructions):
     """Every instruction's footprint, taken once: an int64 table with a row
-    (memory key, lo, hi, instruction, is write) per range, in issue order
-    and each instruction's reads before its writes, and the (space, mem)
-    each memory key stands for.  Empty ranges keep their row; a range
-    past 64-bit addresses raises OutOfBoundsError."""
+    (memory key, lo, hi, instruction, is write) per `_FOOTPRINT_FIELDS`
+    operand, its covering range, in issue order and each instruction's
+    reads before its writes (the ranges of `reads()` then `writes()`), and
+    the (space, mem) each memory key stands for.  Empty ranges keep their
+    row; a range past 64-bit addresses raises OutOfBoundsError."""
     keys = {}
     rows = []
     for idx, ins in enumerate(instructions):
-        for w, ranges in ((0, ins.reads()), (1, ins.writes())):
-            for space, mem, lo, hi in ranges:
-                rows += (keys.setdefault((space, mem), len(keys)), lo, hi,
-                         idx, w)
+        for f, w in _FOOTPRINT_FIELDS[ins.sub]:
+            space, mem, off, shape, strides = ins.operand(f)
+            rows += (keys.setdefault((space, mem), len(keys)), off,
+                     off + span(shape, strides), idx, w)
     try:
         return np.array(rows, np.int64).reshape(-1, 5), list(keys)
     except OverflowError:

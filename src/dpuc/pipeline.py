@@ -9,12 +9,16 @@ an empty group, not a missing one.
 assign_typed_deps() encodes the stream's true cross-queue data and
 buffer-reuse dependencies with nothing but the four instruction types.
 derive_dependencies() finds them in one sorted numpy sweep over the byte
-segments of the stream's footprint table (`machine.footprints`); the
-hazard checker, which proves them sufficient, sweeps in code of its own.
-DPON/DPBY pairs act as counted tokens per (producer type -> consumer
-type) channel: the n-th instruction of a queue that depends on type s is
-gated by the completion of the n-th type-s instruction that carries the
-matching DPBY.
+segments of the stream's footprint table (`machine.footprints`), as an
+(n, 4) target matrix: per instruction, the latest instruction of each
+queue type it waits for.  The hazard checker, which proves them
+sufficient, sweeps in code of its own.  DPON/DPBY pairs act as counted
+tokens per (producer type -> consumer type) channel: the n-th
+instruction of a queue that depends on type s is gated by the completion
+of the n-th type-s instruction that carries the matching DPBY.  A
+consumer takes a token only when its target exceeds the running maximum
+of its queue's earlier targets on that channel, so the step stays in
+arrays from the footprint table to the DPON/DPBY masks.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EncodingError
-from .machine import FM, OP_TYPES, footprints
+from .machine import FM, OP_TYPES, dep_mask, footprints, mask_deps
 
 _QUEUE = {op: q for q, op in enumerate(OP_TYPES)}
 
@@ -81,14 +85,22 @@ def pipeline(tiles, enabled=True):
 # dependency derivation
 # ---------------------------------------------------------------------------
 
+def _queues(instructions):
+    """Each instruction's queue type, as its column in `OP_TYPES`."""
+    return np.array([_QUEUE[ins.op] for ins in instructions], np.int64)
+
+
 def derive_dependencies(instructions, fp=None):
-    """Cross-queue dependency targets per instruction, from byte ranges
-    and port usage, as {queue type: latest instruction of that type}.
+    """Cross-queue dependency targets from byte ranges and port usage: an
+    (n, 4) int64 matrix whose cell (c, q) is the latest instruction of
+    queue type q (columns in `OP_TYPES` order) that instruction c must
+    wait for, or -1 when there is none.
 
     A read depends on the last writer of its bytes (RAW), a write on
     their last writer (WAW) and on the readers since that write (WAR).
     Same-queue ordering is free (units are in-order and non-overlapping),
-    so only the latest cross-queue target per producer type matters.
+    so only the latest cross-queue target per producer type matters, and
+    the column of an instruction's own queue is -1.
     Besides data and buffer-reuse dependencies, each FM memory has a
     single read and a single write port: when the user of a port switches
     to a different unit, the newcomer must wait for the previous unit's
@@ -105,7 +117,7 @@ def derive_dependencies(instructions, fp=None):
     pair the previous write of its segment, and per queue type a running
     maximum of read positions the last reader of that type since then."""
     table, mems = fp if fp is not None else footprints(instructions)
-    op = np.array([_QUEUE[ins.op] for ins in instructions], np.int64)
+    op = _queues(instructions)
     cells, found = [], []   # (instruction * 4 + queue type, target)
 
     key, lo, hi, who, write = table[table[:, 1] < table[:, 2]].T
@@ -153,57 +165,69 @@ def derive_dependencies(instructions, fp=None):
     np.maximum.at(targets.reshape(-1), np.concatenate(cells),
                   np.concatenate(found))
     targets[np.arange(len(op)), op] = -1   # same-queue order is free
-    return [{OP_TYPES[q]: j for q, j in enumerate(row) if j >= 0}
-            for row in targets.tolist()]
+    return targets
 
 
 def chain_dependencies(instructions):
-    """Full serialization: every instruction depends on its predecessor.
-    Used for the --no-pipeline baseline so the sequential semantics is
-    what the timing simulator actually executes."""
-    deps = [{} for _ in instructions]
-    for idx in range(1, len(instructions)):
-        prev = instructions[idx - 1]
-        if prev.op != instructions[idx].op:
-            deps[idx][prev.op] = idx - 1
-    return deps
+    """Full serialization: every instruction depends on its predecessor,
+    as the (n, 4) target matrix of `derive_dependencies`.  Used for the
+    --no-pipeline baseline so the sequential semantics is what the timing
+    simulator actually executes."""
+    op = _queues(instructions)
+    targets = np.full((len(op), 4), -1, np.int64)
+    c = np.flatnonzero(op[1:] != op[:-1]) + 1
+    targets[c, op[c - 1]] = c - 1
+    return targets
+
+
+# the DPON/DPBY set of each 4-bit mask, and each queue type's mask bit
+_MASK_SETS = [mask_deps(m) for m in range(16)]
+_BIT = np.array([dep_mask([op]) for op in OP_TYPES], np.int64)
 
 
 def assign_typed_deps(stream, deps=None, fp=None):
     """Encode dependency targets as DPON/DPBY token channels.
 
-    Consumers are walked in issue order, which is queue order on every
-    channel (s -> u), and each one is paired with its own type-s target.
-    A consumer whose target sits no later in queue s than a target an
-    earlier instruction of its queue already waits on takes no token:
-    in-order execution carries that guarantee forward.  Paired targets
-    therefore rise strictly along each channel, so the n-th DPON of a
-    channel meets its n-th DPBY.  DPON/DPBY are set in place, replacing
-    any earlier encoding, and the returned stream holds the same
-    instruction objects.  Raises EncodingError for a dependency on a
-    later instruction.  Without `deps`, a pipelined stream's targets are
-    derived from its footprints `fp` (see `derive_dependencies`).
+    `deps` is an (n, 4) target matrix as `derive_dependencies` returns:
+    cell (c, s) the type-s instruction c waits for, -1 for none.  The
+    column of c's own queue is ignored, since same-queue order is free.
+    On each channel (s -> u) the queue-u consumers issue in queue order,
+    and a consumer takes a token iff its type-s target exceeds every
+    earlier type-s target of its queue, a running maximum down the
+    queue-u rows of column s.  Any other consumer waits on a target no
+    later in queue s than one an earlier instruction of its queue already
+    waits on, and in-order execution carries that guarantee forward.
+    Paired targets therefore rise strictly along each channel, so the
+    n-th DPON of a channel meets its n-th DPBY.  DPON/DPBY are set in
+    place, replacing any earlier encoding, and the returned stream holds
+    the same instruction objects.  Raises EncodingError, naming the
+    lowest such instruction, for a dependency on a later instruction.
+    Without `deps`, a pipelined stream's targets are derived from its
+    footprints `fp` (see `derive_dependencies`).
     """
     instructions = stream.instructions
     if deps is None:
         deps = (derive_dependencies(instructions, fp) if stream.pipelined
                 else chain_dependencies(instructions))
-    dpon = [set() for _ in instructions]
-    dpby = [set() for _ in instructions]
-    enforced = {}   # (s, u) -> latest type-s target a type-u token covers
-    for c, ins in enumerate(instructions):
-        u = ins.op
-        for s, target in deps[c].items():
-            if s == u:   # same-queue order is free
-                continue
-            if target >= c:
-                raise EncodingError(
-                    f"instruction {c} depends on later instruction "
-                    f"{target}")
-            if target > enforced.get((s, u), -1):
-                enforced[(s, u)] = target
-                dpon[c].add(s)
-                dpby[target].add(u)
-    for ins, on, by in zip(instructions, dpon, dpby):
-        ins.dpon, ins.dpby = frozenset(on), frozenset(by)
+    op = _queues(instructions)
+    n = len(op)
+    targets = np.array(deps, np.int64).reshape(n, 4)
+    targets[np.arange(n), op] = -1   # same-queue order is free
+    c, s = np.nonzero(targets >= np.arange(n)[:, None])
+    if len(c):
+        raise EncodingError(f"instruction {c[0]} depends on later "
+                            f"instruction {int(targets[c[0], s[0]])}")
+    dpon = np.zeros(n, np.int64)
+    dpby = np.zeros(n, np.int64)
+    for u in range(4):
+        rows = np.flatnonzero(op == u)
+        t = targets[rows]
+        # the latest type-s target of each earlier queue-u consumer
+        before = np.maximum.accumulate(
+            np.concatenate((np.full((1, 4), -1), t[:-1])), axis=0)
+        take = t > before
+        dpon[rows] = take @ _BIT
+        np.bitwise_or.at(dpby, t[take], _BIT[u])
+    for ins, on, by in zip(instructions, dpon.tolist(), dpby.tolist()):
+        ins.dpon, ins.dpby = _MASK_SETS[on], _MASK_SETS[by]
     return PipelinedStream(instructions, stream.marks, stream.pipelined)

@@ -10,6 +10,7 @@ from dpuc import compiler as C
 from dpuc import corpus
 from dpuc import graph as G
 from dpuc import lowering as L
+from dpuc import machine as M
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.errors import CompileError
@@ -162,6 +163,33 @@ def test_exact_footprints_follow_the_operand_model(name):
             assert sum(hi - lo for lo, hi in ranges) == (
                 ins.extent(f) if (rows, blocks) == (1, 1)
                 else rows * blocks * size)
+
+
+# the digest tests' machines: eight-row FM banks and a 16 KiB PM, and
+# 16-byte bank rows
+FOOTPRINT_MACHINES = {
+    "default": CFG,
+    "small": MachineConfig(fm_bank_rows=8, pm_bytes=16384),
+    "fine": MachineConfig(fm_row_bytes=16, fm_bank_rows=8192)}
+
+
+@pytest.mark.parametrize("machine", sorted(FOOTPRINT_MACHINES))
+@pytest.mark.parametrize("name,mode", [
+    *((name, "series") for name in sorted(ROUNDTRIP_GRAPHS)),
+    ("deconv", "upsample")])
+def test_footprint_table_matches_reads_and_writes(name, mode, machine):
+    # the compile's footprint table holds, row for row, the extents
+    # reads() and writes() give, each memory under one key
+    art = compile_graph(ROUNDTRIP_GRAPHS[name](), FOOTPRINT_MACHINES[machine],
+                        CompileOptions(deconv_mode=mode))
+    instrs = art.program.instructions
+    table, mems = M.footprints(instrs)
+    assert len(set(mems)) == len(mems)
+    assert [(*mems[k], lo, hi, idx, w)
+            for k, lo, hi, idx, w in table.tolist()] == [
+        (*r, idx, w) for idx, ins in enumerate(instrs)
+        for w, ranges in ((0, ins.reads()), (1, ins.writes()))
+        for r in ranges]
 
 
 def test_t1_shape_first_tile():

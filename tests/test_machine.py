@@ -307,6 +307,17 @@ def test_operand_table_covers_every_instruction():
     assert set(OPERANDS) == {k for k in M._ASM_FIELDS if k[1] != "noop"}
 
 
+def test_footprint_fields_cover_every_sub_op():
+    # a sub-op's footprint is its operands: the reads in order, then dst,
+    # its one write; a no-op's is empty
+    assert set(M._FOOTPRINT_FIELDS) == {sub for _op, sub in M._ASM_FIELDS}
+    for key in M._ASM_FIELDS:
+        fields = M._FOOTPRINT_FIELDS[key[1]]
+        want = [] if key[1] == "noop" else list(OPERANDS[key][1])
+        assert [f for f, _w in fields] == want, key
+        assert [w for f, w in fields] == [f == "dst" for f, _w in fields]
+
+
 @pytest.mark.parametrize("key", sorted(OPERANDS))
 def test_operand_and_layout(key):
     ins, want = OPERANDS[key]

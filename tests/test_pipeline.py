@@ -146,12 +146,22 @@ def test_assign_deps_steady_structure():
             assert producer < consumer
 
 
+def target_matrix(deps):
+    """The (n, 4) target matrix of per-instruction {queue type: target}
+    dicts, -1 where a dict has no target."""
+    out = np.full((len(deps), 4), -1, np.int64)
+    for c, d in enumerate(deps):
+        for s, target in d.items():
+            out[c, OP_TYPES.index(s)] = target
+    return out
+
+
 def test_assign_deps_rejects_forward_dependency():
     stream = P.pipeline(four_stage_tiles(2))
     deps = [{} for _ in stream.instructions]
     deps[0] = {CONV: 1}
     with pytest.raises(EncodingError):
-        P.assign_typed_deps(stream, deps=deps)
+        P.assign_typed_deps(stream, deps=target_matrix(deps))
 
 
 def test_shared_pacemaker_covered_by_queue_order():
@@ -164,7 +174,7 @@ def test_shared_pacemaker_covered_by_queue_order():
     deps = [dict() for _ in stream.instructions]
     deps[1] = {MISC: 0}
     deps[2] = {MISC: 0}
-    out = P.assign_typed_deps(stream, deps=deps)
+    out = P.assign_typed_deps(stream, deps=target_matrix(deps))
     saves = [i for i in out.instructions if i.op == SAVE]
     assert saves[0].dpon == frozenset({MISC})
     assert saves[1].dpon == frozenset()
@@ -186,11 +196,16 @@ class Access:
     rd: list
     wr: list
 
-    def reads(self, exact=False):
-        return list(self.rd)
 
-    def writes(self, exact=False):
-        return list(self.wr)
+def access_footprints(prog):
+    """The `machine.footprints` table of stand-in accesses: a row per
+    range, in issue order and each access's reads before its writes."""
+    keys = {m: k for k, m in enumerate(MEMS)}
+    table = [(keys[s, m], lo, hi, idx, w)
+             for idx, acc in enumerate(prog)
+             for w, ranges in ((0, acc.rd), (1, acc.wr))
+             for s, m, lo, hi in ranges]
+    return np.array(table, np.int64).reshape(-1, 5), list(MEMS)
 
 
 # zero-length ranges included: they take an FM port but no byte
@@ -239,7 +254,8 @@ def deps_oracle(prog):
 @given(accesses)
 @settings(max_examples=200, deadline=None)
 def test_dependency_targets_match_per_byte_oracle(prog):
-    assert P.derive_dependencies(prog) == deps_oracle(prog)
+    got = P.derive_dependencies(prog, access_footprints(prog))
+    assert np.array_equal(got, target_matrix(deps_oracle(prog)))
 
 
 MAKE = {LOAD: lambda n: load(0, n), CONV: lambda n: conv(0, 0, n),
@@ -271,7 +287,7 @@ def test_assign_deps_sound_for_any_backward_deps(case):
     ops, sizes, deps = case
     stream = P.PipelinedStream([MAKE[op](n) for op, n in zip(ops, sizes)],
                                [None] * len(ops))
-    out = P.assign_typed_deps(stream, deps=deps)
+    out = P.assign_typed_deps(stream, deps=target_matrix(deps))
     # tokens alone carry every dependency: no No-Op is added
     assert [i.op for i in out.instructions] == ops
     for pairs in token_pairings(out.instructions).values():
@@ -281,6 +297,49 @@ def test_assign_deps_sound_for_any_backward_deps(case):
     for c, d in enumerate(deps):
         for target in d.values():
             assert trace.events[c].start >= trace.events[target].end
+
+
+def per_consumer_tokens(ops, deps):
+    """DPON and DPBY sets of each instruction, one consumer at a time: a
+    consumer takes a token on channel (s -> u) when its type-s target
+    lies past the latest target that channel's tokens already cover."""
+    dpon = [set() for _ in ops]
+    dpby = [set() for _ in ops]
+    enforced = {}   # (s, u) -> latest type-s target a type-u token covers
+    for c, u in enumerate(ops):
+        for s in OP_TYPES:
+            target = deps[c].get(s)
+            if target is None or s == u:
+                continue
+            if target >= c:
+                raise EncodingError(f"instruction {c} depends on later "
+                                    f"instruction {target}")
+            if target > enforced.get((s, u), -1):
+                enforced[(s, u)] = target
+                dpon[c].add(s)
+                dpby[target].add(u)
+    return dpon, dpby
+
+
+@settings(max_examples=500, deadline=None)
+@given(backward_typed_deps(), hst.data())
+def test_token_encoding_matches_per_consumer_loop(case, data):
+    ops, sizes, deps = case
+    stream = P.PipelinedStream([MAKE[op](n) for op, n in zip(ops, sizes)],
+                               [None] * len(ops))
+    out = P.assign_typed_deps(stream, deps=target_matrix(deps))
+    assert ([(i.dpon, i.dpby) for i in out.instructions]
+            == list(zip(*per_consumer_tokens(ops, deps))))
+    # targets at or past their consumer: the lowest such consumer is named
+    for _ in range(data.draw(hst.integers(1, 3))):
+        c = data.draw(hst.integers(0, len(ops) - 1))
+        s = data.draw(hst.sampled_from([q for q in OP_TYPES if q != ops[c]]))
+        deps[c][s] = data.draw(hst.integers(c, len(ops) - 1))
+    with pytest.raises(EncodingError) as want:
+        per_consumer_tokens(ops, deps)
+    with pytest.raises(EncodingError) as got:
+        P.assign_typed_deps(stream, deps=target_matrix(deps))
+    assert str(got.value) == str(want.value)
 
 
 def test_pipelined_beats_sequential_makespan():

@@ -212,3 +212,17 @@ def test_ab_inproc_summary_gives_quartiles_and_pair_ratios():
     assert lines[-1] == "ratio change/parent: median 0.900 [0.864, 0.900]"
     # no verdict: nothing says whether the change is a gain
     assert not any("gain" in l or "yes" in l for l in lines)
+
+
+def test_ab_inproc_times_the_dependency_step(tmp_path):
+    # one tree on both sides: the footprints plus token encoding of every
+    # corpus case, and the same DPON/DPBY on every instruction
+    out = run_script("ab_inproc.py", ROOT, ROOT, "--workload", "corpus",
+                     "--phase", "deps", "--pairs", "1",
+                     cwd=tmp_path).splitlines()
+    n = len(corpus.corpus_names()) + 1   # and deconv through upsample
+    assert out[0] == (f"workload corpus, phase deps, {n} cases, 1 pairs "
+                      f"(seconds per pass)")
+    assert [line.split()[0] for line in out[1:-1]] == [
+        "side", "parent", "change", "ratio"]
+    assert out[-1] == f"dpon/dpby: identical on all {n} cases"
