@@ -200,8 +200,6 @@ def upsample_out_shape(in_shape, factor):
 def infer_out_shape(node, in_shapes):
     op = node.op
     a = node.attrs
-    if op in ("input", "const"):
-        return None
     if op in ("fix", "identity"):
         return in_shapes[0]
     if op == "conv":
@@ -451,7 +449,7 @@ def _validate(g):
             _check_params(n, act_shapes[0][2], ParseError)
         want = infer_out_shape(n, act_shapes)
         shapes.setdefault(n.output, want)
-        if n.output in g.tensors and want is not None:
+        if n.output in g.tensors:
             got = g.tensors[n.output].shape
             if got != want:
                 raise ShapeError(
@@ -605,19 +603,17 @@ def replace_node(n):
 # super-layer fusion selection
 # ---------------------------------------------------------------------------
 
-def fuse_superlayers(g, cfg=None):
+def fuse_superlayers(g, cfg):
     """Replace eligible conv -> maxpool pairs with fused super-nodes.
 
     Eligibility: the intermediate tensor has exactly one consumer and a
-    valid production/consumption steady state exists (lowering.plan_fusion).
+    valid production/consumption steady state exists on `cfg` (plan_fusion).
     conv -> eltwise pairs stay separate: streaming the residual operand
     while the convolution runs would need a second concurrent reader on one
     FM memory, which the port model forbids.
     """
     from .lowering import plan_fusion
-    from .machine import MachineConfig
 
-    cfg = cfg or MachineConfig()
     nodes = {nid: replace_node(n) for nid, n in g.nodes.items()}
     tensors = dict(g.tensors)
 

@@ -64,13 +64,15 @@ def receptive_range(lo, hi, k, s, p, size):
     """Input range feeding output rows [lo, hi) of a windowed op.
 
     Returns (in_lo, in_hi, pad_lo, pad_hi), 0-based, clamped to the real
-    input extent; pad_* count virtual zero rows outside it.
+    input extent; pad_* count virtual zero rows outside it.  A range wholly
+    in the padding (p >= k allows one) is empty, at the nearer edge.
     """
     raw_lo = lo * s - p
     raw_hi = (hi - 1) * s + k - p
-    in_lo = max(0, raw_lo)
-    in_hi = min(size, raw_hi)
-    return in_lo, in_hi, max(0, -raw_lo), max(0, raw_hi - size)
+    in_lo = min(size, max(0, raw_lo))
+    in_hi = max(in_lo, min(size, raw_hi))
+    return (in_lo, in_hi, max(0, min(0, raw_hi) - raw_lo),
+            max(0, raw_hi - max(size, raw_lo)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,6 @@ class OpGeometry:
     kernel: tuple = (1, 1)
     stride: tuple = (1, 1)
     padding: tuple = (0, 0)
-    factor: int = 1  # upsample factor (upsample/deconv)
 
 
 # ---------------------------------------------------------------------------
@@ -167,23 +168,18 @@ def plan_fusion(conv_geom, consumer_geom, cfg, h_cap=None):
     height H_c' <= h_cap (by default H_c) with an integer consumer ratio
     whose input window and intermediate band both fit FM double-buffered.
 
-    A max pool advances max(1, h_p // stride) output rows per MISC
-    instruction; the identity consumer of an unfused conv has no MISC
-    stage and advances one row, so its k is the band height.  Consumers
-    whose kernel exceeds their stride would carry rows between consumer
-    tiles, forcing reshaped (less efficient) tiles, so fusion is turned
-    off for them; the rate math is still reported.
+    The consumer is one of two.  A max pool advances max(1, h_p // stride)
+    output rows per MISC instruction; the identity consumer of an unfused
+    conv has no MISC stage and advances one row, so its k is the band
+    height.  Pools whose kernel exceeds their stride would carry rows
+    between consumer tiles, forcing reshaped (less efficient) tiles, so
+    fusion is turned off for them; the rate math is still reported.
     """
-    if conv_geom.op != "conv":
-        return FusionPlan(False, reason="producer is not a convolution")
     if consumer_geom.op == "maxpool":
         pk, ps = consumer_geom.kernel[0], consumer_geom.stride[0]
         out_per = max(1, cfg.h_p // ps)
-    elif consumer_geom.op == "identity":
-        pk = ps = out_per = 1
     else:
-        return FusionPlan(False,
-                          reason=f"unsupported consumer {consumer_geom.op}")
+        pk = ps = out_per = 1
 
     advance = out_per * ps
     t_h = (out_per - 1) * ps + pk
@@ -258,8 +254,6 @@ def _phase_axis(k, s, p, out_n, in_n):
     phases = []
     for r in range(s):
         ds = [d for d in range(k) if (r + d - p) % s == 0]
-        if not ds:
-            continue
         es = [(r + d - p) // s for d in ds]
         e_min, e_max = es[0], es[-1]
         n_out = max(0, -(-(out_n - r) // s))  # ceil((out_n - r)/s)

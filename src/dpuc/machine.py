@@ -408,34 +408,34 @@ class Instruction:
         byte."""
         return span(*self.layout(f))
 
-    def _ranges(self, f, exact):
-        """Footprint of operand f as (space, mem, lo, hi) ranges: one per
-        block of a strided operand when exact and its blocks are not one
-        run, else the extent."""
+    def _ranges(self, f):
+        """The bytes operand f touches as (space, mem, lo, hi) ranges: one
+        per block of a strided operand whose blocks are not one run, else
+        its extent."""
         space, mem, off, shape, strides = self.operand(f)
         (rows, blocks, size), (row, blk) = shape, strides
         if rows == blocks == 1:     # a single block is its own extent
             return [(space, mem, off, off + size)]
-        if exact and (blocks > 1 or row != size):
+        if blocks > 1 or row != size:
             return [(space, mem, (o := off + r * row + b * blk), o + size)
                     for r in range(rows) for b in range(blocks)]
         return [(space, mem, off, off + span(shape, strides))]
 
-    def reads(self, exact=False):
-        """Ranges (space, mem, lo, hi) of the operands it reads, in
-        `_FOOTPRINT_FIELDS` order."""
+    def reads(self):
+        """The exact byte ranges (space, mem, lo, hi) of the operands it
+        reads, in `_FOOTPRINT_FIELDS` order."""
         out = []
         for f, w in _FOOTPRINT_FIELDS[self.sub]:
             if not w:
-                out += self._ranges(f, exact)
+                out += self._ranges(f)
         return out
 
-    def writes(self, exact=False):
-        """Byte ranges this instruction writes, as (space, mem, lo, hi)."""
+    def writes(self):
+        """The exact byte ranges (space, mem, lo, hi) it writes."""
         out = []
         for f, w in _FOOTPRINT_FIELDS[self.sub]:
             if w:
-                out += self._ranges(f, exact)
+                out += self._ranges(f)
         return out
 
     def color(self):
@@ -485,9 +485,9 @@ def footprints(instructions):
     """Every instruction's footprint, taken once: an int64 table with a row
     (memory key, lo, hi, instruction, is write) per `_FOOTPRINT_FIELDS`
     operand, its covering range, in issue order and each instruction's
-    reads before its writes (the ranges of `reads()` then `writes()`), and
-    the (space, mem) each memory key stands for.  Empty ranges keep their
-    row; a range past 64-bit addresses raises OutOfBoundsError."""
+    reads before its writes (the operands of `reads()` then `writes()`),
+    and the (space, mem) each memory key stands for.  Empty ranges keep
+    their row; a range past 64-bit addresses raises OutOfBoundsError."""
     keys = {}
     rows = []
     for idx, ins in enumerate(instructions):

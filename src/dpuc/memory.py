@@ -34,7 +34,7 @@ class DdrLayout:
         return self.segments[seg][0] + off
 
 
-def ddr_layout(g, param_bytes, addressed, cfg=None):
+def ddr_layout(g, param_bytes, addressed, cfg):
     """Pack tensors into the five DDR segments, deterministically.
 
     Graph inputs and outputs go to their own segments, and swap holds the
@@ -64,7 +64,7 @@ def ddr_layout(g, param_bytes, addressed, cfg=None):
     for seg in DDR_SEGMENTS:
         segments[seg] = (base, sizes[seg])
         base += sizes[seg]
-    if cfg is not None and cfg.ddr_capacity and base > cfg.ddr_capacity:
+    if cfg.ddr_capacity and base > cfg.ddr_capacity:
         raise CapacityError(f"DDR layout needs {base} B, cap is "
                             f"{cfg.ddr_capacity} B")
     return DdrLayout(segments, tensor_map)
@@ -159,7 +159,9 @@ def assign_fm_memories(lowered, cfg, fused=False):
             srcs, last = [], ins
         reads, writes = usage.setdefault(ins.op, (set(), set()))
         if f != "dst":
-            srcs.append(assignment[a.stream])
+            # a stream nothing writes (a conv window wholly in padding)
+            # holds no byte; it lives in fm0, as a loaded one does
+            srcs.append(assignment.setdefault(a.stream, 0))
             reads.add(srcs[-1])
             continue
         mem = 1 + max(srcs, default=-1)

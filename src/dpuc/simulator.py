@@ -770,8 +770,7 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     for idx, ins in enumerate(instrs):
         if idx not in ev:
             continue
-        for d, ranges in (("r", ins.reads(exact=True)),
-                          ("w", ins.writes(exact=True))):
+        for d, ranges in (("r", ins.reads()), ("w", ins.writes())):
             for space, mem, lo, hi in ranges:
                 if lo >= hi:
                     continue

@@ -479,7 +479,7 @@ def test_aliased_concat_saves_across_width_strips(pipelined):
              if mark[0] == "cb" and ins.op == "SAVE"]
     assert saves
     for ins in saves:
-        for space, _mem, lo, hi in ins.writes(exact=True):
+        for space, _mem, lo, hi in ins.writes():
             ch = (lo - base) % 32
             assert space == "ddr" and 0 <= lo - base < 4 * 600 * 32
             assert 16 <= ch and ch + (hi - lo) <= 32, (lo, hi)

@@ -109,6 +109,60 @@ def test_verify_full_corpus_exit_zero(corpus_dir):
         assert rc == 0, name
 
 
+def _padded_doc(op, h, w, c, k, s, p):
+    """A conv (stride s) or deconv (upsample s) of kernel k and padding p
+    from an h x w x c input to 4 channels."""
+    if op == "conv":
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        attrs = {"kernel": [k, k], "stride": [s, s], "padding": [p, p]}
+    else:
+        oh, ow = ((n - 1) * s + 2 * p - k + 2 for n in (h, w))
+        attrs = {"kernel": [k, k], "upsample": s, "padding": p}
+    rng = np.random.default_rng(k * 100 + p)
+    wgt = rng.integers(-24, 24, (4, k, k, c)).astype(np.int8)
+    bias = rng.integers(-500, 500, 4).astype(np.int32)
+    b64 = lambda a: base64.b64encode(a.tobytes()).decode()
+    return {
+        "tensors": [{"name": "x", "shape": [h, w, c],
+                     "quant": {"lo": -32.0, "hi": 31.75, "step": 0.25}},
+                    {"name": "y", "shape": [oh, ow, 4],
+                     "quant": {"lo": -2048.0, "hi": 2032.0, "step": 16.0}}],
+        "nodes": [{"id": "in", "op": "input", "inputs": [], "output": "x"},
+                  {"id": op, "op": op, "inputs": ["x"], "output": "y",
+                   "attrs": {**attrs, "c_out": 4},
+                   "params": {"weights": b64(wgt), "bias": b64(bias),
+                              "shape": [4, k, k, c],
+                              "quant": {"lo": -16.0, "hi": 15.875,
+                                        "step": 0.125}}}],
+        "inputs": ["x"], "outputs": ["y"]}
+
+
+# (op, h, w, c, kernel, stride or upsample, padding, flags): padding that
+# reaches a whole kernel puts a band of output rows, or the whole output,
+# in the padding.  Before such a band lowered to a bias-only CONV over an
+# empty window, the first failed to run (in_rows=-3, exit 1), and the
+# others ended in an internal error (KeyError 'in0' in the FM memory
+# roles; a negative upsample row count in the simulator), exit 4.
+PADDED_PAST_KERNEL = {
+    "conv-band-below-input": ("conv", 9, 2, 4, 1, 1, 4, []),
+    "conv-all-padding": ("conv", 1, 1, 4, 1, 3, 1, []),
+    "deconv-upsample-band-below-input": ("deconv", 2, 2, 8, 2, 2, 4,
+                                         ["--deconv-mode", "upsample"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PADDED_PAST_KERNEL))
+def test_verify_padding_past_the_kernel_exit_zero(tmp_path, capsys, case):
+    *shape, flags = PADDED_PAST_KERNEL[case]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_padded_doc(*shape)))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path), "--seeds", "1"] + flags) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith(f"PASS {path}: 1 seeds bit-exact"), out
+    assert out.err == ""
+
+
 def test_verify_corrupted_params_exit_one(corpus_dir, monkeypatch):
     from dpuc import compiler as C
     real = C.compile_graph
@@ -459,6 +513,19 @@ MALFORMED_WINDOWED = {
                                "w=-16 is negative"),
     "upsample-zero-factor": ("deconv", ["--deconv-mode", "upsample"],
                              "upsample", {"factor": 0}, "factor=0 is below 1"),
+    # a window taller than its padded input, and upsampled rows the
+    # input does not feed
+    "conv-kernel-past-rows": ("toy_conv", [], "conv",
+                              {"in_rows": 1, "pt": 0, "pb": 0},
+                              "kh=3 exceeds in_rows=1 padded by pt=0 and "
+                              "pb=0"),
+    "maxpool-kernel-past-rows": ("conv_pool", [], "maxpool", {"in_rows": 1},
+                                 "kh=2 exceeds in_rows=1 padded by pt=0 and "
+                                 "pb=0"),
+    "upsample-rows-past-factor": ("deconv", ["--deconv-mode", "upsample"],
+                                  "upsample", {"out_rows": 11},
+                                  "out_rows=11 exceeds in_rows=5 x "
+                                  "factor=2"),
 }
 
 

@@ -127,18 +127,17 @@ def test_every_compiled_program_roundtrips_through_assembly(name, pipelined):
 
 
 def _operand_ranges(ins):
-    """[(operand, its ranges)] cut from reads(exact=True) and
-    writes(exact=True): src, an eltwise's src2, dst; a conv's PM weights
-    are checked and dropped."""
-    reads = ins.reads(exact=True)
+    """[(operand, its ranges)] cut from reads() and writes(): src, an
+    eltwise's src2, dst; a conv's PM weights are checked and dropped."""
+    reads = ins.reads()
     if ins.op == CONV:
         assert reads.pop() == (PM, 0, ins.wgt_off,
                                ins.wgt_off + ins.wgt_bytes)
     if ins.sub == "eltwise":
         assert len(reads) == 2
         return [("src", reads[:1]), ("src2", reads[1:]),
-                ("dst", ins.writes(exact=True))]
-    return [("src", reads), ("dst", ins.writes(exact=True))]
+                ("dst", ins.writes())]
+    return [("src", reads), ("dst", ins.writes())]
 
 
 FOOTPRINT_GRAPHS = [*corpus.corpus_names(), "scaled_h56", "deep_7x7_c512"]
@@ -178,8 +177,9 @@ FOOTPRINT_MACHINES = {
     *((name, "series") for name in sorted(ROUNDTRIP_GRAPHS)),
     ("deconv", "upsample")])
 def test_footprint_table_matches_reads_and_writes(name, mode, machine):
-    # the compile's footprint table holds, row for row, the extents
-    # reads() and writes() give, each memory under one key
+    # the compile's footprint table holds, row for row, the covering range
+    # [off, off + extent) of each operand reads() and writes() walk, reads
+    # before writes, each memory under one key
     art = compile_graph(ROUNDTRIP_GRAPHS[name](), FOOTPRINT_MACHINES[machine],
                         CompileOptions(deconv_mode=mode))
     instrs = art.program.instructions
@@ -187,9 +187,10 @@ def test_footprint_table_matches_reads_and_writes(name, mode, machine):
     assert len(set(mems)) == len(mems)
     assert [(*mems[k], lo, hi, idx, w)
             for k, lo, hi, idx, w in table.tolist()] == [
-        (*r, idx, w) for idx, ins in enumerate(instrs)
-        for w, ranges in ((0, ins.reads()), (1, ins.writes()))
-        for r in ranges]
+        (space, mem, off, off + ins.extent(f), idx, w)
+        for idx, ins in enumerate(instrs)
+        for f, w in M._FOOTPRINT_FIELDS[ins.sub]
+        for space, mem, off, _shape, _strides in [ins.operand(f)]]
 
 
 def test_t1_shape_first_tile():
@@ -248,22 +249,18 @@ def test_deconv_both_paths_identical_outputs():
     assert t_ser.makespan < t_up.makespan
 
 
-@pytest.mark.parametrize("pipelined", [True, False],
-                         ids=["pipeline", "sequential"])
-@pytest.mark.parametrize("k, s, p", [(1, 2, 0), (2, 3, 1), (3, 3, 1)])
-def test_deconv_series_falls_back_to_upsample(k, s, p, pipelined):
-    # a kernel below the upsample factor, or an upsample above 2, has no
-    # series decomposition: the deconv lowers through upsample + conv
+def _deconv_graph(in_shape, c_out, k, s, p):
+    """One deconv node "up" of kernel k, upsample s and padding p."""
     rng = np.random.default_rng(100 * k + s)
-    c_in, c_out = 4, 6
-    oh, ow, _ = G.deconv_out_shape((6, 5, c_in), c_out, (k, k), s, p)
+    c_in = in_shape[2]
+    oh, ow, _ = G.deconv_out_shape(in_shape, c_out, (k, k), s, p)
     w = rng.integers(-24, 24, (c_out, k, k, c_in)).astype(np.int8)
     b = rng.integers(-1000, 1000, c_out).astype(np.int32)
     b64 = lambda a: base64.b64encode(a.tobytes()).decode()
     q = lambda e: {"lo": -128.0 * 2.0 ** e, "hi": 127.0 * 2.0 ** e,
                    "step": 2.0 ** e}
-    doc = {
-        "tensors": [{"name": "x", "shape": [6, 5, c_in], "quant": q(-2)},
+    return G.parse_graph(json.dumps({
+        "tensors": [{"name": "x", "shape": list(in_shape), "quant": q(-2)},
                     {"name": "y", "shape": [oh, ow, c_out], "quant": q(2)}],
         "nodes": [
             {"id": "in", "op": "input", "inputs": [], "output": "x"},
@@ -273,11 +270,11 @@ def test_deconv_series_falls_back_to_upsample(k, s, p, pipelined):
              "params": {"weights": b64(w), "bias": b64(b),
                         "shape": [c_out, k, k, c_in], "quant": q(-3)}}],
         "inputs": ["x"], "outputs": ["y"],
-    }
-    g = G.parse_graph(json.dumps(doc))
-    art = compile_graph(g, CFG, CompileOptions(pipeline=pipelined,
-                                               deconv_mode="series"))
-    assert [n["kind"] for n in art.report["nodes"]] == ["deconv-upsample"]
+    }))
+
+
+def _check_deconv(g, art):
+    """art's program matches the reference on g and is hazard-free."""
     folded = G.fold_constants_and_quantizers(g)
     inputs = rand_inputs(folded)
     got = S.run_program(art.program, CFG, inputs)["y"]
@@ -285,6 +282,37 @@ def test_deconv_series_falls_back_to_upsample(k, s, p, pipelined):
     trace = S.run_timing(art.program, CFG)
     assert S.check_hazards(art.program, trace,
                            allocs=art.memmap["fm_allocs"], cfg=CFG) == []
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("k, s, p", [(1, 2, 0), (2, 3, 1), (3, 3, 1),
+                                   (2, 2, 0)])
+def test_deconv_series_falls_back_to_upsample(k, s, p, pipelined):
+    # a kernel below the upsample factor, or an upsample above 2, has no
+    # series decomposition, and without padding a phase window starts a
+    # column into the input, a crop the conv unit cannot read: the
+    # deconv lowers through upsample + conv
+    g = _deconv_graph((6, 5, 4), 6, k, s, p)
+    art = compile_graph(g, CFG, CompileOptions(pipeline=pipelined,
+                                               deconv_mode="series"))
+    assert [n["kind"] for n in art.report["nodes"]] == ["deconv-upsample"]
+    _check_deconv(g, art)
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+def test_deconv_series_skips_a_phase_with_no_output_row(pipelined):
+    # a 1x1 input under kernel 3 and padding 1 gives one output pixel:
+    # of the four phase sub-kernels only (0, 0) has an output row or
+    # column, so each tile skips the other three and issues one CONV
+    g = _deconv_graph((1, 1, 4), 6, 3, 2, 1)
+    art = compile_graph(g, CFG, CompileOptions(pipeline=pipelined,
+                                               deconv_mode="series"))
+    node, = art.report["nodes"]
+    assert (node["kind"], node["sub_kernels"]) == ("deconv-series", 4)
+    assert sum(ins.op == CONV for ins in art.program.instructions) == 1
+    _check_deconv(g, art)
 
 
 @pytest.mark.parametrize("pipelined", [True, False],
@@ -543,7 +571,7 @@ def test_conservation_saves_cover_outputs():
         for ins in art.program.instructions:
             if ins.op != SAVE:
                 continue
-            for _sp, _m, lo, hi in ins.writes(exact=True):
+            for _sp, _m, lo, hi in ins.writes():
                 if out_base <= lo and hi <= out_base + out_size:
                     saved += hi - lo
         total = sum(t["bytes"] for t in art.program.tensors.values()

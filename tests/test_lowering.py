@@ -42,8 +42,26 @@ def test_receptive_range_matches_enumeration(k, s, p, size, data):
     assert cells <= set(range(ilo, ihi))
     if cells and p == 0:
         assert (ilo, ihi) == (min(cells), max(cells) + 1)
-    assert plo == max(0, -(lo * s - p))
-    assert phi == max(0, (hi - 1) * s + k - p - size)
+    # the range is the window's real rows and the padding its other rows,
+    # so a window wholly in the padding (p >= k) is an empty range
+    window = range(lo * s - p, (hi - 1) * s + k - p)
+    assert set(range(ilo, ihi)) == set(window) & set(range(size))
+    assert 0 <= ilo <= ihi <= size
+    assert plo == sum(r < 0 for r in window)
+    assert phi == sum(r >= size for r in window)
+
+
+@pytest.mark.parametrize("lo,hi,k,s,p,size,want", [
+    (16, 17, 1, 1, 4, 9, (9, 9, 0, 1)),    # below the last input row
+    (0, 1, 1, 3, 1, 1, (0, 0, 1, 0)),      # above the first
+    (0, 2, 2, 1, 4, 3, (0, 0, 3, 0)),
+    (8, 10, 2, 1, 4, 3, (3, 3, 0, 3)),
+    (0, 1, 1, 1, 1, 5, (0, 0, 1, 0))])     # on the edge: as before
+def test_receptive_range_wholly_in_padding_is_empty(lo, hi, k, s, p, size,
+                                                    want):
+    # these windows hold no input row; they gave a negative row count
+    # (in_lo past in_hi) or more padding than the window has rows
+    assert L.receptive_range(lo, hi, k, s, p, size) == want
 
 
 def width_strips(geom, cfg, min_parts=1):

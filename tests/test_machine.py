@@ -435,14 +435,13 @@ def test_blocks_overlap_matches_byte_sets(rows, blocks, size, row, blk):
 
 def test_save_exact_ranges_are_strided():
     ins = sample_program().instructions[-1]
-    exact = ins.writes(exact=True)
+    exact = ins.writes()
     assert len(exact) == 8
     assert exact[0] == (M.DDR, 0, 1024, 1032)
     assert exact[1] == (M.DDR, 0, 1040, 1048)
     lo = min(r[2] for r in exact)
     hi = max(r[3] for r in exact)
-    bound = ins.writes(exact=False)[0]
-    assert bound[2] <= lo and bound[3] >= hi
+    assert ins.dst.off <= lo and hi <= ins.dst.off + ins.extent("dst")
 
 
 def test_config_json_roundtrip(tmp_path):

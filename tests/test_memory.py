@@ -4,7 +4,8 @@ from dpuc import graph as G
 from dpuc import memory as MEM
 from dpuc.errors import PortConflictError
 from dpuc.lowering import Win
-from dpuc.machine import Addr, DDR, Instruction, LOAD, MISC, SAVE
+from dpuc.machine import Addr, DDR, Instruction, LOAD, MachineConfig, MISC, \
+    SAVE
 
 
 def small_graph():
@@ -29,7 +30,8 @@ def small_graph():
 def test_ddr_layout_segments_disjoint_and_ordered():
     g = small_graph()
     lay = MEM.ddr_layout(g, param_bytes=96,
-                         addressed=[g.tensors[t] for t in ("x", "t", "y")])
+                         addressed=[g.tensors[t] for t in ("x", "t", "y")],
+                         cfg=MachineConfig())
     bases = [lay.segments[s] for s in
              ("inputs", "outputs", "parameters", "instructions", "swap")]
     for (b1, s1), (b2, _) in zip(bases, bases[1:]):
@@ -43,7 +45,7 @@ def test_ddr_layout_segments_disjoint_and_ordered():
 
 def test_ddr_layout_empty_graph_zero_segments():
     g = G.Graph({}, [], [], [])
-    lay = MEM.ddr_layout(g, 0, [])
+    lay = MEM.ddr_layout(g, 0, [], MachineConfig())
     assert all(size == 0 for seg, (_, size) in lay.segments.items()
                if seg != "instructions")
     assert lay.segments["instructions"] == (0, MEM.PROGRAM_SIZE_ESTIMATE)

@@ -178,7 +178,7 @@ def test_output_coverage_exactly_once():
         for ins in art.program.instructions:
             if ins.op != SAVE:
                 continue
-            for _sp, _m, lo, hi in ins.writes(exact=True):
+            for _sp, _m, lo, hi in ins.writes():
                 if base <= lo and hi <= base + size:
                     hits[lo - base:hi - base] += 1
         assert (hits == 1).all(), name
@@ -633,9 +633,11 @@ def random_dag(draw):
     """A graph document of 1-5 compute nodes over small maps: a graph input
     is at most 8x8x8, or the size of the tensor it joins.  Each node reads
     earlier tensors or new graph inputs: convs (1x1 or 3x3, stride 1-2,
-    padded or not) with inline parameters or explicit const and fix nodes, 2x2 or
+    padding 0 to the kernel, so a one-row band may lie wholly in the
+    padding) with inline parameters or explicit const and fix nodes, 2x2 or
     overlapping padded 3x3 max pools, eltwise adds, concats (of graph
-    inputs and of concats too), upsamples and identities.  A graph input,
+    inputs and of concats too), upsamples, deconvs (kernel 1-4, upsample
+    2, padding 0 to the kernel) and identities.  A graph input,
     a conv accumulator or the output of any other node may come through a
     fix node; every tensor nobody reads is an output."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -700,7 +702,8 @@ def random_dag(draw):
 
     for i in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(("conv", "conv", "maxpool", "eltwise-add",
-                                     "concat", "upsample", "identity")))
+                                     "concat", "upsample", "deconv",
+                                     "identity")))
         src = operand()
         (h, w, c), e = avail[src]
         out = f"t{i}"
@@ -708,7 +711,7 @@ def random_dag(draw):
             k = draw(st.sampled_from((1, 3)))
             s = draw(st.integers(1, 2))
             # a 1-pixel map needs the padding
-            p = draw(st.integers(0 if min(h, w) >= k else k // 2, k // 2))
+            p = draw(st.integers(0 if min(h, w) >= k else k // 2, k))
             oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
             co = draw(st.integers(1, 8))
             wgt = rng.integers(-24, 24, (co, k, k, c)).astype(np.int8)
@@ -773,6 +776,22 @@ def random_dag(draw):
             result({"id": f"n{i}", "op": "concat", "inputs": parts,
                     "output": out},
                    (h, w, sum(avail[t][0][2] for t in parts)), e)
+        elif kind == "deconv" and max(h, w) <= 8:
+            k = draw(st.integers(1, 4))
+            # the zero-inserted map, padded, must hold the kernel
+            uh, uw = 2 * h - 1, 2 * w - 1
+            p = draw(st.integers(max(0, -(-(k - min(uh, uw)) // 2)), k))
+            co = draw(st.integers(1, 8))
+            wgt = rng.integers(-24, 24, (co, k, k, c)).astype(np.int8)
+            bias = rng.integers(-500, 500, co).astype(np.int32)
+            result({"id": f"n{i}", "op": "deconv", "inputs": [src],
+                    "output": out,
+                    "attrs": {"kernel": [k, k], "upsample": 2, "padding": p,
+                              "c_out": co},
+                    "params": {"weights": b64(wgt), "bias": b64(bias),
+                               "shape": [co, k, k, c], "quant": q(-3)}},
+                   (uh + 2 * p - k + 1, uw + 2 * p - k + 1, co),
+                   e - 3 + draw(st.integers(6, 9)))
         elif kind == "upsample" and max(h, w) <= 8:
             result({"id": f"n{i}", "op": "upsample", "inputs": [src],
                     "output": out, "attrs": {"factor": 2}},
@@ -784,15 +803,21 @@ def random_dag(draw):
             "outputs": [t for t in avail if t not in read]}
 
 
-@given(random_dag())
+@given(random_dag(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_random_dag_bit_exact(doc):
-    # every random graph compiles, under both pipeline settings, into a
-    # program that matches the reference on the graph as written and
-    # is hazard-free; none of these small graphs is expected to fail to
-    # compile, so a compile error fails the test too
+def test_random_dag_bit_exact(doc, one_row_bands):
+    # every random graph compiles, under both pipeline settings and, when
+    # it has a deconv, both deconv modes, into a program that matches the
+    # reference on the graph as written and is hazard-free; none of these
+    # small graphs is expected to fail to compile, so a compile error
+    # fails the test too.  One-row bands (h_c = 1) put whole bands of a
+    # conv or deconv padded by its kernel in the padding.
     g = G.parse_graph(json.dumps(doc))
-    cfg = MachineConfig()
+    cfg = MachineConfig(h_c=1, h_p=1) if one_row_bands else MachineConfig()
+    modes = ("series", "upsample") if any(
+        n["op"] == "deconv" for n in doc["nodes"]) else ("series",)
     for pipelined in (True, False):
-        art = compile_graph(g, cfg, CompileOptions(pipeline=pipelined))
-        check_program(g, art, cfg)
+        for mode in modes:
+            art = compile_graph(g, cfg, CompileOptions(
+                pipeline=pipelined, deconv_mode=mode))
+            check_program(g, art, cfg)
