@@ -502,12 +502,14 @@ def _transfer(op, ctx, tensor, rows, cols, stream, ti, ch=None):
     tile ti's window on `stream`, where the box is packed densely.  A
     concat input aliased into its concatenation is moved to and from the
     concatenation's channel slice; a slice narrower than the tensor is
-    one block per column."""
+    one block per column.  A box with no byte moves nothing."""
     name, ch_off = ctx.aliases.get(tensor.name, (tensor.name, 0))
     _h, w, c = ctx.tensors[name].shape
     (lo, hi), (clo, chi) = rows, cols
     ch0, ch1 = ch or (0, tensor.shape[2])
     n = (chi - clo) * (ch1 - ch0)
+    if not n:
+        return []
     blocks, size, blk = ((1, n, 0) if ch1 - ch0 == c
                          else (chi - clo, ch1 - ch0, c))
     # one row never steps it: LOADs carry the box row's bytes, SAVEs the pitch
@@ -967,11 +969,15 @@ def _lower_deconv_upsample(node, ctx, cfg):
         ilo = ulo_al // s
         ihi = (uhi - 1) // s + 1
         loads = [_weight_load(0, 0, wgt_bytes)] if bi == 0 else []
-        loads += _transfer(LOAD, ctx, x, (ilo, ihi), (0, w_i), s_in, ti)
-        ups = [Instruction(op=MISC, sub="upsample", src=Win(s_in, ti, 0),
-                           dst=Win(s_up, ti, 0), in_rows=ihi - ilo, w=w_i,
-                           c=c_i, factor=s, out_rows=uhi - ulo_al)]
-        conv = _conv(Win(s_up, ti, (ulo - ulo_al) * w_u * c_i),
+        ups, up_off = [], 0
+        if uhi > ulo:     # a band wholly in the padding reads no row
+            loads += _transfer(LOAD, ctx, x, (ilo, ihi), (0, w_i), s_in, ti)
+            ups.append(Instruction(
+                op=MISC, sub="upsample", src=Win(s_in, ti, 0),
+                dst=Win(s_up, ti, 0), in_rows=ihi - ilo, w=w_i, c=c_i,
+                factor=s, out_rows=uhi - ulo_al))
+            up_off = (ulo - ulo_al) * w_u * c_i
+        conv = _conv(Win(s_up, ti, up_off),
                      Win(s_mid, ti, 0), (0, wgt_bytes), uhi - ulo, w_u, c_i,
                      w_o, c_o, (k, k), (1, 1),
                      (cpt, p, cpb, max(0, (w_o - 1) + k - p - w_u)), shift)

@@ -9,7 +9,8 @@ through DPON/DPBY sets over the four unit types only.
 
 `Instruction.layout` and `Instruction.operand` describe every operand once
 (shape, strides, memory) for dependency derivation, the window planner,
-the hazard checker and the functional simulator.
+the hazard checker and the functional simulator, and `footprints`
+tables them for a stream: covering ranges and exact blocks alike.
 """
 
 import json
@@ -408,36 +409,6 @@ class Instruction:
         byte."""
         return span(*self.layout(f))
 
-    def _ranges(self, f):
-        """The bytes operand f touches as (space, mem, lo, hi) ranges: one
-        per block of a strided operand whose blocks are not one run, else
-        its extent."""
-        space, mem, off, shape, strides = self.operand(f)
-        (rows, blocks, size), (row, blk) = shape, strides
-        if rows == blocks == 1:     # a single block is its own extent
-            return [(space, mem, off, off + size)]
-        if blocks > 1 or row != size:
-            return [(space, mem, (o := off + r * row + b * blk), o + size)
-                    for r in range(rows) for b in range(blocks)]
-        return [(space, mem, off, off + span(shape, strides))]
-
-    def reads(self):
-        """The exact byte ranges (space, mem, lo, hi) of the operands it
-        reads, in `_FOOTPRINT_FIELDS` order."""
-        out = []
-        for f, w in _FOOTPRINT_FIELDS[self.sub]:
-            if not w:
-                out += self._ranges(f)
-        return out
-
-    def writes(self):
-        """The exact byte ranges (space, mem, lo, hi) it writes."""
-        out = []
-        for f, w in _FOOTPRINT_FIELDS[self.sub]:
-            if w:
-                out += self._ranges(f)
-        return out
-
     def color(self):
         """Timeline color class."""
         return _COLORS[self.op, self.sub]
@@ -483,20 +454,25 @@ def instruction_cost(ins, cfg):
 
 def footprints(instructions):
     """Every instruction's footprint, taken once: an int64 table with a row
-    (memory key, lo, hi, instruction, is write) per `_FOOTPRINT_FIELDS`
-    operand, its covering range, in issue order and each instruction's
-    reads before its writes (the operands of `reads()` then `writes()`),
-    and the (space, mem) each memory key stands for.  Empty ranges keep
-    their row; a range past 64-bit addresses raises OutOfBoundsError."""
+    (memory key, lo, hi, instruction, is write, rows, blocks, block_bytes,
+    row stride, block stride) per `_FOOTPRINT_FIELDS` operand, in issue
+    order and each instruction's reads before its writes, and the (space,
+    mem) each memory key stands for.  [lo, hi) is the operand's covering
+    range, and the last five columns are its `layout`, with 0 for a stride
+    never stepped.  Empty ranges keep their row; a range past 64-bit
+    addresses raises OutOfBoundsError."""
     keys = {}
     rows = []
     for idx, ins in enumerate(instructions):
         for f, w in _FOOTPRINT_FIELDS[ins.sub]:
             space, mem, off, shape, strides = ins.operand(f)
+            n, b, size = shape
+            row, blk = strides if n * b * size else (0, 0)
             rows += (keys.setdefault((space, mem), len(keys)), off,
-                     off + span(shape, strides), idx, w)
+                     off + span(shape, strides), idx, w, n, b, size,
+                     row if n > 1 else 0, blk if b > 1 else 0)
     try:
-        return np.array(rows, np.int64).reshape(-1, 5), list(keys)
+        return np.fromiter(rows, np.int64).reshape(-1, 10), list(keys)
     except OverflowError:
         raise OutOfBoundsError("a range does not fit 64-bit byte "
                                "addresses") from None

@@ -142,34 +142,40 @@ def assign_fm_memories(lowered, cfg, fused=False):
     then verify the one-read-one-write port rule over the units that run
     concurrently once the node is pipelined.  An instruction's unit is its
     op; it reads the windows (`lowering.Win`) named by its src and src2
-    and writes the one named by its dst.  A stream a LOAD writes lives in
-    fm0; a stream written by an instruction that reads streams S lives in
-    1 + the highest memory of S.  The operand table
-    (`LoweredNode.operands`) is in stage order, reads before their dst, so
-    a stream's memory is known before any instruction reads it.  A stream
-    past the last memory is a CapacityError, since no tiling shortens the
-    data flow, and a PortConflictError for a `fused` node, which the retry
-    ladder may still unfuse."""
-    assignment, usage = {}, {}
-    srcs, last = [], None   # the memories read by instruction `last`
+    and writes the one named by its dst.  A stream lives in 1 + the
+    highest memory of the streams its writers read (the operand table,
+    `LoweredNode.operands`, lists an instruction's reads before its dst):
+    one a LOAD writes in fm0, and so does one nothing writes (a conv
+    window wholly in padding), which holds no byte.  A tile may read a
+    stream before the first tile that writes it, when its band is wholly
+    in padding.  A stream past the last memory is a CapacityError, since
+    no tiling shortens the data flow, and a PortConflictError for a
+    `fused` node, which the retry ladder may still unfuse."""
+    feeds = {}     # stream -> the streams its writers read
+    srcs, last = [], None   # the streams read by instruction `last`
     for _ti, ins, f, a in lowered.operands:
-        if not isinstance(a, Win):
-            continue
-        if ins is not last:
-            srcs, last = [], ins
-        reads, writes = usage.setdefault(ins.op, (set(), set()))
-        if f != "dst":
-            # a stream nothing writes (a conv window wholly in padding)
-            # holds no byte; it lives in fm0, as a loaded one does
-            srcs.append(assignment.setdefault(a.stream, 0))
-            reads.add(srcs[-1])
-            continue
-        mem = 1 + max(srcs, default=-1)
-        if mem >= cfg.fm_memories:
-            raise (PortConflictError if fused else CapacityError)(
-                f"stream {a.stream} needs memory {mem}, machine has "
-                f"{cfg.fm_memories}")
-        assignment[a.stream] = mem
-        writes.add(mem)
+        if isinstance(a, Win):
+            if ins is not last:
+                srcs, last = [], ins
+            if f != "dst":
+                srcs.append(a.stream)
+            else:
+                feeds.setdefault(a.stream, set()).update(srcs)
+    assignment, usage = {}, {}
+
+    def memory(stream):
+        if stream not in assignment:
+            mem = 1 + max(map(memory, feeds.get(stream, ())), default=-1)
+            if mem >= cfg.fm_memories:
+                raise (PortConflictError if fused else CapacityError)(
+                    f"stream {stream} needs memory {mem}, machine has "
+                    f"{cfg.fm_memories}")
+            assignment[stream] = mem
+        return assignment[stream]
+
+    for _ti, ins, f, a in lowered.operands:
+        if isinstance(a, Win):
+            reads, writes = usage.setdefault(ins.op, (set(), set()))
+            (writes if f == "dst" else reads).add(memory(a.stream))
     check_ports((u, r, w) for u, (r, w) in sorted(usage.items()))
     return assignment

@@ -120,7 +120,7 @@ def derive_dependencies(instructions, fp=None):
     op = _queues(instructions)
     cells, found = [], []   # (instruction * 4 + queue type, target)
 
-    key, lo, hi, who, write = table[table[:, 1] < table[:, 2]].T
+    key, lo, hi, who, write = table[table[:, 1] < table[:, 2], :5].T
     if len(key):
         stride = int(hi.max())
         lo, hi = key * stride + lo, key * stride + hi
@@ -151,7 +151,7 @@ def derive_dependencies(instructions, fp=None):
             found.append(inst[last[m]])
 
     # port hand-overs: each FM port's users in issue order
-    key, _lo, _hi, who, write = table.T
+    key, _lo, _hi, who, write = table[:, :5].T
     is_fm = np.array([space == FM for space, _mem in mems], bool)[key]
     port, inst = np.divmod(np.sort(
         (key[is_fm] * 2 + write[is_fm]) * len(op) + who[is_fm]), len(op))

@@ -12,15 +12,14 @@ its whole source before it writes, and malformed geometry (a negative
 count, size or stride, or overlapping blocks) raises ShapeError.
 Timing mode runs a discrete-event simulation of the four in-order queues
 with the counted DPON/DPBY token semantics; it never looks at data.  The
-hazard checker replays a trace against exact byte footprints, in one
-sorted numpy sweep over byte segments, to prove that the typed
-dependencies were sufficient.
+hazard checker replays a trace against exact byte ranges, expanded from
+the compile's footprint table, in one sorted numpy sweep over byte
+segments, to prove that the typed dependencies were sufficient.
 """
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import quant
 from .errors import DeadlockError, OutOfBoundsError, ShapeError, \
     UseBeforeDefError
 from .machine import DDR, FM, LOAD, OP_TYPES, PM, SAVE, blocks_overlap, \
-    instruction_cost, span
+    footprints, instruction_cost, span
 
 
 class MachineState:
@@ -651,8 +650,25 @@ def _distinct(x):
     return x[keep]
 
 
+def _exact_ranges(fp_rows):
+    """The exact (memory key, lo, hi, instruction, is write) ranges of
+    `machine.footprints` rows, from their layout columns, in row order:
+    one for a single block or for rows with no gap between them, else one
+    per block."""
+    n, b, size, row, blk = fp_rows[:, 5:].T
+    one = (b == 1) & ((n == 1) | (row == size))
+    count = np.where(one, 1, n * b)
+    at = np.repeat(np.arange(len(fp_rows)), count)
+    r, c = np.divmod(np.arange(len(at)) - (np.cumsum(count) - count)[at],
+                     b[at])
+    out = fp_rows[at, :5]
+    out[:, 1] += r * row[at] + c * blk[at]
+    out[:, 2] = out[:, 1] + np.where(one, n, 1)[at] * size[at]
+    return out
+
+
 def _memory_hazards(acc, start, end):
-    """RAW, WAR and WAW entries of the accesses `acc`, a list of (memory
+    """RAW, WAR and WAW entries of the accesses `acc`, int64 rows (memory
     key, lo, hi, instruction, is write) in replay order, as (access,
     kind, other instruction, lo, hi) in report order: by access, then
     raw (0), war (1) and waw (2), then by instruction and byte; lo and
@@ -665,8 +681,7 @@ def _memory_hazards(acc, start, end):
     positions then gives each pair the previous write, and a running
     minimum from the other end the next one; they count only within the
     pair's own segment."""
-    key, lo, hi, who, write = np.fromiter(
-        chain.from_iterable(acc), np.int64, 5 * len(acc)).reshape(-1, 5).T
+    key, lo, hi, who, write = acc.T
     stride = int(hi.max())      # memory k is at [k·stride, (k+1)·stride)
     lo, hi = key * stride + lo, key * stride + hi
     cuts = _distinct(np.concatenate((lo, hi)))
@@ -730,12 +745,13 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     FM or PM port serves two concurrently-executing instructions in the
     same direction.
 
-    For (1) the exact byte ranges of every traced instruction are
-    replayed in issue order, each instruction's reads before its writes,
-    by one sorted sweep over byte segments (`_memory_hazards`), written
-    here rather than taken from `pipeline.py`, whose dependency
-    derivation sweeps the same way, so that the check shares no code
-    with what it checks.  The sweep compares
+    For (1) the footprint table's rows (`machine.footprints`) of every
+    traced instruction, in issue order, reads before writes, are expanded
+    into exact byte ranges (`_exact_ranges`) and replayed by one sorted
+    sweep over byte segments (`_memory_hazards`), written here rather
+    than taken from `pipeline.py`, whose dependency derivation sweeps
+    covering ranges the same way: the check shares only the operand
+    description with what it checks.  The sweep compares
     the times of each read with those of the previous write of its bytes,
     and of each write with those of the previous write and the reads in
     between.  A read gets one raw-hazard entry per run of bytes that one
@@ -743,8 +759,8 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     unfinished reader of its bytes and one waw-hazard entry per
     unfinished writer of them.  Entries follow the replay order of their
     read or write, raw before war before waw, then by instruction and
-    byte.  The replay also lists the users of each FM and PM port for
-    (3).  Accesses of zero bytes touch nothing and hold no port.  The
+    byte.  The same rows give the users of each FM and PM port for (3).
+    Accesses of zero bytes touch nothing and hold no port.  The
     allocations of (2) are the compiler's planned windows
     (`memmap["fm_allocs"]`), and the check is of the plan, not the
     timing: the issue order is a valid sequential execution, and in it no
@@ -762,27 +778,15 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
     start[list(ev)] = [e.start for e in ev.values()]
     end[list(ev)] = [e.end for e in ev.values()]
 
-    mems = {}   # (space, mem) -> its key in `acc`
-    acc = []    # (key, lo, hi, instruction, is write) in replay order
-    # (space, mem, "r" or "w") -> the instructions using that FM or PM
-    # port, as the keys of a dict, in issue order
-    port_use = {}
-    for idx, ins in enumerate(instrs):
-        if idx not in ev:
-            continue
-        for d, ranges in (("r", ins.reads()), ("w", ins.writes())):
-            for space, mem, lo, hi in ranges:
-                if lo >= hi:
-                    continue
-                if space != DDR:
-                    port_use.setdefault((space, mem, d), {})[idx] = None
-                acc.append((mems.setdefault((space, mem), len(mems)), lo, hi,
-                            idx, d == "w"))
-    names = list(mems)
+    table, mems = footprints(instrs)
+    traced = np.zeros(len(instrs), bool)
+    traced[list(ev)] = True
+    used = table[traced[table[:, 3]] & (table[:, 1] < table[:, 2])]
+    acc = _exact_ranges(used)
     for rr, kind, other, blo, bhi in (_memory_hazards(acc, start, end)
-                                      if acc else ()):
-        k, lo, hi, idx, _w = acc[rr]
-        space, mem = names[k]
+                                      if len(acc) else ()):
+        k, lo, hi, idx, _w = acc[rr].tolist()
+        space, mem = mems[k]
         if kind == 0:
             report.append(
                 ("raw-hazard", idx, other,
@@ -807,13 +811,18 @@ def check_hazards(prog, trace, allocs=None, cfg=None):
                  f"live allocations {a['key']} and {b['key']} "
                  f"overlap in fm{a['mem']}"))
 
-    for (space, mem, d), users in port_use.items():
-        users = sorted(users, key=lambda i: ev[i].start)
+    is_ddr = np.array([space == DDR for space, _mem in mems], bool)
+    use = used[~is_ddr[used[:, 0]]]
+    port, who = use[:, 0] * 2 + use[:, 4], use[:, 3]
+    for p in dict.fromkeys(port.tolist()):  # (memory, direction) by first use
+        space, mem = mems[p // 2]
+        users = sorted(dict.fromkeys(who[port == p].tolist()),
+                       key=lambda i: ev[i].start)
         for a, b in zip(users, users[1:]):
             if ev[a].end > ev[b].start:
                 report.append(
                     ("port-conflict", a, b,
-                     f"{space}{mem} {('read', 'write')[d == 'w']} port "
+                     f"{space}{mem} {('read', 'write')[p % 2]} port "
                      f"used by {a} and {b} concurrently"))
     return report
 

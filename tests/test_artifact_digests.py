@@ -463,7 +463,7 @@ def aliased_concat_doc(h=4, w=600, c_in=8, c=16):
 
 @pytest.mark.parametrize("pipelined", [True, False],
                          ids=["pipeline", "sequential"])
-def test_aliased_concat_saves_across_width_strips(pipelined):
+def test_aliased_concat_saves_across_width_strips(pipelined, operand_blocks):
     # a's and b's 600 x 16 B = 9,600 B rows exceed the 8,192 B gamma, so
     # each conv saves two width strips into its channel slice of y
     cfg = MachineConfig()
@@ -479,7 +479,7 @@ def test_aliased_concat_saves_across_width_strips(pipelined):
              if mark[0] == "cb" and ins.op == "SAVE"]
     assert saves
     for ins in saves:
-        for space, _mem, lo, hi in ins.writes():
+        for space, _mem, lo, hi in operand_blocks(ins, "dst"):
             ch = (lo - base) % 32
             assert space == "ddr" and 0 <= lo - base < 4 * 600 * 32
             assert 16 <= ch and ch + (hi - lo) <= 32, (lo, hi)

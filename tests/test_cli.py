@@ -10,7 +10,11 @@ import pytest
 
 from dpuc import cli
 from dpuc import corpus
-from dpuc.machine import CONV, MachineConfig, SAVE
+from dpuc.compiler import CompileOptions, compile_graph
+from dpuc.graph import parse_graph
+from dpuc.machine import CONV, LOAD, MachineConfig, SAVE
+from dpuc.simulator import check_hazards, reference_execute, run_program, \
+    run_timing
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +88,6 @@ def test_dump_tiles_gives_every_tile_its_coordinates(corpus_dir, tmp_path,
 
 
 def test_run_output_matches_reference(corpus_dir, tmp_path):
-    from dpuc.graph import parse_graph
-    from dpuc.simulator import reference_execute
     art = tmp_path / "art"
     assert cli.main(["compile", str(corpus_dir / "resnet_cell.json"),
                      "-o", str(art)]) == 0
@@ -161,6 +163,54 @@ def test_verify_padding_past_the_kernel_exit_zero(tmp_path, capsys, case):
     out = capsys.readouterr()
     assert out.out.startswith(f"PASS {path}: 1 seeds bit-exact"), out
     assert out.err == ""
+
+
+# (op, h, w, c, kernel, stride or upsample, padding), machine and deconv
+# mode -> (instructions, makespan) pipelined and sequential.  A width
+# strip whose input columns lie wholly in the padding loads nothing
+# (before: one zero-byte LOAD per row, 49 instructions and 240 cycles
+# sequential), and a deconv band wholly in the padding neither loads nor
+# upsamples (before: 18 and 130 with the input row below it loaded, 20
+# and 105 with a top band's empty upsample too).  A CONV may then read
+# its upsampled stream before the tile that writes it, and a window that
+# nothing writes reserves no byte.
+PADDED_BOXES = {
+    "conv-strip-in-padding": (("conv", 3, 1, 4, 1, 1, 4),
+                              MachineConfig(gamma=16), "series",
+                              {True: (43, 176), False: (43, 216)}),
+    "deconv-upsample-band-below-input": (("deconv", 2, 2, 8, 2, 2, 4),
+                                         MachineConfig(), "upsample",
+                                         {True: (16, 113), False: (16, 120)}),
+    "deconv-upsample-first-band-in-padding": (
+        ("deconv", 2, 2, 4, 1, 2, 1), MachineConfig(h_c=1, h_p=1),
+        "upsample", {True: (17, 45), False: (17, 91)}),
+}
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("case", sorted(PADDED_BOXES))
+def test_padding_moves_no_empty_box(case, pipelined):
+    shape, cfg, mode, want = PADDED_BOXES[case]
+    g = parse_graph(json.dumps(_padded_doc(*shape)))
+    art = compile_graph(g, cfg, CompileOptions(pipeline=pipelined,
+                                               deconv_mode=mode))
+    instrs = art.program.instructions
+    trace = run_timing(art.program, cfg)
+    assert (len(instrs), trace.makespan) == want[pipelined]
+    assert all(ins.transfer_bytes() for ins in instrs
+               if ins.op in (LOAD, SAVE) and not ins.is_noop)
+    written = [(ins.dst.mem, ins.dst.off) for ins in instrs
+               if not ins.is_noop and ins.dst.space == "fm"]
+    assert all(any(m == a["mem"] and 0 <= off - a["start"] < a["length"]
+                   for m, off in written)
+               for a in art.memmap["fm_allocs"] if a["length"])
+    x = np.random.default_rng(3).integers(-128, 128, shape[1:4],
+                                          dtype=np.int8)
+    assert np.array_equal(run_program(art.program, cfg, {"x": x})["y"],
+                          reference_execute(g, {"x": x})["y"])
+    assert check_hazards(art.program, trace,
+                         allocs=art.memmap["fm_allocs"]) == []
 
 
 def test_verify_corrupted_params_exit_one(corpus_dir, monkeypatch):
@@ -292,6 +342,12 @@ OUT_OF_BOUNDS = {
                         "(instruction 1, ddr[-32,0))"),
     "past-64-bit": (("src=ddr:0 ", f"src=ddr:{2 ** 64} "), {},
                     "a range does not fit 64-bit byte addresses"),
+    # three rows 2**62 B apart end past 2**63 from an offset of 0
+    "past-64-bit-stride": (("src=ddr:0 dst=fm0:0 rows=1 blocks=1 "
+                            "block_bytes=32 ddr_row_stride=32 ",
+                            "src=ddr:0 dst=fm0:0 rows=3 blocks=1 "
+                            f"block_bytes=32 ddr_row_stride={2 ** 62} "), {},
+                           "a range does not fit 64-bit byte addresses"),
     "missing-fm": (("dst=fm0:0 ", "dst=fm9:0 "), {},
                    "fm9 does not exist (3 FM memories) "
                    "(instruction 1, fm9[0,32))"),

@@ -14,7 +14,7 @@ from dpuc import machine as M
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.errors import CompileError
-from dpuc.machine import Addr, CONV, LOAD, MISC, MachineConfig, PM, SAVE, \
+from dpuc.machine import Addr, CONV, LOAD, MISC, MachineConfig, SAVE, \
     emit_assembly, parse_assembly
 
 
@@ -126,42 +126,35 @@ def test_every_compiled_program_roundtrips_through_assembly(name, pipelined):
     assert emit_assembly(back) == art.assembly
 
 
-def _operand_ranges(ins):
-    """[(operand, its ranges)] cut from reads() and writes(): src, an
-    eltwise's src2, dst; a conv's PM weights are checked and dropped."""
-    reads = ins.reads()
-    if ins.op == CONV:
-        assert reads.pop() == (PM, 0, ins.wgt_off,
-                               ins.wgt_off + ins.wgt_bytes)
-    if ins.sub == "eltwise":
-        assert len(reads) == 2
-        return [("src", reads[:1]), ("src2", reads[1:]),
-                ("dst", ins.writes())]
-    return [("src", reads), ("dst", ins.writes())]
-
-
 FOOTPRINT_GRAPHS = [*corpus.corpus_names(), "scaled_h56", "deep_7x7_c512"]
 
 
 @pytest.mark.parametrize("name", FOOTPRINT_GRAPHS)
 def test_exact_footprints_follow_the_operand_model(name):
-    # every exact range of an operand lies within [off, off + extent), in
-    # the operand's memory, and the ranges are disjoint and cover exactly
-    # its rows x blocks x block_bytes bytes (a one-run operand's extent)
-    art = compile_graph(ROUNDTRIP_GRAPHS[name](), CFG)
-    for ins in art.program.instructions:
-        if ins.is_noop:
-            continue
-        for f, ranges in _operand_ranges(ins):
+    # the hazard checker's exact ranges of every operand, expanded from its
+    # footprint row, lie within [off, off + extent), in the operand's
+    # memory, and the ranges are disjoint and cover exactly its rows x
+    # blocks x block_bytes bytes (a one-run operand's extent); a conv's PM
+    # weights are one range
+    instrs = compile_graph(ROUNDTRIP_GRAPHS[name](), CFG).program.instructions
+    table, mems = M.footprints(instrs)
+    fp_rows = iter(table)
+    for ins in instrs:
+        for f, _w in M._FOOTPRINT_FIELDS[ins.sub]:
+            ranges = S._exact_ranges(next(fp_rows)[None]).tolist()
             space, mem, off, (rows, blocks, size), _ = ins.operand(f)
             end = off + ins.extent(f)
-            assert all((s, m) == (space, mem) and off <= lo <= hi <= end
-                       for s, m, lo, hi in ranges), (ins, f)
-            ranges = sorted(r[2:] for r in ranges)
+            assert all(mems[k] == (space, mem) and off <= lo <= hi <= end
+                       for k, lo, hi, _i, _w in ranges), (ins, f)
+            if f == "wgt":
+                assert [r[1:3] for r in ranges] == [
+                    [ins.wgt_off, ins.wgt_off + ins.wgt_bytes]]
+            ranges = sorted(r[1:3] for r in ranges)
             assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
             assert sum(hi - lo for lo, hi in ranges) == (
                 ins.extent(f) if (rows, blocks) == (1, 1)
                 else rows * blocks * size)
+    assert next(fp_rows, None) is None
 
 
 # the digest tests' machines: eight-row FM banks and a 16 KiB PM, and
@@ -177,20 +170,24 @@ FOOTPRINT_MACHINES = {
     *((name, "series") for name in sorted(ROUNDTRIP_GRAPHS)),
     ("deconv", "upsample")])
 def test_footprint_table_matches_reads_and_writes(name, mode, machine):
-    # the compile's footprint table holds, row for row, the covering range
-    # [off, off + extent) of each operand reads() and writes() walk, reads
-    # before writes, each memory under one key
+    # the compile's footprint table holds, row for row, each operand an
+    # instruction reads and then the one it writes: its memory, each under
+    # one key, its covering range [off, off + extent), and its layout, a
+    # stride 0 where it is never stepped
     art = compile_graph(ROUNDTRIP_GRAPHS[name](), FOOTPRINT_MACHINES[machine],
                         CompileOptions(deconv_mode=mode))
     instrs = art.program.instructions
     table, mems = M.footprints(instrs)
     assert len(set(mems)) == len(mems)
-    assert [(*mems[k], lo, hi, idx, w)
-            for k, lo, hi, idx, w in table.tolist()] == [
-        (space, mem, off, off + ins.extent(f), idx, w)
+    assert [(*mems[k], *rest) for k, *rest in table.tolist()] == [
+        (space, mem, off, off + ins.extent(f), idx, w, rows, blocks, size,
+         row if rows > 1 and nbytes else 0,
+         blk if blocks > 1 and nbytes else 0)
         for idx, ins in enumerate(instrs)
         for f, w in M._FOOTPRINT_FIELDS[ins.sub]
-        for space, mem, off, _shape, _strides in [ins.operand(f)]]
+        for space, mem, off, (rows, blocks, size), (row, blk)
+        in [ins.operand(f)]
+        for nbytes in [rows * blocks * size]]
 
 
 def test_t1_shape_first_tile():
@@ -563,7 +560,7 @@ def test_report_makespan_matches_run_timing():
         S.run_timing(art.program, CFG).makespan
 
 
-def test_conservation_saves_cover_outputs():
+def test_conservation_saves_cover_outputs(operand_blocks):
     for name in corpus.corpus_names():
         art = compiled(name)
         out_base, out_size = art.program.segments["outputs"]
@@ -571,7 +568,7 @@ def test_conservation_saves_cover_outputs():
         for ins in art.program.instructions:
             if ins.op != SAVE:
                 continue
-            for _sp, _m, lo, hi in ins.writes():
+            for _sp, _m, lo, hi in operand_blocks(ins, "dst"):
                 if out_base <= lo and hi <= out_base + out_size:
                     saved += hi - lo
         total = sum(t["bytes"] for t in art.program.tensors.values()

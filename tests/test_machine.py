@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dpuc import lowering as L
 from dpuc import machine as M
 from dpuc import simulator as S
-from dpuc.errors import AsmError
+from dpuc.errors import AsmError, OutOfBoundsError
 
 
 def mkcfg(**kw):
@@ -433,15 +433,33 @@ def test_blocks_overlap_matches_byte_sets(rows, blocks, size, row, blk):
         == _overlap_by_byte(rows, blocks, size, row, blk)
 
 
-def test_save_exact_ranges_are_strided():
+def test_save_exact_ranges_are_strided(operand_blocks):
     ins = sample_program().instructions[-1]
-    exact = ins.writes()
+    exact = operand_blocks(ins, "dst")
     assert len(exact) == 8
     assert exact[0] == (M.DDR, 0, 1024, 1032)
     assert exact[1] == (M.DDR, 0, 1040, 1048)
     lo = min(r[2] for r in exact)
     hi = max(r[3] for r in exact)
     assert ins.dst.off <= lo and hi <= ins.dst.off + ins.extent("dst")
+
+
+def test_footprints_zero_a_stride_never_stepped():
+    # a stride of a single row or block, or of an empty operand, moves no
+    # byte: the table keeps 0 for it, so one past 64-bit addresses is no
+    # range past them; a stepped one is a range past them
+    def load(rows, block_bytes, stride):
+        return M.Instruction(op=M.LOAD, sub="act", src=M.Addr(M.DDR, 64),
+                             dst=M.Addr(M.FM, 0, 0), rows=rows, blocks=1,
+                             block_bytes=block_bytes, ddr_row_stride=stride,
+                             ddr_blk_stride=2**64)
+    for rows, size, n in ((1, 32, 32), (3, 0, 0)):
+        table, mems = M.footprints([load(rows, size, 2**64)])
+        assert mems == [(M.DDR, 0), (M.FM, 0)]
+        assert table[0].tolist() == [0, 64, 64 + n, 0, 0, rows, 1, size,
+                                     0, 0]
+    with pytest.raises(OutOfBoundsError, match="64-bit"):
+        M.footprints([load(3, 32, 2**62)])
 
 
 def test_config_json_roundtrip(tmp_path):

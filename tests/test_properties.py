@@ -51,7 +51,10 @@ def conv_doc(h, w, ci, co, k, s, p, rng):
 
 def check_program(g, art, cfg):
     """The program of `art` matches the reference executor on the graph
-    as written, `g`, for one random input, and its trace is hazard-free."""
+    as written, `g`, for one random input, its trace is hazard-free, and
+    none of its LOADs and SAVEs moves zero bytes."""
+    assert all(ins.transfer_bytes() for ins in art.program.instructions
+               if ins.op in (LOAD, SAVE) and not ins.is_noop)
     rng = np.random.default_rng(99)
     inputs = {n: rng.integers(-128, 128, g.tensors[n].shape)
               .astype(np.int8) for n in g.inputs}
@@ -167,7 +170,7 @@ def test_random_conv_pool_chain_bit_exact(h, w, ci, ck, pk, ps, pp):
 # structural invariants of lowered programs
 # ---------------------------------------------------------------------------
 
-def test_output_coverage_exactly_once():
+def test_output_coverage_exactly_once(operand_blocks):
     # the saves of a compiled program write each output byte exactly once
     from dpuc import corpus
     cfg = MachineConfig()
@@ -178,7 +181,7 @@ def test_output_coverage_exactly_once():
         for ins in art.program.instructions:
             if ins.op != SAVE:
                 continue
-            for _sp, _m, lo, hi in ins.writes():
+            for _sp, _m, lo, hi in operand_blocks(ins, "dst"):
                 if base <= lo and hi <= base + size:
                     hits[lo - base:hi - base] += 1
         assert (hits == 1).all(), name

@@ -19,7 +19,8 @@ from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.errors import OutOfBoundsError, ShapeError, UseBeforeDefError
 from dpuc.machine import Addr, CONV, DDR, FM, Instruction, LOAD, MISC, \
-    MachineConfig, OP_TYPES, PM, Program, SAVE, parse_assembly
+    MachineConfig, OP_TYPES, PM, Program, SAVE, _FOOTPRINT_FIELDS, \
+    blocks_overlap, footprints, parse_assembly
 from dpuc.timeline import emit_timeline
 
 
@@ -1216,6 +1217,54 @@ def _footprint_instr(draw):
     return Instruction(op=SAVE, sub="act", src=fm(), dst=ddr, **geometry)
 
 
+@given(hst.integers(0, 4), hst.integers(0, 3), hst.integers(0, 6),
+       hst.integers(0, 30), hst.integers(0, 12), hst.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+@example(0, 2, 3, 5, 3, 7)      # no row
+@example(2, 0, 3, 5, 3, 7)      # no block
+@example(1, 3, 4, 0, 6, 2)      # one row
+@example(3, 1, 4, 4, 0, 9)      # contiguous rows: one range
+@example(2, 3, 2, 9, 2, 0)      # adjacent blocks: still one range each
+def test_exact_ranges_match_byte_enumeration(rows, blocks, size, row, blk,
+                                             off):
+    # the checker's exact ranges of a strided operand's footprint row hold
+    # its bytes in transfer order, each once: one range for a single block
+    # or for contiguous rows, else one range per block
+    assume(not blocks_overlap(rows, blocks, size, row, blk))
+    ins = Instruction(op=MISC, sub="move", src=Addr(FM, off, 0),
+                      dst=Addr(FM, 0, 1), rows=rows, blocks=blocks,
+                      block_bytes=size, src_row_stride=row,
+                      src_blk_stride=blk, dst_row_stride=blocks * size,
+                      dst_blk_stride=size)
+    table, _mems = footprints([ins])
+    ranges = S._exact_ranges(table[:1]).tolist()
+    assert [b for _k, lo, hi, _i, _w in ranges for b in range(lo, hi)] \
+        == _runs(off, rows, blocks, size, row, blk)
+    assert all(r[0] == 0 and r[3:] == [0, 0] for r in ranges)
+    if rows * blocks * size:
+        one = blocks == 1 and (rows == 1 or row == size)
+        assert len(ranges) == (1 if one else rows * blocks)
+
+
+def _operand_ranges(ins, write):
+    """The (space, mem, lo, hi) ranges of the operands `ins` writes, or
+    reads, in `_FOOTPRINT_FIELDS` order, enumerated from
+    `Instruction.operand`: a single block, or rows that follow each other
+    with no gap, are one range, and any other operand one range per
+    block, row-major."""
+    out = []
+    for f, w in _FOOTPRINT_FIELDS[ins.sub]:
+        if w != write:
+            continue
+        space, mem, off, (rows, blocks, size), (row, blk) = ins.operand(f)
+        if blocks == 1 and (rows == 1 or row == size):
+            out.append((space, mem, off, off + rows * size))
+        else:
+            out += [(space, mem, (o := off + r * row + b * blk), o + size)
+                    for r in range(rows) for b in range(blocks)]
+    return out
+
+
 def _per_byte_hazards(instrs, ev):
     """The RAW, WAR and WAW entries of `check_hazards`, in its order,
     found byte by byte from the last write range of each byte and the
@@ -1227,7 +1276,7 @@ def _per_byte_hazards(instrs, ev):
     writer, readers, report = {}, {}, []
     for idx, ins in enumerate(instrs):
         start = ev[idx].start
-        for space, mem, lo, hi in ins.reads():
+        for space, mem, lo, hi in _operand_ranges(ins, 0):
             runs = []     # [writer, lo, hi, write range]
             for b in range(lo, hi):
                 w = writer.get((space, mem, b))
@@ -1241,7 +1290,7 @@ def _per_byte_hazards(instrs, ev):
                         f"instr {idx} reads {space}{mem}[{blo},{bhi}) "
                         f"before writer {widx} completes")
                        for widx, blo, bhi, _w in sorted(runs)]
-        for k, (space, mem, lo, hi) in enumerate(ins.writes()):
+        for k, (space, mem, lo, hi) in enumerate(_operand_ranges(ins, 1)):
             war, waw = set(), set()
             for b in range(lo, hi):
                 war.update(r for r in readers.pop((space, mem, b), ())
