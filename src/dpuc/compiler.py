@@ -29,8 +29,7 @@ from . import graph as GG
 from . import lowering as LW
 from . import memory as MM
 from . import pipeline as PL
-from .errors import CapacityError, CompileError, InfeasibleError, \
-    OutOfMemoryError, PortConflictError, UnsupportedError
+from .errors import CapacityError, CompileError, InfeasibleError
 from .machine import Addr, CONV, DDR, FM, LOAD, Program, check_bounds, \
     emit_assembly, footprints
 
@@ -126,13 +125,13 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
                        pm_busy):
     """Returns a list of (node, LoweredNode) pairs and the PM halves the
     last of them with weights leaves busy, given those the nodes before it
-    left busy (`pm_busy`).  Raises CompileError, with the attempt ledger,
-    when no ladder step fits, and at the first step on a CapacityError
-    (weights past PM, an upsample row past gamma, an unfused node whose
-    narrowest strip is past gamma or whose data flow needs more FM
-    memories than there are): no tiling changes what must sit in PM at
-    once, the rows of a path that never width-splits, the narrowest strip,
-    nor the data flow of a node that is not fused."""
+    left busy (`pm_busy`).  This is the one place that decides whether a
+    retry can mend a failure.  An InfeasibleError means the step's tiling
+    does not fit, so the next step is tried; a CapacityError means no
+    tiling of the lowered nodes fits, so the node fails there unless it is
+    fused and its unfuse step, which changes its strips and data flow, is
+    still ahead.  Raises CompileError, with the attempt ledger, when the
+    node fails."""
     last = None
     for step in _ladder_steps(node.fused is not None):
         nodes = (_unfuse(node) if step.get("unfuse") and node.fused
@@ -146,19 +145,18 @@ def _lower_with_ladder(node, tensors, aliases, cfg, options, attempts,
                     aliases=aliases, deconv_mode=options.deconv_mode,
                     w_min_parts=step.get("w_min_parts", 1), pm_busy=busy)
                 lowered = LW.lower_node(nd, ctx, cfg)
-                mems = MM.assign_fm_memories(lowered, cfg,
-                                             fused=nd.fused is not None)
-                _plan_windows(lowered, mems, cfg)
+                _plan_windows(lowered, MM.assign_fm_memories(lowered, cfg),
+                              cfg)
                 out.append((nd, lowered))
                 busy = _pm_halves_read(lowered, cfg, busy)
             if step:
                 attempts.append(f"node {node.id}: retried with {step}")
             return out, busy
-        except (CapacityError, InfeasibleError, OutOfMemoryError,
-                PortConflictError, UnsupportedError) as e:
+        except (CapacityError, InfeasibleError) as e:
             last = e
             attempts.append(f"node {node.id} with {step or 'defaults'}: {e}")
-            if isinstance(e, CapacityError):
+            if isinstance(e, CapacityError) and (node.fused is None
+                                                 or step.get("unfuse")):
                 break
     raise CompileError(f"node {node.id}: {last}", attempts)
 
@@ -225,7 +223,7 @@ def _plan_windows(lowered, mems, cfg):
                 base = off
                 break
         if base is None:
-            raise OutOfMemoryError(
+            raise InfeasibleError(
                 f"stream {sname}: {nslots} x {slot} B does not fit fm{mem} "
                 f"alongside {len(conflicts)} concurrent streams")
         placed[mem].append((base, base + need, t_lo, t_hi))

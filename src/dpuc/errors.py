@@ -22,7 +22,9 @@ class CycleError(DpucError):
 
 
 class InfeasibleError(DpucError):
-    """A tiling request cannot be met at the current split depth."""
+    """This retry-ladder step's tiling does not fit: no band height under
+    the step's cap fits FM, or a stream's window slots do not fit its FM
+    memory beside the streams live with it.  A later step may fit."""
 
 
 class UnsupportedError(DpucError):
@@ -38,12 +40,12 @@ class AsmError(DpucError):
 
 
 class CapacityError(DpucError):
-    """A memory cannot hold what must sit in it at once: the DDR layout
-    past its cap, weights past PM under every tiling of the node, a row
-    of an upsample or of the deconv upsample path past gamma (neither
-    width-splits, so no tiling shortens their rows), a row of an unfused
-    node past gamma at every strip count its width allows, or a stream of
-    an unfused node past the last FM memory."""
+    """No tiling of this node mends it: the DDR layout past its cap,
+    weights past PM, a row of an upsample or of the deconv upsample path
+    past gamma (neither width-splits), a row past gamma at every strip
+    count the width allows, or a stream past the last FM memory.  The
+    retry ladder may still unfuse a fused node, which changes its strips
+    and its data flow."""
 
 
 class UseBeforeDefError(DpucError):
@@ -52,14 +54,6 @@ class UseBeforeDefError(DpucError):
 
 class OutOfBoundsError(DpucError):
     """An address range falls outside its memory."""
-
-
-class OutOfMemoryError(DpucError):
-    """FM window planning cannot fit a stream's slots without overlap."""
-
-
-class PortConflictError(DpucError):
-    """An FM memory would need more than one read or write port."""
 
 
 class EncodingError(DpucError):

@@ -50,7 +50,6 @@ no feasibility.
 """
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -100,7 +99,7 @@ def _even_ranges(n, parts):
     return out
 
 
-def _strip_chain(out_w, out_c, levels, cfg, min_parts, fused=False):
+def _strip_chain(out_w, out_c, levels, cfg, min_parts):
     """Width strips back-propagated through a chain of windowed stages.
 
     levels: innermost-last list of (kw, sw, pw, in_w, c) from the final
@@ -108,13 +107,13 @@ def _strip_chain(out_w, out_c, levels, cfg, min_parts, fused=False):
     "output".  Returns per-strip lists of (lo, hi, pad_l, pad_r) per level,
     outermost (final output) first.  When no strip count from min_parts
     up to out_w fits gamma, a deeper split cannot help either: that is a
-    CapacityError, and an InfeasibleError for a `fused` chain, which the
-    retry ladder may still unfuse.
+    CapacityError (unfusing a fused chain changes its levels, which the
+    retry ladder decides).
     """
     parts = max(min_parts, 1)
     while True:
         if parts > out_w:
-            raise (InfeasibleError if fused else CapacityError)(
+            raise CapacityError(
                 f"cannot width-split {out_w} columns into {parts} strips")
         strips = []
         for lo, hi in _even_ranges(out_w, parts):
@@ -444,9 +443,11 @@ _TREE_LEVELS = (("strip", ("cols", "in_cols")), ("slab", ("ch",)))
 
 def tile_tree(tiles):
     """The tiles.json tree of one node's tiles: a level per split the
-    node has (width strip, then weight slab or concat part), grouping
-    consecutive tiles that share its coordinates; under it one node per
-    tile with its output rows, and one leaf ("op/sub") per instruction."""
+    node has (width strip, then weight slab or concat part), grouping the
+    tiles that share its coordinates, in the order each group first
+    appears, whatever order the tiles were walked in; under it one node
+    per tile with its output rows, and one leaf ("op/sub") per
+    instruction."""
     levels = [(kind, names) for kind, names in _TREE_LEVELS
               if tiles and getattr(tiles[0], names[0]) is not None]
 
@@ -457,10 +458,13 @@ def tile_tree(tiles):
                                   for _q, group in t.stages for i in group]}
                     for t in run]
         (kind, names), rest = levels[0], levels[1:]
+        groups = {}
+        for t in run:
+            groups.setdefault(tuple(getattr(t, n) for n in names),
+                              []).append(t)
         return [{"kind": kind, **{n: list(v) for n, v in zip(names, key)},
-                 "children": nest(list(part), rest)}
-                for key, part in groupby(
-                    run, lambda t: [getattr(t, n) for n in names])]
+                 "children": nest(part, rest)}
+                for key, part in groups.items()]
 
     return {"kind": "node", "children": nest(tiles, levels)}
 
@@ -580,7 +584,7 @@ def _lower_conv(node, ctx, cfg):
     strips = _strip_chain(y.shape[1], y.shape[2],
                           [(pk[1], ps[1], pp[1], w_m, c_m),
                            (ck[1], cs[1], cp[1], w_i, c_i)],
-                          cfg, ctx.w_min_parts, fused=bool(fused))
+                          cfg, ctx.w_min_parts)
     # footprint feasibility over the widest strip, not the full tensor;
     # the last two levels of a chain are the conv's output and input
     w_mid_max = max(ch[-2][1] - ch[-2][0] for ch in strips)

@@ -10,13 +10,15 @@ placed window the span of final instruction indices that use it; the
 memory map lists these windows as the FM allocations, and the hazard
 checker checks that no two of one memory share bytes while both are
 live.  Each stream's FM memory follows from the data flow of the
-instructions whose `Win` operands name it, under the one-read-port,
-one-write-port rule.
+instructions whose `Win` operands name it.  That rule gives each FM
+memory of a node one reading unit and one writing unit; the port rule
+across units is kept by the typed dependencies
+(`pipeline.derive_dependencies`) and checked by the hazard checker.
 """
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, PortConflictError
+from .errors import CapacityError
 from .lowering import Win
 from .machine import DDR_SEGMENTS
 
@@ -114,43 +116,21 @@ class WindowAlloc:
 
 
 # ---------------------------------------------------------------------------
-# FM memory roles and the port rule
+# FM memory roles
 # ---------------------------------------------------------------------------
 
-def check_ports(usage):
-    """usage: iterable of (unit, reads: set of mem, writes: set of mem) for
-    units that can execute concurrently.  Each FM memory has one read and
-    one write port, so two different units must not read (or write) the
-    same memory."""
-    readers = {}
-    writers = {}
-    for unit, reads, writes in usage:
-        for m in reads:
-            if m in readers and readers[m] != unit:
-                raise PortConflictError(
-                    f"fm{m} read by both {readers[m]} and {unit}")
-            readers[m] = unit
-        for m in writes:
-            if m in writers and writers[m] != unit:
-                raise PortConflictError(
-                    f"fm{m} written by both {writers[m]} and {unit}")
-            writers[m] = unit
-
-
-def assign_fm_memories(lowered, cfg, fused=False):
-    """Map each stream of a lowered node to an FM memory by data flow,
-    then verify the one-read-one-write port rule over the units that run
-    concurrently once the node is pipelined.  An instruction's unit is its
-    op; it reads the windows (`lowering.Win`) named by its src and src2
-    and writes the one named by its dst.  A stream lives in 1 + the
+def assign_fm_memories(lowered, cfg):
+    """Map each stream of a lowered node to an FM memory by data flow.  An
+    instruction reads the windows (`lowering.Win`) named by its src and
+    src2 and writes the one named by its dst.  A stream lives in 1 + the
     highest memory of the streams its writers read (the operand table,
     `LoweredNode.operands`, lists an instruction's reads before its dst):
     one a LOAD writes in fm0, and so does one nothing writes (a conv
     window wholly in padding), which holds no byte.  A tile may read a
     stream before the first tile that writes it, when its band is wholly
-    in padding.  A stream past the last memory is a CapacityError, since
-    no tiling shortens the data flow, and a PortConflictError for a
-    `fused` node, which the retry ladder may still unfuse."""
+    in padding.  A stream past the last memory is a CapacityError: no
+    tiling shortens the data flow, though unfusing a fused node does
+    (`compiler._lower_with_ladder`)."""
     feeds = {}     # stream -> the streams its writers read
     srcs, last = [], None   # the streams read by instruction `last`
     for _ti, ins, f, a in lowered.operands:
@@ -161,21 +141,19 @@ def assign_fm_memories(lowered, cfg, fused=False):
                 srcs.append(a.stream)
             else:
                 feeds.setdefault(a.stream, set()).update(srcs)
-    assignment, usage = {}, {}
+    assignment = {}
 
     def memory(stream):
         if stream not in assignment:
             mem = 1 + max(map(memory, feeds.get(stream, ())), default=-1)
             if mem >= cfg.fm_memories:
-                raise (PortConflictError if fused else CapacityError)(
+                raise CapacityError(
                     f"stream {stream} needs memory {mem}, machine has "
                     f"{cfg.fm_memories}")
             assignment[stream] = mem
         return assignment[stream]
 
-    for _ti, ins, f, a in lowered.operands:
+    for _ti, _ins, _f, a in lowered.operands:
         if isinstance(a, Win):
-            reads, writes = usage.setdefault(ins.op, (set(), set()))
-            (writes if f == "dst" else reads).add(memory(a.stream))
-    check_ports((u, r, w) for u, (r, w) in sorted(usage.items()))
+            memory(a.stream)
     return assignment

@@ -400,6 +400,25 @@ def test_fused_node_past_gamma_still_reaches_its_unfuse_step():
     assert attempts[-1] == "node conv: retried with {'unfuse': True}"
 
 
+@pytest.mark.parametrize("cfg,fused,unfused", [
+    # unfused, conv_pool's conv still reads 5 columns of 16 channels
+    (MachineConfig(gamma=64), "cannot width-split 6 columns into 7 strips",
+     "cannot width-split 12 columns into 13 strips"),
+    # no tiling of the conv, fused or not, fits a 404 B channel in 128 B
+    (MachineConfig(pm_bytes=256), "one output channel needs 404 B, more "
+     "than half of PM (128 B)", "one output channel needs 404 B, more "
+     "than half of PM (128 B)")], ids=["width", "pm"])
+def test_fused_node_ends_at_its_unfuse_step(cfg, fused, unfused):
+    # a CapacityError ends a fused node only once its unfuse step fails
+    with pytest.raises(CompileError) as e:
+        compile_graph(corpus.corpus_graph("conv_pool"), cfg)
+    assert str(e.value) == f"node conv: {unfused}"
+    assert e.value.attempts == [
+        f"node conv with {step}: {fused}"
+        for step in ("defaults", "{'max_h': 4}", "{'max_h': 1}")] + [
+        f"node conv with {{'unfuse': True}}: {unfused}"]
+
+
 def test_weight_tiling_slab_structure_and_overlap():
     art = compiled("weight_tiled")
     node = art.report["nodes"][0]

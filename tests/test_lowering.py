@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dpuc import lowering as L
 from dpuc.errors import CapacityError, InfeasibleError, UnsupportedError
-from dpuc.machine import MachineConfig
+from dpuc.machine import CONV, Instruction, MachineConfig
 
 
 def cfg(**kw):
@@ -101,14 +101,33 @@ def test_w_split_unit_kernel_disjoint():
 
 
 def test_w_split_infeasible_single_column():
-    # one column is already past gamma: no deeper split helps an unfused
-    # chain, while a fused one may still be unfused
+    # one column is already past gamma: no deeper split helps; whether
+    # unfusing may is the retry ladder's decision
+    # (tests/test_compiler.py::test_fused_node_ends_at_its_unfuse_step)
     geom = L.OpGeometry("conv", (4, 8, 64), (4, 8, 64), (1, 1), (1, 1), (0, 0))
     with pytest.raises(CapacityError):
         width_strips(geom, cfg(gamma=32))
-    with pytest.raises(InfeasibleError):
-        L._strip_chain(8, 64, [(1, 1, 0, 8, 64)], cfg(gamma=32), 1,
-                       fused=True)
+
+
+def test_tile_tree_groups_tiles_by_coordinates():
+    # walked slab -> strip -> band, consecutive tiles alternate strips;
+    # the tree still has one node per strip and one per slab under it, in
+    # the order each first appears
+    strips = [((4, 8), (3, 10)), ((0, 4), (0, 5))]
+    slabs = [(8, 16), (0, 8)]
+    bands = [(0, 2), (2, 3)]
+    conv = Instruction(op=CONV, sub="conv")
+    tiles = [L.Tile([("CONV", [conv])], rows, cols, in_cols, ch)
+             for ch in slabs for cols, in_cols in strips for rows in bands]
+    leaf = [{"kind": "leaf", "leaf": "CONV/conv"}]
+    assert L.tile_tree(tiles) == {"kind": "node", "children": [
+        {"kind": "strip", "cols": list(cols), "in_cols": list(in_cols),
+         "children": [
+             {"kind": "slab", "ch": list(ch), "children": [
+                 {"kind": "tile", "rows": list(rows), "children": leaf}
+                 for rows in bands]}
+             for ch in slabs]}
+        for cols, in_cols in strips]}
 
 
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2),

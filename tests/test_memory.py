@@ -1,8 +1,5 @@
-import pytest
-
 from dpuc import graph as G
 from dpuc import memory as MEM
-from dpuc.errors import PortConflictError
 from dpuc.lowering import Win
 from dpuc.machine import Addr, DDR, Instruction, LOAD, MachineConfig, MISC, \
     SAVE
@@ -76,25 +73,3 @@ def test_liveness_spans_every_window_in_program_indices():
     assert [(r["mem"], r["start"], r["length"]) for r in got] == [
         (0, 2048, 2048), (0, 0, 2048), (0, 0, 4096), (1, 0, 2048)]
 
-
-def test_check_ports_valid_chain():
-    MEM.check_ports([
-        ("LOAD", set(), {0}),
-        ("CONV", {0}, {1}),
-        ("MISC", {1}, {2}),
-        ("SAVE", {2}, set()),
-    ])
-
-
-def test_check_ports_double_writer():
-    with pytest.raises(PortConflictError):
-        MEM.check_ports([("LOAD", set(), {0}), ("MISC", {1}, {0})])
-
-
-def test_check_ports_double_reader():
-    with pytest.raises(PortConflictError):
-        MEM.check_ports([("CONV", {0}, {1}), ("MISC", {0}, {2})])
-
-
-def test_check_ports_single_unit_reuses_its_ports():
-    MEM.check_ports([("MISC", {1, 2}, {2})])

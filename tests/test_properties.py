@@ -10,15 +10,17 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpuc import compiler as C
+from dpuc import corpus
 from dpuc import graph as G
 from dpuc import lowering as L
 from dpuc import simulator as S
 from dpuc.compiler import CompileOptions, compile_graph
-from dpuc.machine import CONV, LOAD, MachineConfig, SAVE
+from dpuc.errors import CompileError
+from dpuc.machine import CONV, FM, LOAD, MachineConfig, SAVE
 
 
 def b64(a):
@@ -49,12 +51,51 @@ def conv_doc(h, w, ci, co, k, s, p, rng):
     }
 
 
+def deconv_doc(h, w, ci, co, k, p, rng):
+    """A kernel-k deconv with padding p and upsample 2 of an h x w x ci
+    map into co channels."""
+    oh, ow = 2 * h - 1 + 2 * p - k + 1, 2 * w - 1 + 2 * p - k + 1
+    wgt = rng.integers(-24, 24, (co, k, k, ci)).astype(np.int8)
+    bias = rng.integers(-500, 500, co).astype(np.int32)
+    return {
+        "tensors": [{"name": "x", "shape": [h, w, ci], "quant": q(-2)},
+                    {"name": "y", "shape": [oh, ow, co], "quant": q(4)}],
+        "nodes": [
+            {"id": "in", "op": "input", "inputs": [], "output": "x"},
+            {"id": "d", "op": "deconv", "inputs": ["x"], "output": "y",
+             "attrs": {"kernel": [k, k], "upsample": 2, "padding": p,
+                       "c_out": co},
+             "params": {"weights": b64(wgt), "bias": b64(bias),
+                        "shape": [co, k, k, ci], "quant": q(-3)}}],
+        "inputs": ["x"], "outputs": ["y"],
+    }
+
+
+def fm_port_users(art):
+    """{(node, FM memory, "read" or "write"): the units using that port}
+    over the FM operands that `Instruction.operand` names, nodes taken
+    from `art.marks`."""
+    users = {}
+    for ins, mark in zip(art.program.instructions, art.marks, strict=True):
+        for f in ("src", "src2", "dst"):
+            if getattr(ins, f) is not None:
+                space, mem, *_ = ins.operand(f)
+                if space == FM:
+                    port = (mark[0], mem, "write" if f == "dst" else "read")
+                    users.setdefault(port, set()).add(ins.op)
+    return users
+
+
 def check_program(g, art, cfg):
     """The program of `art` matches the reference executor on the graph
-    as written, `g`, for one random input, its trace is hazard-free, and
-    none of its LOADs and SAVEs moves zero bytes."""
+    as written, `g`, for one random input, its trace is hazard-free, none
+    of its LOADs and SAVEs moves zero bytes, and in each node every FM
+    memory is read by at most one unit and written by at most one."""
     assert all(ins.transfer_bytes() for ins in art.program.instructions
                if ins.op in (LOAD, SAVE) and not ins.is_noop)
+    shared = {port: units for port, units in fm_port_users(art).items()
+              if len(units) > 1}
+    assert not shared, shared
     rng = np.random.default_rng(99)
     inputs = {n: rng.integers(-128, 128, g.tensors[n].shape)
               .astype(np.int8) for n in g.inputs}
@@ -73,6 +114,24 @@ def roundtrip(doc, cfg, options=None):
     art = compile_graph(g, cfg, options)
     check_program(g, art, cfg)
     return art
+
+
+@pytest.mark.parametrize("mode", ["series", "upsample"])
+@pytest.mark.parametrize("cfg", [MachineConfig(),
+                                 MachineConfig(fm_memories=2)],
+                         ids=["default", "fm2"])
+def test_corpus_programs_checked(cfg, mode):
+    # every check of check_program, the one unit per FM port among them,
+    # on three FM memories and on two, where fused nodes are unfused
+    for name in corpus.corpus_names():
+        g = corpus.corpus_graph(name)
+        try:
+            art = compile_graph(g, cfg, CompileOptions(deconv_mode=mode))
+        except CompileError:
+            # the deconv's shuffle or upsample needs a third FM memory
+            assert name == "deconv" and cfg.fm_memories == 2
+            continue
+        check_program(g, art, cfg)
 
 
 @st.composite
@@ -112,20 +171,7 @@ def test_random_deconv_both_paths_bit_exact(k, p, h, w, ci, co):
     if oh < 1 or ow < 1:
         return
     rng = np.random.default_rng(k * 1000 + p * 100 + h * 10 + w)
-    wgt = rng.integers(-24, 24, (co, k, k, ci)).astype(np.int8)
-    bias = rng.integers(-500, 500, co).astype(np.int32)
-    doc = {
-        "tensors": [{"name": "x", "shape": [h, w, ci], "quant": q(-2)},
-                    {"name": "y", "shape": [oh, ow, co], "quant": q(4)}],
-        "nodes": [
-            {"id": "in", "op": "input", "inputs": [], "output": "x"},
-            {"id": "d", "op": "deconv", "inputs": ["x"], "output": "y",
-             "attrs": {"kernel": [k, k], "upsample": 2, "padding": p,
-                       "c_out": co},
-             "params": {"weights": b64(wgt), "bias": b64(bias),
-                        "shape": [co, k, k, ci], "quant": q(-3)}}],
-        "inputs": ["x"], "outputs": ["y"],
-    }
+    doc = deconv_doc(h, w, ci, co, k, p, rng)
     cfg = MachineConfig()
     roundtrip(doc, cfg, CompileOptions(deconv_mode="series"))
     roundtrip(doc, cfg, CompileOptions(deconv_mode="upsample"))
@@ -806,6 +852,16 @@ def random_dag(draw):
             "outputs": [t for t in avail if t not in read]}
 
 
+# the fault classes the fuzzer has found, pinned whatever it draws:
+# concat parts that cannot be aliased (a graph input, and a concat output
+# read by another concat)
+@example(concat_doc([("ca", "x", "a"), ("ca2", "x", "a2")],
+                    [("cat1", ["a", "r"], "cat1"),
+                     ("cat2", ["cat1", "a2"], "cat2")], ["x", "r"]), False)
+# a kernel-1, padding-1 deconv whose first one-row band is all padding
+@example(deconv_doc(3, 3, 2, 3, 1, 1, np.random.default_rng(1)), True)
+# a 3x3 conv padded by its whole kernel, one-row bands in the padding
+@example(conv_doc(4, 4, 2, 3, 3, 1, 3, np.random.default_rng(2)), True)
 @given(random_dag(), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_random_dag_bit_exact(doc, one_row_bands):
