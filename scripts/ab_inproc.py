@@ -12,15 +12,16 @@ and the benchmark's input rule.  Each side then prepares what its phase
 needs outside the timing: a parsed graph, and for the phases after
 compile its own compiled program and trace.  The `deps` phase is the
 compile's dependency step alone: `machine.footprints` plus
-`pipeline.assign_typed_deps` over the compiled stream.
+`pipeline.assign_typed_deps` over the compiled stream; the `emit` phase
+is its assembly writer alone, `emit_assembly` over the compiled program.
 
 After one untimed pass per side, pair i times one pass of the phase over
 every case on each side, the parent first in even pairs and the change
 first in odd ones.  It prints
 each side's median and quartiles and the median and quartiles of the
-per-pair ratio change / parent; for `compile` it also says whether both
-sides wrote the same assembly for every case, and for `deps` whether
-both gave every instruction the same DPON and DPBY sets.
+per-pair ratio change / parent; for `compile` and `emit` it also says
+whether both sides wrote the same assembly for every case, and for
+`deps` whether both gave every instruction the same DPON and DPBY sets.
 
 It gives no verdict.  Wall times of separate processes minutes apart
 drift more than a pass-sized change on a shared host, so this tool sizes
@@ -46,7 +47,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_pairs import quartiles  # noqa: E402
 
 SIDES = ("parent", "change")
-PHASES = ("compile", "deps", "timing", "functional", "reference",
+PHASES = ("compile", "deps", "emit", "timing", "functional", "reference",
           "hazards")
 INPUTS_PER_CASE = 2     # as the benchmark's verify rounds
 SEED = 0                # the workload seed of the benchmark's first pair
@@ -104,6 +105,7 @@ def prepare(pkg, phase, cases):
                                          it[0].marks,
                                          it[0].report["pipelined"]),
             fp=pkg.machine.footprints(it[0].program.instructions)),
+        "emit": lambda it: pkg.emit_assembly(it[0].program),
         "timing": lambda it: pkg.run_timing(it[0].program, cfg),
         "functional": lambda it: [pkg.run_program(it[0].program, cfg, x)
                                   for x in it[2]],
@@ -174,7 +176,7 @@ def main():
           f"cases, {args.pairs} pairs (seconds per pass)")
     for line in report_lines(summarize(times)):
         print(line)
-    if args.phase == "compile":
+    if args.phase in ("compile", "emit"):
         differ = [case.name for (case, _), a, b in zip(cases, *last)
                   if a != b]
         print("assemblies: " + (f"differ on {', '.join(differ)}" if differ

@@ -25,6 +25,8 @@ schedule.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import graph as GG
 from . import lowering as LW
 from . import memory as MM
@@ -32,6 +34,7 @@ from . import pipeline as PL
 from .errors import CapacityError, CompileError, InfeasibleError
 from .machine import Addr, CONV, DDR, FM, LOAD, Program, check_bounds, \
     emit_assembly, footprints
+from .simulator import simulate_timing
 
 # schedules ranked by peak footprint; the cheapest is compiled
 SCHEDULE_BUDGET = 4
@@ -325,9 +328,10 @@ def _compile_schedule(g, schedule, cfg, options):
             "segment": seg, "off": off, "bytes": t.nbytes,
             "shape": t.shape, "step_exp": t.quant.exp if t.quant else 0,
         }
-    from .simulator import run_timing
-    trace = run_timing(prog, cfg)
-    total_eff, node_eff = _conv_efficiency(prog, marks, trace, cfg)
+    timing = simulate_timing(prog.instructions, cfg)
+    total_eff, node_eff = _conv_efficiency(
+        prog, [(nid, len(ins)) for nid, ins, _a in node_streams], timing,
+        cfg)
     for entry in report_nodes:
         entry["conv_efficiency"] = node_eff.get(entry["id"], 0.0)
     memmap = {
@@ -341,9 +345,9 @@ def _compile_schedule(g, schedule, cfg, options):
         "nodes": report_nodes,
         "pipelined": options.pipeline,
         "instructions": len(prog.instructions),
-        "estimated_makespan": trace.makespan,
+        "estimated_makespan": timing.makespan,
         "conv_efficiency": total_eff,
-        "queue_busy": trace.busy,
+        "queue_busy": timing.busy,
         "attempts": list(attempts),
     }
     return CompileArtifacts(
@@ -352,20 +356,29 @@ def _compile_schedule(g, schedule, cfg, options):
         marks=marks, tiles={nd.id: lw.tiles for nd, lw in lowered_nodes})
 
 
-def _conv_efficiency(prog, marks, trace, cfg):
+def _conv_efficiency(prog, runs, timing, cfg):
     """Ideal CONV cycles (MACs / conv_macs_per_cycle) over the makespan,
-    and per node over the node's trace span (its first start to its last
-    end).  Node spans may overlap: a conv's first weight slab loads while
-    the previous node with weights still convolves."""
-    macs, spans = {}, {}
-    for ins, mark, ev in zip(prog.instructions, marks, trace.events):
-        nid = mark[0]
-        if ins.op == CONV:
-            macs[nid] = macs.get(nid, 0) + ins.conv_macs()
-        lo, hi = spans.get(nid, (ev.start, ev.end))
-        spans[nid] = (min(lo, ev.start), max(hi, ev.end))
-    ideal = {nid: m / cfg.conv_macs_per_cycle for nid, m in macs.items()}
-    total = (sum(ideal.values()) / trace.makespan if trace.makespan
+    and per node over the node's span (its first start to its last end)
+    in the `simulate_timing` result `timing`.  `runs` is [(node id, its
+    instruction count)] in program order: each node's instructions are
+    one contiguous run of the program, and a node of none has no span.
+    Node spans may overlap: a conv's first weight slab loads while the
+    previous node with weights still convolves."""
+    runs = [(nid, n) for nid, n in runs if n]
+    counts = np.array([n for _nid, n in runs], np.int64)
+    cut = np.cumsum(counts) - counts     # each run's first instruction
+    start = np.array(timing.start, np.int64)
+    end = start + np.array(timing.duration, np.int64)
+    spans = dict(zip((nid for nid, _n in runs), zip(
+        np.minimum.reduceat(start, cut).tolist(),
+        np.maximum.reduceat(end, cut).tolist())))
+    ideal = {}
+    for (nid, n), at in zip(runs, cut.tolist()):
+        macs = sum(ins.conv_macs() for ins in prog.instructions[at:at + n]
+                   if ins.op == CONV)
+        if macs:
+            ideal[nid] = macs / cfg.conv_macs_per_cycle
+    total = (sum(ideal.values()) / timing.makespan if timing.makespan
              else 0.0)
     per_node = {nid: ideal.get(nid, 0.0) / (hi - lo) if hi > lo else 0.0
                 for nid, (lo, hi) in spans.items()}
@@ -374,18 +387,35 @@ def _conv_efficiency(prog, marks, trace, cfg):
 
 def _load_bytes(nd, lowered, g):
     """The bytes a node with weights LOADs, activations and weights
-    apart, and the least it could load: its input and its PM payloads,
-    once each."""
+    apart, and the least it could load: the input pixels it reads and its
+    PM payloads, once each.  A conv reads the input rows and columns its
+    windows touch outside the padding, fewer than all when its stride is
+    larger than its kernel; a deconv counts its whole input."""
     moved = {"act": 0, "weight": 0}
     for tile in lowered.tiles:
         for _q, group in tile.stages:
             for ins in group:
                 if ins.op == LOAD:
                     moved[ins.sub] += ins.transfer_bytes()
+    h, w, c = g.tensors[nd.inputs[0]].shape
+    if nd.op == "conv":
+        a = nd.attrs
+        h, w = (_positions_read(n, k, s, p) for n, k, s, p in zip(
+            (h, w), a["kernel"], a["stride"], a["padding"]))
     return {"act_load_bytes": moved["act"],
             "weight_load_bytes": moved["weight"],
-            "min_load_bytes": (g.tensors[nd.inputs[0]].nbytes
+            "min_load_bytes": (h * w * c
                                + sum(map(len, lowered.pm_payloads)))}
+
+
+def _positions_read(n, k, s, p):
+    """How many of the n positions of one input axis the windows of a
+    k-tap kernel at stride s read, the axis padded by p at each end."""
+    out = (n + 2 * p - k) // s + 1
+    hit = np.zeros(n + 2 * p, bool)
+    for tap in range(k):
+        hit[tap:tap + (out - 1) * s + 1:s] = True
+    return int(np.count_nonzero(hit[p:p + n]))
 
 
 # ---------------------------------------------------------------------------

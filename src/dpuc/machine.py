@@ -16,7 +16,6 @@ tables them for a stream: covering ranges and exact blocks alike.
 import json
 import math
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -520,20 +519,27 @@ _MASK_TEXT = {mask_deps(m): f"0b{m:04b}" for m in range(16)}
 
 
 def _asm_writer(op, sub):
-    """(template, getter) writing one `op`/`sub` instruction: the getter
-    returns its DPON and DPBY sets and its `_ASM_FIELDS` values, and the
-    template takes the two mask texts and those values (an address
-    formats as its `text`)."""
+    """The function writing one `op`/`sub` instruction's line, generated
+    from `_ASM_FIELDS` the way `collections.namedtuple` generates its
+    methods: one compiled f-string over the instruction's DPON and DPBY
+    sets (as `_MASK_TEXT`) and its `_ASM_FIELDS` values, in order, each
+    as `name=value`, an address as its `text()`."""
     names = _ASM_FIELDS[(op, sub)]
-    tmpl = " ".join([op, "{}", "{}", sub] + [f"{n}={{}}" for n in names])
-    return tmpl, attrgetter("dpon", "dpby", *names)
+    assert all(n.isidentifier() for n in (op, sub, *names))
+    line = " ".join(
+        [op, "{m[i.dpon]}", "{m[i.dpby]}", sub]
+        + [f"{n}={{i.{n}.text()}}" if n in _ADDR_FIELDS else f"{n}={{i.{n}}}"
+           for n in names])
+    return eval(f"lambda i: f{line!r}", {"m": _MASK_TEXT})
 
 
 _ASM_WRITERS = {key: _asm_writer(*key) for key in _ASM_FIELDS}
 
 
 def emit_assembly(prog):
-    """One instruction per line: OPTYPE <dpon> <dpby> <sub> <k=v...>.
+    """One instruction per line: OPTYPE <dpon> <dpby> <sub> <k=v...>,
+    each written by its sub-op's generated writer (`_asm_writer`), so
+    `_ASM_FIELDS` states the line format for writer and parser alike.
 
     Program metadata (segment table, tensor map) is carried in structured
     comment lines so the text round-trips completely.
@@ -547,11 +553,9 @@ def emit_assembly(prog):
         shape = "x".join(str(d) for d in t["shape"])
         lines.append(f"# tensor {name} {t['segment']} {t['off']} "
                      f"{t['bytes']} {shape} {t['step_exp']}")
-    for ins in prog.instructions:
-        tmpl, get = _ASM_WRITERS[ins.op, ins.sub]
-        dpon, dpby, *values = get(ins)
-        lines.append(tmpl.format(_MASK_TEXT[dpon], _MASK_TEXT[dpby], *values))
-    return "\n".join(lines) + "\n" if lines else ""
+    writers = _ASM_WRITERS
+    lines += [writers[ins.op, ins.sub](ins) for ins in prog.instructions]
+    return "\n".join(lines) + "\n"
 
 
 def parse_assembly(text):

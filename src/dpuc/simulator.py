@@ -11,12 +11,16 @@ memory and layout from `Instruction.operand`.  A LOAD, SAVE or move reads
 its whole source before it writes, and malformed geometry (a negative
 count, size or stride, or overlapping blocks) raises ShapeError.
 Timing mode runs a discrete-event simulation of the four in-order queues
-with the counted DPON/DPBY token semantics; it never looks at data.  The
+with the counted DPON/DPBY token semantics; it never looks at data.  One
+scheduler (`simulate_timing`) keeps each instruction's issue, start and
+duration in flat lists; the compile's estimate reads those, and
+`run_timing` builds the `Trace` of events from them.  The
 hazard checker replays a trace against exact byte ranges, expanded from
 the compile's footprint table, in one sorted numpy sweep over byte
 segments, to prove that the typed dependencies were sufficient.
 """
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -535,8 +539,21 @@ def token_pairings(instructions):
     return out
 
 
-def run_timing(prog, cfg):
-    """Discrete-event simulation of four in-order, non-overlapping queues.
+class Timing(NamedTuple):
+    """The times `simulate_timing` gives a program's instructions, in
+    flat lists indexed by instruction, with the makespan and the cycles
+    each queue was busy ({op: cycles} in OP_TYPES order)."""
+
+    issue: list
+    start: list
+    duration: list
+    makespan: int
+    busy: dict
+
+
+def simulate_timing(instructions, cfg):
+    """Discrete-event simulation of four in-order, non-overlapping queues:
+    the one scheduler, under `run_timing` and the compile's estimate.
 
     An instruction starts when its queue is free, its queue predecessor
     has finished, and for every type in its DPON set the paired pace
@@ -545,47 +562,43 @@ def run_timing(prog, cfg):
     maker never issues, or a circular wait (a pass over the four queue
     heads that starts nothing).  A long but finite stall is not a
     deadlock, however many cycles it lasts.  State lives in lists indexed
-    by instruction or by queue position in OP_TYPES.
+    by instruction or by queue position in OP_TYPES, and the result is
+    those lists (`Timing`); no per-instruction object is built.
     """
-    instrs = prog.instructions
-    gates = [[] for _ in instrs]
-    for (s, u), pairs in token_pairings(instrs).items():
+    gates = [()] * len(instructions)
+    for (s, u), pairs in token_pairings(instructions).items():
         for consumer, producer in pairs:
             if producer is None:
                 raise DeadlockError(
                     f"instruction {consumer} waits on a {s} pace maker "
                     f"that never issues")
-            gates[consumer].append(producer)
+            gates[consumer] += (producer,)
 
     qpos = {op: q for q, op in enumerate(OP_TYPES)}
     queues = [[] for _ in OP_TYPES]
-    for i, ins in enumerate(instrs):
+    for i, ins in enumerate(instructions):
         queues[qpos[ins.op]].append(i)
+    duration = [instruction_cost(ins, cfg) for ins in instructions]
     head = [0] * len(OP_TYPES)
     free_at = [0] * len(OP_TYPES)
-    busy = [0] * len(OP_TYPES)
-    done = [None] * len(instrs)
-    events = [None] * len(instrs)
-    remaining, makespan = len(instrs), 0
+    issued = [0] * len(instructions)
+    started = [0] * len(instructions)
+    done = [math.inf] * len(instructions)   # end cycle, inf until it runs
+    remaining = len(instructions)
     while remaining:
         progressed = False
-        for q, op in enumerate(OP_TYPES):
-            queue, h, issue = queues[q], head[q], free_at[q]
+        for q, queue in enumerate(queues):
+            h, issue = head[q], free_at[q]
             while h < len(queue):
                 idx = queue[h]
                 start = issue
-                if gates[idx]:
-                    ends = [done[p] for p in gates[idx]]
-                    if None in ends:
-                        break
-                    start = max(issue, *ends)
-                ins = instrs[idx]
-                dur = instruction_cost(ins, cfg)
-                events[idx] = TraceEvent(idx, op, ins.sub, ins.color(),
-                                         issue, start, dur)
-                issue = done[idx] = start + dur
-                busy[q] += dur
-                makespan = max(makespan, issue)
+                for p in gates[idx]:
+                    if done[p] > start:
+                        start = done[p]
+                if start == math.inf:   # a pace maker has not run yet
+                    break
+                issued[idx], started[idx] = issue, start
+                issue = done[idx] = start + duration[idx]
                 h += 1
             if h > head[q]:
                 remaining -= h - head[q]
@@ -596,10 +609,23 @@ def run_timing(prog, cfg):
                      if h < len(queue)]
             raise DeadlockError(f"typed dependencies unsatisfiable; queues "
                                 f"stuck at {stuck}")
-    busy = dict(zip(OP_TYPES, busy))
-    util = {op: (busy[op] / makespan if makespan else 0.0)
+    busy = {op: sum(duration[i] for i in queue)
+            for op, queue in zip(OP_TYPES, queues)}
+    return Timing(issued, started, duration, max(free_at), busy)
+
+
+def run_timing(prog, cfg):
+    """The `Trace` of the program's `simulate_timing` schedule: one
+    TraceEvent per instruction, in program order, and each queue's
+    utilization (busy cycles over the makespan)."""
+    instrs = prog.instructions
+    t = simulate_timing(instrs, cfg)
+    events = [TraceEvent(i, ins.op, ins.sub, ins.color(), issue, start, dur)
+              for i, (ins, issue, start, dur) in enumerate(zip(
+                  instrs, t.issue, t.start, t.duration))]
+    util = {op: (t.busy[op] / t.makespan if t.makespan else 0.0)
             for op in OP_TYPES}
-    return Trace(events, makespan, busy, util)
+    return Trace(events, t.makespan, t.busy, util)
 
 
 # ---------------------------------------------------------------------------

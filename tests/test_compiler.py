@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dpuc import cli
 from dpuc import compiler as C
@@ -16,6 +17,7 @@ from dpuc.compiler import CompileOptions, compile_graph
 from dpuc.errors import CompileError
 from dpuc.machine import Addr, CONV, LOAD, MISC, MachineConfig, SAVE, \
     emit_assembly, parse_assembly
+from test_properties import random_dag
 
 
 CFG = MachineConfig()
@@ -54,14 +56,16 @@ def test_assembly_roundtrip_per_graph(name):
     assert emit_assembly(back) == art.assembly
 
 
-def _conv3x3(rng, nid, src, dst, c_in, c_out):
-    w = rng.integers(-24, 24, (c_out, 3, 3, c_in)).astype(np.int8)
+def _conv(rng, nid, src, dst, c_in, c_out, k=3, **attrs):
+    """A k x k conv node, padded by 1 unless `attrs` say otherwise."""
+    w = rng.integers(-24, 24, (c_out, k, k, c_in)).astype(np.int8)
     b = rng.integers(-1000, 1000, c_out).astype(np.int32)
     return {"id": nid, "op": "conv", "inputs": [src], "output": dst,
-            "attrs": {"kernel": [3, 3], "padding": [1, 1], "c_out": c_out},
+            "attrs": {"kernel": [k, k], "padding": [1, 1], "c_out": c_out,
+                      **attrs},
             "params": {"weights": base64.b64encode(w.tobytes()).decode(),
                        "bias": base64.b64encode(b.tobytes()).decode(),
-                       "shape": [c_out, 3, 3, c_in],
+                       "shape": [c_out, k, k, c_in],
                        "quant": {"lo": -8.0, "hi": 7.9375,
                                  "step": 0.0625}}}
 
@@ -84,11 +88,11 @@ def _scaled_shaped(h, c=32):
     return _chain_graph(
         {"x": (h, h, c), "a": (h, h, c), "b": (h, h, c),
          "p": (h // 2, h // 2, c), "y": (h // 2, h // 2, c)},
-        [_conv3x3(rng, "conv1", "x", "a", c, c),
-         _conv3x3(rng, "conv2", "a", "b", c, c),
+        [_conv(rng, "conv1", "x", "a", c, c),
+         _conv(rng, "conv2", "a", "b", c, c),
          {"id": "pool", "op": "maxpool", "inputs": ["b"], "output": "p",
           "attrs": {"kernel": [2, 2], "stride": [2, 2]}},
-         _conv3x3(rng, "conv3", "p", "y", c, c)])
+         _conv(rng, "conv3", "p", "y", c, c)])
 
 
 def _deep_shaped(h, c_in, c):
@@ -96,8 +100,8 @@ def _deep_shaped(h, c_in, c):
     rng = np.random.default_rng(c)
     return _chain_graph(
         {"x": (h, h, c_in), "a": (h, h, c), "y": (h, h, c)},
-        [_conv3x3(rng, "conv1", "x", "a", c_in, c),
-         _conv3x3(rng, "conv2", "a", "y", c, c)])
+        [_conv(rng, "conv1", "x", "a", c_in, c),
+         _conv(rng, "conv2", "a", "y", c, c)])
 
 
 ROUNDTRIP_GRAPHS = {
@@ -573,10 +577,102 @@ def test_hazard_free_and_deterministic():
         assert t1.to_dict() == t2.to_dict()
 
 
-def test_report_makespan_matches_run_timing():
-    art = compiled("vgg_prefix")
-    assert art.report["estimated_makespan"] == \
-        S.run_timing(art.program, CFG).makespan
+def _conv_efficiency_by_events(prog, marks, trace, cfg):
+    """The report's total and per-node conv efficiency, walked off the
+    trace's events: ideal CONV cycles over the makespan, and per node
+    over its first start to its last end."""
+    macs, spans = {}, {}
+    for ins, mark, ev in zip(prog.instructions, marks, trace.events):
+        nid = mark[0]
+        if ins.op == CONV:
+            macs[nid] = macs.get(nid, 0) + ins.conv_macs()
+        lo, hi = spans.get(nid, (ev.start, ev.end))
+        spans[nid] = (min(lo, ev.start), max(hi, ev.end))
+    ideal = {nid: m / cfg.conv_macs_per_cycle for nid, m in macs.items()}
+    total = (sum(ideal.values()) / trace.makespan if trace.makespan
+             else 0.0)
+    per_node = {nid: ideal.get(nid, 0.0) / (hi - lo) if hi > lo else 0.0
+                for nid, (lo, hi) in spans.items()}
+    return total, per_node
+
+
+def _check_estimate_matches_trace(art, cfg):
+    trace = S.run_timing(art.program, cfg)
+    report = art.report
+    assert report["estimated_makespan"] == trace.makespan
+    assert list(report["queue_busy"].items()) == list(trace.busy.items())
+    total, per_node = _conv_efficiency_by_events(art.program, art.marks,
+                                                 trace, cfg)
+    assert report["conv_efficiency"] == total
+    for node in report["nodes"]:
+        assert node["conv_efficiency"] == per_node.get(node["id"], 0.0), \
+            node["id"]
+
+
+ESTIMATE_GRAPHS = {
+    **{name: lambda name=name: corpus.corpus_graph(name)
+       for name in corpus.corpus_names()},
+    "deep_14x14_c256": lambda: _deep_shaped(14, 128, 256),
+    "deep_7x7_c512": lambda: _deep_shaped(7, 256, 512),
+}
+
+
+@pytest.mark.parametrize("pipelined", [True, False],
+                         ids=["pipeline", "sequential"])
+@pytest.mark.parametrize("mode", ["series", "upsample"])
+@pytest.mark.parametrize("name", sorted(ESTIMATE_GRAPHS))
+def test_report_estimate_matches_the_trace(name, mode, pipelined):
+    # the compile's estimate schedules without trace events; its makespan,
+    # queue busy cycles and conv efficiencies are the trace's, to the bit
+    art = compile_graph(ESTIMATE_GRAPHS[name](), CFG, CompileOptions(
+        pipeline=pipelined, deconv_mode=mode))
+    _check_estimate_matches_trace(art, CFG)
+
+
+def _compute_nodes(doc):
+    return [n for n in doc["nodes"] if n["op"] not in ("input", "fix",
+                                                       "const")]
+
+
+@given(random_dag().filter(lambda doc: len(_compute_nodes(doc)) > 1))
+@settings(max_examples=1, deadline=None)
+def test_report_estimate_matches_the_trace_on_a_random_dag(doc):
+    g = G.parse_graph(json.dumps(doc))
+    modes = ("series", "upsample") if any(
+        n["op"] == "deconv" for n in doc["nodes"]) else ("series",)
+    for pipelined, mode in itertools.product((True, False), modes):
+        art = compile_graph(g, CFG, CompileOptions(pipeline=pipelined,
+                                                   deconv_mode=mode))
+        _check_estimate_matches_trace(art, CFG)
+
+
+def _strided_conv(h, w, c, k, stride, pad, c_out=8):
+    oh, ow = ((n + 2 * pad - k) // stride + 1 for n in (h, w))
+    return _chain_graph({"x": (h, w, c), "y": (oh, ow, c_out)}, [_conv(
+        np.random.default_rng(k), "conv", "x", "y", c, c_out, k,
+        stride=[stride, stride], padding=[pad, pad])])
+
+
+@pytest.mark.parametrize("k, stride, pad, rows, cols", [
+    (1, 2, 0, 5, 4),    # rows 0, 2, .., 8 and columns 0, 2, 4, 6
+    (1, 3, 0, 3, 3),    # rows and columns 0, 3, 6
+    (3, 2, 1, 9, 7),    # overlapping windows read every pixel
+], ids=["1x1s2", "1x1s3", "3x3s2p1"])
+def test_min_load_bytes_counts_the_pixels_a_conv_reads(k, stride, pad,
+                                                       rows, cols):
+    # a 9 x 7 x 16 input: a conv whose stride passes its kernel skips
+    # input rows and columns, and its least load counts only those read
+    g = _strided_conv(9, 7, 16, k, stride, pad)
+    art = compile_graph(g, CFG)
+    (node,) = art.report["nodes"]
+    payload = 8 * (k * k * 16 + 4)
+    assert node["weight_load_bytes"] == payload
+    assert node["min_load_bytes"] == rows * cols * 16 + payload
+    folded = G.fold_constants_and_quantizers(g)
+    x = rand_inputs(folded)
+    got = S.run_program(art.program, CFG,
+                        dict(zip(art.program.input_names, x.values())))
+    assert np.array_equal(got["y"], S.reference_execute(folded, x)["y"])
 
 
 def test_conservation_saves_cover_outputs(operand_blocks):

@@ -474,3 +474,88 @@ def test_config_validation():
         mkcfg(h_c=1, h_p=2)
     with pytest.raises(ValueError):
         mkcfg(gamma=0)
+
+
+def _format_writer(ins):
+    """The assembly line of `ins` as one `str.format` template over its
+    `_ASM_FIELDS` writes it: the writer the generated ones replaced, kept
+    as their oracle."""
+    names = M._ASM_FIELDS[(ins.op, ins.sub)]
+    tmpl = " ".join([ins.op, "{}", "{}", ins.sub]
+                    + [f"{n}={{}}" for n in names])
+    return tmpl.format(f"0b{M.dep_mask(ins.dpon):04b}",
+                       f"0b{M.dep_mask(ins.dpby):04b}",
+                       *(getattr(ins, n) for n in names))
+
+
+_SPACES = {  # (op, sub, address field) -> the spaces it may address
+    **{(M.LOAD, sub, "src"): (M.DDR,) for sub in ("act", "weight")},
+    **{(M.LOAD, sub, "dst"): (M.FM, M.PM, M.DDR)
+       for sub in ("act", "weight")},
+    (M.SAVE, "act", "dst"): (M.DDR,),
+    **{(M.MISC, "move", f): (M.FM, M.PM, M.DDR) for f in ("src", "dst")},
+}
+_BIG = 1 << 23   # strides and offsets reach 8 MB
+
+
+@st.composite
+def _stride(draw, count, least):
+    """A stride for `count` steps none of whose runs of `least` bytes
+    overlap: anything, zero included, when it is never stepped."""
+    if count <= 1:
+        return draw(st.sampled_from((0, least)) | st.integers(0, _BIG))
+    return least + draw(st.integers(0, 3) | st.integers(0, _BIG))
+
+
+@st.composite
+def _any_instruction(draw):
+    """A well-formed instruction of any (op, sub), every `_ASM_FIELDS`
+    field drawn: FM, DDR and PM addresses where its operand may name
+    them, all 16 DPON and DPBY sets, negative shift, ea, eb and eo, and
+    strides from zero to megabytes."""
+    op, sub = draw(st.sampled_from(sorted(M._ASM_FIELDS)))
+    kw = {"dpon": M.mask_deps(draw(st.integers(0, 15))),
+          "dpby": M.mask_deps(draw(st.integers(0, 15)))}
+    for name in M._ASM_FIELDS[(op, sub)]:
+        if name in M._ADDR_FIELDS:
+            space = draw(st.sampled_from(_SPACES.get((op, sub, name),
+                                                     (M.FM,))))
+            mem = draw(st.integers(0, 2)) if space == M.FM else 0
+            kw[name] = M.Addr(space, draw(st.integers(0, _BIG)), mem)
+        elif name in M._SIGNED_FIELDS:
+            kw[name] = draw(st.integers(-12, 12))
+        elif name in M._POSITIVE_FIELDS:
+            kw[name] = draw(st.integers(1, 5))
+        elif name in ("ddr_row_stride", "ddr_blk_stride", "src_row_stride",
+                      "dst_row_stride", "src_blk_stride", "dst_blk_stride",
+                      "wgt_bytes"):
+            continue    # set from the shape below
+        else:
+            kw[name] = draw(st.integers(0 if name != "w" else 1, 40))
+    if "blocks" in kw:       # each strided side: blocks, then rows, apart
+        sides = ("ddr",) if op != M.MISC else ("src", "dst")
+        for side in sides:
+            kw[f"{side}_blk_stride"] = blk = draw(
+                _stride(kw["blocks"], kw["block_bytes"]))
+            kw[f"{side}_row_stride"] = draw(_stride(
+                kw["rows"], (kw["blocks"] - 1) * blk + kw["block_bytes"]
+                if kw["blocks"] else 0))
+    if sub == "conv":
+        kw["wgt_bytes"] = kw["c_out"] * (kw["kh"] * kw["kw"] * kw["c_in"]
+                                         + 4)
+    if "kh" in kw:           # the window fits the padded input
+        kw["pb"] = max(kw["pb"], kw["kh"] - kw["in_rows"] - kw["pt"])
+    if sub == "upsample":
+        kw["out_rows"] = min(kw["out_rows"], kw["in_rows"] * kw["factor"])
+    return M.Instruction(op=op, sub=sub, **kw)
+
+
+@given(_any_instruction())
+@settings(max_examples=600, deadline=None)
+def test_generated_writer_matches_the_format_template(ins):
+    # the writer generated from `_ASM_FIELDS` writes the line the format
+    # template does, and the parser reads that line back as `ins`
+    assert ins.geometry_error() is None
+    text = M.emit_assembly(M.Program(instructions=[ins]))
+    assert text.splitlines()[-1] == _format_writer(ins)
+    assert M.parse_assembly(text).instructions == [ins]

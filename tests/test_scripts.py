@@ -226,3 +226,17 @@ def test_ab_inproc_times_the_dependency_step(tmp_path):
     assert [line.split()[0] for line in out[1:-1]] == [
         "side", "parent", "change", "ratio"]
     assert out[-1] == f"dpon/dpby: identical on all {n} cases"
+
+
+def test_ab_inproc_times_the_assembly_writer(tmp_path):
+    # one tree on both sides: `emit_assembly` over every corpus case's
+    # compiled program, and the same text on both sides
+    out = run_script("ab_inproc.py", ROOT, ROOT, "--workload", "corpus",
+                     "--phase", "emit", "--pairs", "1",
+                     cwd=tmp_path).splitlines()
+    n = len(corpus.corpus_names()) + 1   # and deconv through upsample
+    assert out[0] == (f"workload corpus, phase emit, {n} cases, 1 pairs "
+                      f"(seconds per pass)")
+    assert [line.split()[0] for line in out[1:-1]] == [
+        "side", "parent", "change", "ratio"]
+    assert out[-1] == f"assemblies: identical on all {n} cases"
